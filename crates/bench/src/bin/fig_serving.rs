@@ -10,7 +10,7 @@
 //! PRs regress against the committed numbers.
 //!
 //! Each scenario runs inside a [`TelemetrySession`]; the serving section
-//! of the validated snapshot (schema v6) is embedded per row, with the
+//! of the validated snapshot (schema v7) is embedded per row, with the
 //! derived QPS/p50/p99 gauges set by this harness.
 //!
 //! The run aborts unless both scenarios complete training, predictions
@@ -52,7 +52,7 @@ struct Row {
     predict_qps: f64,
     predict_p50_us: f64,
     predict_p99_us: f64,
-    /// Serving section of the validated telemetry snapshot (schema v6).
+    /// Serving section of the validated telemetry snapshot (schema v7).
     serving: ServingSnapshot,
 }
 

@@ -15,7 +15,8 @@ use std::time::Duration;
 
 use crate::server::ServeSetup;
 
-/// A model state pulled from the server.
+/// A model state pulled from the server. A worker keeps one as its replica
+/// and lets [`Client::pull_update`] advance it in place.
 #[derive(Debug, Clone)]
 pub struct ModelView {
     /// Rounds baked into the weights.
@@ -26,6 +27,15 @@ pub struct ModelView {
     pub done: bool,
     /// Dense weight vector.
     pub weights: Vec<f64>,
+}
+
+/// Which frame answered a [`Client::pull_update`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PullKind {
+    /// A `ModelDelta`: only the changed weights crossed the wire.
+    Delta,
+    /// The dense `Model`: the replica was replaced.
+    Dense,
 }
 
 /// A connected, version-negotiated client.
@@ -117,6 +127,78 @@ impl Client {
         }
     }
 
+    /// Advances `replica` — the model of round `replica.round`, from an
+    /// earlier pull — to the server's current model, as
+    /// [`pull_model`](Self::pull_model) would return it for `round`/`wait`.
+    /// The server sends only the weights that changed when it can express
+    /// its model as a change to `replica.round`'s; those are assigned in
+    /// place (`weights[k] = v`, so the replica stays bit-identical to the
+    /// server's model and a repeated delta is harmless). Otherwise, or if
+    /// the delta does not start from `replica.round`, the dense model
+    /// replaces the replica.
+    ///
+    /// # Errors
+    /// Wire failures; [`NetError::Protocol`] for a delta that names a weight
+    /// the replica does not have (the replica is left untouched).
+    pub fn pull_update(
+        &mut self,
+        worker: u32,
+        replica: &mut ModelView,
+        round: u64,
+        wait: bool,
+    ) -> Result<PullKind, NetError> {
+        let reply = self.call(&Request::PullDelta {
+            worker,
+            have_round: replica.round,
+            round,
+            wait,
+        })?;
+        match reply {
+            Response::ModelDelta {
+                base_round,
+                round,
+                epoch,
+                done,
+                keys,
+                values,
+            } if base_round == replica.round => {
+                let dim = replica.weights.len() as u64;
+                if let Some(k) = keys.iter().find(|&&k| k >= dim) {
+                    return Err(NetError::Protocol(format!(
+                        "delta key {k} is outside the replica's {dim} weights"
+                    )));
+                }
+                for (&k, &v) in keys.iter().zip(&values) {
+                    replica.weights[k as usize] = v;
+                }
+                replica.round = round;
+                replica.epoch = epoch;
+                replica.done = done;
+                Ok(PullKind::Delta)
+            }
+            // A delta from some other round cannot be applied to this replica.
+            Response::ModelDelta { .. } => {
+                *replica = self.pull_model(worker, round, false)?;
+                Ok(PullKind::Dense)
+            }
+            Response::Model {
+                round,
+                epoch,
+                done,
+                weights,
+            } => {
+                *replica = ModelView {
+                    round,
+                    epoch,
+                    done,
+                    weights,
+                };
+                Ok(PullKind::Dense)
+            }
+            other => Err(unexpected("ModelDelta or Model", &other)),
+        }
+    }
+
     /// Pushes one compressed gradient for `round`.
     ///
     /// # Errors
@@ -204,6 +286,10 @@ pub struct WorkerRunStats {
     pub recovered_from_checkpoint: bool,
     /// Round the worker observed when training completed.
     pub final_round: u64,
+    /// Pulls answered with the dense model (the first one always is).
+    pub pulls_dense: u64,
+    /// Pulls answered with a delta.
+    pub pulls_delta: u64,
 }
 
 /// Replays the shared batch schedule so the worker knows which instance
@@ -266,15 +352,17 @@ pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
     let mut schedule = Schedule::new(train.len(), setup.batch_ratio, spec.seed);
     let mut stats = WorkerRunStats::default();
 
-    // Joining mid-training (e.g. respawned after a crash): prove the
-    // server's checkpoint loads before participating, exactly what a
-    // stateful worker would restore from.
-    let view = client.pull_model(worker, 0, false)?;
-    let mut round = view.round;
-    if view.done {
+    // The one dense pull: the replica every later pull advances in place.
+    let mut replica = client.pull_model(worker, 0, false)?;
+    stats.pulls_dense = 1;
+    let mut round = replica.round;
+    if replica.done {
         stats.final_round = round;
         return Ok(stats);
     }
+    // Joining mid-training (e.g. respawned after a crash): prove the
+    // server's checkpoint loads before participating, exactly what a
+    // stateful worker would restore from.
     if round > 0 {
         match client.get_checkpoint() {
             Ok((_epochs, bytes)) => {
@@ -294,27 +382,27 @@ pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
     let mut model = GlmModel::new(dim, spec.loss, spec.l2)
         .map_err(|e| NetError::InvalidConfig(e.to_string()))?;
     loop {
-        let view = client.pull_model(worker, round, true)?;
-        if view.done {
-            stats.final_round = view.round;
+        match client.pull_update(worker, &mut replica, round, true)? {
+            PullKind::Delta => stats.pulls_delta += 1,
+            PullKind::Dense => stats.pulls_dense += 1,
+        }
+        if replica.done {
+            stats.final_round = replica.round;
             return Ok(stats);
         }
-        if view.round < round {
+        if replica.round < round {
             // Bounded server-side wait expired before the round advanced
             // (stragglers); just pull again.
             continue;
         }
-        if view.round > round {
-            // We lost rounds to the straggler timeout; fast-forward.
-            round = view.round;
-        }
-        if view.weights.len() != dim {
+        // Past `round` if we lost rounds to the straggler timeout.
+        round = replica.round;
+        if replica.weights.len() != dim {
             return Err(NetError::Protocol(format!(
                 "model has {} weights, expected {dim}",
-                view.weights.len()
+                replica.weights.len()
             )));
         }
-        model.weights = view.weights;
 
         let batch = schedule.batch_for(round);
         let part = partition(batch, setup.workers)
@@ -322,16 +410,25 @@ pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
             .nth(worker as usize)
             .unwrap_or_default();
         let slice: Vec<Instance> = part.iter().map(|&i| train[i].clone()).collect();
-        let msg = process_glm_batch(&model, &slice, compressor.as_ref(), &cost, &mut ws)?;
+        // The gradient is taken on the replica itself, lent to the model.
+        std::mem::swap(&mut model.weights, &mut replica.weights);
+        let msg = process_glm_batch(&model, &slice, compressor.as_ref(), &cost, &mut ws);
+        std::mem::swap(&mut model.weights, &mut replica.weights);
+        let msg = msg?;
 
+        // Built once: a `Backpressure` retry resends the same request.
+        let push = Request::PushGradient {
+            worker,
+            round,
+            loss_sum: msg.loss_sum,
+            instances: msg.instances as u64,
+            payload: msg.payload,
+        };
         loop {
-            let (status, server_round) = client.push_gradient(
-                worker,
-                round,
-                msg.loss_sum,
-                msg.instances as u64,
-                msg.payload.clone(),
-            )?;
+            let (status, server_round) = match client.call(&push)? {
+                Response::PushAck { status, round } => (status, round),
+                other => return Err(unexpected("PushAck", &other)),
+            };
             match status {
                 PushStatus::Accepted => {
                     stats.pushes_accepted += 1;

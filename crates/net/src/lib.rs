@@ -14,12 +14,14 @@
 //!   registry, carried opaquely.
 //! * [`sock`] — one connection type over TCP or Unix-domain sockets.
 //! * [`store`] — epoch-snapshot model store: `Predict` readers clone an
-//!   `Arc` and score lock-free while the trainer publishes new snapshots.
+//!   `Arc` and score lock-free while the trainer publishes new snapshots,
+//!   each carrying the pre-encoded delta from the round before it.
 //! * [`server`] — accept loop, bounded connection queue, handler pool,
 //!   bounded push queue (backpressure), and the trainer thread that
 //!   coalesces worker pushes per round and replicates the in-simulator
 //!   aggregation exactly (worker-id order, instance-weighted mean).
-//! * [`client`] — typed client plus the full worker participant loop with
+//! * [`client`] — typed client plus the full worker participant loop: one
+//!   dense pull, then a replica advanced by sparse deltas, with
 //!   checkpoint-validated recovery for respawned workers.
 //!
 //! Determinism: the server ships its [`server::ServeSetup`] to every
@@ -38,7 +40,7 @@ pub mod sock;
 pub mod store;
 pub mod wire;
 
-pub use client::{run_worker, Client, ModelView, WorkerRunStats};
+pub use client::{run_worker, Client, ModelView, PullKind, WorkerRunStats};
 pub use error::{ErrorCode, NetError};
 pub use server::{ServeSetup, ServeSummary, Server};
 pub use sock::{Conn, Listener};

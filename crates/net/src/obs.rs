@@ -1,8 +1,8 @@
 //! Thin shims from server events to the global telemetry registry
-//! (schema v6 `serving` section). All of these are no-ops unless a
+//! (`serving` section, schema v7). All of these are no-ops unless a
 //! telemetry session is recording.
 
-use sketchml_telemetry::{counter_max, inc, Counter};
+use sketchml_telemetry::{add, counter_max, inc, Counter};
 
 /// A connection was accepted.
 pub fn connection() {
@@ -26,9 +26,26 @@ pub fn push() {
     inc(Counter::ServingPushes);
 }
 
-/// A `PullModel` was answered.
-pub fn pull() {
+/// A pull was answered with a `bytes`-long frame: the dense `Model` or a
+/// `ModelDelta`.
+pub fn pull(dense: bool, bytes: u64) {
     inc(Counter::ServingPulls);
+    inc(if dense {
+        Counter::ServingPullsDense
+    } else {
+        Counter::ServingPullsDelta
+    });
+    add(Counter::ServingBytesDown, bytes);
+}
+
+/// A `PushGradient` frame of `bytes` bytes arrived (whatever its ack).
+pub fn push_bytes(bytes: u64) {
+    add(Counter::ServingBytesUp, bytes);
+}
+
+/// A push for a future round or from an unknown worker id was refused.
+pub fn rejected_push() {
+    inc(Counter::ServingRejectedPushes);
 }
 
 /// A push was refused because the bounded queue was full.

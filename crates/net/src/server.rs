@@ -20,7 +20,7 @@ use crate::error::{ErrorCode, NetError};
 use crate::obs;
 use crate::sock::{Conn, Listener};
 use crate::store::{ModelSnapshot, ModelStore};
-use crate::wire::{PredictInstance, PushStatus, Request, Response, PROTOCOL_VERSION};
+use crate::wire::{self, PredictInstance, PushStatus, Request, Response, PROTOCOL_VERSION};
 use serde::{Deserialize, Serialize};
 use sketchml_cluster::driver::{aggregate, DriverScratch};
 use sketchml_cluster::network::CostModel;
@@ -211,7 +211,12 @@ struct Counters {
     predict_instances: AtomicU64,
     pushes: AtomicU64,
     pulls: AtomicU64,
+    pulls_dense: AtomicU64,
+    pulls_delta: AtomicU64,
+    bytes_down: AtomicU64,
+    bytes_up: AtomicU64,
     stale_pushes: AtomicU64,
+    rejected_pushes: AtomicU64,
     backpressure: AtomicU64,
     refused_conns: AtomicU64,
     inflight: AtomicU64,
@@ -281,6 +286,16 @@ impl Shared {
             backpressure_rejects: u64,
             refused_connections: u64,
             summary: Option<ServeSummary>,
+            /// Pulls answered with the dense `Model` frame.
+            pulls_dense: u64,
+            /// Pulls answered with a `ModelDelta` frame.
+            pulls_delta: u64,
+            /// Bytes of the `Model` and `ModelDelta` frames sent.
+            bytes_down: u64,
+            /// Bytes of the `PushGradient` frames received.
+            bytes_up: u64,
+            /// Pushes refused for a future round or an unknown worker id.
+            rejected_pushes: u64,
         }
         let snap = self.store.snapshot();
         let summary = self
@@ -303,6 +318,11 @@ impl Shared {
             backpressure_rejects: c.backpressure.load(Ordering::Relaxed),
             refused_connections: c.refused_conns.load(Ordering::Relaxed),
             summary,
+            pulls_dense: c.pulls_dense.load(Ordering::Relaxed),
+            pulls_delta: c.pulls_delta.load(Ordering::Relaxed),
+            bytes_down: c.bytes_down.load(Ordering::Relaxed),
+            bytes_up: c.bytes_up.load(Ordering::Relaxed),
+            rejected_pushes: c.rejected_pushes.load(Ordering::Relaxed),
         };
         serde_json::to_string(&stats).unwrap_or_else(|_| "{}".into())
     }
@@ -463,6 +483,7 @@ fn clone_snapshot(s: &ModelSnapshot) -> ModelSnapshot {
         epoch: s.epoch,
         done: s.done,
         model: s.model.clone(),
+        delta: s.delta.clone(),
     }
 }
 
@@ -593,7 +614,7 @@ fn serve_connection(shared: &Arc<Shared>, conn: Conn) -> Result<(), NetError> {
         if shared.shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let req = match Request::read_from(&mut reader) {
+        let (req, frame_len) = match Request::read_sized(&mut reader) {
             Ok(r) => r,
             Err(NetError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
                 return Ok(()); // clean disconnect
@@ -613,6 +634,13 @@ fn serve_connection(shared: &Arc<Shared>, conn: Conn) -> Result<(), NetError> {
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
         let inflight = shared.counters.inflight.fetch_add(1, Ordering::Relaxed) + 1;
         obs::request(inflight);
+        if matches!(req, Request::PushGradient { .. }) {
+            shared
+                .counters
+                .bytes_up
+                .fetch_add(frame_len as u64, Ordering::Relaxed);
+            obs::push_bytes(frame_len as u64);
+        }
         let result = handle_request(shared, req, &mut cached, &mut reader, &mut writer);
         shared.counters.inflight.fetch_sub(1, Ordering::Relaxed);
         match result {
@@ -649,24 +677,13 @@ fn handle_request(
             worker: _,
             round,
             wait,
-        } => {
-            shared.counters.pulls.fetch_add(1, Ordering::Relaxed);
-            obs::pull();
-            let snap = if wait {
-                shared
-                    .store
-                    .wait_for_round(round, Duration::from_millis(10_000))
-            } else {
-                shared.store.snapshot()
-            };
-            Response::Model {
-                round: snap.round,
-                epoch: snap.epoch,
-                done: snap.done,
-                weights: snap.model.weights.clone(),
-            }
-            .write_to(writer)?;
-        }
+        } => reply_pull(shared, None, round, wait, writer)?,
+        Request::PullDelta {
+            worker: _,
+            have_round,
+            round,
+            wait,
+        } => reply_pull(shared, Some(have_round), round, wait, writer)?,
         Request::PushGradient {
             worker,
             round,
@@ -675,6 +692,25 @@ fn handle_request(
             payload,
         } => {
             let snap = shared.store.snapshot();
+            if worker as usize >= shared.setup.workers || (round > snap.round && !snap.done) {
+                // The trainer would drop it unseen: say so, and keep the
+                // bounded queue for pushes that can count.
+                shared
+                    .counters
+                    .rejected_pushes
+                    .fetch_add(1, Ordering::Relaxed);
+                obs::rejected_push();
+                Response::Error {
+                    code: ErrorCode::BadState,
+                    message: format!(
+                        "push from worker {worker} for round {round} refused: \
+                         the session has {} workers and is at round {}",
+                        shared.setup.workers, snap.round
+                    ),
+                }
+                .write_to(writer)?;
+                return Ok(true);
+            }
             let (status, ack_round) = if snap.done {
                 (PushStatus::Done, snap.round)
             } else if round < snap.round {
@@ -758,6 +794,55 @@ fn handle_request(
     Ok(true)
 }
 
+/// Answers a pull. A worker that holds the model of `have_round` gets the
+/// pairs that changed since: none if that is the current round, the retained
+/// delta if it is the round before. Everyone else — a fresh or respawned
+/// worker, a straggler that lost a round, an inference client — gets the
+/// dense model, written straight from the snapshot.
+fn reply_pull(
+    shared: &Shared,
+    have_round: Option<u64>,
+    round: u64,
+    wait: bool,
+    writer: &mut BufWriter<Conn>,
+) -> Result<(), NetError> {
+    let snap = if wait {
+        shared
+            .store
+            .wait_for_round(round, Duration::from_millis(10_000))
+    } else {
+        shared.store.snapshot()
+    };
+    let delta = match (have_round, &snap.delta) {
+        (Some(have), _) if have == snap.round => Some((have, wire::EMPTY_DELTA_SECTION)),
+        (Some(have), Some(section)) if have.checked_add(1) == Some(snap.round) => {
+            Some((have, section.as_slice()))
+        }
+        _ => None,
+    };
+    let c = &shared.counters;
+    let sent = match delta {
+        Some((have, section)) => {
+            c.pulls_delta.fetch_add(1, Ordering::Relaxed);
+            wire::write_model_delta(writer, have, snap.round, snap.epoch, snap.done, section)?
+        }
+        None => {
+            c.pulls_dense.fetch_add(1, Ordering::Relaxed);
+            wire::write_model(
+                writer,
+                snap.round,
+                snap.epoch,
+                snap.done,
+                &snap.model.weights,
+            )?
+        }
+    };
+    c.pulls.fetch_add(1, Ordering::Relaxed);
+    c.bytes_down.fetch_add(sent as u64, Ordering::Relaxed);
+    obs::pull(delta.is_none(), sent as u64);
+    Ok(())
+}
+
 fn score_batch(model: &GlmModel, instances: &[PredictInstance]) -> Result<Vec<f64>, NetError> {
     let mut scores = Vec::with_capacity(instances.len());
     for inst in instances {
@@ -816,6 +901,7 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
         ..ServeSummary::default()
     };
     let mut round = 0u64;
+    let mut delta = None;
 
     'epochs: for epoch in 1..=spec.max_epochs {
         let batches = batcher.epoch();
@@ -830,7 +916,12 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
             } else {
                 summary.partial_rounds += 1;
             }
-            if !msgs.is_empty() {
+            // Every optimizer moves only the weights the aggregate names, so
+            // those keys with their new values are the whole change of the
+            // round: encoded here once, sent as is to every worker.
+            let section = if msgs.is_empty() {
+                wire::EMPTY_DELTA_SECTION.to_vec()
+            } else {
                 let agg = aggregate(
                     &msgs,
                     dim as u64,
@@ -840,7 +931,9 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
                     &mut ds,
                 )?;
                 model.apply_gradient(&mut opt, agg.gradient.keys(), agg.gradient.values());
-            }
+                wire::encode_delta_section(agg.gradient.keys(), &model.weights)?
+            };
+            delta = Some(Arc::new(section));
             round += 1;
             summary.rounds = round;
             if setup.round_sleep_ms > 0 {
@@ -851,6 +944,7 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
                 epoch: (epoch - 1) as u32,
                 done: false,
                 model: model.clone(),
+                delta: delta.clone(),
             });
         }
         summary.epochs_done = epoch as u64;
@@ -872,6 +966,7 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
             epoch: epoch as u32,
             done: false,
             model: model.clone(),
+            delta: delta.clone(),
         });
     }
     summary.accuracy = model.accuracy(&test);
@@ -881,8 +976,9 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
 
 /// Coalesces one round's pushes: waits for the first push (idle deadline),
 /// then for the stragglers (round timeout), deduplicating by worker and
-/// dropping stale rounds. Returns messages ordered by worker id — the same
-/// order the in-process simulator aggregates in, so the float sums match.
+/// dropping pushes whose round closed while they were queued. Returns
+/// messages ordered by worker id — the same order the in-process simulator
+/// aggregates in, so the float sums match.
 fn collect_round(shared: &Arc<Shared>, round: u64) -> Result<Vec<WorkerMessage>, NetError> {
     let setup = &shared.setup;
     let mut slots: Vec<Option<PushEnvelope>> = (0..setup.workers).map(|_| None).collect();
@@ -915,9 +1011,10 @@ fn collect_round(shared: &Arc<Shared>, round: u64) -> Result<Vec<WorkerMessage>,
         else {
             continue;
         };
-        if env.round != round || (env.worker as usize) >= setup.workers {
-            // Stale (a slow worker lost the race against the straggler
-            // timeout) or out-of-range; the pusher already got its ack.
+        if env.round != round {
+            // Stale: a slow worker's push was queued just before the
+            // straggler timeout closed its round. (Worker ids and future
+            // rounds were refused at the handler.)
             continue;
         }
         let slot = &mut slots[env.worker as usize];

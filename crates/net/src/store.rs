@@ -23,6 +23,14 @@ pub struct ModelSnapshot {
     pub done: bool,
     /// The model at this round.
     pub model: GlmModel,
+    /// What the latest round changed: the `(key, new weight)` pairs that turn
+    /// the model of `round - 1` into `model`, encoded once by the trainer (the
+    /// section of a [`ModelDelta`](crate::wire::Response::ModelDelta) body)
+    /// and sent as they are to every worker that holds `round - 1`. Only
+    /// this one round's is retained — a BSP worker that pushed for a round
+    /// is never more than that one round behind. `None` before the first
+    /// round.
+    pub delta: Option<Arc<Vec<u8>>>,
 }
 
 /// Shared store: many reader threads, one writer (the trainer).
@@ -44,6 +52,7 @@ impl ModelStore {
                 epoch: 0,
                 done: false,
                 model,
+                delta: None,
             })),
             wait: Mutex::new(()),
             advanced: Condvar::new(),
@@ -123,6 +132,7 @@ mod tests {
             epoch: 0,
             done: false,
             model: next,
+            delta: None,
         });
         // The old snapshot is immutable: readers mid-predict see a
         // consistent model even after the swap.
@@ -153,6 +163,7 @@ mod tests {
             epoch: 1,
             done: false,
             model: model(2),
+            delta: None,
         });
         assert_eq!(waiter.join().unwrap(), 3);
     }
@@ -167,6 +178,7 @@ mod tests {
             epoch: 2,
             done: true,
             model: model(2),
+            delta: None,
         });
         // `done` satisfies any round.
         let snap = store.wait_for_round(99, Duration::from_secs(10));

@@ -14,9 +14,21 @@
 //! whatever the session's [`GradientCompressor`] produced (v2 CRC frames
 //! included), checked by the codec on decode.
 //!
+//! The server writes the two model replies straight from its snapshot (no
+//! owned [`Response`] is built per pull). A `ModelDelta` body is
+//!
+//! ```text
+//! base_round(u64) | round(u64) | epoch(u32) | done(u8) | section
+//! section = count(u32) | delta-binary keys (varint count | flags | deltas) | count x f64 LE
+//! ```
+//!
+//! where the section — the `(key, new weight)` pairs one round changed — is
+//! encoded once per round by the trainer and shared by every handler thread.
+//!
 //! [`GradientCompressor`]: sketchml_core::GradientCompressor
 
 use crate::error::{ErrorCode, NetError};
+use sketchml_encoding::{delta_binary, varint};
 use std::io::{Read, Write};
 
 /// Single supported protocol version; `Hello` negotiates a range so future
@@ -97,6 +109,20 @@ pub enum Request {
         /// Block server-side until the round is available.
         wait: bool,
     },
+    /// Like `PullModel`, from a worker that holds the model of `have_round`:
+    /// the server answers [`Response::ModelDelta`] when it can express its
+    /// model as a change to that round's, and the dense [`Response::Model`]
+    /// otherwise.
+    PullDelta {
+        /// Requesting worker id (0-based), for logs/stats.
+        worker: u32,
+        /// Round of the replica the worker already holds.
+        have_round: u64,
+        /// Round whose model the worker wants.
+        round: u64,
+        /// Block server-side until the round is available.
+        wait: bool,
+    },
     /// A worker's compressed contribution for one round.
     PushGradient {
         /// Pushing worker id (0-based).
@@ -146,6 +172,22 @@ pub enum Response {
         done: bool,
         /// Dense weight vector.
         weights: Vec<f64>,
+    },
+    /// The weights that differ between the models of `base_round` and
+    /// `round`, as absolute values: the receiver *assigns* `weights[k] = v`.
+    ModelDelta {
+        /// Round of the replica these pairs apply to.
+        base_round: u64,
+        /// Round of the model the replica becomes.
+        round: u64,
+        /// Epochs completed.
+        epoch: u32,
+        /// Whether training has finished.
+        done: bool,
+        /// Strictly ascending indices of the changed weights.
+        keys: Vec<u64>,
+        /// Their new values, parallel to `keys`.
+        values: Vec<f64>,
     },
     /// Acknowledges a push.
     PushAck {
@@ -200,6 +242,8 @@ const K_GET_STATS: u8 = 0x0D;
 const K_STATS: u8 = 0x0E;
 const K_SHUTDOWN: u8 = 0x0F;
 const K_SHUTDOWN_ACK: u8 = 0x10;
+const K_PULL_DELTA: u8 = 0x11;
+const K_MODEL_DELTA: u8 = 0x12;
 const K_ERROR: u8 = 0x7F;
 
 // --- body cursor -----------------------------------------------------------
@@ -278,6 +322,38 @@ impl<'a> Cursor<'a> {
         Ok(n)
     }
 
+    /// The `(keys, values)` of a delta section (layout in the module docs).
+    /// Keys come back strictly ascending; whether they fit the receiver's
+    /// model is the receiver's check.
+    fn delta_section(&mut self) -> Result<(Vec<u64>, Vec<f64>), NetError> {
+        // A pair costs at least one key byte and eight value bytes.
+        let n = self.count(9)?;
+        let mut rest = &self.buf[self.pos..];
+        // The key section repeats the count and reserves room for it: hold it
+        // to the guarded one before decoding.
+        let mut peek = rest;
+        let declared = varint::read_u64(&mut peek).map_err(bad_delta_keys)?;
+        if declared != n as u64 {
+            return Err(NetError::Protocol(format!(
+                "delta key section declares {declared} keys, the frame {n}"
+            )));
+        }
+        let mut keys = Vec::new();
+        delta_binary::decode_keys_into(&mut rest, &mut keys).map_err(bad_delta_keys)?;
+        if keys.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(NetError::Protocol(
+                "delta keys are not strictly ascending".into(),
+            ));
+        }
+        self.pos = self.buf.len() - rest.len();
+        let values = self
+            .take(8 * n)?
+            .chunks_exact(8)
+            .map(|v| f64::from_le_bytes(v.try_into().expect("8B")))
+            .collect();
+        Ok((keys, values))
+    }
+
     fn finish(self) -> Result<(), NetError> {
         if self.pos != self.buf.len() {
             return Err(NetError::Protocol(format!(
@@ -289,6 +365,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
+fn bad_delta_keys(e: sketchml_encoding::EncodingError) -> NetError {
+    NetError::Protocol(format!("delta keys: {e}"))
+}
+
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(bytes);
@@ -296,27 +376,132 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 
 // --- framing ---------------------------------------------------------------
 
-fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> Result<(), NetError> {
-    if body.len() > MAX_BODY {
+/// Bytes of the frame header (magic, kind, body length).
+const FRAME_HEADER: usize = 6;
+
+fn write_frame_header(w: &mut impl Write, kind: u8, body_len: usize) -> Result<(), NetError> {
+    if body_len > MAX_BODY {
         return Err(NetError::Protocol(format!(
-            "outgoing body of {} bytes exceeds MAX_BODY {MAX_BODY}",
-            body.len()
+            "outgoing body of {body_len} bytes exceeds MAX_BODY {MAX_BODY}"
         )));
     }
-    let mut header = [0u8; 6];
+    let mut header = [0u8; FRAME_HEADER];
     header[0] = MAGIC;
     header[1] = kind;
-    header[2..6].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[2..6].copy_from_slice(&(body_len as u32).to_le_bytes());
     w.write_all(&header)?;
+    Ok(())
+}
+
+fn write_frame(w: &mut impl Write, kind: u8, body: &[u8]) -> Result<(), NetError> {
+    write_frame_header(w, kind, body.len())?;
     w.write_all(body)?;
     w.flush()?;
     Ok(())
 }
 
+/// Writes a [`Response::Model`] frame straight from a weight slice — the
+/// server's snapshot is serialised without being cloned — and returns the
+/// frame's length in bytes.
+///
+/// # Errors
+/// [`NetError::Io`] on write failure, [`NetError::Protocol`] if the body
+/// exceeds [`MAX_BODY`].
+pub(crate) fn write_model(
+    w: &mut impl Write,
+    round: u64,
+    epoch: u32,
+    done: bool,
+    weights: &[f64],
+) -> Result<usize, NetError> {
+    let mut head = Vec::with_capacity(17);
+    head.extend_from_slice(&round.to_le_bytes());
+    head.extend_from_slice(&epoch.to_le_bytes());
+    head.push(u8::from(done));
+    // MAX_BODY, checked with the header, keeps the count inside a u32.
+    head.extend_from_slice(&(weights.len() as u32).to_le_bytes());
+    let body_len = head.len() + 8 * weights.len();
+    write_frame_header(w, K_MODEL, body_len)?;
+    w.write_all(&head)?;
+    // 64 KiB at a time: large enough that a `BufWriter` passes each piece
+    // through to the socket instead of copying it again.
+    let mut buf = [0u8; 8 * 8192];
+    for chunk in weights.chunks(8192) {
+        for (dst, v) in buf.chunks_exact_mut(8).zip(chunk) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        w.write_all(&buf[..8 * chunk.len()])?;
+    }
+    w.flush()?;
+    Ok(FRAME_HEADER + body_len)
+}
+
+/// Encodes the section of a [`Response::ModelDelta`] body that holds the
+/// changed weights: `keys` (strictly ascending) with `weights[key]` as each
+/// one's new value. The trainer does this once per round; every pull of that
+/// round is answered from the same bytes by [`write_model_delta`].
+///
+/// # Errors
+/// [`NetError::Protocol`] if `keys` are not strictly ascending indices into
+/// `weights`.
+pub(crate) fn encode_delta_section(keys: &[u64], weights: &[f64]) -> Result<Vec<u8>, NetError> {
+    if let Some(k) = keys.iter().find(|&&k| k >= weights.len() as u64) {
+        return Err(NetError::Protocol(format!(
+            "delta key {k} is outside the {} weights",
+            weights.len()
+        )));
+    }
+    delta_section(keys, keys.iter().map(|&k| weights[k as usize]))
+}
+
+/// `count | delta-binary keys | values`, for `keys.len()` values.
+fn delta_section(keys: &[u64], values: impl Iterator<Item = f64>) -> Result<Vec<u8>, NetError> {
+    let count = u32::try_from(keys.len())
+        .map_err(|_| NetError::Protocol(format!("{} delta keys exceed a u32", keys.len())))?;
+    let mut out = Vec::with_capacity(8 + 10 * keys.len());
+    out.extend_from_slice(&count.to_le_bytes());
+    // Rejects descending and repeated keys.
+    delta_binary::encode_keys(keys, &mut out).map_err(bad_delta_keys)?;
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    Ok(out)
+}
+
+/// The section of a delta that changes nothing: zero pairs.
+pub(crate) const EMPTY_DELTA_SECTION: &[u8] = &[0; 5];
+
+/// Writes a [`Response::ModelDelta`] frame around a section encoded by
+/// [`encode_delta_section`] and returns the frame's length in bytes.
+///
+/// # Errors
+/// [`NetError::Io`] on write failure, [`NetError::Protocol`] if the body
+/// exceeds [`MAX_BODY`].
+pub(crate) fn write_model_delta(
+    w: &mut impl Write,
+    base_round: u64,
+    round: u64,
+    epoch: u32,
+    done: bool,
+    section: &[u8],
+) -> Result<usize, NetError> {
+    let mut head = Vec::with_capacity(21);
+    head.extend_from_slice(&base_round.to_le_bytes());
+    head.extend_from_slice(&round.to_le_bytes());
+    head.extend_from_slice(&epoch.to_le_bytes());
+    head.push(u8::from(done));
+    let body_len = head.len() + section.len();
+    write_frame_header(w, K_MODEL_DELTA, body_len)?;
+    w.write_all(&head)?;
+    w.write_all(section)?;
+    w.flush()?;
+    Ok(FRAME_HEADER + body_len)
+}
+
 /// Reads one raw frame: `(kind, body)`. Blocks until the full frame has
 /// arrived (partial reads reassemble via `read_exact`).
 fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), NetError> {
-    let mut header = [0u8; 6];
+    let mut header = [0u8; FRAME_HEADER];
     r.read_exact(&mut header)?;
     if header[0] != MAGIC {
         return Err(NetError::Protocol(format!(
@@ -364,6 +549,18 @@ impl Request {
                 body.push(u8::from(*wait));
                 K_PULL_MODEL
             }
+            Request::PullDelta {
+                worker,
+                have_round,
+                round,
+                wait,
+            } => {
+                body.extend_from_slice(&worker.to_le_bytes());
+                body.extend_from_slice(&have_round.to_le_bytes());
+                body.extend_from_slice(&round.to_le_bytes());
+                body.push(u8::from(*wait));
+                K_PULL_DELTA
+            }
             Request::PushGradient {
                 worker,
                 round,
@@ -402,6 +599,12 @@ impl Request {
     /// [`NetError::Io`] on a truncated stream, [`NetError::Protocol`] on any
     /// grammar violation. Never panics.
     pub fn read_from(r: &mut impl Read) -> Result<Self, NetError> {
+        Self::read_sized(r).map(|(req, _)| req)
+    }
+
+    /// [`read_from`](Self::read_from) plus the frame's length in bytes, for
+    /// the server's traffic counters.
+    pub(crate) fn read_sized(r: &mut impl Read) -> Result<(Self, usize), NetError> {
         let (kind, body) = read_frame(r)?;
         let mut c = Cursor::new(&body);
         let req = match kind {
@@ -412,6 +615,12 @@ impl Request {
             K_GET_CONFIG => Request::GetConfig,
             K_PULL_MODEL => Request::PullModel {
                 worker: c.u32()?,
+                round: c.u64()?,
+                wait: c.u8()? != 0,
+            },
+            K_PULL_DELTA => Request::PullDelta {
+                worker: c.u32()?,
+                have_round: c.u64()?,
                 round: c.u64()?,
                 wait: c.u8()? != 0,
             },
@@ -447,7 +656,7 @@ impl Request {
             }
         };
         c.finish()?;
-        Ok(req)
+        Ok((req, FRAME_HEADER + body.len()))
     }
 }
 
@@ -473,15 +682,25 @@ impl Response {
                 epoch,
                 done,
                 weights,
+            } => return write_model(w, *round, *epoch, *done, weights).map(drop),
+            Response::ModelDelta {
+                base_round,
+                round,
+                epoch,
+                done,
+                keys,
+                values,
             } => {
-                body.extend_from_slice(&round.to_le_bytes());
-                body.extend_from_slice(&epoch.to_le_bytes());
-                body.push(u8::from(*done));
-                body.extend_from_slice(&(weights.len() as u32).to_le_bytes());
-                for w in weights {
-                    body.extend_from_slice(&w.to_le_bytes());
+                if keys.len() != values.len() {
+                    return Err(NetError::Protocol(format!(
+                        "delta has {} keys and {} values",
+                        keys.len(),
+                        values.len()
+                    )));
                 }
-                K_MODEL
+                let section = delta_section(keys, values.iter().copied())?;
+                return write_model_delta(w, *base_round, *round, *epoch, *done, &section)
+                    .map(drop);
             }
             Response::PushAck { status, round } => {
                 body.push(status.to_u8());
@@ -539,6 +758,21 @@ impl Response {
                     epoch,
                     done,
                     weights,
+                }
+            }
+            K_MODEL_DELTA => {
+                let base_round = c.u64()?;
+                let round = c.u64()?;
+                let epoch = c.u32()?;
+                let done = c.u8()? != 0;
+                let (keys, values) = c.delta_section()?;
+                Response::ModelDelta {
+                    base_round,
+                    round,
+                    epoch,
+                    done,
+                    keys,
+                    values,
                 }
             }
             K_PUSH_ACK => {
@@ -625,6 +859,12 @@ mod tests {
                 round: 77,
                 wait: true,
             },
+            Request::PullDelta {
+                worker: 1,
+                have_round: 76,
+                round: 77,
+                wait: true,
+            },
             Request::PushGradient {
                 worker: 3,
                 round: 12,
@@ -664,6 +904,22 @@ mod tests {
                 epoch: 2,
                 done: false,
                 weights: vec![0.0, -1.5, 3.25],
+            },
+            Response::ModelDelta {
+                base_round: 9,
+                round: 10,
+                epoch: 2,
+                done: false,
+                keys: vec![0, 3, 300, 70_000, 20_000_000],
+                values: vec![0.5, -0.0, f64::MIN_POSITIVE, -1.5e300, 3.25],
+            },
+            Response::ModelDelta {
+                base_round: 10,
+                round: 10,
+                epoch: 3,
+                done: true,
+                keys: vec![],
+                values: vec![],
             },
             Response::PushAck {
                 status: PushStatus::Stale,
@@ -733,6 +989,160 @@ mod tests {
         buf.extend_from_slice(&body);
         let err = Request::read_from(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, NetError::Protocol(_)), "{err}");
+    }
+
+    #[test]
+    fn write_model_keeps_the_dense_frame_bytes() {
+        // More than one 8192-weight chunk, the last one short.
+        let weights: Vec<f64> = (0..2 * 8192 + 5).map(|i| i as f64 / 3.0 - 1e3).collect();
+        let mut expected = vec![MAGIC, K_MODEL];
+        expected.extend_from_slice(&((17 + 8 * weights.len()) as u32).to_le_bytes());
+        expected.extend_from_slice(&9u64.to_le_bytes());
+        expected.extend_from_slice(&2u32.to_le_bytes());
+        expected.push(1);
+        expected.extend_from_slice(&(weights.len() as u32).to_le_bytes());
+        for w in &weights {
+            expected.extend_from_slice(&w.to_le_bytes());
+        }
+        let mut written = Vec::new();
+        let len = write_model(&mut written, 9, 2, true, &weights).unwrap();
+        assert_eq!(len, written.len());
+        assert!(written == expected, "dense frame bytes changed");
+        // The owned response goes through the same writer.
+        let resp = Response::Model {
+            round: 9,
+            epoch: 2,
+            done: true,
+            weights,
+        };
+        let mut owned = Vec::new();
+        resp.write_to(&mut owned).unwrap();
+        assert!(owned == expected);
+        assert_eq!(roundtrip_resp(&resp), resp);
+    }
+
+    #[test]
+    fn delta_section_carries_the_weights_at_its_keys() {
+        let weights = [0.5, -1.25, 0.0, 7.0, -3.5];
+        let section = encode_delta_section(&[1, 3, 4], &weights).unwrap();
+        let mut frame = Vec::new();
+        let len = write_model_delta(&mut frame, 4, 5, 1, false, &section).unwrap();
+        assert_eq!(len, frame.len());
+        assert_eq!(
+            Response::read_from(&mut frame.as_slice()).unwrap(),
+            Response::ModelDelta {
+                base_round: 4,
+                round: 5,
+                epoch: 1,
+                done: false,
+                keys: vec![1, 3, 4],
+                values: vec![-1.25, 7.0, -3.5],
+            }
+        );
+        assert_eq!(
+            encode_delta_section(&[], &weights).unwrap(),
+            EMPTY_DELTA_SECTION
+        );
+        // What the trainer can never produce is refused, not encoded.
+        for bad in [&[1u64, 5][..], &[3, 1], &[2, 2]] {
+            let err = encode_delta_section(bad, &weights).unwrap_err();
+            assert!(matches!(err, NetError::Protocol(_)), "{bad:?}: {err}");
+        }
+        let err = Response::ModelDelta {
+            base_round: 0,
+            round: 1,
+            epoch: 0,
+            done: false,
+            keys: vec![1, 2],
+            values: vec![0.5],
+        }
+        .write_to(&mut Vec::new())
+        .unwrap_err();
+        assert!(matches!(err, NetError::Protocol(_)), "{err}");
+    }
+
+    /// A `ModelDelta` frame around arbitrary section bytes.
+    fn delta_frame(section: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_model_delta(&mut frame, 4, 5, 1, false, section).unwrap();
+        frame
+    }
+
+    /// A section as the encoder lays it out, with each part forgeable:
+    /// `count`, then the key section's own varint count, one-byte key
+    /// deltas, and the values.
+    fn forged_section(count: u32, key_count: u8, deltas: &[u8], values: &[f64]) -> Vec<u8> {
+        assert!(
+            key_count < 0x80 && deltas.len() <= 4,
+            "one-byte varint, one flag byte"
+        );
+        let mut s = count.to_le_bytes().to_vec();
+        s.push(key_count);
+        if !deltas.is_empty() {
+            s.push(0); // flags: every delta is one byte
+        }
+        s.extend_from_slice(deltas);
+        for v in values {
+            s.extend_from_slice(&v.to_le_bytes());
+        }
+        s
+    }
+
+    #[test]
+    fn hostile_model_delta_bodies_fail_typed() {
+        let good = forged_section(3, 3, &[2, 1, 9], &[0.5, -0.5, 4.0]);
+        let mut weights = [0.0; 13];
+        (weights[2], weights[3], weights[12]) = (0.5, -0.5, 4.0);
+        assert_eq!(good, encode_delta_section(&[2, 3, 12], &weights).unwrap());
+        assert!(Response::read_from(&mut delta_frame(&good).as_slice()).is_ok());
+
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            // 2^31 pairs in a 30-byte body: stopped by the count guard,
+            // before anything is reserved for them.
+            (
+                "forged count",
+                forged_section(1 << 31, 3, &[2, 1, 9], &[0.5, -0.5, 4.0]),
+            ),
+            // The key section would reserve room for its own count.
+            (
+                "forged key count",
+                forged_section(3, 0x7F, &[2, 1, 9], &[0.5, -0.5, 4.0]),
+            ),
+            (
+                "fewer keys than count",
+                forged_section(3, 2, &[2, 1], &[0.5, -0.5, 4.0]),
+            ),
+            (
+                "duplicate key",
+                forged_section(3, 3, &[2, 0, 9], &[0.5, -0.5, 4.0]),
+            ),
+            (
+                "fewer values than keys",
+                forged_section(3, 3, &[2, 1, 9], &[0.5, -0.5]),
+            ),
+            (
+                "more values than keys",
+                forged_section(3, 3, &[2, 1, 9], &[0.5, -0.5, 4.0, 1.0]),
+            ),
+            ("trailing bytes", [good.clone(), vec![0xEE; 3]].concat()),
+            ("empty section", vec![]),
+        ];
+        for (what, section) in cases {
+            let err = Response::read_from(&mut delta_frame(&section).as_slice()).unwrap_err();
+            assert!(matches!(err, NetError::Protocol(_)), "{what}: {err}");
+            if what == "forged count" {
+                assert!(err.to_string().contains("x 9B exceeds"), "{err}");
+            }
+        }
+        // Every proper prefix of the body, framed as if it were complete.
+        let body = &delta_frame(&good)[FRAME_HEADER..];
+        for cut in 0..body.len() {
+            let mut frame = vec![MAGIC, K_MODEL_DELTA];
+            frame.extend_from_slice(&(cut as u32).to_le_bytes());
+            frame.extend_from_slice(&body[..cut]);
+            let err = Response::read_from(&mut frame.as_slice()).unwrap_err();
+            assert!(matches!(err, NetError::Protocol(_)), "cut at {cut}: {err}");
+        }
     }
 
     #[test]

@@ -165,6 +165,52 @@ fn response_frame_reassembles_at_every_split_boundary() {
 }
 
 #[test]
+fn delta_pull_frames_reassemble_at_every_split_and_fail_typed_at_every_cut() {
+    // Keys whose deltas take one, two and three bytes.
+    let keys: Vec<u64> = (0..40u64).map(|i| i * i * i * 13 + i).collect();
+    let delta = Response::ModelDelta {
+        base_round: 16,
+        round: 17,
+        epoch: 1,
+        done: false,
+        values: keys.iter().map(|&k| 0.5 - k as f64 / 7.0).collect(),
+        keys,
+    };
+    let pull = Request::PullDelta {
+        worker: 1,
+        have_round: 16,
+        round: 17,
+        wait: true,
+    };
+    let delta_bytes = response_bytes(&delta);
+    for split in 0..=delta_bytes.len() {
+        let (sender, receiver) = UnixStream::pair().unwrap();
+        let writer = split_write(sender, delta_bytes.clone(), split);
+        let decoded = Response::read_from(&mut BufReader::new(receiver))
+            .unwrap_or_else(|e| panic!("split at byte {split}: {e}"));
+        writer.join().unwrap();
+        assert_eq!(decoded, delta, "split at byte {split}");
+    }
+    let pull_bytes = request_bytes(&pull);
+    for split in 0..=pull_bytes.len() {
+        let (sender, receiver) = UnixStream::pair().unwrap();
+        let writer = split_write(sender, pull_bytes.clone(), split);
+        let decoded = Request::read_from(&mut BufReader::new(receiver))
+            .unwrap_or_else(|e| panic!("split at byte {split}: {e}"));
+        writer.join().unwrap();
+        assert_eq!(decoded, pull, "split at byte {split}");
+    }
+    // A stream that ends inside the frame: typed, never a panic or a delta.
+    for cut in 0..delta_bytes.len() {
+        match Response::read_from(&mut &delta_bytes[..cut]) {
+            Ok(decoded) => panic!("cut at byte {cut}: decoded {decoded:?}"),
+            Err(NetError::Io(_)) | Err(NetError::Protocol(_)) => {}
+            Err(other) => panic!("cut at byte {cut}: wrong error class {other}"),
+        }
+    }
+}
+
+#[test]
 fn truncated_stream_fails_typed_at_every_boundary_never_panics() {
     let (req, _) = push_request("sketchml");
     let bytes = request_bytes(&req);

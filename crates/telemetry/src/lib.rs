@@ -45,8 +45,10 @@ use std::time::Instant;
 /// version 4 added the membership section (elastic evictions/joins);
 /// version 5 added `cluster.opt_state_bytes` (sketched optimizer state);
 /// version 6 added the serving section (live socket server: qps, in-flight,
-/// queue depth, predict latency percentiles).
-pub const SCHEMA_VERSION: u32 = 6;
+/// queue depth, predict latency percentiles);
+/// version 7 added the serving section's pull kinds, training-plane bytes
+/// and rejected pushes.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// Number of power-of-two buckets in every histogram.
 pub const HIST_BUCKETS: usize = 16;
@@ -178,7 +180,7 @@ pub enum Counter {
     ServingPredicts,
     /// Serving: `PushGradient` requests accepted into the trainer queue.
     ServingPushes,
-    /// Serving: `PullModel` requests answered with a snapshot.
+    /// Serving: pulls answered (`PullModel` and `PullDelta`).
     ServingPulls,
     /// Serving: pushes rejected because the bounded trainer queue was full.
     ServingBackpressureRejects,
@@ -191,9 +193,19 @@ pub enum Counter {
     /// Serving: high-water mark of the trainer push-queue depth
     /// (max-semantics: update via [`counter_max`]).
     ServingQueueDepthMax,
+    /// Serving: pulls answered with the dense `Model` frame.
+    ServingPullsDense,
+    /// Serving: pulls answered with a `ModelDelta` frame.
+    ServingPullsDelta,
+    /// Serving: bytes of the `Model` and `ModelDelta` frames sent.
+    ServingBytesDown,
+    /// Serving: bytes of the `PushGradient` frames received.
+    ServingBytesUp,
+    /// Serving: pushes refused for a future round or an unknown worker id.
+    ServingRejectedPushes,
 }
 
-const NUM_COUNTERS: usize = 47;
+const NUM_COUNTERS: usize = 52;
 
 impl Counter {
     fn idx(self) -> usize {
@@ -671,6 +683,11 @@ pub struct ServingSnapshot {
     pub qps: f64,
     pub predict_p50_micros: f64,
     pub predict_p99_micros: f64,
+    pub pulls_dense: u64,
+    pub pulls_delta: u64,
+    pub bytes_down: u64,
+    pub bytes_up: u64,
+    pub rejected_pushes: u64,
 }
 
 /// Everything the registry recorded, as plain serializable data.
@@ -762,6 +779,9 @@ impl TelemetrySnapshot {
         let kind_sum = self.serving.predicts + self.serving.pushes + self.serving.pulls;
         if kind_sum > self.serving.requests {
             return Err("serving predicts+pushes+pulls > requests".into());
+        }
+        if self.serving.pulls_dense + self.serving.pulls_delta > self.serving.pulls {
+            return Err("serving pulls_dense+pulls_delta > pulls".into());
         }
         for (name, v) in [
             ("serving.qps", self.serving.qps),
@@ -894,6 +914,11 @@ pub fn snapshot() -> TelemetrySnapshot {
             qps: gauge(Gauge::ServingQps),
             predict_p50_micros: gauge(Gauge::ServingPredictP50Micros),
             predict_p99_micros: gauge(Gauge::ServingPredictP99Micros),
+            pulls_dense: counter(Counter::ServingPullsDense),
+            pulls_delta: counter(Counter::ServingPullsDelta),
+            bytes_down: counter(Counter::ServingBytesDown),
+            bytes_up: counter(Counter::ServingBytesUp),
+            rejected_pushes: counter(Counter::ServingRejectedPushes),
         },
     }
 }

@@ -12,7 +12,8 @@
 //! ```
 //!
 //! On completion prints `WORKER_DONE worker=<id> accepted=<n> stale=<n>
-//! recovered=<bool>`.
+//! recovered=<bool> dense=<n> delta=<n>` (the last two count its pulls by
+//! the frame that answered them).
 
 use sketchml::net::run_worker;
 use std::process::ExitCode;
@@ -45,8 +46,12 @@ fn main() -> ExitCode {
     match run_worker(&addr, worker) {
         Ok(stats) => {
             println!(
-                "WORKER_DONE worker={worker} accepted={} stale={} recovered={}",
-                stats.pushes_accepted, stats.pushes_stale, stats.recovered_from_checkpoint
+                "WORKER_DONE worker={worker} accepted={} stale={} recovered={} dense={} delta={}",
+                stats.pushes_accepted,
+                stats.pushes_stale,
+                stats.recovered_from_checkpoint,
+                stats.pulls_dense,
+                stats.pulls_delta
             );
             ExitCode::SUCCESS
         }

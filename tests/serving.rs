@@ -211,6 +211,10 @@ fn killed_worker_recovers_from_checkpoint_and_run_completes() {
         "60000",
         "--round-timeout-ms",
         "1000",
+        // Outlive the workers, so the pull counters can be read once they
+        // are final.
+        "--linger-ms",
+        "1500",
     ]);
     let addr = serve.addr.clone();
     let w0 = spawn_worker(&addr, 0);
@@ -226,13 +230,35 @@ fn killed_worker_recovers_from_checkpoint_and_run_completes() {
     // checkpoint before rejoining (its stdout proves the recovery path).
     let w1b = spawn_worker(&addr, 1);
 
-    let summary = serve.finish();
     finish_worker(w0);
     let out = finish_worker(w1b);
+    let stats = Client::connect(&addr)
+        .and_then(|mut c| c.get_stats())
+        .expect("stats after training");
+    let summary = serve.finish();
     assert!(
         out.contains("recovered=true"),
         "respawned worker skipped checkpoint recovery: {out}"
     );
+    // The respawned worker was sent the dense model once, to start its
+    // replica, and deltas from then on; so were the two before it.
+    assert!(out.contains(" dense=1 "), "{out}");
+    let deltas: u64 = out
+        .trim()
+        .rsplit_once("delta=")
+        .and_then(|(_, n)| n.parse().ok())
+        .unwrap_or_else(|| panic!("no delta count in {out}"));
+    assert!(deltas > 0, "{out}");
+    let doc: serde::Value = serde_json::from_str(&stats).expect("stats json");
+    let stat = |key: &str| -> u64 {
+        doc.as_obj()
+            .and_then(|o| serde::field(o, key).ok())
+            .and_then(serde::Value::as_u64)
+            .unwrap_or_else(|| panic!("stats has no count {key}: {stats}"))
+    };
+    assert_eq!(stat("pulls_dense"), 3, "{stats}");
+    assert!(stat("pulls_delta") > deltas, "{stats}");
+    assert_eq!(stat("rejected_pushes"), 0, "{stats}");
     assert!(!summary.aborted, "run did not complete: {summary:?}");
     assert_eq!(summary.epochs_done, 4);
     assert!(
