@@ -33,9 +33,7 @@ use crate::config::ClusterConfig;
 use crate::faults::{FaultEvent, FaultPlan, FaultyLink};
 use crate::membership::ElasticMembership;
 use crate::obs;
-use crate::trainer::{
-    build_opt_state, checkpoint_bytes, EpochStats, TrainOutcome, TrainReport, TrainSpec,
-};
+use crate::trainer::{build_opt_state, EpochStats, TrainOutcome, TrainReport, TrainSpec};
 use crate::worker::{partition, process_glm_batch, WorkerMessage, WorkerScratch};
 use sketchml_collectives::{allreduce, Contribution, Hop, RemappedTransport, Topology, Transport};
 use sketchml_core::{
@@ -336,12 +334,7 @@ fn run_allreduce(
             // always re-chunked over the current member set.
             let (members, down) = match (elastic.as_mut(), transport.link.as_mut()) {
                 (Some(ms), Some(link)) => {
-                    let epochs_done = epochs.len();
-                    let mut ckpt_len = || {
-                        checkpoint_bytes(&model, &opt, epochs_done)
-                            .map(|b| b.len())
-                            .unwrap_or(64 + 8 * dim)
-                    };
+                    let mut ckpt_len = || Checkpoint::encoded_len(&model, &opt);
                     let rp = ms.step(link, global_batch, &mut ckpt_len);
                     // Reconfiguration stalls (checkpoint pulls, retry
                     // backoff) gate the whole group, like any comm cost.

@@ -240,18 +240,11 @@ pub(crate) fn build_opt_state(
 }
 
 /// Serializes a restore point through the real checkpoint codec so crash
-/// recovery ships (and is charged for) genuine bytes. Shared with the
-/// elastic allreduce trainer, whose joiners pull the same artifact.
-pub(crate) fn checkpoint_bytes(
-    model: &GlmModel,
-    opt: &OptimizerState,
-    epochs_done: usize,
-) -> Result<Vec<u8>, CompressError> {
+/// recovery ships (and is charged for) genuine bytes.
+fn checkpoint_bytes(model: &GlmModel, opt: &OptimizerState, epochs_done: usize) -> Vec<u8> {
     let mut buf = Vec::new();
-    Checkpoint::new(model.clone(), opt.clone(), epochs_done)
-        .save(&mut buf)
-        .map_err(|e| CompressError::InvalidConfig(format!("checkpoint: {e}")))?;
-    Ok(buf)
+    Checkpoint::write_parts(model, opt, epochs_done, &mut buf);
+    buf
 }
 
 /// Runs the full distributed training simulation.
@@ -439,13 +432,17 @@ fn run_train(
                             // end-of-epoch checkpoint (real serialized
                             // bytes) — every optimizer kind has one since
                             // checkpoint v2.
+                            let fresh;
                             let bytes = match &last_checkpoint {
-                                Some(b) => b.clone(),
-                                None => checkpoint_bytes(&model, &opt, epochs_completed)?,
+                                Some(b) => b,
+                                None => {
+                                    fresh = checkpoint_bytes(&model, &opt, epochs_completed);
+                                    &fresh
+                                }
                             };
                             // Prove the restore path end to end: the
                             // shipped bytes must actually load.
-                            Checkpoint::load(bytes.as_slice()).map_err(|e| {
+                            Checkpoint::validate(bytes).map_err(|e| {
                                 CompressError::InvalidConfig(format!("recovery checkpoint: {e}"))
                             })?;
                             es.comm_seconds += l.charge_recovery(w, global_batch, bytes.len());
@@ -603,7 +600,7 @@ fn run_train(
         epochs_completed = epoch;
         // Refresh the restore point crashed workers recover from.
         if link.is_some() {
-            last_checkpoint = Some(checkpoint_bytes(&model, &opt, epoch)?);
+            last_checkpoint = Some(checkpoint_bytes(&model, &opt, epoch));
             obs::checkpoint_saved();
         }
         let converged = detector.push(es.test_loss);

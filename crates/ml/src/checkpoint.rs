@@ -3,28 +3,55 @@
 //! Long SGD runs (the paper's Table 2 jobs take up to 23 hours) need
 //! restartable state: the weight vector alone is not enough because the
 //! optimizer's moments and step counter shape every subsequent update. A
-//! checkpoint captures both and round-trips through JSON.
+//! checkpoint captures both as one checksummed binary frame.
 //!
 //! ## Format versions
 //!
-//! - **v1** stored the optimizer as a bare [`Adam`] object — only Adam runs
-//!   could checkpoint, and Momentum/AdaGrad/SGD runs silently produced no
-//!   checkpoint at all.
-//! - **v2** (current) stores a tagged [`OptimizerState`] enum, covering every
+//! - **v1** (JSON) stored the optimizer as a bare [`Adam`](crate::Adam)
+//!   object — only Adam runs could checkpoint.
+//! - **v2** (JSON) stores a tagged [`OptimizerState`] enum, covering every
 //!   dense optimizer *and* the sketched variants of [`crate::opt_state`].
-//!   v1 files still load: their `optimizer` field is parsed as Adam and
-//!   wrapped in [`OptimizerState::Adam`].
+//! - **v3** (current, binary) is the only format written. All integers and
+//!   floats are little-endian:
+//!
+//! ```text
+//! magic      4B   C3 53 4B 50                 (never the start of a JSON text)
+//! version    u32  3
+//! loss       u8   0 Logistic | 1 Hinge | 2 Squared
+//! l2         f64
+//! weights    vec                              (dim = its length, > 0)
+//! optimizer  u8 tag, then per tag:
+//!   0 Sgd               lr
+//!   1 Momentum          lr gamma   vec
+//!   2 AdaGrad           lr epsilon vec
+//!   3 Adam              lr beta1 beta2 epsilon  t(u64)  vec(m) vec(v)
+//!   4 SketchedMomentum  lr gamma   table
+//!   5 SketchedAdaGrad   lr epsilon table
+//!   6 SketchedAdam      lr beta1 beta2 epsilon  t(u64)  table(m) table(v)
+//! epochs     u64
+//! checksum   u64  over every preceding byte
+//!
+//! vec   = len(u64) | len x f64          (optimizer vecs: len == dim)
+//! table = rows(u64) | cols(u64) | seed(u64) | rows*cols x f64
+//! ```
+//!
+//! JSON v1/v2 files still *load* ([`Checkpoint::load`] looks at the first
+//! byte); nothing writes them any more.
 
 use crate::error::MlError;
+use crate::loss::GlmLoss;
 use crate::model::GlmModel;
-use crate::opt_state::OptimizerState;
-use serde::Serialize;
-use std::io::{BufReader, BufWriter, Read, Write};
+use crate::opt_state::{OptimizerState, SketchedAdaGrad, SketchedAdam, SketchedMomentum};
+use crate::optimizer::{AdaGrad, Adam, AdamConfig, Momentum, Sgd};
+use sketchml_sketches::hash::mix64;
+use sketchml_sketches::CountSketch;
+use std::io::{Read, Write};
 
 /// A restartable training state: model + optimizer state + epoch cursor.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Format version for forward compatibility.
+    /// Format version; always [`Checkpoint::VERSION`] in memory, whatever
+    /// version the bytes it was loaded from had.
     pub version: u32,
     /// The GLM being trained.
     pub model: GlmModel,
@@ -34,9 +61,9 @@ pub struct Checkpoint {
     pub epochs_done: usize,
 }
 
-// Hand-written to keep v1 files loadable: v1 encoded `optimizer` as a plain
-// Adam object (`{"config":…,"m":…,"v":…,"t":…}`), v2 as a tagged
-// `OptimizerState` (`{"Adam":{…}}`, `{"SketchedAdaGrad":{…}}`, …).
+// Decode-only: v1 encoded `optimizer` as a plain Adam object
+// (`{"config":…,"m":…,"v":…,"t":…}`), v2 as a tagged `OptimizerState`
+// (`{"Adam":{…}}`, `{"SketchedAdaGrad":{…}}`, …).
 impl serde::Deserialize for Checkpoint {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let obj = v
@@ -58,9 +85,25 @@ impl serde::Deserialize for Checkpoint {
     }
 }
 
+/// Leading bytes of a binary frame. The first is neither ASCII whitespace
+/// nor `{`, so it tells a frame from a legacy JSON document.
+const MAGIC: [u8; 4] = [0xC3, b'S', b'K', b'P'];
+/// Last version that was a JSON document.
+const LAST_JSON_VERSION: u32 = 2;
+/// Magic, version, loss tag, l2, weight count; optimizer tag; epochs, checksum.
+const FIXED_LEN: usize = 4 + 4 + 1 + 8 + 8 + 1 + 8 + 8;
+
+const TAG_SGD: u8 = 0;
+const TAG_MOMENTUM: u8 = 1;
+const TAG_ADAGRAD: u8 = 2;
+const TAG_ADAM: u8 = 3;
+const TAG_SKETCHED_MOMENTUM: u8 = 4;
+const TAG_SKETCHED_ADAGRAD: u8 = 5;
+const TAG_SKETCHED_ADAM: u8 = 6;
+
 impl Checkpoint {
     /// Current format version.
-    pub const VERSION: u32 = 2;
+    pub const VERSION: u32 = 3;
 
     /// Bundles the pieces into a checkpoint. Accepts any concrete optimizer
     /// via the `From` conversions on [`OptimizerState`].
@@ -73,61 +116,530 @@ impl Checkpoint {
         }
     }
 
-    /// Serializes to a writer as JSON.
-    ///
-    /// # Errors
-    /// [`MlError::InvalidInput`] wrapping serialization/IO failures.
-    pub fn save(&self, writer: impl Write) -> Result<(), MlError> {
-        let mut w = BufWriter::new(writer);
-        serde_json::to_writer(&mut w, self)
-            .map_err(|e| MlError::InvalidInput(format!("checkpoint serialize: {e}")))?;
-        w.flush()
-            .map_err(|e| MlError::InvalidInput(format!("checkpoint flush: {e}")))
+    /// Appends the v3 frame of a training state to `out`, straight from the
+    /// borrowed parts: the one writer behind [`Self::save`] and
+    /// [`Self::to_bytes`], for callers that must not clone the state first.
+    pub fn write_parts(
+        model: &GlmModel,
+        optimizer: &OptimizerState,
+        epochs_done: usize,
+        out: &mut Vec<u8>,
+    ) {
+        let start = out.len();
+        out.reserve(Self::encoded_len(model, optimizer));
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&Self::VERSION.to_le_bytes());
+        out.push(match model.loss {
+            GlmLoss::Logistic => 0,
+            GlmLoss::Hinge => 1,
+            GlmLoss::Squared => 2,
+        });
+        put_f64s(out, &[model.l2]);
+        put_vec(out, &model.weights);
+        match optimizer {
+            OptimizerState::Sgd(o) => {
+                out.push(TAG_SGD);
+                put_f64s(out, &[o.lr]);
+            }
+            OptimizerState::Momentum(o) => {
+                out.push(TAG_MOMENTUM);
+                put_f64s(out, &[o.lr, o.gamma]);
+                put_vec(out, &o.velocity);
+            }
+            OptimizerState::AdaGrad(o) => {
+                out.push(TAG_ADAGRAD);
+                put_f64s(out, &[o.lr, o.epsilon]);
+                put_vec(out, &o.accum);
+            }
+            OptimizerState::Adam(o) => {
+                out.push(TAG_ADAM);
+                put_adam_head(out, &o.config, o.t);
+                put_vec(out, &o.m);
+                put_vec(out, &o.v);
+            }
+            OptimizerState::SketchedMomentum(o) => {
+                out.push(TAG_SKETCHED_MOMENTUM);
+                put_f64s(out, &[o.lr, o.gamma]);
+                put_table(out, &o.velocity);
+            }
+            OptimizerState::SketchedAdaGrad(o) => {
+                out.push(TAG_SKETCHED_ADAGRAD);
+                put_f64s(out, &[o.lr, o.epsilon]);
+                put_table(out, &o.accum);
+            }
+            OptimizerState::SketchedAdam(o) => {
+                out.push(TAG_SKETCHED_ADAM);
+                put_adam_head(out, &o.config, o.t);
+                put_table(out, &o.m);
+                put_table(out, &o.v);
+            }
+        }
+        out.extend_from_slice(&(epochs_done as u64).to_le_bytes());
+        let sum = checksum(&out[start..]);
+        out.extend_from_slice(&sum.to_le_bytes());
     }
 
-    /// Serializes to an in-memory buffer — the artifact an elastic joiner
-    /// pulls over the (simulated) wire before entering the group.
+    /// Length in bytes of the frame [`Self::write_parts`] would append, by
+    /// arithmetic alone.
+    pub fn encoded_len(model: &GlmModel, optimizer: &OptimizerState) -> usize {
+        let vec = |v: &[f64]| 8 + 8 * v.len();
+        let table = |t: &CountSketch| 24 + 8 * t.cells().len();
+        FIXED_LEN
+            + 8 * model.weights.len()
+            + match optimizer {
+                OptimizerState::Sgd(_) => 8,
+                OptimizerState::Momentum(o) => 16 + vec(&o.velocity),
+                OptimizerState::AdaGrad(o) => 16 + vec(&o.accum),
+                OptimizerState::Adam(o) => 40 + vec(&o.m) + vec(&o.v),
+                OptimizerState::SketchedMomentum(o) => 16 + table(&o.velocity),
+                OptimizerState::SketchedAdaGrad(o) => 16 + table(&o.accum),
+                OptimizerState::SketchedAdam(o) => 40 + table(&o.m) + table(&o.v),
+            }
+    }
+
+    /// Writes the v3 frame to a writer.
     ///
     /// # Errors
-    /// As [`Self::save`].
+    /// [`MlError::InvalidInput`] wrapping IO failures.
+    pub fn save(&self, mut writer: impl Write) -> Result<(), MlError> {
+        writer
+            .write_all(&self.to_bytes()?)
+            .and_then(|()| writer.flush())
+            .map_err(|e| MlError::InvalidInput(format!("checkpoint write: {e}")))
+    }
+
+    /// Serializes to an in-memory buffer — the artifact a recovering worker
+    /// or an elastic joiner pulls before entering the group.
+    ///
+    /// # Errors
+    /// None today; the signature predates the binary frame.
     pub fn to_bytes(&self) -> Result<Vec<u8>, MlError> {
         let mut buf = Vec::new();
-        self.save(&mut buf)?;
+        Self::write_parts(&self.model, &self.optimizer, self.epochs_done, &mut buf);
         Ok(buf)
     }
 
-    /// Deserializes and validates an in-memory buffer.
+    /// Checks that `bytes` are one intact v3 frame that [`Self::from_bytes`]
+    /// would load — magic, version, checksum, every tag, every length
+    /// against the bytes that remain, optimizer state sized to the model,
+    /// hyper-parameters in range, nothing trailing — without allocating.
     ///
     /// # Errors
-    /// As [`Self::load`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, MlError> {
-        Self::load(bytes)
+    /// [`MlError::InvalidInput`] naming the first violation (a legacy JSON
+    /// document is one: it is not a v3 frame).
+    pub fn validate(bytes: &[u8]) -> Result<(), MlError> {
+        Frame::parse(bytes).map(drop)
     }
 
-    /// Deserializes from a reader. Accepts the current version and every
-    /// older one (v1 Adam-only checkpoints are upgraded in place).
+    /// Deserializes and validates an in-memory buffer: a v3 frame, or a
+    /// legacy JSON v1/v2 document (upgraded in place).
     ///
     /// # Errors
-    /// [`MlError::InvalidInput`] on malformed JSON or a future version.
-    pub fn load(reader: impl Read) -> Result<Self, MlError> {
-        let mut ck: Checkpoint = serde_json::from_reader(BufReader::new(reader))
+    /// [`MlError::InvalidInput`] on corrupt or malformed input, a future
+    /// version, an empty model, or optimizer state that does not fit the
+    /// model.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, MlError> {
+        if bytes.first() == Some(&MAGIC[0]) {
+            return Frame::parse(bytes)?.build();
+        }
+        let mut ck: Checkpoint = serde_json::from_reader(bytes)
             .map_err(|e| MlError::InvalidInput(format!("checkpoint parse: {e}")))?;
-        if ck.version > Self::VERSION {
-            return Err(MlError::InvalidInput(format!(
-                "checkpoint version {} is newer than supported {}",
-                ck.version,
-                Self::VERSION
+        if ck.version > LAST_JSON_VERSION {
+            return Err(bad(format!(
+                "JSON checkpoint claims version {}; JSON stopped at {LAST_JSON_VERSION}",
+                ck.version
             )));
         }
         if ck.model.weights.is_empty() {
-            return Err(MlError::InvalidInput(
-                "checkpoint has an empty model".into(),
-            ));
+            return Err(bad("checkpoint has an empty model"));
         }
+        check_state_fits(&ck.optimizer, ck.model.weights.len())?;
         // The in-memory representation is always current; re-saving a loaded
-        // v1 checkpoint writes a valid v2 file.
+        // legacy checkpoint writes a v3 frame.
         ck.version = Self::VERSION;
         Ok(ck)
+    }
+
+    /// Deserializes from a reader; see [`Self::from_bytes`].
+    ///
+    /// # Errors
+    /// As [`Self::from_bytes`], plus read failures.
+    pub fn load(mut reader: impl Read) -> Result<Self, MlError> {
+        let mut bytes = Vec::new();
+        reader
+            .read_to_end(&mut bytes)
+            .map_err(|e| MlError::InvalidInput(format!("checkpoint read: {e}")))?;
+        Self::from_bytes(&bytes)
+    }
+}
+
+fn bad(msg: impl Into<String>) -> MlError {
+    MlError::InvalidInput(msg.into())
+}
+
+/// What the legacy JSON path cannot know from parsing alone: dense state
+/// shorter than the model makes the first `step` index past its end, as
+/// does a sketch table with fewer cells than its shape.
+fn check_state_fits(optimizer: &OptimizerState, dim: usize) -> Result<(), MlError> {
+    let (dense, tables): (&[&Vec<f64>], &[&CountSketch]) = match optimizer {
+        OptimizerState::Sgd(_) => (&[], &[]),
+        OptimizerState::Momentum(o) => (&[&o.velocity], &[]),
+        OptimizerState::AdaGrad(o) => (&[&o.accum], &[]),
+        OptimizerState::Adam(o) => (&[&o.m, &o.v], &[]),
+        OptimizerState::SketchedMomentum(o) => (&[], &[&o.velocity]),
+        OptimizerState::SketchedAdaGrad(o) => (&[], &[&o.accum]),
+        OptimizerState::SketchedAdam(o) => (&[], &[&o.m, &o.v]),
+    };
+    if let Some(v) = dense.iter().find(|v| v.len() != dim) {
+        return Err(bad(format!(
+            "{} state has {} entries, the model {dim}",
+            optimizer.name(),
+            v.len()
+        )));
+    }
+    if let Some(t) = tables
+        .iter()
+        .find(|t| t.rows().checked_mul(t.cols()) != Some(t.cells().len()))
+    {
+        return Err(bad(format!(
+            "{} table is {}x{} but holds {} cells",
+            optimizer.name(),
+            t.rows(),
+            t.cols(),
+            t.cells().len()
+        )));
+    }
+    Ok(())
+}
+
+// --- v3 writer helpers -------------------------------------------------------
+
+fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
+    for x in xs {
+        out.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
+fn put_vec(out: &mut Vec<u8>, xs: &[f64]) {
+    out.extend_from_slice(&(xs.len() as u64).to_le_bytes());
+    put_f64s(out, xs);
+}
+
+fn put_table(out: &mut Vec<u8>, t: &CountSketch) {
+    for n in [t.rows() as u64, t.cols() as u64, t.seed()] {
+        out.extend_from_slice(&n.to_le_bytes());
+    }
+    put_f64s(out, t.cells());
+}
+
+fn put_adam_head(out: &mut Vec<u8>, c: &AdamConfig, t: u64) {
+    put_f64s(out, &[c.lr, c.beta1, c.beta2, c.epsilon]);
+    out.extend_from_slice(&t.to_le_bytes());
+}
+
+/// 64 bits over `bytes`: `h ← mix64(h ^ word)` along the little-endian
+/// words, the last one zero-padded, starting from the length. Each step is a
+/// bijection of the word for a fixed `h` and of `h` for a fixed word, so two
+/// inputs that differ in one word — any single flipped bit — never collide.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let mut h = bytes.len() as u64;
+    for w in &mut words {
+        h = mix64(h ^ u64::from_le_bytes(w.try_into().expect("8B")));
+    }
+    let mut last = [0u8; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    mix64(h ^ u64::from_le_bytes(last))
+}
+
+// --- v3 reader -----------------------------------------------------------------
+
+/// Bounds-checked little-endian reader over what is left of a frame.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], MlError> {
+        if n > self.0.len() {
+            return Err(bad(format!(
+                "checkpoint truncated: wanted {n} bytes, {} left",
+                self.0.len()
+            )));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u8(&mut self) -> Result<u8, MlError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u64(&mut self) -> Result<u64, MlError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
+    }
+
+    fn f64(&mut self) -> Result<f64, MlError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// The bytes of `n` f64s. `n` comes from the input: it is held to the
+    /// bytes that remain before anything is sized by it.
+    fn f64s(&mut self, n: u64) -> Result<&'a [u8], MlError> {
+        let len = usize::try_from(n)
+            .ok()
+            .and_then(|n| n.checked_mul(8))
+            .filter(|&len| len <= self.0.len())
+            .ok_or_else(|| {
+                bad(format!(
+                    "checkpoint declares {n} values with {} bytes left",
+                    self.0.len()
+                ))
+            })?;
+        self.take(len)
+    }
+
+    /// A dense optimizer vector, which must span the model.
+    fn state_vec(&mut self, dim: usize) -> Result<&'a [u8], MlError> {
+        let n = self.u64()?;
+        if n != dim as u64 {
+            return Err(bad(format!(
+                "optimizer state has {n} entries, the model {dim}"
+            )));
+        }
+        self.f64s(n)
+    }
+
+    fn table(&mut self) -> Result<Table<'a>, MlError> {
+        let (rows, cols, seed) = (self.u64()?, self.u64()?, self.u64()?);
+        // The shape rules of `CountSketch::from_cells` and `OptStateMode`,
+        // applied before the cell count sizes anything.
+        let cells = rows
+            .checked_mul(cols)
+            .filter(|&n| (1..=64).contains(&rows) && cols >= 1 && n <= u64::from(u32::MAX))
+            .ok_or_else(|| bad(format!("sketch table shape {rows}x{cols} is out of range")))?;
+        Ok(Table {
+            rows: rows as usize,
+            cols: cols as usize,
+            seed,
+            cells: self.f64s(cells)?,
+        })
+    }
+
+    fn momentum_head(&mut self) -> Result<(f64, f64), MlError> {
+        let (lr, gamma) = (self.f64()?, self.f64()?);
+        in_range(Momentum::new(0, lr, gamma))?;
+        Ok((lr, gamma))
+    }
+
+    fn adagrad_head(&mut self) -> Result<(f64, f64), MlError> {
+        let (lr, epsilon) = (self.f64()?, self.f64()?);
+        in_range(AdaGrad::with_epsilon(0, lr, epsilon))?;
+        Ok((lr, epsilon))
+    }
+
+    fn adam_head(&mut self) -> Result<(AdamConfig, u64), MlError> {
+        let config = AdamConfig {
+            lr: self.f64()?,
+            beta1: self.f64()?,
+            beta2: self.f64()?,
+            epsilon: self.f64()?,
+        };
+        in_range(Adam::new(0, config))?;
+        Ok((config, self.u64()?))
+    }
+}
+
+/// Hyper-parameters go through the constructors' own range checks (at
+/// dimension 0, which allocates nothing).
+fn in_range<T>(built: Result<T, MlError>) -> Result<(), MlError> {
+    built
+        .map(drop)
+        .map_err(|e| bad(format!("checkpoint optimizer: {e}")))
+}
+
+fn floats(bytes: &[u8]) -> Vec<f64> {
+    bytes
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes(b.try_into().expect("8B")))
+        .collect()
+}
+
+/// A checked sketch table, cells still in the frame.
+struct Table<'a> {
+    rows: usize,
+    cols: usize,
+    seed: u64,
+    cells: &'a [u8],
+}
+
+impl Table<'_> {
+    fn build(&self) -> Result<CountSketch, MlError> {
+        CountSketch::from_cells(self.rows, self.cols, self.seed, Some(floats(self.cells)))
+            .map_err(|e| bad(format!("checkpoint sketch table: {e}")))
+    }
+}
+
+/// The optimizer section of a checked frame.
+enum OptFrame<'a> {
+    Sgd(f64),
+    Momentum(f64, f64, &'a [u8]),
+    AdaGrad(f64, f64, &'a [u8]),
+    Adam(AdamConfig, u64, &'a [u8], &'a [u8]),
+    SketchedMomentum(f64, f64, Table<'a>),
+    SketchedAdaGrad(f64, f64, Table<'a>),
+    SketchedAdam(AdamConfig, u64, Table<'a>, Table<'a>),
+}
+
+/// A v3 frame that passed every check, borrowed from the input: what
+/// [`Checkpoint::validate`] proves and [`Checkpoint::from_bytes`] builds from.
+struct Frame<'a> {
+    loss: GlmLoss,
+    l2: f64,
+    weights: &'a [u8],
+    optimizer: OptFrame<'a>,
+    epochs_done: usize,
+}
+
+impl<'a> Frame<'a> {
+    fn parse(bytes: &'a [u8]) -> Result<Self, MlError> {
+        if bytes.len() < FIXED_LEN {
+            return Err(bad(format!(
+                "checkpoint truncated: {} bytes cannot hold a frame",
+                bytes.len()
+            )));
+        }
+        if bytes[..4] != MAGIC {
+            return Err(bad("not a v3 checkpoint frame (bad magic)"));
+        }
+        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4B"));
+        if version != Checkpoint::VERSION {
+            return Err(bad(format!(
+                "checkpoint version {version} is not the supported {}",
+                Checkpoint::VERSION
+            )));
+        }
+        let (body, sum) = bytes.split_at(bytes.len() - 8);
+        if checksum(body) != u64::from_le_bytes(sum.try_into().expect("8B")) {
+            return Err(bad("checkpoint checksum mismatch"));
+        }
+        let mut r = Reader(&body[8..]);
+
+        let loss = match r.u8()? {
+            0 => GlmLoss::Logistic,
+            1 => GlmLoss::Hinge,
+            2 => GlmLoss::Squared,
+            other => return Err(bad(format!("unknown loss tag {other}"))),
+        };
+        let l2 = r.f64()?;
+        if l2 < 0.0 {
+            return Err(bad(format!("l2 must be non-negative, got {l2}")));
+        }
+        let dim = r.u64()?;
+        let weights = r.f64s(dim)?;
+        if weights.is_empty() {
+            return Err(bad("checkpoint has an empty model"));
+        }
+        let dim = weights.len() / 8;
+
+        let optimizer = match r.u8()? {
+            TAG_SGD => {
+                let lr = r.f64()?;
+                in_range(Sgd::new(lr))?;
+                OptFrame::Sgd(lr)
+            }
+            TAG_MOMENTUM => {
+                let (lr, gamma) = r.momentum_head()?;
+                OptFrame::Momentum(lr, gamma, r.state_vec(dim)?)
+            }
+            TAG_ADAGRAD => {
+                let (lr, epsilon) = r.adagrad_head()?;
+                OptFrame::AdaGrad(lr, epsilon, r.state_vec(dim)?)
+            }
+            TAG_ADAM => {
+                let (config, t) = r.adam_head()?;
+                OptFrame::Adam(config, t, r.state_vec(dim)?, r.state_vec(dim)?)
+            }
+            TAG_SKETCHED_MOMENTUM => {
+                let (lr, gamma) = r.momentum_head()?;
+                OptFrame::SketchedMomentum(lr, gamma, r.table()?)
+            }
+            TAG_SKETCHED_ADAGRAD => {
+                let (lr, epsilon) = r.adagrad_head()?;
+                OptFrame::SketchedAdaGrad(lr, epsilon, r.table()?)
+            }
+            TAG_SKETCHED_ADAM => {
+                let (config, t) = r.adam_head()?;
+                OptFrame::SketchedAdam(config, t, r.table()?, r.table()?)
+            }
+            other => return Err(bad(format!("unknown optimizer tag {other}"))),
+        };
+        let epochs_done =
+            usize::try_from(r.u64()?).map_err(|_| bad("epochs_done does not fit this platform"))?;
+        if !r.0.is_empty() {
+            return Err(bad(format!(
+                "{} trailing bytes after the checkpoint",
+                r.0.len()
+            )));
+        }
+        Ok(Frame {
+            loss,
+            l2,
+            weights,
+            optimizer,
+            epochs_done,
+        })
+    }
+
+    fn build(&self) -> Result<Checkpoint, MlError> {
+        let optimizer = match &self.optimizer {
+            OptFrame::Sgd(lr) => OptimizerState::Sgd(Sgd { lr: *lr }),
+            OptFrame::Momentum(lr, gamma, velocity) => OptimizerState::Momentum(Momentum {
+                lr: *lr,
+                gamma: *gamma,
+                velocity: floats(velocity),
+            }),
+            OptFrame::AdaGrad(lr, epsilon, accum) => OptimizerState::AdaGrad(AdaGrad {
+                lr: *lr,
+                epsilon: *epsilon,
+                accum: floats(accum),
+            }),
+            OptFrame::Adam(config, t, m, v) => OptimizerState::Adam(Adam {
+                config: *config,
+                m: floats(m),
+                v: floats(v),
+                t: *t,
+            }),
+            OptFrame::SketchedMomentum(lr, gamma, velocity) => {
+                OptimizerState::SketchedMomentum(SketchedMomentum {
+                    lr: *lr,
+                    gamma: *gamma,
+                    velocity: velocity.build()?,
+                })
+            }
+            OptFrame::SketchedAdaGrad(lr, epsilon, accum) => {
+                OptimizerState::SketchedAdaGrad(SketchedAdaGrad {
+                    lr: *lr,
+                    epsilon: *epsilon,
+                    accum: accum.build()?,
+                })
+            }
+            OptFrame::SketchedAdam(config, t, m, v) => OptimizerState::SketchedAdam(SketchedAdam {
+                config: *config,
+                m: m.build()?,
+                v: v.build()?,
+                t: *t,
+            }),
+        };
+        Ok(Checkpoint {
+            version: Checkpoint::VERSION,
+            model: GlmModel {
+                weights: floats(self.weights),
+                loss: self.loss,
+                l2: self.l2,
+            },
+            optimizer,
+            epochs_done: self.epochs_done,
+        })
     }
 }
 
@@ -136,7 +648,7 @@ mod tests {
     use super::*;
     use crate::loss::GlmLoss;
     use crate::opt_state::{OptStateMode, SketchedAdam};
-    use crate::optimizer::{Adam, AdamConfig, Optimizer, OptimizerKind};
+    use crate::optimizer::{Optimizer, OptimizerKind};
     use crate::vector::{Instance, SparseVector};
 
     fn toy() -> Vec<Instance> {
@@ -204,7 +716,16 @@ mod tests {
                 let buf = Checkpoint::new(model.clone(), opt.clone(), 10)
                     .to_bytes()
                     .unwrap();
+                assert_eq!(buf.len(), Checkpoint::encoded_len(&model, &opt));
+                Checkpoint::validate(&buf).unwrap();
                 let ck = Checkpoint::from_bytes(&buf).unwrap();
+                assert_eq!(ck.epochs_done, 10);
+                // Every stored bit comes back: the reload encodes to the
+                // same frame, and the borrowed writer is the owned one.
+                assert_eq!(ck.to_bytes().unwrap(), buf, "{} {mode:?}", kind.name());
+                let mut borrowed = vec![0xEE];
+                Checkpoint::write_parts(&model, &opt, 10, &mut borrowed);
+                assert_eq!(borrowed[1..], buf[..], "write_parts appends the frame");
                 let (mut ma, mut oa) = (model, opt);
                 let (mut mb, mut ob) = (ck.model, ck.optimizer);
                 for _ in 0..10 {
@@ -245,8 +766,9 @@ mod tests {
         let adam = ck.optimizer.as_adam().expect("v1 optimizer is Adam");
         assert_eq!(adam.steps(), 7);
         assert_eq!(adam.config().lr, 0.05);
-        // Re-saving writes a valid v2 file.
+        // Re-saving writes a v3 frame.
         let bytes = ck.to_bytes().unwrap();
+        Checkpoint::validate(&bytes).unwrap();
         let again = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(again.optimizer.as_adam().unwrap().steps(), 7);
     }
@@ -271,16 +793,162 @@ mod tests {
         assert_eq!(wa, wb, "sketched checkpoint must restore bit-exact state");
     }
 
+    /// The frames the hostile-input tests start from: one dense, one
+    /// sketched, small enough to flip every bit.
+    fn small_frames() -> Vec<Vec<u8>> {
+        let model = GlmModel::new(3, GlmLoss::Hinge, 0.5).unwrap();
+        [OptStateMode::Dense, OptStateMode::sketched(2, 4)]
+            .into_iter()
+            .map(|mode| {
+                let mut opt =
+                    OptimizerState::build(OptimizerKind::Adam(AdamConfig::default()), mode, 3)
+                        .unwrap();
+                let mut model = model.clone();
+                model.apply_gradient(&mut opt, &[0, 2], &[0.5, -0.25]);
+                Checkpoint::new(model, opt, 7).to_bytes().unwrap()
+            })
+            .collect()
+    }
+
+    /// Overwrites `frame[at..]`'s first bytes and re-seals the checksum, so
+    /// the structural checks — not the checksum — have to catch the forgery.
+    fn forge(frame: &[u8], at: usize, with: &[u8]) -> Vec<u8> {
+        let mut f = frame[..frame.len() - 8].to_vec();
+        f[at..at + with.len()].copy_from_slice(with);
+        let sum = checksum(&f);
+        f.extend_from_slice(&sum.to_le_bytes());
+        f
+    }
+
+    fn rejected(bytes: &[u8]) -> String {
+        let by_validate = Checkpoint::validate(bytes).unwrap_err();
+        let by_load = Checkpoint::from_bytes(bytes).unwrap_err();
+        assert!(matches!(by_validate, MlError::InvalidInput(_)));
+        assert!(matches!(by_load, MlError::InvalidInput(_)));
+        by_validate.to_string()
+    }
+
     #[test]
     fn rejects_future_versions_and_garbage() {
-        let model = GlmModel::new(2, GlmLoss::Squared, 0.0).unwrap();
-        let opt = Adam::new(2, AdamConfig::default()).unwrap();
-        let mut ck = Checkpoint::new(model, opt, 0);
-        ck.version = 999;
-        let mut buf = Vec::new();
-        ck.save(&mut buf).unwrap();
-        assert!(Checkpoint::load(buf.as_slice()).is_err());
+        let frame = &small_frames()[0];
+        let mut future = frame.clone();
+        future[4..8].copy_from_slice(&999u32.to_le_bytes());
+        assert!(rejected(&future).contains("version 999"));
+        // A JSON document cannot claim a binary version.
+        let json = br#"{"version":3,"model":{"weights":[0.5],"loss":"Hinge","l2":0.0},
+            "optimizer":{"Sgd":{"lr":0.1}},"epochs_done":0}"#;
+        assert!(Checkpoint::load(&json[..]).is_err());
         assert!(Checkpoint::load(&b"not json"[..]).is_err());
         assert!(Checkpoint::load(&b"{}"[..]).is_err());
+        assert!(Checkpoint::load(&b""[..]).is_err());
+        // `validate` speaks v3 only.
+        assert!(Checkpoint::validate(b"{}").is_err());
+    }
+
+    #[test]
+    fn every_truncation_bit_flip_and_trailing_byte_is_a_typed_error() {
+        for frame in small_frames() {
+            Checkpoint::validate(&frame).unwrap();
+            for cut in 0..frame.len() {
+                rejected(&frame[..cut]);
+            }
+            for bit in 0..8 * frame.len() {
+                // (A flip in the first byte sends `from_bytes` down the JSON
+                // path, which fails typed as well.)
+                let mut flipped = frame.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                rejected(&flipped);
+            }
+            let mut trailing = frame.clone();
+            trailing.push(0);
+            rejected(&trailing);
+            // Sealed inside the checksum, a surplus byte is still surplus.
+            let mut inside = frame[..frame.len() - 8].to_vec();
+            inside.extend_from_slice(&[0; 9]);
+            assert!(rejected(&forge(&inside, 0, &[])).contains("trailing"));
+        }
+    }
+
+    #[test]
+    fn forged_lengths_fail_before_anything_is_sized_by_them() {
+        let frames = small_frames();
+        let (dense, sketched) = (&frames[0], &frames[1]);
+        // Offsets per the layout table: dim at 17; the optimizer section
+        // follows the 3 weights.
+        const DIM_AT: usize = 17;
+        const OPT_AT: usize = DIM_AT + 8 + 3 * 8;
+        const ADAM_HEAD: usize = 1 + 4 * 8 + 8;
+        for huge in [u64::MAX, u64::MAX / 8, 1 << 40] {
+            let msg = rejected(&forge(dense, DIM_AT, &huge.to_le_bytes()));
+            assert!(msg.contains("declares"), "{msg}");
+            // Dense moment vector: must equal the model's dim.
+            let msg = rejected(&forge(dense, OPT_AT + ADAM_HEAD, &huge.to_le_bytes()));
+            assert!(msg.contains("the model 3"), "{msg}");
+        }
+        // One weight too many fits the buffer and shifts what follows.
+        rejected(&forge(dense, DIM_AT, &4u64.to_le_bytes()));
+        assert!(rejected(&forge(dense, DIM_AT, &0u64.to_le_bytes())).contains("empty model"));
+        // Sketch table shape: rows x cols.
+        let rows_at = OPT_AT + ADAM_HEAD;
+        for (rows, cols) in [
+            (u64::MAX, u64::MAX),
+            (1 << 32, 1 << 32),
+            (64, u64::from(u32::MAX)),
+            (65, 1),
+            (0, 8),
+            (2, 0),
+        ] {
+            let shape = [rows.to_le_bytes(), cols.to_le_bytes()].concat();
+            let msg = rejected(&forge(sketched, rows_at, &shape));
+            assert!(msg.contains("out of range"), "{rows}x{cols}: {msg}");
+        }
+        // In range, but more cells than bytes remain.
+        let shape = [64u64.to_le_bytes(), (1u64 << 20).to_le_bytes()].concat();
+        assert!(rejected(&forge(sketched, rows_at, &shape)).contains("declares"));
+        // Unknown tags, out-of-range hyper-parameters.
+        assert!(rejected(&forge(dense, 8, &[3])).contains("loss tag"));
+        assert!(rejected(&forge(dense, OPT_AT, &[7])).contains("optimizer tag"));
+        let msg = rejected(&forge(dense, OPT_AT + 1, &(-0.1f64).to_le_bytes()));
+        assert!(msg.contains("lr must be positive"), "{msg}");
+    }
+
+    #[test]
+    fn optimizer_state_shorter_than_the_model_is_rejected() {
+        // Each of these used to load, then panic on the first `step`.
+        let model = GlmModel::new(3, GlmLoss::Logistic, 0.0).unwrap();
+        let short: [OptimizerState; 3] = [
+            Momentum::new(2, 0.1, 0.9).unwrap().into(),
+            AdaGrad::new(2, 0.1).unwrap().into(),
+            Adam::new(2, AdamConfig::default()).unwrap().into(),
+        ];
+        for opt in short {
+            let name = opt.name();
+            let bytes = Checkpoint::new(model.clone(), opt, 0).to_bytes().unwrap();
+            assert!(rejected(&bytes).contains("the model 3"), "{name}");
+        }
+        // The decode-only JSON path, same three kinds plus a sketch table
+        // with a cell missing.
+        let cfg = r#"{"lr":0.1,"beta1":0.9,"beta2":0.999,"epsilon":1e-8}"#;
+        let table = r#"{"seed":1,"hash":{"seeds":[5,6],"cols":2},"sign_seeds":[7,8],"cells":[0.0,0.0,0.0]}"#;
+        for opt in [
+            r#"{"Momentum":{"lr":0.1,"gamma":0.9,"velocity":[0.0,0.0]}}"#.to_string(),
+            r#"{"AdaGrad":{"lr":0.1,"epsilon":1e-8,"accum":[0.0,0.0]}}"#.to_string(),
+            format!(r#"{{"Adam":{{"config":{cfg},"m":[0.0,0.0,0.0],"v":[0.0],"t":0}}}}"#),
+            format!(r#"{{"SketchedMomentum":{{"lr":0.1,"gamma":0.9,"velocity":{table}}}}}"#),
+        ] {
+            let json = format!(
+                r#"{{"version":2,"model":{{"weights":[0.0,0.0,0.0],"loss":"Logistic","l2":0.0}},
+                    "optimizer":{opt},"epochs_done":1}}"#
+            );
+            let err = Checkpoint::load(json.as_bytes()).unwrap_err();
+            assert!(matches!(err, MlError::InvalidInput(_)), "{opt}: {err}");
+            // The same document with state that fits does load.
+            let fits = json
+                .replace("[0.0,0.0]", "[0.0,0.0,0.0]")
+                .replace(r#""v":[0.0]"#, r#""v":[0.0,0.0,0.0]"#)
+                .replace(r#""cells":[0.0,0.0,0.0]"#, r#""cells":[0.0,0.0,0.0,0.0]"#);
+            let mut ck = Checkpoint::load(fits.as_bytes()).unwrap();
+            ck.optimizer.step(&mut ck.model.weights, &[2], &[1.0]);
+        }
     }
 }

@@ -25,8 +25,8 @@
 //! per-dimension normalization absorbs small errors; see `fig_bigmodel`).
 //!
 //! [`OptimizerState`] is the serializable sum of every dense and sketched
-//! optimizer this crate offers. It is what `Checkpoint` v2 stores, closing
-//! the v1 hole where only Adam runs could checkpoint at all.
+//! optimizer this crate offers. It is what a `Checkpoint` stores (since v2),
+//! closing the v1 hole where only Adam runs could checkpoint at all.
 
 use crate::error::MlError;
 use crate::optimizer::{AdaGrad, Adam, AdamConfig, Momentum, Optimizer, OptimizerKind, Sgd};
@@ -97,10 +97,10 @@ fn table(rows: usize, cols: usize, seed: u64) -> Result<CountSketch, MlError> {
 /// Adam whose moment vectors live in count-sketch tables.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SketchedAdam {
-    config: AdamConfig,
-    m: CountSketch,
-    v: CountSketch,
-    t: u64,
+    pub(crate) config: AdamConfig,
+    pub(crate) m: CountSketch,
+    pub(crate) v: CountSketch,
+    pub(crate) t: u64,
 }
 
 impl SketchedAdam {
@@ -175,7 +175,7 @@ pub struct SketchedMomentum {
     pub lr: f64,
     /// Momentum coefficient γ.
     pub gamma: f64,
-    velocity: CountSketch,
+    pub(crate) velocity: CountSketch,
 }
 
 impl SketchedMomentum {
@@ -226,7 +226,7 @@ pub struct SketchedAdaGrad {
     pub lr: f64,
     /// Stability term ε.
     pub epsilon: f64,
-    accum: CountSketch,
+    pub(crate) accum: CountSketch,
 }
 
 impl SketchedAdaGrad {
@@ -267,7 +267,7 @@ impl Optimizer for SketchedAdaGrad {
 }
 
 /// Every optimizer state this crate can checkpoint: the serializable sum of
-/// dense and sketched variants. Checkpoint v2 stores this enum; trainers hold
+/// dense and sketched variants. Checkpoints store this enum; trainers hold
 /// it directly so any run — not just Adam — can crash and resume bit-exact.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum OptimizerState {

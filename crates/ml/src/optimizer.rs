@@ -104,13 +104,13 @@ impl AdamConfig {
 /// Adam with lazily-updated sparse moments.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
-    config: AdamConfig,
+    pub(crate) config: AdamConfig,
     /// First moment `m`, allocated over the full model dimension.
-    m: Vec<f64>,
+    pub(crate) m: Vec<f64>,
     /// Second moment `v`.
-    v: Vec<f64>,
+    pub(crate) v: Vec<f64>,
     /// Global step counter `t` for bias correction.
-    t: u64,
+    pub(crate) t: u64,
 }
 
 impl Adam {
@@ -193,7 +193,7 @@ pub struct Momentum {
     pub lr: f64,
     /// Momentum coefficient γ (typically 0.9).
     pub gamma: f64,
-    velocity: Vec<f64>,
+    pub(crate) velocity: Vec<f64>,
 }
 
 impl Momentum {
@@ -248,7 +248,7 @@ pub struct AdaGrad {
     pub lr: f64,
     /// Stability term ε.
     pub epsilon: f64,
-    accum: Vec<f64>,
+    pub(crate) accum: Vec<f64>,
 }
 
 impl AdaGrad {

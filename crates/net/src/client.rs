@@ -366,7 +366,7 @@ pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
     if round > 0 {
         match client.get_checkpoint() {
             Ok((_epochs, bytes)) => {
-                Checkpoint::from_bytes(&bytes)
+                Checkpoint::validate(&bytes)
                     .map_err(|e| NetError::InvalidConfig(format!("bad checkpoint: {e}")))?;
                 stats.recovered_from_checkpoint = true;
             }

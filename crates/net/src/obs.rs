@@ -1,8 +1,8 @@
 //! Thin shims from server events to the global telemetry registry
-//! (`serving` section, schema v7). All of these are no-ops unless a
+//! (`serving` section, schema v8). All of these are no-ops unless a
 //! telemetry session is recording.
 
-use sketchml_telemetry::{add, counter_max, inc, Counter};
+use sketchml_telemetry::{add, counter_max, gauge_set, inc, Counter, Gauge};
 
 /// A connection was accepted.
 pub fn connection() {
@@ -61,4 +61,12 @@ pub fn coalesced_round() {
 /// The push queue reached `depth` entries (tracked as a high-water mark).
 pub fn queue_depth(depth: u64) {
     counter_max(Counter::ServingQueueDepthMax, depth);
+}
+
+/// The trainer finished an epoch end in `last_us` microseconds (the longest
+/// so far took `max_us`) and published a checkpoint of `checkpoint_bytes`.
+pub fn epoch_end(last_us: u64, max_us: u64, checkpoint_bytes: u64) {
+    gauge_set(Gauge::ServingEpochEndMsLast, last_us as f64 / 1e3);
+    gauge_set(Gauge::ServingEpochEndMsMax, max_us as f64 / 1e3);
+    counter_max(Counter::ServingCheckpointBytes, checkpoint_bytes);
 }

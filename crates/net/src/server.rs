@@ -220,6 +220,10 @@ struct Counters {
     backpressure: AtomicU64,
     refused_conns: AtomicU64,
     inflight: AtomicU64,
+    /// Microseconds the trainer spent on the latest epoch end, from the
+    /// last round's publish to the epoch's: evaluation, checkpoint, publish.
+    epoch_end_us_last: AtomicU64,
+    epoch_end_us_max: AtomicU64,
 }
 
 /// Shared state between the runtime threads and [`ServerHandle`].
@@ -230,8 +234,9 @@ struct Shared {
     queue: PushQueue,
     counters: Counters,
     shutdown: AtomicBool,
-    /// Latest end-of-epoch checkpoint: `(epochs_done, serialized bytes)`.
-    checkpoint: Mutex<Option<(u64, Vec<u8>)>>,
+    /// Latest end-of-epoch checkpoint: `(epochs_done, serialized bytes)`,
+    /// swapped whole so a reply never holds the lock while it writes.
+    checkpoint: Mutex<Option<(u64, Arc<Vec<u8>>)>>,
     summary: Mutex<Option<ServeSummary>>,
     cost: CostModel,
     /// Live connections by id: shutdown closes them so handler threads
@@ -296,6 +301,12 @@ impl Shared {
             bytes_up: u64,
             /// Pushes refused for a future round or an unknown worker id.
             rejected_pushes: u64,
+            /// Milliseconds the trainer spent on the latest epoch end.
+            epoch_end_ms_last: f64,
+            /// The longest epoch end so far, in milliseconds.
+            epoch_end_ms_max: f64,
+            /// Bytes of the checkpoint `GetCheckpoint` serves (0: none yet).
+            checkpoint_bytes: u64,
         }
         let snap = self.store.snapshot();
         let summary = self
@@ -303,6 +314,12 @@ impl Shared {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone();
+        let checkpoint_bytes = self
+            .checkpoint
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .as_ref()
+            .map_or(0, |(_, bytes)| bytes.len() as u64);
         let c = &self.counters;
         let stats = Stats {
             round: snap.round,
@@ -323,6 +340,9 @@ impl Shared {
             bytes_down: c.bytes_down.load(Ordering::Relaxed),
             bytes_up: c.bytes_up.load(Ordering::Relaxed),
             rejected_pushes: c.rejected_pushes.load(Ordering::Relaxed),
+            epoch_end_ms_last: c.epoch_end_us_last.load(Ordering::Relaxed) as f64 / 1e3,
+            epoch_end_ms_max: c.epoch_end_us_max.load(Ordering::Relaxed) as f64 / 1e3,
+            checkpoint_bytes,
         };
         serde_json::to_string(&stats).unwrap_or_else(|_| "{}".into())
     }
@@ -758,6 +778,8 @@ fn handle_request(
             }
         }
         Request::GetCheckpoint => {
+            // Clones the `Arc`, not the blob: the lock is gone before the
+            // first byte is written.
             let ck = shared
                 .checkpoint
                 .lock()
@@ -765,7 +787,7 @@ fn handle_request(
                 .clone();
             match ck {
                 Some((epochs_done, bytes)) => {
-                    Response::CheckpointBlob { epochs_done, bytes }.write_to(writer)?;
+                    wire::write_checkpoint_blob(writer, epochs_done, &bytes)?;
                 }
                 None => {
                     Response::Error {
@@ -947,19 +969,22 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
                 delta: delta.clone(),
             });
         }
+        // Workers wait on the next publish for all of this.
+        let epoch_end = Instant::now();
         summary.epochs_done = epoch as u64;
         let test_loss = model.mean_loss(&test);
         summary.final_test_loss = test_loss;
         summary.best_test_loss = summary.best_test_loss.min(test_loss);
-        // End-of-epoch checkpoint: real serialized bytes a kill -9'd worker
-        // pulls to recover (the server proves they load before serving).
-        let ck = Checkpoint::new(model.clone(), opt.clone(), epoch);
-        let bytes = ck
-            .to_bytes()
+        // End-of-epoch checkpoint: the bytes a kill -9'd worker pulls to
+        // recover, written from the live state and proven loadable before
+        // they are served.
+        let mut bytes = Vec::new();
+        Checkpoint::write_parts(&model, &opt, epoch, &mut bytes);
+        Checkpoint::validate(&bytes)
             .map_err(|e| NetError::InvalidConfig(format!("checkpoint: {e}")))?;
-        Checkpoint::from_bytes(&bytes)
-            .map_err(|e| NetError::InvalidConfig(format!("checkpoint reload: {e}")))?;
-        *shared.checkpoint.lock().unwrap_or_else(|e| e.into_inner()) = Some((epoch as u64, bytes));
+        let checkpoint_bytes = bytes.len() as u64;
+        *shared.checkpoint.lock().unwrap_or_else(|e| e.into_inner()) =
+            Some((epoch as u64, Arc::new(bytes)));
         // Re-publish with the completed-epoch count so pulls see progress.
         shared.store.publish(ModelSnapshot {
             round,
@@ -968,6 +993,14 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
             model: model.clone(),
             delta: delta.clone(),
         });
+        let c = &shared.counters;
+        let last = epoch_end.elapsed().as_micros() as u64;
+        let max = c
+            .epoch_end_us_max
+            .fetch_max(last, Ordering::Relaxed)
+            .max(last);
+        c.epoch_end_us_last.store(last, Ordering::Relaxed);
+        obs::epoch_end(last, max, checkpoint_bytes);
     }
     summary.accuracy = model.accuracy(&test);
     summary.aborted = summary.epochs_done < spec.max_epochs as u64;

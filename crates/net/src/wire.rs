@@ -498,6 +498,28 @@ pub(crate) fn write_model_delta(
     Ok(FRAME_HEADER + body_len)
 }
 
+/// Writes a [`Response::CheckpointBlob`] frame around borrowed checkpoint
+/// bytes — the server's published blob is sent without being copied.
+///
+/// # Errors
+/// [`NetError::Io`] on write failure, [`NetError::Protocol`] if the body
+/// exceeds [`MAX_BODY`].
+pub(crate) fn write_checkpoint_blob(
+    w: &mut impl Write,
+    epochs_done: u64,
+    bytes: &[u8],
+) -> Result<(), NetError> {
+    let mut head = [0u8; 12];
+    head[..8].copy_from_slice(&epochs_done.to_le_bytes());
+    // MAX_BODY, checked with the header, keeps the length inside a u32.
+    head[8..].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
+    write_frame_header(w, K_CHECKPOINT_BLOB, head.len() + bytes.len())?;
+    w.write_all(&head)?;
+    w.write_all(bytes)?;
+    w.flush()?;
+    Ok(())
+}
+
 /// Reads one raw frame: `(kind, body)`. Blocks until the full frame has
 /// arrived (partial reads reassemble via `read_exact`).
 fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), NetError> {
@@ -715,9 +737,7 @@ impl Response {
                 K_PREDICTION
             }
             Response::CheckpointBlob { epochs_done, bytes } => {
-                body.extend_from_slice(&epochs_done.to_le_bytes());
-                put_bytes(&mut body, bytes);
-                K_CHECKPOINT_BLOB
+                return write_checkpoint_blob(w, *epochs_done, bytes);
             }
             Response::Stats { json } => {
                 put_bytes(&mut body, json.as_bytes());
@@ -1014,6 +1034,28 @@ mod tests {
             epoch: 2,
             done: true,
             weights,
+        };
+        let mut owned = Vec::new();
+        resp.write_to(&mut owned).unwrap();
+        assert!(owned == expected);
+        assert_eq!(roundtrip_resp(&resp), resp);
+    }
+
+    #[test]
+    fn write_checkpoint_blob_keeps_the_frame_bytes() {
+        let blob: Vec<u8> = (0..=255u8).cycle().take(70_000).collect();
+        let mut expected = vec![MAGIC, K_CHECKPOINT_BLOB];
+        expected.extend_from_slice(&((12 + blob.len()) as u32).to_le_bytes());
+        expected.extend_from_slice(&3u64.to_le_bytes());
+        expected.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+        expected.extend_from_slice(&blob);
+        let mut written = Vec::new();
+        write_checkpoint_blob(&mut written, 3, &blob).unwrap();
+        assert!(written == expected, "checkpoint frame bytes changed");
+        // The owned response goes through the same writer.
+        let resp = Response::CheckpointBlob {
+            epochs_done: 3,
+            bytes: blob,
         };
         let mut owned = Vec::new();
         resp.write_to(&mut owned).unwrap();

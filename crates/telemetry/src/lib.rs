@@ -47,8 +47,10 @@ use std::time::Instant;
 /// version 6 added the serving section (live socket server: qps, in-flight,
 /// queue depth, predict latency percentiles);
 /// version 7 added the serving section's pull kinds, training-plane bytes
-/// and rejected pushes.
-pub const SCHEMA_VERSION: u32 = 7;
+/// and rejected pushes;
+/// version 8 added the serving section's epoch-end timings and checkpoint
+/// size.
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// Number of power-of-two buckets in every histogram.
 pub const HIST_BUCKETS: usize = 16;
@@ -203,9 +205,12 @@ pub enum Counter {
     ServingBytesUp,
     /// Serving: pushes refused for a future round or an unknown worker id.
     ServingRejectedPushes,
+    /// Serving: bytes of the largest end-of-epoch checkpoint published
+    /// (max-semantics).
+    ServingCheckpointBytes,
 }
 
-const NUM_COUNTERS: usize = 52;
+const NUM_COUNTERS: usize = 53;
 
 impl Counter {
     fn idx(self) -> usize {
@@ -232,9 +237,15 @@ pub enum Gauge {
     ServingPredictP50Micros,
     /// Serving: p99 `Predict` latency in microseconds (set-semantics).
     ServingPredictP99Micros,
+    /// Serving: milliseconds the trainer spent on the latest epoch end —
+    /// evaluation, checkpoint write and validation, publish (set-semantics).
+    ServingEpochEndMsLast,
+    /// Serving: the longest epoch end so far, in milliseconds
+    /// (set-semantics; the trainer keeps the maximum).
+    ServingEpochEndMsMax,
 }
 
-const NUM_GAUGES: usize = 7;
+const NUM_GAUGES: usize = 9;
 
 impl Gauge {
     fn idx(self) -> usize {
@@ -688,6 +699,9 @@ pub struct ServingSnapshot {
     pub bytes_down: u64,
     pub bytes_up: u64,
     pub rejected_pushes: u64,
+    pub epoch_end_ms_last: f64,
+    pub epoch_end_ms_max: f64,
+    pub checkpoint_bytes: u64,
 }
 
 /// Everything the registry recorded, as plain serializable data.
@@ -793,6 +807,8 @@ impl TelemetrySnapshot {
                 "serving.predict_p99_micros",
                 self.serving.predict_p99_micros,
             ),
+            ("serving.epoch_end_ms_last", self.serving.epoch_end_ms_last),
+            ("serving.epoch_end_ms_max", self.serving.epoch_end_ms_max),
         ] {
             if !v.is_finite() || v < 0.0 {
                 return Err(format!("{name} {v} must be finite and non-negative"));
@@ -800,6 +816,9 @@ impl TelemetrySnapshot {
         }
         if self.serving.predict_p50_micros > self.serving.predict_p99_micros {
             return Err("serving predict_p50_micros > predict_p99_micros".into());
+        }
+        if self.serving.epoch_end_ms_last > self.serving.epoch_end_ms_max {
+            return Err("serving epoch_end_ms_last > epoch_end_ms_max".into());
         }
         Ok(())
     }
@@ -919,6 +938,9 @@ pub fn snapshot() -> TelemetrySnapshot {
             bytes_down: counter(Counter::ServingBytesDown),
             bytes_up: counter(Counter::ServingBytesUp),
             rejected_pushes: counter(Counter::ServingRejectedPushes),
+            epoch_end_ms_last: gauge(Gauge::ServingEpochEndMsLast),
+            epoch_end_ms_max: gauge(Gauge::ServingEpochEndMsMax),
+            checkpoint_bytes: counter(Counter::ServingCheckpointBytes),
         },
     }
 }
@@ -1014,6 +1036,10 @@ mod tests {
         let mut snap = TelemetrySnapshot::default_with_version();
         snap.serving.predict_p50_micros = 100.0;
         snap.serving.predict_p99_micros = 50.0;
+        assert!(snap.validate().is_err());
+        let mut snap = TelemetrySnapshot::default_with_version();
+        snap.serving.epoch_end_ms_last = 30.0;
+        snap.serving.epoch_end_ms_max = 20.0;
         assert!(snap.validate().is_err());
     }
 

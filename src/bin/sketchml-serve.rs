@@ -11,7 +11,7 @@
 //! Readiness handshake (consumed by the integration tests and by scripts):
 //! once the socket is bound the process prints exactly one line
 //! `SERVE_READY addr=<resolved address>` to stdout, and after training it
-//! prints `SERVE_DONE <summary json>`.
+//! prints `SERVE_STATS <GetStats json>` then `SERVE_DONE <summary json>`.
 
 use sketchml::data::{SparseDatasetSpec, Task};
 use sketchml::ml::GlmLoss;
@@ -143,6 +143,9 @@ fn main() -> ExitCode {
     if args.linger_ms > 0 {
         std::thread::sleep(std::time::Duration::from_millis(args.linger_ms));
     }
+    // The server's own account of the run: request and byte counters, how
+    // long its epoch ends took, the size of the checkpoint it serves.
+    println!("SERVE_STATS {}", server.stats_json());
     let json = serde_json::to_string(&summary).unwrap_or_else(|_| "{}".into());
     println!("SERVE_DONE {json}");
     std::io::stdout().flush().ok();

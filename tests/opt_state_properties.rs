@@ -81,10 +81,15 @@ proptest! {
 
                 let mut model = GlmModel::new(DIM, GlmLoss::Logistic, 0.01).unwrap();
                 model.weights.copy_from_slice(&w);
-                let bytes = Checkpoint::new(model, opt.clone(), head.len())
-                    .to_bytes()
-                    .unwrap();
+                let mut bytes = Vec::new();
+                Checkpoint::write_parts(&model, &opt, head.len(), &mut bytes);
+                prop_assert_eq!(bytes.len(), Checkpoint::encoded_len(&model, &opt));
+                prop_assert!(Checkpoint::validate(&bytes).is_ok());
                 let restored = Checkpoint::load(bytes.as_slice()).unwrap();
+                // Every stored bit survives: the reload encodes to the
+                // frame it was loaded from.
+                prop_assert_eq!(restored.to_bytes().unwrap(), bytes);
+                prop_assert_eq!(restored.epochs_done, head.len());
                 let mut w2 = restored.model.weights.clone();
                 let mut opt2 = restored.optimizer;
 

@@ -10,7 +10,7 @@
 use sketchml::data::{SparseDatasetSpec, Task};
 use sketchml::ml::GlmLoss;
 use sketchml::net::{Client, PredictInstance, ServeSummary};
-use sketchml::{compressor_by_name, ClusterConfig, TrainSpec};
+use sketchml::{compressor_by_name, Checkpoint, ClusterConfig, TrainSpec};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -232,10 +232,17 @@ fn killed_worker_recovers_from_checkpoint_and_run_completes() {
 
     finish_worker(w0);
     let out = finish_worker(w1b);
-    let stats = Client::connect(&addr)
-        .and_then(|mut c| c.get_stats())
-        .expect("stats after training");
+    let (stats, (ck_epochs, blob)) = Client::connect(&addr)
+        .and_then(|mut c| Ok((c.get_stats()?, c.get_checkpoint()?)))
+        .expect("stats and checkpoint after training");
     let summary = serve.finish();
+    // What a recovering worker is sent: one v3 frame, exactly as long as
+    // the state it holds needs.
+    assert_eq!(blob[..4], [0xC3, b'S', b'K', b'P'], "not a v3 frame");
+    Checkpoint::validate(&blob).expect("served checkpoint validates");
+    let ck = Checkpoint::from_bytes(&blob).expect("served checkpoint loads");
+    assert_eq!((ck_epochs, ck.epochs_done, ck.model.dim()), (4, 4, 2048));
+    assert!(blob.len() <= Checkpoint::encoded_len(&ck.model, &ck.optimizer));
     assert!(
         out.contains("recovered=true"),
         "respawned worker skipped checkpoint recovery: {out}"
@@ -259,6 +266,18 @@ fn killed_worker_recovers_from_checkpoint_and_run_completes() {
     assert_eq!(stat("pulls_dense"), 3, "{stats}");
     assert!(stat("pulls_delta") > deltas, "{stats}");
     assert_eq!(stat("rejected_pushes"), 0, "{stats}");
+    // The server's own account of its epoch ends.
+    assert_eq!(stat("checkpoint_bytes"), blob.len() as u64, "{stats}");
+    let ms = |key: &str| -> f64 {
+        doc.as_obj()
+            .and_then(|o| serde::field(o, key).ok())
+            .and_then(serde::Value::as_f64)
+            .unwrap_or_else(|| panic!("stats has no timing {key}: {stats}"))
+    };
+    assert!(
+        0.0 < ms("epoch_end_ms_last") && ms("epoch_end_ms_last") <= ms("epoch_end_ms_max"),
+        "{stats}"
+    );
     assert!(!summary.aborted, "run did not complete: {summary:?}");
     assert_eq!(summary.epochs_done, 4);
     assert!(

@@ -14,6 +14,9 @@
 use bytes::BytesMut;
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use sketchml::{
+    AdamConfig, Checkpoint, GlmLoss, GlmModel, OptStateMode, OptimizerKind, OptimizerState,
+};
 use sketchml_core::{
     CompressError, CompressScratch, CountSketchCompressor, CountSketchConfig, ErrorFeedback,
     FrameVersion, GradientCompressor, ShardedCompressor, SketchMlCompressor, SparseGradient,
@@ -412,6 +415,54 @@ fn ring_merged_agg_payload_matches_golden_fixture() {
     assert_eq!(from_fixture.sums(), reference.sums());
 }
 
+/// The training state both checkpoint fixtures hold: sketched Adam (2 × 8
+/// tables) on a 4-weight model after five steps.
+fn canonical_checkpoint() -> Checkpoint {
+    let mut model = GlmModel::new(4, GlmLoss::Logistic, 0.01).expect("model");
+    let mut opt = OptimizerState::build(
+        OptimizerKind::Adam(AdamConfig::with_lr(0.05)),
+        OptStateMode::sketched(2, 8),
+        4,
+    )
+    .expect("sketched adam");
+    for i in 0..5u64 {
+        let g = 0.125 * (i + 1) as f64;
+        model.apply_gradient(&mut opt, &[i % 2, 2 + i % 2], &[g, -0.5 * g]);
+    }
+    Checkpoint::new(model, opt, 3)
+}
+
+#[test]
+fn checkpoint_v3_frame_matches_golden_fixture_and_the_v2_document_still_decodes() {
+    let current = canonical_checkpoint().to_bytes().expect("encode");
+    let golden = load_or_regen("checkpoint_v3_sketched_adam.hex", &current);
+    assert_eq!(
+        to_hex(&golden),
+        to_hex(&current),
+        "checkpoint v3 frame changed"
+    );
+    assert_eq!(golden[0], 0xC3, "v3 frames open with their magic byte");
+    Checkpoint::validate(&golden).expect("fixture validates");
+    let decoded = Checkpoint::from_bytes(&golden).expect("fixture decodes");
+    assert_eq!(
+        to_hex(&decoded.to_bytes().expect("re-encode")),
+        to_hex(&golden)
+    );
+
+    // The same state as the last JSON writer (the commit before v3) wrote
+    // it. Nothing in the tree can produce this file any more, so it is never
+    // regenerated: it pins the decode-only path.
+    let json = std::fs::read(fixture_path("checkpoint_v2_sketched_adam.json")).expect("v2 fixture");
+    assert!(Checkpoint::validate(&json).is_err(), "validate is v3-only");
+    let legacy = Checkpoint::load(json.as_slice()).expect("v2 document decodes");
+    assert_eq!(legacy.version, Checkpoint::VERSION);
+    assert_eq!(
+        to_hex(&legacy.to_bytes().expect("upgrade")),
+        to_hex(&golden),
+        "a v2 document must upgrade to the v3 frame of the same state"
+    );
+}
+
 #[test]
 fn fixtures_are_committed_not_regenerated_in_ci() {
     // All four fixtures must exist in the tree; the other tests would
@@ -426,6 +477,8 @@ fn fixtures_are_committed_not_regenerated_in_ci() {
         "ef_sketchml_round2_seed901df1.hex",
         "agg_ring3_seed901df1.hex",
         "csk_3x64k16_seed901df1.hex",
+        "checkpoint_v3_sketched_adam.hex",
+        "checkpoint_v2_sketched_adam.json",
     ] {
         assert!(
             fixture_path(name).exists() || std::env::var_os("REGEN_FIXTURES").is_some(),
