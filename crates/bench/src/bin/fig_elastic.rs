@@ -18,10 +18,10 @@
 use serde::Serialize;
 use sketchml_bench::output::print_table;
 use sketchml_cluster::{
-    train_allreduce, train_allreduce_chaos, train_ssp_adaptive_chaos, AdaptiveSsp, ClusterConfig,
-    ElasticConfig, FaultPlan, SspConfig, TrainSpec,
+    train_allreduce, train_glm, train_ssp_with_plan, AdaptiveSsp, Aggregation, ClusterConfig,
+    ElasticConfig, FaultPlan, GlmTask, SspConfig, TrainSpec,
 };
-use sketchml_collectives::Topology;
+use sketchml_collectives::{MergePolicy, Topology};
 use sketchml_core::SketchMlCompressor;
 use sketchml_data::{SparseDatasetSpec, Task};
 use sketchml_ml::{GlmLoss, Instance};
@@ -125,9 +125,18 @@ fn main() {
             FaultPlan::seeded(78).with_crash(5, mid.saturating_sub(4), 6),
         ),
     ] {
-        let outcome =
-            train_allreduce_chaos(&train, &test, dim, &spec, &cluster, &compressor, &plan)
-                .expect(scenario);
+        let outcome = train_glm(
+            &GlmTask::new(&train, &test, dim),
+            &spec,
+            &cluster,
+            Aggregation::Collective {
+                policy: MergePolicy::Exact,
+                compressor: &compressor,
+            },
+            &plan,
+            None,
+        )
+        .expect(scenario);
         let curve: Vec<(usize, f64)> = outcome
             .report
             .epochs
@@ -154,14 +163,12 @@ fn main() {
     let mut factors = vec![1.0; WORKERS];
     factors[WORKERS - 1] = 3.0;
     let plan = FaultPlan::seeded(79).with_stragglers(factors);
-    let (ssp_report, ssp_trace) = train_ssp_adaptive_chaos(
-        &train,
-        &test,
-        dim,
+    let (ssp_report, ssp_trace) = train_ssp_with_plan(
+        &GlmTask::new(&train, &test, dim),
         &spec,
         &cluster,
         &SspConfig::ssp(0, 0.0),
-        &AdaptiveSsp::default(),
+        Some(&AdaptiveSsp::default()),
         &compressor,
         &plan,
     )

@@ -13,7 +13,7 @@
 
 use serde::Serialize;
 use sketchml_cluster::{
-    train_distributed_chaos, ClusterConfig, FaultPlan, TrainOutcome, TrainSpec,
+    train_glm, Aggregation, ClusterConfig, FaultPlan, GlmTask, TrainOutcome, TrainSpec,
 };
 use sketchml_core::SketchMlCompressor;
 use sketchml_data::{SparseDatasetSpec, Task};
@@ -72,14 +72,13 @@ fn instrumented_run(
         .with_stragglers(vec![1.0, 1.5])
         .with_crash(1, 4, 3);
     let session = TelemetrySession::begin();
-    let outcome = train_distributed_chaos(
-        train,
-        test,
-        dim,
+    let outcome = train_glm(
+        &GlmTask::new(train, test, dim),
         &spec,
         &cluster,
-        &SketchMlCompressor::default(),
+        Aggregation::Driver(&SketchMlCompressor::default()),
         &plan,
+        None,
     )
     .expect("chaos run");
     (outcome, session.finish())

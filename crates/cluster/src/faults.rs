@@ -29,6 +29,7 @@
 use crate::network::NetworkModel;
 use serde::{Deserialize, Serialize};
 use sketchml_core::CompressError;
+use std::borrow::Cow;
 
 /// SplitMix64 — a tiny, platform-stable generator owned by this module so
 /// fault schedules never depend on an external RNG's stream layout. The
@@ -140,6 +141,14 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
+    /// The plan of a fault-free run: nothing is injected and messages keep
+    /// the unchecksummed v1 frame, so a run under it is bit-identical to one
+    /// that never heard of faults. The fault-free `train_*` entry points
+    /// pass exactly this.
+    pub fn none() -> Self {
+        FaultPlan::default().without_checksum()
+    }
+
     /// A benign plan with the given seed (no faults until builders add them).
     pub fn seeded(seed: u64) -> Self {
         FaultPlan {
@@ -475,10 +484,11 @@ impl FaultTrace {
 
 /// Outcome of pushing one message through the faulty link.
 #[derive(Debug, Clone)]
-pub struct Transmission {
+pub struct Transmission<'p> {
     /// The payload as the receiver saw it; `None` if every attempt failed.
-    /// May differ from the sent bytes if corruption slipped through.
-    pub payload: Option<Vec<u8>>,
+    /// Borrows the sent bytes unless corruption slipped through, in which
+    /// case it owns the perturbed copy — an intact delivery costs no copy.
+    pub payload: Option<Cow<'p, [u8]>>,
     /// Simulated seconds the exchange took (transfers + backoff).
     pub sim_seconds: f64,
     /// Attempts used (1 = clean first try).
@@ -562,13 +572,13 @@ impl FaultyLink {
     /// payload is delivered silently), or duplicated (the copy burns wire
     /// time). After `max_attempts` failures the message is lost and the
     /// caller degrades to aggregating the surviving workers.
-    pub fn transmit(
+    pub fn transmit<'p>(
         &mut self,
         worker: usize,
         batch: u64,
-        payload: &[u8],
+        payload: &'p [u8],
         verify: &mut dyn FnMut(&[u8]) -> bool,
-    ) -> Transmission {
+    ) -> Transmission<'p> {
         let transfer = self.net.transfer_time(payload.len());
         let mut sim_seconds = 0.0f64;
         let mut bytes_on_wire = 0u64;
@@ -600,9 +610,9 @@ impl FaultyLink {
                     let bit = self.rng.below(8) as u32;
                     bad[pos] ^= 1u8 << bit;
                 }
-                bad
+                Cow::Owned(bad)
             } else {
-                payload.to_vec()
+                Cow::Borrowed(payload)
             };
             if corrupted {
                 let detected = !verify(&delivered);
@@ -936,7 +946,7 @@ mod tests {
         let sent = [0u8; 16];
         let tx = link.transmit(0, 0, &sent, &mut |_| true);
         let got = tx.payload.expect("silent corruption still delivers");
-        assert_ne!(got, sent, "payload must actually be perturbed");
+        assert_ne!(got[..], sent, "payload must actually be perturbed");
         assert_eq!(
             got.iter()
                 .zip(&sent)

@@ -5,7 +5,9 @@
 //! The driver aggregates gradients from the executors, updates the trained
 //! model, and broadcasts the updated model to the executors."
 //!
-//! This crate reproduces that loop in-process:
+//! This crate reproduces that loop in-process, once: [`engine`] holds the
+//! one round engine, and the driver star, the sharded parameter server and
+//! the collective allreduce are three exchanges under it.
 //!
 //! - **Workers are real**: OS threads compute real mini-batch gradients over
 //!   real data partitions, and really serialize/compress their messages —
@@ -30,6 +32,7 @@
 pub mod allreduce;
 pub mod config;
 pub mod driver;
+pub mod engine;
 pub mod faults;
 pub mod membership;
 pub mod mlp_trainer;
@@ -40,21 +43,15 @@ pub mod ssp;
 pub mod trainer;
 pub mod worker;
 
-pub use allreduce::{train_allreduce, train_allreduce_chaos, train_allreduce_with_policy};
+pub use allreduce::{train_allreduce, train_allreduce_with_policy};
 pub use config::ClusterConfig;
+pub use engine::{train_glm, Aggregation, GlmTask};
 pub use faults::{CrashEvent, CrashPhase, FaultEvent, FaultPlan, FaultTrace, FaultyLink};
 pub use membership::ElasticConfig;
-pub use mlp_trainer::{
-    train_mlp_distributed, train_mlp_distributed_chaos, MlpTrainReport, MlpTrainSpec,
-};
+pub use mlp_trainer::{train_mlp_distributed, train_mlp_with_plan, MlpTrainReport, MlpTrainSpec};
 pub use network::{CostModel, NetworkModel};
-pub use ps::{train_parameter_server, train_parameter_server_chaos, ShardMap};
+pub use ps::{train_parameter_server, ShardMap};
 pub use sketchml_collectives::{MergePolicy, Topology};
 pub use sketchml_ml::{OptStateMode, OptimizerState};
-pub use ssp::{
-    train_ssp, train_ssp_adaptive_chaos, train_ssp_chaos, AdaptiveSsp, SspConfig, SspReport,
-};
-pub use trainer::{
-    train_distributed, train_distributed_chaos, train_distributed_resumable, EpochStats,
-    TrainOutcome, TrainReport, TrainSpec,
-};
+pub use ssp::{train_ssp, train_ssp_with_plan, AdaptiveSsp, SspConfig, SspReport};
+pub use trainer::{train_distributed, EpochStats, TrainOutcome, TrainReport, TrainSpec};

@@ -1,23 +1,21 @@
 //! Distributed MLP training for the §B.3 neural-network experiment.
 //!
-//! Identical driver/executor loop to [`crate::trainer`], but the model is a
+//! The same driver/executor protocol as [`crate::trainer`], but the model is a
 //! multilayer perceptron and the gradients are **dense** — the case where
 //! §4.6/§B.3 note that "the value compression still works, but the key
 //! compression is redundant", which is exactly what the `fig14_neural_net`
 //! harness measures.
 
 use crate::config::ClusterConfig;
-use crate::faults::{CrashPhase, FaultPlan, FaultTrace, FaultyLink};
+use crate::engine::{crash_roster, fan_out, push, slowest, Session};
+use crate::faults::{FaultPlan, FaultTrace};
 use crate::obs;
 use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
-use sketchml_core::{
-    CompressError, CompressScratch, FrameVersion, GradientCompressor, SparseGradient,
-};
+use sketchml_core::{CompressError, CompressScratch, GradientCompressor, SparseGradient};
 use sketchml_ml::metrics::LossPoint;
 use sketchml_ml::mlp::MlpInstance;
 use sketchml_ml::{AdamConfig, Mlp, MlpConfig, OptStateMode, OptimizerKind, OptimizerState};
-use std::time::Instant;
 
 /// Hyper-parameters of the MLP run (§B.3: batch 0.1%, lr 0.005).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -108,11 +106,11 @@ impl MlpTrainReport {
     }
 }
 
-/// Runs distributed MLP training with compressed gradient exchange.
+/// Runs distributed MLP training with compressed gradient exchange,
+/// fault-free: [`train_mlp_with_plan`] under [`FaultPlan::none`].
 ///
 /// # Errors
-/// Propagates compressor failures.
-#[allow(clippy::too_many_arguments)]
+/// As [`train_mlp_with_plan`].
 pub fn train_mlp_distributed(
     train: &[MlpInstance],
     test: &[MlpInstance],
@@ -121,19 +119,24 @@ pub fn train_mlp_distributed(
     cluster: &ClusterConfig,
     compressor: &dyn GradientCompressor,
 ) -> Result<MlpTrainReport, CompressError> {
-    run_mlp(train, test, net, spec, cluster, compressor, None).map(|(r, _)| r)
+    let none = FaultPlan::none();
+    train_mlp_with_plan(train, test, net, spec, cluster, compressor, &none).map(|(r, _)| r)
 }
 
-/// [`train_mlp_distributed`] under a deterministic fault plan: dense MLP
+/// Distributed MLP training under a deterministic fault plan: dense MLP
 /// gradients ride the faulty uplink, crashed workers sit out batches and
 /// rejoin with a charged parameter re-pull, and the surviving workers'
 /// gradients are re-weighted by their delivered instance counts.
 ///
+/// The driver loop of [`crate::engine`] with a different model, shuffle and
+/// report — assembled from the engine's pieces rather than run through its
+/// GLM round loop.
+///
 /// # Errors
-/// [`CompressError::InvalidConfig`] on an invalid plan or cluster config;
-/// propagates compressor failures.
-#[allow(clippy::too_many_arguments)]
-pub fn train_mlp_distributed_chaos(
+/// [`CompressError::InvalidConfig`] on an empty training set, an invalid
+/// plan or cluster config, or a worker thread that panicked; propagates
+/// compressor failures.
+pub fn train_mlp_with_plan(
     train: &[MlpInstance],
     test: &[MlpInstance],
     net: &MlpConfig,
@@ -142,44 +145,9 @@ pub fn train_mlp_distributed_chaos(
     compressor: &dyn GradientCompressor,
     faults: &FaultPlan,
 ) -> Result<(MlpTrainReport, FaultTrace), CompressError> {
-    run_mlp(train, test, net, spec, cluster, compressor, Some(faults))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_mlp(
-    train: &[MlpInstance],
-    test: &[MlpInstance],
-    net: &MlpConfig,
-    spec: &MlpTrainSpec,
-    cluster: &ClusterConfig,
-    compressor: &dyn GradientCompressor,
-    faults: Option<&FaultPlan>,
-) -> Result<(MlpTrainReport, FaultTrace), CompressError> {
-    if train.is_empty() {
-        return Err(CompressError::InvalidConfig(
-            "training set must be non-empty".into(),
-        ));
-    }
-    cluster.validate()?;
-    let _recording = obs::scope_for(cluster);
-    let frame = if faults.is_some_and(|p| p.checksum) {
-        FrameVersion::V2
-    } else {
-        FrameVersion::V1
-    };
-    let wired = cluster.wire_compressor(compressor, frame)?;
-    let compressor: &dyn GradientCompressor = match &wired {
-        Some(engine) => engine,
-        None => compressor,
-    };
-    let mut link = match faults {
-        Some(plan) => Some(FaultyLink::new(
-            plan,
-            cluster.cost.network,
-            cluster.workers,
-        )?),
-        None => None,
-    };
+    let (session, mut link) = Session::open(train.len(), cluster, compressor, faults)?;
+    let compressor = session.compressor();
+    let cost = &cluster.cost;
     let mut global_batch = 0u64;
     let mut mlp = Mlp::new(net).map_err(|e| CompressError::InvalidConfig(e.to_string()))?;
     let params = mlp.num_params();
@@ -204,7 +172,7 @@ fn run_mlp(
     let mut clock = 0.0;
     // Pooled codec state, reused across every batch (driver loop is serial).
     let mut scratch = CompressScratch::new();
-    let mut wire = BytesMut::new();
+    let mut wire_buf = BytesMut::new();
     let mut dec_parts: Vec<SparseGradient> = Vec::new();
     for epoch in 1..=spec.epochs {
         // Fisher-Yates with the LCG.
@@ -218,104 +186,48 @@ fn run_mlp(
         let mut sim = 0.0f64;
         for batch_idx in order.chunks(batch_size) {
             rounds += 1;
-            // Crash schedule: dead workers sit out the batch; rejoining
-            // ones re-pull the dense parameter vector (8 bytes/param).
-            let mut alive = vec![true; cluster.workers];
-            if let Some(l) = link.as_mut() {
-                for (w, alive_w) in alive.iter_mut().enumerate() {
-                    match l.crash_phase(w, global_batch) {
-                        CrashPhase::Up => {}
-                        CrashPhase::Down => *alive_w = false,
-                        CrashPhase::Rejoin => {
-                            sim += l.charge_recovery(w, global_batch, 8 * params);
-                        }
-                    }
-                }
-            }
+            // Dead workers sit out the batch; rejoining ones re-pull the
+            // dense parameter vector (8 bytes/param).
+            let roster = crash_roster(&mut link, global_batch, cluster.workers, &mut || {
+                Ok(8 * params)
+            })?;
+            sim += roster.stall_seconds;
             let slices = crate::worker::partition(batch_idx, cluster.workers);
-            let results: Vec<Option<(SparseGradient, f64, usize, f64)>> =
-                crossbeam::thread::scope(|s| {
-                    let handles: Vec<_> = slices
-                        .iter()
-                        .enumerate()
-                        .map(|(w, part)| {
-                            if !alive[w] {
-                                return None;
-                            }
-                            let mlp = &mlp;
-                            Some(s.spawn(move |_| {
-                                let batch: Vec<MlpInstance> =
-                                    part.iter().map(|&i| train[i].clone()).collect();
-                                let (flat, loss) = mlp.batch_gradient(&batch);
-                                let grad = SparseGradient::from_dense(&flat, 0.0);
-                                (grad, loss, batch.len(), batch.len() as f64)
-                            }))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.map(|h| h.join().expect("worker thread panicked")))
-                        .collect()
-                })
-                .expect("crossbeam scope");
-
-            // Compute gates on the slowest (straggler-adjusted) alive worker.
-            let compute = results
+            let jobs = slices
                 .iter()
-                .enumerate()
-                .filter_map(|(w, r)| r.as_ref().map(|r| (w, r.2)))
-                .map(|(w, n)| {
-                    let factor = link.as_ref().map_or(1.0, |l| l.compute_factor(w));
-                    cluster.cost.compute_time(n as u64 * params as u64) * factor
-                })
-                .fold(0.0f64, f64::max);
-            if sketchml_telemetry::enabled() {
-                let unskewed = results
-                    .iter()
-                    .flatten()
-                    .map(|r| cluster.cost.compute_time(r.2 as u64 * params as u64))
-                    .fold(0.0f64, f64::max);
-                obs::straggler_wait(compute - unskewed);
-            }
+                .zip(&roster.down)
+                .map(|(part, &down)| (!down).then_some(part));
+            let results = fan_out(jobs, |part| {
+                let batch: Vec<MlpInstance> = part.iter().map(|&i| train[i].clone()).collect();
+                let (flat, _loss) = mlp.batch_gradient(&batch);
+                Ok((SparseGradient::from_dense(&flat, 0.0), batch.len()))
+            })?;
+
+            let costs = results.iter().enumerate().filter_map(|(w, r)| {
+                let (_, n) = r.as_ref()?;
+                Some((w, cost.compute_time(*n as u64 * params as u64)))
+            });
+            let compute = slowest(&link, costs);
 
             // Compress each worker's (dense) gradient — real bytes, pooled
-            // buffers. Under faults, lost uplinks drop out and the survivors
-            // are re-weighted by the instances that actually arrived.
+            // buffers. Lost uplinks drop out and the survivors are
+            // re-weighted by the instances that actually arrived.
             while dec_parts.len() < results.len() {
                 dec_parts.push(SparseGradient::empty(0));
             }
             let mut delivered_inst: Vec<usize> = Vec::with_capacity(results.len());
-            let t0 = Instant::now();
             for (w, result) in results.iter().enumerate() {
-                let Some((grad, _, n, _)) = result else {
-                    continue;
-                };
-                compressor.compress_into(grad, &mut scratch, &mut wire)?;
-                let part = &mut dec_parts[delivered_inst.len()];
-                match link.as_mut() {
-                    None => {
-                        uplink_bytes += wire.len() as u64;
-                        sim += cluster.cost.network.transfer_time(wire.len());
-                        compressor.decompress_into(&wire, &mut scratch, part)?;
-                        delivered_inst.push(*n);
-                    }
-                    Some(l) => {
-                        let tx = l.transmit(w, global_batch, &wire, &mut |b| {
-                            compressor
-                                .decompress(b)
-                                .map(|g| g.dim() == params as u64)
-                                .unwrap_or(false)
-                        });
-                        uplink_bytes += tx.bytes_on_wire;
-                        sim += tx.sim_seconds;
-                        if let Some(payload) = tx.payload {
-                            compressor.decompress_into(&payload, &mut scratch, part)?;
-                            delivered_inst.push(*n);
-                        }
-                    }
+                let Some((grad, n)) = result else { continue };
+                compressor.compress_into(grad, &mut scratch, &mut wire_buf)?;
+                let tx = push(&mut link, w, global_batch, &wire_buf, compressor, params);
+                uplink_bytes += tx.bytes_on_wire;
+                sim += tx.sim_seconds;
+                if let Some(payload) = &tx.payload {
+                    let part = &mut dec_parts[delivered_inst.len()];
+                    compressor.decompress_into(payload, &mut scratch, part)?;
+                    delivered_inst.push(*n);
                 }
             }
-            let _codec_wall = t0.elapsed();
             let delivered = delivered_inst.len();
             let total_inst: usize = delivered_inst.iter().sum();
             for (part, n) in dec_parts[..delivered].iter_mut().zip(&delivered_inst) {
@@ -331,17 +243,13 @@ fn run_mlp(
                 continue;
             }
             let agg = SparseGradient::aggregate(&dec_parts[..delivered])?;
-            // Downlink: torrent-style broadcast of the aggregated update.
-            compressor.compress_into(&agg, &mut scratch, &mut wire)?;
-            downlink_bytes += (wire.len() * cluster.workers) as u64;
-            sim += cluster
-                .cost
-                .network
-                .broadcast_time(wire.len(), cluster.workers);
-            if let Some(l) = link.as_mut() {
-                sim += l.broadcast_penalty(global_batch - 1, wire.len());
-            }
-            sim += cluster.cost.codec_time(agg.nnz() * 2);
+            // Downlink: torrent-style broadcast of the aggregated update,
+            // plus re-pulls for copies the fault plan rejects.
+            compressor.compress_into(&agg, &mut scratch, &mut wire_buf)?;
+            downlink_bytes += (wire_buf.len() * cluster.workers) as u64;
+            sim += cost.network.broadcast_time(wire_buf.len(), cluster.workers);
+            sim += link.broadcast_penalty(global_batch - 1, wire_buf.len());
+            sim += cost.codec_time(agg.nnz() * 2);
 
             mlp.apply_sparse_gradient(&mut opt, agg.keys(), agg.values());
         }
@@ -360,7 +268,7 @@ fn run_mlp(
             test_loss,
         });
     }
-    let trace = link.map(FaultyLink::into_trace).unwrap_or_default();
+    let trace = link.into_trace();
     obs::trace_totals(&trace);
     Ok((
         MlpTrainReport {

@@ -18,19 +18,17 @@
 //! identical compressors and cost models.
 
 use crate::config::ClusterConfig;
-use crate::faults::{CrashPhase, FaultPlan, FaultTrace, FaultyLink};
-use crate::obs;
-use crate::worker::partition;
+use crate::engine::{
+    crash_roster, push, train_glm, Aggregate, Aggregation, Ctx, Exchange, GlmTask, Round,
+};
+use crate::faults::FaultPlan;
+use crate::membership::RoundPlan;
+use crate::trainer::{TrainReport, TrainSpec};
+use crate::worker::WorkerScratch;
 use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
-use sketchml_core::{
-    CompressError, CompressScratch, FrameVersion, GradientCompressor, SparseGradient,
-};
-use sketchml_data::Batcher;
-use sketchml_ml::metrics::{ConvergenceDetector, LossPoint};
+use sketchml_core::{CompressError, CompressScratch, GradientCompressor, SparseGradient};
 use sketchml_ml::{GlmModel, Instance};
-
-use crate::trainer::{EpochStats, TrainReport, TrainSpec};
 
 /// How model dimensions map onto servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -115,14 +113,16 @@ impl ShardMap {
     }
 }
 
-/// Runs the distributed GLM training loop over a parameter-server topology.
+/// Runs the distributed GLM training loop over a parameter-server topology,
+/// fault-free: [`train_glm`] with [`Aggregation::ParameterServer`] under
+/// [`FaultPlan::none`].
 ///
 /// Identical math to [`crate::trainer::train_distributed`] (same batches,
 /// same optimizer applied to the same aggregated gradient), different
 /// communication pattern and therefore different simulated time.
 ///
 /// # Errors
-/// Propagates compressor failures.
+/// As [`train_glm`].
 pub fn train_parameter_server(
     train: &[Instance],
     test: &[Instance],
@@ -132,315 +132,170 @@ pub fn train_parameter_server(
     servers: usize,
     compressor: &dyn GradientCompressor,
 ) -> Result<TrainReport, CompressError> {
-    run_ps(train, test, dim, spec, cluster, servers, compressor, None).map(|(r, _)| r)
-}
-
-/// [`train_parameter_server`] under a deterministic fault plan: every
-/// worker→server shard push rides the faulty link (the PS topology's many
-/// small messages make per-message drop probabilities bite hardest here),
-/// crashed workers sit out whole batches and rejoin with a charged state
-/// re-pull, and rejected pull copies cost re-transfers.
-///
-/// # Errors
-/// [`CompressError::InvalidConfig`] on an invalid plan or cluster config;
-/// propagates compressor failures.
-#[allow(clippy::too_many_arguments)]
-pub fn train_parameter_server_chaos(
-    train: &[Instance],
-    test: &[Instance],
-    dim: usize,
-    spec: &TrainSpec,
-    cluster: &ClusterConfig,
-    servers: usize,
-    compressor: &dyn GradientCompressor,
-    faults: &FaultPlan,
-) -> Result<(TrainReport, FaultTrace), CompressError> {
-    run_ps(
-        train,
-        test,
-        dim,
-        spec,
-        cluster,
+    let task = GlmTask::new(train, test, dim);
+    let sharded = Aggregation::ParameterServer {
         servers,
         compressor,
-        Some(faults),
-    )
+    };
+    train_glm(&task, spec, cluster, sharded, &FaultPlan::none(), None).map(|o| o.report)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_ps(
-    train: &[Instance],
-    test: &[Instance],
-    dim: usize,
-    spec: &TrainSpec,
-    cluster: &ClusterConfig,
-    servers: usize,
-    compressor: &dyn GradientCompressor,
-    faults: Option<&FaultPlan>,
-) -> Result<(TrainReport, FaultTrace), CompressError> {
-    if train.is_empty() {
-        return Err(CompressError::InvalidConfig(
-            "training set must be non-empty".into(),
-        ));
-    }
-    cluster.validate()?;
-    let _recording = obs::scope_for(cluster);
-    let frame = if faults.is_some_and(|p| p.checksum) {
-        FrameVersion::V2
-    } else {
-        FrameVersion::V1
-    };
-    let wired = cluster.wire_compressor(compressor, frame)?;
-    let compressor: &dyn GradientCompressor = match &wired {
-        Some(engine) => engine,
-        None => compressor,
-    };
-    let mut link = match faults {
-        Some(plan) => Some(FaultyLink::new(
-            plan,
-            cluster.cost.network,
-            cluster.workers,
-        )?),
-        None => None,
-    };
-    let mut global_batch = 0u64;
-    let shards = ShardMap::new(dim as u64, servers);
-    let mut model = GlmModel::new(dim, spec.loss, spec.l2)
-        .map_err(|e| CompressError::InvalidConfig(e.to_string()))?;
-    let mut opt = crate::trainer::build_opt_state(spec, dim)?;
-    obs::opt_state_bytes(opt.state_bytes() as u64);
-    let mut batcher = Batcher::new(train.len(), cluster.batch_ratio, spec.seed);
-    let mut detector = ConvergenceDetector::default();
+/// A worker's push: one compressed message per non-empty shard of its
+/// gradient, encoded on the worker's own thread.
+pub(crate) struct ShardPush {
+    /// `(server, payload, pairs)` in server order.
+    messages: Vec<(usize, Vec<u8>, u64)>,
+    loss_sum: f64,
+    instances: usize,
+}
 
-    let mut epochs = Vec::with_capacity(spec.max_epochs);
-    let mut curve = Vec::new();
-    let mut converged_epoch = None;
-    let mut clock = 0.0f64;
+/// The sharded parameter server as an [`Exchange`]: every worker→server
+/// shard push rides the link (the many small messages make per-message drop
+/// probabilities bite hardest here), crashed workers sit out whole batches
+/// and rejoin with a charged re-pull of the model shards, and rejected pull
+/// copies cost re-transfers.
+pub(crate) struct ShardedServers<'a> {
+    cx: Ctx<'a>,
+    shards: ShardMap,
     // Pooled codec state, reused across every push/pull of every batch (the
-    // push/pull loops below run serially at the simulated servers).
-    let mut scratch = CompressScratch::new();
-    let mut wire = BytesMut::new();
+    // push/pull loops run serially at the simulated servers).
+    scratch: CompressScratch,
+    wire: BytesMut,
+}
 
-    for epoch in 1..=spec.max_epochs {
-        let mut es = EpochStats {
-            epoch,
-            ..EpochStats::zeroed()
+impl<'a> ShardedServers<'a> {
+    pub(crate) fn new(cx: Ctx<'a>, servers: usize) -> Self {
+        ShardedServers {
+            cx,
+            shards: ShardMap::new(cx.dim as u64, servers),
+            scratch: CompressScratch::new(),
+            wire: BytesMut::new(),
+        }
+    }
+}
+
+impl Exchange for ShardedServers<'_> {
+    type Part = ShardPush;
+
+    fn method(&self) -> String {
+        let servers = self.shards.servers();
+        format!("{} (PS x{servers})", self.cx.compressor.name())
+    }
+
+    fn roster(&mut self, round: &mut Round<'_>) -> Result<RoundPlan, CompressError> {
+        // Rejoining workers re-pull the model shards (8 bytes/weight).
+        let (workers, restore) = (self.cx.cluster.workers, 8 * self.cx.dim);
+        crash_roster(round.link, round.batch, workers, &mut || Ok(restore))
+    }
+
+    fn work(
+        &self,
+        model: &GlmModel,
+        slice: &[Instance],
+        ws: &mut WorkerScratch,
+    ) -> Result<(ShardPush, f64), CompressError> {
+        let g = model.batch_gradient(slice);
+        let feature_ops: u64 = slice.iter().map(|i| i.features.nnz() as u64).sum();
+        let grad = SparseGradient::new(model.dim() as u64, g.keys, g.values)?;
+        let (scratch, out) = ws.buffers();
+        let mut messages = Vec::with_capacity(self.shards.servers());
+        for (s, shard_grad) in self.shards.split(&grad)?.iter().enumerate() {
+            if shard_grad.is_empty() {
+                continue;
+            }
+            let report = self.cx.compressor.compress_into(shard_grad, scratch, out)?;
+            messages.push((s, out[..].to_vec(), report.pairs as u64));
+        }
+        let push = ShardPush {
+            messages,
+            loss_sum: g.loss_sum,
+            instances: slice.len(),
         };
-        let batches = batcher.epoch();
-        let mut loss_accum = 0.0;
-        for batch in &batches {
-            // Crash schedule: dead workers sit out the batch; rejoining
-            // ones re-pull the model shards (8 bytes/weight) first.
-            let mut alive = vec![true; cluster.workers];
-            if let Some(l) = link.as_mut() {
-                for (w, alive_w) in alive.iter_mut().enumerate() {
-                    match l.crash_phase(w, global_batch) {
-                        CrashPhase::Up => {}
-                        CrashPhase::Down => *alive_w = false,
-                        CrashPhase::Rejoin => {
-                            es.comm_seconds += l.charge_recovery(w, global_batch, 8 * dim);
-                        }
-                    }
+        Ok((push, self.cx.cluster.cost.compute_time(feature_ops)))
+    }
+
+    fn aggregate(
+        &mut self,
+        round: &mut Round<'_>,
+        _members: &[usize],
+        parts: Vec<Option<ShardPush>>,
+    ) -> Result<Option<Aggregate>, CompressError> {
+        let Ctx {
+            cluster,
+            dim,
+            compressor,
+        } = self.cx;
+        let (link, batch, es) = (&mut *round.link, round.batch, &mut *round.es);
+        let cost = &cluster.cost;
+        let workers = cluster.workers;
+
+        let total_instances: usize = parts.iter().flatten().map(|p| p.instances).sum();
+
+        // Push: each worker sends one compressed message per shard; the S
+        // servers ingest in parallel, each serially over its W senders.
+        let mut per_server_time = vec![0.0f64; self.shards.servers()];
+        let mut shard_parts: Vec<Vec<SparseGradient>> = vec![Vec::new(); self.shards.servers()];
+        let mut pairs_this_batch = 0u64;
+        for (w, part) in parts.iter().enumerate() {
+            let Some(part) = part else { continue };
+            for &(s, ref sent, pairs) in &part.messages {
+                es.pairs += pairs;
+                es.raw_bytes += 12 * pairs;
+                pairs_this_batch += pairs;
+                let tx = push(link, w, batch, sent, compressor, dim);
+                per_server_time[s] += tx.sim_seconds;
+                es.uplink_bytes += tx.bytes_on_wire;
+                // A lost shard message drops out; the server aggregates the
+                // survivors.
+                let Some(payload) = tx.payload else { continue };
+                let mut g = SparseGradient::empty(0);
+                compressor.decompress_into(&payload, &mut self.scratch, &mut g)?;
+                if total_instances > 0 {
+                    g.scale(part.instances as f64 / total_instances as f64);
                 }
+                shard_parts[s].push(g);
             }
-            let parts = partition(batch, cluster.workers);
-            // Worker compute (real, parallel); crashed workers contribute
-            // nothing.
-            let results: Vec<Option<(SparseGradient, f64, usize)>> =
-                crossbeam::thread::scope(|s| {
-                    let handles: Vec<_> = parts
-                        .iter()
-                        .enumerate()
-                        .map(|(w, part)| {
-                            if !alive[w] {
-                                return None;
-                            }
-                            let model = &model;
-                            Some(s.spawn(move |_| {
-                                let slice: Vec<Instance> =
-                                    part.iter().map(|&i| train[i].clone()).collect();
-                                let g = model.batch_gradient(&slice);
-                                SparseGradient::new(model.dim() as u64, g.keys, g.values)
-                                    .map(|sparse| (sparse, g.loss_sum, slice.len()))
-                                    .map_err(|e| {
-                                        CompressError::InvalidGradient(format!(
-                                            "worker {w} batch gradient: {e}"
-                                        ))
-                                    })
-                            }))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h {
-                            Some(h) => match h.join() {
-                                Ok(r) => r.map(Some),
-                                Err(_) => Err(CompressError::InvalidConfig(
-                                    "ps worker thread panicked".into(),
-                                )),
-                            },
-                            None => Ok(None),
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .map_err(|_| CompressError::InvalidConfig("ps worker scope panicked".into()))??;
+        }
+        es.comm_seconds += per_server_time.iter().copied().fold(0.0, f64::max);
+        es.codec_seconds += cost.codec_time(pairs_this_batch as usize * 2);
 
-            let total_instances: usize = results.iter().flatten().map(|r| r.2).sum();
-            // Compute gates on the slowest (straggler-adjusted) alive worker.
-            let compute = parts
-                .iter()
-                .enumerate()
-                .filter(|&(w, _)| alive[w])
-                .map(|(w, part)| {
-                    let ops = part
-                        .iter()
-                        .map(|&i| train[i].features.nnz() as u64)
-                        .sum::<u64>();
-                    let factor = link.as_ref().map_or(1.0, |l| l.compute_factor(w));
-                    cluster.cost.compute_time(ops) * factor
-                })
-                .fold(0.0f64, f64::max);
-            if sketchml_telemetry::enabled() {
-                let unskewed = parts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(w, _)| alive[w])
-                    .map(|(_, part)| {
-                        let ops = part
-                            .iter()
-                            .map(|&i| train[i].features.nnz() as u64)
-                            .sum::<u64>();
-                        cluster.cost.compute_time(ops)
-                    })
-                    .fold(0.0f64, f64::max);
-                obs::straggler_wait(compute - unskewed);
-            }
-            es.compute_seconds += compute;
+        // Servers aggregate + update their shard; the engine applies through
+        // the single optimizer for mathematical identity with the driver
+        // topology (range-sharded state would behave identically).
+        let all_parts: Vec<SparseGradient> = shard_parts.into_iter().flatten().collect();
+        let aggregated = if all_parts.is_empty() {
+            SparseGradient::empty(dim as u64)
+        } else {
+            SparseGradient::aggregate(&all_parts)?
+        };
+        let loss_sum: f64 = parts.iter().flatten().map(|p| p.loss_sum).sum();
 
-            // Push: each worker sends one compressed message per shard; the
-            // S servers ingest in parallel, each serially over its W senders.
-            let mut per_server_time = vec![0.0f64; shards.servers()];
-            let mut shard_parts: Vec<Vec<SparseGradient>> = vec![Vec::new(); shards.servers()];
-            let mut pairs_this_batch = 0u64;
-            for (w, result) in results.iter().enumerate() {
-                let Some((grad, _, n)) = result else { continue };
-                let split = shards.split(grad)?;
-                for (s, shard_grad) in split.into_iter().enumerate() {
-                    if shard_grad.is_empty() {
-                        continue;
-                    }
-                    let report = compressor.compress_into(&shard_grad, &mut scratch, &mut wire)?;
-                    es.pairs += report.pairs as u64;
-                    es.raw_bytes += 12 * report.pairs as u64;
-                    pairs_this_batch += report.pairs as u64;
-                    let mut g = SparseGradient::empty(0);
-                    match link.as_mut() {
-                        None => {
-                            per_server_time[s] += cluster.cost.network.transfer_time(wire.len());
-                            es.uplink_bytes += wire.len() as u64;
-                            compressor.decompress_into(&wire, &mut scratch, &mut g)?;
-                        }
-                        Some(l) => {
-                            let tx = l.transmit(w, global_batch, &wire, &mut |b| {
-                                compressor
-                                    .decompress(b)
-                                    .map(|g| g.dim() == dim as u64)
-                                    .unwrap_or(false)
-                            });
-                            per_server_time[s] += tx.sim_seconds;
-                            es.uplink_bytes += tx.bytes_on_wire;
-                            let Some(payload) = tx.payload else {
-                                // This shard's contribution is lost; the
-                                // server aggregates the survivors.
-                                continue;
-                            };
-                            compressor.decompress_into(&payload, &mut scratch, &mut g)?;
-                        }
-                    }
-                    if total_instances > 0 {
-                        g.scale(*n as f64 / total_instances as f64);
-                    }
-                    shard_parts[s].push(g);
-                }
+        // Pull: each worker fetches the updated shards (compressed); the S
+        // servers serve their slice to W workers in parallel.
+        let mut pull_time = vec![0.0f64; self.shards.servers()];
+        for (s, shard_grad) in self.shards.split(&aggregated)?.iter().enumerate() {
+            if shard_grad.is_empty() {
+                continue;
             }
-            es.comm_seconds += per_server_time.iter().copied().fold(0.0, f64::max);
-            es.codec_seconds += cluster.cost.codec_time(pairs_this_batch as usize * 2);
+            compressor.compress_into(shard_grad, &mut self.scratch, &mut self.wire)?;
+            // Each of W workers pulls this shard, serialized per server;
+            // rejected copies cost re-transfers (workers that exhaust
+            // retries proceed on their stale shard copy).
+            pull_time[s] += workers as f64 * cost.network.transfer_time(self.wire.len());
+            es.downlink_bytes += (self.wire.len() * workers) as u64;
+            pull_time[s] += link.broadcast_penalty(batch, self.wire.len());
+        }
+        es.comm_seconds += pull_time.iter().copied().fold(0.0, f64::max);
 
-            // Servers aggregate + update their shard; we apply through the
-            // single optimizer for mathematical identity with the driver
-            // topology (range-sharded state would behave identically).
-            let mut all_parts: Vec<SparseGradient> = Vec::new();
-            for parts in shard_parts {
-                all_parts.extend(parts);
-            }
-            let aggregated = if all_parts.is_empty() {
-                SparseGradient::empty(dim as u64)
-            } else {
-                SparseGradient::aggregate(&all_parts)?
-            };
-            let batch_loss_sum: f64 = results.iter().flatten().map(|(_, l, _)| *l).sum();
-            loss_accum += if total_instances == 0 {
+        Ok(Some(Aggregate {
+            gradient: Some(aggregated),
+            batch_loss: if total_instances == 0 {
                 0.0
             } else {
-                batch_loss_sum / total_instances as f64
-            };
-            model.apply_gradient(&mut opt, aggregated.keys(), aggregated.values());
-
-            // Pull: each worker fetches the updated shards (compressed); the
-            // S servers serve their slice to W workers in parallel.
-            let mut pull_time = vec![0.0f64; shards.servers()];
-            for (s, shard_grad) in shards.split(&aggregated)?.iter().enumerate() {
-                if shard_grad.is_empty() {
-                    continue;
-                }
-                compressor.compress_into(shard_grad, &mut scratch, &mut wire)?;
-                // Each of W workers pulls this shard, serialized per server.
-                pull_time[s] +=
-                    cluster.workers as f64 * cluster.cost.network.transfer_time(wire.len());
-                es.downlink_bytes += (wire.len() * cluster.workers) as u64;
-                if let Some(l) = link.as_mut() {
-                    // Rejected pull copies cost re-transfers (workers that
-                    // exhaust retries proceed on their stale shard copy).
-                    pull_time[s] += l.broadcast_penalty(global_batch, wire.len());
-                }
-            }
-            es.comm_seconds += pull_time.iter().copied().fold(0.0, f64::max);
-            global_batch += 1;
-        }
-        obs::rounds(batches.len() as u64, es.uplink_bytes, es.downlink_bytes);
-        es.sim_seconds = es.compute_seconds + es.comm_seconds + es.codec_seconds;
-        es.train_loss = loss_accum / batches.len() as f64;
-        es.test_loss = model.mean_loss(test);
-        clock += es.sim_seconds;
-        curve.push(LossPoint {
-            seconds: clock,
-            epoch,
-            loss: es.test_loss,
-        });
-        let converged = detector.push(es.test_loss);
-        epochs.push(es);
-        if converged && converged_epoch.is_none() {
-            converged_epoch = Some(epoch);
-            if spec.stop_on_convergence {
-                break;
-            }
-        }
+                loss_sum / total_instances as f64
+            },
+        }))
     }
-    let accuracy = model.accuracy(test);
-    let trace = link.map(FaultyLink::into_trace).unwrap_or_default();
-    obs::trace_totals(&trace);
-    Ok((
-        TrainReport {
-            method: format!("{} (PS x{})", compressor.name(), shards.servers()),
-            model: spec.loss.name().to_string(),
-            workers: cluster.workers,
-            epochs,
-            curve,
-            converged_epoch,
-            accuracy,
-        },
-        trace,
-    ))
 }
 
 #[cfg(test)]

@@ -15,17 +15,15 @@
 //! in event order.
 
 use crate::config::ClusterConfig;
-use crate::faults::{CrashPhase, FaultEvent, FaultPlan, FaultTrace, FaultyLink};
+use crate::engine::{glm_state, push, GlmTask, Session};
+use crate::faults::{CrashPhase, FaultEvent, FaultPlan, FaultTrace};
 use crate::obs;
+use crate::trainer::TrainSpec;
 use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
-use sketchml_core::{
-    CompressError, CompressScratch, FrameVersion, GradientCompressor, SparseGradient,
-};
+use sketchml_core::{CompressError, CompressScratch, GradientCompressor, SparseGradient};
 use sketchml_ml::metrics::LossPoint;
-use sketchml_ml::{GlmModel, Instance};
-
-use crate::trainer::TrainSpec;
+use sketchml_ml::Instance;
 
 /// SSP-specific knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -191,10 +189,11 @@ impl SspReport {
 }
 
 /// Runs SSP training: heterogeneous workers, bounded staleness, compressed
-/// push/pull.
+/// push/pull — fault-free with a fixed bound: [`train_ssp_with_plan`] under
+/// [`FaultPlan::none`].
 ///
 /// # Errors
-/// Propagates compressor failures.
+/// As [`train_ssp_with_plan`].
 pub fn train_ssp(
     train: &[Instance],
     test: &[Instance],
@@ -204,44 +203,27 @@ pub fn train_ssp(
     ssp: &SspConfig,
     compressor: &dyn GradientCompressor,
 ) -> Result<SspReport, CompressError> {
-    run_ssp(train, test, dim, spec, cluster, ssp, compressor, None, None).map(|(r, _)| r)
+    let task = GlmTask::new(train, test, dim);
+    train_ssp_with_plan(
+        &task,
+        spec,
+        cluster,
+        ssp,
+        None,
+        compressor,
+        &FaultPlan::none(),
+    )
+    .map(|(report, _)| report)
 }
 
-/// [`train_ssp`] under a deterministic fault plan: pushes suffer drops,
+/// SSP training under a deterministic fault plan: pushes suffer drops,
 /// corruption, and duplication; crashed workers are excluded from the
 /// staleness bound while down (no deadlock) and rejoin at the cohort's
 /// pace after a charged state re-pull; plan stragglers stack with the
 /// config's straggle spread — the scenario where SSP's bounded staleness
 /// absorbs the slowdown that would stall BSP.
 ///
-/// # Errors
-/// [`CompressError::InvalidConfig`] on an invalid plan or config;
-/// propagates compressor failures.
-#[allow(clippy::too_many_arguments)]
-pub fn train_ssp_chaos(
-    train: &[Instance],
-    test: &[Instance],
-    dim: usize,
-    spec: &TrainSpec,
-    cluster: &ClusterConfig,
-    ssp: &SspConfig,
-    compressor: &dyn GradientCompressor,
-    faults: &FaultPlan,
-) -> Result<(SspReport, FaultTrace), CompressError> {
-    run_ssp(
-        train,
-        test,
-        dim,
-        spec,
-        cluster,
-        ssp,
-        compressor,
-        Some(faults),
-        None,
-    )
-}
-
-/// [`train_ssp_chaos`] with the staleness bound retuned online by an
+/// With `adaptive`, the staleness bound is retuned online by the
 /// [`AdaptiveSsp`] controller: `ssp.staleness` seeds the bound, and every
 /// `window` iterations the observed straggler-wait share raises or lowers
 /// it within the controller's range — a straggler-heavy cohort drifts
@@ -249,76 +231,32 @@ pub fn train_ssp_chaos(
 /// are recorded in the trace as
 /// [`FaultEvent::StalenessRetuned`](crate::faults::FaultEvent) events.
 ///
+/// The scheduler is event-driven, so it is not a round of the engine's
+/// barrier loop; it is assembled from the same pieces (session, model
+/// state, link push).
+///
 /// # Errors
-/// As [`train_ssp_chaos`], plus [`CompressError::InvalidConfig`] for
-/// invalid controller knobs.
-#[allow(clippy::too_many_arguments)]
-pub fn train_ssp_adaptive_chaos(
-    train: &[Instance],
-    test: &[Instance],
-    dim: usize,
+/// [`CompressError::InvalidConfig`] on an empty training set or an invalid
+/// plan, cluster config, SSP config or controller; propagates compressor
+/// failures.
+pub fn train_ssp_with_plan(
+    task: &GlmTask<'_>,
     spec: &TrainSpec,
     cluster: &ClusterConfig,
     ssp: &SspConfig,
-    adaptive: &AdaptiveSsp,
+    adaptive: Option<&AdaptiveSsp>,
     compressor: &dyn GradientCompressor,
     faults: &FaultPlan,
 ) -> Result<(SspReport, FaultTrace), CompressError> {
-    run_ssp(
-        train,
-        test,
-        dim,
-        spec,
-        cluster,
-        ssp,
-        compressor,
-        Some(faults),
-        Some(adaptive),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_ssp(
-    train: &[Instance],
-    test: &[Instance],
-    dim: usize,
-    spec: &TrainSpec,
-    cluster: &ClusterConfig,
-    ssp: &SspConfig,
-    compressor: &dyn GradientCompressor,
-    faults: Option<&FaultPlan>,
-    adaptive: Option<&AdaptiveSsp>,
-) -> Result<(SspReport, FaultTrace), CompressError> {
-    if train.is_empty() {
-        return Err(CompressError::InvalidConfig(
-            "training set must be non-empty".into(),
-        ));
-    }
-    cluster.validate()?;
+    let GlmTask { train, test, dim } = *task;
     ssp.validate()?;
     if let Some(ad) = adaptive {
         ad.validate()?;
     }
-    let _recording = obs::scope_for(cluster);
-    let frame = if faults.is_some_and(|p| p.checksum) {
-        FrameVersion::V2
-    } else {
-        FrameVersion::V1
-    };
-    let wired = cluster.wire_compressor(compressor, frame)?;
-    let compressor: &dyn GradientCompressor = match &wired {
-        Some(engine) => engine,
-        None => compressor,
-    };
+    let (session, mut link) = Session::open(train.len(), cluster, compressor, faults)?;
+    let compressor = session.compressor();
     let workers = cluster.workers;
-    let mut link = match faults {
-        Some(plan) => Some(FaultyLink::new(plan, cluster.cost.network, workers)?),
-        None => None,
-    };
-    let mut model = GlmModel::new(dim, spec.loss, spec.l2)
-        .map_err(|e| CompressError::InvalidConfig(e.to_string()))?;
-    let mut opt = crate::trainer::build_opt_state(spec, dim)?;
-    obs::opt_state_bytes(opt.state_bytes() as u64);
+    let (mut model, mut opt, _) = glm_state(dim, spec, None)?;
 
     // Static data partitioning across workers (§2.2 data parallelism).
     let partitions: Vec<Vec<usize>> = {
@@ -344,7 +282,7 @@ fn run_ssp(
     let mut curve = Vec::new();
     // Pooled codec state, reused across every (serially simulated) push.
     let mut scratch = CompressScratch::new();
-    let mut wire = BytesMut::new();
+    let mut wire_buf = BytesMut::new();
     let mut decoded = SparseGradient::empty(0);
     let mut uplink_bytes = 0u64;
     let mut instances_done = 0u64;
@@ -361,28 +299,26 @@ fn run_ssp(
     let mut win_iters = 0u64;
 
     while total_iters < target_iters {
-        // Crash schedule (fault plans only): downed workers leave the
-        // cohort — and the staleness bound — until they rejoin, which costs
-        // a state re-pull charged to their clock.
+        // Crash schedule: downed workers leave the cohort — and the
+        // staleness bound — until they rejoin, which costs a state re-pull
+        // charged to their clock.
         let mut down = vec![false; workers];
-        if let Some(l) = link.as_mut() {
-            for (w, down_w) in down.iter_mut().enumerate() {
-                match l.crash_phase(w, total_iters) {
-                    CrashPhase::Up => {}
-                    CrashPhase::Down => *down_w = true,
-                    CrashPhase::Rejoin => {
-                        // Rejoin at the surviving cohort's pace so the
-                        // staleness bound doesn't retroactively stall on
-                        // iterations the worker never ran.
-                        let cohort_min = (0..workers)
-                            .filter(|&x| x != w)
-                            .map(|x| iters[x])
-                            .min()
-                            .unwrap_or(iters[w]);
-                        iters[w] = iters[w].max(cohort_min);
-                        let now = clocks.iter().copied().fold(0.0f64, f64::max);
-                        clocks[w] = clocks[w].max(now) + l.charge_recovery(w, total_iters, 8 * dim);
-                    }
+        for (w, down_w) in down.iter_mut().enumerate() {
+            match link.crash_phase(w, total_iters) {
+                CrashPhase::Up => {}
+                CrashPhase::Down => *down_w = true,
+                CrashPhase::Rejoin => {
+                    // Rejoin at the surviving cohort's pace so the
+                    // staleness bound doesn't retroactively stall on
+                    // iterations the worker never ran.
+                    let cohort_min = (0..workers)
+                        .filter(|&x| x != w)
+                        .map(|x| iters[x])
+                        .min()
+                        .unwrap_or(iters[w]);
+                    iters[w] = iters[w].max(cohort_min);
+                    let now = clocks.iter().copied().fold(0.0f64, f64::max);
+                    clocks[w] = clocks[w].max(now) + link.charge_recovery(w, total_iters, 8 * dim);
                 }
             }
         }
@@ -423,47 +359,28 @@ fn run_ssp(
         let g = model.batch_gradient(&batch);
         let feature_ops: u64 = batch.iter().map(|i| i.features.nnz() as u64).sum();
         let sparse = SparseGradient::new(dim as u64, g.keys, g.values)?;
-        compressor.compress_into(&sparse, &mut scratch, &mut wire)?;
+        compressor.compress_into(&sparse, &mut scratch, &mut wire_buf)?;
 
-        // Push through the (possibly faulty) link; a lost push means this
-        // iteration's update never reaches the server.
-        let uplink_before = uplink_bytes;
-        let push = match link.as_mut() {
-            None => {
-                uplink_bytes += wire.len() as u64;
-                compressor.decompress_into(&wire, &mut scratch, &mut decoded)?;
-                decoded.scale(1.0 / workers as f64); // same scaling as sync averaging
-                model.apply_gradient(&mut opt, decoded.keys(), decoded.values());
-                cluster.cost.network.transfer_time(wire.len())
-            }
-            Some(l) => {
-                let tx = l.transmit(w, total_iters, &wire, &mut |b| {
-                    compressor
-                        .decompress(b)
-                        .map(|g| g.dim() == dim as u64)
-                        .unwrap_or(false)
-                });
-                uplink_bytes += tx.bytes_on_wire;
-                if let Some(payload) = tx.payload {
-                    compressor.decompress_into(&payload, &mut scratch, &mut decoded)?;
-                    decoded.scale(1.0 / workers as f64);
-                    model.apply_gradient(&mut opt, decoded.keys(), decoded.values());
-                }
-                tx.sim_seconds
-            }
-        };
+        // Push through the link; a lost push means this iteration's update
+        // never reaches the server.
+        let tx = push(&mut link, w, total_iters, &wire_buf, compressor, dim);
+        obs::rounds(1, tx.bytes_on_wire, wire_buf.len() as u64);
+        uplink_bytes += tx.bytes_on_wire;
+        if let Some(payload) = &tx.payload {
+            compressor.decompress_into(payload, &mut scratch, &mut decoded)?;
+            decoded.scale(1.0 / workers as f64); // same scaling as sync averaging
+            model.apply_gradient(&mut opt, decoded.keys(), decoded.values());
+        }
 
         // Advance this worker's clock: pull + compute + push. Plan-declared
         // stragglers stack multiplicatively on the config's speed spread.
-        let straggle_factor = link.as_ref().map_or(1.0, |l| l.compute_factor(w));
         let nominal = cluster.cost.compute_time(feature_ops);
-        let compute = nominal * speed(w) * straggle_factor;
-        // Pull bytes mirror the push (model delta ≈ gradient size).
-        obs::rounds(1, uplink_bytes - uplink_before, wire.len() as u64);
+        let compute = nominal * speed(w) * link.compute_factor(w);
         obs::straggler_wait(compute - nominal);
-        let pull = cluster.cost.network.transfer_time(wire.len()); // model delta ≈ gradient size
+        // Pull bytes mirror the push (model delta ≈ gradient size).
+        let pull = cluster.cost.network.transfer_time(wire_buf.len());
         let codec = cluster.cost.codec_time(sparse.nnz() * 2);
-        clocks[w] += compute + push + pull + codec;
+        clocks[w] += compute + tx.sim_seconds + pull + codec;
 
         // Under BSP the whole cohort waits for the slowest at each barrier:
         // emulate by snapping every alive worker to the max clock when a
@@ -507,13 +424,11 @@ fn run_ssp(
                     staleness
                 };
                 if next != staleness {
-                    if let Some(l) = link.as_mut() {
-                        l.record_membership(FaultEvent::StalenessRetuned {
-                            at_iter: total_iters,
-                            from: staleness,
-                            to: next,
-                        });
-                    }
+                    link.record_membership(FaultEvent::StalenessRetuned {
+                        at_iter: total_iters,
+                        from: staleness,
+                        to: next,
+                    });
                     staleness = next;
                 }
                 win_wait = 0.0;
@@ -542,7 +457,7 @@ fn run_ssp(
         }
     }
 
-    let trace = link.map(FaultyLink::into_trace).unwrap_or_default();
+    let trace = link.into_trace();
     obs::trace_totals(&trace);
     Ok((
         SspReport {
@@ -670,14 +585,12 @@ mod tests {
             window: 16,
             ..AdaptiveSsp::default()
         };
-        let (report, trace) = train_ssp_adaptive_chaos(
-            &train,
-            &test,
-            dim,
+        let (report, trace) = train_ssp_with_plan(
+            &GlmTask::new(&train, &test, dim),
             &spec,
             &cluster,
             &SspConfig::ssp(0, 3.0),
-            &ad,
+            Some(&ad),
             &SketchMlCompressor::default(),
             &plan,
         )

@@ -1,21 +1,25 @@
-//! The distributed GLM training loop (paper §4.1 "Implementation" /
-//! "Protocol"), generic over the gradient compressor — running it with each
-//! of the six compressors reproduces every line of Figures 8–11 and
-//! Tables 2/4.
+//! The paper's distributed GLM training (§4.1 "Implementation" /
+//! "Protocol"): the spec and report types every run shares, and the driver
+//! star as the round engine's first [`Exchange`] — running it with each of
+//! the six compressors reproduces every line of Figures 8–11 and Tables 2/4.
 
 use crate::config::ClusterConfig;
 use crate::driver::{aggregate, DriverScratch};
-use crate::faults::{CrashPhase, FaultPlan, FaultTrace, FaultyLink};
+use crate::engine::{
+    crash_roster, push, train_glm, Aggregate, Aggregation, Ctx, Exchange, GlmTask, Round,
+};
+use crate::faults::{FaultPlan, FaultTrace};
+use crate::membership::RoundPlan;
 use crate::obs;
-use crate::worker::{partition, process_glm_batch, WorkerMessage, WorkerScratch};
+use crate::worker::{process_glm_batch, WorkerMessage, WorkerScratch};
 use serde::{Deserialize, Serialize};
-use sketchml_core::{CompressError, FrameVersion, GradientCompressor};
-use sketchml_data::Batcher;
-use sketchml_ml::metrics::{ConvergenceDetector, LossPoint};
+use sketchml_core::{CompressError, GradientCompressor};
+use sketchml_ml::metrics::LossPoint;
 use sketchml_ml::{
     AdamConfig, Checkpoint, GlmLoss, GlmModel, Instance, OptStateMode, OptimizerKind,
     OptimizerState,
 };
+use std::borrow::Cow;
 
 /// Training hyper-parameters (§4.1 "Protocol": λ = 0.01, Adam β₁ = 0.9,
 /// β₂ = 0.999, ε = 1e-8, grid-searched η).
@@ -92,7 +96,7 @@ impl TrainSpec {
 }
 
 /// Per-epoch measurements — the quantities behind Figures 8–11.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct EpochStats {
     /// 1-based epoch index.
     pub epoch: usize,
@@ -118,26 +122,6 @@ pub struct EpochStats {
     pub train_loss: f64,
     /// Test loss after the epoch.
     pub test_loss: f64,
-}
-
-impl EpochStats {
-    /// An all-zero stats record for epoch 0 (builder for accumulation).
-    pub fn zeroed() -> Self {
-        EpochStats {
-            epoch: 0,
-            sim_seconds: 0.0,
-            compute_seconds: 0.0,
-            comm_seconds: 0.0,
-            codec_seconds: 0.0,
-            measured_codec_seconds: 0.0,
-            uplink_bytes: 0,
-            downlink_bytes: 0,
-            pairs: 0,
-            raw_bytes: 0,
-            train_loss: 0.0,
-            test_loss: 0.0,
-        }
-    }
 }
 
 /// Output of one simulated training run.
@@ -212,8 +196,8 @@ impl TrainReport {
     }
 }
 
-/// Result of a chaos or resumable run: the regular report plus the fault
-/// trace (empty for fault-free runs) and a checkpoint of the final state for
+/// Result of a [`train_glm`] run: the regular report plus the fault trace
+/// (empty under [`FaultPlan::none`]) and a checkpoint of the final state for
 /// later resumption.
 #[derive(Debug, Clone)]
 pub struct TrainOutcome {
@@ -229,14 +213,45 @@ pub struct TrainOutcome {
     pub checkpoint: Option<Checkpoint>,
 }
 
-/// Builds the concrete, checkpointable optimizer state a spec asks for.
-/// Shared with the allreduce/PS/SSP trainers.
-pub(crate) fn build_opt_state(
-    spec: &TrainSpec,
+/// Runs the full distributed training simulation with the paper's driver
+/// aggregation, fault-free: [`train_glm`] under [`FaultPlan::none`].
+///
+/// # Errors
+/// As [`train_glm`].
+pub fn train_distributed(
+    train: &[Instance],
+    test: &[Instance],
     dim: usize,
-) -> Result<OptimizerState, CompressError> {
-    OptimizerState::build(spec.optimizer, spec.opt_state, dim)
-        .map_err(|e| CompressError::InvalidConfig(e.to_string()))
+    spec: &TrainSpec,
+    cluster: &ClusterConfig,
+    compressor: &dyn GradientCompressor,
+) -> Result<TrainReport, CompressError> {
+    let task = GlmTask::new(train, test, dim);
+    let driver = Aggregation::Driver(compressor);
+    train_glm(&task, spec, cluster, driver, &FaultPlan::none(), None).map(|o| o.report)
+}
+
+/// The paper's driver star as an [`Exchange`]: workers compress on their
+/// own threads, uplinks land serially at the driver's NIC, the driver
+/// decodes and averages ([`aggregate`]) and broadcasts torrent-style.
+pub(crate) struct DriverStar<'a> {
+    cx: Ctx<'a>,
+    scratch: DriverScratch,
+    /// Whether the plan can make a worker rejoin (and so need a restore).
+    restores: bool,
+    /// The end-of-epoch checkpoint a rejoining worker receives.
+    restore_point: Option<Vec<u8>>,
+}
+
+impl<'a> DriverStar<'a> {
+    pub(crate) fn new(cx: Ctx<'a>, faults: &FaultPlan) -> Self {
+        DriverStar {
+            cx,
+            scratch: DriverScratch::new(),
+            restores: !faults.crashes.is_empty(),
+            restore_point: None,
+        }
+    }
 }
 
 /// Serializes a restore point through the real checkpoint codec so crash
@@ -247,390 +262,129 @@ fn checkpoint_bytes(model: &GlmModel, opt: &OptimizerState, epochs_done: usize) 
     buf
 }
 
-/// Runs the full distributed training simulation.
-///
-/// Workers are real threads computing real gradients on their slice of each
-/// mini-batch; message bytes are real compressed payloads; time is the
-/// declared [`crate::CostModel`].
-///
-/// # Errors
-/// [`CompressError::InvalidConfig`] on an empty training set or invalid
-/// cluster configuration; propagates compressor failures.
-pub fn train_distributed(
-    train: &[Instance],
-    test: &[Instance],
-    dim: usize,
-    spec: &TrainSpec,
-    cluster: &ClusterConfig,
-    compressor: &dyn GradientCompressor,
-) -> Result<TrainReport, CompressError> {
-    run_train(train, test, dim, spec, cluster, compressor, None, None).map(|o| o.report)
-}
+impl Exchange for DriverStar<'_> {
+    type Part = WorkerMessage;
 
-/// [`train_distributed`] under a deterministic fault plan: messages are
-/// dropped / corrupted / duplicated per the plan, crashed workers recover
-/// from checkpoints, and every retry and restore is charged to the
-/// simulated clock. The same plan and data always produce the identical
-/// trace and final loss.
-///
-/// # Errors
-/// [`CompressError::InvalidConfig`] on an invalid plan or cluster config;
-/// propagates compressor failures.
-pub fn train_distributed_chaos(
-    train: &[Instance],
-    test: &[Instance],
-    dim: usize,
-    spec: &TrainSpec,
-    cluster: &ClusterConfig,
-    compressor: &dyn GradientCompressor,
-    faults: &FaultPlan,
-) -> Result<TrainOutcome, CompressError> {
-    run_train(
-        train,
-        test,
-        dim,
-        spec,
-        cluster,
-        compressor,
-        Some(faults),
-        None,
-    )
-}
-
-/// The full-control entry point: optional fault plan, optional checkpoint
-/// to resume from. A resumed run replays the batch shuffles of the
-/// already-completed epochs, so it walks exactly the batches the
-/// uninterrupted run would have — resumption is bit-exact for lossless
-/// compressors.
-///
-/// # Errors
-/// [`CompressError::InvalidConfig`] if the checkpoint's dimension does not
-/// match `dim` or it already covers `max_epochs`; otherwise as
-/// [`train_distributed_chaos`].
-#[allow(clippy::too_many_arguments)]
-pub fn train_distributed_resumable(
-    train: &[Instance],
-    test: &[Instance],
-    dim: usize,
-    spec: &TrainSpec,
-    cluster: &ClusterConfig,
-    compressor: &dyn GradientCompressor,
-    faults: Option<&FaultPlan>,
-    resume: Option<Checkpoint>,
-) -> Result<TrainOutcome, CompressError> {
-    run_train(train, test, dim, spec, cluster, compressor, faults, resume)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_train(
-    train: &[Instance],
-    test: &[Instance],
-    dim: usize,
-    spec: &TrainSpec,
-    cluster: &ClusterConfig,
-    compressor: &dyn GradientCompressor,
-    faults: Option<&FaultPlan>,
-    resume: Option<Checkpoint>,
-) -> Result<TrainOutcome, CompressError> {
-    if train.is_empty() {
-        return Err(CompressError::InvalidConfig(
-            "training set must be non-empty".into(),
-        ));
+    fn method(&self) -> String {
+        self.cx.compressor.name().to_string()
     }
-    cluster.validate()?;
-    let _recording = obs::scope_for(cluster);
-    if resume.is_some() {
-        obs::resumed();
-    }
-    // Chaos runs with checksums ship every message in the CRC-carrying v2
-    // frame so the receiver can actually detect injected corruption;
-    // compress_threads > 1 engages the same sharded engine for parallelism.
-    let frame = if faults.is_some_and(|p| p.checksum) {
-        FrameVersion::V2
-    } else {
-        FrameVersion::V1
-    };
-    let wired = cluster.wire_compressor(compressor, frame)?;
-    let compressor: &dyn GradientCompressor = match &wired {
-        Some(engine) => engine,
-        None => compressor,
-    };
 
-    let mut start_epoch = 0usize;
-    let (mut model, mut opt) = match resume {
-        Some(ck) => {
-            if ck.model.weights.len() != dim {
-                return Err(CompressError::InvalidConfig(format!(
-                    "checkpoint dimension {} does not match requested {dim}",
-                    ck.model.weights.len()
-                )));
+    fn roster(&mut self, round: &mut Round<'_>) -> Result<RoundPlan, CompressError> {
+        let restore_point = &self.restore_point;
+        let (model, opt, epochs_done) = (round.model, round.opt, round.epochs_done);
+        let workers = self.cx.cluster.workers;
+        crash_roster(round.link, round.batch, workers, &mut || {
+            // The rejoining worker restores from the last end-of-epoch
+            // checkpoint (real serialized bytes; a crash inside the first
+            // epoch ships the state as it stands).
+            let bytes = match restore_point {
+                Some(bytes) => Cow::Borrowed(&bytes[..]),
+                None => Cow::Owned(checkpoint_bytes(model, opt, epochs_done)),
+            };
+            // Prove the restore path end to end: the shipped bytes must
+            // actually load.
+            Checkpoint::validate(&bytes)
+                .map_err(|e| CompressError::InvalidConfig(format!("recovery checkpoint: {e}")))?;
+            Ok(bytes.len())
+        })
+    }
+
+    fn work(
+        &self,
+        model: &GlmModel,
+        slice: &[Instance],
+        ws: &mut WorkerScratch,
+    ) -> Result<(WorkerMessage, f64), CompressError> {
+        let m = process_glm_batch(model, slice, self.cx.compressor, &self.cx.cluster.cost, ws)?;
+        let nominal = m.sim_compute;
+        Ok((m, nominal))
+    }
+
+    fn aggregate(
+        &mut self,
+        round: &mut Round<'_>,
+        _members: &[usize],
+        parts: Vec<Option<WorkerMessage>>,
+    ) -> Result<Option<Aggregate>, CompressError> {
+        let Ctx {
+            cluster,
+            dim,
+            compressor,
+        } = self.cx;
+        let es = &mut *round.es;
+        let worker_codec = parts
+            .iter()
+            .flatten()
+            .map(|m| m.sim_codec)
+            .fold(0.0f64, f64::max);
+
+        // Uplink messages land serially at the driver's NIC. Lost ones
+        // simply drop out: the driver aggregates the survivors (instance
+        // weighting renormalizes automatically).
+        let mut messages: Vec<WorkerMessage> = Vec::with_capacity(parts.len());
+        let mut uplink = 0.0f64;
+        for (w, part) in parts.into_iter().enumerate() {
+            let Some(mut m) = part else { continue };
+            let tx = push(round.link, w, round.batch, &m.payload, compressor, dim);
+            uplink += tx.sim_seconds;
+            es.uplink_bytes += tx.bytes_on_wire;
+            match tx.payload {
+                None => continue,
+                Some(Cow::Owned(corrupted)) => m.payload = corrupted,
+                Some(Cow::Borrowed(_)) => {}
             }
-            if ck.epochs_done >= spec.max_epochs {
-                return Err(CompressError::InvalidConfig(format!(
-                    "checkpoint already covers {} of {} epochs",
-                    ck.epochs_done, spec.max_epochs
-                )));
-            }
-            start_epoch = ck.epochs_done;
-            (ck.model, ck.optimizer)
+            messages.push(m);
         }
-        None => (
-            GlmModel::new(dim, spec.loss, spec.l2)
-                .map_err(|e| CompressError::InvalidConfig(e.to_string()))?,
-            build_opt_state(spec, dim)?,
-        ),
-    };
-    obs::opt_state_bytes(opt.state_bytes() as u64);
-    let mut batcher = Batcher::new(train.len(), cluster.batch_ratio, spec.seed);
-    // Replay the shuffles of completed epochs so the resumed run sees
-    // exactly the batches the uninterrupted run would.
-    for _ in 0..start_epoch {
-        let _ = batcher.epoch();
-    }
-    let mut detector = ConvergenceDetector::default();
-    let mut link = match faults {
-        Some(plan) => Some(FaultyLink::new(
-            plan,
-            cluster.cost.network,
-            cluster.workers,
-        )?),
-        None => None,
-    };
-
-    let mut epochs = Vec::with_capacity(spec.max_epochs);
-    let mut curve = Vec::new();
-    let mut converged_epoch = None;
-    let mut clock = 0.0f64;
-    let mut global_batch = 0u64;
-    let mut epochs_completed = start_epoch;
-    // The restore point a crashed worker receives; refreshed each epoch.
-    let mut last_checkpoint: Option<Vec<u8>> = None;
-    // Pooled codec state, persistent across every batch of every epoch: one
-    // scratch per worker slot (threads borrow disjoint slots) plus the
-    // driver's aggregation scratch.
-    let mut worker_scratch: Vec<WorkerScratch> =
-        (0..cluster.workers).map(|_| WorkerScratch::new()).collect();
-    let mut driver_scratch = DriverScratch::new();
-
-    for epoch in start_epoch + 1..=spec.max_epochs {
-        let mut es = EpochStats {
-            epoch,
-            ..EpochStats::zeroed()
-        };
-        let batches = batcher.epoch();
-        let mut loss_accum = 0.0;
-        for batch in &batches {
-            // Crash schedule: mark dead workers, restore rejoining ones.
-            let mut alive = vec![true; cluster.workers];
-            if let Some(l) = link.as_mut() {
-                for (w, alive_w) in alive.iter_mut().enumerate() {
-                    match l.crash_phase(w, global_batch) {
-                        CrashPhase::Up => {}
-                        CrashPhase::Down => *alive_w = false,
-                        CrashPhase::Rejoin => {
-                            // The rejoining worker restores from the last
-                            // end-of-epoch checkpoint (real serialized
-                            // bytes) — every optimizer kind has one since
-                            // checkpoint v2.
-                            let fresh;
-                            let bytes = match &last_checkpoint {
-                                Some(b) => b,
-                                None => {
-                                    fresh = checkpoint_bytes(&model, &opt, epochs_completed);
-                                    &fresh
-                                }
-                            };
-                            // Prove the restore path end to end: the
-                            // shipped bytes must actually load.
-                            Checkpoint::validate(bytes).map_err(|e| {
-                                CompressError::InvalidConfig(format!("recovery checkpoint: {e}"))
-                            })?;
-                            es.comm_seconds += l.charge_recovery(w, global_batch, bytes.len());
-                        }
-                    }
-                }
-            }
-
-            let parts = partition(batch, cluster.workers);
-            // Real parallel gradient computation + compression; crashed
-            // workers contribute nothing this batch.
-            let computed: Vec<Option<WorkerMessage>> = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = parts
-                    .iter()
-                    .zip(worker_scratch.iter_mut())
-                    .enumerate()
-                    .map(|(w, (part, ws))| {
-                        if !alive[w] {
-                            return None;
-                        }
-                        let model = &model;
-                        let cost = &cluster.cost;
-                        Some(s.spawn(move |_| {
-                            let slice: Vec<Instance> =
-                                part.iter().map(|&i| train[i].clone()).collect();
-                            process_glm_batch(model, &slice, compressor, cost, ws)
-                        }))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h {
-                        Some(h) => h.join().expect("worker thread panicked").map(Some),
-                        None => Ok(None),
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .expect("crossbeam scope")?;
-
-            // --- simulated clock for this batch ---
-            // Workers run in parallel: the slowest (straggler-adjusted)
-            // alive worker gates the batch.
-            let compute = computed
-                .iter()
-                .enumerate()
-                .filter_map(|(w, m)| {
-                    let factor = link.as_ref().map_or(1.0, |l| l.compute_factor(w));
-                    m.as_ref().map(|m| m.sim_compute * factor)
-                })
-                .fold(0.0f64, f64::max);
-            if sketchml_telemetry::enabled() {
-                let unskewed = computed
-                    .iter()
-                    .flatten()
-                    .map(|m| m.sim_compute)
-                    .fold(0.0f64, f64::max);
-                obs::straggler_wait(compute - unskewed);
-            }
-            let worker_codec = computed
-                .iter()
-                .flatten()
-                .map(|m| m.sim_codec)
-                .fold(0.0f64, f64::max);
-
-            // Uplink messages land serially at the driver's NIC — through
-            // the faulty link when a plan is active.
-            let mut messages: Vec<WorkerMessage> = Vec::with_capacity(computed.len());
-            let mut uplink = 0.0f64;
-            match link.as_mut() {
-                None => {
-                    for m in computed.into_iter().flatten() {
-                        uplink += cluster.cost.network.transfer_time(m.payload.len());
-                        es.uplink_bytes += m.payload.len() as u64;
-                        messages.push(m);
-                    }
-                }
-                Some(l) => {
-                    for (w, m) in computed.into_iter().enumerate() {
-                        let Some(mut m) = m else { continue };
-                        // The driver's integrity check: the payload must
-                        // decode (v2 frames verify per-shard CRCs here) and
-                        // announce the expected dimension.
-                        let tx = l.transmit(w, global_batch, &m.payload, &mut |b| {
-                            compressor
-                                .decompress(b)
-                                .map(|g| g.dim() == dim as u64)
-                                .unwrap_or(false)
-                        });
-                        uplink += tx.sim_seconds;
-                        es.uplink_bytes += tx.bytes_on_wire;
-                        if let Some(payload) = tx.payload {
-                            m.payload = payload;
-                            messages.push(m);
-                        }
-                        // Lost messages simply drop out: the driver
-                        // aggregates the survivors (instance weighting
-                        // renormalizes automatically).
-                    }
-                }
-            }
-
-            es.compute_seconds += compute;
-            es.codec_seconds += worker_codec;
-            es.comm_seconds += uplink;
-            es.pairs += messages.iter().map(|m| m.report.pairs as u64).sum::<u64>();
-            es.raw_bytes += messages
-                .iter()
-                .map(|m| 12 * m.report.pairs as u64)
-                .sum::<u64>();
-            es.measured_codec_seconds += messages.iter().map(|m| m.measured_codec).sum::<f64>();
-            global_batch += 1;
-
-            if messages.is_empty() {
-                // Every contribution was lost or crashed: no update this
-                // batch (time was still spent).
-                continue;
-            }
-
-            let agg = aggregate(
-                &messages,
-                dim as u64,
-                compressor,
-                &cluster.cost,
-                cluster.compress_downlink,
-                &mut driver_scratch,
-            )?;
-            // Downlink: torrent-style broadcast of the aggregated update,
-            // plus re-pulls for copies the fault plan rejects.
-            let downlink = cluster
-                .cost
-                .network
-                .broadcast_time(agg.downlink_bytes, cluster.workers);
-            let downlink_penalty = link.as_mut().map_or(0.0, |l| {
-                l.broadcast_penalty(global_batch - 1, agg.downlink_bytes)
-            });
-
-            model.apply_gradient(&mut opt, agg.gradient.keys(), agg.gradient.values());
-
-            es.codec_seconds += agg.sim_codec;
-            es.comm_seconds += downlink + downlink_penalty;
-            es.measured_codec_seconds += agg.measured_codec;
-            es.downlink_bytes += (agg.downlink_bytes * cluster.workers) as u64;
-            loss_accum += agg.batch_loss;
+        es.codec_seconds += worker_codec;
+        es.comm_seconds += uplink;
+        es.pairs += messages.iter().map(|m| m.report.pairs as u64).sum::<u64>();
+        es.raw_bytes += messages
+            .iter()
+            .map(|m| 12 * m.report.pairs as u64)
+            .sum::<u64>();
+        es.measured_codec_seconds += messages.iter().map(|m| m.measured_codec).sum::<f64>();
+        if messages.is_empty() {
+            // Every contribution was lost or crashed: no update this batch
+            // (time was still spent).
+            return Ok(Some(Aggregate {
+                gradient: None,
+                batch_loss: 0.0,
+            }));
         }
-        obs::rounds(batches.len() as u64, es.uplink_bytes, es.downlink_bytes);
-        es.sim_seconds = es.compute_seconds + es.comm_seconds + es.codec_seconds;
-        es.train_loss = loss_accum / batches.len() as f64;
-        es.test_loss = model.mean_loss(test);
-        clock += es.sim_seconds;
-        curve.push(LossPoint {
-            seconds: clock,
-            epoch,
-            loss: es.test_loss,
-        });
-        epochs_completed = epoch;
-        // Refresh the restore point crashed workers recover from.
-        if link.is_some() {
-            last_checkpoint = Some(checkpoint_bytes(&model, &opt, epoch));
+
+        let agg = aggregate(
+            &messages,
+            dim as u64,
+            compressor,
+            &cluster.cost,
+            cluster.compress_downlink,
+            &mut self.scratch,
+        )?;
+        // Downlink: torrent-style broadcast of the aggregated update, plus
+        // re-pulls for copies the fault plan rejects.
+        let net = &cluster.cost.network;
+        let downlink = net.broadcast_time(agg.downlink_bytes, cluster.workers);
+        let downlink_penalty = round
+            .link
+            .broadcast_penalty(round.batch, agg.downlink_bytes);
+        es.codec_seconds += agg.sim_codec;
+        es.comm_seconds += downlink + downlink_penalty;
+        es.measured_codec_seconds += agg.measured_codec;
+        es.downlink_bytes += (agg.downlink_bytes * cluster.workers) as u64;
+        Ok(Some(Aggregate {
+            gradient: Some(agg.gradient),
+            batch_loss: agg.batch_loss,
+        }))
+    }
+
+    fn end_epoch(&mut self, model: &GlmModel, opt: &OptimizerState, epoch: usize) {
+        // Refresh the restore point — only when the plan schedules a crash:
+        // nobody can rejoin a benign or drop-only run.
+        if self.restores {
+            self.restore_point = Some(checkpoint_bytes(model, opt, epoch));
             obs::checkpoint_saved();
         }
-        let converged = detector.push(es.test_loss);
-        epochs.push(es);
-        if converged && converged_epoch.is_none() {
-            converged_epoch = Some(epoch);
-            if spec.stop_on_convergence {
-                break;
-            }
-        }
     }
-
-    let accuracy = model.accuracy(test);
-    let report = TrainReport {
-        method: compressor.name().to_string(),
-        model: spec.loss.name().to_string(),
-        workers: cluster.workers,
-        epochs,
-        curve,
-        converged_epoch,
-        accuracy,
-    };
-    let trace = link.map(FaultyLink::into_trace).unwrap_or_default();
-    obs::trace_totals(&trace);
-    let checkpoint = Some(Checkpoint::new(model, opt, epochs_completed));
-    Ok(TrainOutcome {
-        report,
-        trace,
-        checkpoint,
-    })
 }
 
 #[cfg(test)]

@@ -24,6 +24,12 @@ impl WorkerScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The pooled codec state and output buffer, for workers that compress
+    /// more than one message per batch (one per parameter-server shard).
+    pub(crate) fn buffers(&mut self) -> (&mut CompressScratch, &mut BytesMut) {
+        (&mut self.scratch, &mut self.out)
+    }
 }
 
 /// A worker's compressed contribution for one mini-batch.

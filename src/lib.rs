@@ -16,7 +16,8 @@
 //!   truncation baselines behind the [`GradientCompressor`] trait;
 //! - [`ml`] — LR / SVM / Linear GLMs, Adam SGD, and an MLP;
 //! - [`data`] — synthetic KDD10/KDD12/CTR-like datasets and libsvm IO;
-//! - [`cluster`] — the driver/executor distributed-training simulator;
+//! - [`cluster`] — the distributed-training simulator: one round engine
+//!   under a driver star, a sharded parameter server or a collective;
 //! - [`collectives`] — mergeable-sketch allreduce: ring / tree / star
 //!   aggregation of compressed gradient payloads;
 //! - [`net`] — the live parameter server: framed wire protocol over
@@ -65,11 +66,10 @@ pub use sketchml_sketches as sketches;
 pub use sketchml_telemetry as telemetry;
 
 pub use sketchml_cluster::{
-    train_allreduce, train_allreduce_chaos, train_allreduce_with_policy, train_distributed,
-    train_distributed_chaos, train_distributed_resumable, train_mlp_distributed_chaos,
-    train_parameter_server, train_parameter_server_chaos, train_ssp, train_ssp_adaptive_chaos,
-    train_ssp_chaos, AdaptiveSsp, ClusterConfig, ElasticConfig, FaultPlan, FaultTrace, FaultyLink,
-    ShardMap, SspConfig, TrainOutcome, TrainReport, TrainSpec,
+    train_allreduce, train_allreduce_with_policy, train_distributed, train_glm,
+    train_mlp_distributed, train_mlp_with_plan, train_parameter_server, train_ssp,
+    train_ssp_with_plan, AdaptiveSsp, Aggregation, ClusterConfig, ElasticConfig, FaultPlan,
+    FaultTrace, FaultyLink, GlmTask, ShardMap, SspConfig, TrainOutcome, TrainReport, TrainSpec,
 };
 pub use sketchml_collectives::{MergePolicy, MergeableCompressor, Topology};
 pub use sketchml_core::{

@@ -7,14 +7,14 @@
 //! workers restore from checkpoints; invalid plans are rejected with typed
 //! errors, never panics.
 
-use sketchml::cluster::{train_mlp_distributed, MlpTrainSpec};
+use sketchml::cluster::MlpTrainSpec;
 use sketchml::data::Task;
 use sketchml::ml::MlpConfig;
 use sketchml::{
-    train_distributed, train_distributed_chaos, train_distributed_resumable,
-    train_mlp_distributed_chaos, train_parameter_server, train_parameter_server_chaos, train_ssp,
-    train_ssp_chaos, ClusterConfig, CompressError, FaultPlan, GlmLoss, Instance,
-    SketchMlCompressor, SparseDatasetSpec, SspConfig, TrainSpec,
+    train_distributed, train_glm, train_mlp_distributed, train_mlp_with_plan,
+    train_parameter_server, train_ssp, train_ssp_with_plan, Aggregation, ClusterConfig,
+    CompressError, FaultPlan, GlmLoss, GlmTask, Instance, SketchMlCompressor, SparseDatasetSpec,
+    SspConfig, TrainOutcome, TrainSpec,
 };
 
 fn dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
@@ -49,14 +49,13 @@ fn same_seed_reproduces_trace_and_final_loss() {
     for seed in [1u64, 2, 3] {
         let plan = stormy_plan(seed);
         let run = || {
-            train_distributed_chaos(
-                &train,
-                &test,
-                dim,
+            train_glm(
+                &GlmTask::new(&train, &test, dim),
                 &spec,
                 &cluster,
-                &SketchMlCompressor::default(),
+                Aggregation::Driver(&SketchMlCompressor::default()),
                 &plan,
+                None,
             )
             .unwrap()
         };
@@ -83,14 +82,13 @@ fn different_seeds_produce_different_traces() {
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 1);
     let cluster = ClusterConfig::cluster1(4);
     let run = |seed| {
-        train_distributed_chaos(
-            &train,
-            &test,
-            dim,
+        train_glm(
+            &GlmTask::new(&train, &test, dim),
             &spec,
             &cluster,
-            &SketchMlCompressor::default(),
+            Aggregation::Driver(&SketchMlCompressor::default()),
             &stormy_plan(seed),
+            None,
         )
         .unwrap()
         .trace
@@ -108,8 +106,15 @@ fn drops_and_a_crash_stay_within_five_percent_of_fault_free() {
     let plan = FaultPlan::seeded(0xC0FFEE)
         .with_drops(0.10)
         .with_crash(2, 6, 4);
-    let chaotic =
-        train_distributed_chaos(&train, &test, dim, &spec, &cluster, &compressor, &plan).unwrap();
+    let chaotic = train_glm(
+        &GlmTask::new(&train, &test, dim),
+        &spec,
+        &cluster,
+        Aggregation::Driver(&compressor),
+        &plan,
+        None,
+    )
+    .unwrap();
 
     let clean_loss = clean.epochs.last().unwrap().test_loss;
     let chaos_loss = chaotic.report.epochs.last().unwrap().test_loss;
@@ -157,14 +162,12 @@ fn checkpoint_resume_matches_uninterrupted_run_exactly() {
         max_epochs: 2,
         ..full_spec
     };
-    let halted = train_distributed_resumable(
-        &train,
-        &test,
-        dim,
+    let halted = train_glm(
+        &GlmTask::new(&train, &test, dim),
         &half_spec,
         &cluster,
-        &compressor,
-        None,
+        Aggregation::Driver(&compressor),
+        &FaultPlan::none(),
         None,
     )
     .unwrap();
@@ -172,14 +175,12 @@ fn checkpoint_resume_matches_uninterrupted_run_exactly() {
     assert_eq!(checkpoint.epochs_done, 2);
 
     // ...and restart from it with the full-run spec.
-    let resumed = train_distributed_resumable(
-        &train,
-        &test,
-        dim,
+    let resumed = train_glm(
+        &GlmTask::new(&train, &test, dim),
         &full_spec,
         &cluster,
-        &compressor,
-        None,
+        Aggregation::Driver(&compressor),
+        &FaultPlan::none(),
         Some(checkpoint),
     )
     .unwrap();
@@ -218,14 +219,12 @@ fn non_adam_checkpoint_resume_is_bit_exact() {
             max_epochs: 2,
             ..full_spec
         };
-        let halted = train_distributed_resumable(
-            &train,
-            &test,
-            dim,
+        let halted = train_glm(
+            &GlmTask::new(&train, &test, dim),
             &half_spec,
             &cluster,
-            &compressor,
-            None,
+            Aggregation::Driver(&compressor),
+            &FaultPlan::none(),
             None,
         )
         .unwrap();
@@ -234,14 +233,12 @@ fn non_adam_checkpoint_resume_is_bit_exact() {
             .unwrap_or_else(|| panic!("{kind:?} must produce a checkpoint"));
         assert_eq!(checkpoint.epochs_done, 2);
 
-        let resumed = train_distributed_resumable(
-            &train,
-            &test,
-            dim,
+        let resumed = train_glm(
+            &GlmTask::new(&train, &test, dim),
             &full_spec,
             &cluster,
-            &compressor,
-            None,
+            Aggregation::Driver(&compressor),
+            &FaultPlan::none(),
             Some(checkpoint),
         )
         .unwrap();
@@ -270,8 +267,15 @@ fn momentum_and_adagrad_crash_recovery_is_deterministic() {
         let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 3).with_optimizer(kind);
         let plan = FaultPlan::seeded(0xBADC0DE).with_crash(1, 3, 2);
         let run = || {
-            train_distributed_chaos(&train, &test, dim, &spec, &cluster, &compressor, &plan)
-                .unwrap()
+            train_glm(
+                &GlmTask::new(&train, &test, dim),
+                &spec,
+                &cluster,
+                Aggregation::Driver(&compressor),
+                &plan,
+                None,
+            )
+            .unwrap()
         };
         let a = run();
         let b = run();
@@ -314,14 +318,12 @@ fn sketched_opt_state_checkpoint_resume_is_bit_exact() {
         max_epochs: 2,
         ..full_spec
     };
-    let halted = train_distributed_resumable(
-        &train,
-        &test,
-        dim,
+    let halted = train_glm(
+        &GlmTask::new(&train, &test, dim),
         &half_spec,
         &cluster,
-        &compressor,
-        None,
+        Aggregation::Driver(&compressor),
+        &FaultPlan::none(),
         None,
     )
     .unwrap();
@@ -333,14 +335,12 @@ fn sketched_opt_state_checkpoint_resume_is_bit_exact() {
         "checkpoint must carry the sketched state"
     );
 
-    let resumed = train_distributed_resumable(
-        &train,
-        &test,
-        dim,
+    let resumed = train_glm(
+        &GlmTask::new(&train, &test, dim),
         &full_spec,
         &cluster,
-        &compressor,
-        None,
+        Aggregation::Driver(&compressor),
+        &FaultPlan::none(),
         Some(checkpoint),
     )
     .unwrap();
@@ -358,19 +358,23 @@ fn resume_rejects_mismatched_or_exhausted_checkpoints() {
     let cluster = ClusterConfig::cluster1(2);
     let compressor = SketchMlCompressor::default();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
-    let outcome =
-        train_distributed_resumable(&train, &test, dim, &spec, &cluster, &compressor, None, None)
-            .unwrap();
-    let ck = outcome.checkpoint.unwrap();
-    // Same checkpoint, but the run it would resume is already finished.
-    let err = train_distributed_resumable(
-        &train,
-        &test,
-        dim,
+    let outcome = train_glm(
+        &GlmTask::new(&train, &test, dim),
         &spec,
         &cluster,
-        &compressor,
+        Aggregation::Driver(&compressor),
+        &FaultPlan::none(),
         None,
+    )
+    .unwrap();
+    let ck = outcome.checkpoint.unwrap();
+    // Same checkpoint, but the run it would resume is already finished.
+    let err = train_glm(
+        &GlmTask::new(&train, &test, dim),
+        &spec,
+        &cluster,
+        Aggregation::Driver(&compressor),
+        &FaultPlan::none(),
         Some(ck),
     )
     .unwrap_err();
@@ -383,15 +387,16 @@ fn parameter_server_chaos_smoke() {
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
     let cluster = ClusterConfig::cluster1(4);
     let plan = FaultPlan::seeded(41).with_drops(0.15).with_crash(0, 3, 2);
-    let (report, trace) = train_parameter_server_chaos(
-        &train,
-        &test,
-        dim,
+    let TrainOutcome { report, trace, .. } = train_glm(
+        &GlmTask::new(&train, &test, dim),
         &spec,
         &cluster,
-        4,
-        &SketchMlCompressor::default(),
+        Aggregation::ParameterServer {
+            servers: 4,
+            compressor: &SketchMlCompressor::default(),
+        },
         &plan,
+        None,
     )
     .unwrap();
     assert!(trace.retransmits > 0, "PS shard pushes should hit drops");
@@ -424,13 +429,12 @@ fn ssp_chaos_absorbs_stragglers_and_crashes() {
         .with_drops(0.05)
         .with_stragglers(vec![1.0, 1.0, 4.0, 1.0])
         .with_crash(1, 10, 5);
-    let (report, trace) = train_ssp_chaos(
-        &train,
-        &test,
-        dim,
+    let (report, trace) = train_ssp_with_plan(
+        &GlmTask::new(&train, &test, dim),
         &spec,
         &cluster,
         &ssp,
+        None,
         &SketchMlCompressor::default(),
         &plan,
     )
@@ -440,13 +444,12 @@ fn ssp_chaos_absorbs_stragglers_and_crashes() {
     let last = report.epochs.last().unwrap().test_loss;
     assert!(last.is_finite() && last > 0.0);
     // Determinism holds under SSP too.
-    let (_, trace2) = train_ssp_chaos(
-        &train,
-        &test,
-        dim,
+    let (_, trace2) = train_ssp_with_plan(
+        &GlmTask::new(&train, &test, dim),
         &spec,
         &cluster,
         &ssp,
+        None,
         &SketchMlCompressor::default(),
         &plan,
     )
@@ -479,7 +482,7 @@ fn mlp_chaos_smoke() {
     let cluster = ClusterConfig::cluster1(3);
     let plan = FaultPlan::seeded(23).with_drops(0.10).with_crash(2, 2, 1);
     let run = || {
-        train_mlp_distributed_chaos(
+        train_mlp_with_plan(
             &train,
             &test,
             &net,
@@ -514,14 +517,13 @@ fn invalid_plans_and_configs_are_typed_errors() {
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 1);
     let cluster = ClusterConfig::cluster1(2);
     let run = |plan: &FaultPlan| {
-        train_distributed_chaos(
-            &train,
-            &test,
-            dim,
+        train_glm(
+            &GlmTask::new(&train, &test, dim),
             &spec,
             &cluster,
-            &SketchMlCompressor::default(),
+            Aggregation::Driver(&SketchMlCompressor::default()),
             plan,
+            None,
         )
     };
     for bad in [

@@ -1,13 +1,13 @@
 //! Integration tests for the collectives crate wired through the cluster
 //! simulator: ring/tree allreduce training must match the star trainer
-//! under the exact merge policy, telemetry must account every hop, and
-//! seeded fault plans must reproduce bit-identically.
+//! under the exact merge policy and seeded fault plans must reproduce
+//! bit-identically. (The hop-accounting telemetry test lives in
+//! `tests/telemetry.rs`, where every test holds the session lock.)
 
-use sketchml::telemetry::TelemetrySession;
 use sketchml::{
-    train_allreduce, train_allreduce_chaos, train_allreduce_with_policy, train_distributed,
+    train_allreduce, train_allreduce_with_policy, train_distributed, train_glm, Aggregation,
     ClusterConfig, CompressError, CountSketchCompressor, CountSketchConfig, FastSgdCompressor,
-    FaultPlan, GlmLoss, GradientCompressor, Instance, MergePolicy, MergeableCompressor,
+    FaultPlan, GlmLoss, GlmTask, GradientCompressor, Instance, MergePolicy, MergeableCompressor,
     RawCompressor, SketchMlCompressor, SparseDatasetSpec, SparseGradient, Topology, TrainSpec,
 };
 
@@ -131,54 +131,6 @@ fn resketch_policy_shrinks_links_and_still_converges() {
     );
 }
 
-/// Acceptance criterion: telemetry counters account every hop. One ring
-/// round of n workers is n(n-1) reduce-scatter hops plus n(n-1) allgather
-/// hops, each hop is one merge on the reduce half, and every hop byte shows
-/// up in the cluster uplink/downlink books.
-#[test]
-fn telemetry_accounts_every_collective_hop() {
-    let (train, test, dim) = dataset();
-    let spec = TrainSpec::paper(GlmLoss::Logistic, 0.03, 2);
-    let n = 4usize;
-    let cluster = ClusterConfig::cluster1(n)
-        .with_topology(Topology::Ring)
-        .with_telemetry(true);
-    let session = TelemetrySession::begin();
-    let report = train_allreduce(
-        &train,
-        &test,
-        dim,
-        &spec,
-        &cluster,
-        &SketchMlCompressor::default(),
-    )
-    .unwrap();
-    let snap = session.finish();
-    snap.validate().unwrap();
-
-    let rounds = snap.cluster.rounds;
-    assert!(rounds > 0);
-    let hops_per_round = 2 * n as u64 * (n as u64 - 1);
-    let merges_per_round = n as u64 * (n as u64 - 1);
-    assert_eq!(snap.collectives.hops, rounds * hops_per_round);
-    assert_eq!(snap.collectives.merges, rounds * merges_per_round);
-    assert_eq!(snap.collectives.lost_hops, 0);
-    assert!(snap.collectives.merge.count > 0);
-    // Every byte that crossed a link is booked exactly once: hop bytes are
-    // counted at the sender, the cluster books split the same stream into
-    // reduce (uplink) and distribute (downlink) phases.
-    assert_eq!(
-        snap.collectives.hop_bytes,
-        snap.cluster.uplink_bytes + snap.cluster.downlink_bytes
-    );
-    let report_bytes: u64 = report
-        .epochs
-        .iter()
-        .map(|e| e.uplink_bytes + e.downlink_bytes)
-        .sum();
-    assert_eq!(snap.collectives.hop_bytes, report_bytes);
-}
-
 /// Satellite: a seeded plan with 10% per-link drops on the ring converges
 /// within 5% of the fault-free loss. Retries are capped low enough that
 /// some hops are really lost for good, so the test exercises the
@@ -194,7 +146,18 @@ fn ring_survives_ten_percent_drops() {
     let plan = FaultPlan::seeded(0xD2075)
         .with_drops(0.10)
         .with_retries(2, 0.01);
-    let stormy = train_allreduce_chaos(&train, &test, dim, &spec, &cluster, &c, &plan).unwrap();
+    let stormy = train_glm(
+        &GlmTask::new(&train, &test, dim),
+        &spec,
+        &cluster,
+        Aggregation::Collective {
+            policy: MergePolicy::Exact,
+            compressor: &c,
+        },
+        &plan,
+        None,
+    )
+    .unwrap();
 
     assert!(
         !stormy.trace.events.is_empty(),
@@ -217,7 +180,20 @@ fn chaos_allreduce_is_bit_reproducible() {
     let cluster = ClusterConfig::cluster1(4).with_topology(Topology::Ring);
     let c = SketchMlCompressor::default();
     let plan = FaultPlan::seeded(42).with_drops(0.10).with_retries(2, 0.01);
-    let run = || train_allreduce_chaos(&train, &test, dim, &spec, &cluster, &c, &plan).unwrap();
+    let run = || {
+        train_glm(
+            &GlmTask::new(&train, &test, dim),
+            &spec,
+            &cluster,
+            Aggregation::Collective {
+                policy: MergePolicy::Exact,
+                compressor: &c,
+            },
+            &plan,
+            None,
+        )
+        .unwrap()
+    };
     let a = run();
     let b = run();
     assert_eq!(a.trace, b.trace, "fault traces diverged");
@@ -385,7 +361,18 @@ fn invalid_configurations_are_typed_errors() {
 
     let cluster = ClusterConfig::cluster1(4).with_topology(Topology::Ring);
     let crashy = FaultPlan::seeded(1).with_drops(0.10).with_crash(1, 2, 2);
-    let outcome = train_allreduce_chaos(&train, &test, dim, &spec, &cluster, &c, &crashy).unwrap();
+    let outcome = train_glm(
+        &GlmTask::new(&train, &test, dim),
+        &spec,
+        &cluster,
+        Aggregation::Collective {
+            policy: MergePolicy::Exact,
+            compressor: &c,
+        },
+        &crashy,
+        None,
+    )
+    .unwrap();
     assert_eq!(outcome.trace.crashes, 1, "the crash window must fire");
     assert!(
         outcome.trace.suspicions >= 1,

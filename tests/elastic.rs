@@ -3,11 +3,10 @@
 //! deterministic per seed and all within a bounded loss penalty of the
 //! fault-free run.
 
-use sketchml::telemetry::TelemetrySession;
 use sketchml::{
-    train_allreduce, train_allreduce_chaos, train_ssp_adaptive_chaos, AdaptiveSsp, ClusterConfig,
-    ElasticConfig, FaultPlan, GlmLoss, Instance, SketchMlCompressor, SparseDatasetSpec, SspConfig,
-    Topology, TrainSpec,
+    train_allreduce, train_glm, train_ssp_with_plan, AdaptiveSsp, Aggregation, ClusterConfig,
+    ElasticConfig, FaultPlan, GlmLoss, GlmTask, Instance, MergePolicy, SketchMlCompressor,
+    SparseDatasetSpec, SspConfig, Topology, TrainSpec,
 };
 
 fn dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
@@ -42,7 +41,20 @@ fn permanent_worker_loss_trains_within_five_percent_and_replays_bitwise() {
     // Worker 5 dies for good in the middle of epoch 2 of 4 (10 rounds per
     // epoch at the default batch ratio).
     let plan = FaultPlan::seeded(77).with_permanent_crash(5, 15);
-    let run = || train_allreduce_chaos(&train, &test, dim, &spec, &cluster, &c, &plan).unwrap();
+    let run = || {
+        train_glm(
+            &GlmTask::new(&train, &test, dim),
+            &spec,
+            &cluster,
+            Aggregation::Collective {
+                policy: MergePolicy::Exact,
+                compressor: &c,
+            },
+            &plan,
+            None,
+        )
+        .unwrap()
+    };
     let o1 = run();
     let o2 = run();
     let o3 = run();
@@ -78,8 +90,18 @@ fn three_workers_shrink_to_two_cleanly() {
     for topology in [Topology::Ring, Topology::Tree] {
         let cluster = ClusterConfig::cluster1(3).with_topology(topology);
         let c = SketchMlCompressor::default();
-        let outcome =
-            train_allreduce_chaos(&train, &test, dim, &spec, &cluster, &c, &plan).unwrap();
+        let outcome = train_glm(
+            &GlmTask::new(&train, &test, dim),
+            &spec,
+            &cluster,
+            Aggregation::Collective {
+                policy: MergePolicy::Exact,
+                compressor: &c,
+            },
+            &plan,
+            None,
+        )
+        .unwrap();
         assert_eq!(outcome.trace.evictions, 1, "{topology:?}");
         let loss = outcome.report.epochs.last().unwrap().test_loss;
         assert!(
@@ -102,7 +124,18 @@ fn finite_outage_evicts_then_rejoins_with_charged_pull() {
     let c = SketchMlCompressor::default();
     let plan = FaultPlan::seeded(13).with_crash(2, 8, 10);
 
-    let outcome = train_allreduce_chaos(&train, &test, dim, &spec, &cluster, &c, &plan).unwrap();
+    let outcome = train_glm(
+        &GlmTask::new(&train, &test, dim),
+        &spec,
+        &cluster,
+        Aggregation::Collective {
+            policy: MergePolicy::Exact,
+            compressor: &c,
+        },
+        &plan,
+        None,
+    )
+    .unwrap();
     let t = &outcome.trace;
     assert_eq!(t.evictions, 1, "{}", t.summary());
     assert_eq!(t.joins, 1, "the worker must rejoin: {}", t.summary());
@@ -113,33 +146,6 @@ fn finite_outage_evicts_then_rejoins_with_charged_pull() {
     );
     let loss = outcome.report.epochs.last().unwrap().test_loss;
     assert!(loss < (2f64).ln(), "loss {loss} should beat the zero model");
-}
-
-/// The membership telemetry section mirrors the trace totals of a chaos run.
-#[test]
-fn membership_telemetry_section_mirrors_the_trace() {
-    let (train, test, dim) = dataset();
-    let spec = TrainSpec::paper(GlmLoss::Logistic, 0.03, 2);
-    let cluster = ClusterConfig::cluster1(4)
-        .with_topology(Topology::Ring)
-        .with_telemetry(true);
-    let c = SketchMlCompressor::default();
-    let plan = FaultPlan::seeded(21).with_drops(0.05).with_crash(3, 8, 10);
-
-    let session = TelemetrySession::begin();
-    let outcome = train_allreduce_chaos(&train, &test, dim, &spec, &cluster, &c, &plan).unwrap();
-    let snap = session.finish();
-    snap.validate().expect("snapshot must validate");
-
-    let t = &outcome.trace;
-    assert_eq!(snap.membership.suspicions, t.suspicions);
-    assert_eq!(snap.membership.false_suspicions, t.false_suspicions);
-    assert_eq!(snap.membership.evictions, t.evictions);
-    assert_eq!(snap.membership.joins, t.joins);
-    assert_eq!(snap.membership.reconfigurations, t.reconfigurations);
-    assert_eq!(snap.membership.degraded_rounds, t.degraded_rounds);
-    assert!((snap.membership.join_seconds - t.join_seconds).abs() < 1e-12);
-    assert!(t.suspicions >= 1, "the crash must be noticed");
 }
 
 /// Straggler-adaptive SSP: a 3x plan straggler keeps the wait share above
@@ -156,14 +162,12 @@ fn adaptive_ssp_loosens_staleness_under_plan_stragglers() {
         ..AdaptiveSsp::default()
     };
 
-    let (report, trace) = train_ssp_adaptive_chaos(
-        &train,
-        &test,
-        dim,
+    let (report, trace) = train_ssp_with_plan(
+        &GlmTask::new(&train, &test, dim),
         &spec,
         &cluster,
         &SspConfig::ssp(0, 0.0),
-        &ad,
+        Some(&ad),
         &SketchMlCompressor::default(),
         &plan,
     )

@@ -7,8 +7,8 @@
 
 use sketchml::telemetry::{self, TelemetrySession};
 use sketchml::{
-    train_distributed, train_distributed_chaos, ClusterConfig, FaultPlan, GlmLoss, Instance,
-    SketchMlCompressor, SparseDatasetSpec, TrainSpec,
+    train_allreduce, train_distributed, train_glm, Aggregation, ClusterConfig, FaultPlan, GlmLoss,
+    GlmTask, Instance, MergePolicy, SketchMlCompressor, SparseDatasetSpec, Topology, TrainSpec,
 };
 
 fn dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
@@ -100,14 +100,13 @@ fn chaos_run_records_fault_costs() {
     let cluster = ClusterConfig::cluster1(4).with_telemetry(true);
     let plan = stormy_plan(3);
     let session = TelemetrySession::begin();
-    let outcome = train_distributed_chaos(
-        &train,
-        &test,
-        dim,
+    let outcome = train_glm(
+        &GlmTask::new(&train, &test, dim),
         &spec,
         &cluster,
-        &SketchMlCompressor::default(),
+        Aggregation::Driver(&SketchMlCompressor::default()),
         &plan,
+        None,
     )
     .unwrap();
     let snap = session.finish();
@@ -136,6 +135,30 @@ fn chaos_run_records_fault_costs() {
     assert!(snap.cluster.checkpoint_saves > 0);
 }
 
+/// Bugfix: the driver loop used to serialize a restore point at every epoch
+/// end under *any* plan. Only a plan that schedules a crash can make a
+/// worker rejoin, so a drop-only run writes none.
+#[test]
+fn a_plan_without_crashes_writes_no_restore_point() {
+    let (train, test, dim) = dataset();
+    let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
+    let cluster = ClusterConfig::cluster1(4).with_telemetry(true);
+    let plan = FaultPlan::seeded(3).with_drops(0.10);
+    let session = TelemetrySession::begin();
+    let outcome = train_glm(
+        &GlmTask::new(&train, &test, dim),
+        &spec,
+        &cluster,
+        Aggregation::Driver(&SketchMlCompressor::default()),
+        &plan,
+        None,
+    )
+    .unwrap();
+    let snap = session.finish();
+    assert!(outcome.trace.drops > 0, "the plan must have been active");
+    assert_eq!(snap.cluster.checkpoint_saves, 0);
+}
+
 #[test]
 fn seeded_chaos_snapshot_is_deterministic() {
     let (train, test, dim) = dataset();
@@ -146,14 +169,13 @@ fn seeded_chaos_snapshot_is_deterministic() {
     let plan = stormy_plan(5);
     let run = || {
         let session = TelemetrySession::begin();
-        train_distributed_chaos(
-            &train,
-            &test,
-            dim,
+        train_glm(
+            &GlmTask::new(&train, &test, dim),
             &spec,
             &cluster,
-            &SketchMlCompressor::default(),
+            Aggregation::Driver(&SketchMlCompressor::default()),
             &plan,
+            None,
         )
         .unwrap();
         session.finish()
@@ -219,4 +241,124 @@ fn snapshot_serializes_and_round_trips() {
     let back: sketchml::telemetry::TelemetrySnapshot = serde_json::from_str(&json).unwrap();
     assert_eq!(back, snap);
     back.validate().unwrap();
+}
+
+// The collective and elastic-membership counter tests live in this binary,
+// not beside the other collective tests: a test that reads the process-global
+// registry is only safe where every test that trains holds the session lock.
+
+fn collectives_dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
+    let spec = SparseDatasetSpec {
+        name: "collectives".into(),
+        instances: 1_600,
+        features: 40_000,
+        avg_nnz: 22,
+        skew: 1.1,
+        label_noise: 0.02,
+        task: sketchml::data::Task::Classification,
+        seed: 321,
+    };
+    let (tr, te) = spec.generate_split();
+    (tr, te, 40_000)
+}
+
+/// Acceptance criterion: telemetry counters account every hop. One ring
+/// round of n workers is n(n-1) reduce-scatter hops plus n(n-1) allgather
+/// hops, each hop is one merge on the reduce half, and every hop byte shows
+/// up in the cluster uplink/downlink books.
+#[test]
+fn telemetry_accounts_every_collective_hop() {
+    let (train, test, dim) = collectives_dataset();
+    let spec = TrainSpec::paper(GlmLoss::Logistic, 0.03, 2);
+    let n = 4usize;
+    let cluster = ClusterConfig::cluster1(n)
+        .with_topology(Topology::Ring)
+        .with_telemetry(true);
+    let session = TelemetrySession::begin();
+    let report = train_allreduce(
+        &train,
+        &test,
+        dim,
+        &spec,
+        &cluster,
+        &SketchMlCompressor::default(),
+    )
+    .unwrap();
+    let snap = session.finish();
+    snap.validate().unwrap();
+
+    let rounds = snap.cluster.rounds;
+    assert!(rounds > 0);
+    let hops_per_round = 2 * n as u64 * (n as u64 - 1);
+    let merges_per_round = n as u64 * (n as u64 - 1);
+    assert_eq!(snap.collectives.hops, rounds * hops_per_round);
+    assert_eq!(snap.collectives.merges, rounds * merges_per_round);
+    assert_eq!(snap.collectives.lost_hops, 0);
+    assert!(snap.collectives.merge.count > 0);
+    // Every byte that crossed a link is booked exactly once: hop bytes are
+    // counted at the sender, the cluster books split the same stream into
+    // reduce (uplink) and distribute (downlink) phases.
+    assert_eq!(
+        snap.collectives.hop_bytes,
+        snap.cluster.uplink_bytes + snap.cluster.downlink_bytes
+    );
+    let report_bytes: u64 = report
+        .epochs
+        .iter()
+        .map(|e| e.uplink_bytes + e.downlink_bytes)
+        .sum();
+    assert_eq!(snap.collectives.hop_bytes, report_bytes);
+}
+
+fn elastic_dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
+    let spec = SparseDatasetSpec {
+        name: "elastic".into(),
+        instances: 1_600,
+        features: 30_000,
+        avg_nnz: 20,
+        skew: 1.1,
+        label_noise: 0.02,
+        task: sketchml::data::Task::Classification,
+        seed: 4242,
+    };
+    let (tr, te) = spec.generate_split();
+    (tr, te, 30_000)
+}
+
+/// The membership telemetry section mirrors the trace totals of a chaos run.
+#[test]
+fn membership_telemetry_section_mirrors_the_trace() {
+    let (train, test, dim) = elastic_dataset();
+    let spec = TrainSpec::paper(GlmLoss::Logistic, 0.03, 2);
+    let cluster = ClusterConfig::cluster1(4)
+        .with_topology(Topology::Ring)
+        .with_telemetry(true);
+    let c = SketchMlCompressor::default();
+    let plan = FaultPlan::seeded(21).with_drops(0.05).with_crash(3, 8, 10);
+
+    let session = TelemetrySession::begin();
+    let outcome = train_glm(
+        &GlmTask::new(&train, &test, dim),
+        &spec,
+        &cluster,
+        Aggregation::Collective {
+            policy: MergePolicy::Exact,
+            compressor: &c,
+        },
+        &plan,
+        None,
+    )
+    .unwrap();
+    let snap = session.finish();
+    snap.validate().expect("snapshot must validate");
+
+    let t = &outcome.trace;
+    assert_eq!(snap.membership.suspicions, t.suspicions);
+    assert_eq!(snap.membership.false_suspicions, t.false_suspicions);
+    assert_eq!(snap.membership.evictions, t.evictions);
+    assert_eq!(snap.membership.joins, t.joins);
+    assert_eq!(snap.membership.reconfigurations, t.reconfigurations);
+    assert_eq!(snap.membership.degraded_rounds, t.degraded_rounds);
+    assert!((snap.membership.join_seconds - t.join_seconds).abs() < 1e-12);
+    assert!(t.suspicions >= 1, "the crash must be noticed");
 }
