@@ -1,13 +1,16 @@
-//! Hot-path perf trajectory: allocating vs scratch compression engines.
+//! Hot-path perf trajectory: fresh-scratch vs warm-scratch compression.
 //!
 //! Sweeps gradient size d ∈ {10k, 100k, 1M} × {serial, sharded@4, ef,
 //! fastsgd, fastsgd8} × {alloc, scratch}, timing encode per call under a
 //! counting global allocator, and writes `BENCH_hotpath.json` so future PRs
 //! have a baseline to regress against (DESIGN.md §2.2). A second table
 //! times the vectorized primitives in isolation (batch hashing, bucket-LUT
-//! lookup, delta-binary flag packing, MinMaxSketch batch insert). The run
-//! aborts if the scratch path ever produces different bytes than the
-//! allocating path, if **any** scratch path allocates in steady state, if
+//! lookup, delta-binary flag packing, MinMaxSketch batch insert). There is
+//! one codec pipeline: the `alloc` rows time the provided `compress` wrapper
+//! (a fresh scratch and buffer per call), the `scratch` rows time
+//! `compress_into` on a scratch kept across calls. The run aborts if the
+//! warm scratch ever produces different bytes than a fresh one, if **any**
+//! warm-scratch call allocates in steady state, if
 //! telemetry is unexpectedly enabled (the whole sweep measures the
 //! disabled-telemetry contract: one relaxed atomic load per gate), or if
 //! serial encode throughput regresses >20% against the committed baseline
@@ -85,9 +88,8 @@ struct Report {
     iterations: Vec<usize>,
     rows: Vec<Row>,
     primitives: Vec<PrimRow>,
-    /// Encode speedup of the scratch path over the allocating path at the
-    /// largest serial point (the ISSUE's ≥1.3× acceptance gate); absent in
-    /// `--quick` runs.
+    /// Encode speedup of a warm scratch over a fresh one per call at the
+    /// largest serial point; absent in `--quick` runs.
     d1m_serial_speedup: Option<f64>,
 }
 
@@ -202,12 +204,12 @@ fn main() {
                     assert_eq!(
                         &out[..],
                         &reference[..],
-                        "EF scratch path diverged from allocating path \
+                        "EF on a warm scratch diverged from a fresh scratch \
                          (d={d}, round={round})"
                     );
                 }
             } else {
-                // The allocating path is the byte oracle for the scratch path.
+                // A fresh scratch is the byte oracle for the warm one.
                 let reference = engine.compress(&grad).expect("compress").payload;
                 engine
                     .compress_into(&grad, &mut scratch, &mut out)
@@ -215,7 +217,7 @@ fn main() {
                 assert_eq!(
                     &out[..],
                     &reference[..],
-                    "scratch path diverged from allocating path (d={d}, {mode})"
+                    "warm scratch diverged from a fresh scratch (d={d}, {mode})"
                 );
             }
 

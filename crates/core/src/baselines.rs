@@ -3,9 +3,10 @@
 //! (Figure 8), and threshold truncation (the "too aggressive" lossy method
 //! of §1.1/§5, after Seide et al.'s 1-bit SGD).
 
-use crate::compressor::{CompressedGradient, GradientCompressor};
+use crate::compressor::GradientCompressor;
 use crate::error::CompressError;
 use crate::gradient::SparseGradient;
+use crate::scratch::CompressScratch;
 use bytes::{Buf, BufMut, BytesMut};
 use sketchml_encoding::stats::SizeReport;
 use sketchml_encoding::{delta_binary, varint};
@@ -54,36 +55,43 @@ impl GradientCompressor for RawCompressor {
         }
     }
 
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(RAW_MAGIC);
-        buf.put_u8(self.width.bytes() as u8);
-        varint::write_u64(&mut buf, grad.dim());
-        varint::write_u64(&mut buf, grad.nnz() as u64);
-        let header = buf.len();
+    fn compress_into(
+        &self,
+        grad: &SparseGradient,
+        _scratch: &mut CompressScratch,
+        out: &mut BytesMut,
+    ) -> Result<SizeReport, CompressError> {
+        out.clear();
+        out.put_u8(RAW_MAGIC);
+        out.put_u8(self.width.bytes() as u8);
+        varint::write_u64(out, grad.dim());
+        varint::write_u64(out, grad.nnz() as u64);
+        let header = out.len();
         for &k in grad.keys() {
             let k32 = u32::try_from(k)
                 .map_err(|_| CompressError::InvalidGradient(format!("key {k} exceeds u32")))?;
-            buf.put_u32_le(k32);
+            out.put_u32_le(k32);
         }
         for &v in grad.values() {
             match self.width {
-                ValueWidth::F32 => buf.put_f32_le(v as f32),
-                ValueWidth::F64 => buf.put_f64_le(v),
+                ValueWidth::F32 => out.put_f32_le(v as f32),
+                ValueWidth::F64 => out.put_f64_le(v),
             }
         }
-        Ok(CompressedGradient {
-            payload: buf.freeze(),
-            report: SizeReport {
-                key_bytes: 4 * grad.nnz(),
-                value_bytes: self.width.bytes() * grad.nnz(),
-                header_bytes: header,
-                pairs: grad.nnz(),
-            },
+        Ok(SizeReport {
+            key_bytes: 4 * grad.nnz(),
+            value_bytes: self.width.bytes() * grad.nnz(),
+            header_bytes: header,
+            pairs: grad.nnz(),
         })
     }
 
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
+    fn decompress_into(
+        &self,
+        payload: &[u8],
+        scratch: &mut CompressScratch,
+        out: &mut SparseGradient,
+    ) -> Result<(), CompressError> {
         let mut buf = payload;
         if buf.remaining() < 2 || buf.get_u8() != RAW_MAGIC {
             return Err(CompressError::Corrupt("bad raw magic".into()));
@@ -100,17 +108,19 @@ impl GradientCompressor for RawCompressor {
         if buf.remaining() < need {
             return Err(CompressError::Corrupt("truncated raw body".into()));
         }
-        let keys: Vec<u64> = (0..nnz).map(|_| buf.get_u32_le() as u64).collect();
-        let values: Vec<f64> = (0..nnz)
-            .map(|_| {
-                if width == 4 {
-                    buf.get_f32_le() as f64
-                } else {
-                    buf.get_f64_le()
-                }
-            })
-            .collect();
-        SparseGradient::new(dim, keys, values)
+        scratch.dec_keys.clear();
+        scratch
+            .dec_keys
+            .extend((0..nnz).map(|_| buf.get_u32_le() as u64));
+        scratch.dec_vals.clear();
+        scratch.dec_vals.extend((0..nnz).map(|_| {
+            if width == 4 {
+                buf.get_f32_le() as f64
+            } else {
+                buf.get_f64_le()
+            }
+        }));
+        out.assign(dim, &scratch.dec_keys, &scratch.dec_vals)
     }
 }
 
@@ -126,43 +136,51 @@ impl GradientCompressor for KeyCompressor {
         "Adam+Key"
     }
 
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
-        let mut buf = BytesMut::new();
-        buf.put_u8(KEY_MAGIC);
-        varint::write_u64(&mut buf, grad.dim());
-        varint::write_u64(&mut buf, grad.nnz() as u64);
-        let header = buf.len();
-        let key_bytes = delta_binary::encode_keys(grad.keys(), &mut buf)?;
+    fn compress_into(
+        &self,
+        grad: &SparseGradient,
+        _scratch: &mut CompressScratch,
+        out: &mut BytesMut,
+    ) -> Result<SizeReport, CompressError> {
+        out.clear();
+        out.put_u8(KEY_MAGIC);
+        varint::write_u64(out, grad.dim());
+        varint::write_u64(out, grad.nnz() as u64);
+        let header = out.len();
+        let key_bytes = delta_binary::encode_keys_into(grad.keys(), out)?;
         for &v in grad.values() {
-            buf.put_f64_le(v);
+            out.put_f64_le(v);
         }
-        Ok(CompressedGradient {
-            payload: buf.freeze(),
-            report: SizeReport {
-                key_bytes,
-                value_bytes: 8 * grad.nnz(),
-                header_bytes: header,
-                pairs: grad.nnz(),
-            },
+        Ok(SizeReport {
+            key_bytes,
+            value_bytes: 8 * grad.nnz(),
+            header_bytes: header,
+            pairs: grad.nnz(),
         })
     }
 
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
+    fn decompress_into(
+        &self,
+        payload: &[u8],
+        scratch: &mut CompressScratch,
+        out: &mut SparseGradient,
+    ) -> Result<(), CompressError> {
         let mut buf = payload;
         if !buf.has_remaining() || buf.get_u8() != KEY_MAGIC {
             return Err(CompressError::Corrupt("bad Adam+Key magic".into()));
         }
         let dim = varint::read_u64(&mut buf)?;
         let nnz = varint::read_u64(&mut buf)? as usize;
-        let keys = delta_binary::decode_keys(&mut buf)?;
-        if keys.len() != nnz {
+        delta_binary::decode_keys_into(&mut buf, &mut scratch.dec_keys)?;
+        if scratch.dec_keys.len() != nnz {
             return Err(CompressError::Corrupt("key count mismatch".into()));
         }
         if buf.remaining() < 8 * nnz {
             return Err(CompressError::Corrupt("truncated values".into()));
         }
-        let values: Vec<f64> = (0..nnz).map(|_| buf.get_f64_le()).collect();
-        SparseGradient::new(dim, keys, values)
+        scratch.dec_vals.clear();
+        scratch.dec_vals.extend((0..nnz).map(|_| buf.get_f64_le()));
+        out.assign(dim, &scratch.dec_keys, &scratch.dec_vals)
     }
 }
 
@@ -189,7 +207,12 @@ impl GradientCompressor for TruncationCompressor {
         "Truncation"
     }
 
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
+    fn compress_into(
+        &self,
+        grad: &SparseGradient,
+        _scratch: &mut CompressScratch,
+        out: &mut BytesMut,
+    ) -> Result<SizeReport, CompressError> {
         if !(self.keep_ratio > 0.0 && self.keep_ratio <= 1.0) {
             return Err(CompressError::InvalidConfig(format!(
                 "keep_ratio must be in (0, 1], got {}",
@@ -214,42 +237,47 @@ impl GradientCompressor for TruncationCompressor {
             }
         }
 
-        let mut buf = BytesMut::new();
-        buf.put_u8(TRUNC_MAGIC);
-        varint::write_u64(&mut buf, grad.dim());
-        varint::write_u64(&mut buf, keys.len() as u64);
-        let header = buf.len();
-        let key_bytes = delta_binary::encode_keys(&keys, &mut buf)?;
+        out.clear();
+        out.put_u8(TRUNC_MAGIC);
+        varint::write_u64(out, grad.dim());
+        varint::write_u64(out, keys.len() as u64);
+        let header = out.len();
+        let key_bytes = delta_binary::encode_keys_into(&keys, out)?;
         for &v in &values {
-            buf.put_f32_le(v as f32);
+            out.put_f32_le(v as f32);
         }
-        Ok(CompressedGradient {
-            payload: buf.freeze(),
-            report: SizeReport {
-                key_bytes,
-                value_bytes: 4 * values.len(),
-                header_bytes: header,
-                pairs: grad.nnz(),
-            },
+        Ok(SizeReport {
+            key_bytes,
+            value_bytes: 4 * values.len(),
+            header_bytes: header,
+            pairs: grad.nnz(),
         })
     }
 
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
+    fn decompress_into(
+        &self,
+        payload: &[u8],
+        scratch: &mut CompressScratch,
+        out: &mut SparseGradient,
+    ) -> Result<(), CompressError> {
         let mut buf = payload;
         if !buf.has_remaining() || buf.get_u8() != TRUNC_MAGIC {
             return Err(CompressError::Corrupt("bad truncation magic".into()));
         }
         let dim = varint::read_u64(&mut buf)?;
         let kept = varint::read_u64(&mut buf)? as usize;
-        let keys = delta_binary::decode_keys(&mut buf)?;
-        if keys.len() != kept {
+        delta_binary::decode_keys_into(&mut buf, &mut scratch.dec_keys)?;
+        if scratch.dec_keys.len() != kept {
             return Err(CompressError::Corrupt("kept count mismatch".into()));
         }
         if buf.remaining() < 4 * kept {
             return Err(CompressError::Corrupt("truncated values".into()));
         }
-        let values: Vec<f64> = (0..kept).map(|_| buf.get_f32_le() as f64).collect();
-        SparseGradient::new(dim, keys, values)
+        scratch.dec_vals.clear();
+        scratch
+            .dec_vals
+            .extend((0..kept).map(|_| buf.get_f32_le() as f64));
+        out.assign(dim, &scratch.dec_keys, &scratch.dec_vals)
     }
 }
 

@@ -31,81 +31,84 @@ impl CompressedGradient {
 
 /// A gradient compression method.
 ///
-/// `decompress(compress(g))` must return a gradient over the same dimension;
-/// lossy methods may perturb values (and truncation may drop pairs), but —
-/// per §3.4 — any key that survives must be decoded *exactly*.
+/// Implementors write the two **required** methods, [`Self::compress_into`]
+/// and [`Self::decompress_into`]: one pipeline that encodes into / decodes
+/// from caller-owned buffers and keeps its intermediates in a
+/// [`CompressScratch`]. [`Self::compress`] and [`Self::decompress`] are
+/// **provided** wrappers that run that same pipeline on a fresh scratch, so
+/// there is exactly one implementation of every codec and implementors
+/// should not override them.
+///
+/// Decoding an encoded gradient must return a gradient over the same
+/// dimension; lossy methods may perturb values (and truncation may drop
+/// pairs), but — per §3.4 — any key that survives must be decoded *exactly*.
+/// A scratch carries capacity, never meaning: the bytes written and the
+/// gradient decoded must not depend on what the scratch processed before.
 pub trait GradientCompressor: Send + Sync {
     /// Short name used in experiment tables (e.g. `"SketchML"`, `"ZipML"`).
     fn name(&self) -> &'static str;
 
-    /// Encodes a gradient into a self-describing message.
+    /// Encodes a gradient into `out` (cleared first) as a self-describing
+    /// message, reusing `scratch`'s pooled buffers across calls, and returns
+    /// the message's size accounting.
     ///
     /// # Errors
     /// Implementations reject structurally invalid gradients and
-    /// out-of-range configurations with [`CompressError`].
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError>;
-
-    /// Decodes a message produced by this compressor's `compress`.
-    ///
-    /// # Errors
-    /// Returns [`CompressError::Corrupt`] (never panics) on truncated or
-    /// malformed payloads.
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError>;
-
-    /// Encodes a gradient into `out` (cleared first), reusing `scratch`'s
-    /// pooled buffers across calls. The payload written to `out` is
-    /// **byte-identical** to [`Self::compress`]'s; the returned report is the
-    /// same size accounting.
-    ///
-    /// The default implementation delegates to the allocating `compress`;
-    /// compressors with a fused hot path (SketchML, ZipML, quantification,
-    /// the sharded engine) override it to run allocation-free in steady
-    /// state.
-    ///
-    /// # Errors
-    /// Same contract as [`Self::compress`]. On error `out`'s contents are
-    /// unspecified.
+    /// out-of-range configurations with [`CompressError`]. On error `out`'s
+    /// contents are unspecified; `scratch` stays reusable.
     fn compress_into(
         &self,
         grad: &SparseGradient,
         scratch: &mut CompressScratch,
         out: &mut BytesMut,
-    ) -> Result<SizeReport, CompressError> {
-        let _ = scratch;
-        let msg = self.compress(grad)?;
-        out.clear();
-        out.extend_from_slice(&msg.payload);
-        Ok(msg.report)
-    }
+    ) -> Result<SizeReport, CompressError>;
 
-    /// Decodes a message into `out` (overwritten), reusing `scratch`'s
-    /// pooled buffers across calls. Produces exactly [`Self::decompress`]'s
-    /// gradient.
+    /// Decodes a message produced by this compressor's encoder into `out`
+    /// (overwritten), reusing `scratch`'s pooled buffers across calls.
     ///
     /// # Errors
-    /// Same contract as [`Self::decompress`]. On error `out`'s contents are
-    /// unspecified.
+    /// Never panics on truncated or malformed payloads: a structural
+    /// violation is [`CompressError::Corrupt`], an inner codec running out
+    /// of bytes is [`CompressError::Encoding`], and decoded pairs that do
+    /// not form a gradient are [`CompressError::InvalidGradient`]. On error
+    /// `out`'s contents are unspecified; `scratch` stays reusable.
     fn decompress_into(
         &self,
         payload: &[u8],
         scratch: &mut CompressScratch,
         out: &mut SparseGradient,
-    ) -> Result<(), CompressError> {
-        let _ = scratch;
-        *out = self.decompress(payload)?;
-        Ok(())
+    ) -> Result<(), CompressError>;
+
+    /// [`Self::compress_into`] on a fresh scratch and buffer: the same
+    /// bytes, owned. Convenient off the hot path (tests, tools, one-shot
+    /// calls); a training loop keeps a scratch and calls `compress_into`.
+    ///
+    /// # Errors
+    /// Same contract as [`Self::compress_into`].
+    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
+        let mut out = BytesMut::new();
+        let report = self.compress_into(grad, &mut CompressScratch::new(), &mut out)?;
+        Ok(CompressedGradient {
+            payload: out.freeze(),
+            report,
+        })
+    }
+
+    /// [`Self::decompress_into`] on a fresh scratch: the same gradient,
+    /// owned.
+    ///
+    /// # Errors
+    /// Same contract as [`Self::decompress_into`].
+    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
+        let mut out = SparseGradient::empty(0);
+        self.decompress_into(payload, &mut CompressScratch::new(), &mut out)?;
+        Ok(out)
     }
 }
 
 impl<T: GradientCompressor + ?Sized> GradientCompressor for &T {
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
-        (**self).compress(grad)
-    }
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
-        (**self).decompress(payload)
     }
     fn compress_into(
         &self,
@@ -128,12 +131,6 @@ impl<T: GradientCompressor + ?Sized> GradientCompressor for &T {
 impl<T: GradientCompressor + ?Sized> GradientCompressor for Box<T> {
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
-        (**self).compress(grad)
-    }
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
-        (**self).decompress(payload)
     }
     fn compress_into(
         &self,

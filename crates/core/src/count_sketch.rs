@@ -18,7 +18,7 @@
 //! compression is pure and deterministic, which the exactness tests and the
 //! sharded engine rely on.
 
-use crate::compressor::{CompressedGradient, GradientCompressor};
+use crate::compressor::GradientCompressor;
 use crate::error::CompressError;
 use crate::gradient::SparseGradient;
 use crate::merge::{MergeAcc, MergeableCompressor};
@@ -440,23 +440,6 @@ impl GradientCompressor for CountSketchCompressor {
         "CountSketch"
     }
 
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
-        let mut scratch = CompressScratch::new();
-        let mut out = BytesMut::new();
-        let report = self.compress_into(grad, &mut scratch, &mut out)?;
-        Ok(CompressedGradient {
-            payload: out.freeze(),
-            report,
-        })
-    }
-
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
-        let mut scratch = CompressScratch::new();
-        let mut out = SparseGradient::empty(0);
-        self.decompress_into(payload, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
     fn compress_into(
         &self,
         grad: &SparseGradient,
@@ -702,7 +685,7 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
             "dense path cell table must be bit-identical to the scalar scan"
         );
-        // And the frame itself matches the allocating (scalar-scan) encoder.
+        // And a fresh scratch writes the same frame.
         assert_eq!(&out[..], &c.compress(&g).unwrap().payload[..]);
         // Non-contiguous keys never take the fast path.
         let sparse = grad(5_000, &[(0, 1.0), (4_999, -1.0)]);

@@ -22,7 +22,7 @@
 //! exact zeros (plus subnormals, far below any gradient scale) take a
 //! reserved all-ones code.
 
-use crate::compressor::{CompressedGradient, GradientCompressor};
+use crate::compressor::GradientCompressor;
 use crate::error::CompressError;
 use crate::gradient::SparseGradient;
 use crate::scratch::CompressScratch;
@@ -100,10 +100,14 @@ impl FastSgdCompressor {
         let up = ((b & ((1u64 << 52) - 1)) > SQRT2_MANT) as i32;
         (biased - 1023 + up).min(1023)
     }
+}
 
-    /// Shared encoder behind `compress` and `compress_into`: both paths
-    /// write through here, so their bytes agree by construction.
-    fn encode_into(
+impl GradientCompressor for FastSgdCompressor {
+    fn name(&self) -> &'static str {
+        "FastSGD"
+    }
+
+    fn compress_into(
         &self,
         grad: &SparseGradient,
         scratch: &mut CompressScratch,
@@ -191,8 +195,7 @@ impl FastSgdCompressor {
         Ok(report)
     }
 
-    /// Shared decoder behind `decompress` and `decompress_into`.
-    fn decode_into(
+    fn decompress_into(
         &self,
         payload: &[u8],
         scratch: &mut CompressScratch,
@@ -285,47 +288,6 @@ impl FastSgdCompressor {
             scratch.dec_vals.push(v);
         }
         out.assign(dim, &scratch.dec_keys, &scratch.dec_vals)
-    }
-}
-
-impl GradientCompressor for FastSgdCompressor {
-    fn name(&self) -> &'static str {
-        "FastSGD"
-    }
-
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
-        let mut scratch = CompressScratch::new();
-        let mut buf = BytesMut::new();
-        let report = self.encode_into(grad, &mut scratch, &mut buf)?;
-        Ok(CompressedGradient {
-            payload: buf.freeze(),
-            report,
-        })
-    }
-
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
-        let mut scratch = CompressScratch::new();
-        let mut out = SparseGradient::empty(0);
-        self.decode_into(payload, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    fn compress_into(
-        &self,
-        grad: &SparseGradient,
-        scratch: &mut CompressScratch,
-        out: &mut BytesMut,
-    ) -> Result<SizeReport, CompressError> {
-        self.encode_into(grad, scratch, out)
-    }
-
-    fn decompress_into(
-        &self,
-        payload: &[u8],
-        scratch: &mut CompressScratch,
-        out: &mut SparseGradient,
-    ) -> Result<(), CompressError> {
-        self.decode_into(payload, scratch, out)
     }
 }
 

@@ -26,14 +26,13 @@
 //! # Hot path
 //!
 //! The wrapper keeps its own pooled buffers (compensated gradient, decoded
-//! gradient, a [`CompressScratch`] for the residual decode), so both the
-//! allocating and the `*_into` entry points compute residuals through the
-//! inner compressor's zero-allocation scratch path — wrapping a compressor
-//! in `ErrorFeedback` does not fall back to per-round payload reallocation.
-//! Residuals are matched by a linear merge over the two key-sorted
+//! gradient) and computes residuals through the inner compressor's
+//! `*_into` methods on the caller's [`CompressScratch`], so wrapping a
+//! compressor in `ErrorFeedback` keeps the round allocation-free in steady
+//! state. Residuals are matched by a linear merge over the two key-sorted
 //! gradients instead of a per-round `HashMap` of sent values.
 
-use crate::compressor::{CompressedGradient, GradientCompressor};
+use crate::compressor::GradientCompressor;
 use crate::error::CompressError;
 use crate::gradient::SparseGradient;
 use crate::scratch::CompressScratch;
@@ -52,7 +51,6 @@ struct EfState {
     comp_vals: Vec<f64>,
     compensated: SparseGradient,
     decoded: SparseGradient,
-    scratch: Box<CompressScratch>,
 }
 
 impl Default for EfState {
@@ -63,7 +61,6 @@ impl Default for EfState {
             comp_vals: Vec::new(),
             compensated: SparseGradient::empty(0),
             decoded: SparseGradient::empty(0),
-            scratch: Box::default(),
         }
     }
 }
@@ -202,25 +199,6 @@ impl<C: GradientCompressor> GradientCompressor for ErrorFeedback<C> {
         "ErrorFeedback"
     }
 
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
-        let st = &mut *self.lock_state();
-        compensate(grad, &mut st.residual, &mut st.comp_keys, &mut st.comp_vals);
-        st.compensated
-            .assign(grad.dim(), &st.comp_keys, &st.comp_vals)?;
-
-        let msg = self.inner.compress(&st.compensated)?;
-        // Residuals need decode(m); route it through the pooled scratch so
-        // even the allocating entry point decodes allocation-free.
-        self.inner
-            .decompress_into(&msg.payload, &mut st.scratch, &mut st.decoded)?;
-        update_residual(&mut st.residual, &st.compensated, &st.decoded);
-        Ok(msg)
-    }
-
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
-        self.inner.decompress(payload)
-    }
-
     fn compress_into(
         &self,
         grad: &SparseGradient,
@@ -338,29 +316,30 @@ mod tests {
     }
 
     #[test]
-    fn scratch_path_matches_allocating_path() {
+    fn warm_scratch_matches_fresh_scratch() {
         // Two wrappers fed the same rounds must emit identical payloads and
-        // end with identical residual maps, whichever entry point is used.
-        let alloc = ErrorFeedback::new(SketchMlCompressor::default());
+        // end with identical residual maps, whether the caller keeps one
+        // scratch across rounds or hands in a fresh one every time.
+        let fresh = ErrorFeedback::new(SketchMlCompressor::default());
         let pooled = ErrorFeedback::new(SketchMlCompressor::default());
         let mut scratch = CompressScratch::new();
         let mut out = BytesMut::new();
         let grad = constant_gradient();
         for round in 0..6 {
-            let msg = alloc.compress(&grad).unwrap();
+            let msg = fresh.compress(&grad).unwrap();
             let report = pooled.compress_into(&grad, &mut scratch, &mut out).unwrap();
             assert_eq!(&out[..], &msg.payload[..], "round {round}");
             assert_eq!(report.total(), msg.report.total());
         }
-        assert_eq!(alloc.residual_len(), pooled.residual_len());
-        assert!((alloc.residual_l1() - pooled.residual_l1()).abs() < 1e-12);
+        assert_eq!(fresh.residual_len(), pooled.residual_len());
+        assert!((fresh.residual_l1() - pooled.residual_l1()).abs() < 1e-12);
         // decompress_into passes through to the inner scratch decoder.
-        let msg = alloc.compress(&grad).unwrap();
+        let msg = fresh.compress(&grad).unwrap();
         let mut decoded = SparseGradient::empty(0);
         pooled
             .decompress_into(&msg.payload, &mut scratch, &mut decoded)
             .unwrap();
-        assert_eq!(decoded, alloc.decompress(&msg.payload).unwrap());
+        assert_eq!(decoded, fresh.decompress(&msg.payload).unwrap());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! ablation compressor of Figure 8 (delta-binary keys + bit-packed exact
 //! bucket indexes, no MinMaxSketch).
 
-use crate::compressor::{CompressedGradient, GradientCompressor};
+use crate::compressor::GradientCompressor;
 use crate::error::CompressError;
 use crate::gradient::SparseGradient;
 use crate::scratch::CompressScratch;
@@ -331,7 +331,8 @@ pub fn quantize(
     )
 }
 
-/// [`quantize`] with an explicit quantile-sketch backend.
+/// [`quantize`] with an explicit quantile-sketch backend: runs
+/// [`quantize_into`] on a fresh [`QuantScratch`] and hands its buffers out.
 ///
 /// # Errors
 /// Same contract as [`quantize`].
@@ -342,49 +343,12 @@ pub fn quantize_with(
     cap_divisor: usize,
     backend: QuantileBackend,
 ) -> Result<Quantization, CompressError> {
-    if q == 0 {
-        return Err(CompressError::InvalidConfig("q must be positive".into()));
-    }
-    if cap_divisor == 0 {
-        return Err(CompressError::InvalidConfig(
-            "cap_divisor must be positive".into(),
-        ));
-    }
-    if values.is_empty() {
-        return Err(CompressError::InvalidGradient(
-            "cannot quantize an empty value array".into(),
-        ));
-    }
-    let q_eff = (q as usize)
-        .min((values.len() / cap_divisor).max(8))
-        .min(values.len()) as u16;
-    let splits = {
-        let _t = telemetry::time(telemetry::Stage::QuantileBuild);
-        match backend {
-            QuantileBackend::Merging => {
-                let mut sketch = MergingQuantileSketch::new(sketch_capacity.max(2))?;
-                sketch.extend_from_slice(values);
-                sketch.splits(q_eff as usize)?
-            }
-            QuantileBackend::Gk => {
-                let mut sketch = GkSummary::for_buckets(q_eff as usize)?;
-                sketch.extend_from_slice(values);
-                sketch.splits(q_eff as usize)?
-            }
-            QuantileBackend::TDigest => {
-                let mut sketch = TDigest::new((sketch_capacity.max(16)) as f64)?;
-                sketch.extend_from_slice(values);
-                sketch.splits(q_eff as usize)?
-            }
-        }
-    };
-    let _t = telemetry::time(telemetry::Stage::Bucketize);
-    let means: Vec<f64> = splits.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
-    let indexes: Vec<u16> = values.iter().map(|&v| bucket_of(&splits, v)).collect();
+    let mut qs = QuantScratch::default();
+    quantize_into(values, q, sketch_capacity, cap_divisor, backend, &mut qs)?;
     Ok(Quantization {
-        splits,
-        means,
-        indexes,
+        splits: qs.splits,
+        means: qs.means,
+        indexes: qs.indexes,
     })
 }
 
@@ -400,12 +364,13 @@ pub struct QuantScratch {
     table: BucketTable,
 }
 
-/// [`quantize_with`] into pooled buffers: fills `qs.splits` / `qs.means` /
-/// `qs.indexes` with *exactly* the values the allocating path produces
-/// (the reused Merging sketch is [`MergingQuantileSketch::reset`] so its
-/// compaction parity replays identically), while performing zero heap
-/// allocations in steady state for the Merging backend. Bucket indexes are
-/// assigned through a [`BucketTable`] instead of a per-value binary search.
+/// Quantile-bucket quantification into pooled buffers: fills `qs.splits` /
+/// `qs.means` / `qs.indexes`, performing zero heap allocations in steady
+/// state for the Merging backend. A warm `qs` yields *exactly* what a fresh
+/// one does (the reused Merging sketch is [`MergingQuantileSketch::reset`]
+/// so its compaction parity replays identically). Bucket indexes are
+/// assigned through a [`BucketTable`], debug-asserted against the per-value
+/// binary search [`bucket_of`].
 ///
 /// # Errors
 /// Same contract as [`quantize`].
@@ -517,91 +482,6 @@ const QUANT_MAGIC: u8 = 0xA5;
 impl GradientCompressor for QuantCompressor {
     fn name(&self) -> &'static str {
         "Adam+Key+Quan"
-    }
-
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
-        if self.buckets == 0 {
-            return Err(CompressError::InvalidConfig(
-                "buckets must be positive".into(),
-            ));
-        }
-        let mut buf = BytesMut::new();
-        buf.put_u8(QUANT_MAGIC);
-        varint::write_u64(&mut buf, grad.dim());
-        varint::write_u64(&mut buf, grad.nnz() as u64);
-        let mut report = SizeReport {
-            pairs: grad.nnz(),
-            ..SizeReport::default()
-        };
-        if grad.is_empty() {
-            report.header_bytes = buf.len();
-            return Ok(CompressedGradient {
-                payload: buf.freeze(),
-                report,
-            });
-        }
-        let header_so_far = buf.len();
-        let key_bytes = delta_binary::encode_keys(grad.keys(), &mut buf)?;
-
-        let quant = quantize(grad.values(), self.buckets, self.sketch_capacity, 32)?;
-        let q = quant.q();
-        let before_values = buf.len();
-        varint::write_u64(&mut buf, q as u64);
-        for &m in &quant.means {
-            buf.put_f64_le(m);
-        }
-        let bits = bitpack::bits_for(q.saturating_sub(1));
-        buf.put_u8(bits as u8);
-        bitpack::pack_u16(&quant.indexes, bits, &mut buf)?;
-
-        report.key_bytes = key_bytes;
-        report.value_bytes = buf.len() - before_values;
-        report.header_bytes = header_so_far;
-        Ok(CompressedGradient {
-            payload: buf.freeze(),
-            report,
-        })
-    }
-
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
-        let mut buf = payload;
-        if !buf.has_remaining() || buf.get_u8() != QUANT_MAGIC {
-            return Err(CompressError::Corrupt("bad Adam+Key+Quan magic".into()));
-        }
-        let dim = varint::read_u64(&mut buf)?;
-        let nnz = varint::read_u64(&mut buf)? as usize;
-        if nnz == 0 {
-            return Ok(SparseGradient::empty(dim));
-        }
-        let keys = delta_binary::decode_keys(&mut buf)?;
-        if keys.len() != nnz {
-            return Err(CompressError::Corrupt(format!(
-                "declared {nnz} pairs but decoded {} keys",
-                keys.len()
-            )));
-        }
-        let q = varint::read_u64(&mut buf)? as usize;
-        // Checked multiply: a wire-controlled q must not wrap past the
-        // remaining-bytes test (each mean costs 8 bytes + 1 bit-width byte).
-        let means_need = q
-            .checked_mul(8)
-            .and_then(|b| b.checked_add(1))
-            .ok_or_else(|| CompressError::Corrupt(format!("bucket count {q} overflows")))?;
-        if q == 0 || buf.remaining() < means_need {
-            return Err(CompressError::Corrupt("truncated bucket means".into()));
-        }
-        let means: Vec<f64> = (0..q).map(|_| buf.get_f64_le()).collect();
-        let bits = buf.get_u8() as u32;
-        let indexes = bitpack::unpack_u16(&mut buf, nnz, bits)?;
-        let values: Vec<f64> = indexes
-            .iter()
-            .map(|&i| {
-                means.get(i as usize).copied().ok_or_else(|| {
-                    CompressError::Corrupt(format!("bucket index {i} out of range {q}"))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        SparseGradient::new(dim, keys, values)
     }
 
     fn compress_into(
@@ -793,16 +673,32 @@ mod tests {
 
     #[test]
     fn quantize_into_matches_quantize_bitwise_across_reuse() {
+        // One warm scratch carried across sizes, capacities and backends
+        // (so the pooled sketch, item buffer and bucket table all shrink,
+        // grow and get replaced) must produce exactly what a fresh scratch
+        // — `quantize_with` — does, including right after an error.
         let mut qs = QuantScratch::default();
-        for (i, n) in [500usize, 3_000, 120, 9_000].iter().enumerate() {
-            let values = skewed_values(*n, 80 + i as u64);
-            let reference = quantize(&values, 256, 128, 32).unwrap();
-            quantize_into(&values, 256, 128, 32, QuantileBackend::Merging, &mut qs).unwrap();
-            assert_eq!(qs.splits, reference.splits, "round {i}: splits diverged");
-            assert_eq!(qs.means, reference.means, "round {i}: means diverged");
-            assert_eq!(qs.indexes, reference.indexes, "round {i}: indexes diverged");
+        let rounds = [
+            (500usize, 128usize, QuantileBackend::Merging),
+            (3_000, 128, QuantileBackend::Merging),
+            (120, 64, QuantileBackend::Merging),
+            (9_000, 128, QuantileBackend::Gk),
+            (7, 128, QuantileBackend::Merging),
+            (2_000, 32, QuantileBackend::TDigest),
+            (9_000, 128, QuantileBackend::Merging),
+        ];
+        for (i, &(n, cap, backend)) in rounds.iter().enumerate() {
+            let values = skewed_values(n, 80 + i as u64);
+            let fresh = quantize_with(&values, 256, cap, 32, backend).unwrap();
+            quantize_into(&values, 256, cap, 32, backend, &mut qs).unwrap();
+            assert_eq!(qs.splits, fresh.splits, "round {i}: splits diverged");
+            assert_eq!(qs.means, fresh.means, "round {i}: means diverged");
+            assert_eq!(qs.indexes, fresh.indexes, "round {i}: indexes diverged");
+            for (&v, &b) in values.iter().zip(&qs.indexes) {
+                assert_eq!(b, bucket_of(&qs.splits, v), "round {i}: bucket of {v}");
+            }
+            assert!(quantize_into(&[], 8, cap, 32, backend, &mut qs).is_err());
         }
-        assert!(quantize_into(&[], 8, 128, 32, QuantileBackend::Merging, &mut qs).is_err());
         assert!(quantize_into(&[1.0], 0, 128, 32, QuantileBackend::Merging, &mut qs).is_err());
         assert!(quantize_into(&[1.0], 8, 128, 0, QuantileBackend::Merging, &mut qs).is_err());
     }

@@ -1,16 +1,20 @@
-//! Reusable scratch buffers for the zero-allocation compression hot path.
+//! Reusable scratch buffers for the compression pipelines.
 //!
 //! §3.5's premise is that compression must cost less CPU than the network
-//! time it saves. The allocating [`GradientCompressor::compress`] path
-//! re-allocates every intermediate (sign partitions, per-group key vectors,
-//! delta arrays, bitpack buffers) on every gradient of every iteration; a
-//! [`CompressScratch`] pools all of them so that, once warm, a steady-state
-//! training loop performs **zero** heap allocations per compressed message
-//! (`crates/bench/src/bin/hotpath.rs` asserts this with a counting
-//! allocator). The scratch-path payload is byte-identical to the allocating
-//! path — the golden fixtures in `tests/fixtures/` and the differential
-//! proptests are the oracle.
+//! time it saves, so every compressor's one implementation
+//! ([`GradientCompressor::compress_into`] / `decompress_into`) keeps its
+//! intermediates — sign partitions, per-group key vectors, delta arrays,
+//! bitpack buffers — in a caller-owned [`CompressScratch`]: once warm, a
+//! steady-state training loop performs **zero** heap allocations per
+//! compressed message (`crates/bench/src/bin/hotpath.rs` asserts this with
+//! a counting allocator). The provided [`GradientCompressor::compress`] /
+//! `decompress` run the same pipeline on a fresh scratch.
 //!
+//! A scratch carries capacity, never meaning: what it processed before must
+//! not change the next payload or decode. The golden fixtures in
+//! `tests/fixtures/` and the warm-vs-fresh reuse tests are the oracle.
+//!
+//! [`GradientCompressor::compress_into`]: crate::GradientCompressor::compress_into
 //! [`GradientCompressor::compress`]: crate::GradientCompressor::compress
 
 use crate::error::CompressError;
@@ -75,7 +79,9 @@ impl CompressScratch {
     }
 
     /// Ensures at least `n` shard slots exist, each with its own inner
-    /// scratch, reusable gradient, and output buffer.
+    /// scratch, reusable gradient, and output buffer. Slots live as long as
+    /// the scratch, so callers bound `n` by their own configuration, never
+    /// by a number read off the wire.
     pub(crate) fn ensure_shards(&mut self, n: usize) {
         while self.shards.len() < n {
             self.shards.push(std::sync::Mutex::new(ShardScratch::new()));

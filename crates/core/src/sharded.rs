@@ -179,8 +179,9 @@ fn unpoison<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
     r.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// [`verify_crcs`] over offset/length tables instead of collected slices,
-/// so the scratch decode path stays allocation-free.
+/// Verifies each shard's bytes (`buf[cursor[i]..][..counts[i]]`) against its
+/// declared v2 CRC32, rejecting any mismatch before the inner codec ever
+/// sees the corrupted bytes.
 fn verify_crcs_at(
     buf: &[u8],
     cursor: &[usize],
@@ -205,141 +206,9 @@ fn verify_crcs_at(
     Ok(())
 }
 
-/// Verifies each shard slice against its declared v2 CRC32, rejecting any
-/// mismatch before the inner codec ever sees the corrupted bytes.
-fn verify_crcs(slices: &[&[u8]], crcs: &[u32]) -> Result<(), CompressError> {
-    if slices.len() != crcs.len() {
-        return Err(CompressError::Corrupt(format!(
-            "frame declares {} shards but {} checksums",
-            slices.len(),
-            crcs.len()
-        )));
-    }
-    for (i, (slice, &expect)) in slices.iter().zip(crcs).enumerate() {
-        let got = crc32(slice);
-        if got != expect {
-            return Err(CompressError::Corrupt(format!(
-                "shard {i} CRC mismatch: header says {expect:#010x}, payload hashes to {got:#010x}"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Runs `job` over `0..n` items on the persistent worker pool, writing each
-/// result into its slot. Slot order — and thus every downstream byte — is
-/// independent of `threads`.
-fn run_chunked<T, F>(n: usize, threads: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let slots: Vec<std::sync::Mutex<Option<T>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    crate::pool::run(n, threads, &|i| {
-        *slots[i].lock().expect("result slot") = Some(job(i));
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot")
-                .expect("every slot filled")
-        })
-        .collect()
-}
-
 impl<C: GradientCompressor> GradientCompressor for ShardedCompressor<C> {
     fn name(&self) -> &'static str {
         self.inner.name()
-    }
-
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
-        let parts = split_gradient(grad, self.shards);
-        let messages: Vec<CompressedGradient> = run_chunked(parts.len(), self.threads, |i| {
-            let _t = telemetry::time(telemetry::Stage::ShardEncode);
-            telemetry::inc(telemetry::Counter::ShardedShardEncodes);
-            self.inner.compress(&parts[i])
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-
-        let lens: Vec<usize> = messages.iter().map(|m| m.payload.len()).collect();
-        record_frame(&lens);
-        let frame_header = match self.frame {
-            FrameVersion::V1 => framing::header_len(&lens),
-            FrameVersion::V2 => framing::header_len_v2(&lens),
-        };
-        let mut buf = BytesMut::with_capacity(frame_header + lens.iter().sum::<usize>());
-        match self.frame {
-            FrameVersion::V1 => framing::write_header(&mut buf, &lens),
-            FrameVersion::V2 => {
-                let crcs: Vec<u32> = messages.iter().map(|m| crc32(&m.payload)).collect();
-                framing::write_header_v2(&mut buf, &lens, &crcs);
-            }
-        }
-        let mut report = SizeReport {
-            header_bytes: frame_header,
-            ..SizeReport::default()
-        };
-        for m in &messages {
-            buf.extend_from_slice(&m.payload);
-            report.accumulate(&m.report);
-        }
-        Ok(CompressedGradient {
-            payload: buf.freeze(),
-            report,
-        })
-    }
-
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
-        let mut buf = payload;
-        let mut lens = Vec::new();
-        let mut crcs = Vec::new();
-        let version = framing::read_any_header_into(&mut buf, &mut lens, &mut crcs)
-            .map_err(|e| CompressError::Corrupt(format!("shard frame: {e}")))?;
-
-        let mut slices = Vec::with_capacity(lens.len());
-        let mut offset = 0usize;
-        for &len in &lens {
-            // the header reader guarantees the sum fits in the buffer.
-            slices.push(&buf[offset..offset + len]);
-            offset += len;
-        }
-        if offset != buf.len() {
-            return Err(CompressError::Corrupt(format!(
-                "frame declares {offset} payload bytes but {} are present",
-                buf.len()
-            )));
-        }
-        if version == FrameVersion::V2 {
-            verify_crcs(&slices, &crcs)?;
-        }
-
-        let shards: Vec<SparseGradient> = run_chunked(slices.len(), self.threads, |i| {
-            self.inner.decompress(slices[i])
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .map_err(|e| match e {
-            CompressError::Corrupt(msg) => CompressError::Corrupt(msg),
-            other => CompressError::Corrupt(format!("shard decode: {other}")),
-        })?;
-
-        let dim = shards.first().map_or(0, SparseGradient::dim);
-        if shards.iter().any(|s| s.dim() != dim) {
-            return Err(CompressError::Corrupt(
-                "shards disagree on gradient dimension".into(),
-            ));
-        }
-        let mut keys = Vec::with_capacity(shards.iter().map(SparseGradient::nnz).sum());
-        let mut values = Vec::with_capacity(keys.capacity());
-        for shard in &shards {
-            keys.extend_from_slice(shard.keys());
-            values.extend_from_slice(shard.values());
-        }
-        SparseGradient::new(dim, keys, values)
-            .map_err(|e| CompressError::Corrupt(format!("merged shards invalid: {e}")))
     }
 
     fn compress_into(
@@ -436,6 +305,15 @@ impl<C: GradientCompressor> GradientCompressor for ShardedCompressor<C> {
             framing::read_any_header_into(&mut buf, &mut scratch.counts, &mut scratch.crcs)
                 .map_err(|e| CompressError::Corrupt(format!("shard frame: {e}")))?;
         let s = scratch.counts.len();
+        // No encoder writes more shards than its own `shards` (the split
+        // clamps), so a frame declaring more is hostile or misrouted: refuse
+        // it before it can grow the receiver's long-lived slot pool.
+        if s > self.shards {
+            return Err(CompressError::Corrupt(format!(
+                "frame declares {s} shards but this engine is configured for {}",
+                self.shards
+            )));
+        }
         scratch.cursor.clear();
         let mut offset = 0usize;
         for &len in &scratch.counts {
@@ -602,8 +480,12 @@ mod tests {
     }
 
     #[test]
-    fn scratch_path_matches_allocating_path_across_threads() {
-        let g = grad(401, 3_000_000);
+    fn warm_scratch_matches_fresh_scratch_across_threads() {
+        // One scratch (and so one slot pool) carried across thread counts,
+        // shard counts that grow and shrink, gradient sizes, inner codecs
+        // and an empty gradient: every frame and every decode must equal
+        // what a fresh scratch produces.
+        let grads = [grad(401, 3_000_000), grad(5, 1_000), grad(64, 100_000)];
         let mut scratch = CompressScratch::new();
         let mut out = BytesMut::new();
         let mut decoded = SparseGradient::empty(0);
@@ -613,32 +495,68 @@ mod tests {
                     .unwrap()
                     .with_threads(threads)
                     .unwrap();
-                let msg = c.compress(&g).unwrap();
-                let report = c.compress_into(&g, &mut scratch, &mut out).unwrap();
-                assert_eq!(
-                    &out[..],
-                    &msg.payload[..],
-                    "threads={threads} shards={shards}"
-                );
-                assert_eq!(report.key_bytes, msg.report.key_bytes);
-                assert_eq!(report.value_bytes, msg.report.value_bytes);
-                assert_eq!(report.header_bytes, msg.report.header_bytes);
-                c.decompress_into(&out, &mut scratch, &mut decoded).unwrap();
-                let reference = c.decompress(&msg.payload).unwrap();
-                assert_eq!(decoded.keys(), reference.keys());
-                assert_eq!(decoded.values(), reference.values());
-                assert_eq!(decoded.dim(), reference.dim());
+                for g in &grads {
+                    let fresh = c.compress(g).unwrap();
+                    let report = c.compress_into(g, &mut scratch, &mut out).unwrap();
+                    assert_eq!(
+                        &out[..],
+                        &fresh.payload[..],
+                        "threads={threads} shards={shards}"
+                    );
+                    assert_eq!(report, fresh.report);
+                    c.decompress_into(&out, &mut scratch, &mut decoded).unwrap();
+                    assert_eq!(decoded, c.decompress(&fresh.payload).unwrap());
+                }
             }
         }
         // Empty gradients keep the single-empty-shard frame.
         let empty = SparseGradient::empty(77);
         let c = ShardedCompressor::new(RawCompressor::default(), 4).unwrap();
-        let msg = c.compress(&empty).unwrap();
+        let fresh = c.compress(&empty).unwrap();
         c.compress_into(&empty, &mut scratch, &mut out).unwrap();
-        assert_eq!(&out[..], &msg.payload[..]);
+        assert_eq!(&out[..], &fresh.payload[..]);
         c.decompress_into(&out, &mut scratch, &mut decoded).unwrap();
         assert!(decoded.is_empty());
         assert_eq!(decoded.dim(), 77);
+    }
+
+    #[test]
+    fn hostile_shard_count_is_refused_before_the_pool_grows() {
+        // varint 65536 + 65,536 zero lengths: a well-formed v1 header over
+        // empty shards. Decoding it used to park 65,536 boxed scratches in
+        // the receiver's pooled scratch for the life of the process.
+        let mut frame = vec![0x80, 0x80, 0x04];
+        frame.resize(3 + 65_536, 0);
+        assert_eq!(frame.len(), 65_539);
+        let c = ShardedCompressor::new(RawCompressor::default(), 4).unwrap();
+        let mut scratch = CompressScratch::new();
+        let mut decoded = SparseGradient::empty(0);
+        let err = c
+            .decompress_into(&frame, &mut scratch, &mut decoded)
+            .unwrap_err();
+        assert!(matches!(err, CompressError::Corrupt(_)), "{err}");
+        assert!(scratch.shards.len() <= 4, "{} slots", scratch.shards.len());
+        assert!(matches!(
+            c.decompress(&frame),
+            Err(CompressError::Corrupt(_))
+        ));
+
+        // The pool stays bounded by the engine's own shard count in normal
+        // use, and the same scratch keeps decoding real frames afterwards.
+        let g = grad(64, 100_000);
+        let msg = c.compress(&g).unwrap();
+        c.decompress_into(&msg.payload, &mut scratch, &mut decoded)
+            .unwrap();
+        assert_eq!(decoded.keys(), g.keys());
+        assert!(scratch.shards.len() <= 4);
+
+        // A frame from an engine with more shards than the receiver is the
+        // same refusal; fewer shards decode fine.
+        let wide = ShardedCompressor::new(RawCompressor::default(), 8).unwrap();
+        let narrow = ShardedCompressor::new(RawCompressor::default(), 2).unwrap();
+        assert!(c.decompress(&wide.compress(&g).unwrap().payload).is_err());
+        let d = c.decompress(&narrow.compress(&g).unwrap().payload).unwrap();
+        assert_eq!(d.keys(), g.keys());
     }
 
     #[test]
@@ -654,8 +572,8 @@ mod tests {
         assert_eq!(d.keys(), g.keys());
         assert_eq!(d.values(), g.values());
 
-        // Scratch paths are byte- and element-identical to the allocating
-        // paths, v2 included.
+        // A caller-owned scratch yields the same bytes and gradient, v2
+        // included.
         let mut scratch = CompressScratch::new();
         let mut out = BytesMut::new();
         let report = v2.compress_into(&g, &mut scratch, &mut out).unwrap();

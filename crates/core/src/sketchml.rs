@@ -22,19 +22,17 @@
 //! MinMaxSketch for the (underestimated) bucket index, and map it to the
 //! bucket mean.
 
-use crate::compressor::{CompressedGradient, GradientCompressor};
+use crate::compressor::GradientCompressor;
 use crate::error::CompressError;
 use crate::gradient::SparseGradient;
-use crate::quantify::{quantize_into, quantize_with, QuantileBackend};
+use crate::quantify::{quantize_into, QuantileBackend};
 use crate::scratch::CompressScratch;
 use bytes::{Buf, BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
 use sketchml_encoding::stats::SizeReport;
 use sketchml_encoding::{bitpack, delta_binary, varint};
 use sketchml_sketches::hash::push_row_seeds;
-use sketchml_sketches::minmax::{
-    group_seed, insert_batch_raw, query_batch_raw, GroupedMinMaxSketch, MinMaxSketch, EMPTY_CELL,
-};
+use sketchml_sketches::minmax::{group_seed, insert_batch_raw, query_batch_raw, EMPTY_CELL};
 use sketchml_telemetry as telemetry;
 
 /// Branchless stable sign partition (§3.3 Solution 1). Gradient signs are
@@ -325,156 +323,13 @@ fn record_encode(pairs: usize, payload_bytes: usize) {
     }
 }
 
-/// One sign's worth of pairs, quantized and normalized.
-struct Side {
-    /// `(key, normalized_index)` in ascending key order.
-    pairs: Vec<(u64, u16)>,
-    /// Bucket means in normalized order (index 0 closest to zero).
-    means: Vec<f64>,
-}
-
 impl SketchMlCompressor {
-    /// Quantizes one side's values and normalizes indexes by magnitude.
-    fn build_side(
-        &self,
-        keys: &[u64],
-        values: &[f64],
-        negative: bool,
-    ) -> Result<Side, CompressError> {
-        let quant = quantize_with(
-            values,
-            self.config.buckets_per_sign,
-            self.config.quantile_sketch_capacity,
-            self.config.bucket_cap_divisor,
-            self.config.quantile_backend,
-        )?;
-        let q = quant.q();
-        let normalize = |idx: u16| if negative { q - 1 - idx } else { idx };
-        let pairs: Vec<(u64, u16)> = keys
-            .iter()
-            .zip(&quant.indexes)
-            .map(|(&k, &b)| (k, normalize(b)))
-            .collect();
-        let means: Vec<f64> = if negative {
-            quant.means.iter().rev().copied().collect()
-        } else {
-            quant.means
-        };
-        Ok(Side { pairs, means })
-    }
-
-    /// Serializes one side into `buf`, returning `(key_bytes, value_bytes)`.
-    fn encode_side(
-        &self,
-        side: Option<&Side>,
-        side_seed: u64,
-        buf: &mut BytesMut,
-    ) -> Result<(usize, usize), CompressError> {
-        let Some(side) = side else {
-            varint::write_u64(buf, 0);
-            return Ok((0, 0));
-        };
-        let n = side.pairs.len();
-        varint::write_u64(buf, n as u64);
-        if n == 0 {
-            return Ok((0, 0));
-        }
-        let q = side.means.len() as u16;
-        let r_eff = self.config.groups.min(q as usize);
-        let total_cols = ((n as f64 * self.config.col_ratio) / r_eff as f64).ceil() as usize;
-        let cols = total_cols.max(self.config.min_cols_per_group);
-
-        let mut sketch = GroupedMinMaxSketch::new(q, r_eff, self.config.rows, cols, side_seed)?;
-        let mut group_keys: Vec<Vec<u64>> = vec![Vec::new(); r_eff];
-        {
-            let _t = telemetry::time(telemetry::Stage::SketchEncode);
-            for &(k, idx) in &side.pairs {
-                let g = sketch.insert(k, idx);
-                group_keys[g].push(k);
-            }
-        }
-        if telemetry::enabled() {
-            for (g, keys) in group_keys.iter().enumerate() {
-                if keys.is_empty() {
-                    continue;
-                }
-                let table = sketch.group(g).expect("group in range");
-                let occupied = table.cells().iter().filter(|&&c| c != EMPTY_CELL).count() as u64;
-                let inserts = (keys.len() * self.config.rows) as u64;
-                telemetry::add(telemetry::Counter::SketchInserts, inserts);
-                telemetry::add(telemetry::Counter::SketchCells, table.cells().len() as u64);
-                telemetry::add(telemetry::Counter::SketchCellsOccupied, occupied);
-                telemetry::add(
-                    telemetry::Counter::SketchCollisions,
-                    inserts.saturating_sub(occupied),
-                );
-            }
-            // Bucket-index error (Appendix A.2's underestimation): re-query
-            // every inserted key against its own group.
-            for &(k, idx) in &side.pairs {
-                let decoded = sketch.query(sketch.group_of(idx), k).unwrap_or(idx);
-                telemetry::observe(
-                    telemetry::Hist::BucketIndexError,
-                    (idx as i64 - decoded as i64).unsigned_abs(),
-                );
-            }
-        }
-
-        let mut value_bytes = 0usize;
-        varint::write_u64(buf, q as u64);
-        match self.config.mean_precision {
-            MeanPrecision::F64 => {
-                buf.put_u8(8);
-                for &m in &side.means {
-                    buf.put_f64_le(m);
-                }
-                value_bytes += 8 * side.means.len();
-            }
-            MeanPrecision::F32 => {
-                buf.put_u8(4);
-                for &m in &side.means {
-                    buf.put_f32_le(m as f32);
-                }
-                value_bytes += 4 * side.means.len();
-            }
-        }
-        varint::write_u64(buf, r_eff as u64);
-        varint::write_u64(buf, cols as u64);
-        let bits = bitpack::bits_for(q.saturating_sub(1));
-        buf.put_u8(bits as u8);
-
-        let mut key_bytes = 0usize;
-        for (g, keys) in group_keys.iter().enumerate() {
-            varint::write_u64(buf, keys.len() as u64);
-            if keys.is_empty() {
-                continue;
-            }
-            {
-                let _t = telemetry::time(telemetry::Stage::KeyEncode);
-                key_bytes += delta_binary::encode_keys(keys, buf)?;
-            }
-            let _t = telemetry::time(telemetry::Stage::SketchEncode);
-            let table = sketch.group(g).expect("group in range");
-            // EMPTY cells are never consulted for keys of this section
-            // (their own insert wrote all their cells), so they can ship
-            // as 0 to stay within `bits`.
-            let cells: Vec<u16> = table
-                .cells()
-                .iter()
-                .map(|&c| if c == EMPTY_CELL { 0 } else { c })
-                .collect();
-            value_bytes += bitpack::pack_u16(&cells, bits, buf)?;
-        }
-        Ok((key_bytes, value_bytes))
-    }
-
-    /// Fused, allocation-free counterpart of [`Self::build_side`] +
-    /// [`Self::encode_side`]: quantizes through the pooled
-    /// [`crate::quantify::QuantScratch`] (bucket-table index lookup instead
-    /// of per-value binary search), normalizes indexes in place, sections
-    /// keys per group with a stable counting sort, min-inserts each section
-    /// into a flat pooled cell table, and streams keys/cells straight into
-    /// `out`. Byte-identical output to the allocating path.
+    /// Serializes one sign's pairs into `out`, returning `(key_bytes,
+    /// value_bytes)`: quantizes through the pooled
+    /// [`crate::quantify::QuantScratch`], normalizes indexes by magnitude in
+    /// place, sections keys per group with a stable counting sort,
+    /// min-inserts each section into a flat pooled cell table, and streams
+    /// keys/cells straight into `out`.
     fn encode_side_into(
         &self,
         keys: &[u64],
@@ -500,7 +355,7 @@ impl SketchMlCompressor {
         let q = scratch.quant.means.len() as u16;
         if negative {
             // Normalize by magnitude: index 0 becomes the bucket closest to
-            // zero, mirroring `build_side`'s `q - 1 - idx`.
+            // zero (the means are written reversed below to match).
             for idx in &mut scratch.quant.indexes {
                 *idx = q - 1 - *idx;
             }
@@ -512,10 +367,10 @@ impl SketchMlCompressor {
         let rows = self.config.rows;
 
         // Stable counting sort of (key, index) pairs into per-group
-        // sections, so each section keeps ascending key order — the same
-        // order `encode_side` accumulates into its per-group Vecs. The
-        // bucket→group map is a q-entry LUT so the two hot passes avoid a
-        // per-element integer division.
+        // sections, so each section keeps ascending key order (what the
+        // delta-binary key codec requires). The bucket→group map is a
+        // q-entry LUT so the two hot passes avoid a per-element integer
+        // division.
         {
             scratch.group_lut.clear();
             for idx in 0..q {
@@ -671,8 +526,8 @@ impl SketchMlCompressor {
         Ok((key_bytes, value_bytes))
     }
 
-    /// Allocation-free counterpart of [`Self::decode_side`], querying keys
-    /// in batch against the pooled cell table.
+    /// Decodes one side's `(key, value)` pairs onto `scratch.pairs`,
+    /// querying each section's keys in batch against its unpacked cell table.
     fn decode_side_into(
         &self,
         buf: &mut &[u8],
@@ -769,212 +624,11 @@ impl SketchMlCompressor {
         }
         Ok(())
     }
-
-    /// Decodes one side into `(key, value)` pairs.
-    fn decode_side(
-        &self,
-        buf: &mut &[u8],
-        side_seed: u64,
-        rows: usize,
-        out: &mut Vec<(u64, f64)>,
-    ) -> Result<(), CompressError> {
-        let n = varint::read_u64(buf)? as usize;
-        if n == 0 {
-            return Ok(());
-        }
-        let q = varint::read_u64(buf)? as usize;
-        if q == 0 || q >= EMPTY_CELL as usize {
-            return Err(CompressError::Corrupt(format!(
-                "bucket count {q} out of range"
-            )));
-        }
-        if !buf.has_remaining() {
-            return Err(CompressError::Corrupt("missing mean precision".into()));
-        }
-        let mean_width = buf.get_u8() as usize;
-        if mean_width != 4 && mean_width != 8 {
-            return Err(CompressError::Corrupt(format!(
-                "bad mean precision {mean_width}"
-            )));
-        }
-        if buf.remaining() < q * mean_width {
-            return Err(CompressError::Corrupt("truncated bucket means".into()));
-        }
-        let means: Vec<f64> = (0..q)
-            .map(|_| {
-                if mean_width == 8 {
-                    buf.get_f64_le()
-                } else {
-                    buf.get_f32_le() as f64
-                }
-            })
-            .collect();
-        let r_eff = varint::read_u64(buf)? as usize;
-        let cols = varint::read_u64(buf)? as usize;
-        if r_eff == 0 || cols == 0 {
-            return Err(CompressError::Corrupt("zero sketch shape".into()));
-        }
-        if !buf.has_remaining() {
-            return Err(CompressError::Corrupt("missing bit width".into()));
-        }
-        let bits = buf.get_u8() as u32;
-        if bits == 0 || bits > 16 {
-            return Err(CompressError::Corrupt(format!("bad bit width {bits}")));
-        }
-
-        let mut decoded = 0usize;
-        for g in 0..r_eff {
-            let n_g = varint::read_u64(buf)? as usize;
-            if n_g == 0 {
-                continue;
-            }
-            let keys = delta_binary::decode_keys(buf)?;
-            if keys.len() != n_g {
-                return Err(CompressError::Corrupt(format!(
-                    "group {g}: declared {n_g} keys, decoded {}",
-                    keys.len()
-                )));
-            }
-            let cells_len = rows.checked_mul(cols).ok_or_else(|| {
-                CompressError::Corrupt(format!("sketch shape {rows}x{cols} overflows"))
-            })?;
-            let cells = bitpack::unpack_u16(buf, cells_len, bits)?;
-            let table = MinMaxSketch::from_cells(rows, cols, group_seed(side_seed, g), cells)?;
-            for k in keys {
-                let idx = table.query(k).ok_or_else(|| {
-                    CompressError::Corrupt("sketch cell empty for a section key".into())
-                })?;
-                let v = *means.get(idx as usize).ok_or_else(|| {
-                    CompressError::Corrupt(format!("index {idx} out of {q} buckets"))
-                })?;
-                out.push((k, v));
-                decoded += 1;
-            }
-        }
-        if decoded != n {
-            return Err(CompressError::Corrupt(format!(
-                "side declared {n} pairs, decoded {decoded}"
-            )));
-        }
-        Ok(())
-    }
 }
 
 impl GradientCompressor for SketchMlCompressor {
     fn name(&self) -> &'static str {
         "SketchML"
-    }
-
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
-        self.config.validate()?;
-        let mut buf = BytesMut::new();
-        buf.put_u8(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u64_le(self.config.seed);
-        varint::write_u64(&mut buf, grad.dim());
-        varint::write_u64(&mut buf, grad.nnz() as u64);
-        varint::write_u64(&mut buf, self.config.rows as u64);
-
-        let mut report = SizeReport {
-            pairs: grad.nnz(),
-            ..SizeReport::default()
-        };
-        if grad.is_empty() {
-            varint::write_u64(&mut buf, 0); // pos side
-            varint::write_u64(&mut buf, 0); // neg side
-            report.header_bytes = buf.len();
-            record_encode(0, buf.len());
-            return Ok(CompressedGradient {
-                payload: buf.freeze(),
-                report,
-            });
-        }
-
-        // §3.3 Solution 1: independent quantile sketches per sign.
-        let mut pos_keys = Vec::new();
-        let mut pos_vals = Vec::new();
-        let mut neg_keys = Vec::new();
-        let mut neg_vals = Vec::new();
-        for (k, v) in grad.iter() {
-            if v < 0.0 {
-                neg_keys.push(k);
-                neg_vals.push(v);
-            } else {
-                pos_keys.push(k);
-                pos_vals.push(v);
-            }
-        }
-        let pos = if pos_keys.is_empty() {
-            None
-        } else {
-            Some(self.build_side(&pos_keys, &pos_vals, false)?)
-        };
-        let neg = if neg_keys.is_empty() {
-            None
-        } else {
-            Some(self.build_side(&neg_keys, &neg_vals, true)?)
-        };
-
-        let (kb_pos, vb_pos) = self.encode_side(pos.as_ref(), self.config.seed, &mut buf)?;
-        let (kb_neg, vb_neg) =
-            self.encode_side(neg.as_ref(), self.config.seed ^ NEG_SALT, &mut buf)?;
-
-        report.key_bytes = kb_pos + kb_neg;
-        report.value_bytes = vb_pos + vb_neg;
-        report.header_bytes = buf.len() - report.key_bytes - report.value_bytes;
-        record_encode(grad.nnz(), buf.len());
-        Ok(CompressedGradient {
-            payload: buf.freeze(),
-            report,
-        })
-    }
-
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
-        let _t = telemetry::time(telemetry::Stage::Decode);
-        telemetry::inc(telemetry::Counter::PipelineDecodes);
-        let mut buf = payload;
-        if buf.remaining() < 10 {
-            return Err(CompressError::Corrupt("message shorter than header".into()));
-        }
-        if buf.get_u8() != MAGIC {
-            return Err(CompressError::Corrupt("bad SketchML magic".into()));
-        }
-        if buf.get_u8() != VERSION {
-            return Err(CompressError::Corrupt(
-                "unsupported SketchML version".into(),
-            ));
-        }
-        let seed = buf.get_u64_le();
-        let dim = varint::read_u64(&mut buf)?;
-        let nnz = varint::read_u64(&mut buf)? as usize;
-        let rows = varint::read_u64(&mut buf)? as usize;
-        if rows == 0 || rows > 64 {
-            return Err(CompressError::Corrupt(format!(
-                "row count {rows} out of range"
-            )));
-        }
-
-        // Allocation-bomb guard: delta-binary keys cost ≥ 1 byte per pair, so
-        // a declared nnz beyond the whole payload cannot decode.
-        if nnz > payload.len() {
-            return Err(CompressError::Corrupt(format!(
-                "declared {nnz} pairs exceeds the {}-byte payload",
-                payload.len()
-            )));
-        }
-        let mut pairs: Vec<(u64, f64)> = Vec::with_capacity(nnz);
-        self.decode_side(&mut buf, seed, rows, &mut pairs)?;
-        self.decode_side(&mut buf, seed ^ NEG_SALT, rows, &mut pairs)?;
-        if pairs.len() != nnz {
-            return Err(CompressError::Corrupt(format!(
-                "declared {nnz} pairs, decoded {}",
-                pairs.len()
-            )));
-        }
-        pairs.sort_unstable_by_key(|&(k, _)| k);
-        let keys: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
-        let values: Vec<f64> = pairs.iter().map(|&(_, v)| v).collect();
-        SparseGradient::new(dim, keys, values)
     }
 
     fn compress_into(
@@ -1075,6 +729,14 @@ impl GradientCompressor for SketchMlCompressor {
             )));
         }
 
+        // Early refusal: delta-binary keys cost ≥ 1 byte per pair, so a
+        // declared nnz beyond the whole payload cannot decode.
+        if nnz > payload.len() {
+            return Err(CompressError::Corrupt(format!(
+                "declared {nnz} pairs exceeds the {}-byte payload",
+                payload.len()
+            )));
+        }
         scratch.pairs.clear();
         self.decode_side_into(&mut buf, seed, rows, scratch)?;
         self.decode_side_into(&mut buf, seed ^ NEG_SALT, rows, scratch)?;

@@ -12,7 +12,7 @@
 //! Keys are shipped as raw 4-byte integers — §4.3.1: "ZipML is unable to
 //! compress the gradient keys."
 
-use crate::compressor::{CompressedGradient, GradientCompressor};
+use crate::compressor::GradientCompressor;
 use crate::error::CompressError;
 use crate::gradient::SparseGradient;
 use crate::scratch::CompressScratch;
@@ -82,13 +82,22 @@ impl ZipMlCompressor {
     fn levels(&self) -> u32 {
         (1u32 << self.bits) - 1
     }
+}
 
-    /// Shared encoder behind `compress` and `compress_into`: both paths
-    /// write through here, so their bytes agree by construction. Writes into
-    /// `out` (cleared first) without allocating.
-    fn encode_into(
+const MAGIC: u8 = 0x21;
+
+impl GradientCompressor for ZipMlCompressor {
+    fn name(&self) -> &'static str {
+        match self.bits {
+            8 => "ZipML-8bit",
+            _ => "ZipML",
+        }
+    }
+
+    fn compress_into(
         &self,
         grad: &SparseGradient,
+        _scratch: &mut CompressScratch,
         out: &mut BytesMut,
     ) -> Result<SizeReport, CompressError> {
         out.clear();
@@ -121,7 +130,7 @@ impl ZipMlCompressor {
         out.put_f64_le(max);
         let span = (max - min).max(f64::MIN_POSITIVE);
         let levels = self.levels() as f64;
-        // The seed counter advances exactly as before, but the rng is only
+        // The seed counter advances on every message, but the rng is only
         // materialized when stochastic rounding actually draws from it.
         let rng_seed = self.seed.fetch_add(1, Ordering::Relaxed);
         let mut rng = match self.rounding {
@@ -151,78 +160,6 @@ impl ZipMlCompressor {
         report.value_bytes = 16 + grad.nnz() * (self.bits as usize / 8);
         report.header_bytes = header;
         Ok(report)
-    }
-}
-
-const MAGIC: u8 = 0x21;
-
-impl GradientCompressor for ZipMlCompressor {
-    fn name(&self) -> &'static str {
-        match self.bits {
-            8 => "ZipML-8bit",
-            _ => "ZipML",
-        }
-    }
-
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
-        let mut buf = BytesMut::new();
-        let report = self.encode_into(grad, &mut buf)?;
-        Ok(CompressedGradient {
-            payload: buf.freeze(),
-            report,
-        })
-    }
-
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
-        let mut buf = payload;
-        if buf.remaining() < 2 || buf.get_u8() != MAGIC {
-            return Err(CompressError::Corrupt("bad ZipML magic".into()));
-        }
-        let bits = buf.get_u8();
-        if bits != 8 && bits != 16 {
-            return Err(CompressError::Corrupt(format!("bad ZipML width {bits}")));
-        }
-        let dim = varint::read_u64(&mut buf)?;
-        let nnz = varint::read_u64(&mut buf)? as usize;
-        if nnz == 0 {
-            return Ok(SparseGradient::empty(dim));
-        }
-        // Checked arithmetic: a wire-controlled nnz must not wrap past the
-        // remaining-bytes test.
-        let need = nnz
-            .checked_mul(4 + bits as usize / 8)
-            .and_then(|b| b.checked_add(16))
-            .ok_or_else(|| CompressError::Corrupt(format!("ZipML nnz {nnz} overflows")))?;
-        if buf.remaining() < need {
-            return Err(CompressError::Corrupt("truncated ZipML body".into()));
-        }
-        let keys: Vec<u64> = (0..nnz).map(|_| buf.get_u32_le() as u64).collect();
-        let min = buf.get_f64_le();
-        let max = buf.get_f64_le();
-        if !min.is_finite() || !max.is_finite() || min > max {
-            return Err(CompressError::Corrupt("bad ZipML value range".into()));
-        }
-        let span = (max - min).max(f64::MIN_POSITIVE);
-        let levels = ((1u32 << bits) - 1) as f64;
-        let values: Vec<f64> = (0..nnz)
-            .map(|_| {
-                let level = match bits {
-                    8 => buf.get_u8() as f64,
-                    _ => buf.get_u16_le() as f64,
-                };
-                min + level / levels * span
-            })
-            .collect();
-        SparseGradient::new(dim, keys, values)
-    }
-
-    fn compress_into(
-        &self,
-        grad: &SparseGradient,
-        _scratch: &mut CompressScratch,
-        out: &mut BytesMut,
-    ) -> Result<SizeReport, CompressError> {
-        self.encode_into(grad, out)
     }
 
     fn decompress_into(

@@ -6,9 +6,9 @@ use bytes::BytesMut;
 use proptest::collection::btree_map;
 use proptest::prelude::*;
 use sketchml_core::{
-    roundtrip_error, CompressScratch, GradientCompressor, KeyCompressor, QuantCompressor,
-    RawCompressor, ShardedCompressor, SketchMlCompressor, SketchMlConfig, SparseGradient,
-    TruncationCompressor, ZipMlCompressor,
+    roundtrip_error, CompressScratch, FastSgdCompressor, GradientCompressor, KeyCompressor,
+    QuantCompressor, RawCompressor, ShardedCompressor, SketchMlCompressor, SketchMlConfig,
+    SparseGradient, TruncationCompressor, ZipMlCompressor,
 };
 
 /// Arbitrary sparse gradients: up to 300 pairs over a 100k-dim model with
@@ -181,13 +181,16 @@ proptest! {
         prop_assert_eq!(stats.pairs_out, grad.nnz());
     }
 
-    /// The scratch fast path is byte-identical to the allocating path for
-    /// every compressor that overrides it, with one scratch and one output
-    /// buffer reused across compressors (so stale state from a previous
-    /// encode can never leak into the next payload).
+    /// A scratch carries capacity, never meaning: one scratch, output buffer
+    /// and output gradient carried across every compressor in turn (so
+    /// whatever the previous codec left in the pooled buffers is what the
+    /// next one starts from) yield exactly the bytes, the report and the
+    /// decoded gradient that a fresh scratch (`compress` / `decompress`)
+    /// yields.
     #[test]
     fn compress_into_matches_compress_bytes(
         grad in arb_gradient(),
+        prior in arb_gradient(),
         seed in any::<u64>(),
         shards in 1usize..6,
         threads in 1usize..4,
@@ -203,20 +206,34 @@ proptest! {
                     .with_threads(threads)
                     .unwrap(),
             ),
+            Box::new(KeyCompressor),
+            Box::new(FastSgdCompressor::default()),
+            Box::new(RawCompressor::default()),
+            Box::new(TruncationCompressor::default()),
+            Box::new(SketchMlCompressor::new(cfg).unwrap()),
         ];
         let mut scratch = CompressScratch::new();
         let mut out = BytesMut::new();
-        for c in &compressors {
-            let msg = c.compress(&grad).unwrap();
+        let mut decoded = SparseGradient::empty(0);
+        for (i, c) in compressors.iter().enumerate() {
+            // Warm the pool on a gradient of another size first, through the
+            // previous compressor, so both encode and decode state is stale.
+            let warm = &compressors[i.saturating_sub(1)];
+            warm.compress_into(&prior, &mut scratch, &mut out).unwrap();
+            warm.decompress_into(&out, &mut scratch, &mut decoded).unwrap();
+
+            let fresh = c.compress(&grad).unwrap();
             let report = c.compress_into(&grad, &mut scratch, &mut out).unwrap();
-            prop_assert_eq!(&out[..], &msg.payload[..], "{} bytes differ", c.name());
-            prop_assert_eq!(report, msg.report, "{} report differs", c.name());
+            prop_assert_eq!(&out[..], &fresh.payload[..], "{} bytes differ", c.name());
+            prop_assert_eq!(report, fresh.report, "{} report differs", c.name());
+            c.decompress_into(&out, &mut scratch, &mut decoded).unwrap();
+            let reference = c.decompress(&fresh.payload).unwrap();
+            prop_assert_eq!(&decoded, &reference, "{} warm decode differs", c.name());
         }
     }
 
-    /// `decompress_into` with pooled scratch round-trips exactly like the
-    /// allocating decode: keys lossless, zero sign flips, and the pooled
-    /// output gradient matches `decompress` even when reused across calls.
+    /// `decompress_into` with pooled scratch round-trips: keys lossless and
+    /// zero sign flips, with the output gradient reused across calls.
     #[test]
     fn decompress_into_roundtrips_without_sign_flips(
         grad in arb_gradient(),
@@ -235,8 +252,6 @@ proptest! {
         for c in &compressors {
             c.compress_into(&grad, &mut scratch, &mut wire).unwrap();
             c.decompress_into(&wire, &mut scratch, &mut decoded).unwrap();
-            let reference = c.decompress(&wire).unwrap();
-            prop_assert_eq!(&decoded, &reference, "{} scratch decode differs", c.name());
             prop_assert_eq!(decoded.keys(), grad.keys(), "{} keys not lossless", c.name());
             // §3.3 Solution 1 is a SketchML guarantee; ZipML's nearest-level
             // rounding may legitimately cross zero.

@@ -6,8 +6,9 @@ use bytes::BytesMut;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use sketchml_core::{
-    roundtrip_error, CompressScratch, GradientCompressor, MeanPrecision, QuantileBackend,
-    SketchMlCompressor, SketchMlConfig, SparseGradient,
+    roundtrip_error, CompressScratch, CountSketchCompressor, CountSketchConfig, FastSgdCompressor,
+    GradientCompressor, KeyCompressor, MeanPrecision, QuantCompressor, QuantileBackend,
+    ShardedCompressor, SketchMlCompressor, SketchMlConfig, SparseGradient,
 };
 
 /// A gradient shaped like Figure 4: sparse keys over a large model, values
@@ -321,9 +322,11 @@ fn all_quantile_backends_keep_the_contract() {
 
 #[test]
 fn scratch_path_is_byte_identical_across_reuse() {
-    // The fused `compress_into` / `decompress_into` hot path must produce
-    // the exact bytes and gradient of the allocating path — including when
-    // one scratch is reused across gradients, configs, and backends.
+    // A scratch carries capacity, never meaning: one warm scratch, output
+    // buffer and output gradient carried across gradients, configs and
+    // backends — with a *different* compressor run through the same three
+    // between every two SketchML calls — must yield exactly the bytes and
+    // the gradient a fresh scratch (`compress` / `decompress`) yields.
     let mut scratch = CompressScratch::new();
     let mut out = BytesMut::new();
     let mut decoded = SparseGradient::empty(0);
@@ -352,21 +355,33 @@ fn scratch_path_is_byte_identical_across_reuse() {
         SparseGradient::new(100, vec![0, 7, 9], vec![0.5, 0.25, 0.125]).unwrap(),
         SparseGradient::new(100, vec![3, 5], vec![-0.5, -0.25]).unwrap(),
     ];
+    let others: Vec<Box<dyn GradientCompressor>> = vec![
+        Box::new(QuantCompressor::default()),
+        Box::new(ShardedCompressor::new(SketchMlCompressor::default(), 3).unwrap()),
+        Box::new(FastSgdCompressor::default()),
+        Box::new(CountSketchCompressor::new(CountSketchConfig::default()).unwrap()),
+        Box::new(KeyCompressor),
+    ];
+    let other_grad = paperlike_gradient(500, 30_000, 23);
+    let mut step = 0usize;
     for cfg in configs {
         let c = SketchMlCompressor::new(cfg).unwrap();
         for grad in &grads {
-            let msg = c.compress(grad).unwrap();
+            let other = &others[step % others.len()];
+            step += 1;
+            other
+                .compress_into(&other_grad, &mut scratch, &mut out)
+                .unwrap();
+            other
+                .decompress_into(&out, &mut scratch, &mut decoded)
+                .unwrap();
+
+            let fresh = c.compress(grad).unwrap();
             let report = c.compress_into(grad, &mut scratch, &mut out).unwrap();
-            assert_eq!(&out[..], &msg.payload[..], "scratch payload differs");
-            assert_eq!(report.key_bytes, msg.report.key_bytes);
-            assert_eq!(report.value_bytes, msg.report.value_bytes);
-            assert_eq!(report.header_bytes, msg.report.header_bytes);
-            assert_eq!(report.pairs, msg.report.pairs);
+            assert_eq!(&out[..], &fresh.payload[..], "warm payload differs");
+            assert_eq!(report, fresh.report);
             c.decompress_into(&out, &mut scratch, &mut decoded).unwrap();
-            let reference = c.decompress(&msg.payload).unwrap();
-            assert_eq!(decoded.dim(), reference.dim());
-            assert_eq!(decoded.keys(), reference.keys());
-            assert_eq!(decoded.values(), reference.values());
+            assert_eq!(decoded, c.decompress(&fresh.payload).unwrap());
         }
     }
 }

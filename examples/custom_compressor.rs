@@ -2,17 +2,20 @@
 //!
 //! The trait is the library's extension point — anything that can turn a
 //! `SparseGradient` into self-describing bytes plugs into the trainer, the
-//! parameter-server topology, SSP, and error feedback. This example builds
+//! parameter-server topology, SSP, and error feedback. An implementor writes
+//! `name`, `compress_into` and `decompress_into`; the owning `compress` /
+//! `decompress` conveniences are provided on top. This example builds
 //! a hybrid: keep the top `K%` of pairs by magnitude (they carry most of
 //! the L2 mass) and run *only those* through SketchML — smaller messages
 //! than either technique alone, at a quality cost error feedback can repay.
 //!
 //! Run with: `cargo run --release --example custom_compressor`
 
-use sketchml::core::roundtrip_error;
+use bytes::BytesMut;
+use sketchml::core::{roundtrip_error, CompressScratch};
+use sketchml::encoding::stats::SizeReport;
 use sketchml::{
-    CompressError, CompressedGradient, ErrorFeedback, GradientCompressor, SketchMlCompressor,
-    SparseGradient,
+    CompressError, ErrorFeedback, GradientCompressor, SketchMlCompressor, SparseGradient,
 };
 
 /// Top-K selection followed by SketchML compression of the survivors.
@@ -35,7 +38,14 @@ impl GradientCompressor for TopKSketchMl {
         "TopK+SketchML"
     }
 
-    fn compress(&self, grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
+    // The two required methods; `compress` / `decompress` come for free as
+    // wrappers that run these on a fresh scratch.
+    fn compress_into(
+        &self,
+        grad: &SparseGradient,
+        scratch: &mut CompressScratch,
+        out: &mut BytesMut,
+    ) -> Result<SizeReport, CompressError> {
         let keep = ((grad.nnz() as f64 * self.keep_ratio).ceil() as usize).max(1);
         let mut mags: Vec<f64> = grad.values().iter().map(|v| v.abs()).collect();
         mags.sort_by(f64::total_cmp);
@@ -49,11 +59,17 @@ impl GradientCompressor for TopKSketchMl {
             }
         }
         let survivors = SparseGradient::new(grad.dim(), keys, values)?;
-        self.inner.compress(&survivors)
+        // The inner codec's scratch is the caller's: pass it straight down.
+        self.inner.compress_into(&survivors, scratch, out)
     }
 
-    fn decompress(&self, payload: &[u8]) -> Result<SparseGradient, CompressError> {
-        self.inner.decompress(payload)
+    fn decompress_into(
+        &self,
+        payload: &[u8],
+        scratch: &mut CompressScratch,
+        out: &mut SparseGradient,
+    ) -> Result<(), CompressError> {
+        self.inner.decompress_into(payload, scratch, out)
     }
 }
 

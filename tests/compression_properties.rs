@@ -473,8 +473,9 @@ proptest! {
     /// Error feedback over the sharded engine is thread-count invariant:
     /// `ErrorFeedback<Sharded(sketchml @ 4 shards, 4 threads)>` must produce
     /// the same payload bytes *and* the same residual map, round after
-    /// round, as the serial (1-thread) wrapper — and the zero-alloc scratch
-    /// path must agree with the allocating path while doing it.
+    /// round, as the serial (1-thread) wrapper — the serial side on a fresh
+    /// scratch every round, the threaded side on one scratch kept across
+    /// rounds.
     #[test]
     fn error_feedback_over_sharded_is_thread_invariant(
         grad in arb_gradient(),

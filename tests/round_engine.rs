@@ -14,18 +14,21 @@
 //! Every test holds a [`TelemetrySession`]: the registry is process-global,
 //! so a test that reads counters must not overlap one that trains.
 
+use bytes::BytesMut;
 use serde::{Serialize, Value};
 use sketchml::cluster::{MlpTrainReport, MlpTrainSpec};
+use sketchml::core::CompressScratch;
 use sketchml::data::Task;
+use sketchml::encoding::stats::SizeReport;
 use sketchml::ml::MlpConfig;
 use sketchml::telemetry::TelemetrySession;
 use sketchml::{
     train_allreduce, train_allreduce_with_policy, train_distributed, train_glm,
     train_mlp_distributed, train_mlp_with_plan, train_parameter_server, train_ssp,
-    train_ssp_with_plan, AdaptiveSsp, Aggregation, ClusterConfig, CompressError,
-    CompressedGradient, ElasticConfig, FaultPlan, FaultTrace, GlmLoss, GlmTask, GradientCompressor,
-    Instance, MergePolicy, MergeableCompressor, MnistLikeSpec, RawCompressor, SketchMlCompressor,
-    SparseDatasetSpec, SparseGradient, SspConfig, Topology, TrainOutcome, TrainReport, TrainSpec,
+    train_ssp_with_plan, AdaptiveSsp, Aggregation, ClusterConfig, CompressError, ElasticConfig,
+    FaultPlan, FaultTrace, GlmLoss, GlmTask, GradientCompressor, Instance, MergePolicy,
+    MergeableCompressor, MnistLikeSpec, RawCompressor, SketchMlCompressor, SparseDatasetSpec,
+    SparseGradient, SspConfig, Topology, TrainOutcome, TrainReport, TrainSpec,
 };
 
 fn dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
@@ -578,11 +581,21 @@ impl GradientCompressor for Panicky {
         "Panicky"
     }
 
-    fn compress(&self, _grad: &SparseGradient) -> Result<CompressedGradient, CompressError> {
+    fn compress_into(
+        &self,
+        _grad: &SparseGradient,
+        _scratch: &mut CompressScratch,
+        _out: &mut BytesMut,
+    ) -> Result<SizeReport, CompressError> {
         panic!("user compressor bug")
     }
 
-    fn decompress(&self, _payload: &[u8]) -> Result<SparseGradient, CompressError> {
+    fn decompress_into(
+        &self,
+        _payload: &[u8],
+        _scratch: &mut CompressScratch,
+        _out: &mut SparseGradient,
+    ) -> Result<(), CompressError> {
         panic!("user compressor bug")
     }
 }

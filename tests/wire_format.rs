@@ -19,8 +19,8 @@ use sketchml::{
 };
 use sketchml_core::{
     CompressError, CompressScratch, CountSketchCompressor, CountSketchConfig, ErrorFeedback,
-    FrameVersion, GradientCompressor, ShardedCompressor, SketchMlCompressor, SparseGradient,
-    ZipMlCompressor,
+    FastSgdCompressor, FrameVersion, GradientCompressor, QuantCompressor, ShardedCompressor,
+    SketchMlCompressor, SparseGradient, ZipMlCompressor,
 };
 use sketchml_encoding::{decode_keys, encode_keys};
 use std::path::PathBuf;
@@ -96,7 +96,41 @@ fn canonical_gradient_for(seed: u64) -> SparseGradient {
     SparseGradient::new(DIM, keys, values).expect("canonical gradient is valid")
 }
 
-/// Encode → compare against golden bytes → decode golden bytes.
+/// A scratch that has already served other codecs, sizes and shapes: a
+/// wider sharded frame, the quantile/Count-Sketch/FastSGD pipelines, an
+/// empty gradient and a negatives-only one. A scratch carries capacity,
+/// never meaning, so the golden bytes must come out of this one exactly as
+/// they come out of a fresh one.
+fn used_scratch() -> CompressScratch {
+    let mut scratch = CompressScratch::new();
+    let mut out = BytesMut::new();
+    let mut decoded = SparseGradient::empty(0);
+    let other = canonical_gradient_for(SEED ^ 0xD1_27);
+    let negatives = SparseGradient::new(DIM, vec![1, 2, 900], vec![-0.5, -0.25, -2.0])
+        .expect("valid negatives-only gradient");
+    let empty = SparseGradient::empty(DIM);
+    let codecs: Vec<Box<dyn GradientCompressor>> = vec![
+        Box::new(ShardedCompressor::new(SketchMlCompressor::default(), 7).expect("7 shards")),
+        Box::new(QuantCompressor::default()),
+        Box::new(CountSketchCompressor::new(CountSketchConfig::default()).expect("default")),
+        Box::new(FastSgdCompressor::default()),
+        Box::new(SketchMlCompressor::default()),
+    ];
+    for codec in &codecs {
+        for grad in [&other, &empty, &negatives] {
+            codec
+                .compress_into(grad, &mut scratch, &mut out)
+                .expect("warm-up encode");
+            codec
+                .decompress_into(&out, &mut scratch, &mut decoded)
+                .expect("warm-up decode");
+        }
+    }
+    scratch
+}
+
+/// Encode → compare against golden bytes → decode golden bytes, once on a
+/// fresh scratch (`compress` / `decompress`) and once on a used one.
 fn assert_golden(name: &str, compressor: &dyn GradientCompressor) {
     let grad = canonical_gradient();
     let encoded = compressor.compress(&grad).expect("compress").payload;
@@ -106,8 +140,7 @@ fn assert_golden(name: &str, compressor: &dyn GradientCompressor) {
         to_hex(&encoded),
         "{name}: re-encoding the canonical gradient changed the wire format"
     );
-    // The zero-alloc scratch path must hit the same golden bytes.
-    let mut scratch = CompressScratch::new();
+    let mut scratch = used_scratch();
     let mut out = BytesMut::new();
     compressor
         .compress_into(&grad, &mut scratch, &mut out)
@@ -115,27 +148,23 @@ fn assert_golden(name: &str, compressor: &dyn GradientCompressor) {
     assert_eq!(
         to_hex(&golden),
         to_hex(&out),
-        "{name}: the scratch path diverged from the golden wire format"
+        "{name}: a used scratch leaked state into the wire bytes"
     );
-    // The stored bytes must still decode, and exactly like a fresh encode.
+    // The stored bytes must still decode.
     let from_golden = compressor.decompress(&golden).expect("decode fixture");
-    let from_fresh = compressor.decompress(&encoded).expect("decode fresh");
     assert_eq!(from_golden.dim(), grad.dim());
-    assert_eq!(from_golden.keys(), from_fresh.keys());
-    assert_eq!(from_golden.values(), from_fresh.values());
     assert_eq!(
         from_golden.keys(),
         grad.keys(),
         "{name}: key compression is lossless, keys must survive exactly"
     );
-    // And the scratch decode must agree with the allocating decode.
     let mut pooled = SparseGradient::empty(0);
     compressor
         .decompress_into(&golden, &mut scratch, &mut pooled)
         .expect("decompress_into fixture");
     assert_eq!(
         &pooled, &from_golden,
-        "{name}: scratch decode disagrees with allocating decode"
+        "{name}: a used scratch leaked state into the decoded gradient"
     );
 }
 
@@ -200,6 +229,233 @@ fn v2_fixture_rejects_corruption_and_stays_v1_compatible() {
     }
 }
 
+/// Every structural guard of the decoders — including the ones that used
+/// to live only in the deleted allocating decoders, such as SketchML's
+/// declared-pairs-beyond-payload refusal — fires through the provided
+/// `decompress` and through `decompress_into` on a used scratch. Each
+/// payload is valid up to the field under test.
+#[test]
+fn every_decoder_guard_fires_through_decompress() {
+    use sketchml::encoding::framing::{write_header, write_header_v2};
+    use sketchml::encoding::{bitpack::pack_u16, crc32::crc32, varint::write_u64};
+    use sketchml::{KeyCompressor, RawCompressor, TruncationCompressor};
+
+    fn cat(parts: &[&[u8]]) -> Vec<u8> {
+        parts.concat()
+    }
+    fn v(value: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_u64(&mut out, value);
+        out
+    }
+    fn cells(values: &[u16], bits: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        pack_u16(values, bits, &mut out).expect("valid cells");
+        out
+    }
+    // SketchML header: magic, version, seed, dim = 1000, nnz, rows.
+    fn skm(nnz: u64, rows: u64) -> Vec<u8> {
+        cat(&[&[0xA7, 1], &[0; 8], &v(1000), &v(nnz), &v(rows)])
+    }
+    // One side up to and including the bit width: n pairs, q f64 means
+    // (all 0.0), r groups of `cols` columns.
+    fn side(n: u64, q: u64, r: u64, cols: u64, bits: u8) -> Vec<u8> {
+        let means = vec![0u8; 8 * q as usize];
+        cat(&[&v(n), &v(q), &[8], &means, &v(r), &v(cols), &[bits]])
+    }
+    let mut key7 = Vec::new();
+    encode_keys(&[7], &mut key7).expect("valid key");
+    // A key section holding the single key 7, preceded by its count.
+    let g = cat(&[&v(1), &key7]);
+    let h = skm(1, 2);
+    let mean = 0.5f64.to_le_bytes();
+    let (one, zero, nan) = (
+        1f64.to_le_bytes(),
+        0f64.to_le_bytes(),
+        f64::NAN.to_le_bytes(),
+    );
+
+    let raw = RawCompressor::default();
+    let raw_of = |dim: u64, key: u64| {
+        let grad = SparseGradient::new(dim, vec![key], vec![1.0]).expect("valid");
+        raw.compress(&grad).expect("raw").payload.to_vec()
+    };
+    let frame = |shards: &[Vec<u8>]| {
+        let lens: Vec<usize> = shards.iter().map(Vec::len).collect();
+        let mut out = Vec::new();
+        write_header(&mut out, &lens);
+        cat(&[&out, &shards.concat()])
+    };
+    let shard = raw_of(10, 3);
+    let mut bad_crc = Vec::new();
+    write_header_v2(&mut bad_crc, &[shard.len()], &[crc32(&shard) ^ 1]);
+    bad_crc.extend_from_slice(&shard);
+
+    let mut scratch = used_scratch();
+    let mut pooled = SparseGradient::empty(0);
+    let mut check = |codec: &dyn GradientCompressor, cases: &[(&str, Vec<u8>)]| {
+        for (needle, payload) in cases {
+            let fired = |r: &Result<(), CompressError>| match r {
+                Err(CompressError::Corrupt(msg)) => msg.contains(needle),
+                _ => false,
+            };
+            let fresh = codec.decompress(payload).map(drop);
+            assert!(
+                fired(&fresh),
+                "{}: {needle}: decompress gave {fresh:?}",
+                codec.name()
+            );
+            let used = codec.decompress_into(payload, &mut scratch, &mut pooled);
+            assert!(
+                fired(&used),
+                "{}: {needle}: decompress_into gave {used:?}",
+                codec.name()
+            );
+        }
+    };
+
+    check(
+        &SketchMlCompressor::default(),
+        &[
+            ("shorter than header", vec![0xA7, 1, 0]),
+            ("bad SketchML magic", cat(&[&[0x00], &h[1..]])),
+            ("unsupported SketchML version", cat(&[&[0xA7, 9], &h[2..]])),
+            ("row count 0 out of range", skm(1, 0)),
+            ("row count 65 out of range", skm(1, 65)),
+            ("exceeds the", skm(1_000_000, 2)),
+            ("bucket count 0 out of range", cat(&[&h, &v(1), &v(0)])),
+            (
+                "bucket count 65535 out of range",
+                cat(&[&h, &v(1), &v(65_535)]),
+            ),
+            ("missing mean precision", cat(&[&h, &v(1), &v(1)])),
+            ("bad mean precision 5", cat(&[&h, &v(1), &v(1), &[5]])),
+            (
+                "truncated bucket means",
+                cat(&[&h, &v(1), &v(2), &[8], &mean]),
+            ),
+            ("zero sketch shape", cat(&[&h, &side(1, 1, 0, 1, 8)])),
+            ("zero sketch shape", cat(&[&h, &side(1, 1, 1, 0, 8)])),
+            ("missing bit width", cat(&[&h, &side(1, 1, 1, 1, 8)[..13]])),
+            ("bad bit width 0", cat(&[&h, &side(1, 1, 1, 1, 0)])),
+            ("bad bit width 17", cat(&[&h, &side(1, 1, 1, 1, 17)])),
+            (
+                "group 0: declared 2 keys, decoded 1",
+                cat(&[&h, &side(1, 1, 1, 1, 8), &v(2), &key7]),
+            ),
+            (
+                "overflows",
+                cat(&[&skm(1, 4), &side(1, 1, 1, 1 << 62, 8), &g]),
+            ),
+            (
+                "sketch cell empty",
+                cat(&[&h, &side(1, 1, 1, 1, 16), &g, &cells(&[u16::MAX; 2], 16)]),
+            ),
+            (
+                "index 5 out of 1 buckets",
+                cat(&[&h, &side(1, 1, 1, 1, 8), &g, &cells(&[5; 2], 8)]),
+            ),
+            (
+                "side declared 2 pairs, decoded 1",
+                cat(&[&skm(2, 2), &side(2, 1, 1, 1, 8), &g, &cells(&[0; 2], 8)]),
+            ),
+            (
+                "declared 2 pairs, decoded 1",
+                cat(&[
+                    &skm(2, 2),
+                    &side(1, 1, 1, 1, 8),
+                    &g,
+                    &cells(&[0; 2], 8),
+                    &v(0),
+                ]),
+            ),
+        ],
+    );
+    let q = cat(&[&[0xA5], &v(100), &g]);
+    check(
+        &QuantCompressor::default(),
+        &[
+            ("bad Adam+Key+Quan magic", vec![]),
+            ("bad Adam+Key+Quan magic", vec![0xFF, 1, 2]),
+            (
+                "declared 2 pairs but decoded 1 keys",
+                cat(&[&[0xA5], &v(100), &v(2), &key7]),
+            ),
+            ("overflows", cat(&[&q, &v(u64::MAX)])),
+            ("truncated bucket means", cat(&[&q, &v(0)])),
+            ("truncated bucket means", cat(&[&q, &v(3)])),
+            (
+                "bucket index 9 out of range 1",
+                cat(&[&q, &v(1), &mean, &[8], &cells(&[9], 8)]),
+            ),
+        ],
+    );
+    let z = cat(&[&[0x21, 8], &v(100), &v(1), &[7, 0, 0, 0]]);
+    check(
+        &ZipMlCompressor::paper_default(),
+        &[
+            ("bad ZipML magic", vec![0x00, 16]),
+            ("bad ZipML width 12", vec![0x21, 12]),
+            ("overflows", cat(&[&[0x21, 16], &v(100), &v(u64::MAX)])),
+            ("truncated ZipML body", cat(&[&[0x21, 16], &v(100), &v(5)])),
+            ("bad ZipML value range", cat(&[&z, &one, &zero, &[0]])),
+            ("bad ZipML value range", cat(&[&z, &nan, &zero, &[0]])),
+        ],
+    );
+    check(
+        &raw,
+        &[
+            ("bad raw magic", vec![0x00, 8]),
+            ("bad value width 3", vec![0x0D, 3]),
+            ("overflows", cat(&[&[0x0D, 8], &v(100), &v(u64::MAX)])),
+            (
+                "truncated raw body",
+                cat(&[&[0x0D, 8], &v(100), &v(2), &[0; 12]]),
+            ),
+        ],
+    );
+    check(
+        &KeyCompressor,
+        &[
+            ("bad Adam+Key magic", vec![0x00]),
+            ("key count mismatch", cat(&[&[0x0E], &v(100), &v(2), &key7])),
+            ("truncated values", cat(&[&[0x0E], &v(100), &g, &[0; 7]])),
+        ],
+    );
+    check(
+        &TruncationCompressor::default(),
+        &[
+            ("bad truncation magic", vec![0x00]),
+            (
+                "kept count mismatch",
+                cat(&[&[0x0F], &v(100), &v(2), &key7]),
+            ),
+            ("truncated values", cat(&[&[0x0F], &v(100), &g, &[0; 3]])),
+        ],
+    );
+    check(
+        &ShardedCompressor::new(raw, 2).expect("2 shards"),
+        &[
+            ("shard frame", vec![]),
+            ("payload bytes but", cat(&[&frame(&[raw_of(10, 3)]), &[0]])),
+            (
+                "configured for 2",
+                frame(&[raw_of(10, 1), raw_of(10, 2), raw_of(10, 3)]),
+            ),
+            ("CRC mismatch", bad_crc),
+            ("bad raw magic", frame(&[vec![0x00]])),
+            (
+                "disagree on gradient dimension",
+                frame(&[raw_of(10, 3), raw_of(20, 5)]),
+            ),
+            (
+                "merged shards invalid",
+                frame(&[raw_of(10, 5), raw_of(10, 3)]),
+            ),
+        ],
+    );
+}
+
 #[test]
 fn error_feedback_wire_path_matches_golden_fixture() {
     // Error feedback is stateful, so the fixture pins the *second* round:
@@ -226,9 +482,10 @@ fn error_feedback_wire_path_matches_golden_fixture() {
         to_hex(&r2),
         "EF round-2 payload changed: residual compensation or the wire format drifted"
     );
-    // The zero-alloc scratch path replays both rounds to the same bytes.
+    // A caller-owned, already-used scratch replays both rounds to the same
+    // bytes.
     let ef_scratch = ErrorFeedback::new(SketchMlCompressor::default());
-    let mut scratch = CompressScratch::new();
+    let mut scratch = used_scratch();
     let mut out = BytesMut::new();
     ef_scratch
         .compress_into(&grad, &mut scratch, &mut out)
@@ -238,7 +495,7 @@ fn error_feedback_wire_path_matches_golden_fixture() {
         .compress_into(&grad, &mut scratch, &mut out)
         .expect("EF scratch round 2");
     assert_eq!(to_hex(&golden), to_hex(&out));
-    // The fixture still decodes, through both decode paths.
+    // The fixture still decodes, on a fresh scratch and on the used one.
     let decoded = ef.decompress(&golden).expect("decode EF fixture");
     assert_eq!(decoded.keys(), grad.keys());
     let mut pooled = SparseGradient::empty(0);
@@ -272,23 +529,20 @@ fn count_sketch_frame_matches_golden_fixture_and_rejects_every_bitflip() {
     );
     assert_eq!(golden[0], 0xC5, "CSK frames open with their magic byte");
 
-    // The zero-alloc scratch path hits the same golden bytes.
-    let mut scratch = CompressScratch::new();
+    // A used scratch hits the same golden bytes.
+    let mut scratch = used_scratch();
     let mut out = BytesMut::new();
     c.compress_into(&grad, &mut scratch, &mut out)
         .expect("compress_into");
     assert_eq!(
         to_hex(&golden),
         to_hex(&out),
-        "CSK: the scratch path diverged from the golden wire format"
+        "CSK: a used scratch leaked state into the wire bytes"
     );
 
-    // The stored bytes decode exactly like a fresh encode, via both paths.
+    // The stored bytes decode, identically on a fresh and a used scratch.
     let from_golden = c.decompress(&golden).expect("decode fixture");
-    let from_fresh = c.decompress(&encoded).expect("decode fresh");
     assert_eq!(from_golden.dim(), grad.dim());
-    assert_eq!(from_golden.keys(), from_fresh.keys());
-    assert_eq!(from_golden.values(), from_fresh.values());
     let mut pooled = SparseGradient::empty(0);
     c.decompress_into(&golden, &mut scratch, &mut pooled)
         .expect("decompress_into fixture");
