@@ -4,19 +4,21 @@
 //! `topology × merge-policy × worker-count` cell and records where the
 //! bytes land: total traffic, the busiest NIC (the driver's link under the
 //! star — the scalability wall of §4.5 — or the busiest peer elsewhere),
-//! and the reduce/distribute split. Writes `BENCH_collectives.json` so
-//! future PRs regress against the committed numbers.
+//! and the reduce/distribute split. The figure is the traffic; the time a
+//! merge hop and a ring round take is recorded by `core.merge_hop_ms.*` and
+//! the `allreduce_ring` workload of `BENCHMARK.json`, not by the wall
+//! column printed here.
 //!
 //! The run aborts unless the ring under the resketch policy cuts the
-//! busiest link by ≥3× against the star at n = 8 (the PR's acceptance
-//! gate: ring traffic is O(1) per node, star driver traffic is O(n)).
+//! busiest link by ≥3× against the star at n = 8 (ring traffic is O(1) per
+//! node, star driver traffic is O(n)).
 //!
 //! `--quick` shrinks the gradient and skips n = 16 (CI smoke).
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::Serialize;
-use sketchml_bench::output::print_table;
+use sketchml_bench::output::{print_table, write_json, ExperimentOutput};
 use sketchml_collectives::{allreduce, Contribution, PerfectTransport, Topology};
 use sketchml_core::{GradientCompressor, MergePolicy, SketchMlCompressor, SparseGradient};
 use std::time::Instant;
@@ -39,7 +41,6 @@ struct Row {
 
 #[derive(Serialize)]
 struct Report {
-    bench: &'static str,
     quick: bool,
     dim: u64,
     avg_nnz: usize,
@@ -69,8 +70,7 @@ fn key_walk(dim: u64, nnz: usize, rng: &mut StdRng) -> Vec<u64> {
 /// hot-key set shared by every worker (minibatches sample the same frequent
 /// features) and the rest is a private tail, so the merge exercises real
 /// key-union work without degenerating into fully disjoint supports. Values
-/// are per-worker: mixed signs, sixth-power magnitudes like the compressor
-/// benches.
+/// are per-worker: mixed signs, sixth-power magnitudes.
 fn gradient(dim: u64, nnz: usize, w: u64) -> SparseGradient {
     let shared = (nnz * 7) / 10;
     let mut hot_rng = StdRng::seed_from_u64(0xA11DCE);
@@ -194,17 +194,17 @@ fn main() {
         "\nring busiest-link reduction vs star @ n=8 (resketch): {ring_link_reduction_at_8:.2}x"
     );
 
-    let report = Report {
-        bench: "collectives",
-        quick,
-        dim,
-        avg_nnz: nnz,
-        workers,
-        rows,
-        ring_link_reduction_at_8,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize");
-    let path = "BENCH_collectives.json";
-    std::fs::write(path, json + "\n").expect("write BENCH_collectives.json");
-    println!("[results written to {path}]");
+    write_json(&ExperimentOutput {
+        id: "fig_allreduce".into(),
+        paper_ref: "extension (§4.5 scalability wall: ring/tree allreduce of mergeable payloads)"
+            .into(),
+        results: Report {
+            quick,
+            dim,
+            avg_nnz: nnz,
+            workers,
+            rows,
+            ring_link_reduction_at_8,
+        },
+    });
 }

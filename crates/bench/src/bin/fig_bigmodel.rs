@@ -15,13 +15,12 @@
 //!    must stay within the 16 MB/worker budget while dense Adam would have
 //!    needed 160 MB.
 //!
-//! Writes `BENCH_bigmodel.json` so future PRs regress against the
-//! committed numbers. Aborts unless the parity and budget gates hold.
+//! Aborts unless the parity and budget gates hold.
 //!
 //! `--quick` shrinks the dataset, dimensions, and epoch count (CI smoke).
 
 use serde::Serialize;
-use sketchml_bench::output::print_table;
+use sketchml_bench::output::{print_table, write_json, ExperimentOutput};
 use sketchml_cluster::{train_distributed, ClusterConfig, TrainSpec};
 use sketchml_core::SketchMlCompressor;
 use sketchml_data::{SparseDatasetSpec, Task};
@@ -50,7 +49,6 @@ struct ParityRow {
 
 #[derive(Serialize)]
 struct Report {
-    bench: &'static str,
     quick: bool,
     capacity: Vec<CapacityRow>,
     parity: Vec<ParityRow>,
@@ -214,22 +212,21 @@ fn main() {
         dense_adam_bytes(bdim) as f64 / 1048576.0
     );
 
-    let report = Report {
-        bench: "bigmodel",
-        quick,
-        capacity,
-        parity,
-        parity_gap,
-        big_dim: bdim,
-        big_epochs,
-        big_first_loss,
-        big_final_loss,
-        big_opt_state_bytes,
-        big_dense_bytes: dense_adam_bytes(bdim),
-        budget_bytes: BUDGET_BYTES,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize");
-    let path = "BENCH_bigmodel.json";
-    std::fs::write(path, json + "\n").expect("write BENCH_bigmodel.json");
-    println!("[results written to {path}]");
+    write_json(&ExperimentOutput {
+        id: "fig_bigmodel".into(),
+        paper_ref: "extension (sketched optimizer state, arXiv:1902.00179)".into(),
+        results: Report {
+            quick,
+            capacity,
+            parity,
+            parity_gap,
+            big_dim: bdim,
+            big_epochs,
+            big_first_loss,
+            big_final_loss,
+            big_opt_state_bytes,
+            big_dense_bytes: dense_adam_bytes(bdim),
+            budget_bytes: BUDGET_BYTES,
+        },
+    });
 }

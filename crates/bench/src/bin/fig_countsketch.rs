@@ -1,7 +1,7 @@
 //! Count-Sketch compressor evaluation: convergence per byte against the
 //! MinMaxSketch pipeline, and the per-hop cost of the linear merge.
 //!
-//! Two panels, written to `BENCH_countsketch.json`:
+//! Two panels:
 //!
 //! 1. **Convergence per byte** — ring allreduce training on the fig10-style
 //!    workload with (a) the full SketchML pipeline (MinMaxSketch + quantile
@@ -13,17 +13,19 @@
 //! 2. **Per-hop merge cost** — one ring round of Count-Sketch payloads at
 //!    n ∈ {4, 8, 16}, timed under `Linear` (element-wise cell adds,
 //!    extraction deferred), `Exact` (decode to pairs + AGG frames) and
-//!    `Resketch` (decode + full re-encode per hop).
+//!    `Resketch` (decode + full re-encode per hop). The recorded per-hop
+//!    times are `core.merge_hop_ms.{linear,resketch}` in `BENCHMARK.json`;
+//!    nothing here gates on a clock.
 //!
-//! The run aborts unless (i) the countsketch final loss lands within 5% of
-//! dense SGD and (ii) the linear per-merge cost undercuts resketch at n = 8.
+//! The run aborts unless the countsketch final loss lands within 5% of
+//! dense SGD.
 //!
 //! `--quick` shrinks the workload and skips n = 16 (CI smoke).
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::Serialize;
-use sketchml_bench::output::print_table;
+use sketchml_bench::output::{print_table, write_json, ExperimentOutput};
 use sketchml_cluster::{train_allreduce_with_policy, ClusterConfig, TrainSpec};
 use sketchml_collectives::{allreduce, Contribution, PerfectTransport, Topology};
 use sketchml_core::{
@@ -60,7 +62,6 @@ struct MergeRow {
 
 #[derive(Serialize)]
 struct Report {
-    bench: &'static str,
     quick: bool,
     workers: usize,
     sketchml_payload_bytes: usize,
@@ -280,10 +281,6 @@ fn main() {
             .expect("swept cell")
     };
     let linear_vs_resketch_per_merge_at_8 = per_merge("resketch", 8) / per_merge("linear", 8);
-    assert!(
-        linear_vs_resketch_per_merge_at_8 > 1.0,
-        "linear per-merge cost must undercut resketch at n=8, got {linear_vs_resketch_per_merge_at_8:.2}x"
-    );
 
     // --- report ---
     let conv_table: Vec<Vec<String>> = convergence
@@ -334,20 +331,19 @@ fn main() {
         cs_config.cols
     );
 
-    let report = Report {
-        bench: "countsketch",
-        quick,
-        workers,
-        sketchml_payload_bytes: sk_bytes,
-        countsketch_payload_bytes: cs_bytes,
-        countsketch_cols: cs_config.cols,
-        convergence,
-        merge_ns,
-        merge: merge_rows,
-        linear_vs_resketch_per_merge_at_8,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize");
-    let path = "BENCH_countsketch.json";
-    std::fs::write(path, json + "\n").expect("write BENCH_countsketch.json");
-    println!("[results written to {path}]");
+    write_json(&ExperimentOutput {
+        id: "fig_countsketch".into(),
+        paper_ref: "extension (Count-Sketch compressor with linear merge, arXiv:1903.04488)".into(),
+        results: Report {
+            quick,
+            workers,
+            sketchml_payload_bytes: sk_bytes,
+            countsketch_payload_bytes: cs_bytes,
+            countsketch_cols: cs_config.cols,
+            convergence,
+            merge_ns,
+            merge: merge_rows,
+            linear_vs_resketch_per_merge_at_8,
+        },
+    });
 }

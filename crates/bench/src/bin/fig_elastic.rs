@@ -5,8 +5,8 @@
 //! permanent crash, one crash that heals with a mid-training join, and a
 //! 3x straggler handled by straggler-adaptive SSP — and records final
 //! loss, epochs to reach the fault-free loss (+5%), reconfiguration stall
-//! time, and the membership transitions. Writes `BENCH_elastic.json` so
-//! future PRs regress against the committed numbers.
+//! time, and the membership transitions. Every figure is a simulated
+//! quantity: same seeds, same table.
 //!
 //! The run aborts unless (a) the permanent-crash run converges within 5%
 //! of the fault-free loss, (b) the healing run records at least one
@@ -16,7 +16,7 @@
 //! `--quick` shrinks the dataset and epoch count (CI smoke).
 
 use serde::Serialize;
-use sketchml_bench::output::print_table;
+use sketchml_bench::output::{print_table, write_json, ExperimentOutput};
 use sketchml_cluster::{
     train_allreduce, train_glm, train_ssp_with_plan, AdaptiveSsp, Aggregation, ClusterConfig,
     ElasticConfig, FaultPlan, GlmTask, SspConfig, TrainSpec,
@@ -48,7 +48,6 @@ struct Row {
 
 #[derive(Serialize)]
 struct Report {
-    bench: &'static str,
     quick: bool,
     workers: usize,
     epochs: usize,
@@ -243,16 +242,15 @@ fn main() {
     );
     println!("\nfault-free loss {clean_loss:.4}, target {target_loss:.4}");
 
-    let report = Report {
-        bench: "elastic",
-        quick,
-        workers: WORKERS,
-        epochs,
-        target_loss,
-        rows,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize");
-    let path = "BENCH_elastic.json";
-    std::fs::write(path, json + "\n").expect("write BENCH_elastic.json");
-    println!("[results written to {path}]");
+    write_json(&ExperimentOutput {
+        id: "fig_elastic".into(),
+        paper_ref: "extension (elastic membership: eviction, rejoin, adaptive SSP)".into(),
+        results: Report {
+            quick,
+            workers: WORKERS,
+            epochs,
+            target_loss,
+            rows,
+        },
+    });
 }

@@ -48,7 +48,9 @@ pub struct AggregationResult {
 /// per-instance-averaged) gradients, matching a global batch average.
 ///
 /// # Errors
-/// Propagates decode failures ([`CompressError`]).
+/// Propagates decode failures ([`CompressError`]);
+/// [`CompressError::InvalidGradient`] if the messages' instance counts
+/// overflow `usize` (a count is a peer's claim, not a measured slice).
 pub fn aggregate(
     messages: &[WorkerMessage],
     dim: u64,
@@ -58,7 +60,15 @@ pub fn aggregate(
     ds: &mut DriverScratch,
 ) -> Result<AggregationResult, CompressError> {
     let t0 = Instant::now();
-    let total_instances: usize = messages.iter().map(|m| m.instances).sum();
+    let total_instances = messages
+        .iter()
+        .try_fold(0usize, |sum, m| sum.checked_add(m.instances))
+        .ok_or_else(|| {
+            CompressError::InvalidGradient(format!(
+                "instance counts of {} messages overflow usize",
+                messages.len()
+            ))
+        })?;
     while ds.parts.len() < messages.len() {
         ds.parts.push(SparseGradient::empty(0));
     }
@@ -174,6 +184,22 @@ mod tests {
         let agg = aggregate(&[], 10, &c, &cost, false, &mut DriverScratch::new()).unwrap();
         assert!(agg.gradient.is_empty());
         assert_eq!(agg.batch_loss, 0.0);
+    }
+
+    #[test]
+    fn instance_counts_that_overflow_are_a_typed_error() {
+        let all = data();
+        let model = GlmModel::new(10, GlmLoss::Logistic, 0.0).unwrap();
+        let cost = CostModel::cluster1();
+        let c = RawCompressor::default();
+        let mut ws = WorkerScratch::new();
+        let mut msgs: Vec<_> = all
+            .chunks(15)
+            .map(|slice| process_glm_batch(&model, slice, &c, &cost, &mut ws).unwrap())
+            .collect();
+        msgs[1].instances = usize::MAX;
+        let err = aggregate(&msgs, 10, &c, &cost, false, &mut DriverScratch::new()).unwrap_err();
+        assert!(matches!(err, CompressError::InvalidGradient(_)), "{err}");
     }
 
     #[test]

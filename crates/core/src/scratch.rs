@@ -6,8 +6,8 @@
 //! intermediates — sign partitions, per-group key vectors, delta arrays,
 //! bitpack buffers — in a caller-owned [`CompressScratch`]: once warm, a
 //! steady-state training loop performs **zero** heap allocations per
-//! compressed message (`crates/bench/src/bin/hotpath.rs` asserts this with
-//! a counting allocator). The provided [`GradientCompressor::compress`] /
+//! compressed or decoded message (`tests/zero_alloc.rs` asserts this with a
+//! counting allocator). The provided [`GradientCompressor::compress`] /
 //! `decompress` run the same pipeline on a fresh scratch.
 //!
 //! A scratch carries capacity, never meaning: what it processed before must

@@ -208,6 +208,7 @@ proptest! {
             ),
             Box::new(KeyCompressor),
             Box::new(FastSgdCompressor::default()),
+            Box::new(FastSgdCompressor::new(8).unwrap()),
             Box::new(RawCompressor::default()),
             Box::new(TruncationCompressor::default()),
             Box::new(SketchMlCompressor::new(cfg).unwrap()),

@@ -299,7 +299,8 @@ impl Shared {
             bytes_down: u64,
             /// Bytes of the `PushGradient` frames received.
             bytes_up: u64,
-            /// Pushes refused for a future round or an unknown worker id.
+            /// Pushes refused for a future round, an unknown worker id, an
+            /// instance count above the dataset's or a non-finite loss sum.
             rejected_pushes: u64,
             /// Milliseconds the trainer spent on the latest epoch end.
             epoch_end_ms_last: f64,
@@ -712,9 +713,26 @@ fn handle_request(
             payload,
         } => {
             let snap = shared.store.snapshot();
-            if worker as usize >= shared.setup.workers || (round > snap.round && !snap.done) {
-                // The trainer would drop it unseen: say so, and keep the
-                // bounded queue for pushes that can count.
+            let dataset_instances = shared.setup.dataset.instances as u64;
+            let refusal =
+                if worker as usize >= shared.setup.workers || (round > snap.round && !snap.done) {
+                    // The trainer would drop it unseen: say so, and keep the
+                    // bounded queue for pushes that can count.
+                    Some(format!(
+                        "the session has {} workers and is at round {}",
+                        shared.setup.workers, snap.round
+                    ))
+                } else if instances > dataset_instances || !loss_sum.is_finite() {
+                    // The trainer weights every part of the round by these two
+                    // claims: no slice is larger than the dataset, and one forged
+                    // count or NaN loss would overflow or poison the whole round.
+                    Some(format!(
+                        "claims {instances} of {dataset_instances} instances, loss sum {loss_sum}"
+                    ))
+                } else {
+                    None
+                };
+            if let Some(reason) = refusal {
                 shared
                     .counters
                     .rejected_pushes
@@ -723,9 +741,7 @@ fn handle_request(
                 Response::Error {
                     code: ErrorCode::BadState,
                     message: format!(
-                        "push from worker {worker} for round {round} refused: \
-                         the session has {} workers and is at round {}",
-                        shared.setup.workers, snap.round
+                        "push from worker {worker} for round {round} refused: {reason}"
                     ),
                 }
                 .write_to(writer)?;

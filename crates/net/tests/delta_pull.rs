@@ -66,6 +66,31 @@ fn stat(json: &str, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("{key} is not a count: {json}"))
 }
 
+/// A valid `sketchml` payload carrying `values` at `keys`.
+fn sketchml_payload(keys: Vec<u64>, values: Vec<f64>) -> Vec<u8> {
+    compressor_by_name("sketchml")
+        .unwrap()
+        .compress(&sketchml_core::SparseGradient::new(DIM as u64, keys, values).unwrap())
+        .unwrap()
+        .payload
+        .to_vec()
+}
+
+#[track_caller]
+fn assert_refused(pushed: Result<(PushStatus, u64), NetError>, what: &str) {
+    let err = pushed.expect_err(what);
+    assert!(
+        matches!(
+            err,
+            NetError::Remote {
+                code: ErrorCode::BadState,
+                ..
+            }
+        ),
+        "{what}: {err}"
+    );
+}
+
 /// What a test worker does with a round instead of the usual push.
 #[derive(Clone, Copy, PartialEq)]
 enum Plan {
@@ -296,28 +321,14 @@ fn pushes_the_trainer_would_drop_are_refused_not_accepted() {
     setup.idle_timeout_ms = 60_000;
     let (server, addr) = start(setup);
     let mut client = Client::connect(&addr).unwrap();
-    let payload = compressor_by_name("sketchml")
-        .unwrap()
-        .compress(&sketchml_core::SparseGradient::new(DIM as u64, vec![3], vec![0.5]).unwrap())
-        .unwrap()
-        .payload
-        .to_vec();
+    let payload = sketchml_payload(vec![3], vec![0.5]);
     // More than the push queue holds (4 x workers): were they queued, the
     // later ones would be answered `Backpressure`.
     for i in 0..20u64 {
         for (worker, round) in [(0, 1 + i), (2, 0), (u32::MAX, 0)] {
-            let err = client
-                .push_gradient(worker, round, 0.25, 1, payload.clone())
-                .unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    NetError::Remote {
-                        code: ErrorCode::BadState,
-                        ..
-                    }
-                ),
-                "worker {worker} round {round}: {err}"
+            assert_refused(
+                client.push_gradient(worker, round, 0.25, 1, payload.clone()),
+                &format!("worker {worker} round {round}"),
             );
         }
     }
@@ -346,6 +357,61 @@ fn pushes_the_trainer_would_drop_are_refused_not_accepted() {
     assert_eq!(stat(&client.get_stats().unwrap(), "pushes"), 1);
     server.shutdown();
     assert!(server.join().aborted);
+}
+
+/// `instances` and `loss_sum` are a peer's claims, and the trainer weights
+/// the whole round by them: `u64::MAX` instances used to overflow the
+/// round's total (a panicked trainer in a debug build, `wait_trained` never
+/// returning; a wrapped sum and a part scaled by 2.5e17 in a release one).
+#[test]
+fn a_push_with_forged_instances_or_loss_is_refused_and_the_run_completes() {
+    let mut setup = setup(2);
+    setup.spec.max_epochs = 1;
+    // Worker 1 never lands a push: every round closes on the timeout.
+    setup.round_timeout_ms = 50;
+    setup.idle_timeout_ms = 60_000;
+    let (server, addr) = start(setup);
+    let mut client = Client::connect(&addr).unwrap();
+    let payload = sketchml_payload(vec![3, 70, 400], vec![0.5, -0.25, 0.1]);
+    let refused = |client: &mut Client, loss_sum: f64, instances: u64| {
+        assert_refused(
+            client.push_gradient(1, 0, loss_sum, instances, payload.clone()),
+            &format!("loss_sum {loss_sum} instances {instances}"),
+        );
+    };
+
+    let (status, _) = client
+        .push_gradient(0, 0, 30.0, 75, payload.clone())
+        .unwrap();
+    assert_eq!(status, PushStatus::Accepted);
+    refused(&mut client, 30.0, u64::MAX);
+    assert_eq!(stat(&client.get_stats().unwrap(), "rejected_pushes"), 1);
+    // One more than the whole dataset (no slice is larger), and losses no
+    // finite batch sums to.
+    refused(&mut client, 30.0, 601);
+    refused(&mut client, f64::NAN, 75);
+    refused(&mut client, f64::INFINITY, 75);
+    assert_eq!(stat(&client.get_stats().unwrap(), "rejected_pushes"), 4);
+    assert_eq!(stat(&client.get_stats().unwrap(), "pushes"), 1);
+
+    // The round closes on worker 0's push alone, and so do the rest.
+    for round in 1..=ROUNDS_PER_EPOCH {
+        let view = client.pull_model(0, round, true).unwrap();
+        assert_eq!(view.round, round, "the trainer is alive");
+        if round < ROUNDS_PER_EPOCH {
+            let (status, _) = client
+                .push_gradient(0, round, 30.0, 75, payload.clone())
+                .unwrap();
+            assert_eq!(status, PushStatus::Accepted, "round {round}");
+        }
+    }
+    let summary = server.wait_trained();
+    server.shutdown();
+    server.join();
+    assert!(!summary.aborted, "{summary:?}");
+    assert_eq!(summary.rounds, ROUNDS_PER_EPOCH);
+    assert_eq!(summary.partial_rounds, ROUNDS_PER_EPOCH, "{summary:?}");
+    assert!(summary.final_test_loss.is_finite(), "{summary:?}");
 }
 
 /// A one-connection server that answers `Hello`, then each request with the

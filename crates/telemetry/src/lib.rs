@@ -15,7 +15,7 @@
 //! disabled (the default) every recording call performs exactly one relaxed
 //! atomic load plus a predictable branch and **allocates nothing** — the
 //! instrumented hot paths stay on the zero-allocation scratch path (enforced
-//! by the alloc-counting `hotpath` bench). When enabled, counters are relaxed
+//! by the alloc-counting `tests/zero_alloc.rs`). When enabled, counters are relaxed
 //! atomic adds; timers additionally read a monotonic clock twice.
 //!
 //! # Determinism
@@ -44,13 +44,15 @@ use std::time::Instant;
 /// version 3 added `collectives.linear_folds` (Count-Sketch table merges);
 /// version 4 added the membership section (elastic evictions/joins);
 /// version 5 added `cluster.opt_state_bytes` (sketched optimizer state);
-/// version 6 added the serving section (live socket server: qps, in-flight,
-/// queue depth, predict latency percentiles);
+/// version 6 added the serving section (live socket server: request mix,
+/// in-flight and queue-depth high-water marks);
 /// version 7 added the serving section's pull kinds, training-plane bytes
 /// and rejected pushes;
 /// version 8 added the serving section's epoch-end timings and checkpoint
-/// size.
-pub const SCHEMA_VERSION: u32 = 8;
+/// size;
+/// version 9 removed `serving.{qps, predict_p50_micros, predict_p99_micros}`:
+/// client-side figures no library code ever set.
+pub const SCHEMA_VERSION: u32 = 9;
 
 /// Number of power-of-two buckets in every histogram.
 pub const HIST_BUCKETS: usize = 16;
@@ -230,22 +232,16 @@ pub enum Gauge {
     ClusterRecoverySeconds,
     /// Simulated seconds joiners spent pulling checkpoints (incl. backoff).
     MembershipJoinSeconds,
-    /// Serving: sustained requests per second over the server's lifetime
-    /// (set-semantics: overwritten via [`gauge_set`] at shutdown).
-    ServingQps,
-    /// Serving: p50 `Predict` latency in microseconds (set-semantics).
-    ServingPredictP50Micros,
-    /// Serving: p99 `Predict` latency in microseconds (set-semantics).
-    ServingPredictP99Micros,
     /// Serving: milliseconds the trainer spent on the latest epoch end —
-    /// evaluation, checkpoint write and validation, publish (set-semantics).
+    /// evaluation, checkpoint write and validation, publish (set-semantics:
+    /// overwritten via [`gauge_set`]).
     ServingEpochEndMsLast,
     /// Serving: the longest epoch end so far, in milliseconds
     /// (set-semantics; the trainer keeps the maximum).
     ServingEpochEndMsMax,
 }
 
-const NUM_GAUGES: usize = 9;
+const NUM_GAUGES: usize = 6;
 
 impl Gauge {
     fn idx(self) -> usize {
@@ -691,9 +687,6 @@ pub struct ServingSnapshot {
     pub coalesced_rounds: u64,
     pub inflight_max: u64,
     pub queue_depth_max: u64,
-    pub qps: f64,
-    pub predict_p50_micros: f64,
-    pub predict_p99_micros: f64,
     pub pulls_dense: u64,
     pub pulls_delta: u64,
     pub bytes_down: u64,
@@ -798,24 +791,12 @@ impl TelemetrySnapshot {
             return Err("serving pulls_dense+pulls_delta > pulls".into());
         }
         for (name, v) in [
-            ("serving.qps", self.serving.qps),
-            (
-                "serving.predict_p50_micros",
-                self.serving.predict_p50_micros,
-            ),
-            (
-                "serving.predict_p99_micros",
-                self.serving.predict_p99_micros,
-            ),
             ("serving.epoch_end_ms_last", self.serving.epoch_end_ms_last),
             ("serving.epoch_end_ms_max", self.serving.epoch_end_ms_max),
         ] {
             if !v.is_finite() || v < 0.0 {
                 return Err(format!("{name} {v} must be finite and non-negative"));
             }
-        }
-        if self.serving.predict_p50_micros > self.serving.predict_p99_micros {
-            return Err("serving predict_p50_micros > predict_p99_micros".into());
         }
         if self.serving.epoch_end_ms_last > self.serving.epoch_end_ms_max {
             return Err("serving epoch_end_ms_last > epoch_end_ms_max".into());
@@ -930,9 +911,6 @@ pub fn snapshot() -> TelemetrySnapshot {
             coalesced_rounds: counter(Counter::ServingCoalescedRounds),
             inflight_max: counter(Counter::ServingInflightMax),
             queue_depth_max: counter(Counter::ServingQueueDepthMax),
-            qps: gauge(Gauge::ServingQps),
-            predict_p50_micros: gauge(Gauge::ServingPredictP50Micros),
-            predict_p99_micros: gauge(Gauge::ServingPredictP99Micros),
             pulls_dense: counter(Counter::ServingPullsDense),
             pulls_delta: counter(Counter::ServingPullsDelta),
             bytes_down: counter(Counter::ServingBytesDown),
@@ -1002,11 +980,10 @@ mod tests {
         counter_max(Counter::ServingInflightMax, 9);
         counter_max(Counter::ServingInflightMax, 2); // below high-water: kept
         counter_max(Counter::ServingQueueDepthMax, 3);
-        gauge_set(Gauge::ServingQps, 1500.0);
-        gauge_set(Gauge::ServingQps, 1200.0); // overwrite, not accumulate
-        gauge_set(Gauge::ServingPredictP50Micros, 80.0);
-        gauge_set(Gauge::ServingPredictP99Micros, 450.0);
-        gauge_set(Gauge::ServingPredictP99Micros, f64::INFINITY); // ignored
+        gauge_set(Gauge::ServingEpochEndMsLast, 15.0);
+        gauge_set(Gauge::ServingEpochEndMsLast, 12.0); // overwrite, not accumulate
+        gauge_set(Gauge::ServingEpochEndMsMax, 45.0);
+        gauge_set(Gauge::ServingEpochEndMsMax, f64::INFINITY); // ignored
         add(Counter::ServingRequests, 10);
         add(Counter::ServingPredicts, 6);
         add(Counter::ServingPushes, 3);
@@ -1014,14 +991,13 @@ mod tests {
         // Disabled mid-session: both helpers are no-ops.
         set_enabled(false);
         counter_max(Counter::ServingInflightMax, 100);
-        gauge_set(Gauge::ServingQps, 9999.0);
+        gauge_set(Gauge::ServingEpochEndMsLast, 9999.0);
         set_enabled(true);
         let snap = session.finish();
         assert_eq!(snap.serving.inflight_max, 9);
         assert_eq!(snap.serving.queue_depth_max, 3);
-        assert_eq!(snap.serving.qps, 1200.0);
-        assert_eq!(snap.serving.predict_p50_micros, 80.0);
-        assert_eq!(snap.serving.predict_p99_micros, 450.0);
+        assert_eq!(snap.serving.epoch_end_ms_last, 12.0);
+        assert_eq!(snap.serving.epoch_end_ms_max, 45.0);
         snap.validate().expect("serving snapshot must validate");
     }
 
@@ -1031,11 +1007,7 @@ mod tests {
         snap.serving.predicts = 5; // requests stays 0
         assert!(snap.validate().is_err());
         let mut snap = TelemetrySnapshot::default_with_version();
-        snap.serving.qps = -1.0;
-        assert!(snap.validate().is_err());
-        let mut snap = TelemetrySnapshot::default_with_version();
-        snap.serving.predict_p50_micros = 100.0;
-        snap.serving.predict_p99_micros = 50.0;
+        snap.serving.epoch_end_ms_max = -1.0;
         assert!(snap.validate().is_err());
         let mut snap = TelemetrySnapshot::default_with_version();
         snap.serving.epoch_end_ms_last = 30.0;

@@ -362,3 +362,79 @@ fn membership_telemetry_section_mirrors_the_trace() {
     assert!((snap.membership.join_seconds - t.join_seconds).abs() < 1e-12);
     assert!(t.suspicions >= 1, "the crash must be noticed");
 }
+
+/// The socket server records into the same snapshot as the simulator, and
+/// what it records is what `GetStats` reports: a two-worker run with an
+/// inference client beside it validates, counts its pushes and predicts,
+/// and agrees with the server's own counters key for key.
+#[test]
+fn live_server_fills_the_serving_section() {
+    use sketchml::net::{run_worker, Client, PredictInstance, ServeSetup, Server};
+
+    let dataset = SparseDatasetSpec {
+        name: "telemetry-serving".into(),
+        instances: 600,
+        features: 2_048,
+        avg_nnz: 16,
+        skew: 1.1,
+        label_noise: 0.05,
+        task: sketchml::data::Task::Classification,
+        seed: 0x5E12,
+    };
+    let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
+    let mut setup = ServeSetup::new(dataset, spec, 2);
+    setup.idle_timeout_ms = 60_000;
+
+    let session = TelemetrySession::begin();
+    let server = Server::bind_tcp(setup, "127.0.0.1:0").unwrap();
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let batch = vec![PredictInstance {
+        indices: vec![3, 64, 2_047],
+        values: vec![1.0, -0.5, 2.0],
+    }];
+    const PREDICTS: u64 = 5;
+    for _ in 0..PREDICTS {
+        assert_eq!(client.predict(batch.clone()).unwrap().len(), 1);
+    }
+    let workers: Vec<_> = (0..2u32)
+        .map(|w| {
+            let addr = addr.clone();
+            std::thread::spawn(move || run_worker(&addr, w))
+        })
+        .collect();
+    let summary = server.wait_trained();
+    for w in workers {
+        w.join().unwrap().unwrap();
+    }
+    let stats: serde::Value = serde_json::from_str(&server.stats_json()).unwrap();
+    server.shutdown();
+    server.join();
+    let snap = session.finish();
+    snap.validate().unwrap();
+    assert!(!summary.aborted, "{summary:?}");
+
+    let s = &snap.serving;
+    assert_eq!(s.predicts, PREDICTS);
+    assert!(s.pushes > 0 && s.coalesced_rounds > 0, "{s:?}");
+    assert_eq!(s.pulls_dense, 2, "one bootstrap pull per worker: {s:?}");
+    assert!(s.checkpoint_bytes > 0 && s.epoch_end_ms_max > 0.0, "{s:?}");
+    let stat = |key: &str| {
+        serde::field(stats.as_obj().unwrap(), key)
+            .unwrap_or_else(|_| panic!("stats has no {key}"))
+            .as_u64()
+            .unwrap_or_else(|| panic!("{key} is not a count"))
+    };
+    for (key, recorded) in [
+        ("predicts", s.predicts),
+        ("pushes", s.pushes),
+        ("pulls_dense", s.pulls_dense),
+        ("pulls_delta", s.pulls_delta),
+        ("bytes_up", s.bytes_up),
+        ("bytes_down", s.bytes_down),
+        ("rejected_pushes", s.rejected_pushes),
+        ("checkpoint_bytes", s.checkpoint_bytes),
+    ] {
+        assert_eq!(recorded, stat(key), "{key}");
+    }
+}
