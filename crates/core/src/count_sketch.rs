@@ -282,10 +282,10 @@ impl CountSketchCompressor {
     /// Stateless encode into `scratch.csk_cells` (row-major flat loop, no
     /// sketch struct, no allocation once warm). Dense gradients whose keys
     /// are one contiguous run skip the key scan entirely: chunked range
-    /// counters feed the batch hash primitives ([`fill_bins`] /
-    /// [`fill_sign_flips`]), which vectorize under the `simd` feature. The
-    /// scalar per-key loop remains the always-compiled reference; debug
-    /// builds assert the fast path produces a bit-identical table.
+    /// counters feed the batch hash primitives ([`fill_bins`], four keys per
+    /// iteration on an AVX2 CPU, and [`fill_sign_flips`]). The scalar per-key
+    /// loop remains the reference; debug builds assert the fast path
+    /// produces a bit-identical table.
     ///
     /// [`fill_bins`]: sketchml_sketches::hash::fill_bins
     /// [`fill_sign_flips`]: sketchml_sketches::hash::fill_sign_flips
@@ -339,7 +339,7 @@ impl CountSketchCompressor {
     }
 
     /// Contiguous-range sketch loop: keys come from a chunked counter, not
-    /// the key array, and bins/signs are hashed through the batch (lane)
+    /// the key array, and bins/signs are hashed through the batch
     /// primitives. Bit-identical to [`Self::sketch_rows_scalar`]: the
     /// scatter visits pairs in the same order and XOR-ing the sign-flip mask
     /// equals `±1.0 · v` exactly.

@@ -66,7 +66,6 @@ pub mod scratch;
 pub mod sharded;
 pub mod simd;
 pub mod sketchml;
-pub mod space;
 pub mod zipml;
 
 pub use baselines::{KeyCompressor, RawCompressor, TruncationCompressor, ValueWidth};

@@ -203,8 +203,15 @@ impl BucketTable {
     }
 
     /// Batch counterpart of [`Self::lookup`]: clears `out` and fills it with
-    /// the bucket of every value, dispatching to the AVX2 lane when the
-    /// `simd` feature is active (scalar path debug-asserted identical).
+    /// the bucket of every value (`BENCHMARK.json` row
+    /// `core.bucket_lookup_mitems_per_s`). Same transform as
+    /// [`Self::lookup_fast`] but with the below-range early-out replaced by
+    /// a mask (out-of-range keys wrap on subtract, but the clamped slot stays
+    /// in bounds and the masked start index is 0, which [`Self::resolve`]
+    /// leaves untouched because `k < interior[0]`). Scalar on every CPU: the
+    /// slot-table load and the window fixup have no vector form (no u16
+    /// gather), and an AVX2 order-key/slot prologue in front of them does
+    /// not win the row.
     pub fn lookup_into(&self, splits: &[f64], values: &[f64], out: &mut Vec<u16>) {
         out.clear();
         out.resize(values.len(), 0);
@@ -212,35 +219,6 @@ impl BucketTable {
             debug_assert!(values.iter().all(|&v| bucket_of(splits, v) == 0));
             return;
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if sketchml_sketches::simd::lanes_active() {
-            // SAFETY: `lanes_active` verified AVX2 at runtime.
-            unsafe { self.lookup_avx2(values, out) };
-            #[cfg(debug_assertions)]
-            {
-                let mut reference = vec![0u16; values.len()];
-                self.lookup_scalar(values, &mut reference);
-                assert_eq!(out.as_slice(), reference.as_slice());
-            }
-            debug_assert!(out
-                .iter()
-                .zip(values)
-                .all(|(&got, &v)| got == bucket_of(splits, v)));
-            return;
-        }
-        self.lookup_scalar(values, out);
-        debug_assert!(out
-            .iter()
-            .zip(values)
-            .all(|(&got, &v)| got == bucket_of(splits, v)));
-    }
-
-    /// Scalar reference for [`Self::lookup_into`]: same transform as
-    /// [`Self::lookup_fast`] but with the below-range early-out replaced by
-    /// a mask (out-of-range keys wrap on subtract, but the clamped slot stays
-    /// in bounds and the masked start index is 0, which [`Self::resolve`]
-    /// leaves untouched because `k < interior[0]`).
-    fn lookup_scalar(&self, values: &[f64], out: &mut [u16]) {
         let maxslot = self.slots.len() - 2;
         for (o, &v) in out.iter_mut().zip(values) {
             let k = order_key(v);
@@ -249,54 +227,10 @@ impl BucketTable {
             let idx = self.slots[slot] as usize & mask;
             *o = self.resolve(idx, k);
         }
-    }
-
-    /// AVX2 lane: order-key transform, range mask, and slot computation for
-    /// four values per iteration; the slot-table load and window fixup stay
-    /// scalar (u16 gathers don't exist, and the fixup window is already
-    /// branch-free).
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    unsafe fn lookup_avx2(&self, values: &[f64], out: &mut [u16]) {
-        use core::arch::x86_64::*;
-        let msb = _mm256_set1_epi64x(i64::MIN);
-        let zero = _mm256_setzero_si256();
-        let basev = _mm256_set1_epi64x(self.base as i64);
-        let basef = _mm256_xor_si256(basev, msb);
-        let shiftv = _mm256_set1_epi64x(self.shift as i64);
-        let maxslot = (self.slots.len() - 2) as u64;
-        let maxv = _mm256_set1_epi64x(maxslot as i64);
-        let maxf = _mm256_xor_si256(maxv, msb);
-        let n = values.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(values.as_ptr().add(i));
-            // `+ 0.0` canonicalizes -0.0, exactly as `order_key` does.
-            let b = _mm256_castpd_si256(_mm256_add_pd(v, _mm256_setzero_pd()));
-            let sign = _mm256_cmpgt_epi64(zero, b);
-            let k = _mm256_xor_si256(b, _mm256_or_si256(sign, msb));
-            // Unsigned compares via the sign-flip trick (AVX2 only has
-            // signed 64-bit compares).
-            let kf = _mm256_xor_si256(k, msb);
-            let below = _mm256_cmpgt_epi64(basef, kf);
-            let t = _mm256_sub_epi64(k, basev);
-            let slot = _mm256_srlv_epi64(t, shiftv);
-            let slotf = _mm256_xor_si256(slot, msb);
-            let over = _mm256_cmpgt_epi64(slotf, maxf);
-            let slot = _mm256_blendv_epi8(slot, maxv, over);
-            let mut ks = [0u64; 4];
-            let mut ss = [0u64; 4];
-            let mut bs = [0u64; 4];
-            _mm256_storeu_si256(ks.as_mut_ptr().cast(), k);
-            _mm256_storeu_si256(ss.as_mut_ptr().cast(), slot);
-            _mm256_storeu_si256(bs.as_mut_ptr().cast(), below);
-            for j in 0..4 {
-                let idx = self.slots[ss[j] as usize] as usize & !(bs[j] as usize);
-                out[i + j] = self.resolve(idx, ks[j]);
-            }
-            i += 4;
-        }
-        self.lookup_scalar(&values[i..], &mut out[i..]);
+        debug_assert!(out
+            .iter()
+            .zip(values)
+            .all(|(&got, &v)| got == bucket_of(splits, v)));
     }
 }
 

@@ -72,7 +72,7 @@ fn partition_signs(
         let nk = neg_keys.as_mut_ptr();
         let nv = neg_vals.as_mut_ptr();
         let mut i = 0usize;
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if sketchml_sketches::simd::lanes_active() {
             (p, m, i) = partition_avx2(keys, values, pk, pv, nk, nv);
         }
@@ -120,7 +120,7 @@ fn partition_signs(
 /// # Safety
 /// Caller must have verified AVX2 support, reserved `keys.len()` slots
 /// behind each output pointer, and `values.len() == keys.len()`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn partition_avx2(
     keys: &[u64],

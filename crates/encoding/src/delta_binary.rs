@@ -122,21 +122,9 @@ pub fn encode_keys(keys: &[u64], out: &mut impl BufMut) -> Result<usize, Encodin
 /// See [`delta_transform`]. On error the tail of `out` past its original
 /// length is unspecified.
 pub fn encode_keys_into(keys: &[u64], out: &mut BytesMut) -> Result<usize, EncodingError> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if crate::simd::lanes_active() {
-        let r = encode_keys_into_lanes(keys, out);
-        #[cfg(debug_assertions)]
-        if let Ok(len) = r {
-            let mut reference = BytesMut::new();
-            encode_keys_into_scalar(keys, &mut reference)
-                .expect("scalar path must agree that the lane input was valid");
-            assert_eq!(
-                &out[out.len() - len..],
-                &reference[..],
-                "delta-binary lane diverged from scalar reference"
-            );
-        }
-        return r;
+        return encode_keys_into_lanes(keys, out);
     }
     encode_keys_into_scalar(keys, out)
 }
@@ -209,7 +197,7 @@ fn encode_run_scalar(
 /// Lane-dispatched variant of [`encode_keys_into_scalar`]: a 4-key scalar
 /// prologue aligns the stream so the AVX2 middle emits whole flag bytes,
 /// and a scalar tail finishes the remainder. Byte-identical output.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn encode_keys_into_lanes(keys: &[u64], out: &mut BytesMut) -> Result<usize, EncodingError> {
     let n = keys.len();
     let start = out.len();
@@ -257,7 +245,7 @@ fn encode_keys_into_lanes(keys: &[u64], out: &mut BytesMut) -> Result<usize, Enc
 /// mask and folded into `bad` once at the end — the error path re-checks
 /// scalar anyway. Starts at absolute index 4 (the prologue's work) and
 /// returns the first index not consumed (a multiple of 4).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn encode_mid_avx2(
     keys: &[u64],
@@ -719,6 +707,83 @@ mod tests {
         assert!(encode_keys_into(&[5, 3], &mut buf).is_err());
         buf.clear();
         assert!(encode_keys_into(&[u32::MAX as u64 + 1], &mut buf).is_err());
+    }
+
+    /// The AVX2 packer against [`encode_keys_into_scalar`], called directly
+    /// so the comparison does not depend on the process-wide `force_scalar`
+    /// toggle: every tail length around the 4-key stride, deltas on both
+    /// sides of all four width thresholds in every lane position, and the
+    /// same typed error for a bad key in the prologue, the AVX2 middle and
+    /// the scalar tail.
+    #[test]
+    fn lane_encode_matches_scalar_encode() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let both = |keys: &[u64]| {
+                // A non-empty prefix: both paths append to what is there.
+                let mut lane = BytesMut::from(&b"hdr"[..]);
+                let mut scalar = BytesMut::from(&b"hdr"[..]);
+                let got = encode_keys_into_lanes(keys, &mut lane);
+                let want = encode_keys_into_scalar(keys, &mut scalar);
+                assert_eq!(got, want, "result for {keys:?}");
+                if got.is_ok() {
+                    assert_eq!(&lane[..], &scalar[..], "bytes for {keys:?}");
+                }
+                got
+            };
+            const DELTAS: [u64; 8] = [
+                1,
+                0xFF,
+                0x100,
+                0xFFFF,
+                0x1_0000,
+                0xFF_FFFF,
+                0x100_0000,
+                u32::MAX as u64,
+            ];
+            for n in (0..=9).chain(32..=41).chain([255, 256, 257, 1000]) {
+                for phase in 0..DELTAS.len() {
+                    let mut cur = 0u64;
+                    let keys: Vec<u64> = (0..n)
+                        .map(|i| {
+                            cur += DELTAS[(i + phase) % DELTAS.len()];
+                            cur
+                        })
+                        .collect();
+                    assert!(both(&keys).is_ok());
+                }
+            }
+
+            let good: Vec<u64> = (1..=21u64).map(|i| i * 1000).collect();
+            for at in 0..good.len() {
+                let mut oversized = good.clone();
+                for k in &mut oversized[at..] {
+                    *k += 1 << 32;
+                }
+                assert!(matches!(
+                    both(&oversized),
+                    Err(EncodingError::InvalidInput(_))
+                ));
+                if at == 0 {
+                    continue;
+                }
+                let mut duplicate = good.clone();
+                duplicate[at] = duplicate[at - 1];
+                let key = duplicate[at];
+                assert_eq!(
+                    both(&duplicate),
+                    Err(EncodingError::DuplicateKey { key, offset: at })
+                );
+                let mut unsorted = good.clone();
+                unsorted[at] = unsorted[at - 1] - 1;
+                assert!(matches!(
+                    both(&unsorted),
+                    Err(EncodingError::InvalidInput(_))
+                ));
+            }
+            return;
+        }
+        println!("lane_encode_matches_scalar_encode: no AVX2 on this CPU, lane not compared");
     }
 
     #[test]

@@ -8,20 +8,11 @@
 //! stored in the least number of bytes that holds it (1–4), selected by a
 //! 2-bit *byte flag* packed four-per-byte.
 //!
-//! This crate implements that codec ([`delta_binary`]) plus every baseline
-//! the paper discusses or that its analysis compares against:
+//! This crate implements that codec ([`delta_binary`]) plus the codecs the
+//! rest of the wire format and the paper's key-coding comparison use:
 //!
-//! - [`bitmap`] — the `⌈rD/8⌉`-byte bitmap alternative analyzed (and
-//!   rejected) in Appendix A.3;
 //! - [`rice`] — Golomb–Rice coding, the strongest classic lossless baseline
 //!   on geometric key gaps (§1.1 cites Rice among the lossless methods);
-//! - [`rle`] — run-length encoding, "typically used to compress a data
-//!   sequence in which a same data value might occur consecutively …
-//!   useless for non-repetitive gradient keys" (§3.4);
-//! - [`huffman`] — canonical Huffman coding over bytes, the other classic
-//!   lossless method §1.1/§3.4 rules out;
-//! - [`csr`] — Compressed Sparse Row storage, the sparse-matrix baseline of
-//!   §1.1;
 //! - [`bitpack`] — fixed-width bit packing used for the binary-encoded
 //!   bucket indexes of §3.2 Step 4;
 //! - [`varint`] — LEB128 variable-length integers used by the wire format
@@ -34,17 +25,13 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod bitmap;
 pub mod bitpack;
 pub mod crc32;
 pub mod csk;
-pub mod csr;
 pub mod delta_binary;
 pub mod error;
 pub mod framing;
-pub mod huffman;
 pub mod rice;
-pub mod rle;
 pub mod simd;
 pub mod stats;
 pub mod varint;

@@ -1,10 +1,11 @@
 //! SIMD lane dispatch for the codec hot paths.
 //!
 //! Mirrors `sketchml-sketches::simd`: every vectorized routine keeps an
-//! always-compiled scalar reference, lanes compile only under the `simd`
-//! cargo feature on x86_64, are selected at runtime on AVX2 hardware, and
-//! debug builds assert lane output equals the scalar reference byte-for-
-//! byte. [`force_scalar`] lets differential tests pin the scalar path.
+//! always-compiled scalar body; on x86_64 the lanes are compiled into every
+//! build and chosen per call by CPU detection (no cargo feature, no other
+//! selector). The scalar body runs on non-AVX2 CPUs and other
+//! architectures, and is the reference the differential tests compare the
+//! lanes against; [`force_scalar`] lets them pin it.
 //! (This crate has its own toggle because it does not depend on the
 //! sketches crate; `sketchml-core` re-exports a combined switch.)
 
@@ -12,27 +13,23 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
-/// Forces the scalar reference implementations even when the `simd` feature
-/// and AVX2 are both available. Test hook for scalar-vs-lane differential
-/// tests; a no-op (scalar is the only path) without the feature.
+/// Forces the scalar reference implementations even when the CPU supports
+/// the lanes. Test hook for scalar-vs-lane differential tests; a no-op
+/// where scalar is the only path (non-x86_64 targets).
 pub fn force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::SeqCst);
 }
 
-/// True when vector lanes are compiled in, supported by this CPU, and not
-/// forced off by [`force_scalar`].
+/// True when the AVX2 lanes are supported by this CPU and not forced off by
+/// [`force_scalar`].
 #[inline]
 pub fn lanes_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
-        if FORCE_SCALAR.load(Ordering::Relaxed) {
-            return false;
-        }
-        std::arch::is_x86_feature_detected!("avx2")
+        !FORCE_SCALAR.load(Ordering::Relaxed) && std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = FORCE_SCALAR.load(Ordering::Relaxed);
         false
     }
 }

@@ -5,7 +5,7 @@
 use bytes::BytesMut;
 use proptest::collection::{btree_set, vec};
 use proptest::prelude::*;
-use sketchml_encoding::{bitmap, bitpack, csr, delta_binary, huffman, rice, rle, varint};
+use sketchml_encoding::{bitpack, delta_binary, rice, varint};
 
 /// Strictly ascending keys with deltas that fit the 4-byte scheme.
 fn ascending_keys(max_len: usize) -> impl Strategy<Value = Vec<u64>> {
@@ -35,16 +35,6 @@ proptest! {
     }
 
     #[test]
-    fn bitmap_lossless(keys in btree_set(0u64..5_000, 0..300)) {
-        let keys: Vec<u64> = keys.into_iter().collect();
-        let dim = 5_000u64;
-        let mut buf = BytesMut::new();
-        bitmap::encode_bitmap(&keys, dim, &mut buf).unwrap();
-        let decoded = bitmap::decode_bitmap(&mut buf.freeze()).unwrap();
-        prop_assert_eq!(decoded, keys);
-    }
-
-    #[test]
     fn bitpack_lossless(values in vec(0u16..512, 0..400)) {
         let max = values.iter().copied().max().unwrap_or(0);
         let bits = bitpack::bits_for(max);
@@ -52,42 +42,6 @@ proptest! {
         bitpack::pack_u16(&values, bits, &mut buf).unwrap();
         let decoded = bitpack::unpack_u16(&mut buf.freeze(), values.len(), bits).unwrap();
         prop_assert_eq!(decoded, values);
-    }
-
-    #[test]
-    fn rle_lossless(values in vec(0u64..20, 0..400)) {
-        let mut buf = BytesMut::new();
-        rle::encode_rle(&values, &mut buf);
-        let decoded = rle::decode_rle(&mut buf.freeze()).unwrap();
-        prop_assert_eq!(decoded, values);
-    }
-
-    #[test]
-    fn huffman_lossless(data in vec(any::<u8>(), 0..2000)) {
-        let mut buf = BytesMut::new();
-        huffman::encode_huffman(&data, &mut buf);
-        let decoded = huffman::decode_huffman(&mut buf.freeze()).unwrap();
-        prop_assert_eq!(decoded, data);
-    }
-
-    #[test]
-    fn huffman_never_panics_on_garbage(data in vec(any::<u8>(), 0..300)) {
-        let mut slice: &[u8] = &data;
-        let _ = huffman::decode_huffman(&mut slice);
-    }
-
-    #[test]
-    fn csr_roundtrip(rows in vec(btree_set(0u64..10_000, 0..30), 0..10)) {
-        let rows: Vec<Vec<(u64, f64)>> = rows
-            .into_iter()
-            .map(|r| r.into_iter().map(|k| (k, k as f64 * 0.5 - 3.0)).collect())
-            .collect();
-        let m = csr::CsrMatrix::from_rows(&rows).unwrap();
-        prop_assert_eq!(m.to_rows(), rows);
-        let mut buf = BytesMut::new();
-        m.encode(&mut buf);
-        let decoded = csr::CsrMatrix::decode(&mut buf.freeze()).unwrap();
-        prop_assert_eq!(decoded, m);
     }
 
     /// Delta-binary's cost model: every key costs at least 1.25 bytes

@@ -1,5 +1,5 @@
 //! Thin shims from server events to the global telemetry registry
-//! (`serving` section, schema v8). All of these are no-ops unless a
+//! (`serving` section, schema v9). All of these are no-ops unless a
 //! telemetry session is recording.
 
 use sketchml_telemetry::{add, counter_max, gauge_set, inc, Counter, Gauge};
@@ -43,7 +43,8 @@ pub fn push_bytes(bytes: u64) {
     add(Counter::ServingBytesUp, bytes);
 }
 
-/// A push for a future round or from an unknown worker id was refused.
+/// A push was refused typed: future round, unknown worker id, `instances`
+/// above the dataset's, or a non-finite `loss_sum`.
 pub fn rejected_push() {
     inc(Counter::ServingRejectedPushes);
 }

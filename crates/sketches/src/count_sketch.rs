@@ -196,40 +196,14 @@ impl CountSketch {
     }
 
     /// Inserts a batch of pairs, iterating row-major so each row's cells
-    /// stay hot in cache. With the `simd` feature on AVX2 hardware the bin
-    /// and sign hashes are computed four keys per lane
-    /// ([`crate::hash::fill_bins`] / [`crate::hash::fill_sign_flips`]);
-    /// [`Self::insert_batch_scalar`] is the always-compiled reference and
-    /// debug builds assert the resulting cell tables are bit-identical.
+    /// stay hot in cache. Scalar on every CPU: the scatter into `row`
+    /// dominates, and hashing bins and signs four keys per AVX2 lane moves
+    /// neither `core.encode_ns_per_pair.countsketch` nor
+    /// `core.merge_hop_ms.linear` in `BENCHMARK.json`.
     ///
     /// # Panics
     /// Panics if the slices differ in length.
     pub fn insert_batch(&mut self, keys: &[u64], values: &[f64]) {
-        assert_eq!(keys.len(), values.len(), "keys/values length mismatch");
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if crate::simd::lanes_active() {
-            #[cfg(debug_assertions)]
-            let reference = {
-                let mut clone = self.clone();
-                clone.insert_batch_scalar(keys, values);
-                clone.cells
-            };
-            self.insert_batch_lanes(keys, values);
-            #[cfg(debug_assertions)]
-            debug_assert!(
-                self.cells
-                    .iter()
-                    .zip(&reference)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "simd lane diverged from scalar insert_batch"
-            );
-            return;
-        }
-        self.insert_batch_scalar(keys, values);
-    }
-
-    /// Scalar reference implementation of [`Self::insert_batch`].
-    pub fn insert_batch_scalar(&mut self, keys: &[u64], values: &[f64]) {
         assert_eq!(keys.len(), values.len(), "keys/values length mismatch");
         let cols = self.cols();
         for (r, (&bin_seed, &sign_seed)) in
@@ -238,33 +212,6 @@ impl CountSketch {
             let row = &mut self.cells[r * cols..(r + 1) * cols];
             for (&k, &v) in keys.iter().zip(values) {
                 row[HashFamily::bin_for(bin_seed, cols, k)] += sign_for(sign_seed, k) * v;
-            }
-        }
-    }
-
-    /// Lane-batched row update: per chunk, bins and sign-bit flip masks come
-    /// from the vectorized hash primitives, then a scalar scatter applies
-    /// `row[bin] += flip(v)`. XOR-ing the flip mask into the value's bits is
-    /// exactly `±1.0 · v` for every finite value, and the scatter visits
-    /// keys in the same order as the scalar path, so sums are bit-identical.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    fn insert_batch_lanes(&mut self, keys: &[u64], values: &[f64]) {
-        const CHUNK: usize = 256;
-        let cols = self.cols();
-        let mut bins = [0u32; CHUNK];
-        let mut flips = [0u64; CHUNK];
-        for (r, (&bin_seed, &sign_seed)) in
-            self.hash.seeds().iter().zip(&self.sign_seeds).enumerate()
-        {
-            let row = &mut self.cells[r * cols..(r + 1) * cols];
-            for (kc, vc) in keys.chunks(CHUNK).zip(values.chunks(CHUNK)) {
-                let b = &mut bins[..kc.len()];
-                let f = &mut flips[..kc.len()];
-                crate::hash::fill_bins(bin_seed, cols, kc, b);
-                crate::hash::fill_sign_flips(sign_seed, kc, f);
-                for ((&bin, &flip), &v) in b.iter().zip(f.iter()).zip(vc) {
-                    row[bin as usize] += f64::from_bits(v.to_bits() ^ flip);
-                }
             }
         }
     }
@@ -579,21 +526,25 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_matches_scalar_reference() {
+    fn insert_batch_matches_per_key_insert() {
         let (keys, values) = sample();
         let mut batched = CountSketch::new(5, 512, 33).unwrap();
         batched.insert_batch(&keys, &values);
-        let mut scalar = CountSketch::new(5, 512, 33).unwrap();
-        scalar.insert_batch_scalar(&keys, &values);
-        assert_eq!(batched.cells(), scalar.cells());
+        let mut single = CountSketch::new(5, 512, 33).unwrap();
+        for (&k, &v) in keys.iter().zip(&values) {
+            single.insert(k, v);
+        }
+        assert_eq!(batched.cells(), single.cells());
         // Unsorted keys with repeats exercise scatter-order sensitivity.
         let shuffled: Vec<u64> = keys.iter().rev().chain(keys.iter()).copied().collect();
         let vals2: Vec<f64> = values.iter().rev().chain(values.iter()).copied().collect();
         let mut batched2 = CountSketch::new(3, 64, 7).unwrap();
         batched2.insert_batch(&shuffled, &vals2);
-        let mut scalar2 = CountSketch::new(3, 64, 7).unwrap();
-        scalar2.insert_batch_scalar(&shuffled, &vals2);
-        assert_eq!(batched2.cells(), scalar2.cells());
+        let mut single2 = CountSketch::new(3, 64, 7).unwrap();
+        for (&k, &v) in shuffled.iter().zip(&vals2) {
+            single2.insert(k, v);
+        }
+        assert_eq!(batched2.cells(), single2.cells());
     }
 
     #[test]

@@ -99,10 +99,10 @@ impl HashFamily {
 }
 
 /// Fills `out[i]` with [`HashFamily::bin_for`]`(row_seed, cols, keys[i])`
-/// over the whole slice. This batch form is the unit the `simd` feature
-/// vectorizes (4 keys per AVX2 iteration); [`fill_bins_scalar`] is the
-/// always-compiled reference, and debug builds assert the lane matches it
-/// bit-for-bit.
+/// over the whole slice. On an AVX2 CPU this batch form runs four keys per
+/// iteration (`BENCHMARK.json` row `sketches.hash_mitems_per_s`);
+/// [`fill_bins_scalar`] is the body every other CPU runs and the reference
+/// the lane is tested against.
 ///
 /// # Panics
 /// Panics if the slices differ in length or `cols` exceeds `u32::MAX`
@@ -113,20 +113,16 @@ pub fn fill_bins(row_seed: u64, cols: usize, keys: &[u64], out: &mut [u32]) {
         u32::try_from(cols).is_ok(),
         "fill_bins requires cols <= u32::MAX"
     );
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if crate::simd::lanes_active() {
         // SAFETY: `lanes_active` verified AVX2 is available at runtime.
         unsafe { avx2::fill_bins(row_seed, cols as u32, keys, out) };
-        #[cfg(debug_assertions)]
-        {
-            let mut reference = vec![0u32; keys.len()];
-            fill_bins_scalar(row_seed, cols, keys, &mut reference);
-            debug_assert_eq!(
-                out,
-                &reference[..],
-                "simd lane diverged from scalar fill_bins"
-            );
-        }
+        debug_assert!(
+            keys.iter()
+                .zip(out.iter())
+                .all(|(&k, &bin)| bin == HashFamily::bin_for(row_seed, cols, k) as u32),
+            "simd lane diverged from scalar fill_bins"
+        );
         return;
     }
     fill_bins_scalar(row_seed, cols, keys, out);
@@ -144,41 +140,17 @@ pub fn fill_bins_scalar(row_seed: u64, cols: usize, keys: &[u64], out: &mut [u32
 /// *flip mask* for Count-Sketch's ±1 hash: XOR-ing it into an `f64`'s bits
 /// multiplies the value by the row's sign for that key (exact for every
 /// finite value, so sums stay bit-identical to the `±1.0 *` formulation).
-/// Batch unit of the `simd` feature; [`fill_sign_flips_scalar`] is the
-/// always-compiled reference and debug builds assert the lane matches it.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
 pub fn fill_sign_flips(sign_seed: u64, keys: &[u64], out: &mut [u64]) {
     assert_eq!(keys.len(), out.len(), "flips buffer must match keys length");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::lanes_active() {
-        // SAFETY: `lanes_active` verified AVX2 is available at runtime.
-        unsafe { avx2::fill_sign_flips(sign_seed, keys, out) };
-        #[cfg(debug_assertions)]
-        {
-            let mut reference = vec![0u64; keys.len()];
-            fill_sign_flips_scalar(sign_seed, keys, &mut reference);
-            debug_assert_eq!(
-                out,
-                &reference[..],
-                "simd lane diverged from scalar fill_sign_flips"
-            );
-        }
-        return;
-    }
-    fill_sign_flips_scalar(sign_seed, keys, out);
-}
-
-/// Scalar reference implementation of [`fill_sign_flips`].
-#[inline]
-pub fn fill_sign_flips_scalar(sign_seed: u64, keys: &[u64], out: &mut [u64]) {
     for (o, &k) in out.iter_mut().zip(keys) {
         *o = (mix64(k ^ sign_seed) & 1) << 63;
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use core::arch::x86_64::*;
 
@@ -242,26 +214,6 @@ mod avx2 {
         }
         for j in i..n {
             out[j] = super::HashFamily::bin_for(row_seed, cols as usize, keys[j]) as u32;
-        }
-    }
-
-    /// Per-lane [`super::fill_sign_flips_scalar`]: low mix bit shifted to the
-    /// sign-bit position, four keys at a time.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fill_sign_flips(sign_seed: u64, keys: &[u64], out: &mut [u64]) {
-        let seed = _mm256_set1_epi64x(sign_seed as i64);
-        let one = _mm256_set1_epi64x(1);
-        let n = keys.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let k = _mm256_loadu_si256(keys.as_ptr().add(i).cast());
-            let h = mix64x4(_mm256_xor_si256(k, seed));
-            let flips = _mm256_slli_epi64(_mm256_and_si256(h, one), 63);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), flips);
-            i += 4;
-        }
-        for j in i..n {
-            out[j] = (super::mix64(keys[j] ^ sign_seed) & 1) << 63;
         }
     }
 }
@@ -370,5 +322,35 @@ mod tests {
     #[should_panic(expected = "at least one column")]
     fn zero_cols_panics() {
         let _ = HashFamily::new(1, 0, 0);
+    }
+
+    /// The AVX2 lane against [`fill_bins_scalar`], called directly so the
+    /// comparison does not depend on the process-wide `force_scalar` toggle:
+    /// every tail length around the 4-key stride and the 256-key chunks the
+    /// sketches hash in, at the smallest, an odd, a typical and the largest
+    /// admissible column count.
+    #[test]
+    fn fill_bins_lane_matches_scalar() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let keys: Vec<u64> = [0, 1, u64::MAX, u64::MAX - 1, 1 << 32, (1 << 32) - 1]
+                .into_iter()
+                .chain((0..10_000u64).map(mix64))
+                .collect();
+            for n in (0..=9).chain([255, 256, 257, 10_000]) {
+                for cols in [1usize, 3, 2048, u32::MAX as usize] {
+                    for seed in [0u64, 0x9E37_79B9_7F4A_7C15, u64::MAX] {
+                        let mut lane = vec![u32::MAX; n];
+                        let mut scalar = vec![u32::MAX; n];
+                        // SAFETY: AVX2 support was just detected.
+                        unsafe { avx2::fill_bins(seed, cols as u32, &keys[..n], &mut lane) };
+                        fill_bins_scalar(seed, cols, &keys[..n], &mut scalar);
+                        assert_eq!(lane, scalar, "n={n} cols={cols} seed={seed:#x}");
+                    }
+                }
+            }
+            return;
+        }
+        println!("fill_bins_lane_matches_scalar: no AVX2 on this CPU, lane not compared");
     }
 }

@@ -77,12 +77,10 @@ fn sort_total(buf: &mut [f64]) {
             // Exactly two sorted runs. Compactions emit sorted 64-chunks, so
             // full upper-level buffers are two 64-runs — the in-register
             // bitonic merge's exact shape.
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             if n == 128 && split == 64 && crate::simd::lanes512_active() {
-                debug_parity(keys, |k| {
-                    // SAFETY: AVX-512F verified by `lanes512_active`.
-                    unsafe { super::sort128::merge_halves_128(k) };
-                });
+                // SAFETY: AVX-512F verified by `lanes512_active`.
+                unsafe { super::sort128::merge_halves_128(keys) };
                 for (v, &k) in buf.iter_mut().zip(keys.iter()) {
                     *v = from_total_key(k);
                 }
@@ -96,12 +94,10 @@ fn sort_total(buf: &mut [f64]) {
             // Random contents: the level-0 case, almost always exactly the
             // compactor capacity of 128 — sorted branch-free in zmm
             // registers when AVX-512F is available.
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             if n == 128 && crate::simd::lanes512_active() {
-                debug_parity(keys, |k| {
-                    // SAFETY: AVX-512F verified by `lanes512_active`.
-                    unsafe { super::sort128::sort_128(k) };
-                });
+                // SAFETY: AVX-512F verified by `lanes512_active`.
+                unsafe { super::sort128::sort_128(keys) };
                 for (v, &k) in buf.iter_mut().zip(keys.iter()) {
                     *v = from_total_key(k);
                 }
@@ -112,22 +108,6 @@ fn sort_total(buf: &mut [f64]) {
     }
     for (v, &k) in buf.iter_mut().zip(keys.iter()) {
         *v = from_total_key(k);
-    }
-}
-
-/// Runs `f` on `keys` and, in debug builds, asserts the result is identical
-/// to `sort_unstable` (u64 duplicates are interchangeable, so every correct
-/// sort of the same multiset produces the same bytes).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline]
-fn debug_parity(keys: &mut [u64], f: impl FnOnce(&mut [u64])) {
-    #[cfg(debug_assertions)]
-    let mut reference = keys.to_vec();
-    f(keys);
-    #[cfg(debug_assertions)]
-    {
-        reference.sort_unstable();
-        assert_eq!(keys, reference.as_slice(), "SIMD sort diverged from scalar");
     }
 }
 
@@ -449,6 +429,42 @@ mod tests {
         let est = sketch.query(phi).unwrap();
         let rank = exact_rank(&sorted, est) as f64;
         (rank - phi * data.len() as f64).abs() / data.len() as f64
+    }
+
+    /// `sort_total` against the comparator sort it stands for, bit for bit,
+    /// on every shape it dispatches on: random contents and two presorted
+    /// runs, at the compactor capacity of 128 (the in-register AVX-512F
+    /// kernels, where the CPU has them), around it, and past `SORT_STACK`.
+    #[test]
+    fn sort_total_matches_total_cmp_sort() {
+        println!(
+            "sort_total_matches_total_cmp_sort: avx512f lanes {}",
+            crate::simd::lanes512_active()
+        );
+        let mut rng = StdRng::seed_from_u64(0x5027);
+        for n in [0, 1, 2, 64, 127, 128, 129, 256, SORT_STACK, SORT_STACK + 1] {
+            for split in [None, Some(n / 2), Some(n / 3)] {
+                for _ in 0..20 {
+                    let mut buf: Vec<f64> = (0..n)
+                        .map(|i| match i % 7 {
+                            0 => -0.0,
+                            1 => 0.0,
+                            2 => f64::from(rng.gen_range(-3i32..3)),
+                            _ => rng.gen::<f64>() - 0.5,
+                        })
+                        .collect();
+                    if let Some(at) = split {
+                        buf[..at].sort_unstable_by(f64::total_cmp);
+                        buf[at..].sort_unstable_by(f64::total_cmp);
+                    }
+                    let mut expect = buf.clone();
+                    expect.sort_unstable_by(f64::total_cmp);
+                    sort_total(&mut buf);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&buf), bits(&expect), "n={n} split={split:?}");
+                }
+            }
+        }
     }
 
     #[test]

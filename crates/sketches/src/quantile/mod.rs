@@ -19,7 +19,7 @@
 
 mod gk;
 mod merging;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub(crate) mod sort128;
 mod tdigest;
 

@@ -22,8 +22,8 @@
 //! sorted 64-chunks, so upper levels hit exactly that shape).
 //!
 //! The scalar reference is plain `sort_unstable` — u64 duplicates are
-//! interchangeable, so any correct sort yields the identical byte sequence
-//! and callers can (and in debug builds do) assert equality.
+//! interchangeable, so any correct sort yields the identical byte sequence,
+//! which the tests below (and `merging`'s `sort_total` test) assert.
 
 use core::arch::x86_64::{
     __m512i, _mm512_loadu_si512, _mm512_mask_mov_epi64, _mm512_max_epu64, _mm512_min_epu64,
@@ -288,6 +288,7 @@ mod tests {
     #[test]
     fn sort_128_matches_sort_unstable() {
         if !crate::simd::lanes512_active() {
+            println!("sort_128_matches_sort_unstable: no AVX-512F on this CPU, kernel not run");
             return;
         }
         let mut rng = StdRng::seed_from_u64(0x50A7);
@@ -308,6 +309,7 @@ mod tests {
     #[test]
     fn merge_halves_matches_sort_unstable() {
         if !crate::simd::lanes512_active() {
+            println!("merge_halves_matches_sort_unstable: no AVX-512F on this CPU, kernel not run");
             return;
         }
         let mut rng = StdRng::seed_from_u64(0x4D4D);

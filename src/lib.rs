@@ -10,8 +10,8 @@
 //!
 //! - [`sketches`] — quantile sketches (Greenwald–Khanna, mergeable
 //!   compactor), Count-Min, and the paper's novel **MinMaxSketch**;
-//! - [`encoding`] — delta-binary key coding plus bitmap / RLE / Huffman /
-//!   CSR baselines;
+//! - [`encoding`] — delta-binary key coding, bit packing, Golomb–Rice and
+//!   the CRC-checked frames;
 //! - [`core`] — the [`SketchMlCompressor`] pipeline and the Adam / ZipML /
 //!   truncation baselines behind the [`GradientCompressor`] trait;
 //! - [`ml`] — LR / SVM / Linear GLMs, Adam SGD, and an MLP;

@@ -1,22 +1,25 @@
 //! Differential property tests: the vectorized lanes must be externally
-//! invisible. With the `simd` feature enabled, every registered compressor —
-//! including `@N` sharded variants — must produce *byte-identical* payloads
-//! and *bit-identical* decodes whether the lanes run or the always-compiled
-//! scalar reference runs.
+//! invisible. Every registered compressor — including `@N` sharded variants
+//! — must produce *byte-identical* payloads and *bit-identical* decodes
+//! whether the lanes run or the always-compiled scalar reference runs.
 //!
-//! [`sketchml::core::simd::force_scalar`] pins the whole stack (hashing,
-//! bucket lookup, sorting, sign partition, delta-binary packing, FastSGD
-//! exponent codes) to scalar code. Each case runs twin compressor instances
-//! over the same gradient sequence — one with lanes active, one forced
-//! scalar — so stateful compressors (momentum, error-feedback residuals,
-//! stochastic rounding seeds) evolve in lockstep. Each twin keeps one
-//! [`CompressScratch`], wire buffer and output gradient across its whole
-//! sequence: steady-state reuse is what production runs, so that is what
-//! the lanes are compared under. Under default features the toggle is a
-//! no-op and both twins run scalar code; the `simd` CI configuration is what
-//! gives these assertions their teeth.
+//! The lanes are part of every x86-64 build and are picked by CPU detection,
+//! so on an AVX2 host tier-1 runs them here against the scalar bodies that
+//! [`sketchml::core::simd::force_scalar`] pins across the whole stack
+//! (hashing, sorting, sign partition, delta-binary packing). Each case runs
+//! twin compressor instances over the same gradient sequence — one with
+//! lanes active, one forced scalar — so stateful compressors (momentum,
+//! error-feedback residuals, stochastic rounding seeds) evolve in lockstep.
+//! Each twin keeps one [`CompressScratch`], wire buffer and output gradient
+//! across its whole sequence: steady-state reuse is what production runs, so
+//! that is what the lanes are compared under. On a CPU without AVX2 both
+//! twins run scalar code and the comparison is vacuous; the smoke test
+//! prints which lanes the host has so such a run is visible in the log.
+
+mod common;
 
 use bytes::BytesMut;
+use common::LaneGuard;
 use proptest::collection::btree_map;
 use proptest::prelude::*;
 use sketchml::core::registry::KNOWN_COMPRESSORS;
@@ -26,28 +29,6 @@ use sketchml::{
     compressor_by_name, ErrorFeedback, FastSgdCompressor, GradientCompressor, SketchMlCompressor,
     SparseGradient,
 };
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// The `force_scalar` toggle is process-global, and the tests in this binary
-/// run on separate threads: a lock serializes them, and dropping the guard
-/// restores the lanes even when a failing assertion unwinds mid-case.
-static TOGGLE: Mutex<()> = Mutex::new(());
-
-struct LaneGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl LaneGuard {
-    fn acquire() -> Self {
-        let held = TOGGLE.lock().unwrap_or_else(PoisonError::into_inner);
-        simd::force_scalar(false);
-        LaneGuard(held)
-    }
-}
-
-impl Drop for LaneGuard {
-    fn drop(&mut self) {
-        simd::force_scalar(false);
-    }
-}
 
 /// Sparse gradients with up to 400 pairs over a `dim`-key model.
 fn arb_gradient_over(dim: u64) -> impl Strategy<Value = SparseGradient> {
@@ -243,6 +224,11 @@ proptest! {
 #[test]
 fn registered_compressors_lane_invariant_smoke() {
     let _guard = LaneGuard::acquire();
+    println!(
+        "lanes: avx2={} avx512f={}",
+        sketchml::sketches::simd::lanes_active(),
+        sketchml::sketches::simd::lanes512_active()
+    );
     let keys: Vec<u64> = (0..512u64).map(|i| i * 17 + 3).collect();
     let values: Vec<f64> = (0..512)
         .map(|i| ((i as f64) - 256.0) * 0.00371 + 0.0005)

@@ -11,7 +11,10 @@
 //! To bless an *intentional* format change, regenerate the fixtures with
 //! `REGEN_FIXTURES=1 cargo test --test wire_format` and review the diff.
 
+mod common;
+
 use bytes::BytesMut;
+use common::LaneGuard;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use sketchml::{
@@ -129,9 +132,19 @@ fn used_scratch() -> CompressScratch {
     scratch
 }
 
+/// [`assert_golden_bytes`] with the lanes the CPU has and again pinned to
+/// the scalar bodies, so both paths are held to the committed bytes directly
+/// (not only to each other, as `simd_scalar_equivalence.rs` holds them).
+fn assert_golden(name: &str, compressor: &dyn GradientCompressor) {
+    let _guard = LaneGuard::acquire();
+    assert_golden_bytes(name, compressor);
+    sketchml_core::simd::force_scalar(true);
+    assert_golden_bytes(name, compressor);
+}
+
 /// Encode → compare against golden bytes → decode golden bytes, once on a
 /// fresh scratch (`compress` / `decompress`) and once on a used one.
-fn assert_golden(name: &str, compressor: &dyn GradientCompressor) {
+fn assert_golden_bytes(name: &str, compressor: &dyn GradientCompressor) {
     let grad = canonical_gradient();
     let encoded = compressor.compress(&grad).expect("compress").payload;
     let golden = load_or_regen(name, &encoded);

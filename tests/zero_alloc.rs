@@ -9,12 +9,6 @@
 //! is why this file is a test binary of its own with a single `#[test]`:
 //! a second test running beside it would be counted too.
 
-// A *debug* `simd` build allocates by design: every lane dispatch site
-// builds a scalar reference `Vec` to check the vector kernel against (e.g.
-// `quantify.rs`, `hash.rs`, `delta_binary.rs`). The contract is checked in
-// debug without lanes (tier-1) and in release with them (`simd-test`).
-#![cfg(not(all(debug_assertions, feature = "simd")))]
-
 use bytes::BytesMut;
 use rand::prelude::*;
 use rand::rngs::StdRng;
