@@ -10,12 +10,13 @@ use sketchml_core::{CompressError, CompressScratch, GradientCompressor, SparseGr
 use std::time::Instant;
 
 /// Pooled driver-side decompression/aggregation state, reused across
-/// aggregation rounds: per-worker decode targets, codec scratch, and the
-/// downlink encode buffer.
+/// aggregation rounds: per-worker decode targets and instance counts, codec
+/// scratch, and the downlink encode buffer.
 #[derive(Debug, Default)]
 pub struct DriverScratch {
     scratch: CompressScratch,
     parts: Vec<SparseGradient>,
+    instances: Vec<usize>,
     out: BytesMut,
 }
 
@@ -41,16 +42,55 @@ pub struct AggregationResult {
     pub measured_codec: f64,
 }
 
+/// The instance-weighted mean of decoded worker gradients: each part (a
+/// worker's per-instance average over its slice) is scaled in place by its
+/// share of the round's instances, then the parts are summed in the order
+/// given. The socket server, every worker's replica of it and the simulator
+/// reach a round's gradient through this one function, so the same parts in
+/// the same order give the same bits everywhere.
+///
+/// # Errors
+/// [`CompressError::InvalidGradient`] if there are no parts, their
+/// dimensions differ, the two slices differ in length, or the instance
+/// counts overflow `usize` (a count is a peer's claim, not a measured slice).
+pub fn combine(
+    parts: &mut [SparseGradient],
+    instances: &[usize],
+) -> Result<SparseGradient, CompressError> {
+    if parts.len() != instances.len() {
+        return Err(CompressError::InvalidGradient(format!(
+            "{} parts but {} instance counts",
+            parts.len(),
+            instances.len()
+        )));
+    }
+    let total = instances
+        .iter()
+        .try_fold(0usize, |sum, &n| sum.checked_add(n))
+        .ok_or_else(|| {
+            CompressError::InvalidGradient(format!(
+                "instance counts of {} messages overflow usize",
+                instances.len()
+            ))
+        })?;
+    // Weight by the worker's share of the batch.
+    if total > 0 {
+        for (part, &n) in parts.iter_mut().zip(instances) {
+            part.scale(n as f64 / total as f64);
+        }
+    }
+    SparseGradient::aggregate(parts)
+}
+
 /// Decodes every worker message, averages the gradients, and sizes the
 /// broadcast.
 ///
 /// The aggregate is the instance-weighted mean of the workers' (already
-/// per-instance-averaged) gradients, matching a global batch average.
+/// per-instance-averaged) gradients, matching a global batch average: a
+/// decode loop, then [`combine`].
 ///
 /// # Errors
-/// Propagates decode failures ([`CompressError`]);
-/// [`CompressError::InvalidGradient`] if the messages' instance counts
-/// overflow `usize` (a count is a peer's claim, not a measured slice).
+/// Propagates decode failures ([`CompressError`]) and [`combine`]'s.
 pub fn aggregate(
     messages: &[WorkerMessage],
     dim: u64,
@@ -60,15 +100,8 @@ pub fn aggregate(
     ds: &mut DriverScratch,
 ) -> Result<AggregationResult, CompressError> {
     let t0 = Instant::now();
-    let total_instances = messages
-        .iter()
-        .try_fold(0usize, |sum, m| sum.checked_add(m.instances))
-        .ok_or_else(|| {
-            CompressError::InvalidGradient(format!(
-                "instance counts of {} messages overflow usize",
-                messages.len()
-            ))
-        })?;
+    ds.instances.clear();
+    ds.instances.extend(messages.iter().map(|m| m.instances));
     while ds.parts.len() < messages.len() {
         ds.parts.push(SparseGradient::empty(0));
     }
@@ -76,15 +109,11 @@ pub fn aggregate(
     for (m, part) in messages.iter().zip(ds.parts.iter_mut()) {
         compressor.decompress_into(&m.payload, &mut ds.scratch, part)?;
         pairs += part.nnz();
-        // Weight by the worker's share of the batch.
-        if total_instances > 0 {
-            part.scale(m.instances as f64 / total_instances as f64);
-        }
     }
     let gradient = if messages.is_empty() {
         SparseGradient::empty(dim)
     } else {
-        SparseGradient::aggregate(&ds.parts[..messages.len()])?
+        combine(&mut ds.parts[..messages.len()], &ds.instances)?
     };
 
     // Downlink: the driver ships the aggregated update to every worker.
@@ -99,6 +128,8 @@ pub fn aggregate(
     let measured_codec = t0.elapsed().as_secs_f64();
 
     let loss_sum: f64 = messages.iter().map(|m| m.loss_sum).sum();
+    // `combine` held the sum to a `usize`.
+    let total_instances: usize = ds.instances.iter().sum();
     let batch_loss = if total_instances == 0 {
         0.0
     } else {

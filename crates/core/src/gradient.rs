@@ -216,7 +216,9 @@ impl SparseGradient {
 
     /// Merges `others` into an element-wise **sum** (driver-side gradient
     /// aggregation over workers, §2.2: "we need to aggregate gradients
-    /// proposed by W workers").
+    /// proposed by W workers"). A key that several parts hold gets their
+    /// values added in ascending part index; sums that cancel to exactly
+    /// zero are dropped.
     ///
     /// # Errors
     /// [`CompressError::InvalidGradient`] if dimensions differ.
@@ -233,34 +235,36 @@ impl SparseGradient {
                 bad.dim
             )));
         }
-        // k-way merge via a flat collect + sort: simple and fast enough for
-        // the worker counts the simulator uses.
-        let mut pairs: Vec<(u64, f64)> = parts.iter().flat_map(|g| g.iter()).collect();
-        pairs.sort_unstable_by_key(|&(k, _)| k);
-        let mut keys = Vec::with_capacity(pairs.len());
-        let mut values = Vec::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            if keys.last() == Some(&k) {
-                *values.last_mut().expect("values parallel to keys") += v;
-            } else {
-                keys.push(k);
-                values.push(v);
+        // The parts are strictly ascending, so the sum is a k-way merge: take
+        // the smallest key any part still has, add that key's values in
+        // ascending part index, move on. The order is part of the contract:
+        // separately started processes that merge the same parts must land
+        // on the same bits, and for three or more parts float addition does
+        // not commute into that by itself.
+        let total: usize = parts.iter().map(SparseGradient::nnz).sum();
+        let mut keys = Vec::with_capacity(total);
+        let mut values = Vec::with_capacity(total);
+        let mut at = vec![0usize; parts.len()];
+        while let Some(key) = parts
+            .iter()
+            .zip(&at)
+            .filter_map(|(part, &i)| part.keys.get(i).copied())
+            .min()
+        {
+            let mut sum = 0.0;
+            for (part, i) in parts.iter().zip(&mut at) {
+                if part.keys.get(*i) == Some(&key) {
+                    sum += part.values[*i];
+                    *i += 1;
+                }
+            }
+            // Summing can cancel to exactly zero; keep representation canonical.
+            if sum != 0.0 {
+                keys.push(key);
+                values.push(sum);
             }
         }
-        // Summing can cancel to exactly zero; keep representation canonical.
-        let mut fk = Vec::with_capacity(keys.len());
-        let mut fv = Vec::with_capacity(values.len());
-        for (k, v) in keys.into_iter().zip(values) {
-            if v != 0.0 {
-                fk.push(k);
-                fv.push(v);
-            }
-        }
-        Ok(SparseGradient {
-            dim,
-            keys: fk,
-            values: fv,
-        })
+        Ok(SparseGradient { dim, keys, values })
     }
 
     /// Scales all values by `factor` (e.g. `1/W` for averaging).

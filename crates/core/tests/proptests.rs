@@ -24,6 +24,89 @@ fn arb_gradient() -> impl Strategy<Value = SparseGradient> {
     })
 }
 
+/// What `SparseGradient::aggregate` did before it became a k-way merge,
+/// kept as the reference: flat collect, unstable sort by key, running sum,
+/// zeros dropped.
+fn aggregate_by_sorting(parts: &[SparseGradient]) -> (Vec<u64>, Vec<f64>) {
+    let mut pairs: Vec<(u64, f64)> = parts.iter().flat_map(|g| g.iter()).collect();
+    pairs.sort_unstable_by_key(|&(k, _)| k);
+    let mut keys: Vec<u64> = Vec::new();
+    let mut values: Vec<f64> = Vec::new();
+    for (k, v) in pairs {
+        if keys.last() == Some(&k) {
+            *values.last_mut().unwrap() += v;
+        } else {
+            keys.push(k);
+            values.push(v);
+        }
+    }
+    keys.into_iter()
+        .zip(values)
+        .filter(|&(_, v)| v != 0.0)
+        .unzip()
+}
+
+/// The sum written out by hand: every key's values added part after part.
+fn aggregate_in_part_order(parts: &[SparseGradient]) -> (Vec<u64>, Vec<f64>) {
+    let mut sums = std::collections::BTreeMap::new();
+    for part in parts {
+        for (k, v) in part.iter() {
+            sums.entry(k).and_modify(|s| *s += v).or_insert(v);
+        }
+    }
+    sums.into_iter().filter(|&(_, v)| v != 0.0).unzip()
+}
+
+/// One to eight parts over 24 keys, so most keys are shared; the values
+/// include pairs that cancel exactly, explicit zeros, and magnitudes whose
+/// sum depends on the order it is taken in.
+fn arb_parts() -> impl Strategy<Value = Vec<SparseGradient>> {
+    let value = prop_oneof![
+        Just(0.5f64),
+        Just(-0.5f64),
+        Just(0.0f64),
+        Just(0.1f64),
+        Just(0.2f64),
+        Just(-0.3f64),
+        Just(1e17f64),
+        Just(-1e17f64),
+        -2.0f64..2.0,
+    ];
+    proptest::collection::vec(btree_map(0u64..24, value, 0..16), 1..9).prop_map(|parts| {
+        parts
+            .into_iter()
+            .map(|m| {
+                let (keys, values) = m.into_iter().unzip();
+                SparseGradient::new(24, keys, values).expect("btree map keys are ascending")
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The merge sums equal keys in ascending part index. For one and two
+    /// parts that is what the sort-based body computed, bit for bit (one
+    /// addition commutes); from three parts on the old bits depended on what
+    /// an unstable sort did with equal keys, the new ones are the hand sum.
+    #[test]
+    fn aggregate_merges_in_part_order(parts in arb_parts()) {
+        let merged = SparseGradient::aggregate(&parts).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (keys, values) = aggregate_in_part_order(&parts);
+        prop_assert_eq!(merged.keys(), &keys[..]);
+        prop_assert_eq!(bits(merged.values()), bits(&values));
+        prop_assert!(merged.values().iter().all(|&v| v != 0.0));
+        prop_assert_eq!(merged.dim(), 24);
+        if parts.len() <= 2 {
+            let (sorted_keys, sorted_values) = aggregate_by_sorting(&parts);
+            prop_assert_eq!(merged.keys(), &sorted_keys[..]);
+            prop_assert_eq!(bits(merged.values()), bits(&sorted_values));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -1,22 +1,33 @@
 //! Client side of the live parameter server: a typed request/response
-//! handle plus [`run_worker`], the complete training-participant loop a
-//! worker process runs (including checkpoint-based recovery after a crash).
+//! handle, the [`Replica`] of the server's training state a worker keeps,
+//! and [`run_worker`], the complete training-participant loop a worker
+//! process runs.
+//!
+//! A worker never pulls weights. It builds model and optimizer from the
+//! config — at round 0 both are what the server holds — and after each push
+//! asks for the round that follows its replica's: the reply is the codec
+//! frames the *other* workers pushed, and [`Replica`] runs the decode →
+//! [`combine`] → `apply_gradient` the server's trainer runs on them, in the
+//! same order, to the same bits. A worker that is not exactly one round
+//! behind (respawned mid-run, or two rounds late after straggler timeouts)
+//! is answered with the server's live training state and restores from it.
 
-use crate::error::{ErrorCode, NetError};
+use crate::error::NetError;
 use crate::sock::Conn;
-use crate::wire::{PredictInstance, PushStatus, Request, Response, PROTOCOL_VERSION};
+use crate::wire::{PredictInstance, PushStatus, Request, Response, RoundMember, PROTOCOL_VERSION};
+use sketchml_cluster::driver::combine;
 use sketchml_cluster::network::CostModel;
 use sketchml_cluster::worker::{partition, process_glm_batch, WorkerScratch};
-use sketchml_core::compressor_by_name;
+use sketchml_core::{compressor_by_name, CompressScratch, GradientCompressor, SparseGradient};
 use sketchml_data::Batcher;
-use sketchml_ml::{Checkpoint, GlmModel, Instance};
+use sketchml_ml::{Checkpoint, GlmModel, Instance, OptimizerState};
 use std::io::{BufReader, BufWriter, Write};
 use std::time::Duration;
 
 use crate::server::ServeSetup;
 
-/// A model state pulled from the server. A worker keeps one as its replica
-/// and lets [`Client::pull_update`] advance it in place.
+/// The published model as a dense pull returns it: what inference clients
+/// and checks read. Lock-step workers hold a [`Replica`] instead.
 #[derive(Debug, Clone)]
 pub struct ModelView {
     /// Rounds baked into the weights.
@@ -29,13 +40,249 @@ pub struct ModelView {
     pub weights: Vec<f64>,
 }
 
-/// Which frame answered a [`Client::pull_update`].
+/// What a [`Client::pull_round`] did to the replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PullKind {
-    /// A `ModelDelta`: only the changed weights crossed the wire.
-    Delta,
-    /// The dense `Model`: the replica was replaced.
-    Dense,
+pub enum Pulled {
+    /// Nothing has closed since the replica's round: the call did not wait,
+    /// or the server's bounded wait ran out (or training is over — see
+    /// [`Replica::done`]).
+    Nothing,
+    /// The replica advanced one round. `listed` says whether this worker's
+    /// push was part of it; a round can close without it when the straggler
+    /// timeout fires first.
+    Round {
+        /// This worker's push was one of the round's members.
+        listed: bool,
+    },
+    /// The replica could not be stepped to the server's state and was
+    /// replaced by it.
+    State,
+}
+
+/// A worker's copy of the server's training state — model, optimizer and
+/// the rounds applied to them — kept bit-identical to the server's by
+/// applying the same frames through the same [`combine`] and
+/// `apply_gradient`, in the same member order.
+///
+/// Every check on a reply happens before the first write: a reply that is
+/// refused leaves weights and optimizer state untouched.
+pub struct Replica {
+    model: GlmModel,
+    optimizer: OptimizerState,
+    round: u64,
+    done: bool,
+    workers: usize,
+    dataset_instances: u64,
+    compressor: Box<dyn GradientCompressor>,
+    scratch: CompressScratch,
+    /// Decode targets, one per member of a round, reused across rounds.
+    parts: Vec<SparseGradient>,
+    /// This worker's own part of the round being pulled.
+    own: SparseGradient,
+    instances: Vec<usize>,
+}
+
+impl Replica {
+    /// The state every participant starts from: the zero model and the fresh
+    /// optimizer of `setup`, no rounds applied. Nothing dense has to cross
+    /// the link to start.
+    ///
+    /// # Errors
+    /// [`NetError::InvalidConfig`] for a setup no model, optimizer or
+    /// compressor can be built from.
+    pub fn new(setup: &ServeSetup) -> Result<Self, NetError> {
+        setup.validate()?;
+        let (model, optimizer) = setup.fresh_state()?;
+        Ok(Replica {
+            model,
+            optimizer,
+            round: 0,
+            done: false,
+            workers: setup.workers,
+            dataset_instances: setup.dataset.instances as u64,
+            compressor: compressor_by_name(&setup.compressor)?,
+            scratch: CompressScratch::new(),
+            parts: Vec::new(),
+            own: SparseGradient::empty(0),
+            instances: Vec::new(),
+        })
+    }
+
+    /// The model after [`round`](Self::round) rounds.
+    pub fn model(&self) -> &GlmModel {
+        &self.model
+    }
+
+    /// The optimizer after [`round`](Self::round) rounds.
+    pub fn optimizer(&self) -> &OptimizerState {
+        &self.optimizer
+    }
+
+    /// Rounds applied.
+    pub fn round(&self) -> u64 {
+        self.round
+    }
+
+    /// The server said no round follows.
+    pub fn done(&self) -> bool {
+        self.done
+    }
+
+    /// Applies a `Round` reply. `own` is `(frame, instances)` of the push
+    /// this worker landed for the replica's round — already decoded into
+    /// `self.own` — or `None` if it has none.
+    fn step(
+        &mut self,
+        worker: u32,
+        own: Option<(&[u8], u64)>,
+        base_round: u64,
+        round: u64,
+        done: bool,
+        members: &[RoundMember],
+    ) -> Result<Pulled, NetError> {
+        let bad = |m: String| Err(NetError::Protocol(m));
+        if base_round != self.round {
+            return bad(format!(
+                "round reply starts from round {base_round}, the replica is at {}",
+                self.round
+            ));
+        }
+        if round == base_round {
+            if !members.is_empty() {
+                return bad(format!(
+                    "{} members in a round that did not close",
+                    members.len()
+                ));
+            }
+            self.done = done;
+            return Ok(Pulled::Nothing);
+        }
+        if base_round.checked_add(1) != Some(round) {
+            return bad(format!(
+                "round reply jumps from round {base_round} to {round}"
+            ));
+        }
+        if members.len() > self.workers {
+            return bad(format!(
+                "{} members in a session of {} workers",
+                members.len(),
+                self.workers
+            ));
+        }
+        let mut listed = false;
+        for (i, m) in members.iter().enumerate() {
+            if m.worker as usize >= self.workers || (i > 0 && members[i - 1].worker >= m.worker) {
+                return bad(format!(
+                    "member ids are not ascending ids of {} workers at {}",
+                    self.workers, m.worker
+                ));
+            }
+            if m.instances > self.dataset_instances {
+                return bad(format!(
+                    "member {} claims {} of {} instances",
+                    m.worker, m.instances, self.dataset_instances
+                ));
+            }
+            if m.worker != worker {
+                if m.frame.is_none() {
+                    return bad(format!("the frame of member {} is missing", m.worker));
+                }
+            } else if m.frame.is_some() || own.map(|(_, n)| n) != Some(m.instances) {
+                return bad(format!(
+                    "own member carries {} and {} instances, this worker pushed {:?}",
+                    if m.frame.is_some() {
+                        "a frame"
+                    } else {
+                        "no frame"
+                    },
+                    m.instances,
+                    own.map(|(_, n)| n)
+                ));
+            } else {
+                listed = true;
+            }
+        }
+        // Decode every member before the replica is touched.
+        while self.parts.len() < members.len() {
+            self.parts.push(SparseGradient::empty(0));
+        }
+        let dim = self.model.dim() as u64;
+        for (m, part) in members.iter().zip(&mut self.parts) {
+            match &m.frame {
+                Some(frame) => {
+                    if let Err(e) = self
+                        .compressor
+                        .decompress_into(frame, &mut self.scratch, part)
+                    {
+                        return bad(format!(
+                            "the frame of member {} does not decode: {e}",
+                            m.worker
+                        ));
+                    }
+                }
+                None => std::mem::swap(part, &mut self.own),
+            }
+            if part.dim() != dim {
+                return bad(format!(
+                    "the frame of member {} holds a gradient of dimension {}, the model has {dim}",
+                    m.worker,
+                    part.dim()
+                ));
+            }
+        }
+        if !members.is_empty() {
+            self.instances.clear();
+            // Held to the dataset's above, which is a `usize`.
+            self.instances
+                .extend(members.iter().map(|m| m.instances as usize));
+            let gradient = combine(&mut self.parts[..members.len()], &self.instances)
+                .map_err(|e| NetError::Protocol(format!("round {round} does not combine: {e}")))?;
+            self.model
+                .apply_gradient(&mut self.optimizer, gradient.keys(), gradient.values());
+        }
+        self.round = round;
+        self.done = done;
+        Ok(Pulled::Round { listed })
+    }
+
+    /// Replaces the replica by the server's live state after `round` rounds:
+    /// a v3 checkpoint frame, held to the session's config first.
+    fn restore(&mut self, round: u64, bytes: &[u8]) -> Result<Pulled, NetError> {
+        let bad = |m: String| Err(NetError::Protocol(format!("state reply: {m}")));
+        if round < self.round {
+            return bad(format!(
+                "round {round} is behind the replica's {}",
+                self.round
+            ));
+        }
+        let state = match Checkpoint::from_bytes(bytes) {
+            Ok(state) => state,
+            Err(e) => return bad(e.to_string()),
+        };
+        let (have, got) = (&self.model, &state.model);
+        if got.dim() != have.dim()
+            || got.loss != have.loss
+            || got.l2.to_bits() != have.l2.to_bits()
+            || std::mem::discriminant(&state.optimizer) != std::mem::discriminant(&self.optimizer)
+        {
+            return bad(format!(
+                "a {:?} model of dimension {} (l2 {}) with {} state, the session trains \
+                 a {:?} model of dimension {} (l2 {}) with {} state",
+                got.loss,
+                got.dim(),
+                got.l2,
+                state.optimizer.name(),
+                have.loss,
+                have.dim(),
+                have.l2,
+                self.optimizer.name()
+            ));
+        }
+        self.model = state.model;
+        self.optimizer = state.optimizer;
+        self.round = round;
+        Ok(Pulled::State)
+    }
 }
 
 /// A connected, version-negotiated client.
@@ -127,75 +374,53 @@ impl Client {
         }
     }
 
-    /// Advances `replica` — the model of round `replica.round`, from an
-    /// earlier pull — to the server's current model, as
-    /// [`pull_model`](Self::pull_model) would return it for `round`/`wait`.
-    /// The server sends only the weights that changed when it can express
-    /// its model as a change to `replica.round`'s; those are assigned in
-    /// place (`weights[k] = v`, so the replica stays bit-identical to the
-    /// server's model and a repeated delta is harmless). Otherwise, or if
-    /// the delta does not start from `replica.round`, the dense model
-    /// replaces the replica.
+    /// Asks for the round that follows `replica`'s and applies the reply:
+    /// steps the replica from the round's frames, or — when the server says
+    /// the replica cannot be stepped to its state — restores it from the
+    /// live state. `own` is `(frame, instances)` of the push this worker
+    /// landed for the replica's round, if it landed one: the server leaves
+    /// that frame out of the reply. With `wait`, the server blocks (bounded)
+    /// until the round has closed.
     ///
     /// # Errors
-    /// Wire failures; [`NetError::Protocol`] for a delta that names a weight
-    /// the replica does not have (the replica is left untouched).
-    pub fn pull_update(
+    /// Wire failures; [`NetError::Protocol`] for a reply that does not fit
+    /// the replica or the session (the replica is left untouched).
+    pub fn pull_round(
         &mut self,
         worker: u32,
-        replica: &mut ModelView,
-        round: u64,
+        replica: &mut Replica,
+        own: Option<(&[u8], u64)>,
         wait: bool,
-    ) -> Result<PullKind, NetError> {
-        let reply = self.call(&Request::PullDelta {
+    ) -> Result<Pulled, NetError> {
+        Request::PullRound {
             worker,
             have_round: replica.round,
-            round,
             wait,
-        })?;
+        }
+        .write_to(&mut self.writer)?;
+        // While the server waits for the round to close: this worker's own
+        // part of it, from the bytes it pushed.
+        let own_decoded = own.map(|(frame, _)| {
+            replica
+                .compressor
+                .decompress_into(frame, &mut replica.scratch, &mut replica.own)
+        });
+        let reply = Response::read_from(&mut self.reader)?.into_result()?;
+        if let Some(Err(e)) = own_decoded {
+            return Err(NetError::Protocol(format!(
+                "the frame this worker pushed does not decode: {e}"
+            )));
+        }
         match reply {
-            Response::ModelDelta {
+            Response::Round {
                 base_round,
                 round,
-                epoch,
+                epoch: _,
                 done,
-                keys,
-                values,
-            } if base_round == replica.round => {
-                let dim = replica.weights.len() as u64;
-                if let Some(k) = keys.iter().find(|&&k| k >= dim) {
-                    return Err(NetError::Protocol(format!(
-                        "delta key {k} is outside the replica's {dim} weights"
-                    )));
-                }
-                for (&k, &v) in keys.iter().zip(&values) {
-                    replica.weights[k as usize] = v;
-                }
-                replica.round = round;
-                replica.epoch = epoch;
-                replica.done = done;
-                Ok(PullKind::Delta)
-            }
-            // A delta from some other round cannot be applied to this replica.
-            Response::ModelDelta { .. } => {
-                *replica = self.pull_model(worker, round, false)?;
-                Ok(PullKind::Dense)
-            }
-            Response::Model {
-                round,
-                epoch,
-                done,
-                weights,
-            } => {
-                *replica = ModelView {
-                    round,
-                    epoch,
-                    done,
-                    weights,
-                };
-                Ok(PullKind::Dense)
-            }
-            other => Err(unexpected("ModelDelta or Model", &other)),
+                members,
+            } => replica.step(worker, own, base_round, round, done, &members),
+            Response::State { round, bytes } => replica.restore(round, &bytes),
+            other => Err(unexpected("Round or State", &other)),
         }
     }
 
@@ -277,19 +502,21 @@ fn unexpected(wanted: &str, got: &Response) -> NetError {
 pub struct WorkerRunStats {
     /// Gradients accepted by the server.
     pub pushes_accepted: u64,
-    /// Pushes answered `Stale` (we fast-forwarded past a missed round).
+    /// Pushes answered `Stale` (the round had closed without this worker).
     pub pushes_stale: u64,
+    /// Accepted pushes whose round then closed without them (queued as the
+    /// straggler timeout fired).
+    pub pushes_dropped: u64,
     /// Pushes answered `Backpressure` (retried after a short sleep).
     pub backpressure_retries: u64,
-    /// True if this worker joined mid-training and validated the server's
-    /// checkpoint before participating (the crash-recovery path).
-    pub recovered_from_checkpoint: bool,
-    /// Round the worker observed when training completed.
+    /// Rounds applied to the replica when training completed.
     pub final_round: u64,
-    /// Pulls answered with the dense model (the first one always is).
-    pub pulls_dense: u64,
-    /// Pulls answered with a delta.
-    pub pulls_delta: u64,
+    /// Pulls answered with a round (its frames, or none yet).
+    pub pulls_round: u64,
+    /// Pulls answered with the live training state: zero for a worker that
+    /// started with the session and never lost two rounds, one for a worker
+    /// respawned mid-run.
+    pub pulls_state: u64,
 }
 
 /// Replays the shared batch schedule so the worker knows which instance
@@ -316,7 +543,8 @@ impl Schedule {
     }
 
     /// The batch (instance indices) for global `round`, advancing the
-    /// shared shuffle as needed. Rounds never go backwards.
+    /// shared shuffle as needed — across whole epochs when the replica was
+    /// restored from a later state. Rounds never go backwards.
     fn batch_for(&mut self, round: u64) -> &[usize] {
         let epoch = round / self.rounds_per_epoch;
         while self.epochs_consumed <= epoch {
@@ -327,101 +555,79 @@ impl Schedule {
     }
 }
 
-/// Runs the complete worker participant loop against a live server:
-/// fetch config, regenerate the dataset, recover from the server's
-/// checkpoint if joining mid-training, then pull→compute→push until done.
+/// Runs the complete worker participant loop against a live server: fetch
+/// config, regenerate the dataset, build the replica, then
+/// compute→push→pull-the-round until done. A worker joining mid-training is
+/// sent the live state on its first pull and carries on from there.
 ///
 /// # Errors
 /// Any wire, codec, or configuration failure.
 pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
     let mut client = Client::connect(addr)?;
     let setup = client.get_config()?;
-    setup.validate()?;
+    let mut replica = Replica::new(&setup)?;
     if worker as usize >= setup.workers {
         return Err(NetError::InvalidConfig(format!(
             "worker id {worker} out of range for {} workers",
             setup.workers
         )));
     }
-    let spec = setup.spec;
-    let dim = setup.dataset.features as usize;
     let (train, _test) = setup.dataset.generate_split();
     let compressor = compressor_by_name(&setup.compressor)?;
     let cost = CostModel::cluster1();
     let mut ws = WorkerScratch::new();
-    let mut schedule = Schedule::new(train.len(), setup.batch_ratio, spec.seed);
+    let mut schedule = Schedule::new(train.len(), setup.batch_ratio, setup.spec.seed);
     let mut stats = WorkerRunStats::default();
+    // The push this worker landed for the replica's round: its frame is this
+    // worker's part of that round.
+    let mut pushed: Option<(Vec<u8>, u64)> = None;
 
-    // The one dense pull: the replica every later pull advances in place.
-    let mut replica = client.pull_model(worker, 0, false)?;
-    stats.pulls_dense = 1;
-    let mut round = replica.round;
-    if replica.done {
-        stats.final_round = round;
-        return Ok(stats);
-    }
-    // Joining mid-training (e.g. respawned after a crash): prove the
-    // server's checkpoint loads before participating, exactly what a
-    // stateful worker would restore from.
-    if round > 0 {
-        match client.get_checkpoint() {
-            Ok((_epochs, bytes)) => {
-                Checkpoint::validate(&bytes)
-                    .map_err(|e| NetError::InvalidConfig(format!("bad checkpoint: {e}")))?;
-                stats.recovered_from_checkpoint = true;
-            }
-            // Joining before the first epoch finished: nothing to restore.
-            Err(NetError::Remote {
-                code: ErrorCode::BadState,
-                ..
-            }) => {}
-            Err(e) => return Err(e),
-        }
-    }
-
-    let mut model = GlmModel::new(dim, spec.loss, spec.l2)
-        .map_err(|e| NetError::InvalidConfig(e.to_string()))?;
     loop {
-        match client.pull_update(worker, &mut replica, round, true)? {
-            PullKind::Delta => stats.pulls_delta += 1,
-            PullKind::Dense => stats.pulls_dense += 1,
+        // Level with the server first. After a push that waits for the round
+        // to close; without one (at the start, after a stale push or a state
+        // restore) it only asks whether something closed meanwhile.
+        let own = pushed.as_ref().map(|(frame, n)| (frame.as_slice(), *n));
+        match client.pull_round(worker, &mut replica, own, pushed.is_some())? {
+            Pulled::Round { listed } => {
+                stats.pulls_round += 1;
+                if pushed.take().is_some() && !listed {
+                    stats.pushes_dropped += 1;
+                }
+            }
+            Pulled::State => {
+                stats.pulls_state += 1;
+                pushed = None;
+                // A round may have closed since the state was taken.
+                continue;
+            }
+            Pulled::Nothing => {
+                stats.pulls_round += 1;
+                if pushed.is_some() && !replica.done() {
+                    // The server's bounded wait ran out (stragglers).
+                    continue;
+                }
+            }
         }
-        if replica.done {
-            stats.final_round = replica.round;
+        if replica.done() {
+            stats.final_round = replica.round();
             return Ok(stats);
         }
-        if replica.round < round {
-            // Bounded server-side wait expired before the round advanced
-            // (stragglers); just pull again.
-            continue;
-        }
-        // Past `round` if we lost rounds to the straggler timeout.
-        round = replica.round;
-        if replica.weights.len() != dim {
-            return Err(NetError::Protocol(format!(
-                "model has {} weights, expected {dim}",
-                replica.weights.len()
-            )));
-        }
 
-        let batch = schedule.batch_for(round);
-        let part = partition(batch, setup.workers)
+        let round = replica.round();
+        let part = partition(schedule.batch_for(round), setup.workers)
             .into_iter()
             .nth(worker as usize)
             .unwrap_or_default();
         let slice: Vec<Instance> = part.iter().map(|&i| train[i].clone()).collect();
-        // The gradient is taken on the replica itself, lent to the model.
-        std::mem::swap(&mut model.weights, &mut replica.weights);
-        let msg = process_glm_batch(&model, &slice, compressor.as_ref(), &cost, &mut ws);
-        std::mem::swap(&mut model.weights, &mut replica.weights);
-        let msg = msg?;
+        let msg = process_glm_batch(replica.model(), &slice, compressor.as_ref(), &cost, &mut ws)?;
 
         // Built once: a `Backpressure` retry resends the same request.
+        let instances = msg.instances as u64;
         let push = Request::PushGradient {
             worker,
             round,
             loss_sum: msg.loss_sum,
-            instances: msg.instances as u64,
+            instances,
             payload: msg.payload,
         };
         loop {
@@ -432,12 +638,15 @@ pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
             match status {
                 PushStatus::Accepted => {
                     stats.pushes_accepted += 1;
-                    round += 1;
+                    if let Request::PushGradient { payload, .. } = push {
+                        pushed = Some((payload, instances));
+                    }
                     break;
                 }
+                // The round closed without this worker: the pull at the top
+                // of the loop brings the replica level again.
                 PushStatus::Stale => {
                     stats.pushes_stale += 1;
-                    round = server_round;
                     break;
                 }
                 PushStatus::Backpressure => {

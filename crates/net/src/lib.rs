@@ -13,16 +13,19 @@
 //!   existing v2/CSK CRC frames produced by the `GradientCompressor`
 //!   registry, carried opaquely.
 //! * [`sock`] — one connection type over TCP or Unix-domain sockets.
-//! * [`store`] — epoch-snapshot model store: `Predict` readers clone an
-//!   `Arc` and score lock-free while the trainer publishes new snapshots,
-//!   each carrying the pre-encoded delta from the round before it.
-//! * [`server`] — accept loop, bounded connection queue, handler pool,
-//!   bounded push queue (backpressure), and the trainer thread that
-//!   coalesces worker pushes per round and replicates the in-simulator
-//!   aggregation exactly (worker-id order, instance-weighted mean).
-//! * [`client`] — typed client plus the full worker participant loop: one
-//!   dense pull, then a replica advanced by sparse deltas, with
-//!   checkpoint-validated recovery for respawned workers.
+//! * [`store`] — epoch-snapshot model store: `Predict` readers and dense
+//!   pulls clone an `Arc` and read lock-free while the trainer publishes new
+//!   snapshots.
+//! * [`server`] — accept loop, bounded connection queue, handler pool that
+//!   decodes each push at the door, bounded push queue (backpressure), and
+//!   the trainer thread that coalesces worker pushes per round, posts the
+//!   closed round's frames for the handlers to forward, and replicates the
+//!   in-simulator aggregation exactly (worker-id order, instance-weighted
+//!   mean, through the one `driver::combine`).
+//! * [`client`] — typed client, the [`Replica`] of model and optimizer a
+//!   worker steps from each round's frames (no weights cross the wire in
+//!   steady state), and the full worker participant loop, with a live-state
+//!   restore for respawned or left-behind workers.
 //!
 //! Determinism: the server ships its [`server::ServeSetup`] to every
 //! worker; both sides build the same seeded [`sketchml_data::Batcher`] and
@@ -40,9 +43,9 @@ pub mod sock;
 pub mod store;
 pub mod wire;
 
-pub use client::{run_worker, Client, ModelView, PullKind, WorkerRunStats};
+pub use client::{run_worker, Client, ModelView, Pulled, Replica, WorkerRunStats};
 pub use error::{ErrorCode, NetError};
 pub use server::{ServeSetup, ServeSummary, Server};
 pub use sock::{Conn, Listener};
 pub use store::{ModelSnapshot, ModelStore};
-pub use wire::{PredictInstance, PushStatus, Request, Response, PROTOCOL_VERSION};
+pub use wire::{PredictInstance, PushStatus, Request, Response, RoundMember, PROTOCOL_VERSION};

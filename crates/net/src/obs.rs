@@ -1,5 +1,5 @@
 //! Thin shims from server events to the global telemetry registry
-//! (`serving` section, schema v9). All of these are no-ops unless a
+//! (`serving` section, schema v10). All of these are no-ops unless a
 //! telemetry session is recording.
 
 use sketchml_telemetry::{add, counter_max, gauge_set, inc, Counter, Gauge};
@@ -26,14 +26,24 @@ pub fn push() {
     inc(Counter::ServingPushes);
 }
 
-/// A pull was answered with a `bytes`-long frame: the dense `Model` or a
-/// `ModelDelta`.
-pub fn pull(dense: bool, bytes: u64) {
+/// The frame that answered a pull.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pull {
+    /// The dense `Model`: an inference client, or a final check.
+    Dense,
+    /// A `Round`: the frames a lock-step worker steps its replica from.
+    Round,
+    /// A `State`: a worker that could not be stepped was resynchronised.
+    State,
+}
+
+/// A pull was answered with a `bytes`-long frame of kind `kind`.
+pub fn pull(kind: Pull, bytes: u64) {
     inc(Counter::ServingPulls);
-    inc(if dense {
-        Counter::ServingPullsDense
-    } else {
-        Counter::ServingPullsDelta
+    inc(match kind {
+        Pull::Dense => Counter::ServingPullsDense,
+        Pull::Round => Counter::ServingPullsRound,
+        Pull::State => Counter::ServingPullsState,
     });
     add(Counter::ServingBytesDown, bytes);
 }
@@ -44,7 +54,8 @@ pub fn push_bytes(bytes: u64) {
 }
 
 /// A push was refused typed: future round, unknown worker id, `instances`
-/// above the dataset's, or a non-finite `loss_sum`.
+/// above the dataset's, a non-finite `loss_sum`, or a frame that does not
+/// decode to a gradient of the model's dimension.
 pub fn rejected_push() {
     inc(Counter::ServingRejectedPushes);
 }

@@ -4,12 +4,30 @@
 //!
 //! ```text
 //! accept loop ──▶ bounded conn queue ──▶ handler pool (N threads)
-//!                                            │ Predict / PullModel ──▶ ModelStore (epoch snapshots)
-//!                                            │ PushGradient ──▶ bounded push queue
-//!                                                                     │
-//!                                            trainer thread ◀─────────┘
-//!                                            (coalesce per round → aggregate → apply → publish)
+//!                                            │ Predict / PullModel ──▶ ModelStore (published snapshots)
+//!                                            │ PushGradient: decode ──▶ bounded push queue
+//!                                            │ PullRound ◀── round board        │
+//!                                            │                  ▲               │
+//!                                            trainer thread ────┘◀──────────────┘
+//!                                            (coalesce per round → post → combine → apply → publish)
 //! ```
+//!
+//! **The round is the W frames.** What a round changes is fully described by
+//! the codec frames the workers pushed for it, so that is what the downlink
+//! carries: the trainer posts a closed round's frames on the board *before*
+//! it does any arithmetic, the handlers forward them (each worker gets the
+//! others' frames; it kept its own), and every worker runs the decode →
+//! [`combine`] → `apply_gradient` the trainer runs, on a replica of model and
+//! optimizer that stays bit-identical to the server's. No weights cross the
+//! wire in steady state. A replica that is not exactly one round behind — a
+//! respawned worker, a straggler that lost two rounds — is sent the live
+//! training state instead, serialised by the handler under the mutex the
+//! trainer takes only to apply a round.
+//!
+//! Each handler decodes the push it accepts with its own scratch, so the W
+//! decodes of a round run in parallel and overlap the wait for the slowest
+//! worker; a frame that does not decode, or decodes to another dimension, is
+//! refused at the door and never reaches the trainer.
 //!
 //! Backpressure is bounded-queue at both seams: a full connection queue
 //! refuses the socket with a typed `Backpressure` error before any protocol
@@ -22,13 +40,10 @@ use crate::sock::{Conn, Listener};
 use crate::store::{ModelSnapshot, ModelStore};
 use crate::wire::{self, PredictInstance, PushStatus, Request, Response, PROTOCOL_VERSION};
 use serde::{Deserialize, Serialize};
-use sketchml_cluster::driver::{aggregate, DriverScratch};
-use sketchml_cluster::network::CostModel;
-use sketchml_cluster::worker::WorkerMessage;
+use sketchml_cluster::driver::combine;
 use sketchml_cluster::TrainSpec;
-use sketchml_core::compressor_by_name;
+use sketchml_core::{compressor_by_name, CompressScratch, GradientCompressor, SparseGradient};
 use sketchml_data::{Batcher, SparseDatasetSpec};
-use sketchml_encoding::stats::SizeReport;
 use sketchml_ml::{Checkpoint, GlmModel, Instance, OptimizerState, SparseVector};
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
@@ -120,6 +135,23 @@ impl ServeSetup {
         }
         Ok(())
     }
+
+    /// The training state of round 0: the zero model and the fresh optimizer
+    /// of this setup. The server's trainer and every worker's replica start
+    /// from this one construction, which is why nothing dense has to cross
+    /// the link to start.
+    ///
+    /// # Errors
+    /// [`NetError::InvalidConfig`] if no model or optimizer can be built.
+    pub fn fresh_state(&self) -> Result<(GlmModel, OptimizerState), NetError> {
+        let dim = self.dataset.features as usize;
+        let invalid = |e: sketchml_ml::MlError| NetError::InvalidConfig(e.to_string());
+        Ok((
+            GlmModel::new(dim, self.spec.loss, self.spec.l2).map_err(invalid)?,
+            OptimizerState::build(self.spec.optimizer, self.spec.opt_state, dim)
+                .map_err(invalid)?,
+        ))
+    }
 }
 
 /// Final figures of one serve session, also exposed via `GetStats` when
@@ -144,13 +176,15 @@ pub struct ServeSummary {
     pub aborted: bool,
 }
 
-/// One accepted push, queued for the trainer thread.
+/// One accepted push, decoded by its handler and queued for the trainer.
 struct PushEnvelope {
     worker: u32,
     round: u64,
-    loss_sum: f64,
-    instances: usize,
-    payload: Vec<u8>,
+    instances: u64,
+    /// The codec frame as received: what the other workers are sent.
+    frame: Arc<Vec<u8>>,
+    /// What it decodes to: the trainer's part of the round.
+    part: SparseGradient,
 }
 
 /// Bounded MPSC queue: handler threads push, the trainer pops.
@@ -201,6 +235,112 @@ impl PushQueue {
     }
 }
 
+/// One closed round, as the handlers forward it.
+struct ClosedRound {
+    /// Rounds applied once this one is.
+    round: u64,
+    /// Epoch (0-based) it belongs to.
+    epoch: u32,
+    /// `(worker, instances, frame)` by ascending worker id.
+    members: Vec<(u32, u64, Arc<Vec<u8>>)>,
+}
+
+/// Where the lock-step protocol stands.
+#[derive(Clone, Default)]
+struct Board {
+    /// Rounds closed so far: the round a push must be for to count. Ahead of
+    /// the published model's round while the trainer aggregates, evaluates
+    /// or checkpoints.
+    closed: u64,
+    /// No round will close after `closed`.
+    done: bool,
+    /// Round `closed` itself; only the latest is kept — a worker further
+    /// behind is sent the live state.
+    last: Option<Arc<ClosedRound>>,
+    /// Members of the final round that have not been sent it yet: the run
+    /// is not over for them.
+    unsent: Vec<u32>,
+}
+
+/// The board plus the condvar `PullRound` handlers wait on.
+#[derive(Default)]
+struct RoundBoard {
+    state: Mutex<Board>,
+    advanced: Condvar,
+}
+
+impl RoundBoard {
+    fn now(&self) -> Board {
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+
+    /// Posts a closed round (`done`: it is the last) and wakes every waiter.
+    fn post(&self, round: ClosedRound, done: bool) {
+        let mut b = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        b.closed = round.round;
+        b.done |= done;
+        if done {
+            b.unsent = round.members.iter().map(|m| m.0).collect();
+        }
+        b.last = Some(Arc::new(round));
+        self.advanced.notify_all();
+    }
+
+    /// `worker` has been sent the final round.
+    fn sent_final(&self, worker: u32) {
+        let mut b = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        b.unsent.retain(|&w| w != worker);
+        self.advanced.notify_all();
+    }
+
+    /// Waits, up to `timeout`, until every member of the final round has
+    /// been sent it.
+    fn wait_final_sent(&self, timeout: Duration) {
+        let b = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        drop(
+            self.advanced
+                .wait_timeout_while(b, timeout, |b| !b.unsent.is_empty())
+                .unwrap_or_else(|e| e.into_inner()),
+        );
+    }
+
+    /// Training is over (finished, aborted or shut down): nobody waits for
+    /// a round, or for a worker to collect one, any more.
+    fn finish(&self) {
+        let mut b = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        b.done = true;
+        b.unsent.clear();
+        self.advanced.notify_all();
+    }
+
+    /// The board once round `have` is no longer the latest (or training is
+    /// over), waiting up to `timeout` for that.
+    fn wait_past(&self, have: u64, timeout: Duration) -> Board {
+        let deadline = Instant::now() + timeout;
+        let mut b = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            let now = Instant::now();
+            if b.closed != have || b.done || now >= deadline {
+                return b.clone();
+            }
+            b = self
+                .advanced
+                .wait_timeout(b, deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+}
+
+/// The training state the trainer steps: what every worker's replica equals
+/// once it has applied the same `rounds`.
+struct Live {
+    model: GlmModel,
+    opt: OptimizerState,
+    rounds: u64,
+    epochs_done: usize,
+}
+
 /// Live server counters (also mirrored into the global telemetry registry
 /// when a session is recording).
 #[derive(Debug, Default)]
@@ -212,7 +352,8 @@ struct Counters {
     pushes: AtomicU64,
     pulls: AtomicU64,
     pulls_dense: AtomicU64,
-    pulls_delta: AtomicU64,
+    pulls_round: AtomicU64,
+    pulls_state: AtomicU64,
     bytes_down: AtomicU64,
     bytes_up: AtomicU64,
     stale_pushes: AtomicU64,
@@ -231,6 +372,13 @@ struct Shared {
     setup: ServeSetup,
     setup_json: String,
     store: ModelStore,
+    board: RoundBoard,
+    /// Locked by the trainer to apply a round and to write the end-of-epoch
+    /// checkpoint, by a handler to serialise the state for a worker that
+    /// cannot be stepped to it.
+    live: Mutex<Live>,
+    /// Decodes pushes at the door (each handler with its own scratch).
+    compressor: Box<dyn GradientCompressor>,
     queue: PushQueue,
     counters: Counters,
     shutdown: AtomicBool,
@@ -238,7 +386,6 @@ struct Shared {
     /// swapped whole so a reply never holds the lock while it writes.
     checkpoint: Mutex<Option<(u64, Arc<Vec<u8>>)>>,
     summary: Mutex<Option<ServeSummary>>,
-    cost: CostModel,
     /// Live connections by id: shutdown closes them so handler threads
     /// blocked mid-read unblock instead of pinning `join()` forever.
     conns: Mutex<std::collections::HashMap<u64, Conn>>,
@@ -293,14 +440,18 @@ impl Shared {
             summary: Option<ServeSummary>,
             /// Pulls answered with the dense `Model` frame.
             pulls_dense: u64,
-            /// Pulls answered with a `ModelDelta` frame.
-            pulls_delta: u64,
-            /// Bytes of the `Model` and `ModelDelta` frames sent.
+            /// Pulls answered with a `Round` frame.
+            pulls_round: u64,
+            /// Pulls answered with a `State` frame.
+            pulls_state: u64,
+            /// Bytes of the `Model`, `Round` and `State` frames sent.
             bytes_down: u64,
             /// Bytes of the `PushGradient` frames received.
             bytes_up: u64,
             /// Pushes refused for a future round, an unknown worker id, an
-            /// instance count above the dataset's or a non-finite loss sum.
+            /// instance count above the dataset's, a non-finite loss sum, or
+            /// a frame that does not decode to a gradient of the model's
+            /// dimension.
             rejected_pushes: u64,
             /// Milliseconds the trainer spent on the latest epoch end.
             epoch_end_ms_last: f64,
@@ -337,7 +488,8 @@ impl Shared {
             refused_connections: c.refused_conns.load(Ordering::Relaxed),
             summary,
             pulls_dense: c.pulls_dense.load(Ordering::Relaxed),
-            pulls_delta: c.pulls_delta.load(Ordering::Relaxed),
+            pulls_round: c.pulls_round.load(Ordering::Relaxed),
+            pulls_state: c.pulls_state.load(Ordering::Relaxed),
             bytes_down: c.bytes_down.load(Ordering::Relaxed),
             bytes_up: c.bytes_up.load(Ordering::Relaxed),
             rejected_pushes: c.rejected_pushes.load(Ordering::Relaxed),
@@ -366,21 +518,26 @@ impl Server {
     pub fn start(setup: ServeSetup, listener: Listener) -> Result<Server, NetError> {
         setup.validate()?;
         // Fail fast on an unknown compressor name (workers resolve it too).
-        compressor_by_name(&setup.compressor)?;
-        let dim = setup.dataset.features as usize;
-        let model = GlmModel::new(dim, setup.spec.loss, setup.spec.l2)
-            .map_err(|e| NetError::InvalidConfig(e.to_string()))?;
+        let compressor = compressor_by_name(&setup.compressor)?;
+        let (model, opt) = setup.fresh_state()?;
         let setup_json = serde_json::to_string(&setup)
             .map_err(|e| NetError::InvalidConfig(format!("setup does not serialize: {e}")))?;
         let addr = listener.local_desc();
         let shared = Arc::new(Shared {
             queue: PushQueue::new(setup.workers.saturating_mul(4).max(8)),
-            store: ModelStore::new(model),
+            store: ModelStore::new(model.clone()),
+            board: RoundBoard::default(),
+            live: Mutex::new(Live {
+                model,
+                opt,
+                rounds: 0,
+                epochs_done: 0,
+            }),
+            compressor,
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
             checkpoint: Mutex::new(None),
             summary: Mutex::new(None),
-            cost: CostModel::cluster1(),
             conns: Mutex::new(std::collections::HashMap::new()),
             conn_seq: AtomicU64::new(0),
             addr: addr.clone(),
@@ -483,9 +640,9 @@ fn begin_shutdown(shared: &Arc<Shared>) {
     if shared.shutdown.swap(true, Ordering::SeqCst) {
         return;
     }
-    // Unblock any handler parked in wait_for_round and the trainer's
-    // pop_timeout (they poll the flag); unblock the accept loop with a
-    // throwaway connection.
+    // Unblock any handler parked in wait_for_round or on the round board,
+    // and the trainer's pop_timeout (it polls the flag).
+    shared.board.finish();
     shared.store.publish(ModelSnapshot {
         done: true,
         ..clone_snapshot(&shared.store.snapshot())
@@ -504,7 +661,6 @@ fn clone_snapshot(s: &ModelSnapshot) -> ModelSnapshot {
         epoch: s.epoch,
         done: s.done,
         model: s.model.clone(),
-        delta: s.delta.clone(),
     }
 }
 
@@ -631,6 +787,8 @@ fn serve_connection(shared: &Arc<Shared>, conn: Conn) -> Result<(), NetError> {
     // Predict frames already sitting in the read buffer score against one
     // snapshot clone instead of hitting the store per request.
     let mut cached: Option<Arc<ModelSnapshot>> = None;
+    // This connection's codec scratch: its pushes are decoded on this thread.
+    let mut scratch = CompressScratch::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return Ok(());
@@ -662,7 +820,14 @@ fn serve_connection(shared: &Arc<Shared>, conn: Conn) -> Result<(), NetError> {
                 .fetch_add(frame_len as u64, Ordering::Relaxed);
             obs::push_bytes(frame_len as u64);
         }
-        let result = handle_request(shared, req, &mut cached, &mut reader, &mut writer);
+        let result = handle_request(
+            shared,
+            req,
+            &mut cached,
+            &mut scratch,
+            &mut reader,
+            &mut writer,
+        );
         shared.counters.inflight.fetch_sub(1, Ordering::Relaxed);
         match result {
             Ok(true) => {}
@@ -677,6 +842,7 @@ fn handle_request(
     shared: &Arc<Shared>,
     req: Request,
     cached: &mut Option<Arc<ModelSnapshot>>,
+    scratch: &mut CompressScratch,
     reader: &mut BufReader<Conn>,
     writer: &mut BufWriter<Conn>,
 ) -> Result<bool, NetError> {
@@ -698,13 +864,12 @@ fn handle_request(
             worker: _,
             round,
             wait,
-        } => reply_pull(shared, None, round, wait, writer)?,
-        Request::PullDelta {
-            worker: _,
+        } => reply_model(shared, round, wait, writer)?,
+        Request::PullRound {
+            worker,
             have_round,
-            round,
             wait,
-        } => reply_pull(shared, Some(have_round), round, wait, writer)?,
+        } => reply_round(shared, worker, have_round, wait, writer)?,
         Request::PushGradient {
             worker,
             round,
@@ -712,26 +877,46 @@ fn handle_request(
             instances,
             payload,
         } => {
-            let snap = shared.store.snapshot();
+            // Against the rounds closed, not the published model's: workers
+            // start the next round while the trainer is still aggregating,
+            // evaluating or checkpointing this one.
+            let board = shared.board.now();
             let dataset_instances = shared.setup.dataset.instances as u64;
-            let refusal =
-                if worker as usize >= shared.setup.workers || (round > snap.round && !snap.done) {
-                    // The trainer would drop it unseen: say so, and keep the
-                    // bounded queue for pushes that can count.
-                    Some(format!(
-                        "the session has {} workers and is at round {}",
-                        shared.setup.workers, snap.round
-                    ))
-                } else if instances > dataset_instances || !loss_sum.is_finite() {
-                    // The trainer weights every part of the round by these two
-                    // claims: no slice is larger than the dataset, and one forged
-                    // count or NaN loss would overflow or poison the whole round.
-                    Some(format!(
-                        "claims {instances} of {dataset_instances} instances, loss sum {loss_sum}"
-                    ))
-                } else {
-                    None
-                };
+            let dim = shared.setup.dataset.features as u64;
+            let mut part = SparseGradient::empty(0);
+            let refusal = if worker as usize >= shared.setup.workers
+                || (round > board.closed && !board.done)
+            {
+                // The trainer would drop it unseen: say so, and keep the
+                // bounded queue for pushes that can count.
+                Some(format!(
+                    "the session has {} workers and is at round {}",
+                    shared.setup.workers, board.closed
+                ))
+            } else if instances > dataset_instances || !loss_sum.is_finite() {
+                // The round weights every part by these two claims: no slice
+                // is larger than the dataset, and one forged count or NaN loss
+                // would overflow or poison the whole round.
+                Some(format!(
+                    "claims {instances} of {dataset_instances} instances, loss sum {loss_sum}"
+                ))
+            } else if board.done || round < board.closed {
+                None
+            } else {
+                // The frame is forwarded to every other worker and summed
+                // into the model: it has to decode, here, before it counts.
+                match shared
+                    .compressor
+                    .decompress_into(&payload, scratch, &mut part)
+                {
+                    Err(e) => Some(format!("its frame does not decode: {e}")),
+                    Ok(()) if part.dim() != dim => Some(format!(
+                        "its frame holds a gradient of dimension {}, the model has {dim}",
+                        part.dim()
+                    )),
+                    Ok(()) => None,
+                }
+            };
             if let Some(reason) = refusal {
                 shared
                     .counters
@@ -747,29 +932,29 @@ fn handle_request(
                 .write_to(writer)?;
                 return Ok(true);
             }
-            let (status, ack_round) = if snap.done {
-                (PushStatus::Done, snap.round)
-            } else if round < snap.round {
+            let status = if board.done {
+                PushStatus::Done
+            } else if round < board.closed {
                 shared.counters.stale_pushes.fetch_add(1, Ordering::Relaxed);
-                (PushStatus::Stale, snap.round)
+                PushStatus::Stale
             } else if shared.queue.try_push(PushEnvelope {
                 worker,
                 round,
-                loss_sum,
-                instances: instances as usize,
-                payload,
+                instances,
+                frame: Arc::new(payload),
+                part,
             }) {
                 shared.counters.pushes.fetch_add(1, Ordering::Relaxed);
                 obs::push();
-                (PushStatus::Accepted, snap.round)
+                PushStatus::Accepted
             } else {
                 shared.counters.backpressure.fetch_add(1, Ordering::Relaxed);
                 obs::backpressure();
-                (PushStatus::Backpressure, snap.round)
+                PushStatus::Backpressure
             };
             Response::PushAck {
                 status,
-                round: ack_round,
+                round: board.closed,
             }
             .write_to(writer)?;
         }
@@ -778,7 +963,7 @@ fn handle_request(
             // already buffered on this connection; refresh once the burst
             // drains so a long-lived client still observes training updates.
             let snap = cached.take().unwrap_or_else(|| shared.store.snapshot());
-            let scores = score_batch(&snap.model, &instances)?;
+            let scores = score_batch(&snap.model, instances)?;
             shared.counters.predicts.fetch_add(1, Ordering::Relaxed);
             shared
                 .counters
@@ -823,8 +1008,6 @@ fn handle_request(
         Request::Shutdown => {
             Response::ShutdownAck.write_to(writer)?;
             writer.flush().ok();
-            // `addr` is not plumbed here; unblock accept via self-connect
-            // from the shutdown initiator path instead.
             begin_shutdown(shared);
             return Ok(false);
         }
@@ -832,14 +1015,10 @@ fn handle_request(
     Ok(true)
 }
 
-/// Answers a pull. A worker that holds the model of `have_round` gets the
-/// pairs that changed since: none if that is the current round, the retained
-/// delta if it is the round before. Everyone else — a fresh or respawned
-/// worker, a straggler that lost a round, an inference client — gets the
-/// dense model, written straight from the snapshot.
-fn reply_pull(
+/// Answers a dense pull — an inference client's, or the benchmark's final
+/// check — straight from the published snapshot.
+fn reply_model(
     shared: &Shared,
-    have_round: Option<u64>,
     round: u64,
     wait: bool,
     writer: &mut BufWriter<Conn>,
@@ -851,40 +1030,90 @@ fn reply_pull(
     } else {
         shared.store.snapshot()
     };
-    let delta = match (have_round, &snap.delta) {
-        (Some(have), _) if have == snap.round => Some((have, wire::EMPTY_DELTA_SECTION)),
-        (Some(have), Some(section)) if have.checked_add(1) == Some(snap.round) => {
-            Some((have, section.as_slice()))
-        }
-        _ => None,
-    };
-    let c = &shared.counters;
-    let sent = match delta {
-        Some((have, section)) => {
-            c.pulls_delta.fetch_add(1, Ordering::Relaxed);
-            wire::write_model_delta(writer, have, snap.round, snap.epoch, snap.done, section)?
-        }
-        None => {
-            c.pulls_dense.fetch_add(1, Ordering::Relaxed);
-            wire::write_model(
-                writer,
-                snap.round,
-                snap.epoch,
-                snap.done,
-                &snap.model.weights,
-            )?
-        }
-    };
-    c.pulls.fetch_add(1, Ordering::Relaxed);
-    c.bytes_down.fetch_add(sent as u64, Ordering::Relaxed);
-    obs::pull(delta.is_none(), sent as u64);
+    let sent = wire::write_model(
+        writer,
+        snap.round,
+        snap.epoch,
+        snap.done,
+        &snap.model.weights,
+    )?;
+    count_pull(shared, obs::Pull::Dense, sent);
     Ok(())
 }
 
-fn score_batch(model: &GlmModel, instances: &[PredictInstance]) -> Result<Vec<f64>, NetError> {
+/// Answers a worker whose replica has `have_round` rounds applied. If the
+/// latest closed round is the one that follows, its frames (the worker's own
+/// left out: it kept the bytes it pushed); if nothing has closed since, or
+/// training is over, an empty round; otherwise — a respawned worker, one
+/// that lost two rounds to straggler timeouts — the live training state.
+fn reply_round(
+    shared: &Shared,
+    worker: u32,
+    have_round: u64,
+    wait: bool,
+    writer: &mut BufWriter<Conn>,
+) -> Result<(), NetError> {
+    let timeout = Duration::from_millis(if wait { 10_000 } else { 0 });
+    let board = shared.board.wait_past(have_round, timeout);
+    let next = board
+        .last
+        .as_ref()
+        .filter(|last| have_round.checked_add(1) == Some(last.round));
+    if let Some(last) = next {
+        let members = last
+            .members
+            .iter()
+            .map(|(w, n, frame)| (*w, *n, (*w != worker).then_some(frame.as_slice())));
+        let sent = wire::write_round(
+            writer, have_round, last.round, last.epoch, board.done, members,
+        )?;
+        count_pull(shared, obs::Pull::Round, sent);
+        if board.done {
+            shared.board.sent_final(worker);
+        }
+    } else if board.closed == have_round || board.done {
+        let epoch = board.last.as_ref().map_or(0, |last| last.epoch);
+        let sent = wire::write_round(
+            writer,
+            have_round,
+            have_round,
+            epoch,
+            board.done,
+            std::iter::empty(),
+        )?;
+        count_pull(shared, obs::Pull::Round, sent);
+    } else {
+        // Under the lock only for the copy: the trainer holds it only while
+        // it applies a round, never while it waits for one.
+        let mut bytes = Vec::new();
+        let rounds = {
+            let live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
+            Checkpoint::write_parts(&live.model, &live.opt, live.epochs_done, &mut bytes);
+            live.rounds
+        };
+        let sent = wire::write_state(writer, rounds, &bytes)?;
+        count_pull(shared, obs::Pull::State, sent);
+    }
+    Ok(())
+}
+
+fn count_pull(shared: &Shared, kind: obs::Pull, sent: usize) {
+    let c = &shared.counters;
+    match kind {
+        obs::Pull::Dense => &c.pulls_dense,
+        obs::Pull::Round => &c.pulls_round,
+        obs::Pull::State => &c.pulls_state,
+    }
+    .fetch_add(1, Ordering::Relaxed);
+    c.pulls.fetch_add(1, Ordering::Relaxed);
+    c.bytes_down.fetch_add(sent as u64, Ordering::Relaxed);
+    obs::pull(kind, sent as u64);
+}
+
+fn score_batch(model: &GlmModel, instances: Vec<PredictInstance>) -> Result<Vec<f64>, NetError> {
     let mut scores = Vec::with_capacity(instances.len());
     for inst in instances {
-        let features = SparseVector::new(inst.indices.clone(), inst.values.clone())
+        let features = SparseVector::new(inst.indices, inst.values)
             .map_err(|e| NetError::Protocol(format!("predict instance: {e}")))?;
         scores.push(model.score(&Instance::new(features, 0.0)));
     }
@@ -915,7 +1144,8 @@ fn trainer_loop(shared: &Arc<Shared>) {
         summary.aborted =
             summary.aborted || summary.epochs_done < shared.setup.spec.max_epochs as u64;
     }
-    // Final snapshot: mark done so blocked pulls drain.
+    // Mark both planes done so blocked pulls drain.
+    shared.board.finish();
     shared.store.publish(ModelSnapshot {
         done: true,
         ..clone_snapshot(&shared.store.snapshot())
@@ -926,54 +1156,61 @@ fn trainer_loop(shared: &Arc<Shared>) {
 fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
     let setup = &shared.setup;
     let spec = setup.spec;
-    let dim = setup.dataset.features as usize;
     let (train, test) = setup.dataset.generate_split();
-    let compressor = compressor_by_name(&setup.compressor)?;
-    let mut model = shared.store.snapshot().model.clone();
-    let mut opt = OptimizerState::build(spec.optimizer, spec.opt_state, dim)
-        .map_err(|e| NetError::InvalidConfig(e.to_string()))?;
     let mut batcher = Batcher::new(train.len(), setup.batch_ratio, spec.seed);
-    let mut ds = DriverScratch::new();
     let mut summary = ServeSummary {
         best_test_loss: f64::INFINITY,
         ..ServeSummary::default()
     };
     let mut round = 0u64;
-    let mut delta = None;
 
     'epochs: for epoch in 1..=spec.max_epochs {
         let batches = batcher.epoch();
-        for _batch in &batches {
+        for batch in 1..=batches.len() {
             if shared.shutdown.load(Ordering::SeqCst) {
                 break 'epochs;
             }
-            let msgs = collect_round(shared, round)?;
-            if msgs.len() == setup.workers {
+            let pushes = collect_round(shared, round)?;
+            if pushes.len() == setup.workers {
                 summary.full_rounds += 1;
                 obs::coalesced_round();
             } else {
                 summary.partial_rounds += 1;
             }
-            // Every optimizer moves only the weights the aggregate names, so
-            // those keys with their new values are the whole change of the
-            // round: encoded here once, sent as is to every worker.
-            let section = if msgs.is_empty() {
-                wire::EMPTY_DELTA_SECTION.to_vec()
-            } else {
-                let agg = aggregate(
-                    &msgs,
-                    dim as u64,
-                    compressor.as_ref(),
-                    &shared.cost,
-                    false,
-                    &mut ds,
-                )?;
-                model.apply_gradient(&mut opt, agg.gradient.keys(), agg.gradient.values());
-                wire::encode_delta_section(agg.gradient.keys(), &model.weights)?
-            };
-            delta = Some(Arc::new(section));
             round += 1;
             summary.rounds = round;
+            // The round is these frames. Posted before any arithmetic: the
+            // handlers forward them and every worker steps its replica while
+            // this thread steps the model, so nothing below — nor the epoch
+            // end — is on the workers' path.
+            shared.board.post(
+                ClosedRound {
+                    round,
+                    epoch: (epoch - 1) as u32,
+                    members: pushes
+                        .iter()
+                        .map(|p| (p.worker, p.instances, Arc::clone(&p.frame)))
+                        .collect(),
+                },
+                epoch == spec.max_epochs && batch == batches.len(),
+            );
+            // The handlers held every count to the dataset's.
+            let instances: Vec<usize> = pushes.iter().map(|p| p.instances as usize).collect();
+            let mut parts: Vec<SparseGradient> = pushes.into_iter().map(|p| p.part).collect();
+            let gradient = if parts.is_empty() {
+                None
+            } else {
+                Some(combine(&mut parts, &instances)?)
+            };
+            let model = {
+                let mut live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
+                if let Some(g) = &gradient {
+                    let Live { model, opt, .. } = &mut *live;
+                    model.apply_gradient(opt, g.keys(), g.values());
+                }
+                live.rounds = round;
+                live.model.clone()
+            };
             if setup.round_sleep_ms > 0 {
                 std::thread::sleep(Duration::from_millis(setup.round_sleep_ms));
             }
@@ -981,21 +1218,25 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
                 round,
                 epoch: (epoch - 1) as u32,
                 done: false,
-                model: model.clone(),
-                delta: delta.clone(),
+                model,
             });
         }
-        // Workers wait on the next publish for all of this.
+        // Readers of the published model wait on the next publish for all
+        // of this; the workers do not.
         let epoch_end = Instant::now();
         summary.epochs_done = epoch as u64;
-        let test_loss = model.mean_loss(&test);
+        let published = shared.store.snapshot();
+        let test_loss = published.model.mean_loss(&test);
         summary.final_test_loss = test_loss;
         summary.best_test_loss = summary.best_test_loss.min(test_loss);
-        // End-of-epoch checkpoint: the bytes a kill -9'd worker pulls to
-        // recover, written from the live state and proven loadable before
-        // they are served.
+        // End-of-epoch checkpoint, written from the live state and proven
+        // loadable before it is served.
         let mut bytes = Vec::new();
-        Checkpoint::write_parts(&model, &opt, epoch, &mut bytes);
+        {
+            let mut live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
+            live.epochs_done = epoch;
+            Checkpoint::write_parts(&live.model, &live.opt, epoch, &mut bytes);
+        }
         Checkpoint::validate(&bytes)
             .map_err(|e| NetError::InvalidConfig(format!("checkpoint: {e}")))?;
         let checkpoint_bytes = bytes.len() as u64;
@@ -1006,8 +1247,7 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
             round,
             epoch: epoch as u32,
             done: false,
-            model: model.clone(),
-            delta: delta.clone(),
+            model: published.model.clone(),
         });
         let c = &shared.counters;
         let last = epoch_end.elapsed().as_micros() as u64;
@@ -1018,17 +1258,24 @@ fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
         c.epoch_end_us_last.store(last, Ordering::Relaxed);
         obs::epoch_end(last, max, checkpoint_bytes);
     }
-    summary.accuracy = model.accuracy(&test);
+    summary.accuracy = shared.store.snapshot().model.accuracy(&test);
     summary.aborted = summary.epochs_done < spec.max_epochs as u64;
+    // The members of the last round are owed its frames. A server that stops
+    // the moment training is done (`--linger-ms 0`) must not cut off a
+    // worker that has not collected them yet; a worker that never does is
+    // given the straggler's allowance.
+    shared
+        .board
+        .wait_final_sent(Duration::from_millis(setup.round_timeout_ms.max(1)));
     Ok(summary)
 }
 
 /// Coalesces one round's pushes: waits for the first push (idle deadline),
 /// then for the stragglers (round timeout), deduplicating by worker and
-/// dropping pushes whose round closed while they were queued. Returns
-/// messages ordered by worker id — the same order the in-process simulator
-/// aggregates in, so the float sums match.
-fn collect_round(shared: &Arc<Shared>, round: u64) -> Result<Vec<WorkerMessage>, NetError> {
+/// dropping pushes whose round closed while they were queued. Returns them
+/// ordered by worker id — the order the in-process simulator aggregates in
+/// and the order every replica is sent them in, so the float sums match.
+fn collect_round(shared: &Arc<Shared>, round: u64) -> Result<Vec<PushEnvelope>, NetError> {
     let setup = &shared.setup;
     let mut slots: Vec<Option<PushEnvelope>> = (0..setup.workers).map(|_| None).collect();
     let mut got = 0usize;
@@ -1052,7 +1299,7 @@ fn collect_round(shared: &Arc<Shared>, round: u64) -> Result<Vec<WorkerMessage>,
                     setup.idle_timeout_ms
                 )));
             }
-            break; // aggregate the partial set
+            break; // close the round on the partial set
         }
         let Some(env) = shared
             .queue
@@ -1075,23 +1322,5 @@ fn collect_round(shared: &Arc<Shared>, round: u64) -> Result<Vec<WorkerMessage>,
             }
         }
     }
-    Ok(slots
-        .into_iter()
-        .flatten()
-        .map(|env| WorkerMessage {
-            report: SizeReport {
-                key_bytes: 0,
-                value_bytes: 0,
-                header_bytes: env.payload.len(),
-                pairs: 0,
-            },
-            payload: env.payload,
-            loss_sum: env.loss_sum,
-            instances: env.instances,
-            sim_compute: 0.0,
-            sim_codec: 0.0,
-            measured_codec: 0.0,
-            measured_compute: 0.0,
-        })
-        .collect())
+    Ok(slots.into_iter().flatten().collect())
 }

@@ -1,12 +1,18 @@
 //! Concurrent read-optimized model store.
 //!
-//! Epoch-snapshot concurrency: the live model is an immutable
+//! Epoch-snapshot concurrency: the published model is an immutable
 //! [`ModelSnapshot`] behind an `Arc`. Readers (the `Predict`/`PullModel`
 //! handler threads) take a read lock just long enough to clone the `Arc`,
 //! then score against the snapshot with no lock held — a `Predict` burst
 //! never blocks behind a training update. The single trainer thread
 //! publishes a new snapshot by swapping the `Arc` under the write lock
 //! (an O(1) pointer store), then wakes blocked pulls via a condvar.
+//!
+//! The store serves readers of weights: inference clients, dense pulls,
+//! `GetStats`. Lock-step workers never read it — they step replicas from the
+//! round's frames (see [`crate::server`]) — so a snapshot's `round` is the
+//! rounds baked into *these weights*, which trails the round the workers are
+//! computing by however long the trainer takes to aggregate and publish.
 
 use sketchml_ml::GlmModel;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -23,14 +29,6 @@ pub struct ModelSnapshot {
     pub done: bool,
     /// The model at this round.
     pub model: GlmModel,
-    /// What the latest round changed: the `(key, new weight)` pairs that turn
-    /// the model of `round - 1` into `model`, encoded once by the trainer (the
-    /// section of a [`ModelDelta`](crate::wire::Response::ModelDelta) body)
-    /// and sent as they are to every worker that holds `round - 1`. Only
-    /// this one round's is retained — a BSP worker that pushed for a round
-    /// is never more than that one round behind. `None` before the first
-    /// round.
-    pub delta: Option<Arc<Vec<u8>>>,
 }
 
 /// Shared store: many reader threads, one writer (the trainer).
@@ -52,7 +50,6 @@ impl ModelStore {
                 epoch: 0,
                 done: false,
                 model,
-                delta: None,
             })),
             wait: Mutex::new(()),
             advanced: Condvar::new(),
@@ -132,7 +129,6 @@ mod tests {
             epoch: 0,
             done: false,
             model: next,
-            delta: None,
         });
         // The old snapshot is immutable: readers mid-predict see a
         // consistent model even after the swap.
@@ -163,7 +159,6 @@ mod tests {
             epoch: 1,
             done: false,
             model: model(2),
-            delta: None,
         });
         assert_eq!(waiter.join().unwrap(), 3);
     }
@@ -178,7 +173,6 @@ mod tests {
             epoch: 2,
             done: true,
             model: model(2),
-            delta: None,
         });
         // `done` satisfies any round.
         let snap = store.wait_for_round(99, Duration::from_secs(10));

@@ -14,26 +14,27 @@
 //! whatever the session's [`GradientCompressor`] produced (v2 CRC frames
 //! included), checked by the codec on decode.
 //!
-//! The server writes the two model replies straight from its snapshot (no
-//! owned [`Response`] is built per pull). A `ModelDelta` body is
+//! The server writes its three training-plane replies straight from what it
+//! holds (no owned [`Response`] is built per pull): the dense `Model` from
+//! the snapshot, the `State` blob, and the `Round`, whose body is
 //!
 //! ```text
-//! base_round(u64) | round(u64) | epoch(u32) | done(u8) | section
-//! section = count(u32) | delta-binary keys (varint count | flags | deltas) | count x f64 LE
+//! base_round(u64) | round(u64) | epoch(u32) | done(u8) | count(u32) | count x member
+//! member = worker(u32) | instances(u64) | has_frame(u8) | [len(u32) | frame]
 //! ```
 //!
-//! where the section — the `(key, new weight)` pairs one round changed — is
-//! encoded once per round by the trainer and shared by every handler thread.
+//! — the codec frames of one closed round exactly as the workers pushed
+//! them, by ascending worker id, the receiver's own listed without its bytes.
 //!
 //! [`GradientCompressor`]: sketchml_core::GradientCompressor
 
 use crate::error::{ErrorCode, NetError};
-use sketchml_encoding::{delta_binary, varint};
 use std::io::{Read, Write};
 
 /// Single supported protocol version; `Hello` negotiates a range so future
-/// versions can interoperate.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// versions can interoperate. Version 2 replaced the weight-delta pull of
+/// version 1 with the round and state pulls.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Frame lead-in byte; anything else is a protocol error.
 pub const MAGIC: u8 = 0xA7;
@@ -86,6 +87,19 @@ pub struct PredictInstance {
     pub values: Vec<f64>,
 }
 
+/// One worker's contribution to a closed round, as a [`Response::Round`]
+/// lists it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundMember {
+    /// The worker that pushed it.
+    pub worker: u32,
+    /// Instances in that worker's slice: its weight in the round's mean.
+    pub instances: u64,
+    /// The codec frame exactly as pushed; `None` for the receiver's own,
+    /// which kept the bytes it sent.
+    pub frame: Option<Vec<u8>>,
+}
+
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -109,18 +123,16 @@ pub enum Request {
         /// Block server-side until the round is available.
         wait: bool,
     },
-    /// Like `PullModel`, from a worker that holds the model of `have_round`:
-    /// the server answers [`Response::ModelDelta`] when it can express its
-    /// model as a change to that round's, and the dense [`Response::Model`]
-    /// otherwise.
-    PullDelta {
-        /// Requesting worker id (0-based), for logs/stats.
+    /// From a worker whose replica has `have_round` rounds applied: asks for
+    /// the round that follows. Answered with [`Response::Round`] — that
+    /// round's frames, or none if it has not closed — or, when the replica is
+    /// not exactly one round behind, with [`Response::State`].
+    PullRound {
+        /// Requesting worker id (0-based): its own frame is left out.
         worker: u32,
-        /// Round of the replica the worker already holds.
+        /// Rounds applied to the replica the worker holds.
         have_round: u64,
-        /// Round whose model the worker wants.
-        round: u64,
-        /// Block server-side until the round is available.
+        /// Block server-side (bounded) until that round has closed.
         wait: bool,
     },
     /// A worker's compressed contribution for one round.
@@ -173,21 +185,28 @@ pub enum Response {
         /// Dense weight vector.
         weights: Vec<f64>,
     },
-    /// The weights that differ between the models of `base_round` and
-    /// `round`, as absolute values: the receiver *assigns* `weights[k] = v`.
-    ModelDelta {
-        /// Round of the replica these pairs apply to.
+    /// What turns the model and optimizer of `base_round` into those of
+    /// `round`: the frames the workers pushed for it. `round == base_round`
+    /// with no members means nothing has closed since.
+    Round {
+        /// Rounds applied to the replica these frames apply to.
         base_round: u64,
-        /// Round of the model the replica becomes.
+        /// Rounds applied once they are: `base_round` or `base_round + 1`.
         round: u64,
-        /// Epochs completed.
+        /// Epoch (0-based) the round belongs to.
         epoch: u32,
-        /// Whether training has finished.
+        /// No round follows this one.
         done: bool,
-        /// Strictly ascending indices of the changed weights.
-        keys: Vec<u64>,
-        /// Their new values, parallel to `keys`.
-        values: Vec<f64>,
+        /// Contributions by ascending worker id.
+        members: Vec<RoundMember>,
+    },
+    /// The live training state, for a replica that cannot be stepped to it.
+    State {
+        /// Rounds applied to the state.
+        round: u64,
+        /// Model and optimizer as a v3 [`Checkpoint`](sketchml_ml::Checkpoint)
+        /// frame.
+        bytes: Vec<u8>,
     },
     /// Acknowledges a push.
     PushAck {
@@ -242,8 +261,9 @@ const K_GET_STATS: u8 = 0x0D;
 const K_STATS: u8 = 0x0E;
 const K_SHUTDOWN: u8 = 0x0F;
 const K_SHUTDOWN_ACK: u8 = 0x10;
-const K_PULL_DELTA: u8 = 0x11;
-const K_MODEL_DELTA: u8 = 0x12;
+const K_PULL_ROUND: u8 = 0x11;
+const K_ROUND: u8 = 0x12;
+const K_STATE: u8 = 0x13;
 const K_ERROR: u8 = 0x7F;
 
 // --- body cursor -----------------------------------------------------------
@@ -322,38 +342,6 @@ impl<'a> Cursor<'a> {
         Ok(n)
     }
 
-    /// The `(keys, values)` of a delta section (layout in the module docs).
-    /// Keys come back strictly ascending; whether they fit the receiver's
-    /// model is the receiver's check.
-    fn delta_section(&mut self) -> Result<(Vec<u64>, Vec<f64>), NetError> {
-        // A pair costs at least one key byte and eight value bytes.
-        let n = self.count(9)?;
-        let mut rest = &self.buf[self.pos..];
-        // The key section repeats the count and reserves room for it: hold it
-        // to the guarded one before decoding.
-        let mut peek = rest;
-        let declared = varint::read_u64(&mut peek).map_err(bad_delta_keys)?;
-        if declared != n as u64 {
-            return Err(NetError::Protocol(format!(
-                "delta key section declares {declared} keys, the frame {n}"
-            )));
-        }
-        let mut keys = Vec::new();
-        delta_binary::decode_keys_into(&mut rest, &mut keys).map_err(bad_delta_keys)?;
-        if keys.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(NetError::Protocol(
-                "delta keys are not strictly ascending".into(),
-            ));
-        }
-        self.pos = self.buf.len() - rest.len();
-        let values = self
-            .take(8 * n)?
-            .chunks_exact(8)
-            .map(|v| f64::from_le_bytes(v.try_into().expect("8B")))
-            .collect();
-        Ok((keys, values))
-    }
-
     fn finish(self) -> Result<(), NetError> {
         if self.pos != self.buf.len() {
             return Err(NetError::Protocol(format!(
@@ -363,10 +351,6 @@ impl<'a> Cursor<'a> {
         }
         Ok(())
     }
-}
-
-fn bad_delta_keys(e: sketchml_encoding::EncodingError) -> NetError {
-    NetError::Protocol(format!("delta keys: {e}"))
 }
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -436,64 +420,59 @@ pub(crate) fn write_model(
     Ok(FRAME_HEADER + body_len)
 }
 
-/// Encodes the section of a [`Response::ModelDelta`] body that holds the
-/// changed weights: `keys` (strictly ascending) with `weights[key]` as each
-/// one's new value. The trainer does this once per round; every pull of that
-/// round is answered from the same bytes by [`write_model_delta`].
-///
-/// # Errors
-/// [`NetError::Protocol`] if `keys` are not strictly ascending indices into
-/// `weights`.
-pub(crate) fn encode_delta_section(keys: &[u64], weights: &[f64]) -> Result<Vec<u8>, NetError> {
-    if let Some(k) = keys.iter().find(|&&k| k >= weights.len() as u64) {
-        return Err(NetError::Protocol(format!(
-            "delta key {k} is outside the {} weights",
-            weights.len()
-        )));
-    }
-    delta_section(keys, keys.iter().map(|&k| weights[k as usize]))
-}
-
-/// `count | delta-binary keys | values`, for `keys.len()` values.
-fn delta_section(keys: &[u64], values: impl Iterator<Item = f64>) -> Result<Vec<u8>, NetError> {
-    let count = u32::try_from(keys.len())
-        .map_err(|_| NetError::Protocol(format!("{} delta keys exceed a u32", keys.len())))?;
-    let mut out = Vec::with_capacity(8 + 10 * keys.len());
-    out.extend_from_slice(&count.to_le_bytes());
-    // Rejects descending and repeated keys.
-    delta_binary::encode_keys(keys, &mut out).map_err(bad_delta_keys)?;
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    Ok(out)
-}
-
-/// The section of a delta that changes nothing: zero pairs.
-pub(crate) const EMPTY_DELTA_SECTION: &[u8] = &[0; 5];
-
-/// Writes a [`Response::ModelDelta`] frame around a section encoded by
-/// [`encode_delta_section`] and returns the frame's length in bytes.
+/// Writes a [`Response::Round`] frame and returns its length in bytes. Each
+/// member is `(worker, instances, frame)`; the frames are borrowed — the
+/// server forwards the payloads its handlers received without copying them.
 ///
 /// # Errors
 /// [`NetError::Io`] on write failure, [`NetError::Protocol`] if the body
 /// exceeds [`MAX_BODY`].
-pub(crate) fn write_model_delta(
+pub(crate) fn write_round<'a>(
     w: &mut impl Write,
     base_round: u64,
     round: u64,
     epoch: u32,
     done: bool,
-    section: &[u8],
+    members: impl Iterator<Item = (u32, u64, Option<&'a [u8]>)> + Clone,
 ) -> Result<usize, NetError> {
-    let mut head = Vec::with_capacity(21);
-    head.extend_from_slice(&base_round.to_le_bytes());
-    head.extend_from_slice(&round.to_le_bytes());
-    head.extend_from_slice(&epoch.to_le_bytes());
-    head.push(u8::from(done));
-    let body_len = head.len() + section.len();
-    write_frame_header(w, K_MODEL_DELTA, body_len)?;
-    w.write_all(&head)?;
-    w.write_all(section)?;
+    let (count, body_len) = members
+        .clone()
+        .fold((0usize, 25), |(n, len), (_, _, frame)| {
+            (n + 1, len + 13 + frame.map_or(0, |f| 4 + f.len()))
+        });
+    write_frame_header(w, K_ROUND, body_len)?;
+    w.write_all(&base_round.to_le_bytes())?;
+    w.write_all(&round.to_le_bytes())?;
+    w.write_all(&epoch.to_le_bytes())?;
+    w.write_all(&[u8::from(done)])?;
+    // MAX_BODY, checked with the header, keeps count and lengths inside a u32.
+    w.write_all(&(count as u32).to_le_bytes())?;
+    for (worker, instances, frame) in members {
+        w.write_all(&worker.to_le_bytes())?;
+        w.write_all(&instances.to_le_bytes())?;
+        w.write_all(&[u8::from(frame.is_some())])?;
+        if let Some(frame) = frame {
+            w.write_all(&(frame.len() as u32).to_le_bytes())?;
+            w.write_all(frame)?;
+        }
+    }
+    w.flush()?;
+    Ok(FRAME_HEADER + body_len)
+}
+
+/// Writes a [`Response::State`] frame around borrowed checkpoint bytes and
+/// returns its length in bytes.
+///
+/// # Errors
+/// [`NetError::Io`] on write failure, [`NetError::Protocol`] if the body
+/// exceeds [`MAX_BODY`].
+pub(crate) fn write_state(w: &mut impl Write, round: u64, bytes: &[u8]) -> Result<usize, NetError> {
+    let body_len = 12 + bytes.len();
+    write_frame_header(w, K_STATE, body_len)?;
+    w.write_all(&round.to_le_bytes())?;
+    // MAX_BODY, checked with the header, keeps the length inside a u32.
+    w.write_all(&(bytes.len() as u32).to_le_bytes())?;
+    w.write_all(bytes)?;
     w.flush()?;
     Ok(FRAME_HEADER + body_len)
 }
@@ -571,17 +550,15 @@ impl Request {
                 body.push(u8::from(*wait));
                 K_PULL_MODEL
             }
-            Request::PullDelta {
+            Request::PullRound {
                 worker,
                 have_round,
-                round,
                 wait,
             } => {
                 body.extend_from_slice(&worker.to_le_bytes());
                 body.extend_from_slice(&have_round.to_le_bytes());
-                body.extend_from_slice(&round.to_le_bytes());
                 body.push(u8::from(*wait));
-                K_PULL_DELTA
+                K_PULL_ROUND
             }
             Request::PushGradient {
                 worker,
@@ -640,10 +617,9 @@ impl Request {
                 round: c.u64()?,
                 wait: c.u8()? != 0,
             },
-            K_PULL_DELTA => Request::PullDelta {
+            K_PULL_ROUND => Request::PullRound {
                 worker: c.u32()?,
                 have_round: c.u64()?,
-                round: c.u64()?,
                 wait: c.u8()? != 0,
             },
             K_PUSH_GRADIENT => Request::PushGradient {
@@ -705,25 +681,19 @@ impl Response {
                 done,
                 weights,
             } => return write_model(w, *round, *epoch, *done, weights).map(drop),
-            Response::ModelDelta {
+            Response::Round {
                 base_round,
                 round,
                 epoch,
                 done,
-                keys,
-                values,
+                members,
             } => {
-                if keys.len() != values.len() {
-                    return Err(NetError::Protocol(format!(
-                        "delta has {} keys and {} values",
-                        keys.len(),
-                        values.len()
-                    )));
-                }
-                let section = delta_section(keys, values.iter().copied())?;
-                return write_model_delta(w, *base_round, *round, *epoch, *done, &section)
-                    .map(drop);
+                let members = members
+                    .iter()
+                    .map(|m| (m.worker, m.instances, m.frame.as_deref()));
+                return write_round(w, *base_round, *round, *epoch, *done, members).map(drop);
             }
+            Response::State { round, bytes } => return write_state(w, *round, bytes).map(drop),
             Response::PushAck { status, round } => {
                 body.push(status.to_u8());
                 body.extend_from_slice(&round.to_le_bytes());
@@ -780,21 +750,44 @@ impl Response {
                     weights,
                 }
             }
-            K_MODEL_DELTA => {
+            K_ROUND => {
                 let base_round = c.u64()?;
                 let round = c.u64()?;
                 let epoch = c.u32()?;
                 let done = c.u8()? != 0;
-                let (keys, values) = c.delta_section()?;
-                Response::ModelDelta {
+                // A member is at least its id, its count and the flag.
+                let n = c.count(13)?;
+                let mut members = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let worker = c.u32()?;
+                    let instances = c.u64()?;
+                    let frame = match c.u8()? {
+                        0 => None,
+                        1 => Some(c.bytes()?),
+                        other => {
+                            return Err(NetError::Protocol(format!(
+                                "round member flag {other} is neither 0 nor 1"
+                            )))
+                        }
+                    };
+                    members.push(RoundMember {
+                        worker,
+                        instances,
+                        frame,
+                    });
+                }
+                Response::Round {
                     base_round,
                     round,
                     epoch,
                     done,
-                    keys,
-                    values,
+                    members,
                 }
             }
+            K_STATE => Response::State {
+                round: c.u64()?,
+                bytes: c.bytes()?,
+            },
             K_PUSH_ACK => {
                 let raw = c.u8()?;
                 let status = PushStatus::from_u8(raw)
@@ -879,10 +872,9 @@ mod tests {
                 round: 77,
                 wait: true,
             },
-            Request::PullDelta {
+            Request::PullRound {
                 worker: 1,
                 have_round: 76,
-                round: 77,
                 wait: true,
             },
             Request::PushGradient {
@@ -915,7 +907,7 @@ mod tests {
     #[test]
     fn every_response_roundtrips() {
         for resp in [
-            Response::HelloAck { version: 1 },
+            Response::HelloAck { version: 2 },
             Response::Config {
                 json: "{\"workers\":4}".into(),
             },
@@ -925,21 +917,39 @@ mod tests {
                 done: false,
                 weights: vec![0.0, -1.5, 3.25],
             },
-            Response::ModelDelta {
+            Response::Round {
                 base_round: 9,
                 round: 10,
                 epoch: 2,
                 done: false,
-                keys: vec![0, 3, 300, 70_000, 20_000_000],
-                values: vec![0.5, -0.0, f64::MIN_POSITIVE, -1.5e300, 3.25],
+                members: vec![
+                    RoundMember {
+                        worker: 0,
+                        instances: 75,
+                        frame: Some(vec![0xC0, 0xDE, 0xC0]),
+                    },
+                    RoundMember {
+                        worker: 2,
+                        instances: 0,
+                        frame: None,
+                    },
+                    RoundMember {
+                        worker: 3,
+                        instances: u64::MAX,
+                        frame: Some(vec![]),
+                    },
+                ],
             },
-            Response::ModelDelta {
+            Response::Round {
                 base_round: 10,
                 round: 10,
                 epoch: 3,
                 done: true,
-                keys: vec![],
-                values: vec![],
+                members: vec![],
+            },
+            Response::State {
+                round: 41,
+                bytes: vec![0xC3, b'S', b'K', b'P', 9],
             },
             Response::PushAck {
                 status: PushStatus::Stale,
@@ -1009,6 +1019,42 @@ mod tests {
         buf.extend_from_slice(&body);
         let err = Request::read_from(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, NetError::Protocol(_)), "{err}");
+
+        // A Round claiming 2^31 members, and one whose only member claims a
+        // 2^31-byte frame, in bodies of a few dozen bytes; a State claiming a
+        // 2^31-byte blob. Each is stopped before anything is sized from it.
+        let round_head = |members: u32| {
+            let mut body = vec![0u8; 21];
+            body.extend_from_slice(&members.to_le_bytes());
+            body
+        };
+        let mut many = round_head(1 << 31);
+        many.extend_from_slice(&[0; 13]);
+        let mut long = round_head(1);
+        long.extend_from_slice(&[0; 12]);
+        long.push(1);
+        long.extend_from_slice(&(1u32 << 31).to_le_bytes());
+        long.extend_from_slice(&[0xAB; 8]);
+        let mut state = 7u64.to_le_bytes().to_vec();
+        state.extend_from_slice(&(1u32 << 31).to_le_bytes());
+        state.extend_from_slice(&[0xAB; 8]);
+        for (what, kind, body) in [
+            ("member count", K_ROUND, many),
+            ("frame length", K_ROUND, long),
+            ("state length", K_STATE, state),
+        ] {
+            let mut buf = vec![MAGIC, kind];
+            buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&body);
+            let err = Response::read_from(&mut buf.as_slice()).unwrap_err();
+            assert!(matches!(err, NetError::Protocol(_)), "{what}: {err}");
+            let needle = if what == "member count" {
+                "x 13B exceeds"
+            } else {
+                "body underrun"
+            };
+            assert!(err.to_string().contains(needle), "{what}: {err}");
+        }
     }
 
     #[test]
@@ -1064,125 +1110,83 @@ mod tests {
     }
 
     #[test]
-    fn delta_section_carries_the_weights_at_its_keys() {
-        let weights = [0.5, -1.25, 0.0, 7.0, -3.5];
-        let section = encode_delta_section(&[1, 3, 4], &weights).unwrap();
+    fn write_round_forwards_borrowed_frames_and_leaves_the_receivers_out() {
+        let frames = [vec![1u8, 2, 3], vec![], vec![9u8; 70_000]];
+        // As the server answers worker 1: its own frame is not sent.
+        let members = [
+            (0u32, 75u64, Some(frames[0].as_slice())),
+            (1, 74, None),
+            (2, 0, Some(frames[1].as_slice())),
+            (3, 76, Some(frames[2].as_slice())),
+        ];
         let mut frame = Vec::new();
-        let len = write_model_delta(&mut frame, 4, 5, 1, false, &section).unwrap();
+        let len = write_round(&mut frame, 4, 5, 1, false, members.iter().copied()).unwrap();
+        assert_eq!(len, frame.len());
+        assert_eq!(len, FRAME_HEADER + 25 + 4 * 13 + 3 * 4 + 3 + 70_000);
+        let expected = Response::Round {
+            base_round: 4,
+            round: 5,
+            epoch: 1,
+            done: false,
+            members: members
+                .iter()
+                .map(|&(worker, instances, frame)| RoundMember {
+                    worker,
+                    instances,
+                    frame: frame.map(<[u8]>::to_vec),
+                })
+                .collect(),
+        };
+        assert_eq!(
+            Response::read_from(&mut frame.as_slice()).unwrap(),
+            expected
+        );
+        // The owned response goes through the same writer.
+        let mut owned = Vec::new();
+        expected.write_to(&mut owned).unwrap();
+        assert!(owned == frame);
+
+        let blob: Vec<u8> = (0..=255u8).cycle().take(70_000).collect();
+        let mut frame = Vec::new();
+        let len = write_state(&mut frame, 41, &blob).unwrap();
         assert_eq!(len, frame.len());
         assert_eq!(
             Response::read_from(&mut frame.as_slice()).unwrap(),
-            Response::ModelDelta {
-                base_round: 4,
-                round: 5,
-                epoch: 1,
-                done: false,
-                keys: vec![1, 3, 4],
-                values: vec![-1.25, 7.0, -3.5],
+            Response::State {
+                round: 41,
+                bytes: blob
             }
         );
-        assert_eq!(
-            encode_delta_section(&[], &weights).unwrap(),
-            EMPTY_DELTA_SECTION
-        );
-        // What the trainer can never produce is refused, not encoded.
-        for bad in [&[1u64, 5][..], &[3, 1], &[2, 2]] {
-            let err = encode_delta_section(bad, &weights).unwrap_err();
-            assert!(matches!(err, NetError::Protocol(_)), "{bad:?}: {err}");
-        }
-        let err = Response::ModelDelta {
-            base_round: 0,
-            round: 1,
-            epoch: 0,
-            done: false,
-            keys: vec![1, 2],
-            values: vec![0.5],
-        }
-        .write_to(&mut Vec::new())
-        .unwrap_err();
-        assert!(matches!(err, NetError::Protocol(_)), "{err}");
-    }
-
-    /// A `ModelDelta` frame around arbitrary section bytes.
-    fn delta_frame(section: &[u8]) -> Vec<u8> {
-        let mut frame = Vec::new();
-        write_model_delta(&mut frame, 4, 5, 1, false, section).unwrap();
-        frame
-    }
-
-    /// A section as the encoder lays it out, with each part forgeable:
-    /// `count`, then the key section's own varint count, one-byte key
-    /// deltas, and the values.
-    fn forged_section(count: u32, key_count: u8, deltas: &[u8], values: &[f64]) -> Vec<u8> {
-        assert!(
-            key_count < 0x80 && deltas.len() <= 4,
-            "one-byte varint, one flag byte"
-        );
-        let mut s = count.to_le_bytes().to_vec();
-        s.push(key_count);
-        if !deltas.is_empty() {
-            s.push(0); // flags: every delta is one byte
-        }
-        s.extend_from_slice(deltas);
-        for v in values {
-            s.extend_from_slice(&v.to_le_bytes());
-        }
-        s
     }
 
     #[test]
-    fn hostile_model_delta_bodies_fail_typed() {
-        let good = forged_section(3, 3, &[2, 1, 9], &[0.5, -0.5, 4.0]);
-        let mut weights = [0.0; 13];
-        (weights[2], weights[3], weights[12]) = (0.5, -0.5, 4.0);
-        assert_eq!(good, encode_delta_section(&[2, 3, 12], &weights).unwrap());
-        assert!(Response::read_from(&mut delta_frame(&good).as_slice()).is_ok());
-
-        let cases: Vec<(&str, Vec<u8>)> = vec![
-            // 2^31 pairs in a 30-byte body: stopped by the count guard,
-            // before anything is reserved for them.
-            (
-                "forged count",
-                forged_section(1 << 31, 3, &[2, 1, 9], &[0.5, -0.5, 4.0]),
-            ),
-            // The key section would reserve room for its own count.
-            (
-                "forged key count",
-                forged_section(3, 0x7F, &[2, 1, 9], &[0.5, -0.5, 4.0]),
-            ),
-            (
-                "fewer keys than count",
-                forged_section(3, 2, &[2, 1], &[0.5, -0.5, 4.0]),
-            ),
-            (
-                "duplicate key",
-                forged_section(3, 3, &[2, 0, 9], &[0.5, -0.5, 4.0]),
-            ),
-            (
-                "fewer values than keys",
-                forged_section(3, 3, &[2, 1, 9], &[0.5, -0.5]),
-            ),
-            (
-                "more values than keys",
-                forged_section(3, 3, &[2, 1, 9], &[0.5, -0.5, 4.0, 1.0]),
-            ),
-            ("trailing bytes", [good.clone(), vec![0xEE; 3]].concat()),
-            ("empty section", vec![]),
+    fn hostile_round_bodies_fail_typed() {
+        let members = [(0u32, 75u64, Some(&[1u8, 2, 3][..])), (1, 74, None)];
+        let mut good = Vec::new();
+        write_round(&mut good, 4, 5, 1, false, members.iter().copied()).unwrap();
+        assert!(Response::read_from(&mut good.as_slice()).is_ok());
+        let reframed = |body: &[u8]| {
+            let mut frame = vec![MAGIC, K_ROUND];
+            frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            frame.extend_from_slice(body);
+            frame
+        };
+        let body = &good[FRAME_HEADER..];
+        // The flag byte of member 0 sits after the 25-byte head, its id and
+        // its count.
+        let mut bad_flag = body.to_vec();
+        bad_flag[25 + 12] = 2;
+        let cases = [
+            ("flag byte", bad_flag),
+            ("trailing bytes", [body, &[0xEE; 3]].concat()),
         ];
-        for (what, section) in cases {
-            let err = Response::read_from(&mut delta_frame(&section).as_slice()).unwrap_err();
+        for (what, body) in cases {
+            let err = Response::read_from(&mut reframed(&body).as_slice()).unwrap_err();
             assert!(matches!(err, NetError::Protocol(_)), "{what}: {err}");
-            if what == "forged count" {
-                assert!(err.to_string().contains("x 9B exceeds"), "{err}");
-            }
         }
         // Every proper prefix of the body, framed as if it were complete.
-        let body = &delta_frame(&good)[FRAME_HEADER..];
         for cut in 0..body.len() {
-            let mut frame = vec![MAGIC, K_MODEL_DELTA];
-            frame.extend_from_slice(&(cut as u32).to_le_bytes());
-            frame.extend_from_slice(&body[..cut]);
-            let err = Response::read_from(&mut frame.as_slice()).unwrap_err();
+            let err = Response::read_from(&mut reframed(&body[..cut]).as_slice()).unwrap_err();
             assert!(matches!(err, NetError::Protocol(_)), "cut at {cut}: {err}");
         }
     }

@@ -10,7 +10,7 @@
 #![cfg(unix)]
 
 use sketchml_core::{compressor_by_name, SparseGradient};
-use sketchml_net::{NetError, PushStatus, Request, Response};
+use sketchml_net::{NetError, PushStatus, Request, Response, RoundMember};
 use std::io::{BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 
@@ -165,31 +165,49 @@ fn response_frame_reassembles_at_every_split_boundary() {
 }
 
 #[test]
-fn delta_pull_frames_reassemble_at_every_split_and_fail_typed_at_every_cut() {
-    // Keys whose deltas take one, two and three bytes.
-    let keys: Vec<u64> = (0..40u64).map(|i| i * i * i * 13 + i).collect();
-    let delta = Response::ModelDelta {
+fn round_pull_frames_reassemble_at_every_split_and_fail_typed_at_every_cut() {
+    // A round of three as worker 1 is sent it: two real codec frames around
+    // its own, which is listed without bytes.
+    let frame = |name: &str| match push_request(name).0 {
+        Request::PushGradient { payload, .. } => payload,
+        other => panic!("not a push: {other:?}"),
+    };
+    let round = Response::Round {
         base_round: 16,
         round: 17,
         epoch: 1,
         done: false,
-        values: keys.iter().map(|&k| 0.5 - k as f64 / 7.0).collect(),
-        keys,
+        members: vec![
+            RoundMember {
+                worker: 0,
+                instances: 64,
+                frame: Some(frame("sketchml")),
+            },
+            RoundMember {
+                worker: 1,
+                instances: 63,
+                frame: None,
+            },
+            RoundMember {
+                worker: 2,
+                instances: 64,
+                frame: Some(frame("zipml")),
+            },
+        ],
     };
-    let pull = Request::PullDelta {
+    let pull = Request::PullRound {
         worker: 1,
         have_round: 16,
-        round: 17,
         wait: true,
     };
-    let delta_bytes = response_bytes(&delta);
-    for split in 0..=delta_bytes.len() {
+    let round_bytes = response_bytes(&round);
+    for split in 0..=round_bytes.len() {
         let (sender, receiver) = UnixStream::pair().unwrap();
-        let writer = split_write(sender, delta_bytes.clone(), split);
+        let writer = split_write(sender, round_bytes.clone(), split);
         let decoded = Response::read_from(&mut BufReader::new(receiver))
             .unwrap_or_else(|e| panic!("split at byte {split}: {e}"));
         writer.join().unwrap();
-        assert_eq!(decoded, delta, "split at byte {split}");
+        assert_eq!(decoded, round, "split at byte {split}");
     }
     let pull_bytes = request_bytes(&pull);
     for split in 0..=pull_bytes.len() {
@@ -200,9 +218,9 @@ fn delta_pull_frames_reassemble_at_every_split_and_fail_typed_at_every_cut() {
         writer.join().unwrap();
         assert_eq!(decoded, pull, "split at byte {split}");
     }
-    // A stream that ends inside the frame: typed, never a panic or a delta.
-    for cut in 0..delta_bytes.len() {
-        match Response::read_from(&mut &delta_bytes[..cut]) {
+    // A stream that ends inside the frame: typed, never a panic or a round.
+    for cut in 0..round_bytes.len() {
+        match Response::read_from(&mut &round_bytes[..cut]) {
             Ok(decoded) => panic!("cut at byte {cut}: decoded {decoded:?}"),
             Err(NetError::Io(_)) | Err(NetError::Protocol(_)) => {}
             Err(other) => panic!("cut at byte {cut}: wrong error class {other}"),

@@ -51,8 +51,11 @@ use std::time::Instant;
 /// version 8 added the serving section's epoch-end timings and checkpoint
 /// size;
 /// version 9 removed `serving.{qps, predict_p50_micros, predict_p99_micros}`:
-/// client-side figures no library code ever set.
-pub const SCHEMA_VERSION: u32 = 9;
+/// client-side figures no library code ever set;
+/// version 10 replaced `serving.pulls_delta` with `serving.{pulls_round,
+/// pulls_state}`: the downlink carries a round's codec frames (or, for a
+/// worker that cannot be stepped, the live training state), not weights.
+pub const SCHEMA_VERSION: u32 = 10;
 
 /// Number of power-of-two buckets in every histogram.
 pub const HIST_BUCKETS: usize = 16;
@@ -184,7 +187,7 @@ pub enum Counter {
     ServingPredicts,
     /// Serving: `PushGradient` requests accepted into the trainer queue.
     ServingPushes,
-    /// Serving: pulls answered (`PullModel` and `PullDelta`).
+    /// Serving: pulls answered (`PullModel` and `PullRound`).
     ServingPulls,
     /// Serving: pushes rejected because the bounded trainer queue was full.
     ServingBackpressureRejects,
@@ -199,20 +202,23 @@ pub enum Counter {
     ServingQueueDepthMax,
     /// Serving: pulls answered with the dense `Model` frame.
     ServingPullsDense,
-    /// Serving: pulls answered with a `ModelDelta` frame.
-    ServingPullsDelta,
-    /// Serving: bytes of the `Model` and `ModelDelta` frames sent.
+    /// Serving: pulls answered with a `Round` frame.
+    ServingPullsRound,
+    /// Serving: pulls answered with a `State` frame.
+    ServingPullsState,
+    /// Serving: bytes of the `Model`, `Round` and `State` frames sent.
     ServingBytesDown,
     /// Serving: bytes of the `PushGradient` frames received.
     ServingBytesUp,
-    /// Serving: pushes refused for a future round or an unknown worker id.
+    /// Serving: pushes refused typed at the handler (future round, unknown
+    /// worker id, forged counts, a frame that does not decode).
     ServingRejectedPushes,
     /// Serving: bytes of the largest end-of-epoch checkpoint published
     /// (max-semantics).
     ServingCheckpointBytes,
 }
 
-const NUM_COUNTERS: usize = 53;
+const NUM_COUNTERS: usize = 54;
 
 impl Counter {
     fn idx(self) -> usize {
@@ -688,7 +694,8 @@ pub struct ServingSnapshot {
     pub inflight_max: u64,
     pub queue_depth_max: u64,
     pub pulls_dense: u64,
-    pub pulls_delta: u64,
+    pub pulls_round: u64,
+    pub pulls_state: u64,
     pub bytes_down: u64,
     pub bytes_up: u64,
     pub rejected_pushes: u64,
@@ -787,8 +794,9 @@ impl TelemetrySnapshot {
         if kind_sum > self.serving.requests {
             return Err("serving predicts+pushes+pulls > requests".into());
         }
-        if self.serving.pulls_dense + self.serving.pulls_delta > self.serving.pulls {
-            return Err("serving pulls_dense+pulls_delta > pulls".into());
+        let s = &self.serving;
+        if s.pulls_dense + s.pulls_round + s.pulls_state > s.pulls {
+            return Err("serving pulls_dense+pulls_round+pulls_state > pulls".into());
         }
         for (name, v) in [
             ("serving.epoch_end_ms_last", self.serving.epoch_end_ms_last),
@@ -912,7 +920,8 @@ pub fn snapshot() -> TelemetrySnapshot {
             inflight_max: counter(Counter::ServingInflightMax),
             queue_depth_max: counter(Counter::ServingQueueDepthMax),
             pulls_dense: counter(Counter::ServingPullsDense),
-            pulls_delta: counter(Counter::ServingPullsDelta),
+            pulls_round: counter(Counter::ServingPullsRound),
+            pulls_state: counter(Counter::ServingPullsState),
             bytes_down: counter(Counter::ServingBytesDown),
             bytes_up: counter(Counter::ServingBytesUp),
             rejected_pushes: counter(Counter::ServingRejectedPushes),

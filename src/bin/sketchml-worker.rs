@@ -2,18 +2,21 @@
 //! server.
 //!
 //! Connects to a running `sketchml-serve`, fetches the session config,
-//! regenerates its identical dataset shard schedule, and participates in
-//! training (pull → compute gradient → compress → push) until the server
-//! reports training done. A respawned worker joining mid-training first
-//! validates the server's checkpoint (the crash-recovery path).
+//! regenerates its identical dataset shard schedule, builds its replica of
+//! model and optimizer, and participates in training (compute gradient →
+//! compress → push → pull the round's frames → step the replica) until the
+//! server reports training done. A respawned worker joining mid-training is
+//! sent the server's live training state on its first pull and restores
+//! from it (the crash-recovery path).
 //!
 //! ```text
 //! sketchml-worker --addr tcp://127.0.0.1:4242 --worker 0
 //! ```
 //!
 //! On completion prints `WORKER_DONE worker=<id> accepted=<n> stale=<n>
-//! recovered=<bool> dense=<n> delta=<n>` (the last two count its pulls by
-//! the frame that answered them).
+//! dropped=<n> rounds=<n> states=<n>` (the last two count its pulls by the
+//! frame that answered them; `states` is 0 unless it rejoined or fell two
+//! rounds behind).
 
 use sketchml::net::run_worker;
 use std::process::ExitCode;
@@ -46,12 +49,12 @@ fn main() -> ExitCode {
     match run_worker(&addr, worker) {
         Ok(stats) => {
             println!(
-                "WORKER_DONE worker={worker} accepted={} stale={} recovered={} dense={} delta={}",
+                "WORKER_DONE worker={worker} accepted={} stale={} dropped={} rounds={} states={}",
                 stats.pushes_accepted,
                 stats.pushes_stale,
-                stats.recovered_from_checkpoint,
-                stats.pulls_dense,
-                stats.pulls_delta
+                stats.pushes_dropped,
+                stats.pulls_round,
+                stats.pulls_state
             );
             ExitCode::SUCCESS
         }

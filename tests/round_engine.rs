@@ -445,10 +445,83 @@ fn the_engine_replays_the_five_loops_it_replaced() {
 /// The same replay with every float held to its exact bit pattern. True on
 /// the machine that wrote the fixture; kept out of the default run because
 /// another libm may round a transcendental differently.
+///
+/// A commit that moves float bits on purpose (a summation order, say) blesses
+/// them with `REGEN_FIXTURES=1 cargo test --test round_engine -- --ignored`:
+/// see [`regen_float_leaves`].
 #[test]
 #[ignore = "bit-exact floats are a same-machine property; run with --ignored"]
 fn the_replay_is_bit_exact_on_the_machine_that_wrote_the_fixture() {
-    replay_against_fixture(&|w, g| w.to_bits() == g.to_bits());
+    if std::env::var_os("REGEN_FIXTURES").is_some() {
+        regen_float_leaves();
+    } else {
+        replay_against_fixture(&|w, g| w.to_bits() == g.to_bits());
+    }
+}
+
+/// Overwrites `want`'s float leaves with `got`'s where their bits differ,
+/// counting them and tracking the largest relative change. The documents
+/// have the same shape (the tolerant diff ran first); `measured_*` fields
+/// are wall-clock and stay as they are.
+fn take_float_bits(want: &mut Value, got: &Value, changed: &mut usize, largest: &mut f64) {
+    match (want, got) {
+        (Value::F64(w), Value::F64(g)) if w.to_bits() != g.to_bits() => {
+            *changed += 1;
+            *largest = largest.max((*w - g).abs() / w.abs().max(g.abs()));
+            *w = *g;
+        }
+        (Value::Arr(w), Value::Arr(g)) => {
+            for (w, g) in w.iter_mut().zip(g) {
+                take_float_bits(w, g, changed, largest);
+            }
+        }
+        (Value::Obj(w), Value::Obj(g)) => {
+            for ((k, w), (_, g)) in w.iter_mut().zip(g) {
+                if !k.starts_with("measured_") {
+                    take_float_bits(w, g, changed, largest);
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Rewrites the fixture's float leaves from this commit's replay — only
+/// them: the replay must first pass the tier-1 comparison against the
+/// fixture as committed (integers, trace events, counters and shapes exact,
+/// floats within 1e-9), and the file must be one this printer reproduces
+/// byte for byte, so the diff shows the moved leaves and nothing else.
+fn regen_float_leaves() {
+    let _session = TelemetrySession::begin();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/round_engine_traces.json"
+    );
+    let text = std::fs::read_to_string(path).expect("read the fixture");
+    let mut fixture: Value = serde_json::from_str(&text).unwrap();
+    assert!(
+        serde_json::to_string_pretty(&fixture).unwrap() + "\n" == text,
+        "the printer does not reproduce {path}: a regen would rewrite every line"
+    );
+    let got = Value::Obj(replay());
+    let mut mismatches = Vec::new();
+    diff(
+        "",
+        &fixture,
+        &got,
+        &|w, g| (w - g).abs() <= 1e-9 * w.abs().max(g.abs()),
+        &mut mismatches,
+    );
+    assert!(
+        mismatches.is_empty(),
+        "more than float bits moved; not blessing:\n{}",
+        mismatches.join("\n")
+    );
+    let (mut changed, mut largest) = (0, 0.0);
+    take_float_bits(&mut fixture, &got, &mut changed, &mut largest);
+    std::fs::write(path, serde_json::to_string_pretty(&fixture).unwrap() + "\n")
+        .expect("write the fixture");
+    eprintln!("{path}: {changed} float leaves rewritten, largest relative change {largest:e}");
 }
 
 fn bits_equal(path: &str, want: &Value, got: &Value) {

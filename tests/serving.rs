@@ -4,7 +4,7 @@
 //!
 //! These spawn the actual release-path binaries via `CARGO_BIN_EXE_*`, so
 //! they exercise everything: argument parsing, the readiness handshake,
-//! version negotiation, framing, coalescing, checkpoint recovery after a
+//! version negotiation, framing, coalescing, the live-state restore after a
 //! `kill -9`, and process exit codes.
 
 use sketchml::data::{SparseDatasetSpec, Task};
@@ -103,6 +103,23 @@ fn wait_for_checkpoint(addr: &str) {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
+}
+
+/// The rounds baked into the published model, from `GetStats`.
+fn published_round(client: &mut Client) -> u64 {
+    let stats = client.get_stats().expect("stats");
+    let doc: serde::Value = serde_json::from_str(&stats).expect("stats json");
+    doc.as_obj()
+        .and_then(|o| serde::field(o, "round").ok())
+        .and_then(serde::Value::as_u64)
+        .unwrap_or_else(|| panic!("stats has no round: {stats}"))
+}
+
+/// The count printed as `key=<n>` on a `WORKER_DONE` line.
+fn worker_stat(out: &str, key: &str) -> u64 {
+    out.split_whitespace()
+        .find_map(|field| field.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
+        .unwrap_or_else(|| panic!("no {key}= count in {out}"))
 }
 
 /// The exact dataset/spec `sketchml-serve` builds from these CLI knobs,
@@ -227,36 +244,69 @@ fn killed_worker_recovers_from_checkpoint_and_run_completes() {
     w1.kill().expect("kill -9 worker 1");
     w1.wait().expect("reap killed worker");
 
-    // Respawn: the new process must fetch and validate the server's
-    // checkpoint before rejoining (its stdout proves the recovery path).
+    // Without worker 1 every round closes on the one-second straggler
+    // timeout. Respawn right after one did: the new process is then ready
+    // early in the next round's wait, not in its last milliseconds.
+    let mut poll = Client::connect(&addr).expect("connect poll client");
+    let seen = published_round(&mut poll);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while published_round(&mut poll) == seen {
+        assert!(
+            Instant::now() < deadline,
+            "training stopped at round {seen}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(poll);
+    // The respawned process starts from the config like any worker, is two
+    // or more rounds behind, and is sent the live training state instead of
+    // frames (its stdout proves the restore).
     let w1b = spawn_worker(&addr, 1);
 
-    finish_worker(w0);
+    let out0 = finish_worker(w0);
     let out = finish_worker(w1b);
-    let (stats, (ck_epochs, blob)) = Client::connect(&addr)
-        .and_then(|mut c| Ok((c.get_stats()?, c.get_checkpoint()?)))
-        .expect("stats and checkpoint after training");
+    // The workers leave with the last round's frames; the server is still
+    // evaluating and checkpointing the last epoch then.
+    let mut client = Client::connect(&addr).expect("connect after training");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !client.get_stats().expect("stats").contains("\"done\":true") {
+        assert!(Instant::now() < deadline, "the server never finished");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (stats, (ck_epochs, blob)) = (
+        client.get_stats().expect("final stats"),
+        client.get_checkpoint().expect("final checkpoint"),
+    );
+    drop(client);
     let summary = serve.finish();
-    // What a recovering worker is sent: one v3 frame, exactly as long as
-    // the state it holds needs.
+    // What the end-of-epoch checkpoint is: one v3 frame, exactly as long as
+    // the state it holds needs — the same frame a restore is sent.
     assert_eq!(blob[..4], [0xC3, b'S', b'K', b'P'], "not a v3 frame");
     Checkpoint::validate(&blob).expect("served checkpoint validates");
     let ck = Checkpoint::from_bytes(&blob).expect("served checkpoint loads");
     assert_eq!((ck_epochs, ck.epochs_done, ck.model.dim()), (4, 4, 2048));
     assert!(blob.len() <= Checkpoint::encoded_len(&ck.model, &ck.optimizer));
+    // One state restore brought the respawned worker level, and from its
+    // first push on it was part of every round: none answered stale, none
+    // closed without it. The same holds for worker 0 over the whole run, so
+    // no round was partial after the rejoin.
+    assert_eq!(worker_stat(&out, "states"), 1, "{out}");
+    assert!(worker_stat(&out, "accepted") > 0, "{out}");
+    for o in [&out0, &out] {
+        assert_eq!(
+            (worker_stat(o, "stale"), worker_stat(o, "dropped")),
+            (0, 0),
+            "{o}"
+        );
+    }
+    assert_eq!(worker_stat(&out0, "states"), 0, "{out0}");
+    assert_eq!(worker_stat(&out0, "accepted"), summary.rounds, "{out0}");
+    // The rounds it missed are the only ones that can have closed partial
+    // (none did if the killed process's last push was still queued).
     assert!(
-        out.contains("recovered=true"),
-        "respawned worker skipped checkpoint recovery: {out}"
+        summary.partial_rounds + worker_stat(&out, "accepted") < summary.rounds,
+        "{summary:?} {out}"
     );
-    // The respawned worker was sent the dense model once, to start its
-    // replica, and deltas from then on; so were the two before it.
-    assert!(out.contains(" dense=1 "), "{out}");
-    let deltas: u64 = out
-        .trim()
-        .rsplit_once("delta=")
-        .and_then(|(_, n)| n.parse().ok())
-        .unwrap_or_else(|| panic!("no delta count in {out}"));
-    assert!(deltas > 0, "{out}");
     let doc: serde::Value = serde_json::from_str(&stats).expect("stats json");
     let stat = |key: &str| -> u64 {
         doc.as_obj()
@@ -264,8 +314,10 @@ fn killed_worker_recovers_from_checkpoint_and_run_completes() {
             .and_then(serde::Value::as_u64)
             .unwrap_or_else(|| panic!("stats has no count {key}: {stats}"))
     };
-    assert_eq!(stat("pulls_dense"), 3, "{stats}");
-    assert!(stat("pulls_delta") > deltas, "{stats}");
+    // No weights crossed the wire: rounds of frames, and the one state.
+    assert_eq!(stat("pulls_dense"), 0, "{stats}");
+    assert_eq!(stat("pulls_state"), 1, "{stats}");
+    assert!(stat("pulls_round") > summary.rounds, "{stats}");
     assert_eq!(stat("rejected_pushes"), 0, "{stats}");
     // The server's own account of its epoch ends.
     assert_eq!(stat("checkpoint_bytes"), blob.len() as u64, "{stats}");

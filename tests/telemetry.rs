@@ -417,7 +417,12 @@ fn live_server_fills_the_serving_section() {
     let s = &snap.serving;
     assert_eq!(s.predicts, PREDICTS);
     assert!(s.pushes > 0 && s.coalesced_rounds > 0, "{s:?}");
-    assert_eq!(s.pulls_dense, 2, "one bootstrap pull per worker: {s:?}");
+    assert_eq!(
+        (s.pulls_dense, s.pulls_state),
+        (0, 0),
+        "workers step replicas from the rounds' frames: {s:?}"
+    );
+    assert!(s.pulls_round > 0 && s.pulls == s.pulls_round, "{s:?}");
     assert!(s.checkpoint_bytes > 0 && s.epoch_end_ms_max > 0.0, "{s:?}");
     let stat = |key: &str| {
         serde::field(stats.as_obj().unwrap(), key)
@@ -429,7 +434,8 @@ fn live_server_fills_the_serving_section() {
         ("predicts", s.predicts),
         ("pushes", s.pushes),
         ("pulls_dense", s.pulls_dense),
-        ("pulls_delta", s.pulls_delta),
+        ("pulls_round", s.pulls_round),
+        ("pulls_state", s.pulls_state),
         ("bytes_up", s.bytes_up),
         ("bytes_down", s.bytes_down),
         ("rejected_pushes", s.rejected_pushes),
