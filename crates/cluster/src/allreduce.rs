@@ -35,7 +35,7 @@ use crate::engine::{train_glm, Aggregate, Aggregation, Ctx, Exchange, GlmTask, R
 use crate::faults::{FaultEvent, FaultPlan, FaultyLink};
 use crate::membership::{ElasticMembership, RoundPlan};
 use crate::trainer::{TrainReport, TrainSpec};
-use crate::worker::{process_glm_batch, WorkerMessage, WorkerScratch};
+use crate::worker::{process_glm_rows, WorkerMessage, WorkerScratch};
 use sketchml_collectives::{allreduce, Contribution, Hop, RemappedTransport, Topology, Transport};
 use sketchml_core::{CompressError, CompressScratch, MergeAcc, MergePolicy, MergeableCompressor};
 use sketchml_ml::{Checkpoint, GlmModel, Instance};
@@ -242,10 +242,12 @@ impl Exchange for Collective<'_> {
     fn work(
         &self,
         model: &GlmModel,
-        slice: &[Instance],
+        train: &[Instance],
+        rows: &[usize],
         ws: &mut WorkerScratch,
     ) -> Result<(WorkerMessage, f64), CompressError> {
-        let m = process_glm_batch(model, slice, self.cx.compressor, &self.cx.cluster.cost, ws)?;
+        let batch = rows.iter().map(|&i| &train[i]);
+        let m = process_glm_rows(model, batch, self.cx.compressor, &self.cx.cluster.cost, ws)?;
         let nominal = m.sim_compute;
         Ok((m, nominal))
     }

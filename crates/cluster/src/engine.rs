@@ -381,12 +381,14 @@ pub(crate) trait Exchange: Sync {
     /// before the batch is partitioned over the members.
     fn roster(&mut self, round: &mut Round<'_>) -> Result<RoundPlan, CompressError>;
 
-    /// One worker's share of the round (runs on that worker's thread), with
-    /// its nominal simulated compute seconds for the straggler clock.
+    /// One worker's share of the round — the `rows` of `train` — with its
+    /// nominal simulated compute seconds for the straggler clock (runs on
+    /// that worker's thread).
     fn work(
         &self,
         model: &GlmModel,
-        slice: &[Instance],
+        train: &[Instance],
+        rows: &[usize],
         ws: &mut WorkerScratch,
     ) -> Result<(Self::Part, f64), CompressError>;
 
@@ -461,8 +463,8 @@ pub(crate) fn run<E: Exchange>(
                 .zip(worker_scratch.iter_mut())
                 .zip(&plan.down)
                 .map(|(job, &down)| (!down).then_some(job));
-            let done = fan_out(jobs, |(slice, ws)| {
-                exchange.work(&model, &Batcher::gather(task.train, slice), ws)
+            let done = fan_out(jobs, |(rows, ws)| {
+                exchange.work(&model, task.train, rows, ws)
             })?;
 
             // Straggler factors are keyed by physical slot.

@@ -191,27 +191,28 @@ impl Exchange for ShardedServers<'_> {
     fn work(
         &self,
         model: &GlmModel,
-        slice: &[Instance],
+        train: &[Instance],
+        rows: &[usize],
         ws: &mut WorkerScratch,
     ) -> Result<(ShardPush, f64), CompressError> {
-        let g = model.batch_gradient(slice);
-        let feature_ops: u64 = slice.iter().map(|i| i.features.nnz() as u64).sum();
-        let grad = SparseGradient::new(model.dim() as u64, g.keys, g.values)?;
-        let (scratch, out) = ws.buffers();
+        let g = ws.gradient(model, rows.iter().map(|&i| &train[i]))?;
         let mut messages = Vec::with_capacity(self.shards.servers());
-        for (s, shard_grad) in self.shards.split(&grad)?.iter().enumerate() {
+        for (s, shard_grad) in self.shards.split(g.sparse)?.iter().enumerate() {
             if shard_grad.is_empty() {
                 continue;
             }
-            let report = self.cx.compressor.compress_into(shard_grad, scratch, out)?;
-            messages.push((s, out[..].to_vec(), report.pairs as u64));
+            let report = self
+                .cx
+                .compressor
+                .compress_into(shard_grad, g.scratch, g.out)?;
+            messages.push((s, g.out[..].to_vec(), report.pairs as u64));
         }
         let push = ShardPush {
             messages,
             loss_sum: g.loss_sum,
-            instances: slice.len(),
+            instances: g.instances,
         };
-        Ok((push, self.cx.cluster.cost.compute_time(feature_ops)))
+        Ok((push, self.cx.cluster.cost.compute_time(g.feature_ops)))
     }
 
     fn aggregate(

@@ -19,7 +19,7 @@ use crate::engine::{glm_state, push, GlmTask, Session};
 use crate::faults::{CrashPhase, FaultEvent, FaultPlan, FaultTrace};
 use crate::obs;
 use crate::trainer::TrainSpec;
-use bytes::BytesMut;
+use crate::worker::WorkerScratch;
 use serde::{Deserialize, Serialize};
 use sketchml_core::{CompressError, CompressScratch, GradientCompressor, SparseGradient};
 use sketchml_ml::metrics::LossPoint;
@@ -280,9 +280,10 @@ pub fn train_ssp_with_plan(
 
     let mut epochs = Vec::new();
     let mut curve = Vec::new();
-    // Pooled codec state, reused across every (serially simulated) push.
+    // Pooled state, reused across every (serially simulated) push: the
+    // workers' gradient and encode buffers, the server's decode scratch.
+    let mut ws = WorkerScratch::new();
     let mut scratch = CompressScratch::new();
-    let mut wire_buf = BytesMut::new();
     let mut decoded = SparseGradient::empty(0);
     let mut uplink_bytes = 0u64;
     let mut instances_done = 0u64;
@@ -348,22 +349,20 @@ pub fn train_ssp_with_plan(
             total_iters += 1;
             continue;
         }
-        let bs = batch_size[w];
-        let batch: Vec<Instance> = (0..bs)
-            .map(|i| train[part[(cursor[w] + i) % part.len()]].clone())
-            .collect();
-        cursor[w] = (cursor[w] + bs) % part.len();
+        let (bs, at) = (batch_size[w], cursor[w]);
+        let batch = (0..bs).map(|i| &train[part[(at + i) % part.len()]]);
+        cursor[w] = (at + bs) % part.len();
 
         // Compute on the current (possibly stale relative to this worker's
         // last view — SSP's approximation) model.
-        let g = model.batch_gradient(&batch);
-        let feature_ops: u64 = batch.iter().map(|i| i.features.nnz() as u64).sum();
-        let sparse = SparseGradient::new(dim as u64, g.keys, g.values)?;
-        compressor.compress_into(&sparse, &mut scratch, &mut wire_buf)?;
+        let g = ws.gradient(&model, batch)?;
+        let (sparse, feature_ops) = (g.sparse, g.feature_ops);
+        compressor.compress_into(sparse, g.scratch, g.out)?;
+        let wire_buf = &*g.out;
 
         // Push through the link; a lost push means this iteration's update
         // never reaches the server.
-        let tx = push(&mut link, w, total_iters, &wire_buf, compressor, dim);
+        let tx = push(&mut link, w, total_iters, wire_buf, compressor, dim);
         obs::rounds(1, tx.bytes_on_wire, wire_buf.len() as u64);
         uplink_bytes += tx.bytes_on_wire;
         if let Some(payload) = &tx.payload {

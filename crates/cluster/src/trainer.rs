@@ -11,7 +11,7 @@ use crate::engine::{
 use crate::faults::{FaultPlan, FaultTrace};
 use crate::membership::RoundPlan;
 use crate::obs;
-use crate::worker::{process_glm_batch, WorkerMessage, WorkerScratch};
+use crate::worker::{process_glm_rows, WorkerMessage, WorkerScratch};
 use serde::{Deserialize, Serialize};
 use sketchml_core::{CompressError, GradientCompressor};
 use sketchml_ml::metrics::LossPoint;
@@ -292,10 +292,12 @@ impl Exchange for DriverStar<'_> {
     fn work(
         &self,
         model: &GlmModel,
-        slice: &[Instance],
+        train: &[Instance],
+        rows: &[usize],
         ws: &mut WorkerScratch,
     ) -> Result<(WorkerMessage, f64), CompressError> {
-        let m = process_glm_batch(model, slice, self.cx.compressor, &self.cx.cluster.cost, ws)?;
+        let batch = rows.iter().map(|&i| &train[i]);
+        let m = process_glm_rows(model, batch, self.cx.compressor, &self.cx.cluster.cost, ws)?;
         let nominal = m.sim_compute;
         Ok((m, nominal))
     }

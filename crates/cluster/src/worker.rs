@@ -7,16 +7,33 @@ use crate::network::CostModel;
 use bytes::BytesMut;
 use sketchml_core::{CompressError, CompressScratch, GradientCompressor, SparseGradient};
 use sketchml_encoding::stats::SizeReport;
-use sketchml_ml::{GlmModel, Instance};
+use sketchml_ml::{BatchGradient, GlmModel, GradScratch, Instance};
 use std::time::Instant;
 
-/// Pooled per-worker compression state, reused across every mini-batch a
-/// worker slot processes: once warm, the encode hot path performs no heap
-/// allocations beyond the outgoing [`WorkerMessage`] itself.
-#[derive(Debug, Default)]
+/// Pooled per-worker state, reused across every mini-batch a worker slot
+/// processes: the gradient's dense accumulator and its output, the sparse
+/// gradient handed to the codec, the codec's scratch and its output buffer.
+/// Once warm, a worker step allocates nothing beyond the payload of the
+/// outgoing [`WorkerMessage`] (`tests/zero_alloc.rs`).
+#[derive(Debug)]
 pub struct WorkerScratch {
+    grad_scratch: GradScratch,
+    grad: BatchGradient,
+    sparse: SparseGradient,
     scratch: CompressScratch,
     out: BytesMut,
+}
+
+impl Default for WorkerScratch {
+    fn default() -> Self {
+        WorkerScratch {
+            grad_scratch: GradScratch::default(),
+            grad: BatchGradient::default(),
+            sparse: SparseGradient::empty(0),
+            scratch: CompressScratch::new(),
+            out: BytesMut::new(),
+        }
+    }
 }
 
 impl WorkerScratch {
@@ -25,11 +42,45 @@ impl WorkerScratch {
         Self::default()
     }
 
-    /// The pooled codec state and output buffer, for workers that compress
-    /// more than one message per batch (one per parameter-server shard).
-    pub(crate) fn buffers(&mut self) -> (&mut CompressScratch, &mut BytesMut) {
-        (&mut self.scratch, &mut self.out)
+    /// Computes the gradient of `batch` under `model` into the pooled
+    /// buffers and hands it out beside the codec state it is about to be
+    /// compressed with.
+    ///
+    /// # Errors
+    /// [`CompressError::InvalidGradient`] only if the gradient body emitted
+    /// keys out of order — a bug, not an input.
+    pub(crate) fn gradient<'a>(
+        &mut self,
+        model: &GlmModel,
+        batch: impl Iterator<Item = &'a Instance> + Clone,
+    ) -> Result<Gradient<'_>, CompressError> {
+        let feature_ops = batch.clone().map(|i| i.features.nnz() as u64).sum();
+        model.batch_gradient_into(batch, &mut self.grad_scratch, &mut self.grad);
+        let dim = model.dim() as u64;
+        self.sparse
+            .assign(dim, &self.grad.keys, &self.grad.values)?;
+        Ok(Gradient {
+            sparse: &self.sparse,
+            loss_sum: self.grad.loss_sum,
+            instances: self.grad.instances,
+            feature_ops,
+            scratch: &mut self.scratch,
+            out: &mut self.out,
+        })
     }
+}
+
+/// One batch's gradient in a [`WorkerScratch`]'s buffers, with the codec
+/// scratch and output buffer of the same worker.
+pub(crate) struct Gradient<'w> {
+    pub(crate) sparse: &'w SparseGradient,
+    /// Sum of per-instance losses over the batch.
+    pub(crate) loss_sum: f64,
+    pub(crate) instances: usize,
+    /// Stored feature values visited (the cost model's compute unit).
+    pub(crate) feature_ops: u64,
+    pub(crate) scratch: &'w mut CompressScratch,
+    pub(crate) out: &'w mut BytesMut,
 }
 
 /// A worker's compressed contribution for one mini-batch.
@@ -53,8 +104,40 @@ pub struct WorkerMessage {
     pub measured_compute: f64,
 }
 
-/// Computes and compresses one worker's gradient over `slice`, reusing
+/// Computes and compresses one worker's gradient over `batch` — instances
+/// reached by reference, e.g. `part.iter().map(|&i| &train[i])` — reusing
 /// `ws`'s pooled buffers across calls (the §3.5 CPU-overhead hot path).
+///
+/// # Errors
+/// Propagates compressor failures.
+pub fn process_glm_rows<'a>(
+    model: &GlmModel,
+    batch: impl Iterator<Item = &'a Instance> + Clone,
+    compressor: &dyn GradientCompressor,
+    cost: &CostModel,
+    ws: &mut WorkerScratch,
+) -> Result<WorkerMessage, CompressError> {
+    let t0 = Instant::now();
+    let g = ws.gradient(model, batch)?;
+    let measured_compute = t0.elapsed().as_secs_f64();
+
+    let t1 = Instant::now();
+    let report = compressor.compress_into(g.sparse, g.scratch, g.out)?;
+    let measured_codec = t1.elapsed().as_secs_f64();
+
+    Ok(WorkerMessage {
+        payload: g.out[..].to_vec(),
+        report,
+        loss_sum: g.loss_sum,
+        instances: g.instances,
+        sim_compute: cost.compute_time(g.feature_ops),
+        sim_codec: cost.codec_time(g.sparse.nnz()),
+        measured_codec,
+        measured_compute,
+    })
+}
+
+/// [`process_glm_rows`] over a materialized slice.
 ///
 /// # Errors
 /// Propagates compressor failures.
@@ -65,27 +148,7 @@ pub fn process_glm_batch(
     cost: &CostModel,
     ws: &mut WorkerScratch,
 ) -> Result<WorkerMessage, CompressError> {
-    let t0 = Instant::now();
-    let grad = model.batch_gradient(slice);
-    let measured_compute = t0.elapsed().as_secs_f64();
-
-    let feature_ops: u64 = slice.iter().map(|i| i.features.nnz() as u64).sum();
-    let sparse = SparseGradient::new(model.dim() as u64, grad.keys, grad.values)?;
-
-    let t1 = Instant::now();
-    let report = compressor.compress_into(&sparse, &mut ws.scratch, &mut ws.out)?;
-    let measured_codec = t1.elapsed().as_secs_f64();
-
-    Ok(WorkerMessage {
-        payload: ws.out[..].to_vec(),
-        report,
-        loss_sum: grad.loss_sum,
-        instances: slice.len(),
-        sim_compute: cost.compute_time(feature_ops),
-        sim_codec: cost.codec_time(sparse.nnz()),
-        measured_codec,
-        measured_compute,
-    })
+    process_glm_rows(model, slice.iter(), compressor, cost, ws)
 }
 
 /// Splits `indices` into `workers` contiguous, near-equal slices (the

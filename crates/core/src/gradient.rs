@@ -6,6 +6,7 @@
 //! exploits (§3.4).
 
 use crate::error::CompressError;
+use crate::runs::Run;
 use serde::{Deserialize, Serialize};
 
 /// A sparse gradient vector: ascending keys (model dimensions) and their
@@ -117,39 +118,77 @@ impl SparseGradient {
         Ok(())
     }
 
-    /// [`Self::assign`] from `(key, value)` pairs (must already be in
-    /// ascending key order).
+    /// [`Self::assign`] from two key-ordered runs, merged as they are
+    /// written: each run is non-decreasing keys with the slot of each key's
+    /// value, `value_of(slot)`. The checks run pair by pair on the merged
+    /// order, so a key both runs hold — or one run repeats — is the
+    /// "strictly ascending" refusal. On equal keys `a`'s pair comes first.
     ///
     /// # Errors
     /// See [`Self::assign`].
-    pub fn assign_pairs(&mut self, dim: u64, pairs: &[(u64, f64)]) -> Result<(), CompressError> {
+    pub(crate) fn assign_merged(
+        &mut self,
+        dim: u64,
+        a: Run<'_>,
+        b: Run<'_>,
+        value_of: impl Fn(u32) -> f64,
+    ) -> Result<(), CompressError> {
+        let ((ak, asl), (bk, bsl)) = (a, b);
+        assert_eq!(ak.len(), asl.len());
+        assert_eq!(bk.len(), bsl.len());
         self.dim = dim;
-        self.keys.clear();
-        self.values.clear();
-        let mut prev: Option<u64> = None;
-        for (i, &(k, v)) in pairs.iter().enumerate() {
-            if k >= dim {
-                return Err(CompressError::InvalidGradient(format!(
-                    "key {k} at position {i} out of range for dimension {dim}"
-                )));
-            }
-            if let Some(p) = prev {
-                if k <= p {
-                    return Err(CompressError::InvalidGradient(format!(
-                        "keys must be strictly ascending (position {i})"
-                    )));
+        self.keys.resize(ak.len() + bk.len(), 0);
+        self.values.resize(ak.len() + bk.len(), 0.0);
+        // Smallest key the next pair may carry.
+        let mut floor = 0u64;
+        let (mut i, mut j) = (0usize, 0usize);
+        let mut refusal = None;
+        // Same branch-free step as `runs::merge_two`, then the checks, which
+        // a valid payload never fails.
+        for (pos, (key, value)) in self.keys.iter_mut().zip(&mut self.values).enumerate() {
+            let (k, slot) = if i < ak.len() && j < bk.len() {
+                let (x, y) = (ak[i], bk[j]);
+                let (slot_x, slot_y) = (asl[i], bsl[j]);
+                let from_b = y < x;
+                j += usize::from(from_b);
+                i += usize::from(!from_b);
+                if from_b {
+                    (y, slot_y)
+                } else {
+                    (x, slot_x)
                 }
+            } else if i < ak.len() {
+                i += 1;
+                (ak[i - 1], asl[i - 1])
+            } else {
+                j += 1;
+                (bk[j - 1], bsl[j - 1])
+            };
+            let v = value_of(slot);
+            if k >= dim {
+                refusal = Some(format!(
+                    "key {k} at position {pos} out of range for dimension {dim}"
+                ));
+            } else if k < floor {
+                refusal = Some(format!("keys must be strictly ascending (position {pos})"));
+            } else if !v.is_finite() {
+                refusal = Some(format!("non-finite value {v} at position {pos}"));
             }
-            prev = Some(k);
-            if !v.is_finite() {
-                return Err(CompressError::InvalidGradient(format!(
-                    "non-finite value {v} at position {i}"
-                )));
+            if refusal.is_some() {
+                break;
             }
+            floor = k + 1; // k < dim, so no overflow
+            *key = k;
+            *value = v;
         }
-        self.keys.extend(pairs.iter().map(|&(k, _)| k));
-        self.values.extend(pairs.iter().map(|&(_, v)| v));
-        Ok(())
+        match refusal {
+            Some(why) => {
+                self.keys.clear();
+                self.values.clear();
+                Err(CompressError::InvalidGradient(why))
+            }
+            None => Ok(()),
+        }
     }
 
     /// Builds an empty gradient over `dim` dimensions.

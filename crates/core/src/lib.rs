@@ -62,6 +62,7 @@ pub mod merge;
 mod pool;
 pub mod quantify;
 pub mod registry;
+mod runs;
 pub mod scratch;
 pub mod sharded;
 pub mod simd;

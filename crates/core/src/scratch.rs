@@ -20,6 +20,7 @@
 use crate::error::CompressError;
 use crate::gradient::SparseGradient;
 use crate::quantify::QuantScratch;
+use crate::runs::KeyRuns;
 use bytes::BytesMut;
 use sketchml_encoding::stats::SizeReport;
 
@@ -59,12 +60,15 @@ pub struct CompressScratch {
     pub(crate) fs_codes: Vec<u16>,
     pub(crate) fs_codes32: Vec<u32>,
     // --- decode ---
-    pub(crate) pairs: Vec<(u64, f64)>,
     pub(crate) dec_keys: Vec<u64>,
     pub(crate) dec_vals: Vec<f64>,
     pub(crate) dec_idx: Vec<u16>,
     pub(crate) dec_cells: Vec<u16>,
     pub(crate) dec_means: Vec<f64>,
+    // --- decode: SketchML's key sections as ascending runs, and the buffers
+    // their merge passes alternate with ---
+    pub(crate) runs: KeyRuns,
+    pub(crate) merged: KeyRuns,
     // --- sharded engine: one slot per shard, each with its own scratch.
     // The mutexes are uncontended by construction (each pool worker claims a
     // distinct slot index); they exist so the parallel region stays safe

@@ -526,8 +526,11 @@ impl SketchMlCompressor {
         Ok((key_bytes, value_bytes))
     }
 
-    /// Decodes one side's `(key, value)` pairs onto `scratch.pairs`,
-    /// querying each section's keys in batch against its unpacked cell table.
+    /// Decodes one side onto `scratch.runs`, one ascending run per key
+    /// section that holds pairs: the section's keys as written, each with
+    /// the slot of its bucket mean in `scratch.dec_means` (which this side's
+    /// means are appended to), found by querying the keys in batch against
+    /// the section's unpacked cell table.
     fn decode_side_into(
         &self,
         buf: &mut &[u8],
@@ -557,7 +560,7 @@ impl SketchMlCompressor {
         if buf.remaining() < q * mean_width {
             return Err(CompressError::Corrupt("truncated bucket means".into()));
         }
-        scratch.dec_means.clear();
+        let first_slot = scratch.dec_means.len() as u32;
         scratch.dec_means.reserve(q);
         for _ in 0..q {
             scratch.dec_means.push(if mean_width == 8 {
@@ -609,13 +612,17 @@ impl SketchMlCompressor {
                     "sketch cell empty for a section key".into(),
                 ));
             }
-            for (&k, &idx) in scratch.dec_keys.iter().zip(&scratch.dec_idx) {
-                let v = *scratch.dec_means.get(idx as usize).ok_or_else(|| {
-                    CompressError::Corrupt(format!("index {idx} out of {q} buckets"))
-                })?;
-                scratch.pairs.push((k, v));
-                decoded += 1;
+            if let Some(idx) = scratch.dec_idx.iter().find(|&&idx| idx as usize >= q) {
+                return Err(CompressError::Corrupt(format!(
+                    "index {idx} out of {q} buckets"
+                )));
             }
+            let slots = scratch
+                .dec_idx
+                .iter()
+                .map(|&idx| first_slot + u32::from(idx));
+            scratch.runs.push_run(&scratch.dec_keys, slots);
+            decoded += n_g;
         }
         if decoded != n {
             return Err(CompressError::Corrupt(format!(
@@ -623,6 +630,57 @@ impl SketchMlCompressor {
             )));
         }
         Ok(())
+    }
+
+    /// Parses the header and both sides of `payload`, leaving every key
+    /// section on `scratch.runs` and the bucket means on
+    /// `scratch.dec_means`. Returns the gradient's dimension.
+    fn decode_runs(
+        &self,
+        payload: &[u8],
+        scratch: &mut CompressScratch,
+    ) -> Result<u64, CompressError> {
+        let mut buf = payload;
+        if buf.remaining() < 10 {
+            return Err(CompressError::Corrupt("message shorter than header".into()));
+        }
+        if buf.get_u8() != MAGIC {
+            return Err(CompressError::Corrupt("bad SketchML magic".into()));
+        }
+        if buf.get_u8() != VERSION {
+            return Err(CompressError::Corrupt(
+                "unsupported SketchML version".into(),
+            ));
+        }
+        let seed = buf.get_u64_le();
+        let dim = varint::read_u64(&mut buf)?;
+        let nnz = varint::read_u64(&mut buf)? as usize;
+        let rows = varint::read_u64(&mut buf)? as usize;
+        if rows == 0 || rows > 64 {
+            return Err(CompressError::Corrupt(format!(
+                "row count {rows} out of range"
+            )));
+        }
+
+        // Early refusal: delta-binary keys cost ≥ 1 byte per pair, so a
+        // declared nnz beyond the whole payload cannot decode.
+        if nnz > payload.len() {
+            return Err(CompressError::Corrupt(format!(
+                "declared {nnz} pairs exceeds the {}-byte payload",
+                payload.len()
+            )));
+        }
+        scratch.runs.clear();
+        scratch.dec_means.clear();
+        self.decode_side_into(&mut buf, seed, rows, scratch)?;
+        self.decode_side_into(&mut buf, seed ^ NEG_SALT, rows, scratch)?;
+        if scratch.runs.keys.len() != nnz {
+            return Err(CompressError::Corrupt(format!(
+                "declared {nnz} pairs, decoded {}",
+                scratch.runs.keys.len()
+            )));
+        }
+        Ok(dim)
     }
 }
 
@@ -707,49 +765,103 @@ impl GradientCompressor for SketchMlCompressor {
     ) -> Result<(), CompressError> {
         let _t = telemetry::time(telemetry::Stage::Decode);
         telemetry::inc(telemetry::Counter::PipelineDecodes);
-        let mut buf = payload;
-        if buf.remaining() < 10 {
-            return Err(CompressError::Corrupt("message shorter than header".into()));
+        let dim = self.decode_runs(payload, scratch)?;
+        // Bottom-up two-way merge of the section runs; the last merge writes
+        // `out` and validates it (see `crate::runs`).
+        let (mut src, mut dst) = (&mut scratch.runs, &mut scratch.merged);
+        while src.ends.len() > 2 {
+            src.merge_pairs_into(dst);
+            std::mem::swap(&mut src, &mut dst);
         }
-        if buf.get_u8() != MAGIC {
-            return Err(CompressError::Corrupt("bad SketchML magic".into()));
-        }
-        if buf.get_u8() != VERSION {
-            return Err(CompressError::Corrupt(
-                "unsupported SketchML version".into(),
-            ));
-        }
-        let seed = buf.get_u64_le();
-        let dim = varint::read_u64(&mut buf)?;
-        let nnz = varint::read_u64(&mut buf)? as usize;
-        let rows = varint::read_u64(&mut buf)? as usize;
-        if rows == 0 || rows > 64 {
-            return Err(CompressError::Corrupt(format!(
-                "row count {rows} out of range"
-            )));
-        }
+        let means = &scratch.dec_means;
+        out.assign_merged(dim, src.run(0), src.run(1), |slot| means[slot as usize])
+    }
+}
 
-        // Early refusal: delta-binary keys cost ≥ 1 byte per pair, so a
-        // declared nnz beyond the whole payload cannot decode.
-        if nnz > payload.len() {
-            return Err(CompressError::Corrupt(format!(
-                "declared {nnz} pairs exceeds the {}-byte payload",
-                payload.len()
-            )));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::collection::btree_map;
+    use proptest::prelude::*;
+
+    /// The decoder this file had before the runs were merged, kept as the
+    /// reference: every section's pairs on one vector, a comparison sort by
+    /// key, then the gradient's own validation.
+    fn decompress_by_sorting(
+        codec: &SketchMlCompressor,
+        payload: &[u8],
+    ) -> Result<SparseGradient, CompressError> {
+        let mut scratch = CompressScratch::new();
+        let dim = codec.decode_runs(payload, &mut scratch)?;
+        let runs = &scratch.runs;
+        let mut pairs: Vec<(u64, f64)> = runs
+            .keys
+            .iter()
+            .zip(&runs.slots)
+            .map(|(&k, &slot)| (k, scratch.dec_means[slot as usize]))
+            .collect();
+        pairs.sort_unstable_by_key(|&(k, _)| k);
+        let (keys, values) = pairs.into_iter().unzip();
+        SparseGradient::new(dim, keys, values)
+    }
+
+    fn bits(g: &SparseGradient) -> (u64, Vec<u64>, Vec<u64>) {
+        let values = g.values().iter().map(|v| v.to_bits()).collect();
+        (g.dim(), g.keys().to_vec(), values)
+    }
+
+    proptest! {
+        /// Merged runs against the sort, bit for bit: zero to 300 pairs (so
+        /// fewer pairs than groups, one pair, none), mixed or one-signed,
+        /// magnitudes either spread out or taken from three values (most
+        /// buckets, hence whole sections between full ones, stay empty),
+        /// 1–8 groups per sign, 1–4 sketch rows — on a scratch and an output
+        /// still holding a larger decode, twice.
+        #[test]
+        fn merged_runs_decode_what_the_sort_decoded(
+            pairs in btree_map(0u64..50_000, (0.001f64..2.0, 0usize..3, any::<bool>()), 0..300),
+            signs in 0usize..3,
+            few_values in any::<bool>(),
+            groups in 1usize..=8,
+            rows in 1usize..=4,
+        ) {
+            let keys: Vec<u64> = pairs.keys().copied().collect();
+            let values: Vec<f64> = pairs
+                .values()
+                .map(|&(spread, pick, negative)| {
+                    let magnitude = if few_values { [0.004, 0.3, 17.0][pick] } else { spread };
+                    match signs {
+                        0 if negative => -magnitude,
+                        2 => -magnitude,
+                        _ => magnitude,
+                    }
+                })
+                .collect();
+            let grad = SparseGradient::new(50_000, keys, values).unwrap();
+            let codec = SketchMlCompressor::new(SketchMlConfig {
+                groups,
+                rows,
+                ..SketchMlConfig::default()
+            })
+            .unwrap();
+            let payload = codec.compress(&grad).unwrap().payload;
+            let reference = decompress_by_sorting(&codec, &payload).unwrap();
+            prop_assert_eq!(reference.keys(), grad.keys());
+
+            // A larger gradient first, so the run and merge buffers are longer
+            // than this decode needs and hold another decode's pairs.
+            let mut scratch = CompressScratch::new();
+            let mut out = SparseGradient::empty(0);
+            let wide: Vec<u64> = (0..400).map(|i| i * 7).collect();
+            let alternating = wide.iter().map(|&k| if k % 2 == 0 { 0.5 } else { -0.25 });
+            let wide = SparseGradient::new(50_000, wide.clone(), alternating.collect()).unwrap();
+            let warm = codec.compress(&wide).unwrap().payload;
+            codec.decompress_into(&warm, &mut scratch, &mut out).unwrap();
+            prop_assert_eq!(out.keys(), wide.keys());
+            for _ in 0..2 {
+                codec.decompress_into(&payload, &mut scratch, &mut out).unwrap();
+                prop_assert_eq!(bits(&out), bits(&reference));
+            }
         }
-        scratch.pairs.clear();
-        self.decode_side_into(&mut buf, seed, rows, scratch)?;
-        self.decode_side_into(&mut buf, seed ^ NEG_SALT, rows, scratch)?;
-        if scratch.pairs.len() != nnz {
-            return Err(CompressError::Corrupt(format!(
-                "declared {nnz} pairs, decoded {}",
-                scratch.pairs.len()
-            )));
-        }
-        scratch.pairs.sort_unstable_by_key(|&(k, _)| k);
-        let pairs = std::mem::take(&mut scratch.pairs);
-        let assigned = out.assign_pairs(dim, &pairs);
-        scratch.pairs = pairs;
-        assigned
     }
 }

@@ -317,6 +317,12 @@ pub fn decode_keys(buf: &mut impl Buf) -> Result<Vec<u64>, EncodingError> {
 /// delta is read, accumulated, and pushed as a key in one loop — no
 /// intermediate delta vector. `out` is cleared first.
 ///
+/// Every caller in the tree hands over a slice (`&mut &[u8]`) and so takes
+/// the contiguous branch, which reads flags and payload in place and
+/// allocates nothing beyond `out`'s growth. A `Buf` whose first chunk is not
+/// all of it takes the fragmented branch, which copies the flag bytes to the
+/// heap first.
+///
 /// # Errors
 /// [`EncodingError::UnexpectedEof`] on truncated input (with `out` contents
 /// unspecified).
@@ -332,33 +338,11 @@ pub fn decode_keys_into(buf: &mut impl Buf, out: &mut Vec<u64>) -> Result<(), En
     out.reserve(n);
 
     if buf.chunk().len() == buf.remaining() {
-        // Contiguous buffer (slices, `Bytes`): decode straight off the chunk
-        // without copying flags or payload.
-        let used = {
-            let data = buf.chunk();
-            let mut pos = flag_len;
-            let mut acc = 0u64;
-            for i in 0..n {
-                let flag = (data[i / 4] >> ((i % 4) * 2)) & 0b11;
-                let nb = flag as usize + 1;
-                if data.len() - pos < nb {
-                    return Err(EncodingError::UnexpectedEof {
-                        context: "delta payload",
-                    });
-                }
-                let mut le = [0u8; 4];
-                le[..nb].copy_from_slice(&data[pos..pos + nb]);
-                pos += nb;
-                acc += u64::from(u32::from_le_bytes(le));
-                out.push(acc);
-            }
-            pos
-        };
+        let used = decode_contiguous(buf.chunk(), n, flag_len, out)?;
         buf.advance(used);
         return Ok(());
     }
 
-    // Fragmented buffer: copy the flags once, then stream the payload.
     let mut flag_bytes = vec![0u8; flag_len];
     buf.copy_to_slice(&mut flag_bytes);
     let mut acc = 0u64;
@@ -376,6 +360,58 @@ pub fn decode_keys_into(buf: &mut impl Buf, out: &mut Vec<u64>) -> Result<(), En
         out.push(acc);
     }
     Ok(())
+}
+
+/// Decodes `n` keys from `data` (`flag_len` flag bytes, then the payload),
+/// appending them to `out`; returns the bytes consumed. While 16 payload
+/// bytes are readable — the most four keys can take — a whole flag byte is
+/// decoded at once: each delta is an unconditional 4-byte little-endian
+/// load masked down to its width, so the loop carries no per-key length
+/// check. The last bytes and the `n % 4` tail go through the per-key
+/// checked loop, so no read leaves `data`.
+fn decode_contiguous(
+    data: &[u8],
+    n: usize,
+    flag_len: usize,
+    out: &mut Vec<u64>,
+) -> Result<usize, EncodingError> {
+    const MASK: [u32; 4] = [0xFF, 0xFFFF, 0xFF_FFFF, u32::MAX];
+    let (flags, payload) = data.split_at(flag_len);
+    let mut pos = 0usize;
+    let mut acc = 0u64;
+    let mut i = 0usize;
+    while i + 4 <= n {
+        let Some(window) = payload.get(pos..pos + 16) else {
+            break;
+        };
+        let flag = flags[i / 4] as usize;
+        let mut at = 0usize;
+        let mut quad = [0u64; 4];
+        for (lane, key) in quad.iter_mut().enumerate() {
+            let width = (flag >> (2 * lane)) & 0b11;
+            let le: [u8; 4] = window[at..at + 4].try_into().expect("4-byte window");
+            acc += u64::from(u32::from_le_bytes(le) & MASK[width]);
+            *key = acc;
+            at += width + 1;
+        }
+        out.extend_from_slice(&quad);
+        pos += at;
+        i += 4;
+    }
+    for i in i..n {
+        let nb = ((flags[i / 4] >> ((i % 4) * 2)) & 0b11) as usize + 1;
+        let Some(bytes) = payload.get(pos..pos + nb) else {
+            return Err(EncodingError::UnexpectedEof {
+                context: "delta payload",
+            });
+        };
+        let mut le = [0u8; 4];
+        le[..nb].copy_from_slice(bytes);
+        pos += nb;
+        acc += u64::from(u32::from_le_bytes(le));
+        out.push(acc);
+    }
+    Ok(flag_len + pos)
 }
 
 /// Exact encoded size in bytes of `keys` without materializing the buffer.

@@ -12,6 +12,33 @@ fn ascending_keys(max_len: usize) -> impl Strategy<Value = Vec<u64>> {
     btree_set(0u64..1 << 32, 0..max_len).prop_map(|s| s.into_iter().collect())
 }
 
+/// The per-key decoder `decode_keys_into` used to be, kept as the reference
+/// for its four-keys-per-flag-byte loop: one checked 1–4-byte read per key.
+/// Returns the keys and the bytes consumed.
+fn decode_keys_one_at_a_time(data: &[u8]) -> Option<(Vec<u64>, usize)> {
+    let mut rest = data;
+    let n = varint::read_u64(&mut rest).ok()? as usize;
+    let flag_at = data.len() - rest.len();
+    let mut pos = flag_at + n.div_ceil(4);
+    let mut acc = 0u64;
+    let mut keys = Vec::with_capacity(n);
+    for i in 0..n {
+        let nb = ((data.get(flag_at + i / 4)? >> ((i % 4) * 2)) & 0b11) as usize + 1;
+        let mut le = [0u8; 4];
+        le[..nb].copy_from_slice(data.get(pos..pos + nb)?);
+        pos += nb;
+        acc += u64::from(u32::from_le_bytes(le));
+        keys.push(acc);
+    }
+    Some((keys, pos))
+}
+
+/// Deltas of every byte-width mix: a width class per key and raw bits
+/// folded into that class's range.
+fn widths_and_bits() -> impl Strategy<Value = Vec<(u32, u32)>> {
+    vec((0u32..4, any::<u32>()), 67)
+}
+
 proptest! {
     #[test]
     fn varint_roundtrip(v in any::<u64>()) {
@@ -26,6 +53,47 @@ proptest! {
         delta_binary::encode_keys(&keys, &mut buf).unwrap();
         let decoded = delta_binary::decode_keys(&mut buf.freeze()).unwrap();
         prop_assert_eq!(decoded, keys);
+    }
+
+    /// Four keys per flag byte against one key at a time, at every length
+    /// that puts the 16-byte window's end before, on and after the payload's
+    /// end, with bytes that are not the decoder's following the block; and
+    /// every proper prefix of the block is `UnexpectedEof`. Tier-1 runs this
+    /// under the debug profile, where a read past a slice would panic.
+    #[test]
+    fn delta_binary_four_at_a_time_matches_one_at_a_time(mix in widths_and_bits()) {
+        const LOW: [u32; 4] = [1, 0x100, 0x1_0000, 0x100_0000];
+        let mut cur = 0u64;
+        let keys: Vec<u64> = mix
+            .iter()
+            .map(|&(class, bits)| {
+                let span = if class == 3 { u32::MAX - LOW[3] } else { LOW[class as usize + 1] - LOW[class as usize] };
+                cur += u64::from(LOW[class as usize] + bits % span);
+                cur
+            })
+            .collect();
+        let mut decoded = vec![7u64; 3];
+        for n in 0..=keys.len() {
+            let mut block = BytesMut::new();
+            delta_binary::encode_keys(&keys[..n], &mut block).unwrap();
+            let len = block.len();
+            block.extend_from_slice(&[0xFF; 19]);
+            let mut view = &block[..];
+            delta_binary::decode_keys_into(&mut view, &mut decoded).unwrap();
+            let (reference, used) = decode_keys_one_at_a_time(&block).unwrap();
+            prop_assert_eq!(&decoded, &reference);
+            prop_assert_eq!(&decoded[..], &keys[..n]);
+            prop_assert_eq!(block.len() - view.len(), used);
+            prop_assert_eq!(used, len);
+            for cut in 0..len {
+                let mut partial = &block[..cut];
+                let got = delta_binary::decode_keys_into(&mut partial, &mut decoded);
+                prop_assert!(
+                    matches!(got, Err(sketchml_encoding::EncodingError::UnexpectedEof { .. })),
+                    "n={} cut={} of {}: {:?}", n, cut, len, got
+                );
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use checkpoint::Checkpoint;
 pub use error::MlError;
 pub use loss::GlmLoss;
 pub use mlp::{Mlp, MlpConfig};
-pub use model::{BatchGradient, GlmModel};
+pub use model::{BatchGradient, GlmModel, GradScratch};
 pub use opt_state::{
     OptStateMode, OptimizerState, SketchedAdaGrad, SketchedAdam, SketchedMomentum,
 };

@@ -18,7 +18,7 @@ use crate::vector::Instance;
 use serde::{Deserialize, Serialize};
 
 /// A mini-batch gradient in sparse key-value form, ready for compression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BatchGradient {
     /// Ascending model dimensions with nonzero gradient.
     pub keys: Vec<u64>,
@@ -46,21 +46,23 @@ impl BatchGradient {
     }
 }
 
-/// Reusable accumulation buffers so per-batch work does not reallocate the
-/// full model dimension (the perf-book "workhorse collection" pattern).
+/// Accumulation state a caller keeps across batches so a gradient costs no
+/// model-sized allocation: one dense cell and one bit per model dimension.
+/// A batch sets the bit of every dimension it visits; emission walks the
+/// bitmap word by word, which yields the keys in ascending order without a
+/// sort, and zeroes each cell and word as it reads them — the scratch is
+/// all-zero again when the gradient is out, whatever the batch was.
 #[derive(Debug, Default)]
 pub struct GradScratch {
     dense: Vec<f64>,
-    touched: Vec<u32>,
+    touched: Vec<u64>,
 }
 
 impl GradScratch {
-    /// Creates scratch buffers for a `dim`-dimensional model.
-    pub fn new(dim: usize) -> Self {
-        GradScratch {
-            dense: vec![0.0; dim],
-            touched: Vec::new(),
-        }
+    /// Sizes the (all-zero) buffers for a `dim`-dimensional model.
+    fn fit(&mut self, dim: usize) {
+        self.dense.resize(dim, 0.0);
+        self.touched.resize(dim.div_ceil(64), 0);
     }
 }
 
@@ -106,69 +108,67 @@ impl GlmModel {
         instance.features.dot(&self.weights)
     }
 
-    /// Computes the mini-batch gradient using caller-provided scratch.
+    /// Computes the mini-batch gradient of `batch` into `out` (overwritten,
+    /// its buffers reused). The instances are reached by reference, so a
+    /// round's batch is `indices.iter().map(|&i| &train[i])`, not a copy;
+    /// with a warm `scratch` and `out` nothing is allocated.
     ///
     /// # Panics
-    /// Debug-asserts that `scratch` was sized for this model.
-    pub fn batch_gradient_with_scratch(
+    /// If an instance has a feature index outside the model.
+    pub fn batch_gradient_into<'a>(
         &self,
-        batch: &[Instance],
+        batch: impl IntoIterator<Item = &'a Instance>,
         scratch: &mut GradScratch,
-    ) -> BatchGradient {
-        debug_assert_eq!(scratch.dense.len(), self.weights.len());
-        // Reset only previously-touched entries (lazy zeroing).
-        for &t in &scratch.touched {
-            scratch.dense[t as usize] = 0.0;
-        }
-        scratch.touched.clear();
-
-        let mut loss_sum = 0.0;
+        out: &mut BatchGradient,
+    ) {
+        scratch.fit(self.dim());
+        let GradScratch { dense, touched } = scratch;
+        out.keys.clear();
+        out.values.clear();
+        out.loss_sum = 0.0;
+        out.instances = 0;
         for inst in batch {
+            out.instances += 1;
             let s = self.score(inst);
-            loss_sum += self.loss.loss(s, inst.label);
+            out.loss_sum += self.loss.loss(s, inst.label);
             let d = self.loss.dloss(s, inst.label);
             if d == 0.0 {
                 continue;
             }
             for (i, x) in inst.features.iter() {
-                let cell = &mut scratch.dense[i as usize];
-                if *cell == 0.0 {
-                    scratch.touched.push(i);
-                }
-                *cell += d * x;
+                // Every visit marks its dimension, also one whose cell sums
+                // to 0.0: it is still regularized below.
+                touched[i as usize / 64] |= 1 << (i % 64);
+                dense[i as usize] += d * x;
             }
         }
 
-        scratch.touched.sort_unstable();
-        scratch.touched.dedup();
-        let inv_b = if batch.is_empty() {
+        let inv_b = if out.instances == 0 {
             0.0
         } else {
-            1.0 / batch.len() as f64
+            1.0 / out.instances as f64
         };
-        let mut keys = Vec::with_capacity(scratch.touched.len());
-        let mut values = Vec::with_capacity(scratch.touched.len());
-        for &t in &scratch.touched {
-            let mut g = scratch.dense[t as usize] * inv_b;
-            // Sparse ℓ2: only touched dimensions are regularized.
-            g += self.l2 * self.weights[t as usize];
-            if g != 0.0 && g.is_finite() {
-                keys.push(t as u64);
-                values.push(g);
+        for (w, word) in touched.iter_mut().enumerate() {
+            let mut marks = std::mem::take(word);
+            while marks != 0 {
+                let t = w * 64 + marks.trailing_zeros() as usize;
+                marks &= marks - 1;
+                let mut g = std::mem::take(&mut dense[t]) * inv_b;
+                // Sparse ℓ2: only touched dimensions are regularized.
+                g += self.l2 * self.weights[t];
+                if g != 0.0 && g.is_finite() {
+                    out.keys.push(t as u64);
+                    out.values.push(g);
+                }
             }
-        }
-        BatchGradient {
-            keys,
-            values,
-            loss_sum,
-            instances: batch.len(),
         }
     }
 
-    /// Convenience wrapper allocating fresh scratch.
+    /// [`Self::batch_gradient_into`] on fresh buffers, for one-off callers.
     pub fn batch_gradient(&self, batch: &[Instance]) -> BatchGradient {
-        let mut scratch = GradScratch::new(self.dim());
-        self.batch_gradient_with_scratch(batch, &mut scratch)
+        let mut out = BatchGradient::default();
+        self.batch_gradient_into(batch, &mut GradScratch::default(), &mut out);
+        out
     }
 
     /// Applies a (possibly decompressed) gradient through an optimizer.
@@ -274,15 +274,126 @@ mod tests {
         assert_eq!(grad.instances, 1);
     }
 
+    /// The gradient body before the bitmap, kept as the reference: a list
+    /// of touched dimensions (pushed whenever a cell reads 0.0, so a cell
+    /// that cancels and is touched again is listed twice), sorted and
+    /// deduplicated before emission.
+    fn batch_gradient_by_sorting(model: &GlmModel, batch: &[Instance]) -> BatchGradient {
+        let mut dense = vec![0.0; model.dim()];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut loss_sum = 0.0;
+        for inst in batch {
+            let s = model.score(inst);
+            loss_sum += model.loss.loss(s, inst.label);
+            let d = model.loss.dloss(s, inst.label);
+            if d == 0.0 {
+                continue;
+            }
+            for (i, x) in inst.features.iter() {
+                let cell = &mut dense[i as usize];
+                if *cell == 0.0 {
+                    touched.push(i);
+                }
+                *cell += d * x;
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let inv_b = if batch.is_empty() {
+            0.0
+        } else {
+            1.0 / batch.len() as f64
+        };
+        let mut keys = Vec::new();
+        let mut values = Vec::new();
+        for &t in &touched {
+            let mut g = dense[t as usize] * inv_b;
+            g += model.l2 * model.weights[t as usize];
+            if g != 0.0 && g.is_finite() {
+                keys.push(t as u64);
+                values.push(g);
+            }
+        }
+        BatchGradient {
+            keys,
+            values,
+            loss_sum,
+            instances: batch.len(),
+        }
+    }
+
+    fn bits(g: &BatchGradient) -> (Vec<u64>, Vec<u64>, u64, usize) {
+        let values = g.values.iter().map(|v| v.to_bits()).collect();
+        (g.keys.clone(), values, g.loss_sum.to_bits(), g.instances)
+    }
+
     #[test]
-    fn scratch_reuse_is_consistent() {
-        let data = toy_classification(50, 1);
-        let model = GlmModel::new(2, GlmLoss::Logistic, 0.01).unwrap();
-        let mut scratch = GradScratch::new(2);
-        let a = model.batch_gradient_with_scratch(&data, &mut scratch);
-        let b = model.batch_gradient_with_scratch(&data, &mut scratch);
-        assert_eq!(a, b, "scratch reuse must not change results");
-        assert_eq!(a, model.batch_gradient(&data));
+    fn bitmap_emission_matches_the_sorted_touched_list() {
+        let mut rng = StdRng::seed_from_u64(22);
+        // One scratch and one output across every case: each call must leave
+        // the cells and the bitmap clean for the next, whatever its batch.
+        let mut scratch = GradScratch::default();
+        let mut out = BatchGradient::default();
+        for case in 0..60 {
+            // Dimensions on both sides of a word boundary, none a multiple
+            // of 64 except the last.
+            let dim = [1, 63, 65, 130, 1000, 4096][case % 6];
+            let l2 = if case % 2 == 0 { 0.01 } else { 0.0 };
+            let loss = GlmLoss::all()[case % 3];
+            let mut model = GlmModel::new(dim, loss, l2).unwrap();
+            for w in &mut model.weights {
+                *w = rng.gen_range(-0.5..0.5);
+            }
+            let n = if case % 7 == 0 {
+                0
+            } else {
+                rng.gen_range(1..40)
+            };
+            let mut batch: Vec<Instance> = (0..n)
+                .map(|_| {
+                    let mut pairs: Vec<(u32, f64)> = (0..rng.gen_range(1..12usize))
+                        .map(|_| (rng.gen_range(0..dim as u32), rng.gen_range(-1.0..1.0)))
+                        .collect();
+                    pairs.sort_unstable_by_key(|&(i, _)| i);
+                    pairs.dedup_by_key(|&mut (i, _)| i);
+                    instance(&pairs, if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+                })
+                .collect();
+            if n > 0 && loss == GlmLoss::Squared {
+                // The same row with the feature negated: at score 0 and equal
+                // labels the two contributions cancel to exactly 0.0, then a
+                // third row touches the coordinate again.
+                model.weights[0] = 0.0;
+                batch.insert(0, instance(&[(0, 0.75)], 1.0));
+                batch.insert(1, instance(&[(0, -0.75)], 1.0));
+                batch.insert(2, instance(&[(0, 0.5)], -1.0));
+            }
+            let reference = batch_gradient_by_sorting(&model, &batch);
+            for _ in 0..2 {
+                model.batch_gradient_into(batch.iter(), &mut scratch, &mut out);
+                assert_eq!(bits(&out), bits(&reference), "case {case}, dim {dim}");
+                assert!(scratch.dense.iter().all(|c| c.to_bits() == 0));
+                assert!(scratch.touched.iter().all(|&w| w == 0));
+            }
+            assert_eq!(bits(&model.batch_gradient(&batch)), bits(&reference));
+        }
+    }
+
+    #[test]
+    fn a_cancelled_coordinate_is_still_regularized() {
+        // Two rows whose contributions to dimension 3 cancel exactly: the
+        // coordinate was visited, so its ℓ2 term is emitted.
+        let mut model = GlmModel::new(70, GlmLoss::Squared, 0.5).unwrap();
+        model.weights[3] = 0.0;
+        model.weights[69] = 0.25;
+        let batch = vec![
+            instance(&[(3, 1.0), (69, 0.0)], 1.0),
+            instance(&[(3, -1.0)], 1.0),
+        ];
+        let g = model.batch_gradient(&batch);
+        assert_eq!(bits(&g), bits(&batch_gradient_by_sorting(&model, &batch)));
+        assert_eq!(g.keys, vec![69]);
+        assert_eq!(g.values, vec![0.5 * 0.25]);
     }
 
     #[test]
@@ -292,9 +403,9 @@ mod tests {
             let mut model = GlmModel::new(2, loss, 0.001).unwrap();
             let mut opt = Adam::new(2, AdamConfig::with_lr(0.05)).unwrap();
             let initial = model.mean_loss(&data);
-            let mut scratch = GradScratch::new(2);
+            let (mut scratch, mut g) = (GradScratch::default(), BatchGradient::default());
             for _ in 0..200 {
-                let g = model.batch_gradient_with_scratch(&data, &mut scratch);
+                model.batch_gradient_into(&data, &mut scratch, &mut g);
                 model.apply_gradient(&mut opt, &g.keys, &g.values);
             }
             let final_loss = model.mean_loss(&data);

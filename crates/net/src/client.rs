@@ -17,10 +17,10 @@ use crate::sock::Conn;
 use crate::wire::{PredictInstance, PushStatus, Request, Response, RoundMember, PROTOCOL_VERSION};
 use sketchml_cluster::driver::combine;
 use sketchml_cluster::network::CostModel;
-use sketchml_cluster::worker::{partition, process_glm_batch, WorkerScratch};
+use sketchml_cluster::worker::{partition, process_glm_rows, WorkerScratch};
 use sketchml_core::{compressor_by_name, CompressScratch, GradientCompressor, SparseGradient};
 use sketchml_data::Batcher;
-use sketchml_ml::{Checkpoint, GlmModel, Instance, OptimizerState};
+use sketchml_ml::{Checkpoint, GlmModel, OptimizerState};
 use std::io::{BufReader, BufWriter, Write};
 use std::time::Duration;
 
@@ -618,8 +618,8 @@ pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
             .into_iter()
             .nth(worker as usize)
             .unwrap_or_default();
-        let slice: Vec<Instance> = part.iter().map(|&i| train[i].clone()).collect();
-        let msg = process_glm_batch(replica.model(), &slice, compressor.as_ref(), &cost, &mut ws)?;
+        let slice = part.iter().map(|&i| &train[i]);
+        let msg = process_glm_rows(replica.model(), slice, compressor.as_ref(), &cost, &mut ws)?;
 
         // Built once: a `Backpressure` retry resends the same request.
         let instances = msg.instances as u64;

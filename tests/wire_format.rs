@@ -304,12 +304,27 @@ fn every_decoder_guard_fires_through_decompress() {
     write_header_v2(&mut bad_crc, &[shard.len()], &[crc32(&shard) ^ 1]);
     bad_crc.extend_from_slice(&shard);
 
+    // What the merging decoder leans on: every key section is an ascending
+    // run, and a key lives in one section. Frames that break it, by hand.
+    let zeros = cells(&[0; 2], 8);
+    let section = |keys: &[u64]| {
+        let mut block = Vec::new();
+        encode_keys(keys, &mut block).expect("valid keys");
+        cat(&[&v(keys.len() as u64), &block, &zeros])
+    };
+    // Two keys with a zero delta between them (the encoder refuses to write
+    // this): count 2, one flag byte of 1-byte widths, deltas 7 and 0.
+    let repeated7 = cat(&[&v(2), &[2, 0b0000, 7, 0], &zeros]);
+    let no_groups = vec![0u8; 1_000_000];
+
     let mut scratch = used_scratch();
     let mut pooled = SparseGradient::empty(0);
     let mut check = |codec: &dyn GradientCompressor, cases: &[(&str, Vec<u8>)]| {
         for (needle, payload) in cases {
             let fired = |r: &Result<(), CompressError>| match r {
-                Err(CompressError::Corrupt(msg)) => msg.contains(needle),
+                Err(CompressError::Corrupt(msg) | CompressError::InvalidGradient(msg)) => {
+                    msg.contains(needle)
+                }
                 _ => false,
             };
             let fresh = codec.decompress(payload).map(drop);
@@ -324,6 +339,13 @@ fn every_decoder_guard_fires_through_decompress() {
                 "{}: {needle}: decompress_into gave {used:?}",
                 codec.name()
             );
+            if matches!(used, Err(CompressError::InvalidGradient(_))) {
+                assert_eq!(
+                    pooled.nnz(),
+                    0,
+                    "{needle}: a refused gradient is left empty"
+                );
+            }
         }
     };
 
@@ -382,8 +404,69 @@ fn every_decoder_guard_fires_through_decompress() {
                     &v(0),
                 ]),
             ),
+            (
+                "side declared 1 pairs, decoded 2",
+                cat(&[
+                    &skm(2, 2),
+                    &side(1, 1, 2, 1, 8),
+                    &section(&[7]),
+                    &section(&[9]),
+                    &v(0),
+                ]),
+            ),
+            // A million groups declared, every one empty: refused after one
+            // pass over the payload (`tests/zero_alloc.rs` holds the same
+            // frame to allocating less than the payload).
+            (
+                "side declared 1 pairs, decoded 0",
+                cat(&[&h, &side(1, 1, 1_000_000, 1, 8), &no_groups, &v(0)]),
+            ),
+            // Key 7 in a positive and in a negative section.
+            (
+                "strictly ascending (position 1)",
+                cat(&[
+                    &skm(2, 2),
+                    &side(1, 1, 1, 1, 8),
+                    &section(&[7]),
+                    &side(1, 1, 1, 1, 8),
+                    &section(&[7]),
+                ]),
+            ),
+            (
+                "strictly ascending (position 1)",
+                cat(&[&skm(2, 2), &side(2, 1, 1, 1, 8), &repeated7, &v(0)]),
+            ),
+            (
+                "key 1000 at position 0 out of range for dimension 1000",
+                cat(&[&h, &side(1, 1, 1, 1, 8), &section(&[1000]), &v(0)]),
+            ),
+            (
+                "key 1000 at position 1 out of range for dimension 1000",
+                cat(&[
+                    &skm(2, 2),
+                    &side(2, 1, 1, 1, 8),
+                    &section(&[7, 1000]),
+                    &v(0),
+                ]),
+            ),
         ],
     );
+    // The same hand-built sections in an order the decoder accepts: the later
+    // section holds the smaller key, an empty one sits between them, and the
+    // other sign's only key falls between the two.
+    let interleaved = cat(&[
+        &skm(3, 2),
+        &side(2, 1, 3, 1, 8),
+        &section(&[9]),
+        &v(0),
+        &section(&[7]),
+        &side(1, 1, 1, 1, 8),
+        &section(&[8]),
+    ]);
+    let merged = SketchMlCompressor::default()
+        .decompress(&interleaved)
+        .expect("sections in any order merge");
+    assert_eq!(merged.keys(), &[7, 8, 9]);
     let q = cat(&[&[0xA5], &v(100), &g]);
     check(
         &QuantCompressor::default(),
@@ -746,10 +829,76 @@ fn fixtures_are_committed_not_regenerated_in_ci() {
         "csk_3x64k16_seed901df1.hex",
         "checkpoint_v3_sketched_adam.hex",
         "checkpoint_v2_sketched_adam.json",
+        "worker_step_seed901df1.hex",
     ] {
         assert!(
             fixture_path(name).exists() || std::env::var_os("REGEN_FIXTURES").is_some(),
             "fixture {name} missing from tests/fixtures/"
+        );
+    }
+}
+
+#[test]
+fn worker_step_matches_golden_fixture() {
+    // The worker's half of a round — gradient over its rows of the batch,
+    // then the codec — pinned from the commit before the gradient stopped
+    // sorting and the worker stopped copying its rows: `loss_sum`'s bits
+    // (8 bytes, little-endian), then the payload.
+    use sketchml::cluster::network::CostModel;
+    use sketchml::cluster::worker::{process_glm_batch, process_glm_rows, WorkerScratch};
+    use sketchml::data::synthetic::Task;
+    use sketchml::{Instance, SparseDatasetSpec};
+    let spec = SparseDatasetSpec {
+        name: "worker-step".into(),
+        instances: 600,
+        features: 20_011,
+        avg_nnz: 24,
+        skew: 1.1,
+        label_noise: 0.05,
+        task: Task::Classification,
+        seed: SEED,
+    };
+    let train = spec.generate();
+    // Non-zero weights, so the sparse ℓ2 term is in the pinned bits.
+    let mut model = GlmModel::new(spec.features as usize, GlmLoss::Logistic, 0.01).expect("model");
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for w in &mut model.weights {
+        *w = rng.gen_range(-0.05..0.05);
+    }
+    let rows: Vec<usize> = (0..train.len()).filter(|i| i % 3 != 1).collect();
+    let codec = SketchMlCompressor::default();
+    let cost = CostModel::cluster1();
+    let pin = |loss_sum: f64, payload: &[u8]| {
+        let mut pinned = loss_sum.to_bits().to_le_bytes().to_vec();
+        pinned.extend_from_slice(payload);
+        pinned
+    };
+
+    let mut ws = WorkerScratch::new();
+    let by_ref = process_glm_rows(
+        &model,
+        rows.iter().map(|&i| &train[i]),
+        &codec,
+        &cost,
+        &mut ws,
+    )
+    .expect("worker step");
+    let pinned = pin(by_ref.loss_sum, &by_ref.payload);
+    let golden = load_or_regen("worker_step_seed901df1.hex", &pinned);
+    assert_eq!(
+        to_hex(&golden),
+        to_hex(&pinned),
+        "a worker's gradient or its encoding changed"
+    );
+    assert_eq!(by_ref.instances, rows.len());
+
+    // The slice wrapper is the same body; a warm scratch changes nothing.
+    let slice: Vec<Instance> = rows.iter().map(|&i| train[i].clone()).collect();
+    for _ in 0..2 {
+        let copied = process_glm_batch(&model, &slice, &codec, &cost, &mut ws).expect("slice step");
+        assert_eq!(
+            to_hex(&golden),
+            to_hex(&pin(copied.loss_sum, &copied.payload))
         );
     }
 }

@@ -1,33 +1,63 @@
-//! The zero-allocation contract of the codec hot path (DESIGN.md §2.2): once
+//! The zero-allocation contract of a round's hot path (DESIGN.md §2.2): once
 //! a `CompressScratch`, an output buffer and a decode target have seen a
 //! gradient of the round's size, `compress_into` and `decompress_into`
-//! never touch the heap again — with telemetry off, which is the default
-//! and costs one relaxed load per gate.
+//! never touch the heap again, and a worker's step — gradient, then encode,
+//! on a warm `WorkerScratch` — allocates only the payload it hands to the
+//! wire. With telemetry off, which is the default and costs one relaxed
+//! load per gate.
 //!
-//! The counter is a process-wide `#[global_allocator]` (the sharded engine
-//! encodes on pool threads, so a thread-local count would miss them), which
-//! is why this file is a test binary of its own with a single `#[test]`:
-//! a second test running beside it would be counted too.
+//! The counter is a `#[global_allocator]` that counts the threads that opt
+//! in: the test's own, and every thread the codec runs work on (the sharded
+//! engine encodes on pool threads; its inner codec here opts each one in
+//! from inside the job). Threads the codec does not own are not its
+//! allocations: libtest's main thread is still reporting the test's start
+//! when the first window opens, and a process-wide count failed on it in
+//! most runs with stdout on `/dev/null`. The one `#[test]` keeps the file a
+//! binary of its own, so nothing else runs beside the windows.
 
-use bytes::BytesMut;
+use bytes::{BufMut, BytesMut};
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use sketchml::cluster::network::CostModel;
+use sketchml::cluster::worker::{process_glm_rows, WorkerScratch};
+use sketchml::data::synthetic::Task;
+use sketchml::encoding::stats::SizeReport;
+use sketchml::encoding::varint;
+use sketchml::{GlmLoss, GlmModel, SparseDatasetSpec};
 use sketchml_core::{
-    CompressScratch, ErrorFeedback, FastSgdCompressor, GradientCompressor, ShardedCompressor,
-    SketchMlCompressor, SparseGradient,
+    CompressError, CompressScratch, ErrorFeedback, FastSgdCompressor, GradientCompressor,
+    ShardedCompressor, SketchMlCompressor, SparseGradient,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 struct CountingAlloc;
 
+/// Allocations (alloc + realloc) made by counted threads.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Largest single request a counted thread made since the last reset.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
-// SAFETY: delegates verbatim to `System`; the counter has no effect on the
+thread_local! {
+    /// Whether this thread's allocations count. Const-initialized and without
+    /// a destructor, so reading it inside the allocator allocates nothing.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count(size: usize) {
+    if COUNTED.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(size, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: delegates verbatim to `System`; the counters have no effect on the
 // returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -36,7 +66,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,6 +76,62 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Steady-state calls counted per engine, size and direction.
 const CALLS: usize = 10;
+
+/// The sharded engine's inner codec: SketchML, run by whichever thread the
+/// pool gives the shard to. Every job opts its thread into the count. While
+/// `all_hands` is set every job also waits at a barrier as wide as the
+/// engine, so a call returns only once each of the engine's threads — the
+/// caller and every pool thread — holds a shard at the same time: a pool
+/// thread that sat out the warm-up would otherwise start up, uncounted or
+/// not, inside a measured window.
+struct PoolCounted {
+    inner: SketchMlCompressor,
+    all_hands: AtomicBool,
+    muster: Barrier,
+}
+
+impl PoolCounted {
+    fn new(threads: usize) -> Self {
+        PoolCounted {
+            inner: SketchMlCompressor::default(),
+            all_hands: AtomicBool::new(false),
+            muster: Barrier::new(threads),
+        }
+    }
+
+    fn enter(&self) {
+        COUNTED.with(|c| c.set(true));
+        if self.all_hands.load(Ordering::SeqCst) {
+            self.muster.wait();
+        }
+    }
+}
+
+impl GradientCompressor for PoolCounted {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn compress_into(
+        &self,
+        grad: &SparseGradient,
+        scratch: &mut CompressScratch,
+        out: &mut BytesMut,
+    ) -> Result<SizeReport, CompressError> {
+        self.enter();
+        self.inner.compress_into(grad, scratch, out)
+    }
+
+    fn decompress_into(
+        &self,
+        payload: &[u8],
+        scratch: &mut CompressScratch,
+        out: &mut SparseGradient,
+    ) -> Result<(), CompressError> {
+        self.enter();
+        self.inner.decompress_into(payload, scratch, out)
+    }
+}
 
 /// A heavy-tailed gradient: ~80-apart keys, sixth-power magnitudes, mixed
 /// signs.
@@ -67,8 +153,8 @@ fn gradient(nnz: usize, seed: u64) -> SparseGradient {
     SparseGradient::new(cur + 1, keys, values).expect("valid gradient")
 }
 
-/// Heap allocations (alloc + realloc, any thread) made by `CALLS` calls of
-/// `op` after `warmup` uncounted ones.
+/// Heap allocations by counted threads during `CALLS` calls of `op`, after
+/// `warmup` uncounted ones.
 fn steady_state_allocs(warmup: usize, mut op: impl FnMut()) -> u64 {
     for _ in 0..warmup {
         op();
@@ -82,12 +168,13 @@ fn steady_state_allocs(warmup: usize, mut op: impl FnMut()) -> u64 {
 
 #[test]
 fn warm_compress_into_and_decompress_into_allocate_nothing() {
+    COUNTED.with(|c| c.set(true));
     assert!(
         !sketchml_telemetry::enabled(),
         "the contract is for disabled telemetry, the default"
     );
     let serial = SketchMlCompressor::default();
-    let sharded = ShardedCompressor::new(SketchMlCompressor::default(), 4)
+    let sharded = ShardedCompressor::new(PoolCounted::new(4), 4)
         .expect("4 shards valid")
         .with_threads(4)
         .expect("4 threads valid");
@@ -107,6 +194,18 @@ fn warm_compress_into_and_decompress_into_allocate_nothing() {
     let mut scratch = CompressScratch::new();
     let mut out = BytesMut::new();
     let mut decoded = SparseGradient::empty(0);
+
+    // Every pool thread works once, in both directions, before any window.
+    let muster = gradient(1_000, 5);
+    sharded.inner().all_hands.store(true, Ordering::SeqCst);
+    sharded
+        .compress_into(&muster, &mut scratch, &mut out)
+        .expect("muster encode");
+    sharded
+        .decompress_into(&out, &mut scratch, &mut decoded)
+        .expect("muster decode");
+    sharded.inner().all_hands.store(false, Ordering::SeqCst);
+
     for d in [10_000usize, 100_000] {
         let grad = gradient(d, 11);
         for (name, engine, warmup) in engines {
@@ -133,4 +232,90 @@ fn warm_compress_into_and_decompress_into_allocate_nothing() {
             );
         }
     }
+
+    worker_step_allocates_only_its_payload();
+    a_million_empty_groups_allocate_less_than_their_frame();
+}
+
+/// A worker's half of a round on a warm `WorkerScratch`: its rows of the
+/// batch reached by reference, the gradient emitted from the scratch's
+/// bitmap, the codec's scratch path. One allocation a call — the payload
+/// copy the message owns — and none of the model's size.
+fn worker_step_allocates_only_its_payload() {
+    let spec = SparseDatasetSpec {
+        name: "zero-alloc".into(),
+        instances: 800,
+        features: 50_021,
+        avg_nnz: 32,
+        skew: 1.1,
+        label_noise: 0.05,
+        task: Task::Classification,
+        seed: 11,
+    };
+    let train = spec.generate();
+    let model = GlmModel::new(spec.features as usize, GlmLoss::Logistic, 0.01).expect("model");
+    let rows: Vec<usize> = (0..train.len()).step_by(2).collect();
+    let codec = SketchMlCompressor::default();
+    let cost = CostModel::cluster1();
+    let mut ws = WorkerScratch::new();
+    let mut payload_len = 0;
+    let mut step = || {
+        let batch = rows.iter().map(|&i| &train[i]);
+        let msg = process_glm_rows(&model, batch, &codec, &cost, &mut ws).expect("worker step");
+        payload_len = msg.payload.len();
+        std::hint::black_box(msg.loss_sum);
+    };
+    LARGEST.store(0, Ordering::Relaxed);
+    for _ in 0..3 {
+        step();
+    }
+    let largest_cold = LARGEST.swap(0, Ordering::Relaxed);
+    assert!(
+        largest_cold >= 8 * model.dim(),
+        "the instrument sees the first step size the dense accumulator ({largest_cold} B)"
+    );
+    let allocs = steady_state_allocs(0, &mut step);
+    assert_eq!(
+        allocs, CALLS as u64,
+        "a warm worker step allocates its payload and nothing else ({allocs} allocations over {CALLS} calls)"
+    );
+    assert_eq!(
+        LARGEST.load(Ordering::Relaxed),
+        payload_len,
+        "the payload is the largest thing a warm step allocates"
+    );
+}
+
+/// A SketchML frame whose one non-empty side declares a million groups, every
+/// one of them empty: a typed refusal, and nothing is sized from the count.
+fn a_million_empty_groups_allocate_less_than_their_frame() {
+    let mut frame = vec![0xA7, 1];
+    frame.put_u64_le(0); // seed
+    for header in [1000, 1, 2] {
+        varint::write_u64(&mut frame, header); // dim, nnz, rows
+    }
+    varint::write_u64(&mut frame, 1); // positive side: one pair
+    varint::write_u64(&mut frame, 1); // one bucket
+    frame.put_u8(8);
+    frame.put_f64_le(0.5);
+    varint::write_u64(&mut frame, 1_000_000); // groups
+    varint::write_u64(&mut frame, 1); // columns
+    frame.put_u8(8); // bit width
+    frame.resize(frame.len() + 1_000_000, 0); // every group: zero keys
+    varint::write_u64(&mut frame, 0); // negative side: empty
+
+    let mut scratch = CompressScratch::new();
+    let mut out = SparseGradient::empty(0);
+    LARGEST.store(0, Ordering::Relaxed);
+    let refused = SketchMlCompressor::default().decompress_into(&frame, &mut scratch, &mut out);
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(
+        matches!(&refused, Err(CompressError::Corrupt(why)) if why.contains("decoded 0")),
+        "{refused:?}"
+    );
+    assert!(
+        largest < 1024,
+        "decoding {} bytes of empty groups on a fresh scratch asked for {largest} B at once",
+        frame.len()
+    );
 }
