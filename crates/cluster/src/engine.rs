@@ -292,14 +292,13 @@ pub(crate) fn fan_out<J: Send, T: Send>(
     work: impl Fn(J) -> Result<T, CompressError> + Sync,
 ) -> Result<Vec<Option<T>>, CompressError> {
     let work = &work;
-    let joined: Vec<_> = crossbeam::thread::scope(|s| {
+    let joined: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = jobs
             .into_iter()
-            .map(|job| job.map(|j| s.spawn(move |_| work(j))))
+            .map(|job| job.map(|j| s.spawn(move || work(j))))
             .collect();
         handles.into_iter().map(|h| h.map(|h| h.join())).collect()
-    })
-    .map_err(|_| worker_panicked())?;
+    });
     joined
         .into_iter()
         .map(|joined| match joined {

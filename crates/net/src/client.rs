@@ -6,9 +6,10 @@
 //! A worker never pulls weights. It builds model and optimizer from the
 //! config — at round 0 both are what the server holds — and after each push
 //! asks for the round that follows its replica's: the reply is the codec
-//! frames the *other* workers pushed, and [`Replica`] runs the decode →
-//! [`combine`] → `apply_gradient` the server's trainer runs on them, in the
-//! same order, to the same bits. A worker that is not exactly one round
+//! frames the *other* workers pushed, and [`Replica`] decodes them and ends
+//! in the `Replica::apply` the server's trainer steps its own replica
+//! with — the crate's one [`combine`] → `apply_gradient` — in the same
+//! order, to the same bits. A worker that is not exactly one round
 //! behind (respawned mid-run, or two rounds late after straggler timeouts)
 //! is answered with the server's live training state and restores from it.
 
@@ -22,7 +23,6 @@ use sketchml_core::{compressor_by_name, CompressScratch, GradientCompressor, Spa
 use sketchml_data::Batcher;
 use sketchml_ml::{Checkpoint, GlmModel, OptimizerState};
 use std::io::{BufReader, BufWriter, Write};
-use std::time::Duration;
 
 use crate::server::ServeSetup;
 
@@ -59,10 +59,10 @@ pub enum Pulled {
     State,
 }
 
-/// A worker's copy of the server's training state — model, optimizer and
-/// the rounds applied to them — kept bit-identical to the server's by
-/// applying the same frames through the same [`combine`] and
-/// `apply_gradient`, in the same member order.
+/// The training state — model, optimizer and the rounds applied to them.
+/// The server keeps one and every worker keeps a copy, bit-identical to it
+/// because both step through the same `apply` on the same
+/// frames in the same member order.
 ///
 /// Every check on a reply happens before the first write: a reply that is
 /// refused leaves weights and optimizer state untouched.
@@ -230,19 +230,37 @@ impl Replica {
                 ));
             }
         }
-        if !members.is_empty() {
-            self.instances.clear();
-            // Held to the dataset's above, which is a `usize`.
-            self.instances
-                .extend(members.iter().map(|m| m.instances as usize));
-            let gradient = combine(&mut self.parts[..members.len()], &self.instances)
-                .map_err(|e| NetError::Protocol(format!("round {round} does not combine: {e}")))?;
+        let mut parts = std::mem::take(&mut self.parts);
+        let mut instances = std::mem::take(&mut self.instances);
+        instances.clear();
+        // Held to the dataset's above, which is a `usize`.
+        instances.extend(members.iter().map(|m| m.instances as usize));
+        let applied = self.apply(&mut parts[..members.len()], &instances);
+        (self.parts, self.instances) = (parts, instances);
+        applied?;
+        self.done = done;
+        Ok(Pulled::Round { listed })
+    }
+
+    /// Steps the state across one closed round from its decoded `parts`
+    /// (`instances[i]` is the weight of `parts[i]`; none: the round changed
+    /// nothing). What [`step`](Self::step) ends in and what the server's
+    /// trainer calls on the parts its handlers decoded: the one place a round
+    /// becomes a gradient and an optimizer step.
+    pub(crate) fn apply(
+        &mut self,
+        parts: &mut [SparseGradient],
+        instances: &[usize],
+    ) -> Result<(), NetError> {
+        if !parts.is_empty() {
+            let gradient = combine(parts, instances).map_err(|e| {
+                NetError::Protocol(format!("round {} does not combine: {e}", self.round + 1))
+            })?;
             self.model
                 .apply_gradient(&mut self.optimizer, gradient.keys(), gradient.values());
         }
-        self.round = round;
-        self.done = done;
-        Ok(Pulled::Round { listed })
+        self.round += 1;
+        Ok(())
     }
 
     /// Replaces the replica by the server's live state after `round` rounds:
@@ -504,11 +522,10 @@ pub struct WorkerRunStats {
     pub pushes_accepted: u64,
     /// Pushes answered `Stale` (the round had closed without this worker).
     pub pushes_stale: u64,
-    /// Accepted pushes whose round then closed without them (queued as the
-    /// straggler timeout fired).
+    /// Accepted pushes whose round then closed without them. The server
+    /// accepts a push and lists it in one step, so this stays zero: it is
+    /// the worker's own check of that.
     pub pushes_dropped: u64,
-    /// Pushes answered `Backpressure` (retried after a short sleep).
-    pub backpressure_retries: u64,
     /// Rounds applied to the replica when training completed.
     pub final_round: u64,
     /// Pulls answered with a round (its frames, or none yet).
@@ -520,18 +537,18 @@ pub struct WorkerRunStats {
 }
 
 /// Replays the shared batch schedule so the worker knows which instance
-/// indices belong to a given round. The server and every worker construct
-/// the identical [`Batcher`] (same `n`, ratio, seed), so index slices line
-/// up without shipping them over the wire.
-struct Schedule {
+/// indices belong to a given round. Every worker constructs the identical
+/// [`Batcher`] (same `n`, ratio, seed), so index slices line up without
+/// shipping them over the wire; the server reads `rounds_per_epoch` only.
+pub(crate) struct Schedule {
     batcher: Batcher,
-    rounds_per_epoch: u64,
+    pub(crate) rounds_per_epoch: u64,
     epochs_consumed: u64,
     current: Vec<Vec<usize>>,
 }
 
 impl Schedule {
-    fn new(n: usize, batch_ratio: f64, seed: u64) -> Self {
+    pub(crate) fn new(n: usize, batch_ratio: f64, seed: u64) -> Self {
         let batcher = Batcher::new(n, batch_ratio, seed);
         let rounds_per_epoch = batcher.batches_per_epoch() as u64;
         Schedule {
@@ -621,7 +638,8 @@ pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
         let slice = part.iter().map(|&i| &train[i]);
         let msg = process_glm_rows(replica.model(), slice, compressor.as_ref(), &cost, &mut ws)?;
 
-        // Built once: a `Backpressure` retry resends the same request.
+        // Kept whole: the payload of an accepted push is this worker's part
+        // of the round.
         let instances = msg.instances as u64;
         let push = Request::PushGradient {
             worker,
@@ -630,33 +648,23 @@ pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
             instances,
             payload: msg.payload,
         };
-        loop {
-            let (status, server_round) = match client.call(&push)? {
-                Response::PushAck { status, round } => (status, round),
-                other => return Err(unexpected("PushAck", &other)),
-            };
-            match status {
-                PushStatus::Accepted => {
-                    stats.pushes_accepted += 1;
-                    if let Request::PushGradient { payload, .. } = push {
-                        pushed = Some((payload, instances));
-                    }
-                    break;
+        let (status, server_round) = match client.call(&push)? {
+            Response::PushAck { status, round } => (status, round),
+            other => return Err(unexpected("PushAck", &other)),
+        };
+        match status {
+            PushStatus::Accepted => {
+                stats.pushes_accepted += 1;
+                if let Request::PushGradient { payload, .. } = push {
+                    pushed = Some((payload, instances));
                 }
-                // The round closed without this worker: the pull at the top
-                // of the loop brings the replica level again.
-                PushStatus::Stale => {
-                    stats.pushes_stale += 1;
-                    break;
-                }
-                PushStatus::Backpressure => {
-                    stats.backpressure_retries += 1;
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                PushStatus::Done => {
-                    stats.final_round = server_round;
-                    return Ok(stats);
-                }
+            }
+            // The round closed without this worker: the pull at the top of
+            // the loop brings the replica level again.
+            PushStatus::Stale => stats.pushes_stale += 1,
+            PushStatus::Done => {
+                stats.final_round = server_round;
+                return Ok(stats);
             }
         }
     }

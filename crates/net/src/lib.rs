@@ -17,18 +17,19 @@
 //!   pulls clone an `Arc` and read lock-free while the trainer publishes new
 //!   snapshots.
 //! * [`server`] — accept loop, bounded connection queue, handler pool that
-//!   decodes each push at the door, bounded push queue (backpressure), and
-//!   the trainer thread that coalesces worker pushes per round, posts the
-//!   closed round's frames for the handlers to forward, and replicates the
-//!   in-simulator aggregation exactly (worker-id order, instance-weighted
-//!   mean, through the one `driver::combine`).
+//!   decodes each push at the door and places it in its worker's slot of
+//!   the open round (one mutex, one condvar, W slots: accepted is listed),
+//!   and the trainer thread that closes a round when its table is full or
+//!   the straggler window runs out, posts its frames for the handlers to
+//!   forward, and steps the same [`Replica`] the workers step — no training
+//!   loop, no second copy of the arithmetic.
 //! * [`client`] — typed client, the [`Replica`] of model and optimizer a
 //!   worker steps from each round's frames (no weights cross the wire in
 //!   steady state), and the full worker participant loop, with a live-state
 //!   restore for respawned or left-behind workers.
 //!
 //! Determinism: the server ships its [`server::ServeSetup`] to every
-//! worker; both sides build the same seeded [`sketchml_data::Batcher`] and
+//! worker; workers build the same seeded [`sketchml_data::Batcher`] and
 //! dataset, so batch index slices line up without ever crossing the wire,
 //! and a full-strength run reproduces the in-process simulator's loss
 //! trajectory.

@@ -1,5 +1,5 @@
 //! Thin shims from server events to the global telemetry registry
-//! (`serving` section, schema v10). All of these are no-ops unless a
+//! (`serving` section, schema v11). All of these are no-ops unless a
 //! telemetry session is recording.
 
 use sketchml_telemetry::{add, counter_max, gauge_set, inc, Counter, Gauge};
@@ -21,7 +21,7 @@ pub fn predict(_instances: u64) {
     inc(Counter::ServingPredicts);
 }
 
-/// A `PushGradient` was accepted into the trainer queue.
+/// A `PushGradient` took its worker's slot of the open round.
 pub fn push() {
     inc(Counter::ServingPushes);
 }
@@ -60,19 +60,9 @@ pub fn rejected_push() {
     inc(Counter::ServingRejectedPushes);
 }
 
-/// A push was refused because the bounded queue was full.
-pub fn backpressure() {
-    inc(Counter::ServingBackpressureRejects);
-}
-
-/// A trainer round coalesced every expected worker push.
+/// A round closed with every worker's slot filled.
 pub fn coalesced_round() {
     inc(Counter::ServingCoalescedRounds);
-}
-
-/// The push queue reached `depth` entries (tracked as a high-water mark).
-pub fn queue_depth(depth: u64) {
-    counter_max(Counter::ServingQueueDepthMax, depth);
 }
 
 /// The trainer finished an epoch end in `last_us` microseconds (the longest

@@ -5,50 +5,48 @@
 //! ```text
 //! accept loop ──▶ bounded conn queue ──▶ handler pool (N threads)
 //!                                            │ Predict / PullModel ──▶ ModelStore (published snapshots)
-//!                                            │ PushGradient: decode ──▶ bounded push queue
-//!                                            │ PullRound ◀── round board        │
-//!                                            │                  ▲               │
-//!                                            trainer thread ────┘◀──────────────┘
-//!                                            (coalesce per round → post → combine → apply → publish)
+//!                                            │ PushGradient: decode ──▶ round table: slot[worker]
+//!                                            │ PullRound ◀── round table: latest closed round
+//!                                            trainer thread: table full | deadline ──▶ close + post
+//!                                                            ──▶ Replica::apply ──▶ publish
 //! ```
 //!
 //! **The round is the W frames.** What a round changes is fully described by
 //! the codec frames the workers pushed for it, so that is what the downlink
-//! carries: the trainer posts a closed round's frames on the board *before*
-//! it does any arithmetic, the handlers forward them (each worker gets the
-//! others' frames; it kept its own), and every worker runs the decode →
-//! [`combine`] → `apply_gradient` the trainer runs, on a replica of model and
-//! optimizer that stays bit-identical to the server's. No weights cross the
-//! wire in steady state. A replica that is not exactly one round behind — a
-//! respawned worker, a straggler that lost two rounds — is sent the live
-//! training state instead, serialised by the handler under the mutex the
-//! trainer takes only to apply a round.
-//!
-//! Each handler decodes the push it accepts with its own scratch, so the W
-//! decodes of a round run in parallel and overlap the wait for the slowest
-//! worker; a frame that does not decode, or decodes to another dimension, is
-//! refused at the door and never reaches the trainer.
-//!
-//! Backpressure is bounded-queue at both seams: a full connection queue
-//! refuses the socket with a typed `Backpressure` error before any protocol
-//! work, and a full push queue answers `PushAck{Backpressure}` so the worker
-//! retries instead of piling unbounded memory onto the server.
+//! carries, and the server keeps the same [`Replica`] of model and optimizer
+//! a worker keeps. There is no training loop here. The open round is a table
+//! of W slots under one mutex and one condvar (`Rounds`). A handler decodes
+//! the push it is shown with its own scratch — the W decodes of a round run
+//! in parallel and overlap the wait for the slowest worker; a frame that does
+//! not decode to the model's dimension is refused at the door — and then,
+//! under the lock, puts it in its worker's slot or answers `Stale`/`Done`:
+//! accepting a push and listing it in the round are one decision, and the
+//! table never holds more than W parts. The trainer thread waits for the
+//! table to fill (or the straggler window to run out), closes the round and
+//! posts its frames *before* any arithmetic — the handlers forward them, each
+//! worker gets the others' — then steps its replica through the
+//! `Replica::apply` every worker's step ends in, and publishes; an epoch ends
+//! where `round % rounds_per_epoch == 0`. A replica not exactly one round
+//! behind — a respawned worker, a straggler that lost two rounds — is sent
+//! the live state instead, serialised by the handler under the mutex the
+//! trainer takes only to apply a round. A full connection queue refuses the
+//! socket with a typed `Backpressure` error; nothing else is ever queued.
 
+use crate::client::{Replica, Schedule};
 use crate::error::{ErrorCode, NetError};
 use crate::obs;
 use crate::sock::{Conn, Listener};
 use crate::store::{ModelSnapshot, ModelStore};
 use crate::wire::{self, PredictInstance, PushStatus, Request, Response, PROTOCOL_VERSION};
 use serde::{Deserialize, Serialize};
-use sketchml_cluster::driver::combine;
 use sketchml_cluster::TrainSpec;
 use sketchml_core::{compressor_by_name, CompressScratch, GradientCompressor, SparseGradient};
-use sketchml_data::{Batcher, SparseDatasetSpec};
+use sketchml_data::SparseDatasetSpec;
 use sketchml_ml::{Checkpoint, GlmModel, Instance, OptimizerState, SparseVector};
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Everything a serve session needs; the server is the single config
@@ -176,63 +174,14 @@ pub struct ServeSummary {
     pub aborted: bool,
 }
 
-/// One accepted push, decoded by its handler and queued for the trainer.
-struct PushEnvelope {
-    worker: u32,
-    round: u64,
+/// One member of the open round: a push its handler held to the session
+/// and decoded.
+struct Part {
     instances: u64,
     /// The codec frame as received: what the other workers are sent.
     frame: Arc<Vec<u8>>,
     /// What it decodes to: the trainer's part of the round.
-    part: SparseGradient,
-}
-
-/// Bounded MPSC queue: handler threads push, the trainer pops.
-struct PushQueue {
-    inner: Mutex<VecDeque<PushEnvelope>>,
-    cap: usize,
-    nonempty: Condvar,
-}
-
-impl PushQueue {
-    fn new(cap: usize) -> Self {
-        PushQueue {
-            inner: Mutex::new(VecDeque::new()),
-            cap,
-            nonempty: Condvar::new(),
-        }
-    }
-
-    /// `false` if the queue is full (backpressure).
-    fn try_push(&self, env: PushEnvelope) -> bool {
-        let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if q.len() >= self.cap {
-            return false;
-        }
-        q.push_back(env);
-        obs::queue_depth(q.len() as u64);
-        self.nonempty.notify_one();
-        true
-    }
-
-    fn pop_timeout(&self, timeout: Duration) -> Option<PushEnvelope> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(env) = q.pop_front() {
-                return Some(env);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .nonempty
-                .wait_timeout(q, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
-        }
-    }
+    gradient: SparseGradient,
 }
 
 /// One closed round, as the handlers forward it.
@@ -246,14 +195,16 @@ struct ClosedRound {
 }
 
 /// Where the lock-step protocol stands.
-#[derive(Clone, Default)]
-struct Board {
+struct Table {
     /// Rounds closed so far: the round a push must be for to count. Ahead of
-    /// the published model's round while the trainer aggregates, evaluates
-    /// or checkpoints.
+    /// the published model's round while the trainer steps, evaluates or
+    /// checkpoints.
     closed: u64,
     /// No round will close after `closed`.
     done: bool,
+    /// The open round: slot `w` is worker `w`'s part of it once pushed, so
+    /// what is accepted is what the round will list, W parts at most.
+    open: Vec<Option<Part>>,
     /// Round `closed` itself; only the latest is kept — a worker further
     /// behind is sent the live state.
     last: Option<Arc<ClosedRound>>,
@@ -262,83 +213,53 @@ struct Board {
     unsent: Vec<u32>,
 }
 
-/// The board plus the condvar `PullRound` handlers wait on.
-#[derive(Default)]
-struct RoundBoard {
-    state: Mutex<Board>,
-    advanced: Condvar,
+impl Table {
+    /// Parts the open round holds so far.
+    fn filled(&self) -> usize {
+        self.open.iter().flatten().count()
+    }
 }
 
-impl RoundBoard {
-    fn now(&self) -> Board {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).clone()
+/// The table and the one condvar everyone waits on: the trainer for parts,
+/// `PullRound` handlers for a close, the end of a run for its last round to
+/// be collected.
+struct Rounds {
+    table: Mutex<Table>,
+    changed: Condvar,
+}
+
+impl Rounds {
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Posts a closed round (`done`: it is the last) and wakes every waiter.
-    fn post(&self, round: ClosedRound, done: bool) {
-        let mut b = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        b.closed = round.round;
-        b.done |= done;
-        if done {
-            b.unsent = round.members.iter().map(|m| m.0).collect();
-        }
-        b.last = Some(Arc::new(round));
-        self.advanced.notify_all();
+    /// Gives `t` back once `parked` no longer holds, or after `timeout`.
+    fn wait_while<'a>(
+        &self,
+        t: MutexGuard<'a, Table>,
+        timeout: Duration,
+        parked: impl FnMut(&mut Table) -> bool,
+    ) -> MutexGuard<'a, Table> {
+        self.changed
+            .wait_timeout_while(t, timeout, parked)
+            .unwrap_or_else(|e| e.into_inner())
+            .0
     }
 
     /// `worker` has been sent the final round.
     fn sent_final(&self, worker: u32) {
-        let mut b = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        b.unsent.retain(|&w| w != worker);
-        self.advanced.notify_all();
-    }
-
-    /// Waits, up to `timeout`, until every member of the final round has
-    /// been sent it.
-    fn wait_final_sent(&self, timeout: Duration) {
-        let b = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        drop(
-            self.advanced
-                .wait_timeout_while(b, timeout, |b| !b.unsent.is_empty())
-                .unwrap_or_else(|e| e.into_inner()),
-        );
+        self.lock().unsent.retain(|&w| w != worker);
+        self.changed.notify_all();
     }
 
     /// Training is over (finished, aborted or shut down): nobody waits for
     /// a round, or for a worker to collect one, any more.
     fn finish(&self) {
-        let mut b = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        b.done = true;
-        b.unsent.clear();
-        self.advanced.notify_all();
+        let mut t = self.lock();
+        t.done = true;
+        t.unsent.clear();
+        self.changed.notify_all();
     }
-
-    /// The board once round `have` is no longer the latest (or training is
-    /// over), waiting up to `timeout` for that.
-    fn wait_past(&self, have: u64, timeout: Duration) -> Board {
-        let deadline = Instant::now() + timeout;
-        let mut b = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            let now = Instant::now();
-            if b.closed != have || b.done || now >= deadline {
-                return b.clone();
-            }
-            b = self
-                .advanced
-                .wait_timeout(b, deadline - now)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-    }
-}
-
-/// The training state the trainer steps: what every worker's replica equals
-/// once it has applied the same `rounds`.
-struct Live {
-    model: GlmModel,
-    opt: OptimizerState,
-    rounds: u64,
-    epochs_done: usize,
 }
 
 /// Live server counters (also mirrored into the global telemetry registry
@@ -358,7 +279,6 @@ struct Counters {
     bytes_up: AtomicU64,
     stale_pushes: AtomicU64,
     rejected_pushes: AtomicU64,
-    backpressure: AtomicU64,
     refused_conns: AtomicU64,
     inflight: AtomicU64,
     /// Microseconds the trainer spent on the latest epoch end, from the
@@ -372,14 +292,14 @@ struct Shared {
     setup: ServeSetup,
     setup_json: String,
     store: ModelStore,
-    board: RoundBoard,
-    /// Locked by the trainer to apply a round and to write the end-of-epoch
+    rounds: Rounds,
+    /// The training state, stepped like any worker's replica of it. Locked
+    /// by the trainer to apply a round and to write the end-of-epoch
     /// checkpoint, by a handler to serialise the state for a worker that
     /// cannot be stepped to it.
-    live: Mutex<Live>,
+    live: Mutex<Replica>,
     /// Decodes pushes at the door (each handler with its own scratch).
     compressor: Box<dyn GradientCompressor>,
-    queue: PushQueue,
     counters: Counters,
     shutdown: AtomicBool,
     /// Latest end-of-epoch checkpoint: `(epochs_done, serialized bytes)`,
@@ -435,7 +355,6 @@ impl Shared {
             pushes: u64,
             pulls: u64,
             stale_pushes: u64,
-            backpressure_rejects: u64,
             refused_connections: u64,
             summary: Option<ServeSummary>,
             /// Pulls answered with the dense `Model` frame.
@@ -460,6 +379,8 @@ impl Shared {
             /// Bytes of the checkpoint `GetCheckpoint` serves (0: none yet).
             checkpoint_bytes: u64,
         }
+        // Read in this order: the trainer stores the summary, then publishes
+        // `done`, so a document that says `done` carries the summary.
         let snap = self.store.snapshot();
         let summary = self
             .summary
@@ -484,7 +405,6 @@ impl Shared {
             pushes: c.pushes.load(Ordering::Relaxed),
             pulls: c.pulls.load(Ordering::Relaxed),
             stale_pushes: c.stale_pushes.load(Ordering::Relaxed),
-            backpressure_rejects: c.backpressure.load(Ordering::Relaxed),
             refused_connections: c.refused_conns.load(Ordering::Relaxed),
             summary,
             pulls_dense: c.pulls_dense.load(Ordering::Relaxed),
@@ -516,23 +436,26 @@ impl Server {
     /// # Errors
     /// [`NetError::InvalidConfig`] for a bad setup or unknown compressor.
     pub fn start(setup: ServeSetup, listener: Listener) -> Result<Server, NetError> {
-        setup.validate()?;
-        // Fail fast on an unknown compressor name (workers resolve it too).
+        // Validates the setup and fails fast on an unknown compressor name
+        // (workers resolve it too).
+        let live = Replica::new(&setup)?;
         let compressor = compressor_by_name(&setup.compressor)?;
-        let (model, opt) = setup.fresh_state()?;
         let setup_json = serde_json::to_string(&setup)
             .map_err(|e| NetError::InvalidConfig(format!("setup does not serialize: {e}")))?;
         let addr = listener.local_desc();
         let shared = Arc::new(Shared {
-            queue: PushQueue::new(setup.workers.saturating_mul(4).max(8)),
-            store: ModelStore::new(model.clone()),
-            board: RoundBoard::default(),
-            live: Mutex::new(Live {
-                model,
-                opt,
-                rounds: 0,
-                epochs_done: 0,
-            }),
+            store: ModelStore::new(live.model().clone()),
+            rounds: Rounds {
+                table: Mutex::new(Table {
+                    closed: 0,
+                    done: false,
+                    open: (0..setup.workers).map(|_| None).collect(),
+                    last: None,
+                    unsent: Vec::new(),
+                }),
+                changed: Condvar::new(),
+            },
+            live: Mutex::new(live),
             compressor,
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
@@ -610,6 +533,23 @@ impl Server {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        self.summary()
+    }
+
+    /// Blocks until training completes (without shutting the server down —
+    /// it keeps serving `Predict`), returning the summary.
+    pub fn wait_trained(&self) -> ServeSummary {
+        // `done` is published once the summary is stored.
+        while !self
+            .shared
+            .store
+            .wait_for_round(u64::MAX, Duration::from_secs(1))
+            .done
+        {}
+        self.summary()
+    }
+
+    fn summary(&self) -> ServeSummary {
         self.shared
             .summary
             .lock()
@@ -617,50 +557,21 @@ impl Server {
             .clone()
             .unwrap_or_default()
     }
-
-    /// Blocks until training completes (without shutting the server down —
-    /// it keeps serving `Predict`), returning the summary.
-    pub fn wait_trained(&self) -> ServeSummary {
-        loop {
-            if let Some(s) = self
-                .shared
-                .summary
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone()
-            {
-                return s;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
 }
 
 fn begin_shutdown(shared: &Arc<Shared>) {
     if shared.shutdown.swap(true, Ordering::SeqCst) {
         return;
     }
-    // Unblock any handler parked in wait_for_round or on the round board,
-    // and the trainer's pop_timeout (it polls the flag).
-    shared.board.finish();
-    shared.store.publish(ModelSnapshot {
-        done: true,
-        ..clone_snapshot(&shared.store.snapshot())
-    });
+    // Wakes the trainer and every handler parked on the round table; the
+    // trainer stores its summary and publishes `done`, which wakes the ones
+    // parked in `wait_for_round`.
+    shared.rounds.finish();
     // Closing live connections unblocks handlers parked in a read; the
     // throwaway connect unblocks the accept loop itself.
     shared.close_all_conns();
     if let Ok(c) = Conn::connect(&shared.addr) {
         c.shutdown();
-    }
-}
-
-fn clone_snapshot(s: &ModelSnapshot) -> ModelSnapshot {
-    ModelSnapshot {
-        round: s.round,
-        epoch: s.epoch,
-        done: s.done,
-        model: s.model.clone(),
     }
 }
 
@@ -878,20 +789,19 @@ fn handle_request(
             payload,
         } => {
             // Against the rounds closed, not the published model's: workers
-            // start the next round while the trainer is still aggregating,
+            // start the next round while the trainer is still stepping,
             // evaluating or checkpointing this one.
-            let board = shared.board.now();
+            let (closed, done) = {
+                let t = shared.rounds.lock();
+                (t.closed, t.done)
+            };
             let dataset_instances = shared.setup.dataset.instances as u64;
             let dim = shared.setup.dataset.features as u64;
-            let mut part = SparseGradient::empty(0);
-            let refusal = if worker as usize >= shared.setup.workers
-                || (round > board.closed && !board.done)
-            {
-                // The trainer would drop it unseen: say so, and keep the
-                // bounded queue for pushes that can count.
+            let mut gradient = SparseGradient::empty(0);
+            let refusal = if worker as usize >= shared.setup.workers || (round > closed && !done) {
                 Some(format!(
-                    "the session has {} workers and is at round {}",
-                    shared.setup.workers, board.closed
+                    "the session has {} workers and is at round {closed}",
+                    shared.setup.workers
                 ))
             } else if instances > dataset_instances || !loss_sum.is_finite() {
                 // The round weights every part by these two claims: no slice
@@ -900,19 +810,19 @@ fn handle_request(
                 Some(format!(
                     "claims {instances} of {dataset_instances} instances, loss sum {loss_sum}"
                 ))
-            } else if board.done || round < board.closed {
+            } else if done || round < closed {
                 None
             } else {
                 // The frame is forwarded to every other worker and summed
                 // into the model: it has to decode, here, before it counts.
                 match shared
                     .compressor
-                    .decompress_into(&payload, scratch, &mut part)
+                    .decompress_into(&payload, scratch, &mut gradient)
                 {
                     Err(e) => Some(format!("its frame does not decode: {e}")),
-                    Ok(()) if part.dim() != dim => Some(format!(
+                    Ok(()) if gradient.dim() != dim => Some(format!(
                         "its frame holds a gradient of dimension {}, the model has {dim}",
-                        part.dim()
+                        gradient.dim()
                     )),
                     Ok(()) => None,
                 }
@@ -932,31 +842,33 @@ fn handle_request(
                 .write_to(writer)?;
                 return Ok(true);
             }
-            let status = if board.done {
+            // Under the lock the answer and the membership are one decision:
+            // the round may have closed while this push was being decoded.
+            let mut t = shared.rounds.lock();
+            let status = if t.done {
                 PushStatus::Done
-            } else if round < board.closed {
+            } else if round < t.closed {
                 shared.counters.stale_pushes.fetch_add(1, Ordering::Relaxed);
                 PushStatus::Stale
-            } else if shared.queue.try_push(PushEnvelope {
-                worker,
-                round,
-                instances,
-                frame: Arc::new(payload),
-                part,
-            }) {
-                shared.counters.pushes.fetch_add(1, Ordering::Relaxed);
-                obs::push();
-                PushStatus::Accepted
             } else {
-                shared.counters.backpressure.fetch_add(1, Ordering::Relaxed);
-                obs::backpressure();
-                PushStatus::Backpressure
+                // `round == t.closed`, as it was when the frame was decoded.
+                // A repeat leaves the slot to the worker's first frame.
+                let slot = &mut t.open[worker as usize];
+                if slot.is_none() {
+                    *slot = Some(Part {
+                        instances,
+                        frame: Arc::new(payload),
+                        gradient,
+                    });
+                    shared.counters.pushes.fetch_add(1, Ordering::Relaxed);
+                    obs::push();
+                    shared.rounds.changed.notify_all();
+                }
+                PushStatus::Accepted
             };
-            Response::PushAck {
-                status,
-                round: board.closed,
-            }
-            .write_to(writer)?;
+            let round = t.closed;
+            drop(t);
+            Response::PushAck { status, round }.write_to(writer)?;
         }
         Request::Predict { instances } => {
             // Coalescing: reuse the cached snapshot while more requests are
@@ -1053,10 +965,16 @@ fn reply_round(
     wait: bool,
     writer: &mut BufWriter<Conn>,
 ) -> Result<(), NetError> {
+    // Until round `have_round` is no longer the latest, or training is over.
     let timeout = Duration::from_millis(if wait { 10_000 } else { 0 });
-    let board = shared.board.wait_past(have_round, timeout);
-    let next = board
-        .last
+    let (closed, done, last) = {
+        let rounds = &shared.rounds;
+        let t = rounds.wait_while(rounds.lock(), timeout, |t| {
+            t.closed == have_round && !t.done
+        });
+        (t.closed, t.done, t.last.clone())
+    };
+    let next = last
         .as_ref()
         .filter(|last| have_round.checked_add(1) == Some(last.round));
     if let Some(last) = next {
@@ -1064,21 +982,19 @@ fn reply_round(
             .members
             .iter()
             .map(|(w, n, frame)| (*w, *n, (*w != worker).then_some(frame.as_slice())));
-        let sent = wire::write_round(
-            writer, have_round, last.round, last.epoch, board.done, members,
-        )?;
+        let sent = wire::write_round(writer, have_round, last.round, last.epoch, done, members)?;
         count_pull(shared, obs::Pull::Round, sent);
-        if board.done {
-            shared.board.sent_final(worker);
+        if done {
+            shared.rounds.sent_final(worker);
         }
-    } else if board.closed == have_round || board.done {
-        let epoch = board.last.as_ref().map_or(0, |last| last.epoch);
+    } else if closed == have_round || done {
+        let epoch = last.as_ref().map_or(0, |last| last.epoch);
         let sent = wire::write_round(
             writer,
             have_round,
             have_round,
             epoch,
-            board.done,
+            done,
             std::iter::empty(),
         )?;
         count_pull(shared, obs::Pull::Round, sent);
@@ -1086,10 +1002,11 @@ fn reply_round(
         // Under the lock only for the copy: the trainer holds it only while
         // it applies a round, never while it waits for one.
         let mut bytes = Vec::new();
+        let epochs_done = shared.store.snapshot().epoch as usize;
         let rounds = {
             let live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
-            Checkpoint::write_parts(&live.model, &live.opt, live.epochs_done, &mut bytes);
-            live.rounds
+            Checkpoint::write_parts(live.model(), live.optimizer(), epochs_done, &mut bytes);
+            live.round()
         };
         let sent = wire::write_state(writer, rounds, &bytes)?;
         count_pull(shared, obs::Pull::State, sent);
@@ -1124,203 +1041,180 @@ fn score_batch(model: &GlmModel, instances: Vec<PredictInstance>) -> Result<Vec<
 // Trainer thread
 // ---------------------------------------------------------------------------
 
-fn trainer_loop(shared: &Arc<Shared>) {
-    let result = run_training(shared);
-    let mut summary = match result {
-        Ok(s) => s,
-        Err(e) => {
-            // Surface the abort through stats; tests read `aborted`.
-            let snap = shared.store.snapshot();
-            eprintln!("trainer aborted at round {}: {e}", snap.round);
-            ServeSummary {
-                rounds: snap.round,
-                epochs_done: u64::from(snap.epoch),
-                aborted: true,
-                ..ServeSummary::default()
-            }
+fn trainer_loop(shared: &Shared) {
+    let mut summary = run_training(shared).unwrap_or_else(|e| {
+        // Surface the abort through stats; tests read `aborted`.
+        let snap = shared.store.snapshot();
+        eprintln!("trainer aborted at round {}: {e}", snap.round);
+        ServeSummary {
+            rounds: snap.round,
+            epochs_done: u64::from(snap.epoch),
+            aborted: true,
+            ..ServeSummary::default()
         }
-    };
+    });
     if shared.shutdown.load(Ordering::SeqCst) {
         summary.aborted =
             summary.aborted || summary.epochs_done < shared.setup.spec.max_epochs as u64;
     }
-    // Mark both planes done so blocked pulls drain.
-    shared.board.finish();
-    shared.store.publish(ModelSnapshot {
-        done: true,
-        ..clone_snapshot(&shared.store.snapshot())
-    });
+    // The summary first: whoever reads `done` (`GetStats`, `wait_trained`)
+    // finds it. Then both planes done, so blocked pulls drain.
     *shared.summary.lock().unwrap_or_else(|e| e.into_inner()) = Some(summary);
+    shared.rounds.finish();
+    let snap = shared.store.snapshot();
+    shared.store.publish(ModelSnapshot {
+        round: snap.round,
+        epoch: snap.epoch,
+        done: true,
+        model: snap.model.clone(),
+    });
 }
 
-fn run_training(shared: &Arc<Shared>) -> Result<ServeSummary, NetError> {
+/// Follows the rounds as they close: each is posted by [`close_round`], then
+/// stepped into the live replica and published; an epoch ends with the round
+/// that completes it.
+fn run_training(shared: &Shared) -> Result<ServeSummary, NetError> {
     let setup = &shared.setup;
-    let spec = setup.spec;
     let (train, test) = setup.dataset.generate_split();
-    let mut batcher = Batcher::new(train.len(), setup.batch_ratio, spec.seed);
+    // The workers' own arithmetic for where a round falls in an epoch.
+    let rounds_per_epoch =
+        Schedule::new(train.len(), setup.batch_ratio, setup.spec.seed).rounds_per_epoch;
+    drop(train);
+    let last_round = rounds_per_epoch * setup.spec.max_epochs as u64;
     let mut summary = ServeSummary {
         best_test_loss: f64::INFINITY,
         ..ServeSummary::default()
     };
-    let mut round = 0u64;
-
-    'epochs: for epoch in 1..=spec.max_epochs {
-        let batches = batcher.epoch();
-        for batch in 1..=batches.len() {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break 'epochs;
-            }
-            let pushes = collect_round(shared, round)?;
-            if pushes.len() == setup.workers {
-                summary.full_rounds += 1;
-                obs::coalesced_round();
-            } else {
-                summary.partial_rounds += 1;
-            }
-            round += 1;
-            summary.rounds = round;
-            // The round is these frames. Posted before any arithmetic: the
-            // handlers forward them and every worker steps its replica while
-            // this thread steps the model, so nothing below — nor the epoch
-            // end — is on the workers' path.
-            shared.board.post(
-                ClosedRound {
-                    round,
-                    epoch: (epoch - 1) as u32,
-                    members: pushes
-                        .iter()
-                        .map(|p| (p.worker, p.instances, Arc::clone(&p.frame)))
-                        .collect(),
-                },
-                epoch == spec.max_epochs && batch == batches.len(),
-            );
-            // The handlers held every count to the dataset's.
-            let instances: Vec<usize> = pushes.iter().map(|p| p.instances as usize).collect();
-            let mut parts: Vec<SparseGradient> = pushes.into_iter().map(|p| p.part).collect();
-            let gradient = if parts.is_empty() {
-                None
-            } else {
-                Some(combine(&mut parts, &instances)?)
-            };
-            let model = {
-                let mut live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(g) = &gradient {
-                    let Live { model, opt, .. } = &mut *live;
-                    model.apply_gradient(opt, g.keys(), g.values());
-                }
-                live.rounds = round;
-                live.model.clone()
-            };
-            if setup.round_sleep_ms > 0 {
-                std::thread::sleep(Duration::from_millis(setup.round_sleep_ms));
-            }
-            shared.store.publish(ModelSnapshot {
-                round,
-                epoch: (epoch - 1) as u32,
-                done: false,
-                model,
-            });
+    while summary.rounds < last_round {
+        let epoch = (summary.rounds / rounds_per_epoch) as u32;
+        let last = summary.rounds + 1 == last_round;
+        let Some(members) = close_round(shared, epoch, last)? else {
+            break; // shut down
+        };
+        if members.len() == setup.workers {
+            summary.full_rounds += 1;
+            obs::coalesced_round();
+        } else {
+            summary.partial_rounds += 1;
         }
-        // Readers of the published model wait on the next publish for all
-        // of this; the workers do not.
-        let epoch_end = Instant::now();
-        summary.epochs_done = epoch as u64;
-        let published = shared.store.snapshot();
-        let test_loss = published.model.mean_loss(&test);
-        summary.final_test_loss = test_loss;
-        summary.best_test_loss = summary.best_test_loss.min(test_loss);
-        // End-of-epoch checkpoint, written from the live state and proven
-        // loadable before it is served.
-        let mut bytes = Vec::new();
-        {
+        summary.rounds += 1;
+        let round = summary.rounds;
+        // The handlers held every count to the dataset's.
+        let instances: Vec<usize> = members.iter().map(|m| m.instances as usize).collect();
+        let mut parts: Vec<SparseGradient> = members.into_iter().map(|m| m.gradient).collect();
+        let model = {
             let mut live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
-            live.epochs_done = epoch;
-            Checkpoint::write_parts(&live.model, &live.opt, epoch, &mut bytes);
+            live.apply(&mut parts, &instances)?;
+            live.model().clone()
+        };
+        if setup.round_sleep_ms > 0 {
+            std::thread::sleep(Duration::from_millis(setup.round_sleep_ms));
         }
-        Checkpoint::validate(&bytes)
-            .map_err(|e| NetError::InvalidConfig(format!("checkpoint: {e}")))?;
-        let checkpoint_bytes = bytes.len() as u64;
-        *shared.checkpoint.lock().unwrap_or_else(|e| e.into_inner()) =
-            Some((epoch as u64, Arc::new(bytes)));
-        // Re-publish with the completed-epoch count so pulls see progress.
         shared.store.publish(ModelSnapshot {
             round,
-            epoch: epoch as u32,
+            epoch,
             done: false,
-            model: published.model.clone(),
+            model,
         });
-        let c = &shared.counters;
-        let last = epoch_end.elapsed().as_micros() as u64;
-        let max = c
-            .epoch_end_us_max
-            .fetch_max(last, Ordering::Relaxed)
-            .max(last);
-        c.epoch_end_us_last.store(last, Ordering::Relaxed);
-        obs::epoch_end(last, max, checkpoint_bytes);
+        if round.is_multiple_of(rounds_per_epoch) {
+            end_epoch(shared, &test, &mut summary)?;
+        }
     }
     summary.accuracy = shared.store.snapshot().model.accuracy(&test);
-    summary.aborted = summary.epochs_done < spec.max_epochs as u64;
+    summary.aborted = summary.epochs_done < setup.spec.max_epochs as u64;
     // The members of the last round are owed its frames. A server that stops
     // the moment training is done (`--linger-ms 0`) must not cut off a
     // worker that has not collected them yet; a worker that never does is
     // given the straggler's allowance.
-    shared
-        .board
-        .wait_final_sent(Duration::from_millis(setup.round_timeout_ms.max(1)));
+    let allowance = Duration::from_millis(setup.round_timeout_ms.max(1));
+    let rounds = &shared.rounds;
+    drop(rounds.wait_while(rounds.lock(), allowance, |t| !t.unsent.is_empty()));
     Ok(summary)
 }
 
-/// Coalesces one round's pushes: waits for the first push (idle deadline),
-/// then for the stragglers (round timeout), deduplicating by worker and
-/// dropping pushes whose round closed while they were queued. Returns them
-/// ordered by worker id — the order the in-process simulator aggregates in
-/// and the order every replica is sent them in, so the float sums match.
-fn collect_round(shared: &Arc<Shared>, round: u64) -> Result<Vec<PushEnvelope>, NetError> {
-    let setup = &shared.setup;
-    let mut slots: Vec<Option<PushEnvelope>> = (0..setup.workers).map(|_| None).collect();
-    let mut got = 0usize;
+/// Waits for the first part of the open round (idle deadline), then for the
+/// table to fill (straggler window), and closes the round on what it holds:
+/// posts its frames for the handlers to forward — before any arithmetic, so
+/// nothing the trainer does next is on the workers' path — and hands back
+/// its members. They are in worker-id order: the order the
+/// in-process simulator aggregates in and every replica is sent them in, so
+/// the float sums match. `None`: training was shut down.
+fn close_round(shared: &Shared, epoch: u32, last: bool) -> Result<Option<Vec<Part>>, NetError> {
+    let (setup, rounds) = (&shared.setup, &shared.rounds);
     let idle = Duration::from_millis(setup.idle_timeout_ms.max(1));
+    let t = rounds.wait_while(rounds.lock(), idle, |t| !t.done && t.filled() == 0);
+    if !t.done && t.filled() == 0 {
+        return Err(NetError::InvalidConfig(format!(
+            "no push arrived for round {} within {}ms",
+            t.closed, setup.idle_timeout_ms
+        )));
+    }
     let straggler = Duration::from_millis(setup.round_timeout_ms.max(1));
-    let mut first_at: Option<Instant> = None;
-    let start = Instant::now();
-    while got < setup.workers {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let deadline = match first_at {
-            Some(t) => t + straggler,
-            None => start + idle,
-        };
-        let now = Instant::now();
-        if now >= deadline {
-            if first_at.is_none() {
-                return Err(NetError::InvalidConfig(format!(
-                    "no push arrived for round {round} within {}ms",
-                    setup.idle_timeout_ms
-                )));
-            }
-            break; // close the round on the partial set
-        }
-        let Some(env) = shared
-            .queue
-            .pop_timeout((deadline - now).min(Duration::from_millis(100)))
-        else {
-            continue;
-        };
-        if env.round != round {
-            // Stale: a slow worker's push was queued just before the
-            // straggler timeout closed its round. (Worker ids and future
-            // rounds were refused at the handler.)
-            continue;
-        }
-        let slot = &mut slots[env.worker as usize];
-        if slot.is_none() {
-            *slot = Some(env);
-            got += 1;
-            if first_at.is_none() {
-                first_at = Some(Instant::now());
-            }
+    let mut t = rounds.wait_while(t, straggler, |t| !t.done && t.filled() < t.open.len());
+    if t.done {
+        return Ok(None);
+    }
+    let mut listed = Vec::new();
+    let mut members = Vec::new();
+    for (worker, slot) in t.open.iter_mut().enumerate() {
+        if let Some(part) = slot.take() {
+            listed.push((worker as u32, part.instances, Arc::clone(&part.frame)));
+            members.push(part);
         }
     }
-    Ok(slots.into_iter().flatten().collect())
+    t.closed += 1;
+    t.done = last;
+    if last {
+        t.unsent = listed.iter().map(|m| m.0).collect();
+    }
+    t.last = Some(Arc::new(ClosedRound {
+        round: t.closed,
+        epoch,
+        members: listed,
+    }));
+    rounds.changed.notify_all();
+    Ok(Some(members))
+}
+
+/// The epoch end, on the trainer thread. Readers of the published model wait
+/// on the next publish for all of this; the workers do not.
+fn end_epoch(
+    shared: &Shared,
+    test: &[Instance],
+    summary: &mut ServeSummary,
+) -> Result<(), NetError> {
+    let epoch_end = Instant::now();
+    summary.epochs_done += 1;
+    let epoch = summary.epochs_done;
+    let published = shared.store.snapshot();
+    let test_loss = published.model.mean_loss(test);
+    summary.final_test_loss = test_loss;
+    summary.best_test_loss = summary.best_test_loss.min(test_loss);
+    // End-of-epoch checkpoint, written from the live state and proven
+    // loadable before it is served.
+    let mut bytes = Vec::new();
+    {
+        let live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
+        Checkpoint::write_parts(live.model(), live.optimizer(), epoch as usize, &mut bytes);
+    }
+    Checkpoint::validate(&bytes)
+        .map_err(|e| NetError::InvalidConfig(format!("checkpoint: {e}")))?;
+    let checkpoint_bytes = bytes.len() as u64;
+    *shared.checkpoint.lock().unwrap_or_else(|e| e.into_inner()) = Some((epoch, Arc::new(bytes)));
+    // Re-publish with the completed-epoch count so pulls see progress.
+    shared.store.publish(ModelSnapshot {
+        round: published.round,
+        epoch: epoch as u32,
+        done: false,
+        model: published.model.clone(),
+    });
+    let c = &shared.counters;
+    let last = epoch_end.elapsed().as_micros() as u64;
+    let max = c
+        .epoch_end_us_max
+        .fetch_max(last, Ordering::Relaxed)
+        .max(last);
+    c.epoch_end_us_last.store(last, Ordering::Relaxed);
+    obs::epoch_end(last, max, checkpoint_bytes);
+    Ok(())
 }

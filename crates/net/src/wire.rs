@@ -33,8 +33,10 @@ use std::io::{Read, Write};
 
 /// Single supported protocol version; `Hello` negotiates a range so future
 /// versions can interoperate. Version 2 replaced the weight-delta pull of
-/// version 1 with the round and state pulls.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// version 1 with the round and state pulls; version 3 removed
+/// `PushStatus::Backpressure` (status byte 3): a push is placed in its
+/// worker's slot of the open round or answered, never queued.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Frame lead-in byte; anything else is a protocol error.
 pub const MAGIC: u8 = 0xA7;
@@ -46,14 +48,12 @@ pub const MAX_BODY: usize = 256 << 20;
 /// Outcome of a `PushGradient`, carried by [`Response::PushAck`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushStatus {
-    /// The push was queued for aggregation.
+    /// The push is a member of the open round (or repeats one that is).
     Accepted,
     /// The round already closed; the worker should re-pull and catch up.
     Stale,
     /// Training is complete; no more pushes are needed.
     Done,
-    /// The bounded push queue was full; retry after a short pause.
-    Backpressure,
 }
 
 impl PushStatus {
@@ -62,7 +62,6 @@ impl PushStatus {
             PushStatus::Accepted => 0,
             PushStatus::Stale => 1,
             PushStatus::Done => 2,
-            PushStatus::Backpressure => 3,
         }
     }
 
@@ -71,7 +70,6 @@ impl PushStatus {
             0 => PushStatus::Accepted,
             1 => PushStatus::Stale,
             2 => PushStatus::Done,
-            3 => PushStatus::Backpressure,
             _ => return None,
         })
     }

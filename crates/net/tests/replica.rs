@@ -442,8 +442,6 @@ fn pushes_the_trainer_would_drop_are_refused_not_accepted() {
     let (server, addr) = start(setup);
     let mut client = Client::connect(&addr).unwrap();
     let payload = sketchml_payload(DIM, vec![3], vec![0.5]);
-    // More than the push queue holds (4 x workers): were they queued, the
-    // later ones would be answered `Backpressure`.
     for i in 0..20u64 {
         for (worker, round) in [(0, 1 + i), (2, 0), (u32::MAX, 0)] {
             assert_refused(
@@ -455,7 +453,6 @@ fn pushes_the_trainer_would_drop_are_refused_not_accepted() {
     let stats = client.get_stats().unwrap();
     assert_eq!(stat(&stats, "rejected_pushes"), 60);
     assert_eq!(stat(&stats, "pushes"), 0);
-    assert_eq!(stat(&stats, "backpressure_rejects"), 0);
     assert_eq!(stat(&stats, "round"), 0);
     // A replica round from nowhere is not the base of anything: the state.
     let reply = client
@@ -476,6 +473,213 @@ fn pushes_the_trainer_would_drop_are_refused_not_accepted() {
     assert_eq!(stat(&client.get_stats().unwrap(), "pushes"), 1);
     server.shutdown();
     assert!(server.join().aborted);
+}
+
+/// What a worker whose rounds may close without it at any moment did.
+struct Raced {
+    attempted: u64,
+    accepted: u64,
+    stale: u64,
+    dropped: u64,
+    state: Vec<u8>,
+}
+
+/// `run_worker`'s loop on the public [`Client`], carried on past a `Done`
+/// ack until the replica is level with the finished run.
+fn racing_worker(addr: &str, worker: u32) -> Raced {
+    let mut client = Client::connect(addr).unwrap();
+    let setup = client.get_config().unwrap();
+    let (train, _test) = setup.dataset.generate_split();
+    let compressor = compressor_by_name(&setup.compressor).unwrap();
+    let cost = CostModel::cluster1();
+    let mut ws = WorkerScratch::new();
+    let mut batcher = Batcher::new(train.len(), setup.batch_ratio, setup.spec.seed);
+    let mut batches = Vec::new();
+    let mut replica = Replica::new(&setup).unwrap();
+    let mut pushed: Option<(Vec<u8>, u64)> = None;
+    let (mut attempted, mut accepted, mut stale, mut dropped) = (0, 0, 0, 0);
+    loop {
+        let own = pushed.as_ref().map(|(frame, n)| (frame.as_slice(), *n));
+        let wait = pushed.is_some();
+        match client.pull_round(worker, &mut replica, own, wait).unwrap() {
+            Pulled::Round { listed } => {
+                if pushed.take().is_some() && !listed {
+                    dropped += 1;
+                }
+            }
+            Pulled::State => {
+                pushed = None;
+                continue;
+            }
+            Pulled::Nothing if wait && !replica.done() => continue,
+            Pulled::Nothing => {}
+        }
+        if replica.done() {
+            let state = replica_bytes(&replica);
+            return Raced {
+                attempted,
+                accepted,
+                stale,
+                dropped,
+                state,
+            };
+        }
+        let round = replica.round();
+        while batches.len() as u64 <= round {
+            batches.extend(batcher.epoch());
+        }
+        let slice: Vec<Instance> = partition(&batches[round as usize], setup.workers)
+            [worker as usize]
+            .iter()
+            .map(|&i| train[i].clone())
+            .collect();
+        let msg = process_glm_batch(replica.model(), &slice, compressor.as_ref(), &cost, &mut ws)
+            .unwrap();
+        let instances = msg.instances as u64;
+        // Up to 2 ms late, differently every round and worker: pushes land
+        // on both sides of the 1 ms window's edge.
+        let late = (round * 3 + u64::from(worker)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44;
+        std::thread::sleep(std::time::Duration::from_micros(late % 2_000));
+        let (status, _) = client
+            .push_gradient(worker, round, msg.loss_sum, instances, msg.payload.clone())
+            .unwrap_or_else(|e| panic!("worker {worker} round {round}: {e}"));
+        match status {
+            PushStatus::Accepted => {
+                pushed = Some((msg.payload, instances));
+                accepted += 1;
+            }
+            PushStatus::Stale => stale += 1,
+            // The last round closed without this worker: the pulls at the
+            // top bring the replica level and see `done`.
+            PushStatus::Done => continue,
+        }
+        attempted += 1;
+    }
+}
+
+/// With a 1 ms straggler window rounds close under the workers' feet all the
+/// time. A push used to be acked `Accepted` when it was queued and dropped if
+/// the window closed before the trainer popped it; now the ack is given under
+/// the lock that makes it a member, so accepted means listed.
+#[test]
+fn an_accepted_push_is_a_member_of_its_round_however_short_the_straggler_window() {
+    let mut setup = setup(3);
+    setup.round_timeout_ms = 1;
+    setup.idle_timeout_ms = 60_000;
+    // Batches of 6 of the 450 training rows: 75 rounds an epoch.
+    setup.batch_ratio = 6.0 / 450.0;
+    let (server, addr) = start(setup);
+    let workers: Vec<_> = (0..3u32)
+        .map(|w| {
+            let addr = addr.clone();
+            std::thread::spawn(move || racing_worker(&addr, w))
+        })
+        .collect();
+    let raced: Vec<Raced> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+    let summary = server.wait_trained();
+    let served = final_state(&addr);
+    let stats = server.stats_json();
+    server.shutdown();
+    server.join();
+
+    assert!(!summary.aborted, "{summary:?}");
+    assert!(summary.rounds >= 200, "{summary:?}");
+    for (worker, r) in raced.iter().enumerate() {
+        assert_eq!(r.dropped, 0, "worker {worker}");
+        assert_eq!(r.accepted + r.stale, r.attempted, "worker {worker}");
+        assert!(r.state == served, "worker {worker} ended on another state");
+    }
+    // The server's books are the workers': every accepted push took a slot,
+    // and every slot taken was listed in the round that closed on it.
+    let accepted: u64 = raced.iter().map(|r| r.accepted).sum();
+    assert_eq!(stat(&stats, "pushes"), accepted, "{stats}");
+    assert_eq!(
+        stat(&stats, "stale_pushes"),
+        raced.iter().map(|r| r.stale).sum::<u64>(),
+        "{stats}"
+    );
+    assert!(
+        accepted <= 3 * summary.full_rounds + 2 * summary.partial_rounds
+            && accepted >= 3 * summary.full_rounds + summary.partial_rounds,
+        "{accepted} pushes in {summary:?}"
+    );
+    assert_eq!(stat(&stats, "rejected_pushes"), 0, "{stats}");
+}
+
+/// The open round has one slot a worker: fifty pushes from one worker id
+/// hold one decoded part, not fifty, and the round lists the first.
+#[test]
+fn a_repeated_push_is_acked_and_the_round_keeps_the_workers_first_frame() {
+    let mut setup = setup(2);
+    setup.round_timeout_ms = 60_000;
+    setup.idle_timeout_ms = 60_000;
+    let (server, addr) = start(setup);
+    let mut client = Client::connect(&addr).unwrap();
+    let first = sketchml_payload(DIM, vec![3], vec![0.5]);
+    for i in 0..50u64 {
+        let (payload, instances) = match i {
+            0 => (first.clone(), 1),
+            _ => (sketchml_payload(DIM, vec![3 + i], vec![0.25]), 7),
+        };
+        let acked = client
+            .push_gradient(0, 0, 0.25, instances, payload)
+            .unwrap();
+        assert_eq!(acked, (PushStatus::Accepted, 0), "push {i}");
+    }
+    assert_eq!(stat(&client.get_stats().unwrap(), "pushes"), 1);
+    // Worker 1 fills the table: the round closes on worker 0's first frame.
+    let other = sketchml_payload(DIM, vec![9], vec![1.0]);
+    let acked = client.push_gradient(1, 0, 0.25, 2, other).unwrap();
+    assert_eq!(acked, (PushStatus::Accepted, 0));
+    let reply = client
+        .call(&Request::PullRound {
+            worker: 1,
+            have_round: 0,
+            wait: true,
+        })
+        .unwrap();
+    let Response::Round {
+        base_round: 0,
+        round: 1,
+        members,
+        ..
+    } = reply
+    else {
+        panic!("{reply:?}");
+    };
+    assert_eq!(members, [member(0, 1, Some(&first)), member(1, 2, None)]);
+    assert_eq!(stat(&client.get_stats().unwrap(), "pushes"), 2);
+    server.shutdown();
+    assert!(server.join().aborted);
+}
+
+/// The trainer used to publish `done` and only then store the summary: a
+/// reader in between saw a finished run without figures.
+#[test]
+fn get_stats_never_says_done_without_the_summary() {
+    let (server, addr) = start(setup(1));
+    let worker = {
+        let addr = addr.clone();
+        std::thread::spawn(move || run_worker(&addr, 0))
+    };
+    let mut monitor = Client::connect(&addr).unwrap();
+    let mut polls = 0u64;
+    loop {
+        let json = monitor.get_stats().unwrap();
+        let v: serde::Value = serde_json::from_str(&json).unwrap();
+        let obj = v.as_obj().unwrap();
+        polls += 1;
+        if serde::field(obj, "done").unwrap() == &serde::Value::Bool(true) {
+            let summary = serde::field(obj, "summary").unwrap();
+            assert!(summary.as_obj().is_some(), "poll {polls}: {json}");
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    worker.join().unwrap().unwrap();
+    assert_eq!(server.wait_trained().rounds, ROUNDS);
+    server.shutdown();
+    server.join();
 }
 
 /// A one-epoch session of two workers in which worker 1 never lands a push:
@@ -904,8 +1108,9 @@ fn a_hostile_round_or_state_reply_is_a_typed_error_that_never_touches_the_replic
     );
 }
 
-/// A peer that still speaks protocol 1 — weight deltas — fails at `Hello`,
-/// typed, not on an unknown frame kind in the middle of a run.
+/// A peer that still speaks protocol 1 — weight deltas — or 2 — a push
+/// status this server never sends — fails at `Hello`, typed, not on an
+/// unknown frame kind in the middle of a run.
 #[test]
 fn a_protocol_1_hello_is_refused_with_the_version_error() {
     let (server, addr) = start(setup(1));
@@ -914,7 +1119,7 @@ fn a_protocol_1_hello_is_refused_with_the_version_error() {
     let mut reader = BufReader::new(conn);
     Request::Hello {
         min_version: 1,
-        max_version: 1,
+        max_version: 2,
     }
     .write_to(&mut writer)
     .unwrap();
@@ -925,24 +1130,24 @@ fn a_protocol_1_hello_is_refused_with_the_version_error() {
             Response::Error {
                 code: ErrorCode::Version,
                 message
-            } if message.contains("version 2")
+            } if message.contains("version 3")
         ),
         "{reply:?}"
     );
-    assert_eq!(PROTOCOL_VERSION, 2);
-    // A range that includes 2 is served.
+    assert_eq!(PROTOCOL_VERSION, 3);
+    // A range that includes 3 is served.
     let conn = sketchml_net::Conn::connect(&addr).unwrap();
     let mut writer = BufWriter::new(conn.try_clone().unwrap());
     let mut reader = BufReader::new(conn);
     Request::Hello {
         min_version: 1,
-        max_version: 2,
+        max_version: 3,
     }
     .write_to(&mut writer)
     .unwrap();
     assert_eq!(
         Response::read_from(&mut reader).unwrap(),
-        Response::HelloAck { version: 2 }
+        Response::HelloAck { version: 3 }
     );
     server.shutdown();
     server.join();

@@ -54,8 +54,10 @@ use std::time::Instant;
 /// client-side figures no library code ever set;
 /// version 10 replaced `serving.pulls_delta` with `serving.{pulls_round,
 /// pulls_state}`: the downlink carries a round's codec frames (or, for a
-/// worker that cannot be stepped, the live training state), not weights.
-pub const SCHEMA_VERSION: u32 = 10;
+/// worker that cannot be stepped, the live training state), not weights;
+/// version 11 removed `serving.{backpressure_rejects, queue_depth_max}`: the
+/// server has no push queue to fill or refuse from.
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// Number of power-of-two buckets in every histogram.
 pub const HIST_BUCKETS: usize = 16;
@@ -185,21 +187,16 @@ pub enum Counter {
     ServingRequests,
     /// Serving: `Predict` requests served from the model store.
     ServingPredicts,
-    /// Serving: `PushGradient` requests accepted into the trainer queue.
+    /// Serving: `PushGradient` requests that took a slot of the open round.
     ServingPushes,
     /// Serving: pulls answered (`PullModel` and `PullRound`).
     ServingPulls,
-    /// Serving: pushes rejected because the bounded trainer queue was full.
-    ServingBackpressureRejects,
-    /// Serving: trainer rounds that coalesced every expected worker push
+    /// Serving: rounds that closed with every worker's push
     /// (as opposed to timing out and aggregating a partial set).
     ServingCoalescedRounds,
     /// Serving: high-water mark of concurrently in-flight requests
     /// (max-semantics: update via [`counter_max`]).
     ServingInflightMax,
-    /// Serving: high-water mark of the trainer push-queue depth
-    /// (max-semantics: update via [`counter_max`]).
-    ServingQueueDepthMax,
     /// Serving: pulls answered with the dense `Model` frame.
     ServingPullsDense,
     /// Serving: pulls answered with a `Round` frame.
@@ -218,7 +215,7 @@ pub enum Counter {
     ServingCheckpointBytes,
 }
 
-const NUM_COUNTERS: usize = 54;
+const NUM_COUNTERS: usize = 52;
 
 impl Counter {
     fn idx(self) -> usize {
@@ -376,7 +373,7 @@ pub fn inc(counter: Counter) {
 }
 
 /// Raises a max-semantics counter to `value` if it is below it (no-op while
-/// disabled). Used for high-water marks (in-flight requests, queue depth),
+/// disabled). Used for high-water marks (in-flight requests, checkpoint size),
 /// which — like the adds — are order-independent and thus deterministic.
 #[inline]
 pub fn counter_max(counter: Counter, value: u64) {
@@ -681,7 +678,7 @@ pub struct MembershipSnapshot {
 }
 
 /// Live-serving section of the snapshot (the `sketchml-net` socket server:
-/// request mix, backpressure, and mixed train+infer load figures).
+/// request mix and mixed train+infer load figures).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServingSnapshot {
     pub connections: u64,
@@ -689,10 +686,8 @@ pub struct ServingSnapshot {
     pub predicts: u64,
     pub pushes: u64,
     pub pulls: u64,
-    pub backpressure_rejects: u64,
     pub coalesced_rounds: u64,
     pub inflight_max: u64,
-    pub queue_depth_max: u64,
     pub pulls_dense: u64,
     pub pulls_round: u64,
     pub pulls_state: u64,
@@ -915,10 +910,8 @@ pub fn snapshot() -> TelemetrySnapshot {
             predicts: counter(Counter::ServingPredicts),
             pushes: counter(Counter::ServingPushes),
             pulls: counter(Counter::ServingPulls),
-            backpressure_rejects: counter(Counter::ServingBackpressureRejects),
             coalesced_rounds: counter(Counter::ServingCoalescedRounds),
             inflight_max: counter(Counter::ServingInflightMax),
-            queue_depth_max: counter(Counter::ServingQueueDepthMax),
             pulls_dense: counter(Counter::ServingPullsDense),
             pulls_round: counter(Counter::ServingPullsRound),
             pulls_state: counter(Counter::ServingPullsState),
@@ -988,7 +981,6 @@ mod tests {
         counter_max(Counter::ServingInflightMax, 4);
         counter_max(Counter::ServingInflightMax, 9);
         counter_max(Counter::ServingInflightMax, 2); // below high-water: kept
-        counter_max(Counter::ServingQueueDepthMax, 3);
         gauge_set(Gauge::ServingEpochEndMsLast, 15.0);
         gauge_set(Gauge::ServingEpochEndMsLast, 12.0); // overwrite, not accumulate
         gauge_set(Gauge::ServingEpochEndMsMax, 45.0);
@@ -1004,7 +996,6 @@ mod tests {
         set_enabled(true);
         let snap = session.finish();
         assert_eq!(snap.serving.inflight_max, 9);
-        assert_eq!(snap.serving.queue_depth_max, 3);
         assert_eq!(snap.serving.epoch_end_ms_last, 12.0);
         assert_eq!(snap.serving.epoch_end_ms_max, 45.0);
         snap.validate().expect("serving snapshot must validate");

@@ -21,8 +21,8 @@
 //! - [`collectives`] — mergeable-sketch allreduce: ring / tree / star
 //!   aggregation of compressed gradient payloads;
 //! - [`net`] — the live parameter server: framed wire protocol over
-//!   TCP/Unix sockets, threaded server runtime with backpressure, an
-//!   epoch-snapshot model store serving inference during training, and
+//!   TCP/Unix sockets, threaded server runtime whose rounds close in a
+//!   W-slot table, an epoch-snapshot model store serving inference during training, and
 //!   the full worker participant loop with checkpoint recovery;
 //! - [`telemetry`] — opt-in pipeline/cluster counters, histograms, and
 //!   stage timers behind a single relaxed atomic gate.
