@@ -117,8 +117,6 @@ fn matched_config(target_bytes: usize, rows: u32, k: u32) -> CountSketchConfig {
         cols,
         k,
         seed: 0xC5C5_0001,
-        momentum: None,
-        auto_k: false,
     }
 }
 
@@ -223,8 +221,6 @@ fn main() {
         cols: 8_192,
         k: 4_096,
         seed: 0xC5C5_0001,
-        momentum: None,
-        auto_k: false,
     };
     let merge_comp = CountSketchCompressor::new(merge_config).expect("merge config");
     let max_n = *merge_ns.iter().max().expect("non-empty");

@@ -11,7 +11,7 @@ use sketchml_bench::output::{fmt_secs, print_table, write_json, ExperimentOutput
 use sketchml_bench::scaled;
 use sketchml_cluster::{train_distributed, ClusterConfig, TrainSpec};
 use sketchml_core::{
-    GradientCompressor, RawCompressor, Rounding, SketchMlCompressor, ValueWidth, ZipMlCompressor,
+    GradientCompressor, RawCompressor, SketchMlCompressor, ValueWidth, ZipMlCompressor,
 };
 use sketchml_data::SparseDatasetSpec;
 use sketchml_ml::GlmLoss;
@@ -38,7 +38,7 @@ fn main() {
         ("SketchML", Box::new(SketchMlCompressor::default())),
         (
             "ZipML-8bit",
-            Box::new(ZipMlCompressor::new(8, Rounding::Deterministic).expect("8 bits")),
+            Box::new(ZipMlCompressor::new(8).expect("8 bits")),
         ),
         ("ZipML-16bit", Box::new(ZipMlCompressor::paper_default())),
         (

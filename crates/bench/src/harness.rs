@@ -2,8 +2,8 @@
 //! method names, and environment-controlled dataset scaling.
 
 use sketchml_core::{
-    GradientCompressor, KeyCompressor, QuantCompressor, RawCompressor, Rounding,
-    SketchMlCompressor, SketchMlConfig, TruncationCompressor, ValueWidth, ZipMlCompressor,
+    GradientCompressor, KeyCompressor, QuantCompressor, RawCompressor, SketchMlCompressor,
+    SketchMlConfig, TruncationCompressor, ValueWidth, ZipMlCompressor,
 };
 use sketchml_data::SparseDatasetSpec;
 
@@ -49,7 +49,7 @@ pub fn all_compressors() -> Vec<Method> {
         Method::new("SketchML", Box::new(SketchMlCompressor::default())),
         Method::new(
             "ZipML-8bit",
-            Box::new(ZipMlCompressor::new(8, Rounding::Deterministic).expect("8 bits valid")),
+            Box::new(ZipMlCompressor::new(8).expect("8 bits valid")),
         ),
         Method::new("ZipML-16bit", Box::new(ZipMlCompressor::paper_default())),
         Method::new(

@@ -77,10 +77,10 @@ pub use fastsgd::FastSgdCompressor;
 pub use feedback::ErrorFeedback;
 pub use gradient::SparseGradient;
 pub use merge::{MergeAcc, MergePolicy, MergeableCompressor};
-pub use quantify::{QuantCompressor, QuantileBackend};
+pub use quantify::QuantCompressor;
 pub use registry::by_name as compressor_by_name;
 pub use scratch::CompressScratch;
 pub use sharded::{split_gradient, ShardedCompressor};
-pub use sketchml::{MeanPrecision, SketchMlCompressor, SketchMlConfig};
+pub use sketchml::{SketchMlCompressor, SketchMlConfig};
 pub use sketchml_encoding::framing::FrameVersion;
-pub use zipml::{Rounding, ZipMlCompressor};
+pub use zipml::ZipMlCompressor;

@@ -113,8 +113,8 @@ impl LinearTable {
         self.cols
     }
 
-    /// Heavy hitters to extract at the final hop — the max over every folded
-    /// frame's `k` (auto-k hops stamp a per-round value).
+    /// Heavy hitters to extract at the final hop: the `k` every folded
+    /// frame carries.
     pub fn k(&self) -> u32 {
         self.k
     }
@@ -166,13 +166,25 @@ impl LinearTable {
     }
 
     fn check_compatible(&self, h: &CskHeader) -> Result<(), CompressError> {
-        // `k` is deliberately NOT compared: auto-k frames carry a per-round
-        // heavy-hitter count, and the fold keeps the max of every hop's k.
-        if self.dim != h.dim || self.rows != h.rows || self.cols != h.cols || self.seed != h.seed {
+        if self.dim != h.dim
+            || self.rows != h.rows
+            || self.cols != h.cols
+            || self.k != h.k
+            || self.seed != h.seed
+        {
             return Err(CompressError::Corrupt(format!(
-                "CSK frame shape {}x{} seed={} dim={} does not match \
-                 accumulated table {}x{} seed={} dim={}",
-                h.rows, h.cols, h.seed, h.dim, self.rows, self.cols, self.seed, self.dim
+                "CSK frame shape {}x{} k={} seed={} dim={} does not match \
+                 accumulated table {}x{} k={} seed={} dim={}",
+                h.rows,
+                h.cols,
+                h.k,
+                h.seed,
+                h.dim,
+                self.rows,
+                self.cols,
+                self.k,
+                self.seed,
+                self.dim
             )));
         }
         Ok(())
@@ -487,9 +499,6 @@ impl MergeAcc {
         let table = match &mut self.linear {
             Some(t) => {
                 t.check_compatible(h)?;
-                // Auto-k hops adapt k per round; extraction honours the
-                // widest request seen across the fold.
-                t.k = t.k.max(h.k);
                 t
             }
             None => {
@@ -905,10 +914,15 @@ mod tests {
             .unwrap();
         assert!(!acc.is_empty());
         assert!(acc.linear().is_some());
-        // Dim, shape and seed mismatches are all typed errors.
+        // Dim, shape, k and seed mismatches are all typed errors.
         assert!(acc
             .fold_linear(&header(50, 2, 4, 9), &[1.0; 8], 1.0)
             .is_err());
+        let other_k = CskHeader {
+            k: 5,
+            ..header(100, 2, 4, 9)
+        };
+        assert!(acc.fold_linear(&other_k, &[1.0; 8], 1.0).is_err());
         assert!(acc
             .fold_linear(&header(100, 4, 2, 9), &[1.0; 8], 1.0)
             .is_err());

@@ -20,7 +20,7 @@ use bytes::{Buf, BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
 use sketchml_encoding::stats::SizeReport;
 use sketchml_encoding::{bitpack, delta_binary, varint};
-use sketchml_sketches::quantile::{GkSummary, MergingQuantileSketch, QuantileSketch, TDigest};
+use sketchml_sketches::quantile::{MergingQuantileSketch, QuantileSketch};
 use sketchml_telemetry as telemetry;
 
 /// Result of quantile-bucket quantification over one value array.
@@ -46,18 +46,6 @@ impl Quantization {
     pub fn decode(&self, index: u16) -> Option<f64> {
         self.means.get(index as usize).copied()
     }
-}
-
-/// Which quantile sketch drives the split computation (§3.2 Step 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum QuantileBackend {
-    /// Mergeable compactor sketch (the DataSketches stand-in; default).
-    #[default]
-    Merging,
-    /// Greenwald–Khanna summary (deterministic εn rank error).
-    Gk,
-    /// t-digest (tail-accurate centroids).
-    TDigest,
 }
 
 /// Assigns `value` to a bucket given `q + 1` splits: bucket `i` covers
@@ -235,7 +223,8 @@ impl BucketTable {
 }
 
 /// Runs quantile-bucket quantification over `values` with (at most) `q`
-/// buckets using a quantile sketch of `sketch_capacity` (§3.2 Steps 1–3).
+/// buckets using a quantile sketch of `sketch_capacity` (§3.2 Steps 1–3):
+/// [`quantize_into`] on a fresh [`QuantScratch`], its buffers handed out.
 ///
 /// The effective bucket count is capped at `max(8, n / cap_divisor)` (and
 /// never above `n`): the paper's `q = 256` assumes gradients with millions
@@ -256,29 +245,8 @@ pub fn quantize(
     sketch_capacity: usize,
     cap_divisor: usize,
 ) -> Result<Quantization, CompressError> {
-    quantize_with(
-        values,
-        q,
-        sketch_capacity,
-        cap_divisor,
-        QuantileBackend::Merging,
-    )
-}
-
-/// [`quantize`] with an explicit quantile-sketch backend: runs
-/// [`quantize_into`] on a fresh [`QuantScratch`] and hands its buffers out.
-///
-/// # Errors
-/// Same contract as [`quantize`].
-pub fn quantize_with(
-    values: &[f64],
-    q: u16,
-    sketch_capacity: usize,
-    cap_divisor: usize,
-    backend: QuantileBackend,
-) -> Result<Quantization, CompressError> {
     let mut qs = QuantScratch::default();
-    quantize_into(values, q, sketch_capacity, cap_divisor, backend, &mut qs)?;
+    quantize_into(values, q, sketch_capacity, cap_divisor, &mut qs)?;
     Ok(Quantization {
         splits: qs.splits,
         means: qs.means,
@@ -300,9 +268,9 @@ pub struct QuantScratch {
 
 /// Quantile-bucket quantification into pooled buffers: fills `qs.splits` /
 /// `qs.means` / `qs.indexes`, performing zero heap allocations in steady
-/// state for the Merging backend. A warm `qs` yields *exactly* what a fresh
-/// one does (the reused Merging sketch is [`MergingQuantileSketch::reset`]
-/// so its compaction parity replays identically). Bucket indexes are
+/// state. A warm `qs` yields *exactly* what a fresh one does (the reused
+/// sketch is [`MergingQuantileSketch::reset`] so its compaction parity
+/// replays identically). Bucket indexes are
 /// assigned through a [`BucketTable`], debug-asserted against the per-value
 /// binary search [`bucket_of`].
 ///
@@ -313,7 +281,6 @@ pub fn quantize_into(
     q: u16,
     sketch_capacity: usize,
     cap_divisor: usize,
-    backend: QuantileBackend,
     qs: &mut QuantScratch,
 ) -> Result<(), CompressError> {
     if q == 0 {
@@ -334,32 +301,16 @@ pub fn quantize_into(
         .min(values.len()) as u16;
     {
         let _t = telemetry::time(telemetry::Stage::QuantileBuild);
-        match backend {
-            QuantileBackend::Merging => {
-                let cap = sketch_capacity.max(2);
-                let sketch = match &mut qs.sketch {
-                    Some(s) if s.capacity() == cap => {
-                        s.reset();
-                        s
-                    }
-                    slot => slot.insert(MergingQuantileSketch::new(cap)?),
-                };
-                sketch.extend_from_slice(values);
-                sketch.splits_into(q_eff as usize, &mut qs.items, &mut qs.splits)?;
+        let cap = sketch_capacity.max(2);
+        let sketch = match &mut qs.sketch {
+            Some(s) if s.capacity() == cap => {
+                s.reset();
+                s
             }
-            QuantileBackend::Gk => {
-                let mut sketch = GkSummary::for_buckets(q_eff as usize)?;
-                sketch.extend_from_slice(values);
-                qs.splits.clear();
-                qs.splits.extend_from_slice(&sketch.splits(q_eff as usize)?);
-            }
-            QuantileBackend::TDigest => {
-                let mut sketch = TDigest::new((sketch_capacity.max(16)) as f64)?;
-                sketch.extend_from_slice(values);
-                qs.splits.clear();
-                qs.splits.extend_from_slice(&sketch.splits(q_eff as usize)?);
-            }
-        }
+            slot => slot.insert(MergingQuantileSketch::new(cap)?),
+        };
+        sketch.extend_from_slice(values);
+        sketch.splits_into(q_eff as usize, &mut qs.items, &mut qs.splits)?;
     }
     let _t = telemetry::time(telemetry::Stage::Bucketize);
     qs.means.clear();
@@ -449,7 +400,6 @@ impl GradientCompressor for QuantCompressor {
             self.buckets,
             self.sketch_capacity,
             32,
-            QuantileBackend::Merging,
             &mut scratch.quant,
         )?;
         let q = scratch.quant.means.len() as u16;
@@ -607,34 +557,34 @@ mod tests {
 
     #[test]
     fn quantize_into_matches_quantize_bitwise_across_reuse() {
-        // One warm scratch carried across sizes, capacities and backends
-        // (so the pooled sketch, item buffer and bucket table all shrink,
-        // grow and get replaced) must produce exactly what a fresh scratch
-        // — `quantize_with` — does, including right after an error.
+        // One warm scratch carried across sizes and capacities (so the
+        // pooled sketch, item buffer and bucket table all shrink, grow and
+        // get replaced) must produce exactly what a fresh scratch —
+        // `quantize` — does, including right after an error.
         let mut qs = QuantScratch::default();
         let rounds = [
-            (500usize, 128usize, QuantileBackend::Merging),
-            (3_000, 128, QuantileBackend::Merging),
-            (120, 64, QuantileBackend::Merging),
-            (9_000, 128, QuantileBackend::Gk),
-            (7, 128, QuantileBackend::Merging),
-            (2_000, 32, QuantileBackend::TDigest),
-            (9_000, 128, QuantileBackend::Merging),
+            (500usize, 128usize),
+            (3_000, 128),
+            (120, 64),
+            (9_000, 128),
+            (7, 128),
+            (2_000, 32),
+            (9_000, 128),
         ];
-        for (i, &(n, cap, backend)) in rounds.iter().enumerate() {
+        for (i, &(n, cap)) in rounds.iter().enumerate() {
             let values = skewed_values(n, 80 + i as u64);
-            let fresh = quantize_with(&values, 256, cap, 32, backend).unwrap();
-            quantize_into(&values, 256, cap, 32, backend, &mut qs).unwrap();
+            let fresh = quantize(&values, 256, cap, 32).unwrap();
+            quantize_into(&values, 256, cap, 32, &mut qs).unwrap();
             assert_eq!(qs.splits, fresh.splits, "round {i}: splits diverged");
             assert_eq!(qs.means, fresh.means, "round {i}: means diverged");
             assert_eq!(qs.indexes, fresh.indexes, "round {i}: indexes diverged");
             for (&v, &b) in values.iter().zip(&qs.indexes) {
                 assert_eq!(b, bucket_of(&qs.splits, v), "round {i}: bucket of {v}");
             }
-            assert!(quantize_into(&[], 8, cap, 32, backend, &mut qs).is_err());
+            assert!(quantize_into(&[], 8, cap, 32, &mut qs).is_err());
         }
-        assert!(quantize_into(&[1.0], 0, 128, 32, QuantileBackend::Merging, &mut qs).is_err());
-        assert!(quantize_into(&[1.0], 8, 128, 0, QuantileBackend::Merging, &mut qs).is_err());
+        assert!(quantize_into(&[1.0], 0, 128, 32, &mut qs).is_err());
+        assert!(quantize_into(&[1.0], 8, 128, 0, &mut qs).is_err());
     }
 
     #[test]
@@ -776,29 +726,5 @@ mod tests {
             assert_eq!(q.decode(i as u16), Some(m));
         }
         assert_eq!(q.decode(q.q()), None);
-    }
-
-    #[test]
-    fn backends_agree_on_equi_depth_shape() {
-        use super::QuantileBackend;
-        let values = skewed_values(20_000, 101);
-        for backend in [
-            QuantileBackend::Merging,
-            QuantileBackend::Gk,
-            QuantileBackend::TDigest,
-        ] {
-            let quant = quantize_with(&values, 16, 256, 32, backend).unwrap();
-            let mut counts = vec![0usize; quant.q() as usize];
-            for &i in &quant.indexes {
-                counts[i as usize] += 1;
-            }
-            let expect = values.len() / quant.q() as usize;
-            for (b, &c) in counts.iter().enumerate() {
-                assert!(
-                    (c as f64 - expect as f64).abs() < expect as f64 * 0.6,
-                    "{backend:?} bucket {b}: {c} vs ~{expect}"
-                );
-            }
-        }
     }
 }

@@ -7,28 +7,24 @@ use crate::error::CompressError;
 use crate::fastsgd::FastSgdCompressor;
 use crate::quantify::QuantCompressor;
 use crate::sharded::ShardedCompressor;
-use crate::sketchml::{MeanPrecision, SketchMlCompressor, SketchMlConfig};
-use crate::zipml::{Rounding, ZipMlCompressor};
+use crate::sketchml::SketchMlCompressor;
+use crate::zipml::ZipMlCompressor;
 use sketchml_encoding::framing::FrameVersion;
 
-/// Names accepted by [`by_name`], in canonical form. Any of them also
-/// accepts an `@N` suffix (e.g. `sketchml@8`) selecting the parallel sharded
-/// engine with `N` shards and `N` worker threads; appending `c` to the shard
-/// count (e.g. `sketchml@4c`) switches the frame to the CRC-carrying v2
-/// format so in-flight corruption is detected.
+/// Names accepted by [`by_name`], in canonical form: each codec once, plus
+/// the parameterised and sharded spellings the benchmark, the fault plans
+/// and the zero-allocation test use. Any name also accepts one `@N` suffix
+/// (e.g. `sketchml@8`) selecting the parallel sharded engine with `N` shards
+/// and `N` worker threads; appending `c` to the shard count (e.g.
+/// `sketchml@4c`) switches the frame to the CRC-carrying v2 format so
+/// in-flight corruption is detected.
 ///
-/// `countsketch` additionally takes a parameter grammar:
-/// `countsketch[:<rows>x<cols>:<k>][:m<rho>]` — table shape, heavy hitters
-/// extracted per decode, and optional sketched momentum `ρ ∈ [0, 1)`. The
-/// `<k>` slot (or a standalone `countsketch:auto`) accepts the literal
-/// `auto`, which adapts the per-round heavy-hitter count to each gradient's
-/// observed nnz (clamped to `cols/4`) instead of a fixed `k`.
-///
-/// `fastsgd[:<bits>]` selects exponent-only log quantization with
-/// `bits ∈ 2..=16` per-value code width (default 6).
+/// `countsketch` additionally takes a table shape and heavy-hitter count,
+/// `countsketch[:<rows>x<cols>:<k>]`, and `fastsgd[:<bits>]` selects
+/// exponent-only log quantization with `bits ∈ 2..=16` per-value code width
+/// (default 6).
 pub const KNOWN_COMPRESSORS: &[&str] = &[
     "sketchml",
-    "sketchml-f32",
     "sketchml@4",
     "sketchml@4c",
     "adam",
@@ -37,60 +33,34 @@ pub const KNOWN_COMPRESSORS: &[&str] = &[
     "adam+key+quan",
     "zipml",
     "zipml-8bit",
-    "zipml-16bit",
-    "zipml-stochastic",
-    "zipml@4",
     "truncation",
     "countsketch",
     "countsketch:8x2048:512",
-    "countsketch:8x2048:512@4",
-    "countsketch:4x1024:256:m0.9",
-    "countsketch:auto",
-    "countsketch:8x2048:auto",
     "fastsgd",
     "fastsgd:8",
-    "fastsgd@4",
 ];
 
-/// Parses `countsketch[:<rows>x<cols>:<k|auto>][:m<rho>]` (or the shapeless
-/// `countsketch:auto`) into a config.
+/// Parses `countsketch[:<rows>x<cols>:<k>]` into a config.
 fn count_sketch_config(name: &str, spec: &str) -> Result<CountSketchConfig, CompressError> {
     let bad = |what: &str| {
         CompressError::InvalidConfig(format!(
-            "`{name}`: {what}; expected countsketch[:<rows>x<cols>:<k|auto>][:m<rho>]"
+            "`{name}`: {what}; expected countsketch[:<rows>x<cols>:<k>]"
         ))
     };
     let mut config = CountSketchConfig::default();
-    let mut parts = spec.split(':').filter(|p| !p.is_empty()).peekable();
-    if parts.peek().is_some_and(|p| p.eq_ignore_ascii_case("auto")) {
-        // Default shape, adaptive k.
-        config.auto_k = true;
-        parts.next();
-    } else if let Some(shape) = parts.peek().filter(|p| !p.starts_with(['m', 'M'])) {
-        let (rows, cols) = shape
-            .split_once(['x', 'X'])
-            .ok_or_else(|| bad("malformed shape"))?;
-        config.rows = rows.parse().map_err(|_| bad("rows must be an integer"))?;
-        config.cols = cols.parse().map_err(|_| bad("cols must be an integer"))?;
-        parts.next();
-        let k = parts.next().ok_or_else(|| bad("missing k after shape"))?;
-        if k.eq_ignore_ascii_case("auto") {
-            config.auto_k = true;
-        } else {
-            config.k = k
-                .parse()
-                .map_err(|_| bad("k must be an integer or `auto`"))?;
-        }
+    if spec.is_empty() {
+        return Ok(config);
     }
-    if let Some(tail) = parts.next() {
-        let rho = tail
-            .strip_prefix(['m', 'M'])
-            .ok_or_else(|| bad("unexpected trailing component"))?;
-        config.momentum = Some(rho.parse().map_err(|_| bad("rho must be a number"))?);
-    }
-    if parts.next().is_some() {
-        return Err(bad("too many components"));
-    }
+    let (shape, k) = spec
+        .strip_prefix(':')
+        .and_then(|s| s.split_once(':'))
+        .ok_or_else(|| bad("expected a shape and k"))?;
+    let (rows, cols) = shape
+        .split_once(['x', 'X'])
+        .ok_or_else(|| bad("malformed shape"))?;
+    config.rows = rows.parse().map_err(|_| bad("rows must be an integer"))?;
+    config.cols = cols.parse().map_err(|_| bad("cols must be an integer"))?;
+    config.k = k.parse().map_err(|_| bad("k must be an integer"))?;
     Ok(config)
 }
 
@@ -103,19 +73,24 @@ fn count_sketch_config(name: &str, spec: &str) -> Result<CountSketchConfig, Comp
 ///
 /// # Errors
 /// [`CompressError::InvalidConfig`] listing the known names on a miss, or if
-/// the `@N` suffix is not a positive integer.
+/// the `@N` suffix is not a positive integer written in digits, or repeats.
 pub fn by_name(name: &str) -> Result<Box<dyn GradientCompressor>, CompressError> {
-    if let Some((base, suffix)) = name.rsplit_once('@') {
+    if let Some((base, suffix)) = name.split_once('@') {
         let (digits, frame) = match suffix.strip_suffix(['c', 'C']) {
             Some(digits) => (digits, FrameVersion::V2),
             None => (suffix, FrameVersion::V1),
         };
-        let shards: usize = digits.parse().map_err(|_| {
-            CompressError::InvalidConfig(format!(
-                "`{name}`: shard suffix `@{suffix}` must be a positive integer, \
-                 optionally followed by `c` for the checksummed v2 frame"
-            ))
-        })?;
+        // Digits only: `usize::from_str` also takes a leading `+`, and a
+        // second `@` would wrap a sharded engine in another.
+        let shards: usize = Some(digits)
+            .filter(|d| d.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|d| d.parse().ok())
+            .ok_or_else(|| {
+                CompressError::InvalidConfig(format!(
+                    "`{name}`: shard suffix `@{suffix}` must be one positive integer, \
+                     optionally followed by `c` for the checksummed v2 frame"
+                ))
+            })?;
         let inner = by_name(base)?;
         return Ok(Box::new(
             ShardedCompressor::new(inner, shards)?.with_frame(frame),
@@ -142,10 +117,6 @@ pub fn by_name(name: &str) -> Result<Box<dyn GradientCompressor>, CompressError>
     }
     let c: Box<dyn GradientCompressor> = match lower.as_str() {
         "sketchml" => Box::new(SketchMlCompressor::default()),
-        "sketchml-f32" => Box::new(SketchMlCompressor::new(SketchMlConfig {
-            mean_precision: MeanPrecision::F32,
-            ..SketchMlConfig::default()
-        })?),
         "adam" | "adam-double" | "raw" => Box::new(RawCompressor::default()),
         "adam-float" => Box::new(RawCompressor {
             width: ValueWidth::F32,
@@ -153,8 +124,7 @@ pub fn by_name(name: &str) -> Result<Box<dyn GradientCompressor>, CompressError>
         "adam+key" | "key" => Box::new(KeyCompressor),
         "adam+key+quan" | "quan" => Box::new(QuantCompressor::default()),
         "zipml" | "zipml-16bit" => Box::new(ZipMlCompressor::paper_default()),
-        "zipml-8bit" => Box::new(ZipMlCompressor::new(8, Rounding::Deterministic)?),
-        "zipml-stochastic" => Box::new(ZipMlCompressor::new(16, Rounding::Stochastic)?),
+        "zipml-8bit" => Box::new(ZipMlCompressor::new(8)?),
         "truncation" | "1bit" => Box::new(TruncationCompressor::default()),
         other => {
             return Err(CompressError::InvalidConfig(format!(
@@ -214,6 +184,18 @@ mod tests {
         assert!(by_name("nope@4").is_err());
         assert!(by_name("sketchml@c").is_err());
         assert!(by_name("sketchml@0c").is_err());
+        // One suffix, digits only.
+        for bad in [
+            "sketchml@2@2",
+            "sketchml@4c@2",
+            "fastsgd@4@4",
+            "sketchml@+4",
+        ] {
+            assert!(
+                matches!(by_name(bad), Err(CompressError::InvalidConfig(_))),
+                "accepted `{bad}`"
+            );
+        }
     }
 
     #[test]
@@ -242,42 +224,18 @@ mod tests {
             "CountSketch"
         );
         assert_eq!(
-            by_name("countsketch:4x1024:256:m0.9").unwrap().name(),
+            by_name("countsketch:8x2048:512@4").unwrap().name(),
             "CountSketch"
         );
-        assert_eq!(by_name("countsketch:m0.5").unwrap().name(), "CountSketch");
         for bad in [
             "countsketch:4x1024",          // shape without k
             "countsketchx",                // junk tail
             "countsketch:0x1024:4",        // rows out of range
-            "countsketch:4x1024:256:z",    // unknown trailing component
-            "countsketch:4x1024:256:m1.5", // rho out of range
-            "countsketch:4x1024:256:m0.9:m0.9",
-        ] {
-            assert!(by_name(bad).is_err(), "accepted `{bad}`");
-        }
-    }
-
-    #[test]
-    fn countsketch_auto_k_parses_and_rejects() {
-        // Auto-k roundtrips a tiny gradient exactly: per-round k follows the
-        // observed nnz, where the fixed default (k=512 of a 2048-col table)
-        // would still roundtrip but prove nothing about adaptation.
-        let grad = SparseGradient::new(1000, vec![1, 5, 900], vec![0.5, -0.25, 0.125]).unwrap();
-        for name in ["countsketch:auto", "countsketch:8x2048:AUTO"] {
-            let c = by_name(name).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let decoded = c.decompress(&c.compress(&grad).unwrap().payload).unwrap();
-            assert_eq!(decoded.keys(), grad.keys(), "{name}");
-        }
-        // Composes with momentum and sharding.
-        assert!(by_name("countsketch:4x1024:auto:m0.9").is_ok());
-        assert!(by_name("countsketch:auto:m0.5").is_ok());
-        assert!(by_name("countsketch:8x2048:auto@4c").is_ok());
-        for bad in [
-            "countsketch:auto:512",      // k after shapeless auto
-            "countsketch:autox",         // junk tail on the literal
-            "countsketch:4x1024:auto:z", // unknown trailing component
-            "countsketch:auto:auto",
+            "countsketch:4x1024:0",        // k out of range
+            "countsketch:4x1024:256:z",    // trailing component
+            "countsketch:4x1024:256:m0.9", // sketched momentum is gone
+            "countsketch:auto",            // so is adaptive k
+            "countsketch:8x2048:auto",
         ] {
             assert!(by_name(bad).is_err(), "accepted `{bad}`");
         }

@@ -25,7 +25,7 @@
 use crate::compressor::GradientCompressor;
 use crate::error::CompressError;
 use crate::gradient::SparseGradient;
-use crate::quantify::{quantize_into, QuantileBackend};
+use crate::quantify::quantize_into;
 use crate::scratch::CompressScratch;
 use bytes::{Buf, BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -178,18 +178,6 @@ unsafe fn partition_avx2(
     (p, m, i)
 }
 
-/// Precision of the bucket-means table on the wire (§3.5 charges `8q`
-/// bytes for f64 means; f32 halves that at ~1e-7 relative value error —
-/// the §B.4 "weight types" trade applied to SketchML's own metadata).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum MeanPrecision {
-    /// 8-byte means (the paper's accounting; default).
-    #[default]
-    F64,
-    /// 4-byte means.
-    F32,
-}
-
 /// Hyper-parameters of the SketchML pipeline (defaults follow §4.1/§B.2).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SketchMlConfig {
@@ -213,10 +201,6 @@ pub struct SketchMlConfig {
     /// `q_sign / groups = 128 / 4 = 32 = q / r`, and the Appendix A.3 key
     /// sectioning has the same `d / 8` keys (gap `8D/d`) per section.
     pub groups: usize,
-    /// Quantile sketch backend for split computation (§3.2 Step 1).
-    pub quantile_backend: QuantileBackend,
-    /// Wire precision of the bucket means.
-    pub mean_precision: MeanPrecision,
     /// Divisor of the adaptive bucket cap `q_eff <= max(8, d_side /
     /// bucket_cap_divisor)` (default 32 — keeps the `8q` means table at the
     /// same relative overhead as the paper's full-scale gradients).
@@ -234,8 +218,6 @@ impl Default for SketchMlConfig {
             col_ratio: 0.2,
             min_cols_per_group: 4,
             groups: 4,
-            quantile_backend: QuantileBackend::Merging,
-            mean_precision: MeanPrecision::F64,
             bucket_cap_divisor: 32,
             seed: 0x5EED_0001,
         }
@@ -306,6 +288,9 @@ impl SketchMlCompressor {
 
 const MAGIC: u8 = 0xA7;
 const VERSION: u8 = 1;
+/// Bytes per bucket mean, declared in each side's header; the decoder
+/// refuses a frame that declares any other width.
+const MEAN_WIDTH: u8 = 8;
 /// Salt separating the negative side's hash seed from the positive side's.
 const NEG_SALT: u64 = 0x4E45_4741_5449_5645; // "NEGATIVE"
 
@@ -349,7 +334,6 @@ impl SketchMlCompressor {
             self.config.buckets_per_sign,
             self.config.quantile_sketch_capacity,
             self.config.bucket_cap_divisor,
-            self.config.quantile_backend,
             &mut scratch.quant,
         )?;
         let q = scratch.quant.means.len() as u16;
@@ -419,36 +403,18 @@ impl SketchMlCompressor {
         scratch.cells.clear();
         scratch.cells.resize(r_eff * table, EMPTY_CELL);
 
-        let mut value_bytes = 0usize;
         varint::write_u64(out, q as u64);
-        match self.config.mean_precision {
-            MeanPrecision::F64 => {
-                out.put_u8(8);
-                if negative {
-                    for &m in scratch.quant.means.iter().rev() {
-                        out.put_f64_le(m);
-                    }
-                } else {
-                    for &m in &scratch.quant.means {
-                        out.put_f64_le(m);
-                    }
-                }
-                value_bytes += 8 * scratch.quant.means.len();
+        out.put_u8(MEAN_WIDTH);
+        if negative {
+            for &m in scratch.quant.means.iter().rev() {
+                out.put_f64_le(m);
             }
-            MeanPrecision::F32 => {
-                out.put_u8(4);
-                if negative {
-                    for &m in scratch.quant.means.iter().rev() {
-                        out.put_f32_le(m as f32);
-                    }
-                } else {
-                    for &m in &scratch.quant.means {
-                        out.put_f32_le(m as f32);
-                    }
-                }
-                value_bytes += 4 * scratch.quant.means.len();
+        } else {
+            for &m in &scratch.quant.means {
+                out.put_f64_le(m);
             }
         }
+        let mut value_bytes = MEAN_WIDTH as usize * scratch.quant.means.len();
         varint::write_u64(out, r_eff as u64);
         varint::write_u64(out, cols as u64);
         let bits = bitpack::bits_for(q.saturating_sub(1));
@@ -551,23 +517,19 @@ impl SketchMlCompressor {
         if !buf.has_remaining() {
             return Err(CompressError::Corrupt("missing mean precision".into()));
         }
-        let mean_width = buf.get_u8() as usize;
-        if mean_width != 4 && mean_width != 8 {
+        let mean_width = buf.get_u8();
+        if mean_width != MEAN_WIDTH {
             return Err(CompressError::Corrupt(format!(
                 "bad mean precision {mean_width}"
             )));
         }
-        if buf.remaining() < q * mean_width {
+        if buf.remaining() < q * MEAN_WIDTH as usize {
             return Err(CompressError::Corrupt("truncated bucket means".into()));
         }
         let first_slot = scratch.dec_means.len() as u32;
         scratch.dec_means.reserve(q);
         for _ in 0..q {
-            scratch.dec_means.push(if mean_width == 8 {
-                buf.get_f64_le()
-            } else {
-                buf.get_f32_le() as f64
-            });
+            scratch.dec_means.push(buf.get_f64_le());
         }
         let r_eff = varint::read_u64(buf)? as usize;
         let cols = varint::read_u64(buf)? as usize;

@@ -2,12 +2,10 @@
 //! Zhang et al., "ZipML: An End-to-end Bitwise Framework").
 //!
 //! The value range `[min, max]` is divided into `2^bits - 1` **equal-width**
-//! intervals and every value is mapped to its nearest level (deterministic
-//! rounding, the paper's observed behaviour: "methods such as ZipML quantify
-//! [near-zero gradients] to zero. Therefore, many gradient values are
-//! ignored, causing slower convergence") or to a probabilistically unbiased
-//! neighbour (stochastic rounding, QSGD-style, provided for the ablation
-//! benches).
+//! intervals and every value is mapped to its nearest level (the paper's
+//! observed behaviour: "methods such as ZipML quantify [near-zero
+//! gradients] to zero. Therefore, many gradient values are ignored, causing
+//! slower convergence").
 //!
 //! Keys are shipped as raw 4-byte integers — §4.3.1: "ZipML is unable to
 //! compress the gradient keys."
@@ -17,42 +15,15 @@ use crate::error::CompressError;
 use crate::gradient::SparseGradient;
 use crate::scratch::CompressScratch;
 use bytes::{Buf, BufMut, BytesMut};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sketchml_encoding::stats::SizeReport;
 use sketchml_encoding::varint;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Rounding mode of the quantizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rounding {
-    /// Round to the nearest level (the behaviour the paper evaluates).
-    Deterministic,
-    /// Round up/down with probability proportional to proximity, making the
-    /// quantizer unbiased in expectation (QSGD-style).
-    Stochastic,
-}
 
 /// Uniform fixed-point quantizer with 8- or 16-bit levels (Table 4 compares
 /// `ZipML-8bit` and `ZipML-16bit`).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ZipMlCompressor {
     /// Bits per value: 8 or 16.
     pub bits: u8,
-    /// Rounding mode.
-    pub rounding: Rounding,
-    /// Seed for stochastic rounding (deterministic runs).
-    seed: AtomicU64,
-}
-
-impl Clone for ZipMlCompressor {
-    fn clone(&self) -> Self {
-        ZipMlCompressor {
-            bits: self.bits,
-            rounding: self.rounding,
-            seed: AtomicU64::new(self.seed.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl ZipMlCompressor {
@@ -60,23 +31,19 @@ impl ZipMlCompressor {
     ///
     /// # Errors
     /// [`CompressError::InvalidConfig`] for other widths.
-    pub fn new(bits: u8, rounding: Rounding) -> Result<Self, CompressError> {
+    pub fn new(bits: u8) -> Result<Self, CompressError> {
         if bits != 8 && bits != 16 {
             return Err(CompressError::InvalidConfig(format!(
                 "ZipML supports 8 or 16 bits, got {bits}"
             )));
         }
-        Ok(ZipMlCompressor {
-            bits,
-            rounding,
-            seed: AtomicU64::new(0x21F0_CAFE),
-        })
+        Ok(ZipMlCompressor { bits })
     }
 
-    /// The paper's evaluated configuration: 16-bit deterministic ("we set it
-    /// to be two bytes via fine tuning", §4.1).
+    /// The paper's evaluated configuration: 16 bits ("we set it to be two
+    /// bytes via fine tuning", §4.1).
     pub fn paper_default() -> Self {
-        Self::new(16, Rounding::Deterministic).expect("16 bits is valid")
+        Self::new(16).expect("16 bits is valid")
     }
 
     fn levels(&self) -> u32 {
@@ -130,28 +97,8 @@ impl GradientCompressor for ZipMlCompressor {
         out.put_f64_le(max);
         let span = (max - min).max(f64::MIN_POSITIVE);
         let levels = self.levels() as f64;
-        // The seed counter advances on every message, but the rng is only
-        // materialized when stochastic rounding actually draws from it.
-        let rng_seed = self.seed.fetch_add(1, Ordering::Relaxed);
-        let mut rng = match self.rounding {
-            Rounding::Stochastic => Some(StdRng::seed_from_u64(rng_seed)),
-            Rounding::Deterministic => None,
-        };
         for &v in values {
-            let exact = (v - min) / span * levels;
-            let level = match self.rounding {
-                Rounding::Deterministic => exact.round(),
-                Rounding::Stochastic => {
-                    let floor = exact.floor();
-                    let frac = exact - floor;
-                    if rng.as_mut().expect("stochastic rng").gen::<f64>() < frac {
-                        floor + 1.0
-                    } else {
-                        floor
-                    }
-                }
-            }
-            .clamp(0.0, levels);
+            let level = ((v - min) / span * levels).round().clamp(0.0, levels);
             match self.bits {
                 8 => out.put_u8(level as u8),
                 _ => out.put_u16_le(level as u16),
@@ -218,6 +165,8 @@ impl GradientCompressor for ZipMlCompressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn skewed_gradient(n: usize, dim: u64, seed: u64) -> SparseGradient {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -238,7 +187,7 @@ mod tests {
     #[test]
     fn roundtrip_bounds_error_by_level_width() {
         for bits in [8u8, 16] {
-            let c = ZipMlCompressor::new(bits, Rounding::Deterministic).unwrap();
+            let c = ZipMlCompressor::new(bits).unwrap();
             let grad = skewed_gradient(1000, 50_000, 71);
             let msg = c.compress(&grad).unwrap();
             let decoded = c.decompress(&msg.payload).unwrap();
@@ -255,7 +204,7 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_rounding_zeroes_small_gradients() {
+    fn uniform_levels_zero_small_gradients() {
         // The §3.2/§4.3 critique: most values sit near zero; with 8-bit
         // uniform levels over a wide range they all collapse onto the same
         // level, i.e. the information is lost.
@@ -272,7 +221,7 @@ mod tests {
             });
         }
         let grad = SparseGradient::new(2000, keys, values).unwrap();
-        let c = ZipMlCompressor::new(8, Rounding::Deterministic).unwrap();
+        let c = ZipMlCompressor::new(8).unwrap();
         let decoded = c.decompress(&c.compress(&grad).unwrap().payload).unwrap();
         // The 7 distinct tiny input values collapse onto at most 2 levels —
         // the near-zero structure is destroyed.
@@ -283,28 +232,6 @@ mod tests {
             decoded_small.len() <= 2,
             "expected near-zero collapse, got {} distinct levels",
             decoded_small.len()
-        );
-    }
-
-    #[test]
-    fn stochastic_rounding_is_unbiased() {
-        let _grad = SparseGradient::new(10, vec![0], vec![0.3]).unwrap();
-        let c = ZipMlCompressor::new(8, Rounding::Stochastic).unwrap();
-        // Single value: min == max == 0.3, span degenerate → decodes to min.
-        // Use two anchor values so the range is [-1, 1].
-        let grad = SparseGradient::new(10, vec![0, 1, 2], vec![-1.0, 0.298, 1.0]).unwrap();
-        let _ = grad;
-        let mut sum = 0.0;
-        let trials = 400;
-        for _ in 0..trials {
-            let g = SparseGradient::new(10, vec![0, 1, 2], vec![-1.0, 0.298, 1.0]).unwrap();
-            let d = c.decompress(&c.compress(&g).unwrap().payload).unwrap();
-            sum += d.values()[1];
-        }
-        let mean = sum / trials as f64;
-        assert!(
-            (mean - 0.298).abs() < 0.01,
-            "stochastic rounding should be unbiased, mean {mean}"
         );
     }
 
@@ -330,8 +257,8 @@ mod tests {
 
     #[test]
     fn invalid_configs_and_corrupt_buffers() {
-        assert!(ZipMlCompressor::new(4, Rounding::Deterministic).is_err());
-        assert!(ZipMlCompressor::new(32, Rounding::Deterministic).is_err());
+        assert!(ZipMlCompressor::new(4).is_err());
+        assert!(ZipMlCompressor::new(32).is_err());
         let c = ZipMlCompressor::paper_default();
         assert!(c.decompress(&[]).is_err());
         assert!(c.decompress(&[0x00]).is_err());

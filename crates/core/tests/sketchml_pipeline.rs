@@ -7,8 +7,8 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use sketchml_core::{
     roundtrip_error, CompressScratch, CountSketchCompressor, CountSketchConfig, FastSgdCompressor,
-    GradientCompressor, KeyCompressor, MeanPrecision, QuantCompressor, QuantileBackend,
-    ShardedCompressor, SketchMlCompressor, SketchMlConfig, SparseGradient,
+    GradientCompressor, KeyCompressor, QuantCompressor, ShardedCompressor, SketchMlCompressor,
+    SketchMlConfig, SparseGradient,
 };
 
 /// A gradient shaped like Figure 4: sparse keys over a large model, values
@@ -298,33 +298,10 @@ fn duplicate_values_compress_fine() {
 }
 
 #[test]
-fn all_quantile_backends_keep_the_contract() {
-    let grad = paperlike_gradient(6_000, 400_000, 77);
-    for backend in [
-        QuantileBackend::Merging,
-        QuantileBackend::Gk,
-        QuantileBackend::TDigest,
-    ] {
-        let cfg = SketchMlConfig {
-            quantile_backend: backend,
-            ..SketchMlConfig::default()
-        };
-        let c = SketchMlCompressor::new(cfg).unwrap();
-        let stats = roundtrip_error(&c, &grad).unwrap();
-        assert_eq!(stats.sign_flips, 0, "{backend:?}");
-        assert_eq!(stats.pairs_in, stats.pairs_out, "{backend:?}");
-        let rel = stats.squared_error.sqrt() / grad.l2_norm();
-        assert!(rel < 1.0, "{backend:?}: rel err {rel}");
-        let decoded = c.decompress(&c.compress(&grad).unwrap().payload).unwrap();
-        assert_eq!(decoded.keys(), grad.keys(), "{backend:?}");
-    }
-}
-
-#[test]
 fn scratch_path_is_byte_identical_across_reuse() {
     // A scratch carries capacity, never meaning: one warm scratch, output
-    // buffer and output gradient carried across gradients, configs and
-    // backends — with a *different* compressor run through the same three
+    // buffer and output gradient carried across gradients and configs —
+    // with a *different* compressor run through the same three
     // between every two SketchML calls — must yield exactly the bytes and
     // the gradient a fresh scratch (`compress` / `decompress`) yields.
     let mut scratch = CompressScratch::new();
@@ -333,17 +310,15 @@ fn scratch_path_is_byte_identical_across_reuse() {
     let configs = [
         SketchMlConfig::default(),
         SketchMlConfig {
-            mean_precision: MeanPrecision::F32,
             groups: 1,
             ..SketchMlConfig::default()
         },
         SketchMlConfig {
-            quantile_backend: QuantileBackend::Gk,
             buckets_per_sign: 16,
+            quantile_sketch_capacity: 32,
             ..SketchMlConfig::default()
         },
         SketchMlConfig {
-            quantile_backend: QuantileBackend::TDigest,
             col_ratio: 0.05,
             ..SketchMlConfig::default()
         },
@@ -383,26 +358,5 @@ fn scratch_path_is_byte_identical_across_reuse() {
             c.decompress_into(&out, &mut scratch, &mut decoded).unwrap();
             assert_eq!(decoded, c.decompress(&fresh.payload).unwrap());
         }
-    }
-}
-
-#[test]
-fn f32_means_shrink_messages_with_negligible_error() {
-    let grad = paperlike_gradient(8_000, 400_000, 88);
-    let f64c = SketchMlCompressor::default();
-    let f32c = SketchMlCompressor::new(SketchMlConfig {
-        mean_precision: MeanPrecision::F32,
-        ..SketchMlConfig::default()
-    })
-    .unwrap();
-    let m64 = f64c.compress(&grad).unwrap();
-    let m32 = f32c.compress(&grad).unwrap();
-    assert!(m32.len() < m64.len(), "f32 means must shrink the message");
-    let d64 = f64c.decompress(&m64.payload).unwrap();
-    let d32 = f32c.decompress(&m32.payload).unwrap();
-    assert_eq!(d32.keys(), grad.keys());
-    // The extra error from f32 means is float rounding only.
-    for ((_, a), (_, b)) in d64.iter().zip(d32.iter()) {
-        assert!((a - b).abs() <= a.abs().max(1.0) * 1e-6, "{a} vs {b}");
     }
 }

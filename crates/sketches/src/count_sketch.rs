@@ -274,13 +274,6 @@ impl CountSketch {
         Ok(())
     }
 
-    /// Multiplies every cell by `factor` (linearity again: `S(c·g) = c·S(g)`).
-    pub fn scale(&mut self, factor: f64) {
-        for c in &mut self.cells {
-            *c *= factor;
-        }
-    }
-
     /// Resets every cell to zero, keeping the hash families.
     pub fn clear(&mut self) {
         self.cells.fill(0.0);
@@ -441,11 +434,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_clear() {
+    fn clear_empties_the_table() {
         let mut s = CountSketch::new(3, 64, 5).unwrap();
         s.insert(10, 0.5);
-        s.scale(4.0);
-        assert_eq!(s.query(10), 2.0);
+        assert_eq!(s.query(10), 0.5);
         assert!(!s.is_empty());
         s.clear();
         assert!(s.is_empty());

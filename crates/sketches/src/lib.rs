@@ -3,12 +3,9 @@
 //!
 //! This crate implements, from scratch:
 //!
-//! - [`quantile::GkSummary`] — the Greenwald–Khanna ε-approximate quantile
-//!   summary (paper §2.3), with the classic `merge` and `prune`/compress
-//!   operations.
 //! - [`quantile::MergingQuantileSketch`] — a mergeable, compactor-based
-//!   quantile sketch in the spirit of Yahoo DataSketches (the sketch the
-//!   paper's prototype uses in §3.2 Step 1).
+//!   quantile sketch (paper §2.3) in the spirit of Yahoo DataSketches (the
+//!   sketch the paper's prototype uses in §3.2 Step 1).
 //! - [`count_sketch::CountSketch`] — the *linear* signed-sum sketch of
 //!   Charikar et al., used for gradient compression by SketchSGD
 //!   (arXiv:1903.04488): sum-of-sketches equals sketch-of-sum, enabling
@@ -48,4 +45,4 @@ pub use countmin::CountMinSketch;
 pub use error::SketchError;
 pub use hash::{fill_bins, fill_bins_scalar, push_row_seeds, HashFamily};
 pub use minmax::{insert_batch_raw, query_batch_raw, GroupedMinMaxSketch, MinMaxSketch};
-pub use quantile::{GkSummary, MergingQuantileSketch, QuantileSketch, TDigest};
+pub use quantile::{MergingQuantileSketch, QuantileSketch};

@@ -3,32 +3,10 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sketchml_sketches::quantile::{GkSummary, MergingQuantileSketch, QuantileSketch};
+use sketchml_sketches::quantile::{MergingQuantileSketch, QuantileSketch};
 use sketchml_sketches::{CountMinSketch, GroupedMinMaxSketch, MinMaxSketch};
 
-fn exact_rank(sorted: &[f64], value: f64) -> usize {
-    sorted.iter().filter(|&&x| x <= value).count()
-}
-
 proptest! {
-    /// GK rank error never exceeds εn (+1 rounding slack) on arbitrary data.
-    #[test]
-    fn gk_rank_error_bounded(
-        data in vec(-1e3f64..1e3, 100..2000),
-        phi in 0.0f64..=1.0,
-    ) {
-        let eps = 0.05;
-        let mut gk = GkSummary::new(eps).unwrap();
-        gk.extend_from_slice(&data);
-        let est = gk.query(phi).unwrap();
-        let mut sorted = data.clone();
-        sorted.sort_by(f64::total_cmp);
-        let rank = exact_rank(&sorted, est) as f64;
-        let n = data.len() as f64;
-        prop_assert!((rank - phi * n).abs() <= eps * n + 1.0,
-            "phi={phi}: rank {rank} vs {} (n={n})", phi * n);
-    }
-
     /// The mergeable sketch returns values inside the observed range and is
     /// monotone in phi.
     #[test]
@@ -133,15 +111,15 @@ proptest! {
         }
     }
 
-    /// GK merge is value-safe: min/max of the merged summary bracket both
+    /// Merging is value-safe: min/max of the merged sketch bracket both
     /// inputs and the count is the sum.
     #[test]
-    fn gk_merge_counts_and_extremes(
+    fn merging_merge_counts_and_extremes(
         a in vec(-100f64..100.0, 1..500),
         b in vec(-100f64..100.0, 1..500),
     ) {
-        let mut sa = GkSummary::new(0.05).unwrap();
-        let mut sb = GkSummary::new(0.05).unwrap();
+        let mut sa = MergingQuantileSketch::new(32).unwrap();
+        let mut sb = MergingQuantileSketch::new(32).unwrap();
         sa.extend_from_slice(&a);
         sb.extend_from_slice(&b);
         let (amin, amax) = (sa.min().unwrap(), sa.max().unwrap());

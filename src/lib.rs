@@ -8,8 +8,8 @@
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
-//! - [`sketches`] — quantile sketches (Greenwald–Khanna, mergeable
-//!   compactor), Count-Min, and the paper's novel **MinMaxSketch**;
+//! - [`sketches`] — the mergeable compactor quantile sketch, Count-Sketch,
+//!   Count-Min, and the paper's novel **MinMaxSketch**;
 //! - [`encoding`] — delta-binary key coding, bit packing, Golomb–Rice and
 //!   the CRC-checked frames;
 //! - [`core`] — the [`SketchMlCompressor`] pipeline and the Adam / ZipML /
@@ -75,8 +75,8 @@ pub use sketchml_collectives::{MergePolicy, MergeableCompressor, Topology};
 pub use sketchml_core::{
     compressor_by_name, CompressError, CompressedGradient, CountSketchCompressor,
     CountSketchConfig, ErrorFeedback, FastSgdCompressor, GradientCompressor, KeyCompressor,
-    QuantCompressor, RawCompressor, Rounding, ShardedCompressor, SketchMlCompressor,
-    SketchMlConfig, SparseGradient, TruncationCompressor, ZipMlCompressor,
+    QuantCompressor, RawCompressor, ShardedCompressor, SketchMlCompressor, SketchMlConfig,
+    SparseGradient, TruncationCompressor, ZipMlCompressor,
 };
 pub use sketchml_data::{MnistLikeSpec, SparseDatasetSpec};
 pub use sketchml_ml::{

@@ -3,7 +3,7 @@
 //! simulator checkpoints would rely on this).
 
 use sketchml::ml::metrics::LossPoint;
-use sketchml::sketches::quantile::{GkSummary, MergingQuantileSketch, QuantileSketch};
+use sketchml::sketches::quantile::{MergingQuantileSketch, QuantileSketch};
 use sketchml::sketches::{CountMinSketch, MinMaxSketch};
 use sketchml::{AdamConfig, GlmLoss, GlmModel, SketchMlConfig, SparseGradient, SparseVector};
 
@@ -13,19 +13,6 @@ where
 {
     let json = serde_json::to_string(value).expect("serialize");
     serde_json::from_str(&json).expect("deserialize")
-}
-
-#[test]
-fn gk_summary_survives_json() {
-    let mut gk = GkSummary::new(0.01).unwrap();
-    for i in 0..5_000 {
-        gk.insert((i % 97) as f64 * 0.1 - 3.0);
-    }
-    let back: GkSummary = json_roundtrip(&gk);
-    assert_eq!(back.count(), gk.count());
-    for phi in [0.1, 0.5, 0.9] {
-        assert_eq!(back.query(phi).unwrap(), gk.query(phi).unwrap());
-    }
 }
 
 #[test]

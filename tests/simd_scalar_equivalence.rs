@@ -8,8 +8,8 @@
 //! [`sketchml::core::simd::force_scalar`] pins across the whole stack
 //! (hashing, sorting, sign partition, delta-binary packing). Each case runs
 //! twin compressor instances over the same gradient sequence — one with
-//! lanes active, one forced scalar — so stateful compressors (momentum,
-//! error-feedback residuals, stochastic rounding seeds) evolve in lockstep.
+//! lanes active, one forced scalar — so stateful wrappers (error-feedback
+//! residuals) evolve in lockstep.
 //! Each twin keeps one [`CompressScratch`], wire buffer and output gradient
 //! across its whole sequence: steady-state reuse is what production runs, so
 //! that is what the lanes are compared under. On a CPU without AVX2 both

@@ -365,6 +365,16 @@ fn every_decoder_guard_fires_through_decompress() {
             ),
             ("missing mean precision", cat(&[&h, &v(1), &v(1)])),
             ("bad mean precision 5", cat(&[&h, &v(1), &v(1), &[5]])),
+            // The f32 means table is gone: its width byte is refused too,
+            // as is the index the precision enum once had.
+            (
+                "bad mean precision 4",
+                cat(&[&h, &v(1), &v(1), &[4], &[0; 4]]),
+            ),
+            (
+                "bad mean precision 1",
+                cat(&[&h, &v(1), &v(1), &[1], &mean]),
+            ),
             (
                 "truncated bucket means",
                 cat(&[&h, &v(1), &v(2), &[8], &mean]),
@@ -611,8 +621,6 @@ fn count_sketch_frame_matches_golden_fixture_and_rejects_every_bitflip() {
         cols: 64,
         k: 16,
         seed: 0xC5C5_0001,
-        momentum: None,
-        auto_k: false,
     })
     .expect("pinned config");
     let grad = canonical_gradient();
@@ -643,6 +651,18 @@ fn count_sketch_frame_matches_golden_fixture_and_rejects_every_bitflip() {
     c.decompress_into(&golden, &mut scratch, &mut pooled)
         .expect("decompress_into fixture");
     assert_eq!(&pooled, &from_golden);
+
+    // A receiver configured for another heavy-hitter count refuses the
+    // frame rather than extracting the sender's k.
+    let other_k = CountSketchCompressor::new(CountSketchConfig {
+        k: 8,
+        ..*c.config()
+    })
+    .expect("pinned config, k = 8");
+    assert!(
+        matches!(other_k.decompress(&golden), Err(CompressError::Corrupt(m)) if m.contains("k=16")),
+        "CSK: a frame with k = 16 decoded under k = 8"
+    );
 
     // Full per-byte corruption sweep: the CRC32 (or the magic/version
     // checks it does not cover) catches a flip at *every* offset.
