@@ -135,7 +135,7 @@ fn main() {
     // Part 2: loss parity at matched d.
     let (train, test, dim) = parity_dataset(quick);
     let epochs = if quick { 2 } else { 4 };
-    let cluster = ClusterConfig::cluster1(4).with_telemetry(true);
+    let cluster = ClusterConfig::cluster1(4);
     let compressor = SketchMlCompressor::default();
     let mut parity = Vec::new();
     for (label, mode) in [

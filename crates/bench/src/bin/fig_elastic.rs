@@ -1,25 +1,24 @@
 //! Elastic-membership resilience: training through permanent worker loss,
-//! crash-then-rejoin churn, and straggler skew with adaptive staleness.
+//! crash-then-rejoin churn, and straggler skew under bounded staleness.
 //!
-//! Runs an 8-worker ring allreduce under four scenarios — no faults, one
-//! permanent crash, one crash that heals with a mid-training join, and a
-//! 3x straggler handled by straggler-adaptive SSP — and records final
-//! loss, epochs to reach the fault-free loss (+5%), reconfiguration stall
-//! time, and the membership transitions. Every figure is a simulated
-//! quantity: same seeds, same table.
+//! Runs an 8-worker ring allreduce under three scenarios — no faults, one
+//! permanent crash, one crash that heals with a mid-training join — and a
+//! 3x plan straggler under SSP at staleness bounds 0 (BSP) and 8, and
+//! records final loss, epochs to reach the fault-free loss (+5%),
+//! reconfiguration stall time, and the membership transitions. Every figure
+//! is a simulated quantity: same seeds, same table.
 //!
 //! The run aborts unless (a) the permanent-crash run converges within 5%
 //! of the fault-free loss, (b) the healing run records at least one
-//! eviction and one join, and (c) the adaptive-SSP run retunes the bound
-//! at least once.
+//! eviction and one join, and (c) bound 8 finishes sooner than bound 0.
 //!
 //! `--quick` shrinks the dataset and epoch count (CI smoke).
 
 use serde::Serialize;
 use sketchml_bench::output::{print_table, write_json, ExperimentOutput};
 use sketchml_cluster::{
-    train_allreduce, train_glm, train_ssp_with_plan, AdaptiveSsp, Aggregation, ClusterConfig,
-    ElasticConfig, FaultPlan, GlmTask, SspConfig, TrainSpec,
+    train_allreduce, train_glm, train_ssp_with_plan, Aggregation, ClusterConfig, FaultPlan,
+    GlmTask, SspConfig, TrainSpec,
 };
 use sketchml_collectives::{MergePolicy, Topology};
 use sketchml_core::SketchMlCompressor;
@@ -43,7 +42,6 @@ struct Row {
     joins: u64,
     reconfigurations: u64,
     degraded_rounds: u64,
-    staleness_retunes: u64,
 }
 
 #[derive(Serialize)]
@@ -86,7 +84,7 @@ fn main() {
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.03, epochs);
     let cluster = ClusterConfig::cluster1(WORKERS)
         .with_topology(Topology::Ring)
-        .with_elastic(ElasticConfig::default().with_suspicion_threshold(2));
+        .with_suspicion_threshold(2);
     let compressor = SketchMlCompressor::default();
     // 10 rounds per epoch at the default batch ratio: fail mid-run.
     let mid = (epochs as u64 * 10) / 2;
@@ -111,7 +109,6 @@ fn main() {
         joins: 0,
         reconfigurations: 0,
         degraded_rounds: 0,
-        staleness_retunes: 0,
     }];
 
     for (scenario, plan) in [
@@ -153,42 +150,41 @@ fn main() {
             joins: t.joins,
             reconfigurations: t.reconfigurations,
             degraded_rounds: t.degraded_rounds,
-            staleness_retunes: t.staleness_retunes,
         });
     }
 
-    // Straggler scenario: one worker at 3x compute, absorbed by SSP with
-    // the staleness bound retuned online from the straggler-wait gauge.
+    // Straggler scenario: one worker at 3x compute, under SSP with a fixed
+    // staleness bound: 0 waits for it at every barrier, 8 hides it.
     let mut factors = vec![1.0; WORKERS];
     factors[WORKERS - 1] = 3.0;
     let plan = FaultPlan::seeded(79).with_stragglers(factors);
-    let (ssp_report, ssp_trace) = train_ssp_with_plan(
-        &GlmTask::new(&train, &test, dim),
-        &spec,
-        &cluster,
-        &SspConfig::ssp(0, 0.0),
-        Some(&AdaptiveSsp::default()),
-        &compressor,
-        &plan,
-    )
-    .expect("adaptive ssp run");
-    let ssp_curve: Vec<(usize, f64)> = ssp_report
-        .epochs
-        .iter()
-        .map(|e| (e.epoch, e.test_loss))
-        .collect();
-    rows.push(Row {
-        scenario: "straggler-adaptive-ssp",
-        final_loss: ssp_report.epochs.last().expect("epochs").test_loss,
-        epochs_to_target: epochs_to_target(&ssp_curve, target_loss),
-        sim_seconds: ssp_report.total_sim_seconds(),
-        stall_seconds: ssp_trace.recovery_seconds + ssp_trace.join_seconds,
-        evictions: ssp_trace.evictions,
-        joins: ssp_trace.joins,
-        reconfigurations: ssp_trace.reconfigurations,
-        degraded_rounds: ssp_trace.degraded_rounds,
-        staleness_retunes: ssp_trace.staleness_retunes,
-    });
+    for (scenario, staleness) in [("straggler-bsp", 0), ("straggler-ssp8", 8)] {
+        let (report, t) = train_ssp_with_plan(
+            &GlmTask::new(&train, &test, dim),
+            &spec,
+            &cluster,
+            &SspConfig::ssp(staleness, 0.0),
+            &compressor,
+            &plan,
+        )
+        .expect(scenario);
+        let curve: Vec<(usize, f64)> = report
+            .epochs
+            .iter()
+            .map(|e| (e.epoch, e.test_loss))
+            .collect();
+        rows.push(Row {
+            scenario,
+            final_loss: report.epochs.last().expect("epochs").test_loss,
+            epochs_to_target: epochs_to_target(&curve, target_loss),
+            sim_seconds: report.total_sim_seconds(),
+            stall_seconds: t.recovery_seconds + t.join_seconds,
+            evictions: t.evictions,
+            joins: t.joins,
+            reconfigurations: t.reconfigurations,
+            degraded_rounds: t.degraded_rounds,
+        });
+    }
 
     let row = |s: &str| rows.iter().find(|r| r.scenario == s).expect("scenario row");
     let crash = row("permanent-crash");
@@ -205,10 +201,12 @@ fn main() {
         heal.evictions,
         heal.joins
     );
-    let ssp = row("straggler-adaptive-ssp");
+    let (bsp, ssp) = (row("straggler-bsp"), row("straggler-ssp8"));
     assert!(
-        ssp.staleness_retunes >= 1,
-        "the adaptive controller must retune at least once"
+        ssp.sim_seconds < bsp.sim_seconds,
+        "bound 8 ({:.3} s) must finish sooner than bound 0 ({:.3} s)",
+        ssp.sim_seconds,
+        bsp.sim_seconds
     );
 
     let table: Vec<Vec<String>> = rows
@@ -222,7 +220,6 @@ fn main() {
                 format!("{:.3}", r.stall_seconds),
                 format!("{}/{}/{}", r.evictions, r.joins, r.reconfigurations),
                 r.degraded_rounds.to_string(),
-                r.staleness_retunes.to_string(),
             ]
         })
         .collect();
@@ -236,7 +233,6 @@ fn main() {
             "stall s",
             "evict/join/reconf",
             "degraded",
-            "retunes",
         ],
         &table,
     );
@@ -244,7 +240,7 @@ fn main() {
 
     write_json(&ExperimentOutput {
         id: "fig_elastic".into(),
-        paper_ref: "extension (elastic membership: eviction, rejoin, adaptive SSP)".into(),
+        paper_ref: "extension (elastic membership: eviction, rejoin, SSP under stragglers)".into(),
         results: Report {
             quick,
             workers: WORKERS,

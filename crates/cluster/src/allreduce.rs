@@ -19,7 +19,7 @@
 //! subtree width on the tree).
 //!
 //! Elasticity (DESIGN.md §2.8): every run carries an
-//! [`ElasticMembership`](crate::membership) layer, idle under a benign plan.
+//! `ElasticMembership` layer, idle under a benign plan.
 //! Each round a heartbeat detector suspects and eventually evicts
 //! unresponsive members, evicted workers whose process is back pull a
 //! checkpoint and rejoin, and the hop schedule is recomputed over the
@@ -217,7 +217,11 @@ impl<'a> Collective<'a> {
             cx,
             policy,
             merges,
-            elastic: ElasticMembership::new(cx.cluster.workers, cx.cluster.elastic, faults.seed),
+            elastic: ElasticMembership::new(
+                cx.cluster.workers,
+                cx.cluster.suspicion_threshold,
+                faults.seed,
+            ),
             hops: HopState::default(),
         }
     }

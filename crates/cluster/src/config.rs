@@ -1,19 +1,12 @@
 //! Simulated-cluster configuration (paper §4.1 "Clusters" and "Protocol").
 
-use crate::membership::ElasticConfig;
 use crate::network::CostModel;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use sketchml_collectives::Topology;
 use sketchml_core::{CompressError, FrameVersion, GradientCompressor, ShardedCompressor};
 
 /// Configuration of one simulated training run.
-///
-/// `Deserialize` is implemented by hand (rather than derived) so that the
-/// `telemetry`, `topology`, and `elastic` fields are optional in serialized
-/// configs — documents written before the fields existed keep loading,
-/// defaulting them to `false`, [`Topology::Star`], and
-/// [`ElasticConfig::default`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClusterConfig {
     /// Number of workers (executors) `W`.
     pub workers: usize,
@@ -30,59 +23,18 @@ pub struct ClusterConfig {
     /// compressor's native single-threaded wire format; `> 1` splits every
     /// message into that many key-range shards encoded concurrently.
     pub compress_threads: usize,
-    /// Enables the [`sketchml_telemetry`] registry for the duration of the
-    /// run: every training entry point holds a recording scope while this is
-    /// set, so pipeline/shard/cluster counters accumulate and can be read
-    /// back with [`sketchml_telemetry::snapshot`]. Off (the default) the
-    /// instrumented hot paths reduce to one relaxed atomic load.
-    pub telemetry: bool,
     /// How worker gradients are aggregated by [`crate::train_allreduce`]:
     /// the default [`Topology::Star`] funnels everything through the
     /// driver, [`Topology::Ring`] and [`Topology::Tree`] merge compressed
     /// payloads peer-to-peer. Ignored by the star-only entry points
     /// ([`crate::train_distributed`] and friends).
     pub topology: Topology,
-    /// Elastic-membership knobs used by the chaos entry points: how many
-    /// missed heartbeats evict a member, the per-round checkpoint-pull
-    /// budget for joiners, and the membership floor. Inert without a fault
-    /// plan.
-    pub elastic: ElasticConfig,
-}
-
-impl serde::Deserialize for ClusterConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| serde::Error::custom("ClusterConfig: expected an object"))?;
-        Ok(ClusterConfig {
-            workers: serde::Deserialize::from_value(serde::field(obj, "workers")?)?,
-            cost: serde::Deserialize::from_value(serde::field(obj, "cost")?)?,
-            batch_ratio: serde::Deserialize::from_value(serde::field(obj, "batch_ratio")?)?,
-            compress_downlink: serde::Deserialize::from_value(serde::field(
-                obj,
-                "compress_downlink",
-            )?)?,
-            compress_threads: serde::Deserialize::from_value(serde::field(
-                obj,
-                "compress_threads",
-            )?)?,
-            // Optional for backward compatibility with pre-telemetry configs.
-            telemetry: match serde::field(obj, "telemetry") {
-                Ok(val) => serde::Deserialize::from_value(val)?,
-                Err(_) => false,
-            },
-            // Optional likewise: pre-collectives configs default to star.
-            topology: match serde::field(obj, "topology") {
-                Ok(val) => serde::Deserialize::from_value(val)?,
-                Err(_) => Topology::Star,
-            },
-            // Optional likewise: pre-elastic configs get the defaults.
-            elastic: match serde::field(obj, "elastic") {
-                Ok(val) => serde::Deserialize::from_value(val)?,
-                Err(_) => ElasticConfig::default(),
-            },
-        })
-    }
+    /// Consecutive missed heartbeat acks before the elastic membership
+    /// layer evicts a member (≥ 1; default 3). The default keeps a lossy
+    /// but crash-free run stable — three lost acks in a row at 10% drop
+    /// odds is a 0.1% event — while evicting a dead worker within three
+    /// rounds. Inert without a fault plan.
+    pub suspicion_threshold: u32,
 }
 
 impl ClusterConfig {
@@ -94,9 +46,8 @@ impl ClusterConfig {
             batch_ratio: 0.1,
             compress_downlink: true,
             compress_threads: 1,
-            telemetry: false,
             topology: Topology::Star,
-            elastic: ElasticConfig::default(),
+            suspicion_threshold: 3,
         }
     }
 
@@ -108,9 +59,8 @@ impl ClusterConfig {
             batch_ratio: 0.1,
             compress_downlink: true,
             compress_threads: 1,
-            telemetry: false,
             topology: Topology::Star,
-            elastic: ElasticConfig::default(),
+            suspicion_threshold: 3,
         }
     }
 
@@ -126,21 +76,14 @@ impl ClusterConfig {
             batch_ratio: 0.1,
             compress_downlink: false,
             compress_threads: 1,
-            telemetry: false,
             topology: Topology::Star,
-            elastic: ElasticConfig::default(),
+            suspicion_threshold: 3,
         }
     }
 
     /// Overrides the batch ratio (Figure 8(d) sweeps 0.1 → 0.01).
     pub fn with_batch_ratio(mut self, ratio: f64) -> Self {
         self.batch_ratio = ratio;
-        self
-    }
-
-    /// Turns telemetry recording on (or off) for runs with this config.
-    pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
         self
     }
 
@@ -157,10 +100,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Overrides the elastic-membership knobs used by the chaos entry
-    /// points.
-    pub fn with_elastic(mut self, elastic: ElasticConfig) -> Self {
-        self.elastic = elastic;
+    /// Overrides the consecutive-miss eviction threshold of the elastic
+    /// membership layer.
+    pub fn with_suspicion_threshold(mut self, threshold: u32) -> Self {
+        self.suspicion_threshold = threshold;
         self
     }
 
@@ -170,8 +113,9 @@ impl ClusterConfig {
     /// # Errors
     /// [`CompressError::InvalidConfig`] naming the offending field: zero
     /// workers, too few workers for the chosen topology, a batch ratio
-    /// outside `(0, 1]`, zero compression threads, or a non-positive
-    /// bandwidth / negative latency in the cost model.
+    /// outside `(0, 1]`, zero compression threads, a non-positive
+    /// bandwidth, a negative or non-finite latency or compute constant in
+    /// the cost model, or a zero suspicion threshold.
     pub fn validate(&self) -> Result<(), CompressError> {
         if self.workers == 0 {
             return Err(CompressError::InvalidConfig(
@@ -210,7 +154,21 @@ impl ClusterConfig {
                 net.latency
             )));
         }
-        self.elastic.validate(self.workers)?;
+        for (name, v) in [
+            ("sec_per_feature_op", self.cost.sec_per_feature_op),
+            ("sec_per_codec_pair", self.cost.sec_per_codec_pair),
+        ] {
+            if !v.is_finite() || v < 0.0 {
+                return Err(CompressError::InvalidConfig(format!(
+                    "cluster: {name} {v} must be finite and non-negative"
+                )));
+            }
+        }
+        if self.suspicion_threshold == 0 {
+            return Err(CompressError::InvalidConfig(
+                "cluster: suspicion_threshold must be at least 1".into(),
+            ));
+        }
         Ok(())
     }
 
@@ -271,63 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_field_is_optional_in_serialized_configs() {
-        let c = ClusterConfig::cluster1(4).with_telemetry(true);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: ClusterConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
-        // A document written before the field existed still loads, with
-        // telemetry defaulting to off.
-        let v = serde::Serialize::to_value(&c);
-        let mut obj = v.as_obj().unwrap().to_vec();
-        obj.retain(|(k, _)| k != "telemetry");
-        let legacy: ClusterConfig =
-            serde::Deserialize::from_value(&serde::Value::Obj(obj)).unwrap();
-        assert!(!legacy.telemetry);
-        assert_eq!(legacy.workers, c.workers);
-    }
-
-    #[test]
-    fn topology_field_is_optional_in_serialized_configs() {
-        let c = ClusterConfig::cluster1(8).with_topology(Topology::Ring);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: ClusterConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
-        assert_eq!(back.topology, Topology::Ring);
-        // A document written before the field existed still loads, with the
-        // topology defaulting to the star (parameter-server) pattern.
-        let v = serde::Serialize::to_value(&c);
-        let mut obj = v.as_obj().unwrap().to_vec();
-        obj.retain(|(k, _)| k != "topology");
-        let legacy: ClusterConfig =
-            serde::Deserialize::from_value(&serde::Value::Obj(obj)).unwrap();
-        assert_eq!(legacy.topology, Topology::Star);
-        assert_eq!(legacy.workers, c.workers);
-    }
-
-    #[test]
-    fn elastic_field_is_optional_in_serialized_configs() {
-        let c = ClusterConfig::cluster1(8)
-            .with_elastic(ElasticConfig::default().with_suspicion_threshold(5));
-        let json = serde_json::to_string(&c).unwrap();
-        let back: ClusterConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
-        assert_eq!(back.elastic.suspicion_threshold, 5);
-        // A document written before the field existed still loads, with the
-        // elastic knobs defaulting.
-        let v = serde::Serialize::to_value(&c);
-        let mut obj = v.as_obj().unwrap().to_vec();
-        obj.retain(|(k, _)| k != "elastic");
-        let legacy: ClusterConfig =
-            serde::Deserialize::from_value(&serde::Value::Obj(obj)).unwrap();
-        assert_eq!(legacy.elastic, ElasticConfig::default());
-        // Validation propagates to the elastic knobs.
-        let bad =
-            ClusterConfig::cluster1(4).with_elastic(ElasticConfig::default().with_min_members(9));
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
     fn topology_needs_enough_workers() {
         for t in [Topology::Ring, Topology::Tree] {
             assert!(ClusterConfig::cluster1(1)
@@ -376,6 +277,20 @@ mod tests {
         let mut c = ClusterConfig::cluster1(4);
         c.cost.network.latency = -1.0;
         assert!(c.validate().is_err());
+        for bad in [f64::NAN, f64::INFINITY, -1e-9] {
+            let mut c = ClusterConfig::cluster1(4);
+            c.cost.sec_per_feature_op = bad;
+            let err = c.validate().unwrap_err().to_string();
+            assert!(err.contains("sec_per_feature_op"), "{err}");
+            let mut c = ClusterConfig::cluster1(4);
+            c.cost.sec_per_codec_pair = bad;
+            let err = c.validate().unwrap_err().to_string();
+            assert!(err.contains("sec_per_codec_pair"), "{err}");
+        }
+        assert!(ClusterConfig::cluster1(4)
+            .with_suspicion_threshold(0)
+            .validate()
+            .is_err());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! The engine is a handful of pieces, each written once:
 //!
-//! - [`Session::open`] — the run preamble: validation, the telemetry
-//!   recording scope, the wire frame and (optionally sharded) compressor,
-//!   and the [`FaultyLink`] every message rides;
+//! - [`Session::open`] — the run preamble: validation, the wire frame and
+//!   (optionally sharded) compressor, and the [`FaultyLink`] every message
+//!   rides;
 //! - [`glm_state`] — model and optimizer, fresh or resumed from a checkpoint;
 //! - [`crash_roster`] — the crash schedule's verdict on who works this round
 //!   and what restoring the rejoiners costs;
@@ -153,17 +153,16 @@ pub fn train_glm(
     }
 }
 
-/// What every run opens with: the telemetry recording scope and the wire —
-/// the caller's compressor, or the sharded engine wrapped around it when the
-/// run needs parallel compression or checksummed frames.
+/// What every run opens with: the wire — the caller's compressor, or the
+/// sharded engine wrapped around it when the run needs parallel compression
+/// or checksummed frames.
 pub(crate) struct Session<'a> {
     native: &'a dyn GradientCompressor,
     sharded: Option<ShardedCompressor<&'a dyn GradientCompressor>>,
-    _recording: Option<telemetry::RecordingScope>,
 }
 
 impl<'a> Session<'a> {
-    /// Validates the inputs, opens the telemetry scope, picks the frame
+    /// Validates the inputs, picks the frame
     /// (plans that verify checksums ship every message in the CRC-carrying
     /// v2 frame so receivers can detect injected corruption) and builds the
     /// link from the plan. The link is returned beside the session so a
@@ -180,7 +179,6 @@ impl<'a> Session<'a> {
             ));
         }
         cluster.validate()?;
-        let _recording = obs::scope_for(cluster);
         let frame = if faults.checksum {
             FrameVersion::V2
         } else {
@@ -188,12 +186,7 @@ impl<'a> Session<'a> {
         };
         let sharded = cluster.wire_compressor(native, frame)?;
         let link = FaultyLink::new(faults, cluster.cost.network, cluster.workers)?;
-        let session = Session {
-            native,
-            sharded,
-            _recording,
-        };
-        Ok((session, link))
+        Ok((Session { native, sharded }, link))
     }
 
     /// The compressor the run's messages go through.

@@ -33,7 +33,7 @@ use std::borrow::Cow;
 
 /// SplitMix64 — a tiny, platform-stable generator owned by this module so
 /// fault schedules never depend on an external RNG's stream layout. The
-/// membership detector ([`crate::membership`]) seeds its own instance so
+/// membership detector (`membership.rs`) seeds its own instance so
 /// heartbeat draws never shift the data-path fault stream.
 #[derive(Debug, Clone)]
 pub(crate) struct SplitMix64(u64);
@@ -395,16 +395,6 @@ pub enum FaultEvent {
         /// Members that still contributed.
         survivors: usize,
     },
-    /// Adaptive SSP retuned the staleness bound from the straggler-wait
-    /// signal.
-    StalenessRetuned {
-        /// Global iteration at which the bound changed.
-        at_iter: u64,
-        /// Previous staleness bound.
-        from: usize,
-        /// New staleness bound.
-        to: usize,
-    },
 }
 
 /// The complete, ordered record of one chaos run — the reproducibility
@@ -441,8 +431,6 @@ pub struct FaultTrace {
     pub reconfigurations: u64,
     /// Rounds that fell back to a degraded star among survivors.
     pub degraded_rounds: u64,
-    /// Adaptive-SSP staleness retunes.
-    pub staleness_retunes: u64,
     /// Simulated seconds spent in backoff + retransmission.
     pub retry_seconds: f64,
     /// Simulated seconds spent restoring crashed workers.
@@ -744,9 +732,8 @@ impl FaultyLink {
     }
 
     /// Records a membership transition in the trace and bumps the matching
-    /// counter. Only the elastic layer ([`crate::membership`]) and adaptive
-    /// SSP emit these; call order is deterministic, so traces stay
-    /// bit-reproducible.
+    /// counter. Only the elastic layer (`membership.rs`) emits these;
+    /// call order is deterministic, so traces stay bit-reproducible.
     pub(crate) fn record_membership(&mut self, event: FaultEvent) {
         match event {
             FaultEvent::Suspected { .. } => self.trace.suspicions += 1,
@@ -755,7 +742,6 @@ impl FaultyLink {
             FaultEvent::Joined { .. } => self.trace.joins += 1,
             FaultEvent::Reconfigured { .. } => self.trace.reconfigurations += 1,
             FaultEvent::DegradedRound { .. } => self.trace.degraded_rounds += 1,
-            FaultEvent::StalenessRetuned { .. } => self.trace.staleness_retunes += 1,
             _ => debug_assert!(false, "record_membership got a data-path event"),
         }
         self.trace.events.push(event);

@@ -34,7 +34,7 @@ pub mod config;
 pub mod driver;
 pub mod engine;
 pub mod faults;
-pub mod membership;
+mod membership;
 pub mod mlp_trainer;
 pub mod network;
 mod obs;
@@ -47,11 +47,10 @@ pub use allreduce::{train_allreduce, train_allreduce_with_policy};
 pub use config::ClusterConfig;
 pub use engine::{train_glm, Aggregation, GlmTask};
 pub use faults::{CrashEvent, CrashPhase, FaultEvent, FaultPlan, FaultTrace, FaultyLink};
-pub use membership::ElasticConfig;
 pub use mlp_trainer::{train_mlp_distributed, train_mlp_with_plan, MlpTrainReport, MlpTrainSpec};
 pub use network::{CostModel, NetworkModel};
 pub use ps::{train_parameter_server, ShardMap};
 pub use sketchml_collectives::{MergePolicy, Topology};
 pub use sketchml_ml::{OptStateMode, OptimizerState};
-pub use ssp::{train_ssp, train_ssp_with_plan, AdaptiveSsp, SspConfig, SspReport};
+pub use ssp::{train_ssp, train_ssp_with_plan, SspConfig, SspReport};
 pub use trainer::{train_distributed, EpochStats, TrainOutcome, TrainReport, TrainSpec};

@@ -9,15 +9,14 @@
 //! - A heartbeat-based failure detector runs once per round over the
 //!   [`FaultyLink`]. A member misses its ack when its process is down
 //!   (crash schedule) or the ack is lost on the wire (the plan's
-//!   `drop_prob`); [`ElasticConfig::suspicion_threshold`] consecutive
-//!   misses evict it. A suspicion that clears is counted as a detector
-//!   false positive — from inside the system a lossy link and a short
-//!   outage are indistinguishable.
+//!   `drop_prob`); [`ClusterConfig::suspicion_threshold`] consecutive
+//!   misses evict it, but never the last member. A suspicion that clears
+//!   is counted as a detector false positive — from inside the system a
+//!   lossy link and a short outage are indistinguishable.
 //! - Evicted workers whose process is back up try to rejoin by pulling a
-//!   checkpoint through the same lossy link: up to
-//!   [`ElasticConfig::join_attempts`] pulls per round, each charged to the
-//!   cost model (transfer + exponential backoff); an exhausted budget
-//!   defers the join to the next round.
+//!   checkpoint through the same lossy link: up to [`JOIN_ATTEMPTS`] pulls
+//!   per round, each charged to the cost model (transfer + exponential
+//!   backoff); an exhausted budget defers the join to the next round.
 //!
 //! Determinism: heartbeat and join-pull draws come from a dedicated
 //! SplitMix64 stream seeded from `plan.seed ^ HEARTBEAT_STREAM`, so the
@@ -26,86 +25,17 @@
 //! the [`FaultTrace`](crate::FaultTrace) as a typed event in a fixed order
 //! (heartbeats in member order, then joins in worker order, then one
 //! `Reconfigured` marker).
+//!
+//! [`ClusterConfig::suspicion_threshold`]: crate::ClusterConfig::suspicion_threshold
 
 use crate::faults::{CrashPhase, FaultEvent, FaultyLink, SplitMix64};
-use serde::{Deserialize, Serialize};
-use sketchml_core::CompressError;
 
 /// XOR'd into the fault-plan seed to derive the heartbeat/join stream.
 const HEARTBEAT_STREAM: u64 = 0x454C_4153_5449_4331; // "ELASTIC1"
 
-/// Knobs of the elastic membership layer, carried by
-/// [`ClusterConfig`](crate::ClusterConfig). The defaults keep a lossy but
-/// crash-free run stable (three consecutive lost acks at 10% drop odds is a
-/// 0.1% event) while evicting a dead worker within three rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ElasticConfig {
-    /// Consecutive missed heartbeat acks before a member is evicted (≥ 1).
-    pub suspicion_threshold: u32,
-    /// Checkpoint-pull attempts a joining worker gets per round before the
-    /// join is deferred to the next round (1..=32).
-    pub join_attempts: u32,
-    /// Smallest membership the detector may shrink the group to (≥ 1); a
-    /// member is kept — suspected but not evicted — rather than going below.
-    pub min_members: usize,
-}
-
-impl Default for ElasticConfig {
-    fn default() -> Self {
-        ElasticConfig {
-            suspicion_threshold: 3,
-            join_attempts: 4,
-            min_members: 1,
-        }
-    }
-}
-
-impl ElasticConfig {
-    /// Sets the consecutive-miss eviction threshold.
-    pub fn with_suspicion_threshold(mut self, threshold: u32) -> Self {
-        self.suspicion_threshold = threshold;
-        self
-    }
-
-    /// Sets the per-round checkpoint-pull budget for joiners.
-    pub fn with_join_attempts(mut self, attempts: u32) -> Self {
-        self.join_attempts = attempts;
-        self
-    }
-
-    /// Sets the membership floor.
-    pub fn with_min_members(mut self, min: usize) -> Self {
-        self.min_members = min;
-        self
-    }
-
-    /// Validates the config for a cluster of `workers` workers.
-    ///
-    /// # Errors
-    /// [`CompressError::InvalidConfig`] naming the offending field: a zero
-    /// threshold, a pull budget outside `1..=32`, or a membership floor of
-    /// zero or above the cluster size.
-    pub fn validate(&self, workers: usize) -> Result<(), CompressError> {
-        if self.suspicion_threshold == 0 {
-            return Err(CompressError::InvalidConfig(
-                "elastic: suspicion_threshold must be at least 1".into(),
-            ));
-        }
-        if self.join_attempts == 0 || self.join_attempts > 32 {
-            return Err(CompressError::InvalidConfig(format!(
-                "elastic: join_attempts {} must be in 1..=32",
-                self.join_attempts
-            )));
-        }
-        if self.min_members == 0 || self.min_members > workers {
-            return Err(CompressError::InvalidConfig(format!(
-                "elastic: min_members {} must be in 1..={workers}",
-                self.min_members
-            )));
-        }
-        Ok(())
-    }
-}
+/// Checkpoint-pull attempts a joining worker gets per round before the join
+/// is deferred to the next round.
+const JOIN_ATTEMPTS: u32 = 4;
 
 /// What the membership layer decided for one training round.
 #[derive(Debug, Clone)]
@@ -129,7 +59,7 @@ pub(crate) struct RoundPlan {
 /// round's collective.
 #[derive(Debug, Clone)]
 pub(crate) struct ElasticMembership {
-    cfg: ElasticConfig,
+    suspicion_threshold: u32,
     workers: usize,
     /// Live physical slots, ascending.
     members: Vec<usize>,
@@ -141,11 +71,13 @@ pub(crate) struct ElasticMembership {
 }
 
 impl ElasticMembership {
-    /// A full membership of `workers` slots, heartbeats seeded from `seed`
-    /// (the fault plan's seed; the stream is independent of the data path).
-    pub fn new(workers: usize, cfg: ElasticConfig, seed: u64) -> Self {
+    /// A full membership of `workers` slots that evicts after
+    /// `suspicion_threshold` consecutive misses, heartbeats seeded from
+    /// `seed` (the fault plan's seed; the stream is independent of the data
+    /// path).
+    pub fn new(workers: usize, suspicion_threshold: u32, seed: u64) -> Self {
         ElasticMembership {
-            cfg,
+            suspicion_threshold,
             workers,
             members: (0..workers).collect(),
             suspicion: vec![0; workers],
@@ -197,9 +129,8 @@ impl ElasticMembership {
                         batch,
                     });
                 }
-                if self.suspicion[slot] >= self.cfg.suspicion_threshold
-                    && self.members.len() > self.cfg.min_members
-                {
+                // The last member is kept, suspected but not evicted.
+                if self.suspicion[slot] >= self.suspicion_threshold && self.members.len() > 1 {
                     self.members.retain(|&m| m != slot);
                     self.evicted[slot] = true;
                     self.suspicion[slot] = 0;
@@ -225,7 +156,7 @@ impl ElasticMembership {
                 continue;
             }
             let bytes = checkpoint_bytes();
-            for attempt in 1..=self.cfg.join_attempts {
+            for attempt in 1..=JOIN_ATTEMPTS {
                 stall += link.charge_join_attempt(bytes, attempt);
                 if self.hb_rng.next_f64() < drop_prob {
                     continue; // pull lost; budget permitting, retry
@@ -277,36 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn config_validation() {
-        ElasticConfig::default().validate(4).unwrap();
-        assert!(ElasticConfig::default()
-            .with_suspicion_threshold(0)
-            .validate(4)
-            .is_err());
-        assert!(ElasticConfig::default()
-            .with_join_attempts(0)
-            .validate(4)
-            .is_err());
-        assert!(ElasticConfig::default()
-            .with_join_attempts(33)
-            .validate(4)
-            .is_err());
-        assert!(ElasticConfig::default()
-            .with_min_members(0)
-            .validate(4)
-            .is_err());
-        assert!(ElasticConfig::default()
-            .with_min_members(5)
-            .validate(4)
-            .is_err());
-    }
-
-    #[test]
     fn permanent_crash_is_suspected_then_evicted() {
         let plan = FaultPlan::seeded(7).with_permanent_crash(2, 1);
         let mut l = link(&plan, 4);
-        let cfg = ElasticConfig::default().with_suspicion_threshold(2);
-        let mut ms = ElasticMembership::new(4, cfg, plan.seed);
+        let mut ms = ElasticMembership::new(4, 2, plan.seed);
         let mut bytes = || 1024usize;
 
         let r0 = ms.step(&mut l, 0, &mut bytes);
@@ -336,8 +241,7 @@ mod tests {
     fn finite_crash_evicts_then_rejoins() {
         let plan = FaultPlan::seeded(7).with_crash(1, 2, 6);
         let mut l = link(&plan, 3);
-        let cfg = ElasticConfig::default().with_suspicion_threshold(2);
-        let mut ms = ElasticMembership::new(3, cfg, plan.seed);
+        let mut ms = ElasticMembership::new(3, 2, plan.seed);
         let mut bytes = || 512usize;
 
         for b in 0..4u64 {
@@ -367,28 +271,11 @@ mod tests {
     }
 
     #[test]
-    fn min_members_floor_blocks_eviction() {
-        let plan = FaultPlan::seeded(3).with_permanent_crash(0, 0);
-        let mut l = link(&plan, 2);
-        let cfg = ElasticConfig::default()
-            .with_suspicion_threshold(1)
-            .with_min_members(2);
-        let mut ms = ElasticMembership::new(2, cfg, plan.seed);
-        let mut bytes = || 64usize;
-        for b in 0..10u64 {
-            let r = ms.step(&mut l, b, &mut bytes);
-            assert_eq!(r.members.len(), 2, "floor holds");
-            assert!(r.down[0], "dead member stays flagged");
-        }
-        assert_eq!(l.trace().evictions, 0);
-    }
-
-    #[test]
     fn detector_is_deterministic_per_seed() {
         let plan = FaultPlan::seeded(99).with_drops(0.3).with_crash(1, 5, 10);
         let run = || {
             let mut l = link(&plan, 4);
-            let mut ms = ElasticMembership::new(4, ElasticConfig::default(), plan.seed);
+            let mut ms = ElasticMembership::new(4, 3, plan.seed);
             let mut bytes = || 256usize;
             let mut sizes = Vec::new();
             for b in 0..40u64 {
@@ -408,7 +295,7 @@ mod tests {
         // is a detector false positive followed by a quick rejoin.
         let plan = FaultPlan::seeded(11).with_drops(0.4);
         let mut l = link(&plan, 4);
-        let mut ms = ElasticMembership::new(4, ElasticConfig::default(), plan.seed);
+        let mut ms = ElasticMembership::new(4, 3, plan.seed);
         let mut bytes = || 128usize;
         for b in 0..200u64 {
             ms.step(&mut l, b, &mut bytes);

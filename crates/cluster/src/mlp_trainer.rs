@@ -18,7 +18,7 @@ use sketchml_ml::mlp::MlpInstance;
 use sketchml_ml::{AdamConfig, Mlp, MlpConfig, OptStateMode, OptimizerKind, OptimizerState};
 
 /// Hyper-parameters of the MLP run (§B.3: batch 0.1%, lr 0.005).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MlpTrainSpec {
     /// Adam hyper-parameters.
     pub adam: AdamConfig,
@@ -30,25 +30,6 @@ pub struct MlpTrainSpec {
     pub epochs: usize,
     /// Shuffling seed.
     pub seed: u64,
-}
-
-// Hand-written so specs serialized before `opt_state` existed still parse.
-impl serde::Deserialize for MlpTrainSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| serde::Error::custom("MlpTrainSpec: expected an object"))?;
-        Ok(MlpTrainSpec {
-            adam: serde::Deserialize::from_value(serde::field(obj, "adam")?)?,
-            opt_state: match serde::field(obj, "opt_state") {
-                Ok(val) => serde::Deserialize::from_value(val)?,
-                Err(_) => OptStateMode::Dense,
-            },
-            batch_ratio: serde::Deserialize::from_value(serde::field(obj, "batch_ratio")?)?,
-            epochs: serde::Deserialize::from_value(serde::field(obj, "epochs")?)?,
-            seed: serde::Deserialize::from_value(serde::field(obj, "seed")?)?,
-        })
-    }
 }
 
 impl MlpTrainSpec {

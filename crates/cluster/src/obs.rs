@@ -5,17 +5,8 @@
 //! the serial driver/simulator loops only (never from worker threads), which
 //! keeps seeded runs snapshot-deterministic: same seed, same counter totals.
 
-use crate::config::ClusterConfig;
 use crate::faults::FaultTrace;
 use sketchml_telemetry as telemetry;
-
-/// Opens a recording scope when the config asks for telemetry. Call sites
-/// hold the returned guard for the duration of the run; `None` leaves the
-/// registry in whatever state the caller (e.g. an enclosing
-/// [`telemetry::TelemetrySession`]) put it in.
-pub(crate) fn scope_for(cluster: &ClusterConfig) -> Option<telemetry::RecordingScope> {
-    cluster.telemetry.then(telemetry::recording_scope)
-}
 
 /// Records one or more completed communication rounds and the bytes they
 /// moved. Totals are what the snapshot exposes, so batching an epoch's worth
@@ -82,7 +73,6 @@ pub(crate) fn trace_totals(trace: &FaultTrace) {
     telemetry::add(C::MembershipJoins, trace.joins);
     telemetry::add(C::MembershipReconfigurations, trace.reconfigurations);
     telemetry::add(C::MembershipDegradedRounds, trace.degraded_rounds);
-    telemetry::add(C::MembershipStalenessRetunes, trace.staleness_retunes);
     telemetry::gauge_add(telemetry::Gauge::ClusterBackoffSeconds, trace.retry_seconds);
     telemetry::gauge_add(
         telemetry::Gauge::ClusterRecoverySeconds,

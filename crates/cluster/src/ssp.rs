@@ -16,7 +16,7 @@
 
 use crate::config::ClusterConfig;
 use crate::engine::{glm_state, push, GlmTask, Session};
-use crate::faults::{CrashPhase, FaultEvent, FaultPlan, FaultTrace};
+use crate::faults::{CrashPhase, FaultPlan, FaultTrace};
 use crate::obs;
 use crate::trainer::TrainSpec;
 use crate::worker::WorkerScratch;
@@ -25,7 +25,8 @@ use sketchml_core::{CompressError, CompressScratch, GradientCompressor, SparseGr
 use sketchml_ml::metrics::LossPoint;
 use sketchml_ml::Instance;
 
-/// SSP-specific knobs.
+/// SSP-specific knobs. The per-worker mini-batch is the cluster's
+/// [`ClusterConfig::batch_ratio`] of that worker's partition.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SspConfig {
     /// Maximum allowed lead over the slowest worker (0 = BSP).
@@ -34,8 +35,6 @@ pub struct SspConfig {
     /// cost is multiplied by `1 + straggle * w / (W - 1)` — worker 0 is the
     /// fastest, the last worker the straggler. 0.0 = homogeneous.
     pub straggle: f64,
-    /// Per-worker mini-batch size as a fraction of that worker's partition.
-    pub batch_ratio: f64,
 }
 
 impl SspConfig {
@@ -44,7 +43,6 @@ impl SspConfig {
         SspConfig {
             staleness: 0,
             straggle,
-            batch_ratio: 0.1,
         }
     }
 
@@ -53,7 +51,6 @@ impl SspConfig {
         SspConfig {
             staleness,
             straggle,
-            batch_ratio: 0.1,
         }
     }
 
@@ -61,86 +58,12 @@ impl SspConfig {
     ///
     /// # Errors
     /// [`CompressError::InvalidConfig`] for a negative or non-finite
-    /// straggle spread, or a batch ratio outside `(0, 1]`.
+    /// straggle spread.
     pub fn validate(&self) -> Result<(), CompressError> {
         if !self.straggle.is_finite() || self.straggle < 0.0 {
             return Err(CompressError::InvalidConfig(format!(
                 "ssp: straggle {} must be finite and non-negative",
                 self.straggle
-            )));
-        }
-        if !self.batch_ratio.is_finite() || self.batch_ratio <= 0.0 || self.batch_ratio > 1.0 {
-            return Err(CompressError::InvalidConfig(format!(
-                "ssp: batch_ratio {} must be in (0, 1]",
-                self.batch_ratio
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Online retuning of the SSP staleness bound from observed straggler
-/// wait — the same quantity the `straggler_wait` telemetry gauge tracks.
-///
-/// Every `window` iterations the controller compares the accumulated
-/// skew-induced wait against the unskewed compute base. A wait share above
-/// `raise_above` loosens the bound one step (hide more skew); one below
-/// `lower_below` tightens it one step (fresher gradients). Each change is
-/// recorded in the fault trace as a
-/// [`FaultEvent::StalenessRetuned`](crate::faults::FaultEvent) event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptiveSsp {
-    /// Iterations per observation window.
-    pub window: u64,
-    /// Loosen the bound when wait/compute exceeds this share.
-    pub raise_above: f64,
-    /// Tighten the bound when wait/compute falls below this share.
-    pub lower_below: f64,
-    /// Floor for the staleness bound (0 = may tighten all the way to BSP).
-    pub min_staleness: usize,
-    /// Ceiling for the staleness bound.
-    pub max_staleness: usize,
-}
-
-impl Default for AdaptiveSsp {
-    fn default() -> Self {
-        AdaptiveSsp {
-            window: 32,
-            raise_above: 0.2,
-            lower_below: 0.05,
-            min_staleness: 0,
-            max_staleness: 8,
-        }
-    }
-}
-
-impl AdaptiveSsp {
-    /// Validates the controller knobs.
-    ///
-    /// # Errors
-    /// [`CompressError::InvalidConfig`] on an empty window, non-finite or
-    /// inverted thresholds, or an inverted staleness range.
-    pub fn validate(&self) -> Result<(), CompressError> {
-        if self.window == 0 {
-            return Err(CompressError::InvalidConfig(
-                "adaptive ssp: window must be at least 1 iteration".into(),
-            ));
-        }
-        if !self.raise_above.is_finite()
-            || !self.lower_below.is_finite()
-            || self.lower_below < 0.0
-            || self.raise_above <= self.lower_below
-        {
-            return Err(CompressError::InvalidConfig(format!(
-                "adaptive ssp: thresholds lower {} / raise {} must be finite, non-negative \
-                 and ordered lower < raise",
-                self.lower_below, self.raise_above
-            )));
-        }
-        if self.min_staleness > self.max_staleness {
-            return Err(CompressError::InvalidConfig(format!(
-                "adaptive ssp: staleness range {}..={} is inverted",
-                self.min_staleness, self.max_staleness
             )));
         }
         Ok(())
@@ -204,16 +127,8 @@ pub fn train_ssp(
     compressor: &dyn GradientCompressor,
 ) -> Result<SspReport, CompressError> {
     let task = GlmTask::new(train, test, dim);
-    train_ssp_with_plan(
-        &task,
-        spec,
-        cluster,
-        ssp,
-        None,
-        compressor,
-        &FaultPlan::none(),
-    )
-    .map(|(report, _)| report)
+    train_ssp_with_plan(&task, spec, cluster, ssp, compressor, &FaultPlan::none())
+        .map(|(report, _)| report)
 }
 
 /// SSP training under a deterministic fault plan: pushes suffer drops,
@@ -223,36 +138,24 @@ pub fn train_ssp(
 /// config's straggle spread — the scenario where SSP's bounded staleness
 /// absorbs the slowdown that would stall BSP.
 ///
-/// With `adaptive`, the staleness bound is retuned online by the
-/// [`AdaptiveSsp`] controller: `ssp.staleness` seeds the bound, and every
-/// `window` iterations the observed straggler-wait share raises or lowers
-/// it within the controller's range — a straggler-heavy cohort drifts
-/// toward looser staleness, a homogeneous one back toward BSP. Retunes
-/// are recorded in the trace as
-/// [`FaultEvent::StalenessRetuned`](crate::faults::FaultEvent) events.
-///
 /// The scheduler is event-driven, so it is not a round of the engine's
 /// barrier loop; it is assembled from the same pieces (session, model
 /// state, link push).
 ///
 /// # Errors
 /// [`CompressError::InvalidConfig`] on an empty training set or an invalid
-/// plan, cluster config, SSP config or controller; propagates compressor
+/// plan, cluster config or SSP config; propagates compressor
 /// failures.
 pub fn train_ssp_with_plan(
     task: &GlmTask<'_>,
     spec: &TrainSpec,
     cluster: &ClusterConfig,
     ssp: &SspConfig,
-    adaptive: Option<&AdaptiveSsp>,
     compressor: &dyn GradientCompressor,
     faults: &FaultPlan,
 ) -> Result<(SspReport, FaultTrace), CompressError> {
     let GlmTask { train, test, dim } = *task;
     ssp.validate()?;
-    if let Some(ad) = adaptive {
-        ad.validate()?;
-    }
     let (session, mut link) = Session::open(train.len(), cluster, compressor, faults)?;
     let compressor = session.compressor();
     let workers = cluster.workers;
@@ -265,7 +168,7 @@ pub fn train_ssp_with_plan(
     };
     let batch_size: Vec<usize> = partitions
         .iter()
-        .map(|p| ((p.len() as f64 * ssp.batch_ratio).round() as usize).clamp(1, p.len().max(1)))
+        .map(|p| ((p.len() as f64 * cluster.batch_ratio).round() as usize).clamp(1, p.len().max(1)))
         .collect();
 
     // Per-worker state.
@@ -289,15 +192,6 @@ pub fn train_ssp_with_plan(
     let mut instances_done = 0u64;
     let mut next_epoch_mark = train.len() as u64;
     let mut total_iters = 0u64;
-    // The live staleness bound: fixed at the config value, unless an
-    // adaptive controller retunes it at window boundaries.
-    let mut staleness = match adaptive {
-        Some(ad) => ssp.staleness.clamp(ad.min_staleness, ad.max_staleness),
-        None => ssp.staleness,
-    };
-    let mut win_wait = 0.0f64;
-    let mut win_base = 0.0f64;
-    let mut win_iters = 0u64;
 
     while total_iters < target_iters {
         // Crash schedule: downed workers leave the cohort — and the
@@ -332,7 +226,7 @@ pub fn train_ssp_with_plan(
             continue;
         };
         let Some(w) = (0..workers)
-            .filter(|&w| !down[w] && iters[w] <= min_iter + staleness as u64)
+            .filter(|&w| !down[w] && iters[w] <= min_iter + ssp.staleness as u64)
             .min_by(|&a, &b| clocks[a].total_cmp(&clocks[b]))
         else {
             total_iters += 1;
@@ -386,7 +280,7 @@ pub fn train_ssp_with_plan(
         // round completes (all alive workers at the same iteration count).
         iters[w] += 1;
         total_iters += 1;
-        if staleness == 0
+        if ssp.staleness == 0
             && (0..workers)
                 .filter(|&x| !down[x])
                 .all(|x| iters[x] == iters[w])
@@ -399,40 +293,6 @@ pub fn train_ssp_with_plan(
                 if !down[x] {
                     *c = barrier;
                 }
-            }
-        }
-
-        // Adaptive staleness: at each window boundary, compare the
-        // skew-induced wait against the unskewed compute base and step the
-        // bound toward the regime that fits the observed cohort.
-        if let Some(ad) = adaptive {
-            win_wait += compute - nominal;
-            win_base += nominal;
-            win_iters += 1;
-            if win_iters >= ad.window {
-                let share = if win_base > 0.0 {
-                    win_wait / win_base
-                } else {
-                    0.0
-                };
-                let next = if share > ad.raise_above {
-                    (staleness + 1).min(ad.max_staleness)
-                } else if share < ad.lower_below {
-                    staleness.saturating_sub(1).max(ad.min_staleness)
-                } else {
-                    staleness
-                };
-                if next != staleness {
-                    link.record_membership(FaultEvent::StalenessRetuned {
-                        at_iter: total_iters,
-                        from: staleness,
-                        to: next,
-                    });
-                    staleness = next;
-                }
-                win_wait = 0.0;
-                win_base = 0.0;
-                win_iters = 0;
             }
         }
 
@@ -461,10 +321,7 @@ pub fn train_ssp_with_plan(
     Ok((
         SspReport {
             method: compressor.name().to_string(),
-            // The live bound: equals the config value unless an adaptive
-            // controller moved it, in which case the final setting lands
-            // here.
-            staleness,
+            staleness: ssp.staleness,
             epochs,
             curve,
         },
@@ -569,56 +426,6 @@ mod tests {
             assert!(report.total_sim_seconds().is_finite());
             assert!(report.best_test_loss().is_finite());
         }
-    }
-
-    #[test]
-    fn adaptive_controller_loosens_staleness_under_stragglers() {
-        // A 3x config straggle spread keeps the wait share far above the
-        // raise threshold, so the controller must step the bound up from
-        // BSP and record every retune in the trace.
-        let (train, test, dim) = dataset();
-        let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
-        let cluster = ClusterConfig::cluster1(4);
-        let plan = FaultPlan::seeded(41);
-        let ad = AdaptiveSsp {
-            window: 16,
-            ..AdaptiveSsp::default()
-        };
-        let (report, trace) = train_ssp_with_plan(
-            &GlmTask::new(&train, &test, dim),
-            &spec,
-            &cluster,
-            &SspConfig::ssp(0, 3.0),
-            Some(&ad),
-            &SketchMlCompressor::default(),
-            &plan,
-        )
-        .unwrap();
-        assert!(
-            trace.staleness_retunes >= 1,
-            "expected at least one retune, trace: {}",
-            trace.summary()
-        );
-        assert!(
-            report.staleness > 0,
-            "final bound {} should have loosened past BSP",
-            report.staleness
-        );
-        assert!(report.best_test_loss() < (2f64).ln());
-
-        // Bad knobs are rejected up front.
-        let bad = AdaptiveSsp {
-            window: 0,
-            ..AdaptiveSsp::default()
-        };
-        assert!(bad.validate().is_err());
-        assert!(AdaptiveSsp {
-            raise_above: 0.01,
-            lower_below: 0.5,
-            ..AdaptiveSsp::default()
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]

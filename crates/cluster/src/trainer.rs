@@ -23,7 +23,7 @@ use std::borrow::Cow;
 
 /// Training hyper-parameters (§4.1 "Protocol": λ = 0.01, Adam β₁ = 0.9,
 /// β₂ = 0.999, ε = 1e-8, grid-searched η).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainSpec {
     /// Loss family (LR / SVM / Linear).
     pub loss: GlmLoss,
@@ -41,31 +41,6 @@ pub struct TrainSpec {
     pub stop_on_convergence: bool,
     /// Batch-shuffling seed.
     pub seed: u64,
-}
-
-// Hand-written so specs serialized before `opt_state` existed still parse
-// (they default to dense state) — same pattern as `ClusterConfig`.
-impl serde::Deserialize for TrainSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| serde::Error::custom("TrainSpec: expected an object"))?;
-        Ok(TrainSpec {
-            loss: serde::Deserialize::from_value(serde::field(obj, "loss")?)?,
-            l2: serde::Deserialize::from_value(serde::field(obj, "l2")?)?,
-            optimizer: serde::Deserialize::from_value(serde::field(obj, "optimizer")?)?,
-            opt_state: match serde::field(obj, "opt_state") {
-                Ok(val) => serde::Deserialize::from_value(val)?,
-                Err(_) => OptStateMode::Dense,
-            },
-            max_epochs: serde::Deserialize::from_value(serde::field(obj, "max_epochs")?)?,
-            stop_on_convergence: serde::Deserialize::from_value(serde::field(
-                obj,
-                "stop_on_convergence",
-            )?)?,
-            seed: serde::Deserialize::from_value(serde::field(obj, "seed")?)?,
-        })
-    }
 }
 
 impl TrainSpec {

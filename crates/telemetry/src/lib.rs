@@ -56,8 +56,10 @@ use std::time::Instant;
 /// pulls_state}`: the downlink carries a round's codec frames (or, for a
 /// worker that cannot be stepped, the live training state), not weights;
 /// version 11 removed `serving.{backpressure_rejects, queue_depth_max}`: the
-/// server has no push queue to fill or refuse from.
-pub const SCHEMA_VERSION: u32 = 11;
+/// server has no push queue to fill or refuse from;
+/// version 12 removed the membership section's count of SSP staleness
+/// retunes: the staleness bound is fixed for a run.
+pub const SCHEMA_VERSION: u32 = 12;
 
 /// Number of power-of-two buckets in every histogram.
 pub const HIST_BUCKETS: usize = 16;
@@ -176,8 +178,6 @@ pub enum Counter {
     /// Membership: rounds degraded to a star among survivors because a
     /// scheduled member went dark mid-round.
     MembershipDegradedRounds,
-    /// Membership: online retunes of the SSP staleness bound.
-    MembershipStalenessRetunes,
     /// Cluster: bytes of per-worker optimizer auxiliary state (dense moment
     /// vectors or count-sketch tables), recorded once per training run.
     ClusterOptStateBytes,
@@ -215,7 +215,7 @@ pub enum Counter {
     ServingCheckpointBytes,
 }
 
-const NUM_COUNTERS: usize = 52;
+const NUM_COUNTERS: usize = 51;
 
 impl Counter {
     fn idx(self) -> usize {
@@ -331,7 +331,7 @@ pub fn enabled() -> bool {
 }
 
 /// Turns recording on or off without resetting accumulated values.
-/// Prefer [`TelemetrySession`] or [`recording_scope`].
+/// Prefer [`TelemetrySession`].
 pub fn set_enabled(on: bool) {
     REGISTRY.enabled.store(on, Ordering::Relaxed);
 }
@@ -524,28 +524,6 @@ impl Drop for TelemetrySession {
     }
 }
 
-/// Re-enables recording for a lexical scope, restoring the previous enabled
-/// state on drop. Used by training entry points when
-/// `ClusterConfig::telemetry` is set: inside a [`TelemetrySession`] it is a
-/// no-op (already enabled); standalone it records into the global registry
-/// for the caller to [`snapshot`] afterwards.
-pub struct RecordingScope {
-    prev: bool,
-}
-
-impl Drop for RecordingScope {
-    fn drop(&mut self) {
-        set_enabled(self.prev);
-    }
-}
-
-/// Enables recording until the returned scope drops.
-pub fn recording_scope() -> RecordingScope {
-    let prev = enabled();
-    set_enabled(true);
-    RecordingScope { prev }
-}
-
 // ---------------------------------------------------------------------------
 // Snapshot
 // ---------------------------------------------------------------------------
@@ -673,7 +651,6 @@ pub struct MembershipSnapshot {
     pub joins: u64,
     pub reconfigurations: u64,
     pub degraded_rounds: u64,
-    pub staleness_retunes: u64,
     pub join_seconds: f64,
 }
 
@@ -901,7 +878,6 @@ pub fn snapshot() -> TelemetrySnapshot {
             joins: counter(Counter::MembershipJoins),
             reconfigurations: counter(Counter::MembershipReconfigurations),
             degraded_rounds: counter(Counter::MembershipDegradedRounds),
-            staleness_retunes: counter(Counter::MembershipStalenessRetunes),
             join_seconds: gauge(Gauge::MembershipJoinSeconds),
         },
         serving: ServingSnapshot {
@@ -1036,18 +1012,6 @@ mod tests {
         let s2 = TelemetrySession::begin();
         let second = s2.finish();
         assert_eq!(second.cluster.rounds, 0);
-    }
-
-    #[test]
-    fn recording_scope_restores_prior_state() {
-        let _session = TelemetrySession::begin();
-        set_enabled(false);
-        {
-            let _scope = recording_scope();
-            assert!(enabled());
-            inc(Counter::ClusterResumes);
-        }
-        assert!(!enabled());
     }
 
     #[test]

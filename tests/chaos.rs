@@ -434,7 +434,6 @@ fn ssp_chaos_absorbs_stragglers_and_crashes() {
         &spec,
         &cluster,
         &ssp,
-        None,
         &SketchMlCompressor::default(),
         &plan,
     )
@@ -449,7 +448,6 @@ fn ssp_chaos_absorbs_stragglers_and_crashes() {
         &spec,
         &cluster,
         &ssp,
-        None,
         &SketchMlCompressor::default(),
         &plan,
     )

@@ -1,12 +1,12 @@
-//! Elastic membership acceptance tests (ISSUE 8): permanent worker loss,
-//! mid-training rejoins, degraded rounds, adaptive staleness — all
+//! Elastic membership acceptance tests: permanent worker loss, mid-training
+//! rejoins, degraded rounds, plan stragglers under bounded staleness — all
 //! deterministic per seed and all within a bounded loss penalty of the
 //! fault-free run.
 
 use sketchml::{
-    train_allreduce, train_glm, train_ssp_with_plan, AdaptiveSsp, Aggregation, ClusterConfig,
-    ElasticConfig, FaultPlan, GlmLoss, GlmTask, Instance, MergePolicy, SketchMlCompressor,
-    SparseDatasetSpec, SspConfig, Topology, TrainSpec,
+    train_allreduce, train_glm, train_ssp_with_plan, Aggregation, ClusterConfig, FaultPlan,
+    GlmLoss, GlmTask, Instance, MergePolicy, SketchMlCompressor, SparseDatasetSpec, SspConfig,
+    Topology, TrainSpec,
 };
 
 fn dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
@@ -120,7 +120,7 @@ fn finite_outage_evicts_then_rejoins_with_charged_pull() {
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.03, 3);
     let cluster = ClusterConfig::cluster1(6)
         .with_topology(Topology::Ring)
-        .with_elastic(ElasticConfig::default().with_suspicion_threshold(2));
+        .with_suspicion_threshold(2);
     let c = SketchMlCompressor::default();
     let plan = FaultPlan::seeded(13).with_crash(2, 8, 10);
 
@@ -148,40 +148,36 @@ fn finite_outage_evicts_then_rejoins_with_charged_pull() {
     assert!(loss < (2f64).ln(), "loss {loss} should beat the zero model");
 }
 
-/// Straggler-adaptive SSP: a 3x plan straggler keeps the wait share above
-/// the raise threshold, so the controller loosens the bound from BSP and
-/// records each retune; the run still converges.
+/// A plan straggler (the link's compute factor, not the config's `straggle`
+/// spread) under SSP: the 3x worker stalls every barrier at bound 0, a bound
+/// of 8 hides it, and the same plan replays the identical fault trace.
 #[test]
-fn adaptive_ssp_loosens_staleness_under_plan_stragglers() {
+fn plan_stragglers_finish_sooner_under_a_looser_bound() {
     let (train, test, dim) = dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
     let cluster = ClusterConfig::cluster1(4);
     let plan = FaultPlan::seeded(31).with_stragglers(vec![1.0, 1.0, 1.0, 3.0]);
-    let ad = AdaptiveSsp {
-        window: 16,
-        ..AdaptiveSsp::default()
+    let run = |staleness| {
+        train_ssp_with_plan(
+            &GlmTask::new(&train, &test, dim),
+            &spec,
+            &cluster,
+            &SspConfig::ssp(staleness, 0.0),
+            &SketchMlCompressor::default(),
+            &plan,
+        )
+        .unwrap()
     };
 
-    let (report, trace) = train_ssp_with_plan(
-        &GlmTask::new(&train, &test, dim),
-        &spec,
-        &cluster,
-        &SspConfig::ssp(0, 0.0),
-        Some(&ad),
-        &SketchMlCompressor::default(),
-        &plan,
-    )
-    .unwrap();
-
+    let (bsp, _) = run(0);
+    let (ssp, trace) = run(8);
     assert!(
-        trace.staleness_retunes >= 1,
-        "expected retunes, trace: {}",
-        trace.summary()
+        ssp.total_sim_seconds() < bsp.total_sim_seconds(),
+        "bound 8 ({}) should finish before bound 0 ({})",
+        ssp.total_sim_seconds(),
+        bsp.total_sim_seconds()
     );
-    assert!(
-        report.staleness > 0,
-        "bound {} should have loosened past BSP",
-        report.staleness
-    );
-    assert!(report.best_test_loss() < (2f64).ln());
+    assert!(ssp.best_test_loss() < (2f64).ln());
+    let (_, again) = run(8);
+    assert_eq!(trace, again, "same plan must replay the same trace");
 }

@@ -25,10 +25,10 @@ use sketchml::telemetry::TelemetrySession;
 use sketchml::{
     train_allreduce, train_allreduce_with_policy, train_distributed, train_glm,
     train_mlp_distributed, train_mlp_with_plan, train_parameter_server, train_ssp,
-    train_ssp_with_plan, AdaptiveSsp, Aggregation, ClusterConfig, CompressError, ElasticConfig,
-    FaultPlan, FaultTrace, GlmLoss, GlmTask, GradientCompressor, Instance, MergePolicy,
-    MergeableCompressor, MnistLikeSpec, RawCompressor, SketchMlCompressor, SparseDatasetSpec,
-    SparseGradient, SspConfig, Topology, TrainOutcome, TrainReport, TrainSpec,
+    train_ssp_with_plan, Aggregation, ClusterConfig, CompressError, FaultPlan, FaultTrace, GlmLoss,
+    GlmTask, GradientCompressor, Instance, MergePolicy, MergeableCompressor, MnistLikeSpec,
+    RawCompressor, SketchMlCompressor, SparseDatasetSpec, SparseGradient, SspConfig, Topology,
+    TrainOutcome, TrainReport, TrainSpec,
 };
 
 fn dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
@@ -232,32 +232,8 @@ fn replay() -> Vec<(String, Value)> {
     );
     for seed in 1..=3u64 {
         let (r, t) =
-            train_ssp_with_plan(&task, &spec, &cluster, &ssp, None, &sk, &stormy_plan(seed))
-                .unwrap();
+            train_ssp_with_plan(&task, &spec, &cluster, &ssp, &sk, &stormy_plan(seed)).unwrap();
         put(&format!("ssp/stormy{seed}"), pair(&r, &t));
-    }
-    let adaptive = AdaptiveSsp {
-        window: 16,
-        ..AdaptiveSsp::default()
-    };
-    for (name, plan) in [
-        ("ssp/adaptive_stormy1", stormy_plan(1)),
-        (
-            "ssp/adaptive_straggler",
-            FaultPlan::seeded(31).with_stragglers(vec![1.0, 1.0, 1.0, 3.0]),
-        ),
-    ] {
-        let (r, t) = train_ssp_with_plan(
-            &task,
-            &spec,
-            &cluster,
-            &SspConfig::ssp(0, 0.0),
-            Some(&adaptive),
-            &sk,
-            &plan,
-        )
-        .unwrap();
-        put(name, pair(&r, &t));
     }
 
     // --- collectives ---
@@ -292,7 +268,7 @@ fn replay() -> Vec<(String, Value)> {
     }
     let elastic = ClusterConfig::cluster1(6)
         .with_topology(Topology::Ring)
-        .with_elastic(ElasticConfig::default().with_suspicion_threshold(2));
+        .with_suspicion_threshold(2);
     put(
         "allreduce/ring/permanent_crash",
         outcome(&glm(
@@ -339,7 +315,7 @@ fn replay() -> Vec<(String, Value)> {
     );
     let o = glm(&spec, &two, ps(2), &lossy, None);
     put("ps/heavy_loss", pair(&o.report, &o.trace));
-    let (r, t) = train_ssp_with_plan(&task, &spec, &two, &ssp, None, &sk, &lossy).unwrap();
+    let (r, t) = train_ssp_with_plan(&task, &spec, &two, &ssp, &sk, &lossy).unwrap();
     put("ssp/heavy_loss", pair(&r, &t));
     put(
         "allreduce/ring/heavy_loss",
@@ -555,9 +531,7 @@ fn the_benign_plan_is_the_fault_free_path() {
 
     let session = TelemetrySession::begin();
     for topology in [Topology::Star, Topology::Ring, Topology::Tree] {
-        let cluster = ClusterConfig::cluster1(4)
-            .with_topology(topology)
-            .with_telemetry(true);
+        let cluster = ClusterConfig::cluster1(4).with_topology(topology);
         let t = topology.name();
         let cases: [(&str, Aggregation, TrainReport); 3] = [
             (
@@ -593,16 +567,15 @@ fn the_benign_plan_is_the_fault_free_path() {
         }
     }
 
-    let cluster = ClusterConfig::cluster1(4).with_telemetry(true);
+    let cluster = ClusterConfig::cluster1(4);
     let ssp = SspConfig::ssp(2, 1.0);
     let wrapper = train_ssp(&train, &test, dim, &spec, &cluster, &ssp, &sk).unwrap();
-    let (planned, trace) =
-        train_ssp_with_plan(&task, &spec, &cluster, &ssp, None, &sk, &none).unwrap();
+    let (planned, trace) = train_ssp_with_plan(&task, &spec, &cluster, &ssp, &sk, &none).unwrap();
     bits_equal("ssp", &wrapper.to_value(), &planned.to_value());
     assert_eq!(trace, empty, "ssp");
 
     let mlp = MlpCase::new();
-    let mcluster = ClusterConfig::cluster1(3).with_telemetry(true);
+    let mcluster = ClusterConfig::cluster1(3);
     let wrapper =
         train_mlp_distributed(&mlp.train, &mlp.test, &mlp.net, &mlp.spec, &mcluster, &sk).unwrap();
     let (planned, trace) = mlp.run(&mcluster, &none);

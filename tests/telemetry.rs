@@ -39,9 +39,7 @@ fn stormy_plan(seed: u64) -> FaultPlan {
 fn instrumented_training_round_fills_every_section() {
     let (train, test, dim) = dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
-    let cluster = ClusterConfig::cluster1(4)
-        .with_compress_threads(2)
-        .with_telemetry(true);
+    let cluster = ClusterConfig::cluster1(4).with_compress_threads(2);
     let session = TelemetrySession::begin();
     let report = train_distributed(
         &train,
@@ -97,7 +95,7 @@ fn instrumented_training_round_fills_every_section() {
 fn chaos_run_records_fault_costs() {
     let (train, test, dim) = dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
-    let cluster = ClusterConfig::cluster1(4).with_telemetry(true);
+    let cluster = ClusterConfig::cluster1(4);
     let plan = stormy_plan(3);
     let session = TelemetrySession::begin();
     let outcome = train_glm(
@@ -142,7 +140,7 @@ fn chaos_run_records_fault_costs() {
 fn a_plan_without_crashes_writes_no_restore_point() {
     let (train, test, dim) = dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
-    let cluster = ClusterConfig::cluster1(4).with_telemetry(true);
+    let cluster = ClusterConfig::cluster1(4);
     let plan = FaultPlan::seeded(3).with_drops(0.10);
     let session = TelemetrySession::begin();
     let outcome = train_glm(
@@ -163,9 +161,7 @@ fn a_plan_without_crashes_writes_no_restore_point() {
 fn seeded_chaos_snapshot_is_deterministic() {
     let (train, test, dim) = dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
-    let cluster = ClusterConfig::cluster1(4)
-        .with_compress_threads(2)
-        .with_telemetry(true);
+    let cluster = ClusterConfig::cluster1(4).with_compress_threads(2);
     let plan = stormy_plan(5);
     let run = || {
         let session = TelemetrySession::begin();
@@ -192,7 +188,8 @@ fn seeded_chaos_snapshot_is_deterministic() {
 fn disabled_telemetry_records_nothing() {
     let (train, test, dim) = dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 1);
-    // telemetry: false (the default) — the run must not touch the registry.
+    // Recording switched off inside the session: the run must not touch
+    // the registry.
     let cluster = ClusterConfig::cluster1(2);
     let session = TelemetrySession::begin();
     telemetry::set_enabled(false);
@@ -225,7 +222,7 @@ fn disabled_telemetry_records_nothing() {
 fn snapshot_serializes_and_round_trips() {
     let (train, test, dim) = dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 1);
-    let cluster = ClusterConfig::cluster1(2).with_telemetry(true);
+    let cluster = ClusterConfig::cluster1(2);
     let session = TelemetrySession::begin();
     train_distributed(
         &train,
@@ -271,9 +268,7 @@ fn telemetry_accounts_every_collective_hop() {
     let (train, test, dim) = collectives_dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.03, 2);
     let n = 4usize;
-    let cluster = ClusterConfig::cluster1(n)
-        .with_topology(Topology::Ring)
-        .with_telemetry(true);
+    let cluster = ClusterConfig::cluster1(n).with_topology(Topology::Ring);
     let session = TelemetrySession::begin();
     let report = train_allreduce(
         &train,
@@ -330,9 +325,7 @@ fn elastic_dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
 fn membership_telemetry_section_mirrors_the_trace() {
     let (train, test, dim) = elastic_dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.03, 2);
-    let cluster = ClusterConfig::cluster1(4)
-        .with_topology(Topology::Ring)
-        .with_telemetry(true);
+    let cluster = ClusterConfig::cluster1(4).with_topology(Topology::Ring);
     let c = SketchMlCompressor::default();
     let plan = FaultPlan::seeded(21).with_drops(0.05).with_crash(3, 8, 10);
 
