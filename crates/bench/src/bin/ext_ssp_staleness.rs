@@ -1,5 +1,5 @@
 //! Extension experiment — stale-synchronous parallelism (SSP, Ho et al.,
-//! the paper's ref [19]) with compressed gradients: wall time to a fixed
+//! the paper's ref \[19\]) with compressed gradients: wall time to a fixed
 //! epoch budget under a straggling worker, sweeping the staleness bound,
 //! for SketchML and the raw baseline.
 //!

@@ -184,7 +184,7 @@ pub fn train_allreduce_with_policy(
 /// (the round continues); a distribute hop lost costs time only.
 ///
 /// Crash events engage the elastic membership layer: a heartbeat detector
-/// (tuned by [`ClusterConfig::elastic`]) suspects and evicts workers that
+/// (tuned by [`ClusterConfig::suspicion_threshold`]) suspects and evicts workers that
 /// stop acking, the hop schedule is rebuilt over the survivors, and a
 /// worker whose outage window ends pulls a checkpoint and rejoins the
 /// group — pull retries, backoff and the checkpoint transfer are charged
@@ -197,8 +197,7 @@ pub fn train_allreduce_with_policy(
 pub(crate) struct Collective<'a> {
     cx: Ctx<'a>,
     policy: MergePolicy,
-    /// What merges hop payloads: the caller's compressor, or the sharded
-    /// engine around it when native payloads are checksummed (AGG hop frames
+    /// What merges hop payloads: the caller's compressor (AGG hop frames
     /// carry no CRC; their structural validation still rejects most
     /// corruption).
     merges: &'a dyn MergeableCompressor,

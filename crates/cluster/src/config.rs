@@ -3,7 +3,7 @@
 use crate::network::CostModel;
 use serde::{Deserialize, Serialize};
 use sketchml_collectives::Topology;
-use sketchml_core::{CompressError, FrameVersion, GradientCompressor, ShardedCompressor};
+use sketchml_core::CompressError;
 
 /// Configuration of one simulated training run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -18,11 +18,6 @@ pub struct ClusterConfig {
     /// compressor (the paper's driver broadcasts the model delta; both
     /// directions shrink under compression).
     pub compress_downlink: bool,
-    /// Threads used to compress/decompress each message via the parallel
-    /// sharded engine ([`ShardedCompressor`]). `1` (the default) keeps the
-    /// compressor's native single-threaded wire format; `> 1` splits every
-    /// message into that many key-range shards encoded concurrently.
-    pub compress_threads: usize,
     /// How worker gradients are aggregated by [`crate::train_allreduce`]:
     /// the default [`Topology::Star`] funnels everything through the
     /// driver, [`Topology::Ring`] and [`Topology::Tree`] merge compressed
@@ -45,7 +40,6 @@ impl ClusterConfig {
             cost: CostModel::cluster1(),
             batch_ratio: 0.1,
             compress_downlink: true,
-            compress_threads: 1,
             topology: Topology::Star,
             suspicion_threshold: 3,
         }
@@ -58,7 +52,6 @@ impl ClusterConfig {
             cost: CostModel::cluster2(),
             batch_ratio: 0.1,
             compress_downlink: true,
-            compress_threads: 1,
             topology: Topology::Star,
             suspicion_threshold: 3,
         }
@@ -75,7 +68,6 @@ impl ClusterConfig {
             cost,
             batch_ratio: 0.1,
             compress_downlink: false,
-            compress_threads: 1,
             topology: Topology::Star,
             suspicion_threshold: 3,
         }
@@ -84,13 +76,6 @@ impl ClusterConfig {
     /// Overrides the batch ratio (Figure 8(d) sweeps 0.1 → 0.01).
     pub fn with_batch_ratio(mut self, ratio: f64) -> Self {
         self.batch_ratio = ratio;
-        self
-    }
-
-    /// Overrides the per-message compression thread count (the Figure 8(c)
-    /// thread-sweep extension).
-    pub fn with_compress_threads(mut self, threads: usize) -> Self {
-        self.compress_threads = threads.max(1);
         self
     }
 
@@ -113,9 +98,9 @@ impl ClusterConfig {
     /// # Errors
     /// [`CompressError::InvalidConfig`] naming the offending field: zero
     /// workers, too few workers for the chosen topology, a batch ratio
-    /// outside `(0, 1]`, zero compression threads, a non-positive
-    /// bandwidth, a negative or non-finite latency or compute constant in
-    /// the cost model, or a zero suspicion threshold.
+    /// outside `(0, 1]`, a non-positive bandwidth, a negative or non-finite
+    /// latency or compute constant in the cost model, or a zero suspicion
+    /// threshold.
     pub fn validate(&self) -> Result<(), CompressError> {
         if self.workers == 0 {
             return Err(CompressError::InvalidConfig(
@@ -135,11 +120,6 @@ impl ClusterConfig {
                 "cluster: batch_ratio {} must be in (0, 1]",
                 self.batch_ratio
             )));
-        }
-        if self.compress_threads == 0 {
-            return Err(CompressError::InvalidConfig(
-                "cluster: compress_threads must be at least 1".into(),
-            ));
         }
         let net = &self.cost.network;
         if net.bandwidth <= 0.0 || net.bandwidth.is_nan() {
@@ -170,45 +150,6 @@ impl ClusterConfig {
             ));
         }
         Ok(())
-    }
-
-    /// Wraps `inner` in the parallel sharded engine when `compress_threads`
-    /// exceeds one; returns `None` when the native compressor should be used
-    /// directly. Call sites keep the returned value alive and borrow it as a
-    /// `&dyn GradientCompressor`.
-    ///
-    /// # Errors
-    /// [`CompressError::InvalidConfig`] if `compress_threads` is out of the
-    /// sharded engine's range.
-    pub fn sharded_compressor<'a>(
-        &self,
-        inner: &'a dyn GradientCompressor,
-    ) -> Result<Option<ShardedCompressor<&'a dyn GradientCompressor>>, CompressError> {
-        self.wire_compressor(inner, FrameVersion::V1)
-    }
-
-    /// Like [`Self::sharded_compressor`], but also lets the caller request a
-    /// specific wire frame: with [`FrameVersion::V2`] the sharded engine is
-    /// engaged even at one thread, because only its frame carries the
-    /// per-shard CRC32 that chaos runs rely on for corruption detection.
-    ///
-    /// # Errors
-    /// [`CompressError::InvalidConfig`] if `compress_threads` is out of the
-    /// sharded engine's range.
-    pub fn wire_compressor<'a>(
-        &self,
-        inner: &'a dyn GradientCompressor,
-        frame: FrameVersion,
-    ) -> Result<Option<ShardedCompressor<&'a dyn GradientCompressor>>, CompressError> {
-        if self.compress_threads <= 1 && frame == FrameVersion::V1 {
-            return Ok(None);
-        }
-        let shards = self.compress_threads.max(1);
-        Ok(Some(
-            ShardedCompressor::new(inner, shards)?
-                .with_threads(shards)?
-                .with_frame(frame),
-        ))
     }
 }
 
@@ -269,9 +210,6 @@ mod tests {
         c.batch_ratio = f64::NAN;
         assert!(c.validate().is_err());
         let mut c = ClusterConfig::cluster1(4);
-        c.compress_threads = 0;
-        assert!(c.validate().is_err());
-        let mut c = ClusterConfig::cluster1(4);
         c.cost.network.bandwidth = 0.0;
         assert!(c.validate().is_err());
         let mut c = ClusterConfig::cluster1(4);
@@ -291,45 +229,5 @@ mod tests {
             .with_suspicion_threshold(0)
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn wire_compressor_engages_sharding_for_v2() {
-        use sketchml_core::RawCompressor;
-        let raw = RawCompressor::default();
-        let single = ClusterConfig::cluster1(4);
-        // V1 at one thread: native compressor.
-        assert!(single
-            .wire_compressor(&raw, FrameVersion::V1)
-            .unwrap()
-            .is_none());
-        // V2 forces the sharded engine even at one thread, so messages
-        // carry the CRC frame.
-        let engine = single
-            .wire_compressor(&raw, FrameVersion::V2)
-            .unwrap()
-            .unwrap();
-        assert_eq!(engine.shards(), 1);
-        assert_eq!(engine.frame(), FrameVersion::V2);
-    }
-
-    #[test]
-    fn compress_threads_selects_sharded_engine() {
-        use sketchml_core::RawCompressor;
-        let raw = RawCompressor::default();
-        let single = ClusterConfig::cluster1(4);
-        assert_eq!(single.compress_threads, 1);
-        assert!(single.sharded_compressor(&raw).unwrap().is_none());
-
-        let multi = ClusterConfig::cluster1(4).with_compress_threads(8);
-        let engine = multi.sharded_compressor(&raw).unwrap().unwrap();
-        assert_eq!(engine.shards(), 8);
-        assert_eq!(engine.threads(), 8);
-        assert_eq!(
-            ClusterConfig::cluster1(4)
-                .with_compress_threads(0)
-                .compress_threads,
-            1
-        );
     }
 }

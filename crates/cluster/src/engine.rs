@@ -4,9 +4,8 @@
 //!
 //! The engine is a handful of pieces, each written once:
 //!
-//! - [`Session::open`] — the run preamble: validation, the wire frame and
-//!   (optionally sharded) compressor, and the [`FaultyLink`] every message
-//!   rides;
+//! - [`open_link`] — the run preamble: validation and the [`FaultyLink`]
+//!   every message rides;
 //! - [`glm_state`] — model and optimizer, fresh or resumed from a checkpoint;
 //! - [`crash_roster`] — the crash schedule's verdict on who works this round
 //!   and what restoring the rejoiners costs;
@@ -18,10 +17,12 @@
 //! - [`run`] — the barrier-synchronous round loop and its epoch bookkeeping,
 //!   generic over an [`Exchange`].
 //!
-//! There is no fault-free code path: a run without faults is a run under
-//! [`FaultPlan::none`], whose link never drops, copies or decodes a payload
-//! and whose frames carry no checksum — bit-identical to a loop that never
-//! consulted a plan (`tests/round_engine.rs` pins this).
+//! A run ships exactly the compressor its caller passed: the plan never
+//! picks the frame, and a receiver detects corruption only when that
+//! compressor's frame carries a CRC (`sketchml@1c`). There is no fault-free
+//! code path: a run without faults is a run under [`FaultPlan::none`],
+//! whose link never drops, copies or decodes a payload — bit-identical to a
+//! loop that never consulted a plan (`tests/round_engine.rs` pins this).
 //!
 //! An [`Exchange`] holds only what differs between the three GLM
 //! aggregations: how the workers' results become one gradient and what that
@@ -39,8 +40,7 @@ use crate::ps::ShardedServers;
 use crate::trainer::{DriverStar, EpochStats, TrainOutcome, TrainReport, TrainSpec};
 use crate::worker::{partition, WorkerScratch};
 use sketchml_core::{
-    CompressError, FrameVersion, GradientCompressor, MergePolicy, MergeableCompressor,
-    ShardedCompressor, SparseGradient,
+    CompressError, GradientCompressor, MergePolicy, MergeableCompressor, SparseGradient,
 };
 use sketchml_data::Batcher;
 use sketchml_ml::metrics::{ConvergenceDetector, LossPoint};
@@ -119,17 +119,17 @@ pub fn train_glm(
     faults: &FaultPlan,
     resume: Option<Checkpoint>,
 ) -> Result<TrainOutcome, CompressError> {
-    let native: &dyn GradientCompressor = match &aggregation {
+    let compressor: &dyn GradientCompressor = match &aggregation {
         Aggregation::Driver(compressor) | Aggregation::ParameterServer { compressor, .. } => {
             *compressor
         }
         Aggregation::Collective { compressor, .. } => compressor,
     };
-    let (session, link) = Session::open(task.train.len(), cluster, native, faults)?;
+    let link = open_link(task.train.len(), cluster, faults)?;
     let cx = Ctx {
         cluster,
         dim: task.dim,
-        compressor: session.compressor(),
+        compressor,
     };
     match aggregation {
         Aggregation::Driver(_) => {
@@ -141,61 +141,26 @@ pub fn train_glm(
             run(task, spec, cx, exchange, link, resume)
         }
         Aggregation::Collective { policy, compressor } => {
-            // When the wire wraps the compressor in the sharded engine,
-            // workers and merge hops both go through the engine.
-            let merges: &dyn MergeableCompressor = match &session.sharded {
-                Some(engine) => engine,
-                None => compressor,
-            };
-            let exchange = Collective::new(cx, policy, merges, faults);
+            let exchange = Collective::new(cx, policy, compressor, faults);
             run(task, spec, cx, exchange, link, resume)
         }
     }
 }
 
-/// What every run opens with: the wire — the caller's compressor, or the
-/// sharded engine wrapped around it when the run needs parallel compression
-/// or checksummed frames.
-pub(crate) struct Session<'a> {
-    native: &'a dyn GradientCompressor,
-    sharded: Option<ShardedCompressor<&'a dyn GradientCompressor>>,
-}
-
-impl<'a> Session<'a> {
-    /// Validates the inputs, picks the frame
-    /// (plans that verify checksums ship every message in the CRC-carrying
-    /// v2 frame so receivers can detect injected corruption) and builds the
-    /// link from the plan. The link is returned beside the session so a
-    /// loop can mutate it while it holds the session's compressor.
-    pub(crate) fn open(
-        train_len: usize,
-        cluster: &ClusterConfig,
-        native: &'a dyn GradientCompressor,
-        faults: &FaultPlan,
-    ) -> Result<(Self, FaultyLink), CompressError> {
-        if train_len == 0 {
-            return Err(CompressError::InvalidConfig(
-                "training set must be non-empty".into(),
-            ));
-        }
-        cluster.validate()?;
-        let frame = if faults.checksum {
-            FrameVersion::V2
-        } else {
-            FrameVersion::V1
-        };
-        let sharded = cluster.wire_compressor(native, frame)?;
-        let link = FaultyLink::new(faults, cluster.cost.network, cluster.workers)?;
-        Ok((Session { native, sharded }, link))
+/// What every run opens with: validates the inputs and builds the link from
+/// the plan.
+pub(crate) fn open_link(
+    train_len: usize,
+    cluster: &ClusterConfig,
+    faults: &FaultPlan,
+) -> Result<FaultyLink, CompressError> {
+    if train_len == 0 {
+        return Err(CompressError::InvalidConfig(
+            "training set must be non-empty".into(),
+        ));
     }
-
-    /// The compressor the run's messages go through.
-    pub(crate) fn compressor(&self) -> &dyn GradientCompressor {
-        match &self.sharded {
-            Some(engine) => engine,
-            None => self.native,
-        }
-    }
+    cluster.validate()?;
+    FaultyLink::new(faults, cluster.cost.network, cluster.workers)
 }
 
 /// What is fixed for a whole GLM run, shared by the loop and its exchange.
@@ -203,7 +168,7 @@ impl<'a> Session<'a> {
 pub(crate) struct Ctx<'a> {
     pub(crate) cluster: &'a ClusterConfig,
     pub(crate) dim: usize,
-    /// The session's compressor.
+    /// The compressor every message of the run goes through.
     pub(crate) compressor: &'a dyn GradientCompressor,
 }
 
@@ -318,8 +283,8 @@ pub(crate) fn slowest(link: &FaultyLink, costs: impl Iterator<Item = (usize, f64
 }
 
 /// Pushes one compressed gradient from `worker` through the link. The
-/// receiver's integrity check: the payload must decode (v2 frames verify
-/// per-shard CRCs here) and announce the expected dimension.
+/// receiver's integrity check: the payload must decode (checksummed frames
+/// verify their CRCs here) and announce the expected dimension.
 pub(crate) fn push<'p>(
     link: &mut FaultyLink,
     worker: usize,

@@ -18,13 +18,14 @@
 //!   same cost model as regular traffic, so chaos runs remain comparable
 //!   with fault-free ones.
 //!
-//! Corruption interacts with the wire format: a flipped bit in a v2
-//! checksummed frame ([`FrameVersion::V2`]) fails CRC verification at the
-//! receiver, which models a NACK + retransmit; the same flip in a v1 frame
-//! may decode "successfully" into a wrong gradient — the silent-failure
-//! baseline the `chaos` test suite documents.
+//! Corruption interacts with the wire format, which is the compressor's
+//! own: a flipped bit in a checksummed frame (`sketchml@1c`, or any
+//! compressor wrapped in a v2 [`ShardedCompressor`]) fails CRC verification
+//! at the receiver, which models a NACK + retransmit; the same flip in a
+//! frame without a CRC may decode "successfully" into a wrong gradient —
+//! the silent-failure baseline the `chaos` test suite documents.
 //!
-//! [`FrameVersion::V2`]: sketchml_core::FrameVersion
+//! [`ShardedCompressor`]: sketchml_core::ShardedCompressor
 
 use crate::network::NetworkModel;
 use serde::{Deserialize, Serialize};
@@ -117,10 +118,6 @@ pub struct FaultPlan {
     pub stragglers: Vec<f64>,
     /// Scheduled worker crashes.
     pub crashes: Vec<CrashEvent>,
-    /// Whether receivers verify payload checksums (the v2 frame). With
-    /// checksums on, corrupted deliveries are detected and retransmitted;
-    /// off, they are accepted silently when they still decode.
-    pub checksum: bool,
 }
 
 impl Default for FaultPlan {
@@ -135,18 +132,16 @@ impl Default for FaultPlan {
             backoff_base: 1e-3,
             stragglers: Vec::new(),
             crashes: Vec::new(),
-            checksum: true,
         }
     }
 }
 
 impl FaultPlan {
-    /// The plan of a fault-free run: nothing is injected and messages keep
-    /// the unchecksummed v1 frame, so a run under it is bit-identical to one
-    /// that never heard of faults. The fault-free `train_*` entry points
-    /// pass exactly this.
+    /// The plan of a fault-free run (the default plan): nothing is
+    /// injected, so a run under it is bit-identical to one that never heard
+    /// of faults. The fault-free `train_*` entry points pass exactly this.
     pub fn none() -> Self {
-        FaultPlan::default().without_checksum()
+        FaultPlan::default()
     }
 
     /// A benign plan with the given seed (no faults until builders add them).
@@ -205,13 +200,6 @@ impl FaultPlan {
     /// Sets per-worker straggler factors (1.0 = nominal speed).
     pub fn with_stragglers(mut self, factors: Vec<f64>) -> Self {
         self.stragglers = factors;
-        self
-    }
-
-    /// Disables receiver-side checksum verification (the v1 silent-failure
-    /// baseline).
-    pub fn without_checksum(mut self) -> Self {
-        self.checksum = false;
         self
     }
 
@@ -644,14 +632,13 @@ impl FaultyLink {
     }
 
     /// Simulated extra seconds the downlink broadcast of `bytes` costs under
-    /// faults: each worker's copy may be dropped or (with checksums on)
-    /// rejected as corrupt, forcing a re-pull charged as one transfer plus
-    /// backoff.
+    /// faults: each worker's copy may be dropped or rejected as corrupt,
+    /// forcing a re-pull charged as one transfer plus backoff.
     ///
-    /// The simulator keeps a single authoritative model, so a worker that
-    /// exhausts its attempts proceeds with its stale copy — only time
-    /// diverges, never state. An *undetected* corrupt copy (checksums off)
-    /// is accepted; this is exactly the failure mode the v2 frame closes.
+    /// The simulated downlink carries no bytes to verify, so every corrupted
+    /// copy counts as detected. The simulator keeps a single authoritative
+    /// model, so a worker that exhausts its attempts proceeds with its stale
+    /// copy — only time diverges, never state.
     pub fn broadcast_penalty(&mut self, batch: u64, bytes: usize) -> f64 {
         let transfer = self.net.transfer_time(bytes);
         let mut penalty = 0.0f64;
@@ -660,18 +647,13 @@ impl FaultyLink {
                 let dropped = self.rng.next_f64() < self.plan.drop_prob;
                 let corrupted = self.rng.next_f64() < self.plan.corrupt_prob;
                 if !dropped && corrupted {
-                    let detected = self.plan.checksum;
                     self.trace.events.push(FaultEvent::Corrupted {
                         worker,
                         batch,
                         attempt,
-                        detected,
+                        detected: true,
                     });
-                    if detected {
-                        self.trace.corruptions_detected += 1;
-                    } else {
-                        self.trace.corruptions_silent += 1;
-                    }
+                    self.trace.corruptions_detected += 1;
                 }
                 if dropped {
                     self.trace.drops += 1;
@@ -681,8 +663,7 @@ impl FaultyLink {
                         attempt,
                     });
                 }
-                let rejected = dropped || (corrupted && self.plan.checksum);
-                if !rejected || attempt == self.plan.max_attempts {
+                if !(dropped || corrupted) || attempt == self.plan.max_attempts {
                     break;
                 }
                 let backoff = self.plan.backoff_base * 2f64.powi(attempt as i32 - 1);

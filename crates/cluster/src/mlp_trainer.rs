@@ -7,7 +7,7 @@
 //! harness measures.
 
 use crate::config::ClusterConfig;
-use crate::engine::{crash_roster, fan_out, push, slowest, Session};
+use crate::engine::{crash_roster, fan_out, open_link, push, slowest};
 use crate::faults::{FaultPlan, FaultTrace};
 use crate::obs;
 use bytes::BytesMut;
@@ -126,8 +126,7 @@ pub fn train_mlp_with_plan(
     compressor: &dyn GradientCompressor,
     faults: &FaultPlan,
 ) -> Result<(MlpTrainReport, FaultTrace), CompressError> {
-    let (session, mut link) = Session::open(train.len(), cluster, compressor, faults)?;
-    let compressor = session.compressor();
+    let mut link = open_link(train.len(), cluster, faults)?;
     let cost = &cluster.cost;
     let mut global_batch = 0u64;
     let mut mlp = Mlp::new(net).map_err(|e| CompressError::InvalidConfig(e.to_string()))?;

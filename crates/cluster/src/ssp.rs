@@ -1,6 +1,6 @@
 //! Stale-synchronous-parallel (SSP) training — the consistency model of the
 //! parameter-server world the paper's protocol builds on (its batch-size
-//! choice follows Ho et al.'s SSP paper, ref [19], and SketchML's production
+//! choice follows Ho et al.'s SSP paper, ref \[19\], and SketchML's production
 //! home, Angel, is an SSP parameter server).
 //!
 //! Under SSP each worker advances at its own pace but may run at most
@@ -15,7 +15,7 @@
 //! in event order.
 
 use crate::config::ClusterConfig;
-use crate::engine::{glm_state, push, GlmTask, Session};
+use crate::engine::{glm_state, open_link, push, GlmTask};
 use crate::faults::{CrashPhase, FaultPlan, FaultTrace};
 use crate::obs;
 use crate::trainer::TrainSpec;
@@ -139,8 +139,8 @@ pub fn train_ssp(
 /// absorbs the slowdown that would stall BSP.
 ///
 /// The scheduler is event-driven, so it is not a round of the engine's
-/// barrier loop; it is assembled from the same pieces (session, model
-/// state, link push).
+/// barrier loop; it is assembled from the same pieces (the link, model
+/// state, push).
 ///
 /// # Errors
 /// [`CompressError::InvalidConfig`] on an empty training set or an invalid
@@ -156,8 +156,7 @@ pub fn train_ssp_with_plan(
 ) -> Result<(SspReport, FaultTrace), CompressError> {
     let GlmTask { train, test, dim } = *task;
     ssp.validate()?;
-    let (session, mut link) = Session::open(train.len(), cluster, compressor, faults)?;
-    let compressor = session.compressor();
+    let mut link = open_link(train.len(), cluster, faults)?;
     let workers = cluster.workers;
     let (mut model, mut opt, _) = glm_state(dim, spec, None)?;
 

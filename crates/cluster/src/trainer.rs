@@ -367,7 +367,7 @@ impl Exchange for DriverStar<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sketchml_core::{RawCompressor, SketchMlCompressor, ZipMlCompressor};
+    use sketchml_core::{RawCompressor, ShardedCompressor, SketchMlCompressor, ZipMlCompressor};
     use sketchml_data::SparseDatasetSpec;
 
     fn tiny_dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
@@ -415,25 +415,17 @@ mod tests {
     }
 
     #[test]
-    fn compress_threads_do_not_change_training_math() {
+    fn sharding_does_not_change_training_math() {
         // With a lossless compressor the sharded engine decodes the exact
         // same gradients, so the whole trajectory must match bit-for-bit.
         let (train, test, dim) = tiny_dataset();
         let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 3);
-        let run = |threads: usize| {
-            let cluster = ClusterConfig::cluster1(4).with_compress_threads(threads);
-            train_distributed(
-                &train,
-                &test,
-                dim,
-                &spec,
-                &cluster,
-                &RawCompressor::default(),
-            )
-            .unwrap()
+        let cluster = ClusterConfig::cluster1(4);
+        let run = |compressor: &dyn GradientCompressor| {
+            train_distributed(&train, &test, dim, &spec, &cluster, compressor).unwrap()
         };
-        let serial = run(1);
-        let threaded = run(4);
+        let serial = run(&RawCompressor::default());
+        let threaded = run(&ShardedCompressor::new(RawCompressor::default(), 4).unwrap());
         for (a, b) in serial.epochs.iter().zip(&threaded.epochs) {
             assert_eq!(a.test_loss, b.test_loss);
             assert_eq!(a.train_loss, b.train_loss);

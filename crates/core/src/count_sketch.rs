@@ -5,7 +5,7 @@
 //! [`CountSketch`] (the CSK frame, [`sketchml_encoding::csk`]) and recovers
 //! the top-`k` heavy hitters on decode. The payload is *linear*: tables add
 //! element-wise, so the collectives layer can merge hop payloads without
-//! decoding them ([`MergePolicy::Linear`]) and extract once at the end —
+//! decoding them ([`crate::merge::MergePolicy::Linear`]) and extract once at the end —
 //! sketch-of-sum equals sum-of-sketches, bit-for-bit when the inputs are
 //! dyadic.
 //!

@@ -287,7 +287,7 @@ struct Counters {
     epoch_end_us_max: AtomicU64,
 }
 
-/// Shared state between the runtime threads and [`ServerHandle`].
+/// Shared state between the runtime threads and [`Server`].
 struct Shared {
     setup: ServeSetup,
     setup_json: String,

@@ -5,9 +5,16 @@
 //! fault trace and bit-identical final loss; training under 10% drops plus
 //! a worker crash converges within 5% of the fault-free loss; crashed
 //! workers restore from checkpoints; invalid plans are rejected with typed
-//! errors, never panics.
+//! errors, never panics. A run ships exactly the compressor it is given, so
+//! the runs under a plan pass the checksummed frame their receivers verify
+//! ([`common::checksummed`]); over a frame without a CRC a corruption that
+//! still decodes is delivered silently.
 
+mod common;
+
+use common::checksummed;
 use sketchml::cluster::MlpTrainSpec;
+use sketchml::core::registry;
 use sketchml::data::Task;
 use sketchml::ml::MlpConfig;
 use sketchml::{
@@ -53,7 +60,7 @@ fn same_seed_reproduces_trace_and_final_loss() {
                 &GlmTask::new(&train, &test, dim),
                 &spec,
                 &cluster,
-                Aggregation::Driver(&SketchMlCompressor::default()),
+                Aggregation::Driver(&checksummed(SketchMlCompressor::default(), 1)),
                 &plan,
                 None,
             )
@@ -86,7 +93,7 @@ fn different_seeds_produce_different_traces() {
             &GlmTask::new(&train, &test, dim),
             &spec,
             &cluster,
-            Aggregation::Driver(&SketchMlCompressor::default()),
+            Aggregation::Driver(&checksummed(SketchMlCompressor::default(), 1)),
             &stormy_plan(seed),
             None,
         )
@@ -110,7 +117,7 @@ fn drops_and_a_crash_stay_within_five_percent_of_fault_free() {
         &GlmTask::new(&train, &test, dim),
         &spec,
         &cluster,
-        Aggregation::Driver(&compressor),
+        Aggregation::Driver(&checksummed(&compressor, 1)),
         &plan,
         None,
     )
@@ -271,7 +278,7 @@ fn momentum_and_adagrad_crash_recovery_is_deterministic() {
                 &GlmTask::new(&train, &test, dim),
                 &spec,
                 &cluster,
-                Aggregation::Driver(&compressor),
+                Aggregation::Driver(&checksummed(&compressor, 1)),
                 &plan,
                 None,
             )
@@ -393,7 +400,7 @@ fn parameter_server_chaos_smoke() {
         &cluster,
         Aggregation::ParameterServer {
             servers: 4,
-            compressor: &SketchMlCompressor::default(),
+            compressor: &checksummed(SketchMlCompressor::default(), 1),
         },
         &plan,
         None,
@@ -434,7 +441,7 @@ fn ssp_chaos_absorbs_stragglers_and_crashes() {
         &spec,
         &cluster,
         &ssp,
-        &SketchMlCompressor::default(),
+        &checksummed(SketchMlCompressor::default(), 1),
         &plan,
     )
     .unwrap();
@@ -448,7 +455,7 @@ fn ssp_chaos_absorbs_stragglers_and_crashes() {
         &spec,
         &cluster,
         &ssp,
-        &SketchMlCompressor::default(),
+        &checksummed(SketchMlCompressor::default(), 1),
         &plan,
     )
     .unwrap();
@@ -486,7 +493,7 @@ fn mlp_chaos_smoke() {
             &net,
             &tspec,
             &cluster,
-            &SketchMlCompressor::default(),
+            &checksummed(SketchMlCompressor::default(), 1),
             &plan,
         )
         .unwrap()
@@ -507,6 +514,40 @@ fn mlp_chaos_smoke() {
     )
     .unwrap();
     assert!(clean.epochs.last().unwrap().test_loss.is_finite());
+}
+
+/// The silent-failure baseline: the same seeded corrupting plan over a
+/// frame without a CRC lets some corrupted pushes decode into wrong
+/// gradients, while over `sketchml@1c` every corruption is caught (and
+/// retransmitted) by the receiver's CRC check.
+#[test]
+fn corruption_is_silent_only_without_a_checksummed_frame() {
+    let (train, test, dim) = dataset();
+    let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
+    let cluster = ClusterConfig::cluster1(4);
+    let plan = FaultPlan::seeded(0x5113).with_corruption(0.2, 1);
+    let run = |name: &str| {
+        let compressor = registry::by_name(name).unwrap();
+        train_glm(
+            &GlmTask::new(&train, &test, dim),
+            &spec,
+            &cluster,
+            Aggregation::Driver(compressor.as_ref()),
+            &plan,
+            None,
+        )
+        .unwrap()
+        .trace
+    };
+    let native = run("sketchml");
+    assert!(
+        native.corruptions_silent > 0,
+        "a CRC-less frame must let some corruption through: {}",
+        native.summary()
+    );
+    let framed = run("sketchml@1c");
+    assert_eq!(framed.corruptions_silent, 0, "{}", framed.summary());
+    assert!(framed.corruptions_detected > 0, "{}", framed.summary());
 }
 
 #[test]

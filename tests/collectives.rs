@@ -2,8 +2,12 @@
 //! simulator: ring/tree allreduce training must match the star trainer
 //! under the exact merge policy and seeded fault plans must reproduce
 //! bit-identically. (The hop-accounting telemetry test lives in
-//! `tests/telemetry.rs`, where every test holds the session lock.)
+//! `tests/telemetry.rs`, where every test holds the session lock.) The
+//! runs under a plan ship the checksummed frame ([`common::checksummed`]).
 
+mod common;
+
+use common::checksummed;
 use sketchml::{
     train_allreduce, train_allreduce_with_policy, train_distributed, train_glm, Aggregation,
     ClusterConfig, CompressError, CountSketchCompressor, CountSketchConfig, FastSgdCompressor,
@@ -152,7 +156,7 @@ fn ring_survives_ten_percent_drops() {
         &cluster,
         Aggregation::Collective {
             policy: MergePolicy::Exact,
-            compressor: &c,
+            compressor: &checksummed(&c, 1),
         },
         &plan,
         None,
@@ -178,7 +182,7 @@ fn chaos_allreduce_is_bit_reproducible() {
     let (train, test, dim) = dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.03, 2);
     let cluster = ClusterConfig::cluster1(4).with_topology(Topology::Ring);
-    let c = SketchMlCompressor::default();
+    let c = checksummed(SketchMlCompressor::default(), 1);
     let plan = FaultPlan::seeded(42).with_drops(0.10).with_retries(2, 0.01);
     let run = || {
         train_glm(
@@ -367,7 +371,7 @@ fn invalid_configurations_are_typed_errors() {
         &cluster,
         Aggregation::Collective {
             policy: MergePolicy::Exact,
-            compressor: &c,
+            compressor: &checksummed(&c, 1),
         },
         &crashy,
         None,

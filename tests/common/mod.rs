@@ -1,6 +1,10 @@
-//! Shared by the test binaries that flip the process-global lane toggle.
+//! Helpers shared by the test binaries: the process-global lane toggle's
+//! lock, and the checksummed wire frame the chaos runs ship.
 
-use sketchml::core::simd;
+// Each binary uses only its part.
+#![allow(dead_code)]
+
+use sketchml::core::{simd, FrameVersion, GradientCompressor, ShardedCompressor};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// `force_scalar` is process-global, and the tests of one binary run on
@@ -23,4 +27,15 @@ impl Drop for LaneGuard {
     fn drop(&mut self) {
         simd::force_scalar(false);
     }
+}
+
+/// `inner` in the sharded engine's CRC-carrying v2 frame, `shards` key
+/// ranges on as many threads: what a run under a fault plan ships when its
+/// receivers should detect corruption (`checksummed(c, 1)` is the one-shard
+/// frame of `sketchml@1c`).
+pub fn checksummed<C: GradientCompressor>(inner: C, shards: usize) -> ShardedCompressor<C> {
+    ShardedCompressor::new(inner, shards)
+        .and_then(|s| s.with_threads(shards))
+        .expect("shard count in range")
+        .with_frame(FrameVersion::V2)
 }

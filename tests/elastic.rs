@@ -1,8 +1,12 @@
 //! Elastic membership acceptance tests: permanent worker loss, mid-training
 //! rejoins, degraded rounds, plan stragglers under bounded staleness — all
 //! deterministic per seed and all within a bounded loss penalty of the
-//! fault-free run.
+//! fault-free run. The runs under a plan ship the checksummed frame
+//! ([`common::checksummed`]).
 
+mod common;
+
+use common::checksummed;
 use sketchml::{
     train_allreduce, train_glm, train_ssp_with_plan, Aggregation, ClusterConfig, FaultPlan,
     GlmLoss, GlmTask, Instance, MergePolicy, SketchMlCompressor, SparseDatasetSpec, SspConfig,
@@ -41,6 +45,7 @@ fn permanent_worker_loss_trains_within_five_percent_and_replays_bitwise() {
     // Worker 5 dies for good in the middle of epoch 2 of 4 (10 rounds per
     // epoch at the default batch ratio).
     let plan = FaultPlan::seeded(77).with_permanent_crash(5, 15);
+    let wire = checksummed(&c, 1);
     let run = || {
         train_glm(
             &GlmTask::new(&train, &test, dim),
@@ -48,7 +53,7 @@ fn permanent_worker_loss_trains_within_five_percent_and_replays_bitwise() {
             &cluster,
             Aggregation::Collective {
                 policy: MergePolicy::Exact,
-                compressor: &c,
+                compressor: &wire,
             },
             &plan,
             None,
@@ -89,7 +94,7 @@ fn three_workers_shrink_to_two_cleanly() {
     let plan = FaultPlan::seeded(5).with_permanent_crash(1, 10);
     for topology in [Topology::Ring, Topology::Tree] {
         let cluster = ClusterConfig::cluster1(3).with_topology(topology);
-        let c = SketchMlCompressor::default();
+        let c = checksummed(SketchMlCompressor::default(), 1);
         let outcome = train_glm(
             &GlmTask::new(&train, &test, dim),
             &spec,
@@ -121,7 +126,7 @@ fn finite_outage_evicts_then_rejoins_with_charged_pull() {
     let cluster = ClusterConfig::cluster1(6)
         .with_topology(Topology::Ring)
         .with_suspicion_threshold(2);
-    let c = SketchMlCompressor::default();
+    let c = checksummed(SketchMlCompressor::default(), 1);
     let plan = FaultPlan::seeded(13).with_crash(2, 8, 10);
 
     let outcome = train_glm(
@@ -163,7 +168,7 @@ fn plan_stragglers_finish_sooner_under_a_looser_bound() {
             &spec,
             &cluster,
             &SspConfig::ssp(staleness, 0.0),
-            &SketchMlCompressor::default(),
+            &checksummed(SketchMlCompressor::default(), 1),
             &plan,
         )
         .unwrap()

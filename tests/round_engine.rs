@@ -13,8 +13,16 @@
 //!
 //! Every test holds a [`TelemetrySession`]: the registry is process-global,
 //! so a test that reads counters must not overlap one that trains.
+//!
+//! A run ships exactly the compressor it is given. The fixture's runs under
+//! a fault plan shipped `sketchml` in the one-shard checksummed v2 frame
+//! (the wrap the engine then put on every plan but `FaultPlan::none()`), so
+//! their replays pass that frame explicitly: [`common::checksummed`].
+
+mod common;
 
 use bytes::BytesMut;
+use common::checksummed;
 use serde::{Serialize, Value};
 use sketchml::cluster::{MlpTrainReport, MlpTrainSpec};
 use sketchml::core::CompressScratch;
@@ -106,15 +114,19 @@ impl MlpCase {
         }
     }
 
-    fn run(&self, cluster: &ClusterConfig, plan: &FaultPlan) -> (MlpTrainReport, FaultTrace) {
-        let sk = SketchMlCompressor::default();
+    fn run(
+        &self,
+        cluster: &ClusterConfig,
+        compressor: &dyn GradientCompressor,
+        plan: &FaultPlan,
+    ) -> (MlpTrainReport, FaultTrace) {
         train_mlp_with_plan(
             &self.train,
             &self.test,
             &self.net,
             &self.spec,
             cluster,
-            &sk,
+            compressor,
             plan,
         )
         .unwrap()
@@ -132,15 +144,18 @@ fn replay() -> Vec<(String, Value)> {
         dim,
     };
     let sk = SketchMlCompressor::default();
+    let wire = checksummed(&sk, 1);
+    let wire2 = checksummed(&sk, 2);
     let raw = RawCompressor::default();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
     let spec3 = TrainSpec::paper(GlmLoss::Logistic, 0.05, 3);
     let cluster = ClusterConfig::cluster1(4);
     let none = FaultPlan::none();
     let driver = Aggregation::Driver(&sk);
-    let exact = Aggregation::Collective {
+    let driver_wire = Aggregation::Driver(&wire);
+    let exact_wire = Aggregation::Collective {
         policy: MergePolicy::Exact,
-        compressor: &sk,
+        compressor: &wire,
     };
     let glm = |spec: &TrainSpec, cluster: &ClusterConfig, agg, plan: &FaultPlan, resume| {
         train_glm(&task, spec, cluster, agg, plan, resume).unwrap()
@@ -160,15 +175,15 @@ fn replay() -> Vec<(String, Value)> {
     for seed in 1..=3u64 {
         put(
             &format!("driver/stormy{seed}"),
-            outcome(&glm(&spec, &cluster, driver, &stormy_plan(seed), None)),
+            outcome(&glm(&spec, &cluster, driver_wire, &stormy_plan(seed), None)),
         );
     }
     put(
         "driver/stormy1_threads2",
         outcome(&glm(
             &spec,
-            &cluster.with_compress_threads(2),
-            driver,
+            &cluster,
+            Aggregation::Driver(&wire2),
             &stormy_plan(1),
             None,
         )),
@@ -178,7 +193,7 @@ fn replay() -> Vec<(String, Value)> {
         outcome(&glm(
             &spec,
             &cluster,
-            driver,
+            driver_wire,
             &FaultPlan::seeded(9).with_drops(0.2).with_retries(2, 0.01),
             None,
         )),
@@ -204,23 +219,23 @@ fn replay() -> Vec<(String, Value)> {
         outcome(&glm(
             &spec3,
             &cluster,
-            driver,
+            driver_wire,
             &stormy_plan(2),
             first.checkpoint.clone(),
         )),
     );
 
     // --- sharded parameter server ---
-    let ps = |servers| Aggregation::ParameterServer {
+    let ps_wire = |servers| Aggregation::ParameterServer {
         servers,
-        compressor: &sk,
+        compressor: &wire,
     };
     put(
         "ps/clean",
         report(&train_parameter_server(&train, &test, dim, &spec, &cluster, 4, &sk).unwrap()),
     );
     for seed in 1..=3u64 {
-        let o = glm(&spec, &cluster, ps(4), &stormy_plan(seed), None);
+        let o = glm(&spec, &cluster, ps_wire(4), &stormy_plan(seed), None);
         put(&format!("ps/stormy{seed}"), pair(&o.report, &o.trace));
     }
 
@@ -232,7 +247,7 @@ fn replay() -> Vec<(String, Value)> {
     );
     for seed in 1..=3u64 {
         let (r, t) =
-            train_ssp_with_plan(&task, &spec, &cluster, &ssp, &sk, &stormy_plan(seed)).unwrap();
+            train_ssp_with_plan(&task, &spec, &cluster, &ssp, &wire, &stormy_plan(seed)).unwrap();
         put(&format!("ssp/stormy{seed}"), pair(&r, &t));
     }
 
@@ -262,7 +277,7 @@ fn replay() -> Vec<(String, Value)> {
         for seed in 1..=3u64 {
             put(
                 &format!("allreduce/{t}/stormy{seed}"),
-                outcome(&glm(&spec, &c, exact, &stormy_plan(seed), None)),
+                outcome(&glm(&spec, &c, exact_wire, &stormy_plan(seed), None)),
             );
         }
     }
@@ -274,7 +289,7 @@ fn replay() -> Vec<(String, Value)> {
         outcome(&glm(
             &spec,
             &elastic,
-            exact,
+            exact_wire,
             &FaultPlan::seeded(77).with_permanent_crash(2, 5),
             None,
         )),
@@ -284,7 +299,7 @@ fn replay() -> Vec<(String, Value)> {
         outcome(&glm(
             &spec,
             &elastic,
-            exact,
+            exact_wire,
             &FaultPlan::seeded(13).with_drops(0.05).with_crash(1, 3, 6),
             None,
         )),
@@ -301,7 +316,7 @@ fn replay() -> Vec<(String, Value)> {
         ),
     );
     for seed in 1..=3u64 {
-        let (r, t) = mlp.run(&mcluster, &stormy_plan(seed));
+        let (r, t) = mlp.run(&mcluster, &wire, &stormy_plan(seed));
         put(&format!("mlp/stormy{seed}"), pair(&r, &t));
     }
 
@@ -311,23 +326,23 @@ fn replay() -> Vec<(String, Value)> {
     let two = ClusterConfig::cluster1(2);
     put(
         "driver/heavy_loss",
-        outcome(&glm(&spec, &two, driver, &lossy, None)),
+        outcome(&glm(&spec, &two, driver_wire, &lossy, None)),
     );
-    let o = glm(&spec, &two, ps(2), &lossy, None);
+    let o = glm(&spec, &two, ps_wire(2), &lossy, None);
     put("ps/heavy_loss", pair(&o.report, &o.trace));
-    let (r, t) = train_ssp_with_plan(&task, &spec, &two, &ssp, &sk, &lossy).unwrap();
+    let (r, t) = train_ssp_with_plan(&task, &spec, &two, &ssp, &wire, &lossy).unwrap();
     put("ssp/heavy_loss", pair(&r, &t));
     put(
         "allreduce/ring/heavy_loss",
         outcome(&glm(
             &spec,
             &two.with_topology(Topology::Ring),
-            exact,
+            exact_wire,
             &lossy,
             None,
         )),
     );
-    let (r, t) = mlp.run(&two, &lossy);
+    let (r, t) = mlp.run(&two, &wire, &lossy);
     put("mlp/heavy_loss", pair(&r, &t));
 
     out
@@ -578,7 +593,7 @@ fn the_benign_plan_is_the_fault_free_path() {
     let mcluster = ClusterConfig::cluster1(3);
     let wrapper =
         train_mlp_distributed(&mlp.train, &mlp.test, &mlp.net, &mlp.spec, &mcluster, &sk).unwrap();
-    let (planned, trace) = mlp.run(&mcluster, &none);
+    let (planned, trace) = mlp.run(&mcluster, &sk, &none);
     bits_equal("mlp", &wrapper.to_value(), &planned.to_value());
     assert_eq!(trace, empty, "mlp");
 

@@ -3,12 +3,17 @@
 //! Every test that records wraps its run in a [`TelemetrySession`], which
 //! holds the registry's session lock — sessions in this binary therefore
 //! never overlap, and each test reads back exactly the counters its own run
-//! produced.
+//! produced. The runs under a plan ship the checksummed frame
+//! ([`common::checksummed`]).
 
+mod common;
+
+use common::checksummed;
 use sketchml::telemetry::{self, TelemetrySession};
 use sketchml::{
     train_allreduce, train_distributed, train_glm, Aggregation, ClusterConfig, FaultPlan, GlmLoss,
-    GlmTask, Instance, MergePolicy, SketchMlCompressor, SparseDatasetSpec, Topology, TrainSpec,
+    GlmTask, Instance, MergePolicy, ShardedCompressor, SketchMlCompressor, SparseDatasetSpec,
+    Topology, TrainSpec,
 };
 
 fn dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
@@ -39,7 +44,7 @@ fn stormy_plan(seed: u64) -> FaultPlan {
 fn instrumented_training_round_fills_every_section() {
     let (train, test, dim) = dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
-    let cluster = ClusterConfig::cluster1(4).with_compress_threads(2);
+    let cluster = ClusterConfig::cluster1(4);
     let session = TelemetrySession::begin();
     let report = train_distributed(
         &train,
@@ -47,7 +52,7 @@ fn instrumented_training_round_fills_every_section() {
         dim,
         &spec,
         &cluster,
-        &SketchMlCompressor::default(),
+        &ShardedCompressor::new(SketchMlCompressor::default(), 2).unwrap(),
     )
     .unwrap();
     let snap = session.finish();
@@ -69,7 +74,7 @@ fn instrumented_training_round_fills_every_section() {
     let occupancy = snap.pipeline.sketch_occupancy();
     assert!(occupancy > 0.0 && occupancy <= 1.0, "occupancy {occupancy}");
 
-    // Sharded engine: compress_threads = 2 frames every message.
+    // Sharded engine: `sketchml@2` frames every message.
     assert!(snap.sharded.messages > 0);
     assert!(snap.sharded.shard_encodes >= 2 * snap.sharded.messages);
     assert!(snap.sharded.imbalance_permille.count > 0);
@@ -102,7 +107,7 @@ fn chaos_run_records_fault_costs() {
         &GlmTask::new(&train, &test, dim),
         &spec,
         &cluster,
-        Aggregation::Driver(&SketchMlCompressor::default()),
+        Aggregation::Driver(&checksummed(SketchMlCompressor::default(), 1)),
         &plan,
         None,
     )
@@ -147,7 +152,7 @@ fn a_plan_without_crashes_writes_no_restore_point() {
         &GlmTask::new(&train, &test, dim),
         &spec,
         &cluster,
-        Aggregation::Driver(&SketchMlCompressor::default()),
+        Aggregation::Driver(&checksummed(SketchMlCompressor::default(), 1)),
         &plan,
         None,
     )
@@ -161,7 +166,7 @@ fn a_plan_without_crashes_writes_no_restore_point() {
 fn seeded_chaos_snapshot_is_deterministic() {
     let (train, test, dim) = dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
-    let cluster = ClusterConfig::cluster1(4).with_compress_threads(2);
+    let cluster = ClusterConfig::cluster1(4);
     let plan = stormy_plan(5);
     let run = || {
         let session = TelemetrySession::begin();
@@ -169,7 +174,7 @@ fn seeded_chaos_snapshot_is_deterministic() {
             &GlmTask::new(&train, &test, dim),
             &spec,
             &cluster,
-            Aggregation::Driver(&SketchMlCompressor::default()),
+            Aggregation::Driver(&checksummed(SketchMlCompressor::default(), 2)),
             &plan,
             None,
         )
@@ -326,7 +331,7 @@ fn membership_telemetry_section_mirrors_the_trace() {
     let (train, test, dim) = elastic_dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.03, 2);
     let cluster = ClusterConfig::cluster1(4).with_topology(Topology::Ring);
-    let c = SketchMlCompressor::default();
+    let c = checksummed(SketchMlCompressor::default(), 1);
     let plan = FaultPlan::seeded(21).with_drops(0.05).with_crash(3, 8, 10);
 
     let session = TelemetrySession::begin();
