@@ -11,7 +11,7 @@
 //!    30k-feature dataset and spec; the sketched run must land within 5%
 //!    of the dense final loss.
 //! 3. **Big-model run** — a real distributed training run at d ≥ 10M with
-//!    sketched state, telemetry on; the recorded `cluster.opt_state_bytes`
+//!    sketched state; the run's optimizer state (`OptimizerState::state_bytes`)
 //!    must stay within the 16 MB/worker budget while dense Adam would have
 //!    needed 160 MB.
 //!
@@ -25,7 +25,6 @@ use sketchml_cluster::{train_distributed, ClusterConfig, TrainSpec};
 use sketchml_core::SketchMlCompressor;
 use sketchml_data::{SparseDatasetSpec, Task};
 use sketchml_ml::{AdamConfig, GlmLoss, Instance, OptStateMode, OptimizerKind, OptimizerState};
-use sketchml_telemetry::TelemetrySession;
 
 /// The acceptance budget: sketched optimizer state per worker.
 const BUDGET_BYTES: u64 = 16 * 1024 * 1024;
@@ -58,7 +57,7 @@ struct Report {
     big_epochs: usize,
     big_first_loss: f64,
     big_final_loss: f64,
-    /// `cluster.opt_state_bytes` as recorded by telemetry for the big run.
+    /// Bytes of the big run's optimizer state, as `OptimizerState::state_bytes`.
     big_opt_state_bytes: u64,
     /// What dense Adam would have allocated at `big_dim`.
     big_dense_bytes: u64,
@@ -98,6 +97,13 @@ fn big_dataset(quick: bool) -> (Vec<Instance>, Vec<Instance>, usize) {
 
 fn dense_adam_bytes(dim: usize) -> u64 {
     2 * 8 * dim as u64
+}
+
+/// Bytes of the optimizer state a run of `spec` at `dim` trains with.
+fn opt_state_bytes(spec: &TrainSpec, dim: usize) -> u64 {
+    OptimizerState::build(spec.optimizer, spec.opt_state, dim)
+        .expect("optimizer state")
+        .state_bytes() as u64
 }
 
 fn main() {
@@ -143,14 +149,12 @@ fn main() {
         ("sketched", OptStateMode::sketched(5, 131_072)),
     ] {
         let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, epochs).with_opt_state(mode);
-        let session = TelemetrySession::begin();
         let report =
             train_distributed(&train, &test, dim, &spec, &cluster, &compressor).expect(label);
-        let snapshot = session.finish();
         parity.push(ParityRow {
             mode: label,
             final_loss: report.epochs.last().expect("epochs").test_loss,
-            opt_state_bytes: snapshot.cluster.opt_state_bytes,
+            opt_state_bytes: opt_state_bytes(&spec, dim),
         });
     }
     let dense_loss = parity[0].final_loss;
@@ -165,13 +169,11 @@ fn main() {
     let (btrain, btest, bdim) = big_dataset(quick);
     let big_epochs = if quick { 1 } else { 2 };
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, big_epochs).with_opt_state(big_mode);
-    let session = TelemetrySession::begin();
     let report =
         train_distributed(&btrain, &btest, bdim, &spec, &cluster, &compressor).expect("big run");
-    let snapshot = session.finish();
     let big_first_loss = report.epochs.first().expect("epochs").test_loss;
     let big_final_loss = report.epochs.last().expect("epochs").test_loss;
-    let big_opt_state_bytes = snapshot.cluster.opt_state_bytes;
+    let big_opt_state_bytes = opt_state_bytes(&spec, bdim);
     assert!(
         big_opt_state_bytes > 0 && big_opt_state_bytes <= BUDGET_BYTES,
         "big-run optimizer state {big_opt_state_bytes} B must be within (0, {BUDGET_BYTES}] B"

@@ -35,7 +35,6 @@ use crate::allreduce::Collective;
 use crate::config::ClusterConfig;
 use crate::faults::{CrashPhase, FaultPlan, FaultyLink, Transmission};
 use crate::membership::RoundPlan;
-use crate::obs;
 use crate::ps::ShardedServers;
 use crate::trainer::{DriverStar, EpochStats, TrainOutcome, TrainReport, TrainSpec};
 use crate::worker::{partition, WorkerScratch};
@@ -45,7 +44,6 @@ use sketchml_core::{
 use sketchml_data::Batcher;
 use sketchml_ml::metrics::{ConvergenceDetector, LossPoint};
 use sketchml_ml::{Checkpoint, GlmModel, Instance, OptimizerState};
-use sketchml_telemetry as telemetry;
 
 /// A GLM training task: the data split and the model dimension.
 #[derive(Debug, Clone, Copy)]
@@ -193,7 +191,6 @@ pub(crate) fn glm_state(
                     ck.epochs_done, spec.max_epochs
                 )));
             }
-            obs::resumed();
             (ck.model, ck.optimizer, ck.epochs_done)
         }
         None => (
@@ -204,7 +201,6 @@ pub(crate) fn glm_state(
             0,
         ),
     };
-    obs::opt_state_bytes(opt.state_bytes() as u64);
     Ok((model, opt, epochs_done))
 }
 
@@ -270,16 +266,10 @@ pub(crate) fn fan_out<J: Send, T: Send>(
 /// The straggler clock: workers run in parallel, so the slowest
 /// straggler-adjusted one gates the round. `costs` yields each working
 /// worker's physical slot and nominal simulated compute seconds.
-pub(crate) fn slowest(link: &FaultyLink, costs: impl Iterator<Item = (usize, f64)> + Clone) -> f64 {
-    let compute = costs
-        .clone()
+pub(crate) fn slowest(link: &FaultyLink, costs: impl Iterator<Item = (usize, f64)>) -> f64 {
+    costs
         .map(|(slot, nominal)| nominal * link.compute_factor(slot))
-        .fold(0.0f64, f64::max);
-    if telemetry::enabled() {
-        let unskewed = costs.map(|(_, nominal)| nominal).fold(0.0f64, f64::max);
-        obs::straggler_wait(compute - unskewed);
-    }
-    compute
+        .fold(0.0f64, f64::max)
 }
 
 /// Pushes one compressed gradient from `worker` through the link. The
@@ -441,7 +431,6 @@ pub(crate) fn run<E: Exchange>(
             loss_accum += aggregate.batch_loss;
             rounds_done += 1;
         }
-        obs::rounds(rounds_done, es.uplink_bytes, es.downlink_bytes);
         es.sim_seconds = es.compute_seconds + es.comm_seconds + es.codec_seconds;
         es.train_loss = loss_accum / rounds_done.max(1) as f64;
         es.test_loss = model.mean_loss(task.test);
@@ -472,11 +461,9 @@ pub(crate) fn run<E: Exchange>(
         converged_epoch,
         accuracy: model.accuracy(task.test),
     };
-    let trace = link.into_trace();
-    obs::trace_totals(&trace);
     Ok(TrainOutcome {
         report,
-        trace,
+        trace: link.into_trace(),
         checkpoint: Some(Checkpoint::new(model, opt, epochs_done)),
     })
 }

@@ -37,7 +37,6 @@ pub mod faults;
 mod membership;
 pub mod mlp_trainer;
 pub mod network;
-mod obs;
 pub mod ps;
 pub mod ssp;
 pub mod trainer;

@@ -9,7 +9,6 @@
 use crate::config::ClusterConfig;
 use crate::engine::{crash_roster, fan_out, open_link, push, slowest};
 use crate::faults::{FaultPlan, FaultTrace};
-use crate::obs;
 use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
 use sketchml_core::{CompressError, CompressScratch, GradientCompressor, SparseGradient};
@@ -133,7 +132,6 @@ pub fn train_mlp_with_plan(
     let params = mlp.num_params();
     let mut opt = OptimizerState::build(OptimizerKind::Adam(spec.adam), spec.opt_state, params)
         .map_err(|e| CompressError::InvalidConfig(e.to_string()))?;
-    obs::opt_state_bytes(opt.state_bytes() as u64);
 
     let batch_size =
         ((train.len() as f64 * spec.batch_ratio).round() as usize).clamp(1, train.len());
@@ -161,11 +159,8 @@ pub fn train_mlp_with_plan(
             order.swap(i, j);
         }
         let mut uplink_bytes = 0u64;
-        let mut downlink_bytes = 0u64;
-        let mut rounds = 0u64;
         let mut sim = 0.0f64;
         for batch_idx in order.chunks(batch_size) {
-            rounds += 1;
             // Dead workers sit out the batch; rejoining ones re-pull the
             // dense parameter vector (8 bytes/param).
             let roster = crash_roster(&mut link, global_batch, cluster.workers, &mut || {
@@ -226,14 +221,12 @@ pub fn train_mlp_with_plan(
             // Downlink: torrent-style broadcast of the aggregated update,
             // plus re-pulls for copies the fault plan rejects.
             compressor.compress_into(&agg, &mut scratch, &mut wire_buf)?;
-            downlink_bytes += (wire_buf.len() * cluster.workers) as u64;
             sim += cost.network.broadcast_time(wire_buf.len(), cluster.workers);
             sim += link.broadcast_penalty(global_batch - 1, wire_buf.len());
             sim += cost.codec_time(agg.nnz() * 2);
 
             mlp.apply_sparse_gradient(&mut opt, agg.keys(), agg.values());
         }
-        obs::rounds(rounds, uplink_bytes, downlink_bytes);
         let test_loss = mlp.mean_loss(test);
         clock += sim;
         curve.push(LossPoint {
@@ -248,8 +241,6 @@ pub fn train_mlp_with_plan(
             test_loss,
         });
     }
-    let trace = link.into_trace();
-    obs::trace_totals(&trace);
     Ok((
         MlpTrainReport {
             method: compressor.name().to_string(),
@@ -257,7 +248,7 @@ pub fn train_mlp_with_plan(
             curve,
             accuracy: mlp.accuracy(test),
         },
-        trace,
+        link.into_trace(),
     ))
 }
 

@@ -17,7 +17,6 @@
 use crate::config::ClusterConfig;
 use crate::engine::{glm_state, open_link, push, GlmTask};
 use crate::faults::{CrashPhase, FaultPlan, FaultTrace};
-use crate::obs;
 use crate::trainer::TrainSpec;
 use crate::worker::WorkerScratch;
 use serde::{Deserialize, Serialize};
@@ -256,7 +255,6 @@ pub fn train_ssp_with_plan(
         // Push through the link; a lost push means this iteration's update
         // never reaches the server.
         let tx = push(&mut link, w, total_iters, wire_buf, compressor, dim);
-        obs::rounds(1, tx.bytes_on_wire, wire_buf.len() as u64);
         uplink_bytes += tx.bytes_on_wire;
         if let Some(payload) = &tx.payload {
             compressor.decompress_into(payload, &mut scratch, &mut decoded)?;
@@ -268,7 +266,6 @@ pub fn train_ssp_with_plan(
         // stragglers stack multiplicatively on the config's speed spread.
         let nominal = cluster.cost.compute_time(feature_ops);
         let compute = nominal * speed(w) * link.compute_factor(w);
-        obs::straggler_wait(compute - nominal);
         // Pull bytes mirror the push (model delta ≈ gradient size).
         let pull = cluster.cost.network.transfer_time(wire_buf.len());
         let codec = cluster.cost.codec_time(sparse.nnz() * 2);
@@ -315,8 +312,6 @@ pub fn train_ssp_with_plan(
         }
     }
 
-    let trace = link.into_trace();
-    obs::trace_totals(&trace);
     Ok((
         SspReport {
             method: compressor.name().to_string(),
@@ -324,7 +319,7 @@ pub fn train_ssp_with_plan(
             epochs,
             curve,
         },
-        trace,
+        link.into_trace(),
     ))
 }
 

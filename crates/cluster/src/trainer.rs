@@ -10,7 +10,6 @@ use crate::engine::{
 };
 use crate::faults::{FaultPlan, FaultTrace};
 use crate::membership::RoundPlan;
-use crate::obs;
 use crate::worker::{process_glm_rows, WorkerMessage, WorkerScratch};
 use serde::{Deserialize, Serialize};
 use sketchml_core::{CompressError, GradientCompressor};
@@ -359,7 +358,6 @@ impl Exchange for DriverStar<'_> {
         // nobody can rejoin a benign or drop-only run.
         if self.restores {
             self.restore_point = Some(checkpoint_bytes(model, opt, epoch));
-            obs::checkpoint_saved();
         }
     }
 }
@@ -540,6 +538,32 @@ mod tests {
         }
         assert_eq!(report.method, "SketchML");
         assert_eq!(report.model, "Linear");
+    }
+
+    /// Bugfix: the driver star used to serialize a restore point at every
+    /// epoch end under *any* plan. Only a plan that schedules a crash can
+    /// make a worker rejoin, so a benign or drop-only run writes none.
+    #[test]
+    fn only_a_crash_plan_writes_a_restore_point() {
+        let cluster = ClusterConfig::cluster1(4);
+        let compressor = RawCompressor::default();
+        let cx = Ctx {
+            cluster: &cluster,
+            dim: 64,
+            compressor: &compressor,
+        };
+        let model = GlmModel::new(64, GlmLoss::Logistic, 0.01).unwrap();
+        let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
+        let opt = OptimizerState::build(spec.optimizer, spec.opt_state, 64).unwrap();
+        let restore_point = |plan: &FaultPlan| {
+            let mut star = DriverStar::new(cx, plan);
+            star.end_epoch(&model, &opt, 1);
+            star.restore_point
+        };
+        assert_eq!(restore_point(&FaultPlan::none()), None);
+        assert_eq!(restore_point(&FaultPlan::seeded(3).with_drops(0.10)), None);
+        let crash = restore_point(&FaultPlan::seeded(3).with_crash(1, 4, 3));
+        assert_eq!(crash, Some(checkpoint_bytes(&model, &opt, 1)));
     }
 
     #[test]

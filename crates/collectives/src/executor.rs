@@ -26,7 +26,6 @@ use bytes::BytesMut;
 use sketchml_core::{
     CompressError, CompressScratch, MergeAcc, MergePolicy, MergeableCompressor, SparseGradient,
 };
-use sketchml_telemetry as telemetry;
 
 /// One worker's input to an allreduce round.
 #[derive(Debug, Clone, Copy)]
@@ -151,13 +150,11 @@ impl Books {
         }
     }
 
-    /// Ships `payload` along `hop`, recording bytes and telemetry. Returns
+    /// Ships `payload` along `hop`, recording its bytes. Returns
     /// what the receiver saw.
     fn ship(&mut self, transport: &mut dyn Transport, hop: Hop, payload: &[u8]) -> Option<Vec<u8>> {
         self.hops += 1;
         self.sent[hop.from] += payload.len() as u64;
-        telemetry::inc(telemetry::Counter::CollectiveHops);
-        telemetry::add(telemetry::Counter::CollectiveHopBytes, payload.len() as u64);
         match transport.transmit(hop, payload) {
             Some(delivered) => {
                 self.received[hop.to] += payload.len() as u64;
@@ -165,7 +162,6 @@ impl Books {
             }
             None => {
                 self.lost += 1;
-                telemetry::inc(telemetry::Counter::CollectiveLostHops);
                 None
             }
         }
@@ -175,7 +171,6 @@ impl Books {
     fn merged(&mut self, pairs: u64) {
         self.merges += 1;
         self.codec_pairs += pairs;
-        telemetry::inc(telemetry::Counter::CollectiveMerges);
     }
 }
 
@@ -304,7 +299,6 @@ fn star(
     for hop in reduce_schedule(Topology::Star, n) {
         let c = &contributions[hop.from];
         if let Some(delivered) = books.ship(transport, hop, c.payload) {
-            let _t = telemetry::time(telemetry::Stage::CollectiveMerge);
             let pairs =
                 compressor.accumulate_hop(&mut acc, &delivered, c.weight, policy, scratch)?;
             books.merged(pairs);
@@ -371,7 +365,6 @@ fn ring(
         let c = ring_chunk(hop, n)?;
         books.codec_pairs += emit(compressor, &accs[hop.from][c], policy, scratch, &mut out)?;
         if let Some(delivered) = books.ship(transport, hop, &out) {
-            let _t = telemetry::time(telemetry::Stage::CollectiveMerge);
             let pairs = compressor.accumulate_hop(
                 &mut accs[hop.to][c],
                 &delivered,
@@ -443,7 +436,6 @@ fn tree(
     for hop in reduce_schedule(Topology::Tree, n) {
         books.codec_pairs += emit(compressor, &accs[hop.from], policy, scratch, &mut out)?;
         if let Some(delivered) = books.ship(transport, hop, &out) {
-            let _t = telemetry::time(telemetry::Stage::CollectiveMerge);
             let pairs =
                 compressor.accumulate_hop(&mut accs[hop.to], &delivered, 1.0, policy, scratch)?;
             books.merged(pairs);

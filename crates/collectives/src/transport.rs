@@ -38,8 +38,8 @@ impl<T: Transport + ?Sized> Transport for &mut T {
 /// *physical* member slots before handing each hop to the inner transport.
 ///
 /// Schedules are always computed over `0..k` for the `k` members of the
-/// current round, but fault schedules, straggler factors, and telemetry are
-/// keyed by the physical worker slot a member occupies. Wrapping the real
+/// current round, but fault schedules, straggler factors and the fault trace
+/// are keyed by the physical worker slot a member occupies. Wrapping the real
 /// transport in this adapter is the reconfiguration step: after an eviction
 /// or join the caller passes the new member list and every hop lands on the
 /// right physical link, with steps and chunks untouched. Logical index `k`

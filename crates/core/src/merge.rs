@@ -37,7 +37,6 @@ use crate::scratch::CompressScratch;
 use bytes::BytesMut;
 use sketchml_encoding::csk::{self, CskHeader};
 use sketchml_encoding::{delta_binary, varint};
-use sketchml_telemetry as telemetry;
 
 /// Lead byte of an AGG (exact partial-aggregate) frame. Distinct from every
 /// native compressor magic (`0x0D`/`0x0E`/`0x0F` baselines, `0xA5` Quan,
@@ -542,9 +541,6 @@ impl MergeAcc {
         }
         table.win_start = table.win_start.min(h.cell_start);
         table.win_end = table.win_end.max(h.cell_start + h.cell_count);
-        if telemetry::enabled() {
-            telemetry::inc(telemetry::Counter::CollectiveLinearFolds);
-        }
         Ok(())
     }
 

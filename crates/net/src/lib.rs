@@ -38,7 +38,6 @@
 
 pub mod client;
 pub mod error;
-pub mod obs;
 pub mod server;
 pub mod sock;
 pub mod store;

@@ -34,7 +34,6 @@
 
 use crate::client::{Replica, Schedule};
 use crate::error::{ErrorCode, NetError};
-use crate::obs;
 use crate::sock::{Conn, Listener};
 use crate::store::{ModelSnapshot, ModelStore};
 use crate::wire::{self, PredictInstance, PushStatus, Request, Response, PROTOCOL_VERSION};
@@ -262,8 +261,7 @@ impl Rounds {
     }
 }
 
-/// Live server counters (also mirrored into the global telemetry registry
-/// when a session is recording).
+/// Live server counters, served as the `GetStats` document.
 #[derive(Debug, Default)]
 struct Counters {
     connections: AtomicU64,
@@ -280,7 +278,6 @@ struct Counters {
     stale_pushes: AtomicU64,
     rejected_pushes: AtomicU64,
     refused_conns: AtomicU64,
-    inflight: AtomicU64,
     /// Microseconds the trainer spent on the latest epoch end, from the
     /// last round's publish to the epoch's: evaluation, checkpoint, publish.
     epoch_end_us_last: AtomicU64,
@@ -599,7 +596,6 @@ fn accept_loop(
             break;
         }
         shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-        obs::connection();
         let (q, cv) = &**cq;
         let mut q = q.lock().unwrap_or_else(|e| e.into_inner());
         if q.len() >= cap {
@@ -722,25 +718,20 @@ fn serve_connection(shared: &Arc<Shared>, conn: Conn) -> Result<(), NetError> {
             Err(e) => return Err(e),
         };
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let inflight = shared.counters.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        obs::request(inflight);
         if matches!(req, Request::PushGradient { .. }) {
             shared
                 .counters
                 .bytes_up
                 .fetch_add(frame_len as u64, Ordering::Relaxed);
-            obs::push_bytes(frame_len as u64);
         }
-        let result = handle_request(
+        match handle_request(
             shared,
             req,
             &mut cached,
             &mut scratch,
             &mut reader,
             &mut writer,
-        );
-        shared.counters.inflight.fetch_sub(1, Ordering::Relaxed);
-        match result {
+        ) {
             Ok(true) => {}
             Ok(false) => return Ok(()), // shutdown requested
             Err(e) => return Err(e),
@@ -832,7 +823,6 @@ fn handle_request(
                     .counters
                     .rejected_pushes
                     .fetch_add(1, Ordering::Relaxed);
-                obs::rejected_push();
                 Response::Error {
                     code: ErrorCode::BadState,
                     message: format!(
@@ -861,7 +851,6 @@ fn handle_request(
                         gradient,
                     });
                     shared.counters.pushes.fetch_add(1, Ordering::Relaxed);
-                    obs::push();
                     shared.rounds.changed.notify_all();
                 }
                 PushStatus::Accepted
@@ -881,7 +870,6 @@ fn handle_request(
                 .counters
                 .predict_instances
                 .fetch_add(scores.len() as u64, Ordering::Relaxed);
-            obs::predict(scores.len() as u64);
             Response::Prediction { scores }.write_to(writer)?;
             if !std::io::BufRead::fill_buf(reader)
                 .map(|b| b.is_empty())
@@ -949,7 +937,7 @@ fn reply_model(
         snap.done,
         &snap.model.weights,
     )?;
-    count_pull(shared, obs::Pull::Dense, sent);
+    count_pull(shared, &shared.counters.pulls_dense, sent);
     Ok(())
 }
 
@@ -983,7 +971,7 @@ fn reply_round(
             .iter()
             .map(|(w, n, frame)| (*w, *n, (*w != worker).then_some(frame.as_slice())));
         let sent = wire::write_round(writer, have_round, last.round, last.epoch, done, members)?;
-        count_pull(shared, obs::Pull::Round, sent);
+        count_pull(shared, &shared.counters.pulls_round, sent);
         if done {
             shared.rounds.sent_final(worker);
         }
@@ -997,7 +985,7 @@ fn reply_round(
             done,
             std::iter::empty(),
         )?;
-        count_pull(shared, obs::Pull::Round, sent);
+        count_pull(shared, &shared.counters.pulls_round, sent);
     } else {
         // Under the lock only for the copy: the trainer holds it only while
         // it applies a round, never while it waits for one.
@@ -1009,22 +997,18 @@ fn reply_round(
             live.round()
         };
         let sent = wire::write_state(writer, rounds, &bytes)?;
-        count_pull(shared, obs::Pull::State, sent);
+        count_pull(shared, &shared.counters.pulls_state, sent);
     }
     Ok(())
 }
 
-fn count_pull(shared: &Shared, kind: obs::Pull, sent: usize) {
+/// Counts a pull answered with a `sent`-byte frame in `kind` (one of the
+/// `pulls_dense`/`pulls_round`/`pulls_state` counters) and in the totals.
+fn count_pull(shared: &Shared, kind: &AtomicU64, sent: usize) {
     let c = &shared.counters;
-    match kind {
-        obs::Pull::Dense => &c.pulls_dense,
-        obs::Pull::Round => &c.pulls_round,
-        obs::Pull::State => &c.pulls_state,
-    }
-    .fetch_add(1, Ordering::Relaxed);
+    kind.fetch_add(1, Ordering::Relaxed);
     c.pulls.fetch_add(1, Ordering::Relaxed);
     c.bytes_down.fetch_add(sent as u64, Ordering::Relaxed);
-    obs::pull(kind, sent as u64);
 }
 
 fn score_batch(model: &GlmModel, instances: Vec<PredictInstance>) -> Result<Vec<f64>, NetError> {
@@ -1093,7 +1077,6 @@ fn run_training(shared: &Shared) -> Result<ServeSummary, NetError> {
         };
         if members.len() == setup.workers {
             summary.full_rounds += 1;
-            obs::coalesced_round();
         } else {
             summary.partial_rounds += 1;
         }
@@ -1199,7 +1182,6 @@ fn end_epoch(
     }
     Checkpoint::validate(&bytes)
         .map_err(|e| NetError::InvalidConfig(format!("checkpoint: {e}")))?;
-    let checkpoint_bytes = bytes.len() as u64;
     *shared.checkpoint.lock().unwrap_or_else(|e| e.into_inner()) = Some((epoch, Arc::new(bytes)));
     // Re-publish with the completed-epoch count so pulls see progress.
     shared.store.publish(ModelSnapshot {
@@ -1210,11 +1192,7 @@ fn end_epoch(
     });
     let c = &shared.counters;
     let last = epoch_end.elapsed().as_micros() as u64;
-    let max = c
-        .epoch_end_us_max
-        .fetch_max(last, Ordering::Relaxed)
-        .max(last);
+    c.epoch_end_us_max.fetch_max(last, Ordering::Relaxed);
     c.epoch_end_us_last.store(last, Ordering::Relaxed);
-    obs::epoch_end(last, max, checkpoint_bytes);
     Ok(())
 }

@@ -17,8 +17,8 @@ use sketchml_core::{compressor_by_name, SparseGradient};
 use sketchml_data::{Batcher, SparseDatasetSpec, Task};
 use sketchml_ml::{Checkpoint, GlmLoss, GlmModel, Instance, OptimizerKind, OptimizerState};
 use sketchml_net::{
-    run_worker, Client, ErrorCode, Listener, NetError, Pulled, PushStatus, Replica, Request,
-    Response, RoundMember, ServeSetup, Server, PROTOCOL_VERSION,
+    run_worker, Client, ErrorCode, Listener, NetError, PredictInstance, Pulled, PushStatus,
+    Replica, Request, Response, RoundMember, ServeSetup, Server, PROTOCOL_VERSION,
 };
 use std::io::{BufReader, BufWriter};
 
@@ -397,7 +397,18 @@ fn run_worker_trains_to_the_same_bits_and_no_weights_cross_the_wire() {
         .map(|w| w.join().unwrap().unwrap())
         .collect();
     let weights = server.store().snapshot().model.weights.clone();
-    let stats = Client::connect(&addr).unwrap().get_stats().unwrap();
+    // An inference client scores against the trained model: scores, not
+    // weights, come back, and `GetStats` counts every call.
+    const PREDICTS: u64 = 5;
+    let mut client = Client::connect(&addr).unwrap();
+    for _ in 0..PREDICTS {
+        let batch = vec![PredictInstance {
+            indices: vec![3, 64, DIM as u32 - 1],
+            values: vec![1.0, -0.5, 2.0],
+        }];
+        assert_eq!(client.predict(batch).unwrap().len(), 1);
+    }
+    let stats = client.get_stats().unwrap();
     server.shutdown();
     server.join();
 
@@ -429,6 +440,7 @@ fn run_worker_trains_to_the_same_bits_and_no_weights_cross_the_wire() {
     let (up, down) = (stat(&stats, "bytes_up"), stat(&stats, "bytes_down"));
     assert!(up > 0 && down < up + 2 * (1 + ROUNDS) * 64, "{stats}");
     assert_eq!(stat(&stats, "rejected_pushes"), 0);
+    assert_eq!(stat(&stats, "predicts"), PREDICTS);
 }
 
 const RUN_BEST_TEST_LOSS: u64 = 4603199782782044696;

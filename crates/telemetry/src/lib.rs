@@ -1,11 +1,13 @@
-//! Lightweight observability for the SketchML workspace.
+//! Lightweight observability for the SketchML codecs.
 //!
 //! The paper's evaluation (§4) is built on per-stage observables — bytes per
 //! key, quantile-build vs. bucketize vs. sketch-encode time, bucket-index
-//! error — and the cluster simulator adds its own (per-round bytes,
-//! retransmits, straggler wait). This crate provides the shared plumbing:
+//! error — that happen inside one `compress_into` and so can only be carried
+//! by a global registry. This crate is that registry, and it holds nothing
+//! else: what a training run, a collective or the socket server measures is
+//! returned in (or served from) that component's own report.
 //!
-//! * **Atomic counters / gauges / histograms** in one global registry.
+//! * **Atomic counters / histograms** in one global registry.
 //! * **Scoped stage timers** ([`time`]) that record wall-clock nanos.
 //! * A serde-serializable [`TelemetrySnapshot`] of everything recorded.
 //!
@@ -20,12 +22,11 @@
 //!
 //! # Determinism
 //!
-//! Counters, gauges and histograms record *what happened*, which for a seeded
-//! simulation is deterministic: relaxed `u64` adds and `fetch_max` are
-//! order-independent, and the simulated-seconds gauges are accumulated on the
-//! single driver thread in a fixed order. Wall-clock stage timers are the only
-//! nondeterministic component; [`TelemetrySnapshot::without_timings`] zeroes
-//! them so two same-seed runs compare equal.
+//! Counters and histograms record *what happened*, which for a seeded run is
+//! deterministic: relaxed `u64` adds and `fetch_max` are order-independent.
+//! Wall-clock stage timers are the only nondeterministic component;
+//! [`TelemetrySnapshot::without_timings`] zeroes them so two same-seed runs
+//! compare equal.
 //!
 //! # Sessions
 //!
@@ -58,8 +59,11 @@ use std::time::Instant;
 /// version 11 removed `serving.{backpressure_rejects, queue_depth_max}`: the
 /// server has no push queue to fill or refuse from;
 /// version 12 removed the membership section's count of SSP staleness
-/// retunes: the staleness bound is fixed for a run.
-pub const SCHEMA_VERSION: u32 = 12;
+/// retunes: the staleness bound is fixed for a run;
+/// version 13 removed the cluster, collectives, membership and serving
+/// sections: each was a copy of a figure its component already returns
+/// (`TrainReport`, `FaultTrace`, `AllreduceReport`, the server's stats).
+pub const SCHEMA_VERSION: u32 = 13;
 
 /// Number of power-of-two buckets in every histogram.
 pub const HIST_BUCKETS: usize = 16;
@@ -83,12 +87,9 @@ pub enum Stage {
     Decode,
     /// One shard's inner encode inside the sharded engine.
     ShardEncode,
-    /// One merge of a hop payload into a collective's partial aggregate
-    /// (decode + key-union accumulate, plus the re-encode under resketch).
-    CollectiveMerge,
 }
 
-const NUM_STAGES: usize = 7;
+const NUM_STAGES: usize = 6;
 
 impl Stage {
     fn idx(self) -> usize {
@@ -125,128 +126,11 @@ pub enum Counter {
     ShardedMessages,
     /// Sharded engine: individual shard encodes.
     ShardedShardEncodes,
-    /// Cluster: training rounds (mini-batches) completed.
-    ClusterRounds,
-    /// Cluster: uplink (worker → driver) wire bytes.
-    ClusterUplinkBytes,
-    /// Cluster: downlink (driver → workers) wire bytes.
-    ClusterDownlinkBytes,
-    /// Cluster: messages retransmitted after drop/corruption.
-    ClusterRetransmits,
-    /// Cluster: messages dropped by fault injection.
-    ClusterDrops,
-    /// Cluster: corruptions caught by the frame checksum.
-    ClusterCorruptionsDetected,
-    /// Cluster: corruptions that passed undetected (V1 frames).
-    ClusterCorruptionsSilent,
-    /// Cluster: duplicated deliveries.
-    ClusterDuplicates,
-    /// Cluster: messages lost for good (retry budget exhausted).
-    ClusterLostMessages,
-    /// Cluster: injected worker crashes.
-    ClusterCrashes,
-    /// Cluster: successful crash recoveries.
-    ClusterRecoveries,
-    /// Cluster: checkpoints captured.
-    ClusterCheckpointSaves,
-    /// Cluster: runs resumed from a checkpoint.
-    ClusterResumes,
-    /// Collectives: point-to-point hops attempted (every scheduled edge
-    /// transmission of an allreduce, successful or not).
-    CollectiveHops,
-    /// Collectives: payload bytes pushed across hops (as sent; retries and
-    /// duplicates are the transport's business and counted by the cluster).
-    CollectiveHopBytes,
-    /// Collectives: hop payloads merged into a partial aggregate.
-    CollectiveMerges,
-    /// Collectives: hops whose delivery failed for good.
-    CollectiveLostHops,
-    /// Collectives: Count-Sketch cell-table windows folded element-wise
-    /// under `MergePolicy::Linear`.
-    CollectiveLinearFolds,
-    /// Membership: suspicions opened by the failure detector.
-    MembershipSuspicions,
-    /// Membership: suspicions that cleared without an eviction (detector
-    /// false positives from ack loss).
-    MembershipFalseSuspicions,
-    /// Membership: workers evicted from the group.
-    MembershipEvictions,
-    /// Membership: workers that (re)joined after a checkpoint pull.
-    MembershipJoins,
-    /// Membership: rounds whose member set changed (schedules rebuilt).
-    MembershipReconfigurations,
-    /// Membership: rounds degraded to a star among survivors because a
-    /// scheduled member went dark mid-round.
-    MembershipDegradedRounds,
-    /// Cluster: bytes of per-worker optimizer auxiliary state (dense moment
-    /// vectors or count-sketch tables), recorded once per training run.
-    ClusterOptStateBytes,
-    /// Serving: connections accepted by the live socket server.
-    ServingConnections,
-    /// Serving: requests handled (all kinds, including errors).
-    ServingRequests,
-    /// Serving: `Predict` requests served from the model store.
-    ServingPredicts,
-    /// Serving: `PushGradient` requests that took a slot of the open round.
-    ServingPushes,
-    /// Serving: pulls answered (`PullModel` and `PullRound`).
-    ServingPulls,
-    /// Serving: rounds that closed with every worker's push
-    /// (as opposed to timing out and aggregating a partial set).
-    ServingCoalescedRounds,
-    /// Serving: high-water mark of concurrently in-flight requests
-    /// (max-semantics: update via [`counter_max`]).
-    ServingInflightMax,
-    /// Serving: pulls answered with the dense `Model` frame.
-    ServingPullsDense,
-    /// Serving: pulls answered with a `Round` frame.
-    ServingPullsRound,
-    /// Serving: pulls answered with a `State` frame.
-    ServingPullsState,
-    /// Serving: bytes of the `Model`, `Round` and `State` frames sent.
-    ServingBytesDown,
-    /// Serving: bytes of the `PushGradient` frames received.
-    ServingBytesUp,
-    /// Serving: pushes refused typed at the handler (future round, unknown
-    /// worker id, forged counts, a frame that does not decode).
-    ServingRejectedPushes,
-    /// Serving: bytes of the largest end-of-epoch checkpoint published
-    /// (max-semantics).
-    ServingCheckpointBytes,
 }
 
-const NUM_COUNTERS: usize = 51;
+const NUM_COUNTERS: usize = 12;
 
 impl Counter {
-    fn idx(self) -> usize {
-        self as usize
-    }
-}
-
-/// Accumulating `f64` gauges (simulated seconds charged to the cost model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gauge {
-    /// Simulated seconds spent in retransmit backoff.
-    ClusterBackoffSeconds,
-    /// Simulated seconds the driver waited on stragglers beyond the
-    /// no-straggler compute time.
-    ClusterStragglerWaitSeconds,
-    /// Simulated seconds charged for crash recovery.
-    ClusterRecoverySeconds,
-    /// Simulated seconds joiners spent pulling checkpoints (incl. backoff).
-    MembershipJoinSeconds,
-    /// Serving: milliseconds the trainer spent on the latest epoch end —
-    /// evaluation, checkpoint write and validation, publish (set-semantics:
-    /// overwritten via [`gauge_set`]).
-    ServingEpochEndMsLast,
-    /// Serving: the longest epoch end so far, in milliseconds
-    /// (set-semantics; the trainer keeps the maximum).
-    ServingEpochEndMsMax,
-}
-
-const NUM_GAUGES: usize = 6;
-
-impl Gauge {
     fn idx(self) -> usize {
         self as usize
     }
@@ -307,7 +191,6 @@ const STAGE_ZERO: StageCell = StageCell {
 struct Registry {
     enabled: AtomicBool,
     counters: [AtomicU64; NUM_COUNTERS],
-    gauges: [AtomicU64; NUM_GAUGES], // f64 bit patterns
     stages: [StageCell; NUM_STAGES],
     hists: [HistCell; NUM_HISTS],
 }
@@ -315,7 +198,6 @@ struct Registry {
 static REGISTRY: Registry = Registry {
     enabled: AtomicBool::new(false),
     counters: [ZERO; NUM_COUNTERS],
-    gauges: [ZERO; NUM_GAUGES],
     stages: [STAGE_ZERO; NUM_STAGES],
     hists: [HIST_ZERO; NUM_HISTS],
 };
@@ -336,13 +218,10 @@ pub fn set_enabled(on: bool) {
     REGISTRY.enabled.store(on, Ordering::Relaxed);
 }
 
-/// Zeroes every counter, gauge, timer and histogram.
+/// Zeroes every counter, timer and histogram.
 pub fn reset() {
     for c in &REGISTRY.counters {
         c.store(0, Ordering::Relaxed);
-    }
-    for g in &REGISTRY.gauges {
-        g.store(0, Ordering::Relaxed);
     }
     for s in &REGISTRY.stages {
         s.count.store(0, Ordering::Relaxed);
@@ -370,46 +249,6 @@ pub fn add(counter: Counter, delta: u64) {
 #[inline]
 pub fn inc(counter: Counter) {
     add(counter, 1);
-}
-
-/// Raises a max-semantics counter to `value` if it is below it (no-op while
-/// disabled). Used for high-water marks (in-flight requests, checkpoint size),
-/// which — like the adds — are order-independent and thus deterministic.
-#[inline]
-pub fn counter_max(counter: Counter, value: u64) {
-    if enabled() {
-        REGISTRY.counters[counter.idx()].fetch_max(value, Ordering::Relaxed);
-    }
-}
-
-/// Overwrites a set-semantics gauge with `value` (no-op while disabled).
-/// Non-finite values are ignored, matching [`gauge_add`]. Used for
-/// derived summary figures (QPS, latency percentiles) written once by the
-/// component that computed them.
-#[inline]
-pub fn gauge_set(gauge: Gauge, value: f64) {
-    if enabled() && value.is_finite() {
-        REGISTRY.gauges[gauge.idx()].store(value.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// Adds `delta` (simulated seconds) to a gauge (no-op while disabled).
-/// Non-finite deltas are ignored so a poisoned cost model cannot wedge the
-/// snapshot at NaN.
-#[inline]
-pub fn gauge_add(gauge: Gauge, delta: f64) {
-    if !enabled() || !delta.is_finite() {
-        return;
-    }
-    let cell = &REGISTRY.gauges[gauge.idx()];
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + delta).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
 }
 
 /// Index of the power-of-two bucket holding `value`: bucket 0 is exactly
@@ -608,84 +447,12 @@ pub struct ShardedSnapshot {
     pub imbalance_permille: HistStat,
 }
 
-/// Cluster-simulator section of the snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ClusterSnapshot {
-    pub rounds: u64,
-    pub uplink_bytes: u64,
-    pub downlink_bytes: u64,
-    pub retransmits: u64,
-    pub drops: u64,
-    pub corruptions_detected: u64,
-    pub corruptions_silent: u64,
-    pub duplicates: u64,
-    pub lost_messages: u64,
-    pub crashes: u64,
-    pub recoveries: u64,
-    pub checkpoint_saves: u64,
-    pub resumes: u64,
-    pub opt_state_bytes: u64,
-    pub backoff_seconds: f64,
-    pub straggler_wait_seconds: f64,
-    pub recovery_seconds: f64,
-}
-
-/// Collective-aggregation (allreduce) section of the snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CollectivesSnapshot {
-    pub hops: u64,
-    pub hop_bytes: u64,
-    pub merges: u64,
-    pub lost_hops: u64,
-    pub linear_folds: u64,
-    pub merge: StageStat,
-}
-
-/// Elastic-membership section of the snapshot (failure detection,
-/// evictions, joins and degraded rounds of a chaos run).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct MembershipSnapshot {
-    pub suspicions: u64,
-    pub false_suspicions: u64,
-    pub evictions: u64,
-    pub joins: u64,
-    pub reconfigurations: u64,
-    pub degraded_rounds: u64,
-    pub join_seconds: f64,
-}
-
-/// Live-serving section of the snapshot (the `sketchml-net` socket server:
-/// request mix and mixed train+infer load figures).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServingSnapshot {
-    pub connections: u64,
-    pub requests: u64,
-    pub predicts: u64,
-    pub pushes: u64,
-    pub pulls: u64,
-    pub coalesced_rounds: u64,
-    pub inflight_max: u64,
-    pub pulls_dense: u64,
-    pub pulls_round: u64,
-    pub pulls_state: u64,
-    pub bytes_down: u64,
-    pub bytes_up: u64,
-    pub rejected_pushes: u64,
-    pub epoch_end_ms_last: f64,
-    pub epoch_end_ms_max: f64,
-    pub checkpoint_bytes: u64,
-}
-
 /// Everything the registry recorded, as plain serializable data.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     pub schema_version: u32,
     pub pipeline: PipelineSnapshot,
     pub sharded: ShardedSnapshot,
-    pub cluster: ClusterSnapshot,
-    pub collectives: CollectivesSnapshot,
-    pub membership: MembershipSnapshot,
-    pub serving: ServingSnapshot,
 }
 
 impl TelemetrySnapshot {
@@ -701,7 +468,6 @@ impl TelemetrySnapshot {
             &mut s.pipeline.key_encode,
             &mut s.pipeline.decode,
             &mut s.sharded.shard_encode,
-            &mut s.collectives.merge,
         ] {
             stat.nanos = 0;
         }
@@ -740,46 +506,8 @@ impl TelemetrySnapshot {
         if self.pipeline.sketch_cells_occupied > self.pipeline.sketch_cells {
             return Err("sketch_cells_occupied > sketch_cells".into());
         }
-        if self.collectives.lost_hops > self.collectives.hops {
-            return Err("collectives lost_hops > hops".into());
-        }
         if self.pipeline.sketch_collisions > self.pipeline.sketch_inserts {
             return Err("sketch_collisions > sketch_inserts".into());
-        }
-        for (name, v) in [
-            ("backoff_seconds", self.cluster.backoff_seconds),
-            (
-                "straggler_wait_seconds",
-                self.cluster.straggler_wait_seconds,
-            ),
-            ("recovery_seconds", self.cluster.recovery_seconds),
-            ("membership.join_seconds", self.membership.join_seconds),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("{name} {v} must be finite and non-negative"));
-            }
-        }
-        if self.membership.false_suspicions > self.membership.suspicions {
-            return Err("membership false_suspicions > suspicions".into());
-        }
-        let kind_sum = self.serving.predicts + self.serving.pushes + self.serving.pulls;
-        if kind_sum > self.serving.requests {
-            return Err("serving predicts+pushes+pulls > requests".into());
-        }
-        let s = &self.serving;
-        if s.pulls_dense + s.pulls_round + s.pulls_state > s.pulls {
-            return Err("serving pulls_dense+pulls_round+pulls_state > pulls".into());
-        }
-        for (name, v) in [
-            ("serving.epoch_end_ms_last", self.serving.epoch_end_ms_last),
-            ("serving.epoch_end_ms_max", self.serving.epoch_end_ms_max),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("{name} {v} must be finite and non-negative"));
-            }
-        }
-        if self.serving.epoch_end_ms_last > self.serving.epoch_end_ms_max {
-            return Err("serving epoch_end_ms_last > epoch_end_ms_max".into());
         }
         Ok(())
     }
@@ -811,10 +539,6 @@ fn counter(c: Counter) -> u64 {
     REGISTRY.counters[c.idx()].load(Ordering::Relaxed)
 }
 
-fn gauge(g: Gauge) -> f64 {
-    f64::from_bits(REGISTRY.gauges[g.idx()].load(Ordering::Relaxed))
-}
-
 /// Reads the current registry contents. Usually called through
 /// [`TelemetrySession::finish`]; safe to call at any point.
 pub fn snapshot() -> TelemetrySnapshot {
@@ -844,60 +568,6 @@ pub fn snapshot() -> TelemetrySnapshot {
             shard_encode: stage_stat(Stage::ShardEncode),
             imbalance_permille: hist_stat(Hist::ShardImbalancePermille),
         },
-        cluster: ClusterSnapshot {
-            rounds: counter(Counter::ClusterRounds),
-            uplink_bytes: counter(Counter::ClusterUplinkBytes),
-            downlink_bytes: counter(Counter::ClusterDownlinkBytes),
-            retransmits: counter(Counter::ClusterRetransmits),
-            drops: counter(Counter::ClusterDrops),
-            corruptions_detected: counter(Counter::ClusterCorruptionsDetected),
-            corruptions_silent: counter(Counter::ClusterCorruptionsSilent),
-            duplicates: counter(Counter::ClusterDuplicates),
-            lost_messages: counter(Counter::ClusterLostMessages),
-            crashes: counter(Counter::ClusterCrashes),
-            recoveries: counter(Counter::ClusterRecoveries),
-            checkpoint_saves: counter(Counter::ClusterCheckpointSaves),
-            resumes: counter(Counter::ClusterResumes),
-            opt_state_bytes: counter(Counter::ClusterOptStateBytes),
-            backoff_seconds: gauge(Gauge::ClusterBackoffSeconds),
-            straggler_wait_seconds: gauge(Gauge::ClusterStragglerWaitSeconds),
-            recovery_seconds: gauge(Gauge::ClusterRecoverySeconds),
-        },
-        collectives: CollectivesSnapshot {
-            hops: counter(Counter::CollectiveHops),
-            hop_bytes: counter(Counter::CollectiveHopBytes),
-            merges: counter(Counter::CollectiveMerges),
-            lost_hops: counter(Counter::CollectiveLostHops),
-            linear_folds: counter(Counter::CollectiveLinearFolds),
-            merge: stage_stat(Stage::CollectiveMerge),
-        },
-        membership: MembershipSnapshot {
-            suspicions: counter(Counter::MembershipSuspicions),
-            false_suspicions: counter(Counter::MembershipFalseSuspicions),
-            evictions: counter(Counter::MembershipEvictions),
-            joins: counter(Counter::MembershipJoins),
-            reconfigurations: counter(Counter::MembershipReconfigurations),
-            degraded_rounds: counter(Counter::MembershipDegradedRounds),
-            join_seconds: gauge(Gauge::MembershipJoinSeconds),
-        },
-        serving: ServingSnapshot {
-            connections: counter(Counter::ServingConnections),
-            requests: counter(Counter::ServingRequests),
-            predicts: counter(Counter::ServingPredicts),
-            pushes: counter(Counter::ServingPushes),
-            pulls: counter(Counter::ServingPulls),
-            coalesced_rounds: counter(Counter::ServingCoalescedRounds),
-            inflight_max: counter(Counter::ServingInflightMax),
-            pulls_dense: counter(Counter::ServingPullsDense),
-            pulls_round: counter(Counter::ServingPullsRound),
-            pulls_state: counter(Counter::ServingPullsState),
-            bytes_down: counter(Counter::ServingBytesDown),
-            bytes_up: counter(Counter::ServingBytesUp),
-            rejected_pushes: counter(Counter::ServingRejectedPushes),
-            epoch_end_ms_last: gauge(Gauge::ServingEpochEndMsLast),
-            epoch_end_ms_max: gauge(Gauge::ServingEpochEndMsMax),
-            checkpoint_bytes: counter(Counter::ServingCheckpointBytes),
-        },
     }
 }
 
@@ -910,8 +580,7 @@ mod tests {
         let session = TelemetrySession::begin();
         set_enabled(false);
         inc(Counter::PipelineEncodes);
-        add(Counter::ClusterUplinkBytes, 100);
-        gauge_add(Gauge::ClusterBackoffSeconds, 1.5);
+        add(Counter::PipelinePayloadBytes, 100);
         observe(Hist::BucketIndexError, 3);
         drop(time(Stage::Bucketize));
         set_enabled(true);
@@ -920,20 +589,16 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_hists_accumulate() {
+    fn counters_and_hists_accumulate() {
         let session = TelemetrySession::begin();
         inc(Counter::PipelineEncodes);
         add(Counter::PipelineEncodes, 2);
-        gauge_add(Gauge::ClusterStragglerWaitSeconds, 0.25);
-        gauge_add(Gauge::ClusterStragglerWaitSeconds, 0.5);
-        gauge_add(Gauge::ClusterStragglerWaitSeconds, f64::NAN); // ignored
         observe(Hist::BucketIndexError, 0);
         observe(Hist::BucketIndexError, 1);
         observe(Hist::BucketIndexError, 7);
         record_stage(Stage::KeyEncode, 42);
         let snap = session.finish();
         assert_eq!(snap.pipeline.encodes, 3);
-        assert!((snap.cluster.straggler_wait_seconds - 0.75).abs() < 1e-12);
         let h = &snap.pipeline.bucket_index_error;
         assert_eq!(h.count, 3);
         assert_eq!(h.sum, 8);
@@ -952,46 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn serving_max_and_set_semantics() {
-        let session = TelemetrySession::begin();
-        counter_max(Counter::ServingInflightMax, 4);
-        counter_max(Counter::ServingInflightMax, 9);
-        counter_max(Counter::ServingInflightMax, 2); // below high-water: kept
-        gauge_set(Gauge::ServingEpochEndMsLast, 15.0);
-        gauge_set(Gauge::ServingEpochEndMsLast, 12.0); // overwrite, not accumulate
-        gauge_set(Gauge::ServingEpochEndMsMax, 45.0);
-        gauge_set(Gauge::ServingEpochEndMsMax, f64::INFINITY); // ignored
-        add(Counter::ServingRequests, 10);
-        add(Counter::ServingPredicts, 6);
-        add(Counter::ServingPushes, 3);
-        inc(Counter::ServingPulls);
-        // Disabled mid-session: both helpers are no-ops.
-        set_enabled(false);
-        counter_max(Counter::ServingInflightMax, 100);
-        gauge_set(Gauge::ServingEpochEndMsLast, 9999.0);
-        set_enabled(true);
-        let snap = session.finish();
-        assert_eq!(snap.serving.inflight_max, 9);
-        assert_eq!(snap.serving.epoch_end_ms_last, 12.0);
-        assert_eq!(snap.serving.epoch_end_ms_max, 45.0);
-        snap.validate().expect("serving snapshot must validate");
-    }
-
-    #[test]
-    fn validate_rejects_inconsistent_serving_section() {
-        let mut snap = TelemetrySnapshot::default_with_version();
-        snap.serving.predicts = 5; // requests stays 0
-        assert!(snap.validate().is_err());
-        let mut snap = TelemetrySnapshot::default_with_version();
-        snap.serving.epoch_end_ms_max = -1.0;
-        assert!(snap.validate().is_err());
-        let mut snap = TelemetrySnapshot::default_with_version();
-        snap.serving.epoch_end_ms_last = 30.0;
-        snap.serving.epoch_end_ms_max = 20.0;
-        assert!(snap.validate().is_err());
-    }
-
-    #[test]
     fn timer_records_when_enabled() {
         let session = TelemetrySession::begin();
         {
@@ -1006,12 +631,12 @@ mod tests {
     #[test]
     fn session_resets_previous_state() {
         let s1 = TelemetrySession::begin();
-        inc(Counter::ClusterRounds);
+        inc(Counter::PipelineEncodes);
         let first = s1.finish();
-        assert_eq!(first.cluster.rounds, 1);
+        assert_eq!(first.pipeline.encodes, 1);
         let s2 = TelemetrySession::begin();
         let second = s2.finish();
-        assert_eq!(second.cluster.rounds, 0);
+        assert_eq!(second.pipeline.encodes, 0);
     }
 
     #[test]
@@ -1030,7 +655,6 @@ mod tests {
         let session = TelemetrySession::begin();
         inc(Counter::PipelineEncodes);
         observe(Hist::ShardImbalancePermille, 120);
-        gauge_add(Gauge::ClusterBackoffSeconds, 3.5);
         let snap = session.finish();
         let json = serde_json::to_string(&snap).expect("serialize");
         let back: TelemetrySnapshot = serde_json::from_str(&json).expect("deserialize");
@@ -1051,7 +675,7 @@ mod tests {
         snap.pipeline.bucket_index_error.count = 5; // bucket sum mismatch
         assert!(snap.validate().is_err());
         let mut snap = TelemetrySnapshot::default_with_version();
-        snap.cluster.backoff_seconds = f64::NAN;
+        snap.pipeline.sketch_cells_occupied = 1; // sketch_cells stays 0
         assert!(snap.validate().is_err());
     }
 

@@ -24,8 +24,8 @@
 //!   TCP/Unix sockets, threaded server runtime whose rounds close in a
 //!   W-slot table, an epoch-snapshot model store serving inference during training, and
 //!   the full worker participant loop with checkpoint recovery;
-//! - [`telemetry`] — opt-in pipeline/cluster counters, histograms, and
-//!   stage timers behind a single relaxed atomic gate.
+//! - [`telemetry`] — the codec's opt-in counters, histograms, and stage
+//!   timers behind a single relaxed atomic gate.
 //!
 //! ## Quickstart
 //!

@@ -1,9 +1,9 @@
 //! Integration tests for the collectives crate wired through the cluster
 //! simulator: ring/tree allreduce training must match the star trainer
 //! under the exact merge policy and seeded fault plans must reproduce
-//! bit-identically. (The hop-accounting telemetry test lives in
-//! `tests/telemetry.rs`, where every test holds the session lock.) The
-//! runs under a plan ship the checksummed frame ([`common::checksummed`]).
+//! bit-identically. (Hop and merge counts are pinned on `AllreduceReport`
+//! by the executor's own tests.) The runs under a plan ship the checksummed
+//! frame ([`common::checksummed`]).
 
 mod common;
 

@@ -11,9 +11,6 @@
 //! numbers. The other tests let the fault-free fork go: a run under
 //! [`FaultPlan::none`] *is* the fault-free run, bit for bit.
 //!
-//! Every test holds a [`TelemetrySession`]: the registry is process-global,
-//! so a test that reads counters must not overlap one that trains.
-//!
 //! A run ships exactly the compressor it is given. The fixture's runs under
 //! a fault plan shipped `sketchml` in the one-shard checksummed v2 frame
 //! (the wrap the engine then put on every plan but `FaultPlan::none()`), so
@@ -29,7 +26,6 @@ use sketchml::core::CompressScratch;
 use sketchml::data::Task;
 use sketchml::encoding::stats::SizeReport;
 use sketchml::ml::MlpConfig;
-use sketchml::telemetry::TelemetrySession;
 use sketchml::{
     train_allreduce, train_allreduce_with_policy, train_distributed, train_glm,
     train_mlp_distributed, train_mlp_with_plan, train_parameter_server, train_ssp,
@@ -400,7 +396,6 @@ fn diff(
 }
 
 fn replay_against_fixture(float_ok: &dyn Fn(f64, f64) -> bool) {
-    let _session = TelemetrySession::begin();
     let fixture: Value =
         serde_json::from_str(include_str!("fixtures/round_engine_traces.json")).unwrap();
     let want = fixture.as_obj().expect("fixture is an object");
@@ -483,7 +478,6 @@ fn take_float_bits(want: &mut Value, got: &Value, changed: &mut usize, largest: 
 /// floats within 1e-9), and the file must be one this printer reproduces
 /// byte for byte, so the diff shows the moved leaves and nothing else.
 fn regen_float_leaves() {
-    let _session = TelemetrySession::begin();
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/round_engine_traces.json"
@@ -529,8 +523,8 @@ fn bits_equal(path: &str, want: &Value, got: &Value) {
 
 /// The test that lets the fork go: for every aggregation on every topology,
 /// plus SSP and MLP, the plan-taking entry under `FaultPlan::none()` equals
-/// the fault-free wrapper bit for bit on every deterministic field, records
-/// nothing in its trace, and writes no restore point.
+/// the fault-free wrapper bit for bit on every deterministic field and
+/// records nothing in its trace.
 #[test]
 fn the_benign_plan_is_the_fault_free_path() {
     let (train, test, dim) = dataset();
@@ -544,7 +538,6 @@ fn the_benign_plan_is_the_fault_free_path() {
     let none = FaultPlan::none();
     let empty = FaultTrace::default();
 
-    let session = TelemetrySession::begin();
     for topology in [Topology::Star, Topology::Ring, Topology::Tree] {
         let cluster = ClusterConfig::cluster1(4).with_topology(topology);
         let t = topology.name();
@@ -596,10 +589,6 @@ fn the_benign_plan_is_the_fault_free_path() {
     let (planned, trace) = mlp.run(&mcluster, &sk, &none);
     bits_equal("mlp", &wrapper.to_value(), &planned.to_value());
     assert_eq!(trace, empty, "mlp");
-
-    let snap = session.finish();
-    assert!(snap.cluster.rounds > 0, "the runs above must have recorded");
-    assert_eq!(snap.cluster.checkpoint_saves, 0);
 }
 
 /// The docs' "identical math" claim, pinned: under the lossless `raw` codec
@@ -609,7 +598,6 @@ fn the_benign_plan_is_the_fault_free_path() {
 /// a tolerance, not `to_bits`).
 #[test]
 fn the_three_aggregations_compute_the_same_math_under_raw() {
-    let _session = TelemetrySession::begin();
     let (train, test, dim) = dataset();
     let raw = RawCompressor::default();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 3);
@@ -668,7 +656,6 @@ impl MergeableCompressor for Panicky {}
 /// MLP loop. The single fan-out answers a typed error for every loop.
 #[test]
 fn a_panicking_compressor_is_a_typed_error_on_every_aggregation() {
-    let _session = TelemetrySession::begin();
     let (train, test, dim) = dataset();
     let task = GlmTask {
         train: &train,
