@@ -38,4 +38,4 @@ pub use opt_state::{
     OptStateMode, OptimizerState, SketchedAdaGrad, SketchedAdam, SketchedMomentum,
 };
 pub use optimizer::{AdaGrad, Adam, AdamConfig, Momentum, Optimizer, OptimizerKind, Sgd};
-pub use vector::{Instance, SparseVector};
+pub use vector::{dot_pairs, Instance, SparseVector};

@@ -79,13 +79,10 @@ impl SparseVector {
     /// Dot product against a dense weight vector; indices past the end of
     /// `dense` contribute zero (models may be narrower than the data).
     pub fn dot(&self, dense: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (i, v) in self.iter() {
-            if let Some(w) = dense.get(i as usize) {
-                acc += w * v;
-            }
+        match dot_pairs::<false>(self.iter(), dense) {
+            Ok(acc) => acc,
+            Err(_) => unreachable!("an unchecked pass has nothing to refuse"),
         }
-        acc
     }
 
     /// `dense[i] += scale * self[i]` for every nonzero (gradient scatter).
@@ -101,6 +98,52 @@ impl SparseVector {
     pub fn l2_norm(&self) -> f64 {
         self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
+}
+
+/// The one sparse · dense dot product: `Σ dense[i]·v` over `pairs`, in their
+/// order, from `0.0`. [`SparseVector::dot`] — hence `GlmModel::score` — is
+/// this loop, and so is every score taken straight from wire bytes, so the
+/// two agree to the bit by construction.
+///
+/// With `CHECK` each pair is checked in the same pass: its index above the
+/// previous pair's and inside `dense`, its value finite. Without, the pairs
+/// are trusted (a [`SparseVector`] checked them when it was built) and an
+/// index past the end of `dense` contributes zero.
+///
+/// # Errors
+/// With `CHECK` only: [`MlError::InvalidInput`] naming the first pair that
+/// fails.
+#[inline]
+pub fn dot_pairs<const CHECK: bool>(
+    pairs: impl IntoIterator<Item = (u32, f64)>,
+    dense: &[f64],
+) -> Result<f64, MlError> {
+    let mut acc = 0.0;
+    // The lowest index the next pair may carry.
+    let mut floor = 0u64;
+    for (i, v) in pairs {
+        match dense.get(i as usize) {
+            Some(w) if !CHECK || (u64::from(i) >= floor && v.is_finite()) => acc += w * v,
+            None if !CHECK => {}
+            _ => return Err(refused_pair(i, v, floor, dense.len())),
+        }
+        floor = u64::from(i) + 1;
+    }
+    Ok(acc)
+}
+
+#[cold]
+fn refused_pair(i: u32, v: f64, floor: u64, dim: usize) -> MlError {
+    MlError::InvalidInput(if u64::from(i) < floor {
+        format!(
+            "index {i} after index {}: indices must be strictly ascending",
+            floor - 1
+        )
+    } else if i as usize >= dim {
+        format!("index {i} is outside the model's {dim} features")
+    } else {
+        format!("non-finite value {v} at index {i}")
+    })
 }
 
 /// A labeled training instance. For the classifiers (LR/SVM) labels are
@@ -142,6 +185,27 @@ mod tests {
         let narrow = [1.0];
         assert_eq!(v.dot(&narrow), 2.0);
         assert_eq!(SparseVector::default().dot(&w), 0.0);
+    }
+
+    #[test]
+    fn checked_pairs_are_refused_where_they_fail() {
+        let w = [1.0, 2.0, 3.0, 4.0];
+        let checked = |pairs: &[(u32, f64)]| dot_pairs::<true>(pairs.iter().copied(), &w);
+        assert_eq!(checked(&[(0, 2.0), (3, -1.0)]), Ok(2.0 - 4.0));
+        assert_eq!(checked(&[]), Ok(0.0));
+        for (pairs, needle) in [
+            (&[(2, 1.0), (1, 1.0)][..], "strictly ascending"),
+            (&[(2, 1.0), (2, 1.0)][..], "strictly ascending"),
+            (&[(4, 1.0)][..], "outside the model's 4 features"),
+            (&[(1, f64::NAN)][..], "non-finite"),
+            (&[(1, f64::NEG_INFINITY)][..], "non-finite"),
+        ] {
+            let err = checked(pairs).unwrap_err();
+            assert!(err.to_string().contains(needle), "{pairs:?}: {err}");
+        }
+        // Unchecked, the same pairs are summed as `dot` sums them.
+        let v = SparseVector::new(vec![0, 3, 9], vec![2.0, -1.0, 5.0]).unwrap();
+        assert_eq!(dot_pairs::<false>(v.iter(), &w), Ok(v.dot(&w)));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 
 use crate::error::NetError;
 use crate::sock::Conn;
-use crate::wire::{PredictInstance, PushStatus, Request, Response, RoundMember, PROTOCOL_VERSION};
+use crate::wire::{
+    PredictBatch, PredictInstance, PushStatus, Request, Response, RoundMember, PROTOCOL_VERSION,
+};
 use sketchml_cluster::driver::combine;
 use sketchml_cluster::network::CostModel;
 use sketchml_cluster::worker::{partition, process_glm_rows, WorkerScratch};
@@ -469,9 +471,13 @@ impl Client {
     /// Scores a batch of sparse instances against the live model.
     ///
     /// # Errors
-    /// Wire failures.
+    /// Wire failures; [`NetError::Protocol`] if an instance's indices and
+    /// values differ in length; `Remote{Malformed}` if an instance's indices
+    /// are not strictly ascending or inside the model, or a value is not
+    /// finite.
     pub fn predict(&mut self, instances: Vec<PredictInstance>) -> Result<Vec<f64>, NetError> {
-        match self.call(&Request::Predict { instances })? {
+        let batch = PredictBatch::new(&instances)?;
+        match self.call(&Request::Predict { batch })? {
             Response::Prediction { scores } => Ok(scores),
             other => Err(unexpected("Prediction", &other)),
         }

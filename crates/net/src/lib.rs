@@ -48,4 +48,6 @@ pub use error::{ErrorCode, NetError};
 pub use server::{ServeSetup, ServeSummary, Server};
 pub use sock::{Conn, Listener};
 pub use store::{ModelSnapshot, ModelStore};
-pub use wire::{PredictInstance, PushStatus, Request, Response, RoundMember, PROTOCOL_VERSION};
+pub use wire::{
+    PredictBatch, PredictInstance, PushStatus, Request, Response, RoundMember, PROTOCOL_VERSION,
+};

@@ -15,7 +15,9 @@ use sketchml_cluster::worker::{partition, process_glm_batch, WorkerScratch};
 use sketchml_cluster::TrainSpec;
 use sketchml_core::{compressor_by_name, SparseGradient};
 use sketchml_data::{Batcher, SparseDatasetSpec, Task};
-use sketchml_ml::{Checkpoint, GlmLoss, GlmModel, Instance, OptimizerKind, OptimizerState};
+use sketchml_ml::{
+    Checkpoint, GlmLoss, GlmModel, Instance, OptimizerKind, OptimizerState, SparseVector,
+};
 use sketchml_net::{
     run_worker, Client, ErrorCode, Listener, NetError, PredictInstance, Pulled, PushStatus,
     Replica, Request, Response, RoundMember, ServeSetup, Server, PROTOCOL_VERSION,
@@ -690,6 +692,107 @@ fn get_stats_never_says_done_without_the_summary() {
     }
     worker.join().unwrap().unwrap();
     assert_eq!(server.wait_trained().rounds, ROUNDS);
+    server.shutdown();
+    server.join();
+}
+
+fn instance(indices: &[u32], values: &[f64]) -> PredictInstance {
+    PredictInstance {
+        indices: indices.to_vec(),
+        values: values.to_vec(),
+    }
+}
+
+/// `GlmModel::score` of each instance, as bit patterns.
+fn glm_scores(model: &GlmModel, batch: &[PredictInstance]) -> Vec<u64> {
+    batch
+        .iter()
+        .map(|inst| {
+            let features = SparseVector::new(inst.indices.clone(), inst.values.clone()).unwrap();
+            model.score(&Instance::new(features, 0.0)).to_bits()
+        })
+        .collect()
+}
+
+/// The server used to decide whether to keep a predict's snapshot for the
+/// next request by waiting for that request: every call on a long-lived
+/// connection scored against the model of its first.
+#[test]
+fn a_long_lived_predict_connection_scores_against_the_model_published_last() {
+    let (server, addr) = start(setup(2));
+    let batch = vec![
+        instance(&[3, 64, DIM as u32 - 1], &[1.0, -0.5, 2.0]),
+        instance(&[0, 17], &[0.25, 4.0]),
+    ];
+    let mut client = Client::connect(&addr).unwrap();
+    let before = client.predict(batch.clone()).unwrap();
+    // Nothing has trained yet: the round-0 model is all zeros.
+    assert_eq!(before, vec![0.0; batch.len()]);
+    let workers: Vec<_> = (0..2u32)
+        .map(|w| {
+            let addr = addr.clone();
+            std::thread::spawn(move || run_worker(&addr, w))
+        })
+        .collect();
+    server.wait_trained();
+    for w in workers {
+        w.join().unwrap().unwrap();
+    }
+    let published = server.store().snapshot();
+    assert!(published.done && published.round == ROUNDS);
+    let after = client.predict(batch.clone()).unwrap();
+    let after: Vec<u64> = after.iter().map(|s| s.to_bits()).collect();
+    assert_eq!(after, glm_scores(&published.model, &batch));
+    assert!(after.iter().any(|&s| s != 0.0f64.to_bits()));
+    server.shutdown();
+    server.join();
+}
+
+/// An instance the model cannot score is answered `Malformed`, naming it,
+/// and the connection stays usable: its frame was read whole.
+#[test]
+fn an_invalid_predict_instance_is_answered_malformed() {
+    let (server, addr) = start(setup(1));
+    let good = instance(&[1, 5], &[0.5, -1.0]);
+    let mut client = Client::connect(&addr).unwrap();
+    for (what, bad, needle) in [
+        (
+            "descending",
+            instance(&[9, 3], &[1.0, 1.0]),
+            "strictly ascending",
+        ),
+        (
+            "duplicate",
+            instance(&[4, 4], &[1.0, 1.0]),
+            "strictly ascending",
+        ),
+        ("NaN", instance(&[2, 7], &[1.0, f64::NAN]), "non-finite"),
+        ("infinite", instance(&[2], &[f64::INFINITY]), "non-finite"),
+        (
+            "index d",
+            instance(&[2, DIM as u32], &[1.0, 1.0]),
+            "outside",
+        ),
+    ] {
+        match client.predict(vec![good.clone(), bad]) {
+            Err(NetError::Remote {
+                code: ErrorCode::Malformed,
+                message,
+            }) => {
+                assert!(message.contains("predict instance 1"), "{what}: {message}");
+                assert!(message.contains(needle), "{what}: {message}");
+            }
+            other => panic!("{what}: {other:?}"),
+        }
+        assert_eq!(
+            client.predict(vec![good.clone()]).unwrap().len(),
+            1,
+            "{what}"
+        );
+    }
+    let stats = client.get_stats().unwrap();
+    assert_eq!(stat(&stats, "predicts"), 5);
+    assert_eq!(stat(&stats, "predict_instances"), 5);
     server.shutdown();
     server.join();
 }
