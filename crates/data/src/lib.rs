@@ -24,5 +24,5 @@ pub mod synthetic;
 
 pub use hashing::{hash_dataset, hash_features};
 pub use mnist_like::MnistLikeSpec;
-pub use split::{split_train_test, Batcher};
+pub use split::Batcher;
 pub use synthetic::{SparseDatasetSpec, Task};

@@ -1,4 +1,5 @@
-//! Train/test splitting and mini-batching (paper §4.1 "Protocol").
+//! Mini-batching (paper §4.1 "Protocol"). The 75/25 train/test split is
+//! drawn by the generator itself ([`crate::SparseDatasetSpec::generate_split`]).
 //!
 //! "The input dataset is partitioned into two subsets — 75% as the train
 //! dataset and 25% as the test dataset. … we adopt a popular trick of SGD
@@ -8,21 +9,6 @@
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use sketchml_ml::Instance;
-
-/// Shuffles `data` deterministically and splits it into
-/// `(train, test)` with `train_fraction` of the instances in the first
-/// part.
-pub fn split_train_test(
-    mut data: Vec<Instance>,
-    train_fraction: f64,
-    seed: u64,
-) -> (Vec<Instance>, Vec<Instance>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    data.shuffle(&mut rng);
-    let cut = ((data.len() as f64) * train_fraction.clamp(0.0, 1.0)).round() as usize;
-    let test = data.split_off(cut.min(data.len()));
-    (data, test)
-}
 
 /// Deterministic epoch-wise mini-batcher: each epoch re-shuffles the index
 /// permutation and yields `ceil(1 / batch_ratio)` batches covering the
@@ -92,31 +78,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn split_fractions() {
-        let (train, test) = split_train_test(dummy(100), 0.75, 1);
-        assert_eq!(train.len(), 75);
-        assert_eq!(test.len(), 25);
-        // No instance lost or duplicated.
-        let mut all: Vec<u32> = train
-            .iter()
-            .chain(&test)
-            .map(|i| i.features.indices()[0])
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn split_is_deterministic_and_shuffled() {
-        let (a, _) = split_train_test(dummy(100), 0.75, 7);
-        let (b, _) = split_train_test(dummy(100), 0.75, 7);
-        assert_eq!(a, b);
-        // Shuffled: first train element unlikely to be instance 0.
-        let first: Vec<u32> = a.iter().take(10).map(|i| i.features.indices()[0]).collect();
-        assert_ne!(first, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

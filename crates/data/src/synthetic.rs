@@ -7,12 +7,12 @@
 //! Figure 4. Power-law (Zipf) feature sampling with a planted linear model
 //! reproduces both.
 
-use crate::split::split_train_test;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rand_distr::{Distribution, Zipf};
 use serde::{Deserialize, Serialize};
 use sketchml_ml::{Instance, SparseVector};
+use std::ops::Range;
 
 /// Learning task of a synthetic dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -109,12 +109,60 @@ impl SparseDatasetSpec {
         self
     }
 
-    /// Generates the dataset.
+    /// Generates the dataset, in draw order.
     ///
     /// # Panics
     /// Panics if `features == 0` or `avg_nnz == 0` (programmer error in a
     /// preset).
     pub fn generate(&self) -> Vec<Instance> {
+        self.materialize(None, 0..self.instances)
+    }
+
+    /// Generates and splits 75/25 (§4.1 "Protocol": "75% as the train
+    /// dataset and 25% as the test dataset"): a seeded shuffle of the
+    /// instances, the first [`train_len`](Self::train_len) of which train.
+    pub fn generate_split(&self) -> (Vec<Instance>, Vec<Instance>) {
+        let mut train = self.materialize(Some(&self.split_positions()), 0..self.instances);
+        let test = train.split_off(self.train_len());
+        (train, test)
+    }
+
+    /// The train half of [`generate_split`](Self::generate_split) alone;
+    /// the test instances are drawn but never stored.
+    pub fn generate_train(&self) -> Vec<Instance> {
+        self.materialize(Some(&self.split_positions()), 0..self.train_len())
+    }
+
+    /// The test half of [`generate_split`](Self::generate_split) alone;
+    /// the train instances are drawn but never stored.
+    pub fn generate_test(&self) -> Vec<Instance> {
+        let cut = self.train_len();
+        self.materialize(Some(&self.split_positions()), cut..self.instances)
+    }
+
+    /// Instances in the train split: `round(0.75 · N)`.
+    pub fn train_len(&self) -> usize {
+        (self.instances as f64 * 0.75).round() as usize
+    }
+
+    /// Where each instance lands in the split: `positions[i]` is instance
+    /// `i`'s index in train followed by test. The permutation is the one a
+    /// seeded shuffle of the instances applies.
+    fn split_positions(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.instances).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(self.seed ^ 0x5117));
+        let mut positions = vec![0; self.instances];
+        for (p, &i) in order.iter().enumerate() {
+            positions[i] = p;
+        }
+        positions
+    }
+
+    /// Draws every instance in order into reused scratch — the RNG calls do
+    /// not depend on which instances are kept — and stores, each at its own
+    /// length, only those whose position (`positions[i]`, or `i` itself)
+    /// falls in `keep`, at slot `position - keep.start`.
+    fn materialize(&self, positions: Option<&[usize]>, keep: Range<usize>) -> Vec<Instance> {
         assert!(self.features > 0, "features must be positive");
         assert!(self.avg_nnz > 0, "avg_nnz must be positive");
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -128,75 +176,79 @@ impl SparseDatasetSpec {
                 .collect()
         };
 
-        (0..self.instances)
-            .map(|_| {
-                // Draw ~avg_nnz distinct features, Zipf-weighted.
-                let target = {
-                    let jitter = rng.gen_range(0.5..1.5);
-                    ((self.avg_nnz as f64 * jitter).round() as usize).max(1)
-                };
-                let mut idx: Vec<u32> = Vec::with_capacity(target * 2);
-                // Rejection-light loop: Zipf repeats head features often.
-                // Real datasets cluster related dimensions into consecutive
-                // keys (Appendix A.3: "dimensions with strong relationship
-                // happen to appear in consecutive keys"), so each Zipf
-                // anchor emits a short run of nearby features.
-                while idx.len() < target {
-                    let f = zipf.sample(&mut rng) as u64 - 1; // Zipf is 1-based
-                    idx.push(f as u32);
-                    let run = rng.gen_range(0..3usize);
-                    let mut cur = f;
-                    for _ in 0..run {
-                        if idx.len() >= target {
-                            break;
-                        }
-                        cur += rng.gen_range(1..8u64);
-                        if cur < self.features as u64 {
-                            idx.push(cur as u32);
-                        }
+        let mut slots: Vec<Option<Instance>> = vec![None; keep.len()];
+        let (mut idx, mut vals) = (Vec::<u32>::new(), Vec::<f64>::new());
+        for drawn in 0..self.instances {
+            // Draw ~avg_nnz distinct features, Zipf-weighted.
+            let target = {
+                let jitter = rng.gen_range(0.5..1.5);
+                ((self.avg_nnz as f64 * jitter).round() as usize).max(1)
+            };
+            idx.clear();
+            // Rejection-light loop: Zipf repeats head features often.
+            // Real datasets cluster related dimensions into consecutive
+            // keys (Appendix A.3: "dimensions with strong relationship
+            // happen to appear in consecutive keys"), so each Zipf
+            // anchor emits a short run of nearby features.
+            while idx.len() < target {
+                let f = zipf.sample(&mut rng) as u64 - 1; // Zipf is 1-based
+                idx.push(f as u32);
+                let run = rng.gen_range(0..3usize);
+                let mut cur = f;
+                for _ in 0..run {
+                    if idx.len() >= target {
+                        break;
+                    }
+                    cur += rng.gen_range(1..8u64);
+                    if cur < self.features as u64 {
+                        idx.push(cur as u32);
                     }
                 }
-                idx.sort_unstable();
-                idx.dedup();
+            }
+            idx.sort_unstable();
+            idx.dedup();
 
-                // Feature values: CTR-style mixture of binary indicators and
-                // small reals.
-                let vals: Vec<f64> = idx
-                    .iter()
-                    .map(|_| {
-                        if rng.gen_bool(0.7) {
-                            1.0
-                        } else {
-                            rng.gen_range(0.1..2.0)
-                        }
-                    })
-                    .collect();
-                let x = SparseVector::new(idx, vals).expect("sorted deduped indices");
+            // Feature values: CTR-style mixture of binary indicators and
+            // small reals.
+            vals.clear();
+            vals.extend(idx.iter().map(|_| {
+                if rng.gen_bool(0.7) {
+                    1.0
+                } else {
+                    rng.gen_range(0.1..2.0)
+                }
+            }));
 
-                let score: f64 = x.iter().map(|(i, v)| truth[i as usize] * v).sum();
-                let label = match self.task {
-                    Task::Classification => {
-                        let mut y = if score > 0.0 { 1.0 } else { -1.0 };
-                        if rng.gen_bool(self.label_noise.clamp(0.0, 1.0)) {
-                            y = -y;
-                        }
-                        y
+            let score: f64 = idx
+                .iter()
+                .zip(&vals)
+                .map(|(&i, v)| truth[i as usize] * v)
+                .sum();
+            let label = match self.task {
+                Task::Classification => {
+                    let mut y = if score > 0.0 { 1.0 } else { -1.0 };
+                    if rng.gen_bool(self.label_noise.clamp(0.0, 1.0)) {
+                        y = -y;
                     }
-                    Task::Regression => {
-                        score * 0.05
-                            + rng.sample::<f64, _>(rand_distr::StandardNormal) * self.label_noise
-                    }
-                };
-                Instance::new(x, label)
-            })
+                    y
+                }
+                Task::Regression => {
+                    score * 0.05
+                        + rng.sample::<f64, _>(rand_distr::StandardNormal) * self.label_noise
+                }
+            };
+
+            let position = positions.map_or(drawn, |p| p[drawn]);
+            if keep.contains(&position) {
+                let x =
+                    SparseVector::new(idx.to_vec(), vals.to_vec()).expect("sorted deduped indices");
+                slots[position - keep.start] = Some(Instance::new(x, label));
+            }
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every kept position is drawn once"))
             .collect()
-    }
-
-    /// Generates and splits 75/25 (§4.1 "Protocol": "75% as the train
-    /// dataset and 25% as the test dataset").
-    pub fn generate_split(&self) -> (Vec<Instance>, Vec<Instance>) {
-        let all = self.generate();
-        split_train_test(all, 0.75, self.seed ^ 0x5117)
     }
 
     /// Expected sparsity `avg_nnz / D` of one instance.

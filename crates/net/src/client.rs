@@ -595,7 +595,7 @@ pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
             setup.workers
         )));
     }
-    let (train, _test) = setup.dataset.generate_split();
+    let train = setup.dataset.generate_train();
     let compressor = compressor_by_name(&setup.compressor)?;
     let cost = CostModel::cluster1();
     let mut ws = WorkerScratch::new();

@@ -1039,11 +1039,16 @@ fn trainer_loop(shared: &Shared) {
 /// that completes it.
 fn run_training(shared: &Shared) -> Result<ServeSummary, NetError> {
     let setup = &shared.setup;
-    let (train, test) = setup.dataset.generate_split();
+    // The server evaluates on the test split and never reads a train
+    // instance: it holds only the test split, and the train split's length.
+    let test = setup.dataset.generate_test();
     // The workers' own arithmetic for where a round falls in an epoch.
-    let rounds_per_epoch =
-        Schedule::new(train.len(), setup.batch_ratio, setup.spec.seed).rounds_per_epoch;
-    drop(train);
+    let rounds_per_epoch = Schedule::new(
+        setup.dataset.train_len(),
+        setup.batch_ratio,
+        setup.spec.seed,
+    )
+    .rounds_per_epoch;
     let last_round = rounds_per_epoch * setup.spec.max_epochs as u64;
     let mut summary = ServeSummary {
         best_test_loss: f64::INFINITY,

@@ -422,3 +422,66 @@ fn summary_predicts(addr: &str) -> bool {
         Err(_) => true,
     }
 }
+
+/// One epoch of one worker on `instances` instances at d = 2^14; the
+/// server's peak RSS (`VmHWM`) in bytes, read while it lingers after
+/// training (a reaped process has no status).
+#[cfg(target_os = "linux")]
+fn serve_peak_rss(instances: usize) -> u64 {
+    let mut serve = spawn_serve(&[
+        "--workers",
+        "1",
+        "--epochs",
+        "1",
+        "--instances",
+        &instances.to_string(),
+        "--features",
+        "16384",
+        "--avg-nnz",
+        "40",
+        "--batch-ratio",
+        "0.5",
+        "--idle-timeout-ms",
+        "120000",
+        "--linger-ms",
+        "30000",
+    ]);
+    finish_worker(spawn_worker(&serve.addr, 0));
+    let mut client = Client::connect(&serve.addr).expect("connect stats client");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !client.get_stats().expect("stats").contains("\"done\":true") {
+        assert!(Instant::now() < deadline, "the server never finished");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let status = std::fs::read_to_string(format!("/proc/{}/status", serve.child.id()))
+        .expect("read server status");
+    let kb: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no VmHWM in {status}"));
+    serve.child.kill().expect("stop the lingering server");
+    serve.child.wait().expect("reap server");
+    kb * 1024
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn the_servers_memory_follows_the_test_split_not_the_dataset() {
+    // The server evaluates on the test split and reads no train instance,
+    // so a dataset-dominated run may grow it by the test quarter, not by
+    // the whole dataset.
+    let instances = 60_000;
+    let (dataset, _) = reference_setup(instances, 1 << 14, 40, 1);
+    let nnz: usize = dataset.generate().iter().map(|i| i.features.nnz()).sum();
+    let dataset_bytes = 12 * nnz as u64; // a u32 index and an f64 value each
+    let baseline = serve_peak_rss(200);
+    let peak = serve_peak_rss(instances);
+    let growth = peak.saturating_sub(baseline);
+    assert!(
+        growth < dataset_bytes / 2,
+        "server peak RSS grew {growth} B over the tiny run ({baseline} B) for a \
+         {dataset_bytes} B dataset"
+    );
+}
