@@ -21,8 +21,11 @@ pub struct ClusterConfig {
     /// How worker gradients are aggregated by [`crate::train_allreduce`]:
     /// the default [`Topology::Star`] funnels everything through the
     /// driver, [`Topology::Ring`] and [`Topology::Tree`] merge compressed
-    /// payloads peer-to-peer. Ignored by the star-only entry points
-    /// ([`crate::train_distributed`] and friends).
+    /// payloads peer-to-peer. Only the collective reads it
+    /// ([`crate::train_allreduce`], or [`crate::train_glm`] with
+    /// [`crate::Aggregation::Collective`]), but every run validates it: a
+    /// [`crate::train_distributed`] run on fewer workers than the topology
+    /// needs is an [`sketchml_core::CompressError::InvalidConfig`] too.
     pub topology: Topology,
     /// Consecutive missed heartbeat acks before the elastic membership
     /// layer evicts a member (≥ 1; default 3). The default keeps a lossy

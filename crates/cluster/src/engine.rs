@@ -24,7 +24,7 @@
 //! whose link never drops, copies or decodes a payload — bit-identical to a
 //! loop that never consulted a plan (`tests/round_engine.rs` pins this).
 //!
-//! An [`Exchange`] holds only what differs between the three GLM
+//! An [`Exchange`] holds only what differs between the two GLM
 //! aggregations: how the workers' results become one gradient and what that
 //! costs on the simulated clock. SSP ([`crate::ssp`]) is an event scheduler
 //! and the MLP loop ([`crate::mlp_trainer`]) has its own model and shuffle;
@@ -35,7 +35,6 @@ use crate::allreduce::Collective;
 use crate::config::ClusterConfig;
 use crate::faults::{CrashPhase, FaultPlan, FaultyLink, Transmission};
 use crate::membership::RoundPlan;
-use crate::ps::ShardedServers;
 use crate::trainer::{DriverStar, EpochStats, TrainOutcome, TrainReport, TrainSpec};
 use crate::worker::{partition, WorkerScratch};
 use sketchml_core::{
@@ -69,14 +68,6 @@ pub enum Aggregation<'a> {
     /// The paper's driver star (§4.1): every worker pushes its compressed
     /// gradient to the driver, which decodes, averages and broadcasts.
     Driver(&'a dyn GradientCompressor),
-    /// A parameter server range-sharded over `servers` nodes: one compressed
-    /// message per worker per shard, ingested in parallel ([`crate::ps`]).
-    ParameterServer {
-        /// Number of server shards.
-        servers: usize,
-        /// Compressor applied to every shard message.
-        compressor: &'a dyn GradientCompressor,
-    },
     /// Peer-to-peer allreduce along `cluster.topology`, with elastic
     /// membership over the survivors ([`crate::allreduce`]).
     Collective {
@@ -118,9 +109,7 @@ pub fn train_glm(
     resume: Option<Checkpoint>,
 ) -> Result<TrainOutcome, CompressError> {
     let compressor: &dyn GradientCompressor = match &aggregation {
-        Aggregation::Driver(compressor) | Aggregation::ParameterServer { compressor, .. } => {
-            *compressor
-        }
+        Aggregation::Driver(compressor) => *compressor,
         Aggregation::Collective { compressor, .. } => compressor,
     };
     let link = open_link(task.train.len(), cluster, faults)?;
@@ -132,10 +121,6 @@ pub fn train_glm(
     match aggregation {
         Aggregation::Driver(_) => {
             let exchange = DriverStar::new(cx, faults);
-            run(task, spec, cx, exchange, link, resume)
-        }
-        Aggregation::ParameterServer { servers, .. } => {
-            let exchange = ShardedServers::new(cx, servers);
             run(task, spec, cx, exchange, link, resume)
         }
         Aggregation::Collective { policy, compressor } => {

@@ -6,8 +6,8 @@
 //! model, and broadcasts the updated model to the executors."
 //!
 //! This crate reproduces that loop in-process, once: [`engine`] holds the
-//! one round engine, and the driver star, the sharded parameter server and
-//! the collective allreduce are three exchanges under it.
+//! one round engine, and the driver star and the collective allreduce are
+//! the two exchanges under it.
 //!
 //! - **Workers are real**: OS threads compute real mini-batch gradients over
 //!   real data partitions, and really serialize/compress their messages —
@@ -37,7 +37,6 @@ pub mod faults;
 mod membership;
 pub mod mlp_trainer;
 pub mod network;
-pub mod ps;
 pub mod ssp;
 pub mod trainer;
 pub mod worker;
@@ -48,7 +47,6 @@ pub use engine::{train_glm, Aggregation, GlmTask};
 pub use faults::{CrashEvent, CrashPhase, FaultEvent, FaultPlan, FaultTrace, FaultyLink};
 pub use mlp_trainer::{train_mlp_distributed, train_mlp_with_plan, MlpTrainReport, MlpTrainSpec};
 pub use network::{CostModel, NetworkModel};
-pub use ps::{train_parameter_server, ShardMap};
 pub use sketchml_collectives::{MergePolicy, Topology};
 pub use sketchml_ml::{OptStateMode, OptimizerState};
 pub use ssp::{train_ssp, train_ssp_with_plan, SspConfig, SspReport};

@@ -1,11 +1,8 @@
 //! Property-based tests of the cluster substrate.
 
-use proptest::collection::btree_set;
 use proptest::prelude::*;
-use sketchml_cluster::ps::{ShardMap, ShardStrategy};
 use sketchml_cluster::worker::partition;
 use sketchml_cluster::NetworkModel;
-use sketchml_core::SparseGradient;
 
 proptest! {
     /// Partition covers every index exactly once, in order, with balanced
@@ -21,47 +18,6 @@ proptest! {
         let max = sizes.iter().copied().max().unwrap_or(0);
         let min = sizes.iter().copied().min().unwrap_or(0);
         prop_assert!(max - min <= 1, "unbalanced: {sizes:?}");
-    }
-
-    /// Sharding splits are lossless under both strategies.
-    #[test]
-    fn shard_split_is_lossless(
-        keys in btree_set(0u64..100_000, 1..300),
-        servers in 1usize..32,
-        range_strategy in any::<bool>(),
-    ) {
-        let keys: Vec<u64> = keys.into_iter().collect();
-        // Nonzero values: `aggregate` canonicalizes exact zeros away, and
-        // real gradients never carry them (SparseGradient::from_dense
-        // filters zeros at construction).
-        let values: Vec<f64> = keys
-            .iter()
-            .map(|&k| {
-                let v = (k as f64).sin();
-                if v == 0.0 {
-                    0.5
-                } else {
-                    v
-                }
-            })
-            .collect();
-        let g = SparseGradient::new(100_000, keys, values).unwrap();
-        let strategy = if range_strategy { ShardStrategy::Range } else { ShardStrategy::Hash };
-        let m = ShardMap::with_strategy(100_000, servers, strategy);
-        let split = m.split(&g).unwrap();
-        prop_assert_eq!(split.len(), servers.max(1));
-        let merged = SparseGradient::aggregate(&split).unwrap();
-        prop_assert_eq!(merged, g);
-    }
-
-    /// Shard assignment is a function of the key alone (stable).
-    #[test]
-    fn shard_of_is_stable(key in 0u64..1_000_000, servers in 1usize..64) {
-        let m = ShardMap::new(1_000_000, servers);
-        let s1 = m.shard_of(key);
-        let s2 = m.shard_of(key);
-        prop_assert_eq!(s1, s2);
-        prop_assert!(s1 < servers.max(1));
     }
 
     /// Transfer time is monotone in bytes and bounded below by latency.

@@ -17,7 +17,7 @@
 //! - [`ml`] — LR / SVM / Linear GLMs, Adam SGD, and an MLP;
 //! - [`data`] — synthetic KDD10/KDD12/CTR-like datasets and libsvm IO;
 //! - [`cluster`] — the distributed-training simulator: one round engine
-//!   under a driver star, a sharded parameter server or a collective;
+//!   under a driver star or a collective;
 //! - [`collectives`] — mergeable-sketch allreduce: ring / tree / star
 //!   aggregation of compressed gradient payloads;
 //! - [`net`] — the live parameter server: framed wire protocol over
@@ -67,9 +67,9 @@ pub use sketchml_telemetry as telemetry;
 
 pub use sketchml_cluster::{
     train_allreduce, train_allreduce_with_policy, train_distributed, train_glm,
-    train_mlp_distributed, train_mlp_with_plan, train_parameter_server, train_ssp,
-    train_ssp_with_plan, Aggregation, ClusterConfig, FaultPlan, FaultTrace, FaultyLink, GlmTask,
-    ShardMap, SspConfig, TrainOutcome, TrainReport, TrainSpec,
+    train_mlp_distributed, train_mlp_with_plan, train_ssp, train_ssp_with_plan, Aggregation,
+    ClusterConfig, FaultPlan, FaultTrace, FaultyLink, GlmTask, SspConfig, TrainOutcome,
+    TrainReport, TrainSpec,
 };
 pub use sketchml_collectives::{MergePolicy, MergeableCompressor, Topology};
 pub use sketchml_core::{

@@ -1,5 +1,5 @@
 //! Fault-injection integration tests: deterministic chaos runs across the
-//! driver, parameter-server, SSP, and MLP topologies.
+//! driver, SSP, and MLP topologies.
 //!
 //! The invariants here are the PR's acceptance criteria: same seed → same
 //! fault trace and bit-identical final loss; training under 10% drops plus
@@ -18,10 +18,9 @@ use sketchml::core::registry;
 use sketchml::data::Task;
 use sketchml::ml::MlpConfig;
 use sketchml::{
-    train_distributed, train_glm, train_mlp_distributed, train_mlp_with_plan,
-    train_parameter_server, train_ssp, train_ssp_with_plan, Aggregation, ClusterConfig,
-    CompressError, FaultPlan, GlmLoss, GlmTask, Instance, SketchMlCompressor, SparseDatasetSpec,
-    SspConfig, TrainOutcome, TrainSpec,
+    train_distributed, train_glm, train_mlp_distributed, train_mlp_with_plan, train_ssp,
+    train_ssp_with_plan, Aggregation, ClusterConfig, CompressError, FaultPlan, GlmLoss, GlmTask,
+    Instance, SketchMlCompressor, SparseDatasetSpec, SspConfig, Topology, TrainSpec,
 };
 
 fn dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
@@ -389,44 +388,6 @@ fn resume_rejects_mismatched_or_exhausted_checkpoints() {
 }
 
 #[test]
-fn parameter_server_chaos_smoke() {
-    let (train, test, dim) = dataset();
-    let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
-    let cluster = ClusterConfig::cluster1(4);
-    let plan = FaultPlan::seeded(41).with_drops(0.15).with_crash(0, 3, 2);
-    let TrainOutcome { report, trace, .. } = train_glm(
-        &GlmTask::new(&train, &test, dim),
-        &spec,
-        &cluster,
-        Aggregation::ParameterServer {
-            servers: 4,
-            compressor: &checksummed(SketchMlCompressor::default(), 1),
-        },
-        &plan,
-        None,
-    )
-    .unwrap();
-    assert!(trace.retransmits > 0, "PS shard pushes should hit drops");
-    assert_eq!(trace.crashes, 1);
-    let clean = train_parameter_server(
-        &train,
-        &test,
-        dim,
-        &spec,
-        &cluster,
-        4,
-        &SketchMlCompressor::default(),
-    )
-    .unwrap();
-    let faulty_loss = report.epochs.last().unwrap().test_loss;
-    let clean_loss = clean.epochs.last().unwrap().test_loss;
-    assert!(
-        (faulty_loss - clean_loss).abs() / clean_loss < 0.10,
-        "PS chaos loss {faulty_loss} strayed from {clean_loss}"
-    );
-}
-
-#[test]
 fn ssp_chaos_absorbs_stragglers_and_crashes() {
     let (train, test, dim) = dataset();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
@@ -575,17 +536,21 @@ fn invalid_plans_and_configs_are_typed_errors() {
         let err = run(&bad).unwrap_err();
         assert!(matches!(err, CompressError::InvalidConfig(_)), "{err:?}");
     }
-    // Cluster config validation is independent of the plan.
-    let mut broken = ClusterConfig::cluster1(2);
-    broken.workers = 0;
-    let err = train_distributed(
-        &train,
-        &test,
-        dim,
-        &spec,
-        &broken,
-        &SketchMlCompressor::default(),
-    )
-    .unwrap_err();
-    assert!(matches!(err, CompressError::InvalidConfig(_)), "{err:?}");
+    // Cluster config validation is independent of the plan, and a star run
+    // validates the topology it does not read.
+    let mut no_workers = ClusterConfig::cluster1(2);
+    no_workers.workers = 0;
+    let lone_ring = ClusterConfig::cluster1(1).with_topology(Topology::Ring);
+    for broken in [no_workers, lone_ring] {
+        let err = train_distributed(
+            &train,
+            &test,
+            dim,
+            &spec,
+            &broken,
+            &SketchMlCompressor::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CompressError::InvalidConfig(_)), "{err:?}");
+    }
 }

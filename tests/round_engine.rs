@@ -5,10 +5,13 @@
 //! (0e12596), by driving one small seeded task through all 13 `train_*`
 //! entry points of that commit: per-epoch losses, simulated seconds, byte
 //! and pair counts, and the full fault trace of every scenario. The replay
-//! below drives the same scenarios through the engine — the six fault-free
-//! names through their wrappers, the seven deleted `_chaos`/`_resumable`
-//! twins through the plan-taking entries — and must land on the same
-//! numbers. The other tests let the fault-free fork go: a run under
+//! below drives the same scenarios through the engine — the fault-free
+//! names through their wrappers, the deleted `_chaos`/`_resumable` twins
+//! through the plan-taking entries — and must land on the same numbers.
+//! Scenarios whose code was deleted later left the fixture as whole
+//! entries, every other entry byte for byte: the adaptive-SSP runs, then
+//! the five `ps/*` runs with the simulated sharded parameter server. 39
+//! remain. The other tests let the fault-free fork go: a run under
 //! [`FaultPlan::none`] *is* the fault-free run, bit for bit.
 //!
 //! A run ships exactly the compressor it is given. The fixture's runs under
@@ -28,11 +31,10 @@ use sketchml::encoding::stats::SizeReport;
 use sketchml::ml::MlpConfig;
 use sketchml::{
     train_allreduce, train_allreduce_with_policy, train_distributed, train_glm,
-    train_mlp_distributed, train_mlp_with_plan, train_parameter_server, train_ssp,
-    train_ssp_with_plan, Aggregation, ClusterConfig, CompressError, FaultPlan, FaultTrace, GlmLoss,
-    GlmTask, GradientCompressor, Instance, MergePolicy, MergeableCompressor, MnistLikeSpec,
-    RawCompressor, SketchMlCompressor, SparseDatasetSpec, SparseGradient, SspConfig, Topology,
-    TrainOutcome, TrainReport, TrainSpec,
+    train_mlp_distributed, train_mlp_with_plan, train_ssp, train_ssp_with_plan, Aggregation,
+    ClusterConfig, CompressError, FaultPlan, FaultTrace, GlmLoss, GlmTask, GradientCompressor,
+    Instance, MergePolicy, MergeableCompressor, MnistLikeSpec, RawCompressor, SketchMlCompressor,
+    SparseDatasetSpec, SparseGradient, SspConfig, Topology, TrainOutcome, TrainReport, TrainSpec,
 };
 
 fn dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
@@ -221,20 +223,6 @@ fn replay() -> Vec<(String, Value)> {
         )),
     );
 
-    // --- sharded parameter server ---
-    let ps_wire = |servers| Aggregation::ParameterServer {
-        servers,
-        compressor: &wire,
-    };
-    put(
-        "ps/clean",
-        report(&train_parameter_server(&train, &test, dim, &spec, &cluster, 4, &sk).unwrap()),
-    );
-    for seed in 1..=3u64 {
-        let o = glm(&spec, &cluster, ps_wire(4), &stormy_plan(seed), None);
-        put(&format!("ps/stormy{seed}"), pair(&o.report, &o.trace));
-    }
-
     // --- SSP ---
     let ssp = SspConfig::ssp(2, 1.0);
     put(
@@ -324,8 +312,6 @@ fn replay() -> Vec<(String, Value)> {
         "driver/heavy_loss",
         outcome(&glm(&spec, &two, driver_wire, &lossy, None)),
     );
-    let o = glm(&spec, &two, ps_wire(2), &lossy, None);
-    put("ps/heavy_loss", pair(&o.report, &o.trace));
     let (r, t) = train_ssp_with_plan(&task, &spec, &two, &ssp, &wire, &lossy).unwrap();
     put("ssp/heavy_loss", pair(&r, &t));
     put(
@@ -541,19 +527,11 @@ fn the_benign_plan_is_the_fault_free_path() {
     for topology in [Topology::Star, Topology::Ring, Topology::Tree] {
         let cluster = ClusterConfig::cluster1(4).with_topology(topology);
         let t = topology.name();
-        let cases: [(&str, Aggregation, TrainReport); 3] = [
+        let cases: [(&str, Aggregation, TrainReport); 2] = [
             (
                 "driver",
                 Aggregation::Driver(&sk),
                 train_distributed(&train, &test, dim, &spec, &cluster, &sk).unwrap(),
-            ),
-            (
-                "ps",
-                Aggregation::ParameterServer {
-                    servers: 4,
-                    compressor: &sk,
-                },
-                train_parameter_server(&train, &test, dim, &spec, &cluster, 4, &sk).unwrap(),
             ),
             (
                 "collective",
@@ -592,32 +570,29 @@ fn the_benign_plan_is_the_fault_free_path() {
 }
 
 /// The docs' "identical math" claim, pinned: under the lossless `raw` codec
-/// the driver star, the sharded parameter server and the collective star
-/// aggregate the same gradients in different orders, so per-epoch losses
-/// agree to floating-point reassociation (1 ulp apart when measured — hence
-/// a tolerance, not `to_bits`).
+/// the driver star and the collective star aggregate the same gradients in
+/// different orders, so per-epoch losses agree to floating-point
+/// reassociation (1 ulp apart when measured — hence a tolerance, not
+/// `to_bits`).
 #[test]
-fn the_three_aggregations_compute_the_same_math_under_raw() {
+fn the_two_aggregations_compute_the_same_math_under_raw() {
     let (train, test, dim) = dataset();
     let raw = RawCompressor::default();
     let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 3);
     let cluster = ClusterConfig::cluster1(4);
     let driver = train_distributed(&train, &test, dim, &spec, &cluster, &raw).unwrap();
-    let ps = train_parameter_server(&train, &test, dim, &spec, &cluster, 4, &raw).unwrap();
     let star = train_allreduce(&train, &test, dim, &spec, &cluster, &raw).unwrap();
-    for (name, other) in [("ps", &ps), ("collective star", &star)] {
-        assert_eq!(driver.epochs.len(), other.epochs.len());
-        for (d, o) in driver.epochs.iter().zip(&other.epochs) {
-            for (what, a, b) in [
-                ("test_loss", d.test_loss, o.test_loss),
-                ("train_loss", d.train_loss, o.train_loss),
-            ] {
-                assert!(
-                    (a - b).abs() <= 1e-12 * a.abs(),
-                    "epoch {} {what}: driver {a} vs {name} {b}",
-                    d.epoch
-                );
-            }
+    assert_eq!(driver.epochs.len(), star.epochs.len());
+    for (d, o) in driver.epochs.iter().zip(&star.epochs) {
+        for (what, a, b) in [
+            ("test_loss", d.test_loss, o.test_loss),
+            ("train_loss", d.train_loss, o.train_loss),
+        ] {
+            assert!(
+                (a - b).abs() <= 1e-12 * a.abs(),
+                "epoch {} {what}: driver {a} vs collective star {b}",
+                d.epoch
+            );
         }
     }
 }
@@ -666,13 +641,6 @@ fn a_panicking_compressor_is_a_typed_error_on_every_aggregation() {
     let cluster = ClusterConfig::cluster1(3).with_topology(Topology::Ring);
     let aggregations = [
         ("driver", Aggregation::Driver(&Panicky)),
-        (
-            "ps",
-            Aggregation::ParameterServer {
-                servers: 2,
-                compressor: &Panicky,
-            },
-        ),
         (
             "collective",
             Aggregation::Collective {

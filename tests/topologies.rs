@@ -1,11 +1,11 @@
-//! Cross-crate integration tests for the alternative training topologies:
-//! parameter server and stale-synchronous parallelism, driven through the
-//! facade crate.
+//! Cross-crate integration tests for the driver star against the
+//! alternative training topology, stale-synchronous parallelism, driven
+//! through the facade crate.
 
 use sketchml::cluster::ssp::SspConfig;
 use sketchml::{
-    train_distributed, train_parameter_server, train_ssp, ClusterConfig, GlmLoss,
-    GradientCompressor, RawCompressor, SketchMlCompressor, SparseDatasetSpec, TrainSpec,
+    train_distributed, train_ssp, ClusterConfig, GlmLoss, GradientCompressor, RawCompressor,
+    SketchMlCompressor, SparseDatasetSpec, TrainSpec,
 };
 
 fn dataset() -> (Vec<sketchml::Instance>, Vec<sketchml::Instance>, usize) {
@@ -31,7 +31,6 @@ fn three_topologies_reach_comparable_quality() {
     let c = SketchMlCompressor::default();
 
     let driver = train_distributed(&train, &test, dim, &spec, &cluster, &c).unwrap();
-    let ps = train_parameter_server(&train, &test, dim, &spec, &cluster, 4, &c).unwrap();
     let ssp = train_ssp(
         &train,
         &test,
@@ -46,7 +45,6 @@ fn three_topologies_reach_comparable_quality() {
     let baseline = (2f64).ln(); // zero model's logistic loss
     for (name, loss) in [
         ("driver", driver.best_test_loss()),
-        ("ps", ps.best_test_loss()),
         ("ssp", ssp.best_test_loss()),
     ] {
         assert!(
@@ -54,12 +52,6 @@ fn three_topologies_reach_comparable_quality() {
             "{name}: loss {loss} did not beat the zero model"
         );
     }
-    // Under a *lossless* compressor, driver and PS are mathematically
-    // identical runs (with SketchML they differ: PS quantizes per shard).
-    let raw = RawCompressor::default();
-    let d = train_distributed(&train, &test, dim, &spec, &cluster, &raw).unwrap();
-    let p = train_parameter_server(&train, &test, dim, &spec, &cluster, 4, &raw).unwrap();
-    assert!((d.best_test_loss() - p.best_test_loss()).abs() < 1e-9);
 }
 
 #[test]
@@ -72,11 +64,6 @@ fn compression_wins_in_every_topology() {
 
     let t_driver = |c: &dyn GradientCompressor| {
         train_distributed(&train, &test, dim, &spec, &cluster, c)
-            .unwrap()
-            .avg_epoch_seconds()
-    };
-    let t_ps = |c: &dyn GradientCompressor| {
-        train_parameter_server(&train, &test, dim, &spec, &cluster, 4, c)
             .unwrap()
             .avg_epoch_seconds()
     };
@@ -94,17 +81,5 @@ fn compression_wins_in_every_topology() {
         .total_sim_seconds()
     };
     assert!(t_driver(&sk) < t_driver(&raw), "driver");
-    assert!(t_ps(&sk) < t_ps(&raw), "parameter server");
     assert!(t_ssp(&sk) < t_ssp(&raw), "ssp");
-}
-
-#[test]
-fn shard_map_facade_access() {
-    use sketchml::ShardMap;
-    let m = ShardMap::new(1000, 5);
-    let g = sketchml::SparseGradient::new(1000, vec![0, 500, 999], vec![1.0, 2.0, 3.0]).unwrap();
-    let split = m.split(&g).unwrap();
-    assert_eq!(split.len(), 5);
-    let merged = sketchml::SparseGradient::aggregate(&split).unwrap();
-    assert_eq!(merged, g);
 }
