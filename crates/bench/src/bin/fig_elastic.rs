@@ -1,24 +1,22 @@
-//! Elastic-membership resilience: training through permanent worker loss,
-//! crash-then-rejoin churn, and straggler skew under bounded staleness.
+//! Elastic-membership resilience: training through permanent worker loss
+//! and crash-then-rejoin churn.
 //!
 //! Runs an 8-worker ring allreduce under three scenarios — no faults, one
-//! permanent crash, one crash that heals with a mid-training join — and a
-//! 3x plan straggler under SSP at staleness bounds 0 (BSP) and 8, and
+//! permanent crash, one crash that heals with a mid-training join — and
 //! records final loss, epochs to reach the fault-free loss (+5%),
 //! reconfiguration stall time, and the membership transitions. Every figure
 //! is a simulated quantity: same seeds, same table.
 //!
 //! The run aborts unless (a) the permanent-crash run converges within 5%
-//! of the fault-free loss, (b) the healing run records at least one
-//! eviction and one join, and (c) bound 8 finishes sooner than bound 0.
+//! of the fault-free loss and (b) the healing run records at least one
+//! eviction and one join.
 //!
 //! `--quick` shrinks the dataset and epoch count (CI smoke).
 
 use serde::Serialize;
 use sketchml_bench::output::{print_table, write_json, ExperimentOutput};
 use sketchml_cluster::{
-    train_allreduce, train_glm, train_ssp_with_plan, Aggregation, ClusterConfig, FaultPlan,
-    GlmTask, SspConfig, TrainSpec,
+    train_allreduce, train_glm, Aggregation, ClusterConfig, FaultPlan, GlmTask, TrainSpec,
 };
 use sketchml_collectives::{MergePolicy, Topology};
 use sketchml_core::SketchMlCompressor;
@@ -153,39 +151,6 @@ fn main() {
         });
     }
 
-    // Straggler scenario: one worker at 3x compute, under SSP with a fixed
-    // staleness bound: 0 waits for it at every barrier, 8 hides it.
-    let mut factors = vec![1.0; WORKERS];
-    factors[WORKERS - 1] = 3.0;
-    let plan = FaultPlan::seeded(79).with_stragglers(factors);
-    for (scenario, staleness) in [("straggler-bsp", 0), ("straggler-ssp8", 8)] {
-        let (report, t) = train_ssp_with_plan(
-            &GlmTask::new(&train, &test, dim),
-            &spec,
-            &cluster,
-            &SspConfig::ssp(staleness, 0.0),
-            &compressor,
-            &plan,
-        )
-        .expect(scenario);
-        let curve: Vec<(usize, f64)> = report
-            .epochs
-            .iter()
-            .map(|e| (e.epoch, e.test_loss))
-            .collect();
-        rows.push(Row {
-            scenario,
-            final_loss: report.epochs.last().expect("epochs").test_loss,
-            epochs_to_target: epochs_to_target(&curve, target_loss),
-            sim_seconds: report.total_sim_seconds(),
-            stall_seconds: t.recovery_seconds + t.join_seconds,
-            evictions: t.evictions,
-            joins: t.joins,
-            reconfigurations: t.reconfigurations,
-            degraded_rounds: t.degraded_rounds,
-        });
-    }
-
     let row = |s: &str| rows.iter().find(|r| r.scenario == s).expect("scenario row");
     let crash = row("permanent-crash");
     assert!(
@@ -200,13 +165,6 @@ fn main() {
         "the healing run must evict then rejoin (evictions {}, joins {})",
         heal.evictions,
         heal.joins
-    );
-    let (bsp, ssp) = (row("straggler-bsp"), row("straggler-ssp8"));
-    assert!(
-        ssp.sim_seconds < bsp.sim_seconds,
-        "bound 8 ({:.3} s) must finish sooner than bound 0 ({:.3} s)",
-        ssp.sim_seconds,
-        bsp.sim_seconds
     );
 
     let table: Vec<Vec<String>> = rows
@@ -240,7 +198,7 @@ fn main() {
 
     write_json(&ExperimentOutput {
         id: "fig_elastic".into(),
-        paper_ref: "extension (elastic membership: eviction, rejoin, SSP under stragglers)".into(),
+        paper_ref: "extension (elastic membership: eviction, rejoin)".into(),
         results: Report {
             quick,
             workers: WORKERS,

@@ -26,10 +26,11 @@
 //!
 //! An [`Exchange`] holds only what differs between the two GLM
 //! aggregations: how the workers' results become one gradient and what that
-//! costs on the simulated clock. SSP ([`crate::ssp`]) is an event scheduler
-//! and the MLP loop ([`crate::mlp_trainer`]) has its own model and shuffle;
-//! both are assembled from the same pieces rather than squeezed into
-//! [`run`], which would have to branch on its caller.
+//! costs on the simulated clock. Every simulated GLM run goes through
+//! `run`. The MLP loop ([`crate::mlp_trainer`]) is the only loop beside
+//! it: it has its own model and shuffle, so it is assembled from the same
+//! pieces rather than squeezed into [`run`], which would have to branch on
+//! its caller.
 
 use crate::allreduce::Collective;
 use crate::config::ClusterConfig;
@@ -214,7 +215,6 @@ pub(crate) fn crash_roster(
         members: (0..workers).collect(),
         down,
         stall_seconds,
-        changed: false,
     })
 }
 

@@ -467,8 +467,6 @@ pub struct Transmission<'p> {
     pub payload: Option<Cow<'p, [u8]>>,
     /// Simulated seconds the exchange took (transfers + backoff).
     pub sim_seconds: f64,
-    /// Attempts used (1 = clean first try).
-    pub attempts: u32,
     /// Total bytes that crossed the wire, including retries and duplicates.
     pub bytes_on_wire: u64,
 }
@@ -617,7 +615,6 @@ impl FaultyLink {
             return Transmission {
                 payload: Some(delivered),
                 sim_seconds,
-                attempts: attempt,
                 bytes_on_wire,
             };
         }
@@ -626,7 +623,6 @@ impl FaultyLink {
         Transmission {
             payload: None,
             sim_seconds,
-            attempts: self.plan.max_attempts,
             bytes_on_wire,
         }
     }
@@ -771,7 +767,6 @@ mod tests {
         let payload = vec![1u8, 2, 3, 4];
         let tx = link.transmit(0, 0, &payload, &mut |_| true);
         assert_eq!(tx.payload.as_deref(), Some(&payload[..]));
-        assert_eq!(tx.attempts, 1);
         assert_eq!(tx.bytes_on_wire, 4);
         assert!((tx.sim_seconds - net().transfer_time(4)).abs() < 1e-12);
         assert_eq!(link.trace(), &FaultTrace::default());
@@ -841,7 +836,7 @@ mod tests {
             for batch in 0..50u64 {
                 for w in 0..3 {
                     let tx = link.transmit(w, batch, &payload, &mut |_| false);
-                    delivered.push((tx.payload.is_some(), tx.attempts, tx.bytes_on_wire));
+                    delivered.push((tx.payload.is_some(), tx.bytes_on_wire));
                 }
                 link.broadcast_penalty(batch, 128);
             }
@@ -883,7 +878,6 @@ mod tests {
         let payload = [0u8; 100];
         let tx = link.transmit(0, 0, &payload, &mut |_| true);
         assert!(tx.payload.is_none(), "message should be lost");
-        assert_eq!(tx.attempts, 4);
         assert_eq!(tx.bytes_on_wire, 400);
         // 4 transfers + backoffs 0.01·(1 + 2 + 4).
         let expect = 4.0 * net().transfer_time(100) + 0.01 * 7.0;

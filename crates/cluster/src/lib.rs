@@ -37,7 +37,6 @@ pub mod faults;
 mod membership;
 pub mod mlp_trainer;
 pub mod network;
-pub mod ssp;
 pub mod trainer;
 pub mod worker;
 
@@ -49,5 +48,4 @@ pub use mlp_trainer::{train_mlp_distributed, train_mlp_with_plan, MlpTrainReport
 pub use network::{CostModel, NetworkModel};
 pub use sketchml_collectives::{MergePolicy, Topology};
 pub use sketchml_ml::{OptStateMode, OptimizerState};
-pub use ssp::{train_ssp, train_ssp_with_plan, SspConfig, SspReport};
 pub use trainer::{train_distributed, EpochStats, TrainOutcome, TrainReport, TrainSpec};

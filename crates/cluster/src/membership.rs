@@ -48,10 +48,6 @@ pub(crate) struct RoundPlan {
     /// Simulated seconds spent on joins and crash recoveries this round,
     /// charged to the global clock.
     pub stall_seconds: f64,
-    /// Whether the member set changed (schedules must be rebuilt). The
-    /// trainer rebuilds unconditionally from `members`; tests assert on it.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub changed: bool,
 }
 
 /// The failure-detector + join state machine. One instance lives inside an
@@ -192,7 +188,6 @@ impl ElasticMembership {
             members: self.members.clone(),
             down,
             stall_seconds: stall,
-            changed,
         }
     }
 }
@@ -216,7 +211,7 @@ mod tests {
 
         let r0 = ms.step(&mut l, 0, &mut bytes);
         assert_eq!(r0.members, vec![0, 1, 2, 3]);
-        assert!(!r0.changed);
+        assert_eq!(l.trace().reconfigurations, 0);
 
         let r1 = ms.step(&mut l, 1, &mut bytes); // first miss: suspected
         assert_eq!(r1.members.len(), 4);
@@ -224,7 +219,14 @@ mod tests {
 
         let r2 = ms.step(&mut l, 2, &mut bytes); // second miss: evicted
         assert_eq!(r2.members, vec![0, 1, 3]);
-        assert!(r2.changed);
+        assert_eq!(l.trace().reconfigurations, 1);
+        assert_eq!(
+            l.trace().events.last(),
+            Some(&FaultEvent::Reconfigured {
+                batch: 2,
+                members: 3
+            })
+        );
 
         // Permanent: never rejoins, membership stays at 3.
         for b in 3..30 {

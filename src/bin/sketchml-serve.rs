@@ -1,8 +1,11 @@
 //! `sketchml-serve` — the driver process of the live parameter server.
 //!
-//! Binds a socket, serves `GetConfig`/`PullModel`/`PushGradient` to worker
-//! processes and `Predict` to inference clients, trains until `--epochs`
-//! complete, then prints a JSON summary and exits.
+//! Binds a socket, serves `GetConfig`/`PushGradient`/`PullRound` to worker
+//! processes (a `PullRound` is answered with the round's frames, or with a
+//! `State` reply carrying the live training state to a worker that must
+//! catch up), `PullModel` to monitors and tests and `Predict` to inference
+//! clients, trains until `--epochs` complete, then prints a JSON summary and
+//! exits.
 //!
 //! ```text
 //! sketchml-serve --addr tcp://127.0.0.1:0 --workers 4 --epochs 3

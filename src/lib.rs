@@ -67,9 +67,8 @@ pub use sketchml_telemetry as telemetry;
 
 pub use sketchml_cluster::{
     train_allreduce, train_allreduce_with_policy, train_distributed, train_glm,
-    train_mlp_distributed, train_mlp_with_plan, train_ssp, train_ssp_with_plan, Aggregation,
-    ClusterConfig, FaultPlan, FaultTrace, FaultyLink, GlmTask, SspConfig, TrainOutcome,
-    TrainReport, TrainSpec,
+    train_mlp_distributed, train_mlp_with_plan, Aggregation, ClusterConfig, FaultPlan, FaultTrace,
+    FaultyLink, GlmTask, TrainOutcome, TrainReport, TrainSpec,
 };
 pub use sketchml_collectives::{MergePolicy, MergeableCompressor, Topology};
 pub use sketchml_core::{

@@ -1,5 +1,5 @@
 //! Fault-injection integration tests: deterministic chaos runs across the
-//! driver, SSP, and MLP topologies.
+//! driver and MLP loops.
 //!
 //! The invariants here are the PR's acceptance criteria: same seed → same
 //! fault trace and bit-identical final loss; training under 10% drops plus
@@ -18,9 +18,9 @@ use sketchml::core::registry;
 use sketchml::data::Task;
 use sketchml::ml::MlpConfig;
 use sketchml::{
-    train_distributed, train_glm, train_mlp_distributed, train_mlp_with_plan, train_ssp,
-    train_ssp_with_plan, Aggregation, ClusterConfig, CompressError, FaultPlan, GlmLoss, GlmTask,
-    Instance, SketchMlCompressor, SparseDatasetSpec, SspConfig, Topology, TrainSpec,
+    train_distributed, train_glm, train_mlp_distributed, train_mlp_with_plan, Aggregation,
+    ClusterConfig, CompressError, FaultPlan, GlmLoss, GlmTask, Instance, SketchMlCompressor,
+    SparseDatasetSpec, Topology, TrainSpec,
 };
 
 fn dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
@@ -385,54 +385,6 @@ fn resume_rejects_mismatched_or_exhausted_checkpoints() {
     )
     .unwrap_err();
     assert!(matches!(err, CompressError::InvalidConfig(_)), "{err:?}");
-}
-
-#[test]
-fn ssp_chaos_absorbs_stragglers_and_crashes() {
-    let (train, test, dim) = dataset();
-    let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
-    let cluster = ClusterConfig::cluster1(4);
-    let ssp = SspConfig::ssp(3, 0.0);
-    let plan = FaultPlan::seeded(17)
-        .with_drops(0.05)
-        .with_stragglers(vec![1.0, 1.0, 4.0, 1.0])
-        .with_crash(1, 10, 5);
-    let (report, trace) = train_ssp_with_plan(
-        &GlmTask::new(&train, &test, dim),
-        &spec,
-        &cluster,
-        &ssp,
-        &checksummed(SketchMlCompressor::default(), 1),
-        &plan,
-    )
-    .unwrap();
-    assert_eq!(trace.crashes, 1);
-    assert_eq!(trace.recoveries, 1);
-    let last = report.epochs.last().unwrap().test_loss;
-    assert!(last.is_finite() && last > 0.0);
-    // Determinism holds under SSP too.
-    let (_, trace2) = train_ssp_with_plan(
-        &GlmTask::new(&train, &test, dim),
-        &spec,
-        &cluster,
-        &ssp,
-        &checksummed(SketchMlCompressor::default(), 1),
-        &plan,
-    )
-    .unwrap();
-    assert_eq!(trace, trace2);
-    // And the fault-free entry point still works unchanged.
-    let clean = train_ssp(
-        &train,
-        &test,
-        dim,
-        &spec,
-        &cluster,
-        &ssp,
-        &SketchMlCompressor::default(),
-    )
-    .unwrap();
-    assert!(clean.epochs.last().unwrap().test_loss.is_finite());
 }
 
 #[test]

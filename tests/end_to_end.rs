@@ -76,6 +76,10 @@ fn sketchml_matches_adam_quality_on_classification() {
         sk.best_test_loss(),
         adam.best_test_loss()
     );
+    assert!(
+        sk.best_test_loss() < 2f64.ln() * 0.95,
+        "beats the zero model"
+    );
     // ...at a fraction of the (simulated) time per epoch.
     assert!(sk.avg_epoch_seconds() < adam.avg_epoch_seconds() * 0.75);
     // And accuracy is comparable.

@@ -9,9 +9,10 @@
 //! names through their wrappers, the deleted `_chaos`/`_resumable` twins
 //! through the plan-taking entries — and must land on the same numbers.
 //! Scenarios whose code was deleted later left the fixture as whole
-//! entries, every other entry byte for byte: the adaptive-SSP runs, then
-//! the five `ps/*` runs with the simulated sharded parameter server. 39
-//! remain. The other tests let the fault-free fork go: a run under
+//! entries, every other entry byte for byte: the adaptive-SSP runs, the
+//! five `ps/*` runs with the simulated sharded parameter server, then the
+//! five `ssp/*` runs with the stale-synchronous scheduler. 34 remain. The
+//! other tests let the fault-free fork go: a run under
 //! [`FaultPlan::none`] *is* the fault-free run, bit for bit.
 //!
 //! A run ships exactly the compressor it is given. The fixture's runs under
@@ -31,10 +32,10 @@ use sketchml::encoding::stats::SizeReport;
 use sketchml::ml::MlpConfig;
 use sketchml::{
     train_allreduce, train_allreduce_with_policy, train_distributed, train_glm,
-    train_mlp_distributed, train_mlp_with_plan, train_ssp, train_ssp_with_plan, Aggregation,
-    ClusterConfig, CompressError, FaultPlan, FaultTrace, GlmLoss, GlmTask, GradientCompressor,
-    Instance, MergePolicy, MergeableCompressor, MnistLikeSpec, RawCompressor, SketchMlCompressor,
-    SparseDatasetSpec, SparseGradient, SspConfig, Topology, TrainOutcome, TrainReport, TrainSpec,
+    train_mlp_distributed, train_mlp_with_plan, Aggregation, ClusterConfig, CompressError,
+    FaultPlan, FaultTrace, GlmLoss, GlmTask, GradientCompressor, Instance, MergePolicy,
+    MergeableCompressor, MnistLikeSpec, RawCompressor, SketchMlCompressor, SparseDatasetSpec,
+    SparseGradient, Topology, TrainOutcome, TrainReport, TrainSpec,
 };
 
 fn dataset() -> (Vec<Instance>, Vec<Instance>, usize) {
@@ -223,18 +224,6 @@ fn replay() -> Vec<(String, Value)> {
         )),
     );
 
-    // --- SSP ---
-    let ssp = SspConfig::ssp(2, 1.0);
-    put(
-        "ssp/clean",
-        report(&train_ssp(&train, &test, dim, &spec, &cluster, &ssp, &sk).unwrap()),
-    );
-    for seed in 1..=3u64 {
-        let (r, t) =
-            train_ssp_with_plan(&task, &spec, &cluster, &ssp, &wire, &stormy_plan(seed)).unwrap();
-        put(&format!("ssp/stormy{seed}"), pair(&r, &t));
-    }
-
     // --- collectives ---
     for topology in [Topology::Star, Topology::Ring, Topology::Tree] {
         let c = cluster.with_topology(topology);
@@ -312,8 +301,6 @@ fn replay() -> Vec<(String, Value)> {
         "driver/heavy_loss",
         outcome(&glm(&spec, &two, driver_wire, &lossy, None)),
     );
-    let (r, t) = train_ssp_with_plan(&task, &spec, &two, &ssp, &wire, &lossy).unwrap();
-    put("ssp/heavy_loss", pair(&r, &t));
     put(
         "allreduce/ring/heavy_loss",
         outcome(&glm(
@@ -508,7 +495,7 @@ fn bits_equal(path: &str, want: &Value, got: &Value) {
 }
 
 /// The test that lets the fork go: for every aggregation on every topology,
-/// plus SSP and MLP, the plan-taking entry under `FaultPlan::none()` equals
+/// plus the MLP, the plan-taking entry under `FaultPlan::none()` equals
 /// the fault-free wrapper bit for bit on every deterministic field and
 /// records nothing in its trace.
 #[test]
@@ -552,13 +539,6 @@ fn the_benign_plan_is_the_fault_free_path() {
             assert_eq!(planned.trace, empty, "{name}/{t}");
         }
     }
-
-    let cluster = ClusterConfig::cluster1(4);
-    let ssp = SspConfig::ssp(2, 1.0);
-    let wrapper = train_ssp(&train, &test, dim, &spec, &cluster, &ssp, &sk).unwrap();
-    let (planned, trace) = train_ssp_with_plan(&task, &spec, &cluster, &ssp, &sk, &none).unwrap();
-    bits_equal("ssp", &wrapper.to_value(), &planned.to_value());
-    assert_eq!(trace, empty, "ssp");
 
     let mlp = MlpCase::new();
     let mcluster = ClusterConfig::cluster1(3);
