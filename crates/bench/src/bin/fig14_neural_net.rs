@@ -44,11 +44,10 @@ fn main() {
     let tspec = MlpTrainSpec {
         adam: AdamConfig::with_lr(0.005),
         opt_state: Default::default(),
-        batch_ratio: 0.02,
         epochs,
         seed: 0xB32,
     };
-    let cluster = ClusterConfig::cluster1(5);
+    let cluster = ClusterConfig::cluster1(5).with_batch_ratio(0.02);
 
     let mut rows = Vec::new();
     let mut json = Vec::new();
@@ -72,7 +71,7 @@ fn main() {
         json.push(Series {
             method: method.label.into(),
             points: report.curve.iter().map(|p| (p.seconds, p.loss)).collect(),
-            final_accuracy: report.accuracy,
+            final_accuracy: report.accuracy.expect("an MLP run reports accuracy"),
         });
     }
     print_table(

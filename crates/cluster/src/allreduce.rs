@@ -35,7 +35,7 @@ use crate::engine::{train_glm, Aggregate, Aggregation, Ctx, Exchange, GlmTask, R
 use crate::faults::{FaultEvent, FaultPlan, FaultyLink};
 use crate::membership::{ElasticMembership, RoundPlan};
 use crate::trainer::{TrainReport, TrainSpec};
-use crate::worker::{process_glm_rows, WorkerMessage, WorkerScratch};
+use crate::worker::WorkerMessage;
 use sketchml_collectives::{allreduce, Contribution, Hop, RemappedTransport, Topology, Transport};
 use sketchml_core::{CompressError, CompressScratch, MergeAcc, MergePolicy, MergeableCompressor};
 use sketchml_ml::{Checkpoint, GlmModel, Instance};
@@ -226,14 +226,8 @@ impl<'a> Collective<'a> {
     }
 }
 
-impl Exchange for Collective<'_> {
-    type Part = WorkerMessage;
-
-    fn method(&self) -> String {
-        self.cx.compressor.name().to_string()
-    }
-
-    fn roster(&mut self, round: &mut Round<'_>) -> Result<RoundPlan, CompressError> {
+impl Exchange<GlmModel> for Collective<'_> {
+    fn roster(&mut self, round: &mut Round<'_, GlmModel>) -> Result<RoundPlan, CompressError> {
         // Heartbeats, evictions and joins all settle before the shard
         // assignment, so the engine's partition is always re-chunked over
         // the current member set.
@@ -242,22 +236,9 @@ impl Exchange for Collective<'_> {
         Ok(self.elastic.step(round.link, round.batch, &mut ckpt_len))
     }
 
-    fn work(
-        &self,
-        model: &GlmModel,
-        train: &[Instance],
-        rows: &[usize],
-        ws: &mut WorkerScratch,
-    ) -> Result<(WorkerMessage, f64), CompressError> {
-        let batch = rows.iter().map(|&i| &train[i]);
-        let m = process_glm_rows(model, batch, self.cx.compressor, &self.cx.cluster.cost, ws)?;
-        let nominal = m.sim_compute;
-        Ok((m, nominal))
-    }
-
     fn aggregate(
         &mut self,
-        round: &mut Round<'_>,
+        round: &mut Round<'_, GlmModel>,
         members: &[usize],
         parts: Vec<Option<WorkerMessage>>,
     ) -> Result<Option<Aggregate>, CompressError> {

@@ -6,7 +6,8 @@
 //!
 //! - [`open_link`] — the run preamble: validation and the [`FaultyLink`]
 //!   every message rides;
-//! - [`glm_state`] — model and optimizer, fresh or resumed from a checkpoint;
+//! - [`glm_state`] — a GLM and its optimizer, fresh or resumed from a
+//!   checkpoint;
 //! - [`crash_roster`] — the crash schedule's verdict on who works this round
 //!   and what restoring the rejoiners costs;
 //! - [`fan_out`] — the one scoped-thread fan-out (a panicking worker is a
@@ -15,7 +16,8 @@
 //! - [`push`] — one gradient through the link, with the receiver's integrity
 //!   check;
 //! - [`run`] — the barrier-synchronous round loop and its epoch bookkeeping,
-//!   generic over an [`Exchange`].
+//!   generic over a [`Model`] and an [`Exchange`]; its workers step through
+//!   [`process_rows`].
 //!
 //! A run ships exactly the compressor its caller passed: the plan never
 //! picks the frame, and a receiver detects corruption only when that
@@ -24,26 +26,26 @@
 //! whose link never drops, copies or decodes a payload — bit-identical to a
 //! loop that never consulted a plan (`tests/round_engine.rs` pins this).
 //!
-//! An [`Exchange`] holds only what differs between the two GLM
-//! aggregations: how the workers' results become one gradient and what that
-//! costs on the simulated clock. Every simulated GLM run goes through
-//! `run`. The MLP loop ([`crate::mlp_trainer`]) is the only loop beside
-//! it: it has its own model and shuffle, so it is assembled from the same
-//! pieces rather than squeezed into [`run`], which would have to branch on
-//! its caller.
+//! [`run`] is generic over two things. A [`Model`] is what the workers
+//! step: a GLM ([`GlmModel`]) or the §B.3 MLP ([`sketchml_ml::Mlp`]). An
+//! [`Exchange`] holds only what differs between the aggregations: how the
+//! workers' results become one gradient and what that costs on the
+//! simulated clock. Every simulated run, GLM or MLP, goes through `run`,
+//! with one shuffle ([`Batcher`]), one price rule per exchange and one
+//! round rule; the MLP rides the driver star ([`crate::mlp_trainer`]).
 
 use crate::allreduce::Collective;
 use crate::config::ClusterConfig;
 use crate::faults::{CrashPhase, FaultPlan, FaultyLink, Transmission};
 use crate::membership::RoundPlan;
 use crate::trainer::{DriverStar, EpochStats, TrainOutcome, TrainReport, TrainSpec};
-use crate::worker::{partition, WorkerScratch};
+use crate::worker::{partition, process_rows, WorkerMessage, WorkerScratch};
 use sketchml_core::{
     CompressError, GradientCompressor, MergePolicy, MergeableCompressor, SparseGradient,
 };
 use sketchml_data::Batcher;
 use sketchml_ml::metrics::{ConvergenceDetector, LossPoint};
-use sketchml_ml::{Checkpoint, GlmModel, Instance, OptimizerState};
+use sketchml_ml::{BatchGradient, Checkpoint, GlmModel, GradScratch, Instance, OptimizerState};
 
 /// A GLM training task: the data split and the model dimension.
 #[derive(Debug, Clone, Copy)]
@@ -119,14 +121,16 @@ pub fn train_glm(
         dim: task.dim,
         compressor,
     };
+    let start = glm_state(task.dim, spec, resume)?;
+    let (train, test) = (task.train, task.test);
     match aggregation {
         Aggregation::Driver(_) => {
             let exchange = DriverStar::new(cx, faults);
-            run(task, spec, cx, exchange, link, resume)
+            run(train, test, start, cx, exchange, link)
         }
         Aggregation::Collective { policy, compressor } => {
             let exchange = Collective::new(cx, policy, compressor, faults);
-            run(task, spec, cx, exchange, link, resume)
+            run(train, test, start, cx, exchange, link)
         }
     }
 }
@@ -147,22 +151,81 @@ pub(crate) fn open_link(
     FaultyLink::new(faults, cluster.cost.network, cluster.workers)
 }
 
-/// What is fixed for a whole GLM run, shared by the loop and its exchange.
+/// What is fixed for a whole run, shared by the loop and its exchange.
 #[derive(Clone, Copy)]
 pub(crate) struct Ctx<'a> {
     pub(crate) cluster: &'a ClusterConfig,
+    /// The gradient dimension: a GLM's features, an MLP's parameters.
     pub(crate) dim: usize,
     /// The compressor every message of the run goes through.
     pub(crate) compressor: &'a dyn GradientCompressor,
 }
 
-/// Builds the GLM and its optimizer state, or takes both from `resume`;
-/// returns them with the number of epochs already done.
+/// What the round loop needs of a model. [`GlmModel`] and
+/// [`sketchml_ml::Mlp`] implement it.
+pub(crate) trait Model: Sync {
+    /// One training or test row.
+    type Instance: Sync;
+
+    /// The report's model label ("LR", "SVM", "Linear", "MLP").
+    fn label(&self) -> &'static str;
+
+    /// The gradient of `batch` — rows reached by reference — into `out`,
+    /// its nonzero entries in ascending key order beside the batch's loss
+    /// sum and instance count (runs on the worker's thread); `scratch` is
+    /// the worker's pooled accumulator. Returns the cost model's compute
+    /// units.
+    fn gradient<'a>(
+        &self,
+        batch: impl Iterator<Item = &'a Self::Instance> + Clone,
+        scratch: &mut GradScratch,
+        out: &mut BatchGradient,
+    ) -> u64
+    where
+        Self::Instance: 'a;
+
+    /// One optimizer step with the round's aggregated gradient.
+    fn apply(&mut self, opt: &mut OptimizerState, keys: &[u64], values: &[f64]);
+
+    /// Mean loss over `test`.
+    fn test_loss(&self, test: &[Self::Instance]) -> f64;
+
+    /// Accuracy over `test`, where the task has one.
+    fn accuracy(&self, test: &[Self::Instance]) -> Option<f64>;
+
+    /// The bytes a rejoining worker restores.
+    fn restore_point(&self, opt: &OptimizerState, epochs_done: usize) -> Vec<u8>;
+
+    /// Proves that restore-point `bytes` load. A model whose restore point
+    /// has no frame to check accepts them.
+    fn check_restore_point(&self, _bytes: &[u8]) -> Result<(), CompressError> {
+        Ok(())
+    }
+
+    /// The run's final state as a resumable checkpoint, where the model has
+    /// one.
+    fn checkpoint(self, opt: OptimizerState, epochs_done: usize) -> Option<Checkpoint>;
+}
+
+/// Where a run starts and how long it goes.
+pub(crate) struct Start<M> {
+    pub(crate) model: M,
+    pub(crate) opt: OptimizerState,
+    /// Epochs already done; a resumed run replays their shuffles.
+    pub(crate) epochs_done: usize,
+    pub(crate) max_epochs: usize,
+    /// Stop once §4.4's convergence criterion holds.
+    pub(crate) stop_on_convergence: bool,
+    /// Batch-shuffling seed.
+    pub(crate) seed: u64,
+}
+
+/// Builds the GLM and its optimizer state, or takes both from `resume`.
 pub(crate) fn glm_state(
     dim: usize,
     spec: &TrainSpec,
     resume: Option<Checkpoint>,
-) -> Result<(GlmModel, OptimizerState, usize), CompressError> {
+) -> Result<Start<GlmModel>, CompressError> {
     let (model, opt, epochs_done) = match resume {
         Some(ck) => {
             if ck.model.weights.len() != dim {
@@ -187,7 +250,14 @@ pub(crate) fn glm_state(
             0,
         ),
     };
-    Ok((model, opt, epochs_done))
+    Ok(Start {
+        model,
+        opt,
+        epochs_done,
+        max_epochs: spec.max_epochs,
+        stop_on_convergence: spec.stop_on_convergence,
+        seed: spec.seed,
+    })
 }
 
 /// The crash schedule's verdict for round `batch` over a static group of
@@ -277,13 +347,13 @@ pub(crate) fn push<'p>(
 }
 
 /// One round as an exchange sees it.
-pub(crate) struct Round<'r> {
+pub(crate) struct Round<'r, M> {
     /// The run's link; every message of the round goes through it.
     pub(crate) link: &'r mut FaultyLink,
     /// Global 0-based round index (the fault plan's batch clock).
     pub(crate) batch: u64,
     /// The state a rejoining worker would restore.
-    pub(crate) model: &'r GlmModel,
+    pub(crate) model: &'r M,
     pub(crate) opt: &'r OptimizerState,
     pub(crate) epochs_done: usize,
     /// The epoch's books; the exchange charges its bytes and seconds here.
@@ -299,65 +369,49 @@ pub(crate) struct Aggregate {
     pub(crate) batch_loss: f64,
 }
 
-/// What differs between the GLM aggregations: how worker results become one
-/// aggregated gradient and what that costs on the simulated clock.
-pub(crate) trait Exchange: Sync {
-    /// What one worker thread hands back for its slice of the batch.
-    type Part: Send;
-
-    /// The report's method label.
-    fn method(&self) -> String;
-
+/// What differs between the aggregations: how the workers' messages become
+/// one aggregated gradient and what that costs on the simulated clock. The
+/// worker step itself is the same for every exchange ([`process_rows`]).
+pub(crate) trait Exchange<M: Model> {
     /// Settles who takes part in the round — crashed workers sit out,
     /// rejoiners restore state, an elastic group evicts and re-admits —
     /// before the batch is partitioned over the members.
-    fn roster(&mut self, round: &mut Round<'_>) -> Result<RoundPlan, CompressError>;
-
-    /// One worker's share of the round — the `rows` of `train` — with its
-    /// nominal simulated compute seconds for the straggler clock (runs on
-    /// that worker's thread).
-    fn work(
-        &self,
-        model: &GlmModel,
-        train: &[Instance],
-        rows: &[usize],
-        ws: &mut WorkerScratch,
-    ) -> Result<(Self::Part, f64), CompressError>;
+    fn roster(&mut self, round: &mut Round<'_, M>) -> Result<RoundPlan, CompressError>;
 
     /// Moves the parts (in `members` order; `None` = down) through the link
     /// and reduces them to one gradient, charging `round.es`. `None` means
     /// no member was up, so no round took place.
     fn aggregate(
         &mut self,
-        round: &mut Round<'_>,
+        round: &mut Round<'_, M>,
         members: &[usize],
-        parts: Vec<Option<Self::Part>>,
+        parts: Vec<Option<WorkerMessage>>,
     ) -> Result<Option<Aggregate>, CompressError>;
 
     /// Called after each epoch's evaluation.
-    fn end_epoch(&mut self, _model: &GlmModel, _opt: &OptimizerState, _epoch: usize) {}
+    fn end_epoch(&mut self, _model: &M, _opt: &OptimizerState, _epoch: usize) {}
 }
 
-/// The barrier-synchronous round loop shared by every GLM aggregation:
-/// roster, partition, fan-out, straggler clock, exchange, update, and the
-/// epoch bookkeeping that ends in a [`TrainOutcome`].
-pub(crate) fn run<E: Exchange>(
-    task: &GlmTask<'_>,
-    spec: &TrainSpec,
+/// The barrier-synchronous round loop shared by every model and
+/// aggregation: roster, partition, fan-out, straggler clock, exchange,
+/// update, and the epoch bookkeeping that ends in a [`TrainOutcome`].
+pub(crate) fn run<M: Model, E: Exchange<M>>(
+    train: &[M::Instance],
+    test: &[M::Instance],
+    start: Start<M>,
     cx: Ctx<'_>,
     mut exchange: E,
     mut link: FaultyLink,
-    resume: Option<Checkpoint>,
 ) -> Result<TrainOutcome, CompressError> {
-    let (mut model, mut opt, mut epochs_done) = glm_state(task.dim, spec, resume)?;
-    let mut batcher = Batcher::new(task.train.len(), cx.cluster.batch_ratio, spec.seed);
+    let (mut model, mut opt, mut epochs_done) = (start.model, start.opt, start.epochs_done);
+    let mut batcher = Batcher::new(train.len(), cx.cluster.batch_ratio, start.seed);
     // Replay the shuffles of completed epochs so the resumed run sees
     // exactly the batches the uninterrupted run would.
     for _ in 0..epochs_done {
         let _ = batcher.epoch();
     }
     let mut detector = ConvergenceDetector::default();
-    let mut epochs = Vec::with_capacity(spec.max_epochs);
+    let mut epochs = Vec::with_capacity(start.max_epochs);
     let mut curve = Vec::new();
     let mut converged_epoch = None;
     let mut clock = 0.0f64;
@@ -367,7 +421,7 @@ pub(crate) fn run<E: Exchange>(
     let mut worker_scratch: Vec<WorkerScratch> = Vec::new();
     worker_scratch.resize_with(cx.cluster.workers, WorkerScratch::new);
 
-    for epoch in epochs_done + 1..=spec.max_epochs {
+    for epoch in epochs_done + 1..=start.max_epochs {
         let mut es = EpochStats {
             epoch,
             ..EpochStats::default()
@@ -395,30 +449,30 @@ pub(crate) fn run<E: Exchange>(
                 .zip(worker_scratch.iter_mut())
                 .zip(&plan.down)
                 .map(|(job, &down)| (!down).then_some(job));
-            let done = fan_out(jobs, |(rows, ws)| {
-                exchange.work(&model, task.train, rows, ws)
+            let parts = fan_out(jobs, |(rows, ws)| {
+                let batch = rows.iter().map(|&i| &train[i]);
+                process_rows(&model, cx.dim, batch, cx.compressor, &cx.cluster.cost, ws)
             })?;
 
             // Straggler factors are keyed by physical slot.
-            let costs = done
+            let costs = parts
                 .iter()
                 .zip(&plan.members)
-                .filter_map(|(d, &slot)| d.as_ref().map(|(_, nominal)| (slot, *nominal)));
+                .filter_map(|(m, &slot)| m.as_ref().map(|m| (slot, m.sim_compute)));
             round.es.compute_seconds += slowest(round.link, costs);
 
-            let parts = done.into_iter().map(|d| d.map(|(part, _)| part)).collect();
             let Some(aggregate) = exchange.aggregate(&mut round, &plan.members, parts)? else {
                 continue;
             };
             if let Some(g) = &aggregate.gradient {
-                model.apply_gradient(&mut opt, g.keys(), g.values());
+                model.apply(&mut opt, g.keys(), g.values());
             }
             loss_accum += aggregate.batch_loss;
             rounds_done += 1;
         }
         es.sim_seconds = es.compute_seconds + es.comm_seconds + es.codec_seconds;
         es.train_loss = loss_accum / rounds_done.max(1) as f64;
-        es.test_loss = model.mean_loss(task.test);
+        es.test_loss = model.test_loss(test);
         clock += es.sim_seconds;
         curve.push(LossPoint {
             seconds: clock,
@@ -431,25 +485,25 @@ pub(crate) fn run<E: Exchange>(
         epochs.push(es);
         if converged && converged_epoch.is_none() {
             converged_epoch = Some(epoch);
-            if spec.stop_on_convergence {
+            if start.stop_on_convergence {
                 break;
             }
         }
     }
 
     let report = TrainReport {
-        method: exchange.method(),
-        model: spec.loss.name().to_string(),
+        method: cx.compressor.name().to_string(),
+        model: model.label().to_string(),
         workers: cx.cluster.workers,
         epochs,
         curve,
         converged_epoch,
-        accuracy: model.accuracy(task.test),
+        accuracy: model.accuracy(test),
     };
     Ok(TrainOutcome {
         report,
         trace: link.into_trace(),
-        checkpoint: Some(Checkpoint::new(model, opt, epochs_done)),
+        checkpoint: model.checkpoint(opt, epochs_done),
     })
 }
 

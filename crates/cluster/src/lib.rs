@@ -44,7 +44,7 @@ pub use allreduce::{train_allreduce, train_allreduce_with_policy};
 pub use config::ClusterConfig;
 pub use engine::{train_glm, Aggregation, GlmTask};
 pub use faults::{CrashEvent, CrashPhase, FaultEvent, FaultPlan, FaultTrace, FaultyLink};
-pub use mlp_trainer::{train_mlp_distributed, train_mlp_with_plan, MlpTrainReport, MlpTrainSpec};
+pub use mlp_trainer::{train_mlp_distributed, train_mlp_with_plan, MlpTrainSpec};
 pub use network::{CostModel, NetworkModel};
 pub use sketchml_collectives::{MergePolicy, Topology};
 pub use sketchml_ml::{OptStateMode, OptimizerState};

@@ -1,22 +1,23 @@
 //! The paper's distributed GLM training (§4.1 "Implementation" /
-//! "Protocol"): the spec and report types every run shares, and the driver
-//! star as the round engine's first [`Exchange`] — running it with each of
-//! the six compressors reproduces every line of Figures 8–11 and Tables 2/4.
+//! "Protocol"): the spec and report types every run shares, the GLM as a
+//! round-engine [`Model`], and the driver star as the round engine's first
+//! [`Exchange`], for both models — running it with each of the six
+//! compressors reproduces every line of Figures 8–11 and Tables 2/4.
 
 use crate::config::ClusterConfig;
 use crate::driver::{aggregate, DriverScratch};
 use crate::engine::{
-    crash_roster, push, train_glm, Aggregate, Aggregation, Ctx, Exchange, GlmTask, Round,
+    crash_roster, push, train_glm, Aggregate, Aggregation, Ctx, Exchange, GlmTask, Model, Round,
 };
 use crate::faults::{FaultPlan, FaultTrace};
 use crate::membership::RoundPlan;
-use crate::worker::{process_glm_rows, WorkerMessage, WorkerScratch};
+use crate::worker::WorkerMessage;
 use serde::{Deserialize, Serialize};
 use sketchml_core::{CompressError, GradientCompressor};
 use sketchml_ml::metrics::LossPoint;
 use sketchml_ml::{
-    AdamConfig, Checkpoint, GlmLoss, GlmModel, Instance, OptStateMode, OptimizerKind,
-    OptimizerState,
+    AdamConfig, BatchGradient, Checkpoint, GlmLoss, GlmModel, GradScratch, Instance, OptStateMode,
+    OptimizerKind, OptimizerState,
 };
 use std::borrow::Cow;
 
@@ -213,7 +214,7 @@ pub(crate) struct DriverStar<'a> {
     scratch: DriverScratch,
     /// Whether the plan can make a worker rejoin (and so need a restore).
     restores: bool,
-    /// The end-of-epoch checkpoint a rejoining worker receives.
+    /// The end-of-epoch restore point a rejoining worker receives.
     restore_point: Option<Vec<u8>>,
 }
 
@@ -228,57 +229,77 @@ impl<'a> DriverStar<'a> {
     }
 }
 
-/// Serializes a restore point through the real checkpoint codec so crash
+/// A GLM restores from its v3 checkpoint: real serialized bytes, so crash
 /// recovery ships (and is charged for) genuine bytes.
-fn checkpoint_bytes(model: &GlmModel, opt: &OptimizerState, epochs_done: usize) -> Vec<u8> {
-    let mut buf = Vec::new();
-    Checkpoint::write_parts(model, opt, epochs_done, &mut buf);
-    buf
-}
+impl Model for GlmModel {
+    type Instance = Instance;
 
-impl Exchange for DriverStar<'_> {
-    type Part = WorkerMessage;
-
-    fn method(&self) -> String {
-        self.cx.compressor.name().to_string()
+    fn label(&self) -> &'static str {
+        self.loss.name()
     }
 
-    fn roster(&mut self, round: &mut Round<'_>) -> Result<RoundPlan, CompressError> {
+    fn gradient<'a>(
+        &self,
+        batch: impl Iterator<Item = &'a Instance> + Clone,
+        scratch: &mut GradScratch,
+        out: &mut BatchGradient,
+    ) -> u64 {
+        let feature_ops = batch.clone().map(|i| i.features.nnz() as u64).sum();
+        self.batch_gradient_into(batch, scratch, out);
+        feature_ops
+    }
+
+    fn apply(&mut self, opt: &mut OptimizerState, keys: &[u64], values: &[f64]) {
+        self.apply_gradient(opt, keys, values);
+    }
+
+    fn test_loss(&self, test: &[Instance]) -> f64 {
+        self.mean_loss(test)
+    }
+
+    fn accuracy(&self, test: &[Instance]) -> Option<f64> {
+        GlmModel::accuracy(self, test)
+    }
+
+    fn restore_point(&self, opt: &OptimizerState, epochs_done: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        Checkpoint::write_parts(self, opt, epochs_done, &mut buf);
+        buf
+    }
+
+    fn check_restore_point(&self, bytes: &[u8]) -> Result<(), CompressError> {
+        Checkpoint::validate(bytes)
+            .map_err(|e| CompressError::InvalidConfig(format!("recovery checkpoint: {e}")))
+    }
+
+    fn checkpoint(self, opt: OptimizerState, epochs_done: usize) -> Option<Checkpoint> {
+        Some(Checkpoint::new(self, opt, epochs_done))
+    }
+}
+
+impl<M: Model> Exchange<M> for DriverStar<'_> {
+    fn roster(&mut self, round: &mut Round<'_, M>) -> Result<RoundPlan, CompressError> {
         let restore_point = &self.restore_point;
         let (model, opt, epochs_done) = (round.model, round.opt, round.epochs_done);
         let workers = self.cx.cluster.workers;
         crash_roster(round.link, round.batch, workers, &mut || {
             // The rejoining worker restores from the last end-of-epoch
-            // checkpoint (real serialized bytes; a crash inside the first
-            // epoch ships the state as it stands).
+            // restore point (real bytes; a crash inside the first epoch
+            // ships the state as it stands).
             let bytes = match restore_point {
                 Some(bytes) => Cow::Borrowed(&bytes[..]),
-                None => Cow::Owned(checkpoint_bytes(model, opt, epochs_done)),
+                None => Cow::Owned(model.restore_point(opt, epochs_done)),
             };
             // Prove the restore path end to end: the shipped bytes must
             // actually load.
-            Checkpoint::validate(&bytes)
-                .map_err(|e| CompressError::InvalidConfig(format!("recovery checkpoint: {e}")))?;
+            model.check_restore_point(&bytes)?;
             Ok(bytes.len())
         })
     }
 
-    fn work(
-        &self,
-        model: &GlmModel,
-        train: &[Instance],
-        rows: &[usize],
-        ws: &mut WorkerScratch,
-    ) -> Result<(WorkerMessage, f64), CompressError> {
-        let batch = rows.iter().map(|&i| &train[i]);
-        let m = process_glm_rows(model, batch, self.cx.compressor, &self.cx.cluster.cost, ws)?;
-        let nominal = m.sim_compute;
-        Ok((m, nominal))
-    }
-
     fn aggregate(
         &mut self,
-        round: &mut Round<'_>,
+        round: &mut Round<'_, M>,
         _members: &[usize],
         parts: Vec<Option<WorkerMessage>>,
     ) -> Result<Option<Aggregate>, CompressError> {
@@ -353,11 +374,11 @@ impl Exchange for DriverStar<'_> {
         }))
     }
 
-    fn end_epoch(&mut self, model: &GlmModel, opt: &OptimizerState, epoch: usize) {
+    fn end_epoch(&mut self, model: &M, opt: &OptimizerState, epoch: usize) {
         // Refresh the restore point — only when the plan schedules a crash:
         // nobody can rejoin a benign or drop-only run.
         if self.restores {
-            self.restore_point = Some(checkpoint_bytes(model, opt, epoch));
+            self.restore_point = Some(model.restore_point(opt, epoch));
         }
     }
 }
@@ -563,7 +584,7 @@ mod tests {
         assert_eq!(restore_point(&FaultPlan::none()), None);
         assert_eq!(restore_point(&FaultPlan::seeded(3).with_drops(0.10)), None);
         let crash = restore_point(&FaultPlan::seeded(3).with_crash(1, 4, 3));
-        assert_eq!(crash, Some(checkpoint_bytes(&model, &opt, 1)));
+        assert_eq!(crash, Some(model.restore_point(&opt, 1)));
     }
 
     #[test]

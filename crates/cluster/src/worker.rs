@@ -3,6 +3,7 @@
 //! "Implementation": "Each executor reads the subset, and calculates
 //! gradients").
 
+use crate::engine::Model;
 use crate::network::CostModel;
 use bytes::BytesMut;
 use sketchml_core::{CompressError, CompressScratch, GradientCompressor, SparseGradient};
@@ -41,46 +42,6 @@ impl WorkerScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Computes the gradient of `batch` under `model` into the pooled
-    /// buffers and hands it out beside the codec state it is about to be
-    /// compressed with.
-    ///
-    /// # Errors
-    /// [`CompressError::InvalidGradient`] only if the gradient body emitted
-    /// keys out of order — a bug, not an input.
-    pub(crate) fn gradient<'a>(
-        &mut self,
-        model: &GlmModel,
-        batch: impl Iterator<Item = &'a Instance> + Clone,
-    ) -> Result<Gradient<'_>, CompressError> {
-        let feature_ops = batch.clone().map(|i| i.features.nnz() as u64).sum();
-        model.batch_gradient_into(batch, &mut self.grad_scratch, &mut self.grad);
-        let dim = model.dim() as u64;
-        self.sparse
-            .assign(dim, &self.grad.keys, &self.grad.values)?;
-        Ok(Gradient {
-            sparse: &self.sparse,
-            loss_sum: self.grad.loss_sum,
-            instances: self.grad.instances,
-            feature_ops,
-            scratch: &mut self.scratch,
-            out: &mut self.out,
-        })
-    }
-}
-
-/// One batch's gradient in a [`WorkerScratch`]'s buffers, with the codec
-/// scratch and output buffer of the same worker.
-pub(crate) struct Gradient<'w> {
-    pub(crate) sparse: &'w SparseGradient,
-    /// Sum of per-instance losses over the batch.
-    pub(crate) loss_sum: f64,
-    pub(crate) instances: usize,
-    /// Stored feature values visited (the cost model's compute unit).
-    pub(crate) feature_ops: u64,
-    pub(crate) scratch: &'w mut CompressScratch,
-    pub(crate) out: &'w mut BytesMut,
 }
 
 /// A worker's compressed contribution for one mini-batch.
@@ -117,21 +78,39 @@ pub fn process_glm_rows<'a>(
     cost: &CostModel,
     ws: &mut WorkerScratch,
 ) -> Result<WorkerMessage, CompressError> {
+    process_rows(model, model.dim(), batch, compressor, cost, ws)
+}
+
+/// [`process_glm_rows`] for any round-engine [`Model`] of gradient
+/// dimension `dim`: the one worker step.
+pub(crate) fn process_rows<'a, M: Model>(
+    model: &M,
+    dim: usize,
+    batch: impl Iterator<Item = &'a M::Instance> + Clone,
+    compressor: &dyn GradientCompressor,
+    cost: &CostModel,
+    ws: &mut WorkerScratch,
+) -> Result<WorkerMessage, CompressError>
+where
+    M::Instance: 'a,
+{
     let t0 = Instant::now();
-    let g = ws.gradient(model, batch)?;
+    let compute_units = model.gradient(batch, &mut ws.grad_scratch, &mut ws.grad);
+    ws.sparse
+        .assign(dim as u64, &ws.grad.keys, &ws.grad.values)?;
     let measured_compute = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let report = compressor.compress_into(g.sparse, g.scratch, g.out)?;
+    let report = compressor.compress_into(&ws.sparse, &mut ws.scratch, &mut ws.out)?;
     let measured_codec = t1.elapsed().as_secs_f64();
 
     Ok(WorkerMessage {
-        payload: g.out[..].to_vec(),
+        payload: ws.out[..].to_vec(),
         report,
-        loss_sum: g.loss_sum,
-        instances: g.instances,
-        sim_compute: cost.compute_time(g.feature_ops),
-        sim_codec: cost.codec_time(g.sparse.nnz()),
+        loss_sum: ws.grad.loss_sum,
+        instances: ws.grad.instances,
+        sim_compute: cost.compute_time(compute_units),
+        sim_codec: cost.codec_time(ws.sparse.nnz()),
         measured_codec,
         measured_compute,
     })

@@ -198,11 +198,17 @@ impl Mlp {
     }
 
     /// Mini-batch gradient (flat, averaged) and the batch's mean
-    /// cross-entropy loss.
-    pub fn batch_gradient(&self, batch: &[MlpInstance]) -> (Vec<f64>, f64) {
+    /// cross-entropy loss. The instances are read by reference (a slice, or
+    /// rows picked out of a training set).
+    pub fn batch_gradient<'a>(
+        &self,
+        batch: impl IntoIterator<Item = &'a MlpInstance>,
+    ) -> (Vec<f64>, f64) {
         let mut grad = vec![0.0; self.params.len()];
         let mut loss_sum = 0.0;
+        let mut n = 0usize;
         for inst in batch {
+            n += 1;
             debug_assert!(inst.label < self.classes);
             let acts = self.forward(&inst.pixels);
             let probs = acts.last().expect("output layer");
@@ -247,12 +253,12 @@ impl Mlp {
                 delta = prev_delta;
             }
         }
-        if !batch.is_empty() {
-            let inv = 1.0 / batch.len() as f64;
+        if n > 0 {
+            let inv = 1.0 / n as f64;
             for g in &mut grad {
                 *g *= inv;
             }
-            loss_sum /= batch.len() as f64;
+            loss_sum /= n as f64;
         }
         (grad, loss_sum)
     }

@@ -1,8 +1,8 @@
 //! Implementing your own `GradientCompressor`: a Top-K + SketchML hybrid.
 //!
 //! The trait is the library's extension point — anything that can turn a
-//! `SparseGradient` into self-describing bytes plugs into the trainer, the
-//! MLP loop, and error feedback. An implementor writes
+//! `SparseGradient` into self-describing bytes plugs into the round engine
+//! (GLM or MLP) and error feedback. An implementor writes
 //! `name`, `compress_into` and `decompress_into`; the owning `compress` /
 //! `decompress` conveniences are provided on top. This example builds
 //! a hybrid: keep the top `K%` of pairs by magnitude (they carry most of

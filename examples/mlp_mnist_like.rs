@@ -34,11 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = MlpTrainSpec {
         adam: AdamConfig::with_lr(0.01),
         opt_state: Default::default(),
-        batch_ratio: 0.05,
         epochs: 6,
         seed: 5,
     };
-    let cluster = ClusterConfig::cluster1(4);
+    let cluster = ClusterConfig::cluster1(4).with_batch_ratio(0.05);
 
     for compressor in [
         &SketchMlCompressor::default() as &dyn GradientCompressor,
@@ -52,7 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 e.epoch, e.sim_seconds, e.uplink_bytes, e.test_loss
             );
         }
-        println!("  final accuracy: {:.1}%", report.accuracy * 100.0);
+        if let Some(accuracy) = report.accuracy {
+            println!("  final accuracy: {:.1}%", accuracy * 100.0);
+        }
     }
     println!(
         "\nDense MLP gradients still benefit from value compression, but the \

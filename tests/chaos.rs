@@ -1,5 +1,5 @@
-//! Fault-injection integration tests: deterministic chaos runs across the
-//! driver and MLP loops.
+//! Fault-injection integration tests: deterministic chaos runs of the GLM
+//! and the MLP through the round engine.
 //!
 //! The invariants here are the PR's acceptance criteria: same seed → same
 //! fault trace and bit-identical final loss; training under 10% drops plus
@@ -392,12 +392,8 @@ fn mlp_chaos_smoke() {
     let spec = sketchml::MnistLikeSpec::small();
     let (train, test) = spec.generate_split();
     let net = MlpConfig::small(spec.pixels(), 8, spec.classes);
-    let tspec = MlpTrainSpec {
-        batch_ratio: 0.2,
-        epochs: 2,
-        ..MlpTrainSpec::paper(2)
-    };
-    let cluster = ClusterConfig::cluster1(3);
+    let tspec = MlpTrainSpec::paper(2);
+    let cluster = ClusterConfig::cluster1(3).with_batch_ratio(0.2);
     let plan = FaultPlan::seeded(23).with_drops(0.10).with_crash(2, 2, 1);
     let run = || {
         train_mlp_with_plan(
@@ -504,5 +500,27 @@ fn invalid_plans_and_configs_are_typed_errors() {
         )
         .unwrap_err();
         assert!(matches!(err, CompressError::InvalidConfig(_)), "{err:?}");
+    }
+    // Bugfix: the MLP used to read its own batch ratio, which nothing
+    // validated — NaN or 0.0 trained on one-instance batches. It batches at
+    // the cluster's ratio now, which `ClusterConfig::validate` holds to
+    // (0, 1].
+    let mnist = sketchml::MnistLikeSpec::small();
+    let (mtrain, mtest) = mnist.generate_split();
+    let net = MlpConfig::small(mnist.pixels(), 8, mnist.classes);
+    for ratio in [f64::NAN, 0.0] {
+        let err = train_mlp_distributed(
+            &mtrain,
+            &mtest,
+            &net,
+            &MlpTrainSpec::paper(1),
+            &ClusterConfig::cluster1(3).with_batch_ratio(ratio),
+            &SketchMlCompressor::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, CompressError::InvalidConfig(_)),
+            "ratio {ratio}: {err:?}"
+        );
     }
 }

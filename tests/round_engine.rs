@@ -15,6 +15,24 @@
 //! other tests let the fault-free fork go: a run under
 //! [`FaultPlan::none`] *is* the fault-free run, bit for bit.
 //!
+//! The five `mlp/*` entries were re-recorded when the MLP's own loop was
+//! deleted and the MLP began training through the engine's `run` over the
+//! driver star. It now batches with the engine's `Batcher` instead of its
+//! own LCG shuffle, is priced by the star's rule (worker and driver codec
+//! time, `compress_downlink`), and reports a `TrainReport`. So its losses,
+//! accuracy, simulated seconds, uplink bytes and `retry_seconds` moved, and
+//! its report gained `TrainReport`'s keys. Every fault event and integer
+//! trace counter stayed as it was, and the other 29 entries are untouched.
+//! After these runs' two epochs the MLP is barely trained (test loss ≈ 1.2
+//! against 1.39 = ln 4 for a uniform guess), so its argmax accuracy on the
+//! 58 test rows swings with the batch order: `mlp/clean` went from 54 to 45
+//! rows right (0.931 → 0.776), `mlp/heavy_loss` from 37 to 38 and the three
+//! `mlp/stormy*` from 27 to 34, while the final test loss fell in all five
+//! (clean 1.2009 → 1.1958, heavy loss 1.2694 → 1.2689, stormy 1.2343 →
+//! 1.2300). Neither is a quality change.
+//! [`the_mlp_round_is_the_global_batch_mean`] stands in for the
+//! cross-check against the old loop that the re-recorded entries gave up.
+//!
 //! A run ships exactly the compressor it is given. The fixture's runs under
 //! a fault plan shipped `sketchml` in the one-shard checksummed v2 frame
 //! (the wrap the engine then put on every plan but `FaultPlan::none()`), so
@@ -25,7 +43,7 @@ mod common;
 use bytes::BytesMut;
 use common::checksummed;
 use serde::{Serialize, Value};
-use sketchml::cluster::{MlpTrainReport, MlpTrainSpec};
+use sketchml::cluster::MlpTrainSpec;
 use sketchml::core::CompressScratch;
 use sketchml::data::Task;
 use sketchml::encoding::stats::SizeReport;
@@ -106,11 +124,13 @@ impl MlpCase {
             train,
             test,
             net: MlpConfig::small(data.pixels(), 8, data.classes),
-            spec: MlpTrainSpec {
-                batch_ratio: 0.2,
-                ..MlpTrainSpec::paper(2)
-            },
+            spec: MlpTrainSpec::paper(2),
         }
+    }
+
+    /// The fixture's cluster: `workers` on Cluster-1, 20% batches.
+    fn cluster(workers: usize) -> ClusterConfig {
+        ClusterConfig::cluster1(workers).with_batch_ratio(0.2)
     }
 
     fn run(
@@ -118,7 +138,7 @@ impl MlpCase {
         cluster: &ClusterConfig,
         compressor: &dyn GradientCompressor,
         plan: &FaultPlan,
-    ) -> (MlpTrainReport, FaultTrace) {
+    ) -> (TrainReport, FaultTrace) {
         train_mlp_with_plan(
             &self.train,
             &self.test,
@@ -280,7 +300,7 @@ fn replay() -> Vec<(String, Value)> {
 
     // --- MLP ---
     let mlp = MlpCase::new();
-    let mcluster = ClusterConfig::cluster1(3);
+    let mcluster = MlpCase::cluster(3);
     put(
         "mlp/clean",
         report(
@@ -311,7 +331,7 @@ fn replay() -> Vec<(String, Value)> {
             None,
         )),
     );
-    let (r, t) = mlp.run(&two, &wire, &lossy);
+    let (r, t) = mlp.run(&MlpCase::cluster(2), &wire, &lossy);
     put("mlp/heavy_loss", pair(&r, &t));
 
     out
@@ -541,7 +561,7 @@ fn the_benign_plan_is_the_fault_free_path() {
     }
 
     let mlp = MlpCase::new();
-    let mcluster = ClusterConfig::cluster1(3);
+    let mcluster = MlpCase::cluster(3);
     let wrapper =
         train_mlp_distributed(&mlp.train, &mlp.test, &mlp.net, &mlp.spec, &mcluster, &sk).unwrap();
     let (planned, trace) = mlp.run(&mcluster, &sk, &none);
@@ -572,6 +592,46 @@ fn the_two_aggregations_compute_the_same_math_under_raw() {
                 (a - b).abs() <= 1e-12 * a.abs(),
                 "epoch {} {what}: driver {a} vs collective star {b}",
                 d.epoch
+            );
+        }
+    }
+}
+
+/// The MLP's round is the global-batch mean: under the lossless `raw` codec
+/// three workers, each averaging its slice, and the driver's
+/// instance-weighted combine land on the one-worker gradient of the same
+/// `Batcher` batches, up to floating-point reassociation.
+#[test]
+fn the_mlp_round_is_the_global_batch_mean() {
+    let mlp = MlpCase::new();
+    let raw = RawCompressor::default();
+    let spec = MlpTrainSpec {
+        epochs: 3,
+        ..mlp.spec
+    };
+    let run = |workers| {
+        train_mlp_distributed(
+            &mlp.train,
+            &mlp.test,
+            &mlp.net,
+            &spec,
+            &MlpCase::cluster(workers),
+            &raw,
+        )
+        .unwrap()
+    };
+    let (one, three) = (run(1), run(3));
+    assert_eq!(one.epochs.len(), 3);
+    assert_eq!(one.epochs.len(), three.epochs.len());
+    for (o, t) in one.epochs.iter().zip(&three.epochs) {
+        for (what, a, b) in [
+            ("test_loss", o.test_loss, t.test_loss),
+            ("train_loss", o.train_loss, t.train_loss),
+        ] {
+            assert!(
+                (a - b).abs() <= 1e-12 * a.abs(),
+                "epoch {} {what}: one worker {a} vs three {b}",
+                o.epoch
             );
         }
     }
@@ -608,7 +668,7 @@ impl MergeableCompressor for Panicky {}
 
 /// Bugfix: a panicking worker closure used to abort the caller through
 /// `expect("worker thread panicked")` on the star, the collectives and the
-/// MLP loop. The single fan-out answers a typed error for every loop.
+/// MLP loop. The single fan-out answers a typed error for every run.
 #[test]
 fn a_panicking_compressor_is_a_typed_error_on_every_aggregation() {
     let (train, test, dim) = dataset();
