@@ -127,8 +127,35 @@ impl ServeSetup {
                 self.batch_ratio
             )));
         }
-        if self.dataset.instances == 0 {
+        let data = &self.dataset;
+        if data.instances == 0 {
             return Err(NetError::InvalidConfig("dataset is empty".into()));
+        }
+        // The server evaluates on the test split; an empty one would score
+        // a perfect loss.
+        if data.train_len() == data.instances {
+            return Err(NetError::InvalidConfig(format!(
+                "{} instances leave an empty test split",
+                data.instances
+            )));
+        }
+        if data.features == 0 || data.avg_nnz == 0 {
+            return Err(NetError::InvalidConfig(format!(
+                "dataset needs positive features and avg_nnz, got {} and {}",
+                data.features, data.avg_nnz
+            )));
+        }
+        if !(data.skew.is_finite() && data.skew > 0.0) {
+            return Err(NetError::InvalidConfig(format!(
+                "dataset skew must be finite and positive, got {}",
+                data.skew
+            )));
+        }
+        if !(data.label_noise.is_finite() && data.label_noise >= 0.0) {
+            return Err(NetError::InvalidConfig(format!(
+                "dataset label_noise must be finite and non-negative, got {}",
+                data.label_noise
+            )));
         }
         Ok(())
     }

@@ -9,7 +9,9 @@
 
 use sketchml::data::{SparseDatasetSpec, Task};
 use sketchml::ml::GlmLoss;
-use sketchml::net::{Client, PredictInstance, ServeSummary};
+use sketchml::net::{
+    run_worker, Client, NetError, PredictInstance, ServeSetup, ServeSummary, Server,
+};
 use sketchml::{compressor_by_name, Checkpoint, ClusterConfig, TrainSpec};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -421,6 +423,60 @@ fn summary_predicts(addr: &str) -> bool {
         // Server already exited — every predict above was still answered.
         Err(_) => true,
     }
+}
+
+#[test]
+fn serve_refuses_a_dataset_it_cannot_generate() {
+    // A spec the generator would panic on must fail before SERVE_READY;
+    // failing in the trainer thread left the process running forever.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sketchml-serve"))
+        .args(["--avg-nnz", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn sketchml-serve");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll serve") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            child.kill().expect("stop the hung server");
+            child.wait().expect("reap server");
+            panic!("sketchml-serve --avg-nnz 0 still running after 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let out = child.wait_with_output().expect("read serve stdout");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!status.success(), "serve exited with {status:?}");
+    assert!(!stdout.contains("SERVE_READY"), "serve got ready: {stdout}");
+}
+
+#[test]
+fn a_setup_with_an_empty_test_split_is_refused() {
+    let setup = |instances: usize| {
+        let (dataset, spec) = reference_setup(instances, 256, 8, 1);
+        let mut setup = ServeSetup::new(dataset, spec, 1);
+        setup.batch_ratio = 0.5;
+        setup
+    };
+    // round(0.75 · N) leaves nothing to test on below three instances.
+    for instances in [1, 2] {
+        match Server::bind_tcp(setup(instances), "127.0.0.1:0") {
+            Err(NetError::InvalidConfig(_)) => {}
+            Err(e) => panic!("{instances} instances: {e}"),
+            Ok(_) => panic!("{instances} instances started a server"),
+        }
+    }
+    let server = Server::bind_tcp(setup(3), "127.0.0.1:0").expect("3 instances start");
+    let stats = run_worker(server.addr(), 0).expect("worker trains");
+    let summary = server.wait_trained();
+    server.shutdown();
+    server.join();
+    assert!(stats.pushes_accepted > 0, "{stats:?}");
+    assert_eq!(summary.epochs_done, 1, "{summary:?}");
+    assert!(summary.final_test_loss > 0.0, "{summary:?}");
 }
 
 /// One epoch of one worker on `instances` instances at d = 2^14; the
