@@ -231,7 +231,7 @@ impl Exchange<GlmModel> for Collective<'_> {
         // Heartbeats, evictions and joins all settle before the shard
         // assignment, so the engine's partition is always re-chunked over
         // the current member set.
-        let (model, opt) = (round.model, round.opt);
+        let (model, opt) = (round.state.model(), round.state.optimizer());
         let mut ckpt_len = || Checkpoint::encoded_len(model, opt);
         Ok(self.elastic.step(round.link, round.batch, &mut ckpt_len))
     }

@@ -6,8 +6,6 @@
 //!
 //! - [`open_link`] — the run preamble: validation and the [`FaultyLink`]
 //!   every message rides;
-//! - [`glm_state`] — a GLM and its optimizer, fresh or resumed from a
-//!   checkpoint;
 //! - [`crash_roster`] — the crash schedule's verdict on who works this round
 //!   and what restoring the rejoiners costs;
 //! - [`fan_out`] — the one scoped-thread fan-out (a panicking worker is a
@@ -17,7 +15,8 @@
 //!   check;
 //! - [`run`] — the barrier-synchronous round loop and its epoch bookkeeping,
 //!   generic over a [`Model`] and an [`Exchange`]; its workers step through
-//!   [`process_rows`].
+//!   [`process_rows`], and every round steps the run's one [`Replica`] along
+//!   the shared [`Schedule`].
 //!
 //! A run ships exactly the compressor its caller passed: the plan never
 //! picks the frame, and a receiver detects corruption only when that
@@ -27,25 +26,27 @@
 //! loop that never consulted a plan (`tests/round_engine.rs` pins this).
 //!
 //! [`run`] is generic over two things. A [`Model`] is what the workers
-//! step: a GLM ([`GlmModel`]) or the §B.3 MLP ([`sketchml_ml::Mlp`]). An
-//! [`Exchange`] holds only what differs between the aggregations: how the
-//! workers' results become one gradient and what that costs on the
-//! simulated clock. Every simulated run, GLM or MLP, goes through `run`,
-//! with one shuffle ([`Batcher`]), one price rule per exchange and one
-//! round rule; the MLP rides the driver star ([`crate::mlp_trainer`]).
+//! step: a GLM ([`sketchml_ml::GlmModel`]) or the §B.3 MLP
+//! ([`sketchml_ml::Mlp`]). An [`Exchange`] holds only what differs between
+//! the aggregations: how the workers' results become one gradient and what
+//! that costs on the simulated clock. Every simulated run, GLM or MLP, goes
+//! through `run`, with one shuffle ([`Schedule`]), one price rule per
+//! exchange and one round rule (`Replica::step`, the step the socket server
+//! and its workers take too); the MLP rides the driver star
+//! ([`crate::mlp_trainer`]).
 
 use crate::allreduce::Collective;
 use crate::config::ClusterConfig;
 use crate::faults::{CrashPhase, FaultPlan, FaultyLink, Transmission};
 use crate::membership::RoundPlan;
+use crate::replica::{Replica, Schedule};
 use crate::trainer::{DriverStar, EpochStats, TrainOutcome, TrainReport, TrainSpec};
 use crate::worker::{partition, process_rows, WorkerMessage, WorkerScratch};
 use sketchml_core::{
     CompressError, GradientCompressor, MergePolicy, MergeableCompressor, SparseGradient,
 };
-use sketchml_data::Batcher;
 use sketchml_ml::metrics::{ConvergenceDetector, LossPoint};
-use sketchml_ml::{BatchGradient, Checkpoint, GlmModel, GradScratch, Instance, OptimizerState};
+use sketchml_ml::{BatchGradient, Checkpoint, GradScratch, Instance, OptimizerState};
 
 /// A GLM training task: the data split and the model dimension.
 #[derive(Debug, Clone, Copy)]
@@ -100,9 +101,10 @@ pub enum Aggregation<'a> {
 ///
 /// # Errors
 /// [`CompressError::InvalidConfig`] on an empty training set, an invalid
-/// cluster configuration or plan, a checkpoint whose dimension does not
-/// match `task.dim` or that already covers `spec.max_epochs`, or a worker
-/// thread that panicked; propagates compressor failures.
+/// cluster configuration or plan, a checkpoint that does not fit `spec` and
+/// `task.dim` ([`Replica::restore`]) or that already covers
+/// `spec.max_epochs`, or a worker thread that panicked; propagates
+/// compressor failures.
 pub fn train_glm(
     task: &GlmTask<'_>,
     spec: &TrainSpec,
@@ -121,7 +123,24 @@ pub fn train_glm(
         dim: task.dim,
         compressor,
     };
-    let start = glm_state(task.dim, spec, resume)?;
+    let schedule = Schedule::new(task.train.len(), cluster.batch_ratio, spec.seed);
+    let mut replica = Replica::fresh(task.dim, spec)?;
+    if let Some(ck) = resume {
+        if ck.epochs_done >= spec.max_epochs {
+            return Err(CompressError::InvalidConfig(format!(
+                "checkpoint already covers {} of {} epochs",
+                ck.epochs_done, spec.max_epochs
+            )));
+        }
+        let rounds = ck.epochs_done as u64 * schedule.rounds_per_epoch;
+        replica.restore(ck, rounds)?;
+    }
+    let start = Start {
+        replica,
+        schedule,
+        max_epochs: spec.max_epochs,
+        stop_on_convergence: spec.stop_on_convergence,
+    };
     let (train, test) = (task.train, task.test);
     match aggregation {
         Aggregation::Driver(_) => {
@@ -161,7 +180,7 @@ pub(crate) struct Ctx<'a> {
     pub(crate) compressor: &'a dyn GradientCompressor,
 }
 
-/// What the round loop needs of a model. [`GlmModel`] and
+/// What the round loop needs of a model. [`sketchml_ml::GlmModel`] and
 /// [`sketchml_ml::Mlp`] implement it.
 pub(crate) trait Model: Sync {
     /// One training or test row.
@@ -209,55 +228,12 @@ pub(crate) trait Model: Sync {
 
 /// Where a run starts and how long it goes.
 pub(crate) struct Start<M> {
-    pub(crate) model: M,
-    pub(crate) opt: OptimizerState,
-    /// Epochs already done; a resumed run replays their shuffles.
-    pub(crate) epochs_done: usize,
+    /// The state the run steps; a resumed one has its epochs' rounds.
+    pub(crate) replica: Replica<M>,
+    pub(crate) schedule: Schedule,
     pub(crate) max_epochs: usize,
     /// Stop once §4.4's convergence criterion holds.
     pub(crate) stop_on_convergence: bool,
-    /// Batch-shuffling seed.
-    pub(crate) seed: u64,
-}
-
-/// Builds the GLM and its optimizer state, or takes both from `resume`.
-pub(crate) fn glm_state(
-    dim: usize,
-    spec: &TrainSpec,
-    resume: Option<Checkpoint>,
-) -> Result<Start<GlmModel>, CompressError> {
-    let (model, opt, epochs_done) = match resume {
-        Some(ck) => {
-            if ck.model.weights.len() != dim {
-                return Err(CompressError::InvalidConfig(format!(
-                    "checkpoint dimension {} does not match requested {dim}",
-                    ck.model.weights.len()
-                )));
-            }
-            if ck.epochs_done >= spec.max_epochs {
-                return Err(CompressError::InvalidConfig(format!(
-                    "checkpoint already covers {} of {} epochs",
-                    ck.epochs_done, spec.max_epochs
-                )));
-            }
-            (ck.model, ck.optimizer, ck.epochs_done)
-        }
-        None => (
-            GlmModel::new(dim, spec.loss, spec.l2)
-                .map_err(|e| CompressError::InvalidConfig(e.to_string()))?,
-            OptimizerState::build(spec.optimizer, spec.opt_state, dim)
-                .map_err(|e| CompressError::InvalidConfig(e.to_string()))?,
-            0,
-        ),
-    };
-    Ok(Start {
-        model,
-        opt,
-        epochs_done,
-        max_epochs: spec.max_epochs,
-        stop_on_convergence: spec.stop_on_convergence,
-        seed: spec.seed,
-    })
 }
 
 /// The crash schedule's verdict for round `batch` over a static group of
@@ -353,8 +329,7 @@ pub(crate) struct Round<'r, M> {
     /// Global 0-based round index (the fault plan's batch clock).
     pub(crate) batch: u64,
     /// The state a rejoining worker would restore.
-    pub(crate) model: &'r M,
-    pub(crate) opt: &'r OptimizerState,
+    pub(crate) state: &'r Replica<M>,
     pub(crate) epochs_done: usize,
     /// The epoch's books; the exchange charges its bytes and seconds here.
     pub(crate) es: &'r mut EpochStats,
@@ -403,13 +378,8 @@ pub(crate) fn run<M: Model, E: Exchange<M>>(
     mut exchange: E,
     mut link: FaultyLink,
 ) -> Result<TrainOutcome, CompressError> {
-    let (mut model, mut opt, mut epochs_done) = (start.model, start.opt, start.epochs_done);
-    let mut batcher = Batcher::new(train.len(), cx.cluster.batch_ratio, start.seed);
-    // Replay the shuffles of completed epochs so the resumed run sees
-    // exactly the batches the uninterrupted run would.
-    for _ in 0..epochs_done {
-        let _ = batcher.epoch();
-    }
+    let (mut replica, mut schedule) = (start.replica, start.schedule);
+    let mut epochs_done = (replica.rounds() / schedule.rounds_per_epoch) as usize;
     let mut detector = ConvergenceDetector::default();
     let mut epochs = Vec::with_capacity(start.max_epochs);
     let mut curve = Vec::new();
@@ -428,12 +398,12 @@ pub(crate) fn run<M: Model, E: Exchange<M>>(
         };
         let mut loss_accum = 0.0;
         let mut rounds_done = 0u64;
-        for batch in &batcher.epoch() {
+        for _ in 0..schedule.rounds_per_epoch {
+            let batch = schedule.batch_for(replica.rounds());
             let mut round = Round {
                 link: &mut link,
                 batch: global_batch,
-                model: &model,
-                opt: &opt,
+                state: &replica,
                 epochs_done,
                 es: &mut es,
             };
@@ -449,9 +419,10 @@ pub(crate) fn run<M: Model, E: Exchange<M>>(
                 .zip(worker_scratch.iter_mut())
                 .zip(&plan.down)
                 .map(|(job, &down)| (!down).then_some(job));
+            let model = replica.model();
             let parts = fan_out(jobs, |(rows, ws)| {
                 let batch = rows.iter().map(|&i| &train[i]);
-                process_rows(&model, cx.dim, batch, cx.compressor, &cx.cluster.cost, ws)
+                process_rows(model, cx.dim, batch, cx.compressor, &cx.cluster.cost, ws)
             })?;
 
             // Straggler factors are keyed by physical slot.
@@ -461,18 +432,16 @@ pub(crate) fn run<M: Model, E: Exchange<M>>(
                 .filter_map(|(m, &slot)| m.as_ref().map(|m| (slot, m.sim_compute)));
             round.es.compute_seconds += slowest(round.link, costs);
 
-            let Some(aggregate) = exchange.aggregate(&mut round, &plan.members, parts)? else {
-                continue;
-            };
-            if let Some(g) = &aggregate.gradient {
-                model.apply(&mut opt, g.keys(), g.values());
+            let aggregate = exchange.aggregate(&mut round, &plan.members, parts)?;
+            replica.step(aggregate.as_ref().and_then(|a| a.gradient.as_ref()));
+            if let Some(aggregate) = aggregate {
+                loss_accum += aggregate.batch_loss;
+                rounds_done += 1;
             }
-            loss_accum += aggregate.batch_loss;
-            rounds_done += 1;
         }
         es.sim_seconds = es.compute_seconds + es.comm_seconds + es.codec_seconds;
         es.train_loss = loss_accum / rounds_done.max(1) as f64;
-        es.test_loss = model.test_loss(test);
+        es.test_loss = replica.model().test_loss(test);
         clock += es.sim_seconds;
         curve.push(LossPoint {
             seconds: clock,
@@ -480,7 +449,7 @@ pub(crate) fn run<M: Model, E: Exchange<M>>(
             loss: es.test_loss,
         });
         epochs_done = epoch;
-        exchange.end_epoch(&model, &opt, epoch);
+        exchange.end_epoch(replica.model(), replica.optimizer(), epoch);
         let converged = detector.push(es.test_loss);
         epochs.push(es);
         if converged && converged_epoch.is_none() {
@@ -491,6 +460,7 @@ pub(crate) fn run<M: Model, E: Exchange<M>>(
         }
     }
 
+    let (model, opt) = replica.into_parts();
     let report = TrainReport {
         method: cx.compressor.name().to_string(),
         model: model.label().to_string(),

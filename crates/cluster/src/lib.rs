@@ -7,7 +7,11 @@
 //!
 //! This crate reproduces that loop in-process, once: [`engine`] holds the
 //! one round engine, and the driver star and the collective allreduce are
-//! the two exchanges under it.
+//! the two exchanges under it. The state the loop steps is a
+//! [`replica::Replica`] along the shared [`replica::Schedule`] — the same
+//! type the live parameter server (`sketchml-net`) and each of its workers
+//! step, so the simulator and the sockets share one state, one round step
+//! and one resume/restore check by construction.
 //!
 //! - **Workers are real**: OS threads compute real mini-batch gradients over
 //!   real data partitions, and really serialize/compress their messages —
@@ -37,6 +41,7 @@ pub mod faults;
 mod membership;
 pub mod mlp_trainer;
 pub mod network;
+pub mod replica;
 pub mod trainer;
 pub mod worker;
 
@@ -46,6 +51,7 @@ pub use engine::{train_glm, Aggregation, GlmTask};
 pub use faults::{CrashEvent, CrashPhase, FaultEvent, FaultPlan, FaultTrace, FaultyLink};
 pub use mlp_trainer::{train_mlp_distributed, train_mlp_with_plan, MlpTrainSpec};
 pub use network::{CostModel, NetworkModel};
+pub use replica::{Replica, Schedule};
 pub use sketchml_collectives::{MergePolicy, Topology};
 pub use sketchml_ml::{OptStateMode, OptimizerState};
 pub use trainer::{train_distributed, EpochStats, TrainOutcome, TrainReport, TrainSpec};

@@ -10,6 +10,7 @@
 use crate::config::ClusterConfig;
 use crate::engine::{open_link, run, Ctx, Model, Start};
 use crate::faults::{FaultPlan, FaultTrace};
+use crate::replica::{Replica, Schedule};
 use crate::trainer::{DriverStar, TrainReport};
 use serde::{Deserialize, Serialize};
 use sketchml_core::{CompressError, GradientCompressor};
@@ -139,12 +140,10 @@ pub fn train_mlp_with_plan(
     let opt = OptimizerState::build(OptimizerKind::Adam(spec.adam), spec.opt_state, dim)
         .map_err(|e| CompressError::InvalidConfig(e.to_string()))?;
     let start = Start {
-        model,
-        opt,
-        epochs_done: 0,
+        replica: Replica::new(model, opt),
+        schedule: Schedule::new(train.len(), cluster.batch_ratio, spec.seed),
         max_epochs: spec.epochs,
         stop_on_convergence: false,
-        seed: spec.seed,
     };
     let cx = Ctx {
         cluster,

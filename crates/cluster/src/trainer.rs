@@ -280,7 +280,7 @@ impl Model for GlmModel {
 impl<M: Model> Exchange<M> for DriverStar<'_> {
     fn roster(&mut self, round: &mut Round<'_, M>) -> Result<RoundPlan, CompressError> {
         let restore_point = &self.restore_point;
-        let (model, opt, epochs_done) = (round.model, round.opt, round.epochs_done);
+        let (state, epochs_done) = (round.state, round.epochs_done);
         let workers = self.cx.cluster.workers;
         crash_roster(round.link, round.batch, workers, &mut || {
             // The rejoining worker restores from the last end-of-epoch
@@ -288,11 +288,11 @@ impl<M: Model> Exchange<M> for DriverStar<'_> {
             // ships the state as it stands).
             let bytes = match restore_point {
                 Some(bytes) => Cow::Borrowed(&bytes[..]),
-                None => Cow::Owned(model.restore_point(opt, epochs_done)),
+                None => Cow::Owned(state.model().restore_point(state.optimizer(), epochs_done)),
             };
             // Prove the restore path end to end: the shipped bytes must
             // actually load.
-            model.check_restore_point(&bytes)?;
+            state.model().check_restore_point(&bytes)?;
             Ok(bytes.len())
         })
     }
@@ -386,6 +386,7 @@ impl<M: Model> Exchange<M> for DriverStar<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replica::Replica;
     use sketchml_core::{RawCompressor, ShardedCompressor, SketchMlCompressor, ZipMlCompressor};
     use sketchml_data::SparseDatasetSpec;
 
@@ -573,18 +574,17 @@ mod tests {
             dim: 64,
             compressor: &compressor,
         };
-        let model = GlmModel::new(64, GlmLoss::Logistic, 0.01).unwrap();
-        let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
-        let opt = OptimizerState::build(spec.optimizer, spec.opt_state, 64).unwrap();
+        let state = Replica::fresh(64, &TrainSpec::paper(GlmLoss::Logistic, 0.05, 2)).unwrap();
+        let (model, opt) = (state.model(), state.optimizer());
         let restore_point = |plan: &FaultPlan| {
             let mut star = DriverStar::new(cx, plan);
-            star.end_epoch(&model, &opt, 1);
+            star.end_epoch(model, opt, 1);
             star.restore_point
         };
         assert_eq!(restore_point(&FaultPlan::none()), None);
         assert_eq!(restore_point(&FaultPlan::seeded(3).with_drops(0.10)), None);
         let crash = restore_point(&FaultPlan::seeded(3).with_crash(1, 4, 3));
-        assert_eq!(crash, Some(model.restore_point(&opt, 1)));
+        assert_eq!(crash, Some(model.restore_point(opt, 1)));
     }
 
     #[test]

@@ -1,28 +1,29 @@
 //! Client side of the live parameter server: a typed request/response
-//! handle, the [`Replica`] of the server's training state a worker keeps,
+//! handle, the [`Replica`] a worker keeps of the server's training state,
 //! and [`run_worker`], the complete training-participant loop a worker
 //! process runs.
 //!
-//! A worker never pulls weights. It builds model and optimizer from the
-//! config — at round 0 both are what the server holds — and after each push
-//! asks for the round that follows its replica's: the reply is the codec
-//! frames the *other* workers pushed, and [`Replica`] decodes them and ends
-//! in the `Replica::apply` the server's trainer steps its own replica
-//! with — the crate's one [`combine`] → `apply_gradient` — in the same
-//! order, to the same bits. A worker that is not exactly one round
-//! behind (respawned mid-run, or two rounds late after straggler timeouts)
-//! is answered with the server's live training state and restores from it.
+//! A worker never pulls weights. Its [`Replica`] wraps the same
+//! [`sketchml_cluster::Replica`] the server's trainer steps — at round 0
+//! both are `Replica::fresh` of the config — and after each push it asks
+//! for the round that follows: the reply is the codec frames the *other*
+//! workers pushed. This module holds the reply to the session (member ids,
+//! counts, the worker's own frame) and decodes it; the state is stepped by
+//! the cluster replica's `apply`, in the same member order, to the same
+//! bits. A worker that is not exactly one round behind (respawned mid-run,
+//! or two rounds late after straggler timeouts) is answered with the
+//! server's live training state and restores from it through the cluster
+//! replica's spec check.
 
 use crate::error::NetError;
 use crate::sock::Conn;
 use crate::wire::{
     PredictBatch, PredictInstance, PushStatus, Request, Response, RoundMember, PROTOCOL_VERSION,
 };
-use sketchml_cluster::driver::combine;
 use sketchml_cluster::network::CostModel;
 use sketchml_cluster::worker::{partition, process_glm_rows, WorkerScratch};
+use sketchml_cluster::Schedule;
 use sketchml_core::{compressor_by_name, CompressScratch, GradientCompressor, SparseGradient};
-use sketchml_data::Batcher;
 use sketchml_ml::{Checkpoint, GlmModel, OptimizerState};
 use std::io::{BufReader, BufWriter, Write};
 
@@ -61,21 +62,20 @@ pub enum Pulled {
     State,
 }
 
-/// The training state — model, optimizer and the rounds applied to them.
-/// The server keeps one and every worker keeps a copy, bit-identical to it
-/// because both step through the same `apply` on the same
-/// frames in the same member order.
+/// A worker's copy of the server's training state: the
+/// [`sketchml_cluster::Replica`] the server steps, and the wire half around
+/// it — the session's worker count and dataset size a reply is held to, the
+/// codec, and the decode buffers of a round.
 ///
 /// Every check on a reply happens before the first write: a reply that is
 /// refused leaves weights and optimizer state untouched.
 pub struct Replica {
-    model: GlmModel,
-    optimizer: OptimizerState,
-    round: u64,
+    state: sketchml_cluster::Replica,
     done: bool,
     workers: usize,
     dataset_instances: u64,
-    compressor: Box<dyn GradientCompressor>,
+    /// Decodes the round's frames, and encodes this worker's pushes.
+    pub(crate) compressor: Box<dyn GradientCompressor>,
     scratch: CompressScratch,
     /// Decode targets, one per member of a round, reused across rounds.
     parts: Vec<SparseGradient>,
@@ -94,11 +94,9 @@ impl Replica {
     /// compressor can be built from.
     pub fn new(setup: &ServeSetup) -> Result<Self, NetError> {
         setup.validate()?;
-        let (model, optimizer) = setup.fresh_state()?;
         Ok(Replica {
-            model,
-            optimizer,
-            round: 0,
+            state: sketchml_cluster::Replica::fresh(setup.dataset.features as usize, &setup.spec)
+                .map_err(|e| NetError::InvalidConfig(e.to_string()))?,
             done: false,
             workers: setup.workers,
             dataset_instances: setup.dataset.instances as u64,
@@ -112,17 +110,17 @@ impl Replica {
 
     /// The model after [`round`](Self::round) rounds.
     pub fn model(&self) -> &GlmModel {
-        &self.model
+        self.state.model()
     }
 
     /// The optimizer after [`round`](Self::round) rounds.
     pub fn optimizer(&self) -> &OptimizerState {
-        &self.optimizer
+        self.state.optimizer()
     }
 
     /// Rounds applied.
     pub fn round(&self) -> u64 {
-        self.round
+        self.state.rounds()
     }
 
     /// The server said no round follows.
@@ -143,10 +141,10 @@ impl Replica {
         members: &[RoundMember],
     ) -> Result<Pulled, NetError> {
         let bad = |m: String| Err(NetError::Protocol(m));
-        if base_round != self.round {
+        if base_round != self.round() {
             return bad(format!(
                 "round reply starts from round {base_round}, the replica is at {}",
-                self.round
+                self.round()
             ));
         }
         if round == base_round {
@@ -204,11 +202,13 @@ impl Replica {
                 listed = true;
             }
         }
-        // Decode every member before the replica is touched.
+        // Decode every member, and take its weight, before the replica is
+        // touched.
         while self.parts.len() < members.len() {
             self.parts.push(SparseGradient::empty(0));
         }
-        let dim = self.model.dim() as u64;
+        self.instances.clear();
+        let dim = self.model().dim() as u64;
         for (m, part) in members.iter().zip(&mut self.parts) {
             match &m.frame {
                 Some(frame) => {
@@ -231,76 +231,30 @@ impl Replica {
                     part.dim()
                 ));
             }
+            // Held to the dataset's above, which is a `usize`.
+            self.instances.push(m.instances as usize);
         }
-        let mut parts = std::mem::take(&mut self.parts);
-        let mut instances = std::mem::take(&mut self.instances);
-        instances.clear();
-        // Held to the dataset's above, which is a `usize`.
-        instances.extend(members.iter().map(|m| m.instances as usize));
-        let applied = self.apply(&mut parts[..members.len()], &instances);
-        (self.parts, self.instances) = (parts, instances);
-        applied?;
+        self.state
+            .apply(&mut self.parts[..members.len()], &self.instances)
+            .map_err(|e| NetError::Protocol(format!("round {round} does not combine: {e}")))?;
         self.done = done;
         Ok(Pulled::Round { listed })
     }
 
-    /// Steps the state across one closed round from its decoded `parts`
-    /// (`instances[i]` is the weight of `parts[i]`; none: the round changed
-    /// nothing). What [`step`](Self::step) ends in and what the server's
-    /// trainer calls on the parts its handlers decoded: the one place a round
-    /// becomes a gradient and an optimizer step.
-    pub(crate) fn apply(
-        &mut self,
-        parts: &mut [SparseGradient],
-        instances: &[usize],
-    ) -> Result<(), NetError> {
-        if !parts.is_empty() {
-            let gradient = combine(parts, instances).map_err(|e| {
-                NetError::Protocol(format!("round {} does not combine: {e}", self.round + 1))
-            })?;
-            self.model
-                .apply_gradient(&mut self.optimizer, gradient.keys(), gradient.values());
-        }
-        self.round += 1;
-        Ok(())
-    }
-
     /// Replaces the replica by the server's live state after `round` rounds:
-    /// a v3 checkpoint frame, held to the session's config first.
+    /// a v3 checkpoint frame, held to the session's spec first.
     fn restore(&mut self, round: u64, bytes: &[u8]) -> Result<Pulled, NetError> {
-        let bad = |m: String| Err(NetError::Protocol(format!("state reply: {m}")));
-        if round < self.round {
-            return bad(format!(
+        let bad = |m: String| NetError::Protocol(format!("state reply: {m}"));
+        if round < self.round() {
+            return Err(bad(format!(
                 "round {round} is behind the replica's {}",
-                self.round
-            ));
+                self.round()
+            )));
         }
-        let state = match Checkpoint::from_bytes(bytes) {
-            Ok(state) => state,
-            Err(e) => return bad(e.to_string()),
-        };
-        let (have, got) = (&self.model, &state.model);
-        if got.dim() != have.dim()
-            || got.loss != have.loss
-            || got.l2.to_bits() != have.l2.to_bits()
-            || std::mem::discriminant(&state.optimizer) != std::mem::discriminant(&self.optimizer)
-        {
-            return bad(format!(
-                "a {:?} model of dimension {} (l2 {}) with {} state, the session trains \
-                 a {:?} model of dimension {} (l2 {}) with {} state",
-                got.loss,
-                got.dim(),
-                got.l2,
-                state.optimizer.name(),
-                have.loss,
-                have.dim(),
-                have.l2,
-                self.optimizer.name()
-            ));
-        }
-        self.model = state.model;
-        self.optimizer = state.optimizer;
-        self.round = round;
+        let state = Checkpoint::from_bytes(bytes).map_err(|e| bad(e.to_string()))?;
+        self.state
+            .restore(state, round)
+            .map_err(|e| bad(e.to_string()))?;
         Ok(Pulled::State)
     }
 }
@@ -414,7 +368,7 @@ impl Client {
     ) -> Result<Pulled, NetError> {
         Request::PullRound {
             worker,
-            have_round: replica.round,
+            have_round: replica.round(),
             wait,
         }
         .write_to(&mut self.writer)?;
@@ -542,42 +496,6 @@ pub struct WorkerRunStats {
     pub pulls_state: u64,
 }
 
-/// Replays the shared batch schedule so the worker knows which instance
-/// indices belong to a given round. Every worker constructs the identical
-/// [`Batcher`] (same `n`, ratio, seed), so index slices line up without
-/// shipping them over the wire; the server reads `rounds_per_epoch` only.
-pub(crate) struct Schedule {
-    batcher: Batcher,
-    pub(crate) rounds_per_epoch: u64,
-    epochs_consumed: u64,
-    current: Vec<Vec<usize>>,
-}
-
-impl Schedule {
-    pub(crate) fn new(n: usize, batch_ratio: f64, seed: u64) -> Self {
-        let batcher = Batcher::new(n, batch_ratio, seed);
-        let rounds_per_epoch = batcher.batches_per_epoch() as u64;
-        Schedule {
-            batcher,
-            rounds_per_epoch,
-            epochs_consumed: 0,
-            current: Vec::new(),
-        }
-    }
-
-    /// The batch (instance indices) for global `round`, advancing the
-    /// shared shuffle as needed — across whole epochs when the replica was
-    /// restored from a later state. Rounds never go backwards.
-    fn batch_for(&mut self, round: u64) -> &[usize] {
-        let epoch = round / self.rounds_per_epoch;
-        while self.epochs_consumed <= epoch {
-            self.current = self.batcher.epoch();
-            self.epochs_consumed += 1;
-        }
-        &self.current[(round % self.rounds_per_epoch) as usize]
-    }
-}
-
 /// Runs the complete worker participant loop against a live server: fetch
 /// config, regenerate the dataset, build the replica, then
 /// compute→push→pull-the-round until done. A worker joining mid-training is
@@ -596,7 +514,6 @@ pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
         )));
     }
     let train = setup.dataset.generate_train();
-    let compressor = compressor_by_name(&setup.compressor)?;
     let cost = CostModel::cluster1();
     let mut ws = WorkerScratch::new();
     let mut schedule = Schedule::new(train.len(), setup.batch_ratio, setup.spec.seed);
@@ -642,7 +559,7 @@ pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
             .nth(worker as usize)
             .unwrap_or_default();
         let slice = part.iter().map(|&i| &train[i]);
-        let msg = process_glm_rows(replica.model(), slice, compressor.as_ref(), &cost, &mut ws)?;
+        let msg = process_glm_rows(replica.model(), slice, &*replica.compressor, &cost, &mut ws)?;
 
         // Kept whole: the payload of an accepted push is this worker's part
         // of the round.

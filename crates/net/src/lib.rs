@@ -21,18 +21,22 @@
 //!   the open round (one mutex, one condvar, W slots: accepted is listed),
 //!   and the trainer thread that closes a round when its table is full or
 //!   the straggler window runs out, posts its frames for the handlers to
-//!   forward, and steps the same [`Replica`] the workers step — no training
-//!   loop, no second copy of the arithmetic.
-//! * [`client`] — typed client, the [`Replica`] of model and optimizer a
-//!   worker steps from each round's frames (no weights cross the wire in
-//!   steady state), and the full worker participant loop, with a live-state
-//!   restore for respawned or left-behind workers.
+//!   forward, and steps a [`sketchml_cluster::Replica`] — no training loop.
+//! * [`client`] — typed client, the worker's [`Replica`]: the wire checks
+//!   and decode of each round's frames (no weights cross the wire in steady
+//!   state) around the same cluster state the server steps, and the full
+//!   worker participant loop, with a live-state restore for respawned or
+//!   left-behind workers.
+//!
+//! This crate holds no training state and no arithmetic of its own: model,
+//! optimizer, the round step, the spec check a restore goes through and the
+//! batch schedule are `sketchml_cluster`'s [`sketchml_cluster::Replica`] and
+//! [`sketchml_cluster::Schedule`], the ones the in-process simulator steps.
 //!
 //! Determinism: the server ships its [`server::ServeSetup`] to every
-//! worker; workers build the same seeded [`sketchml_data::Batcher`] and
-//! dataset, so batch index slices line up without ever crossing the wire,
-//! and a full-strength run reproduces the in-process simulator's loss
-//! trajectory.
+//! worker; workers build the same seeded schedule and dataset, so batch
+//! index slices line up without ever crossing the wire, and a full-strength
+//! run reproduces the in-process simulator's training state to the byte.
 
 #![warn(missing_docs)]
 

@@ -8,40 +8,41 @@
 //!                                            │ PushGradient: decode ──▶ round table: slot[worker]
 //!                                            │ PullRound ◀── round table: latest closed round
 //!                                            trainer thread: table full | deadline ──▶ close + post
-//!                                                            ──▶ Replica::apply ──▶ publish
+//!                                                            ──▶ cluster::Replica::apply ──▶ publish
 //! ```
 //!
 //! **The round is the W frames.** What a round changes is fully described by
 //! the codec frames the workers pushed for it, so that is what the downlink
-//! carries, and the server keeps the same [`Replica`] of model and optimizer
-//! a worker keeps. There is no training loop here. The open round is a table
-//! of W slots under one mutex and one condvar (`Rounds`). A handler decodes
-//! the push it is shown with its own scratch — the W decodes of a round run
-//! in parallel and overlap the wait for the slowest worker; a frame that does
-//! not decode to the model's dimension is refused at the door — and then,
-//! under the lock, puts it in its worker's slot or answers `Stale`/`Done`:
-//! accepting a push and listing it in the round are one decision, and the
-//! table never holds more than W parts. The trainer thread waits for the
-//! table to fill (or the straggler window to run out), closes the round and
-//! posts its frames *before* any arithmetic — the handlers forward them, each
-//! worker gets the others' — then steps its replica through the
-//! `Replica::apply` every worker's step ends in, and publishes; an epoch ends
-//! where `round % rounds_per_epoch == 0`. A replica not exactly one round
-//! behind — a respawned worker, a straggler that lost two rounds — is sent
-//! the live state instead, serialised by the handler under the mutex the
-//! trainer takes only to apply a round. A full connection queue refuses the
-//! socket with a typed `Backpressure` error; nothing else is ever queued.
+//! carries, and the server keeps the same [`sketchml_cluster::Replica`] of
+//! model and optimizer every worker's [`crate::Replica`] wraps. There is no
+//! training loop here. The open round is a table of W slots under one mutex
+//! and one condvar (`Rounds`). A handler decodes the push it is shown with
+//! its own scratch — the W decodes of a round run in parallel and overlap the
+//! wait for the slowest worker; a frame that does not decode to the model's
+//! dimension is refused at the door — and then, under the lock, puts it in
+//! its worker's slot or answers `Stale`/`Done`: accepting a push and listing
+//! it in the round are one decision, and the table never holds more than W
+//! parts. The trainer thread waits for the table to fill (or the straggler
+//! window to run out), closes the round and posts its frames *before* any
+//! arithmetic — the handlers forward them, each worker gets the others' —
+//! then steps its replica through the `apply` every worker's step ends in,
+//! and publishes; an epoch ends where `round % rounds_per_epoch == 0` (the
+//! shared [`Schedule`]'s arithmetic: the server draws no shuffle). A replica
+//! not exactly one round behind — a respawned worker, a straggler that lost
+//! two rounds — is sent the live state instead, serialised by the handler
+//! under the mutex the trainer takes only to apply a round. A full
+//! connection queue refuses the socket with a typed `Backpressure` error;
+//! nothing else is ever queued.
 
-use crate::client::{Replica, Schedule};
 use crate::error::{ErrorCode, NetError};
 use crate::sock::{Conn, Listener};
 use crate::store::{ModelSnapshot, ModelStore};
 use crate::wire::{self, PushStatus, Request, Response, PROTOCOL_VERSION};
 use serde::{Deserialize, Serialize};
-use sketchml_cluster::TrainSpec;
+use sketchml_cluster::{Replica, Schedule, TrainSpec};
 use sketchml_core::{compressor_by_name, CompressScratch, GradientCompressor, SparseGradient};
 use sketchml_data::SparseDatasetSpec;
-use sketchml_ml::{Checkpoint, GlmModel, Instance, OptimizerState};
+use sketchml_ml::{Checkpoint, Instance};
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -158,23 +159,6 @@ impl ServeSetup {
             )));
         }
         Ok(())
-    }
-
-    /// The training state of round 0: the zero model and the fresh optimizer
-    /// of this setup. The server's trainer and every worker's replica start
-    /// from this one construction, which is why nothing dense has to cross
-    /// the link to start.
-    ///
-    /// # Errors
-    /// [`NetError::InvalidConfig`] if no model or optimizer can be built.
-    pub fn fresh_state(&self) -> Result<(GlmModel, OptimizerState), NetError> {
-        let dim = self.dataset.features as usize;
-        let invalid = |e: sketchml_ml::MlError| NetError::InvalidConfig(e.to_string());
-        Ok((
-            GlmModel::new(dim, self.spec.loss, self.spec.l2).map_err(invalid)?,
-            OptimizerState::build(self.spec.optimizer, self.spec.opt_state, dim)
-                .map_err(invalid)?,
-        ))
     }
 }
 
@@ -317,7 +301,7 @@ struct Shared {
     setup_json: String,
     store: ModelStore,
     rounds: Rounds,
-    /// The training state, stepped like any worker's replica of it. Locked
+    /// The training state, stepped like every worker's copy of it. Locked
     /// by the trainer to apply a round and to write the end-of-epoch
     /// checkpoint, by a handler to serialise the state for a worker that
     /// cannot be stepped to it.
@@ -462,7 +446,9 @@ impl Server {
     pub fn start(setup: ServeSetup, listener: Listener) -> Result<Server, NetError> {
         // Validates the setup and fails fast on an unknown compressor name
         // (workers resolve it too).
-        let live = Replica::new(&setup)?;
+        setup.validate()?;
+        let live = Replica::fresh(setup.dataset.features as usize, &setup.spec)
+            .map_err(|e| NetError::InvalidConfig(e.to_string()))?;
         let compressor = compressor_by_name(&setup.compressor)?;
         let setup_json = serde_json::to_string(&setup)
             .map_err(|e| NetError::InvalidConfig(format!("setup does not serialize: {e}")))?;
@@ -1011,7 +997,7 @@ fn reply_round(
         let rounds = {
             let live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
             Checkpoint::write_parts(live.model(), live.optimizer(), epochs_done, &mut bytes);
-            live.round()
+            live.rounds()
         };
         let sent = wire::write_state(writer, rounds, &bytes)?;
         count_pull(shared, &shared.counters.pulls_state, sent);

@@ -75,17 +75,17 @@ impl Args {
                 "--workers" => a.workers = num(&val()?)?,
                 "--epochs" => a.epochs = num(&val()?)?,
                 "--instances" => a.instances = num(&val()?)?,
-                "--features" => a.features = num(&val()?)? as u32,
+                "--features" => a.features = num(&val()?)?,
                 "--avg-nnz" => a.avg_nnz = num(&val()?)?,
                 "--batch-ratio" => {
                     a.batch_ratio = val()?.parse().map_err(|e| format!("batch-ratio: {e}"))?;
                 }
                 "--compressor" => a.compressor = val()?,
-                "--seed" => a.seed = num(&val()?)? as u64,
-                "--round-timeout-ms" => a.round_timeout_ms = num(&val()?)? as u64,
-                "--idle-timeout-ms" => a.idle_timeout_ms = num(&val()?)? as u64,
-                "--round-sleep-ms" => a.round_sleep_ms = num(&val()?)? as u64,
-                "--linger-ms" => a.linger_ms = num(&val()?)? as u64,
+                "--seed" => a.seed = num(&val()?)?,
+                "--round-timeout-ms" => a.round_timeout_ms = num(&val()?)?,
+                "--idle-timeout-ms" => a.idle_timeout_ms = num(&val()?)?,
+                "--round-sleep-ms" => a.round_sleep_ms = num(&val()?)?,
+                "--linger-ms" => a.linger_ms = num(&val()?)?,
                 other => return Err(format!("unknown flag {other}")),
             }
         }
@@ -93,7 +93,12 @@ impl Args {
     }
 }
 
-fn num(s: &str) -> Result<usize, String> {
+/// Parses a count into the type of the field it sets: a value that type
+/// cannot hold is refused, never truncated.
+fn num<T: std::str::FromStr>(s: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
     s.parse().map_err(|e| format!("{s}: {e}"))
 }
 

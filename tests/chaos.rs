@@ -501,6 +501,49 @@ fn invalid_plans_and_configs_are_typed_errors() {
         .unwrap_err();
         assert!(matches!(err, CompressError::InvalidConfig(_)), "{err:?}");
     }
+    // Bugfix: resume used to check only the checkpoint's dimension, so a
+    // Logistic / l2 0.01 checkpoint kept training as itself under a spec of
+    // another loss, l2 or optimizer. It is held to the spec now, by the check
+    // a socket worker restoring the server's state goes through.
+    let adam = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
+    let sgd = adam.with_optimizer(sketchml::ml::OptimizerKind::Sgd(0.05));
+    let train_spec = |spec: &TrainSpec, resume| {
+        train_glm(
+            &GlmTask::new(&train, &test, dim),
+            spec,
+            &cluster,
+            Aggregation::Driver(&SketchMlCompressor::default()),
+            &FaultPlan::none(),
+            resume,
+        )
+    };
+    let checkpoint = |spec: &TrainSpec| {
+        let one_epoch = TrainSpec {
+            max_epochs: 1,
+            ..*spec
+        };
+        train_spec(&one_epoch, None).unwrap().checkpoint.unwrap()
+    };
+    let (adam_checkpoint, sgd_checkpoint) = (checkpoint(&adam), checkpoint(&sgd));
+    for (what, spec, resume) in [
+        (
+            "another loss",
+            TrainSpec::paper(GlmLoss::Squared, 0.05, 2),
+            &adam_checkpoint,
+        ),
+        (
+            "another l2",
+            TrainSpec { l2: 0.5, ..adam },
+            &adam_checkpoint,
+        ),
+        ("an Adam spec, an SGD checkpoint", adam, &sgd_checkpoint),
+    ] {
+        let err = train_spec(&spec, Some(resume.clone())).unwrap_err();
+        assert!(
+            matches!(err, CompressError::InvalidConfig(_)),
+            "{what}: {err:?}"
+        );
+    }
     // Bugfix: the MLP used to read its own batch ratio, which nothing
     // validated — NaN or 0.0 trained on one-instance batches. It batches at
     // the cluster's ratio now, which `ClusterConfig::validate` holds to

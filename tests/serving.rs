@@ -211,6 +211,70 @@ fn four_workers_over_loopback_match_the_simulator_loss() {
     );
 }
 
+/// The server and its workers step the simulator's training state: with
+/// every round full, the server's final checkpoint — weights, optimizer
+/// moments, step counter, epochs — is the driver star's, byte for byte.
+#[test]
+#[cfg(unix)]
+fn sockets_and_simulator_end_in_the_same_checkpoint_bytes() {
+    let (instances, features, avg_nnz, epochs) = (900usize, 2_048u32, 32usize, 2usize);
+    let (dataset, spec) = reference_setup(instances, features, avg_nnz, epochs);
+    let (train, test) = dataset.generate_split();
+    for codec in ["raw", "sketchml"] {
+        for workers in [2usize, 3] {
+            let cell = format!("{codec} × {workers} workers");
+            let mut setup = ServeSetup::new(dataset.clone(), spec, workers);
+            setup.batch_ratio = 0.2;
+            setup.compressor = codec.into();
+            setup.round_timeout_ms = 30_000;
+            setup.idle_timeout_ms = 60_000;
+            let path = format!(
+                "{}/state-{codec}-{workers}-{}.sock",
+                env!("CARGO_TARGET_TMPDIR"),
+                std::process::id()
+            );
+            let _ = std::fs::remove_file(&path);
+            let listener = sketchml::net::Listener::bind_unix(&path).expect("bind unix socket");
+            let server = Server::start(setup, listener).expect("start server");
+            let addr = server.addr().to_string();
+            let threads: Vec<_> = (0..workers as u32)
+                .map(|w| {
+                    let addr = addr.clone();
+                    std::thread::spawn(move || run_worker(&addr, w))
+                })
+                .collect();
+            for t in threads {
+                t.join().expect("worker thread").expect("worker trains");
+            }
+            let summary = server.wait_trained();
+            assert_eq!(summary.full_rounds, summary.rounds, "{cell}: {summary:?}");
+            let (epochs_done, served) = Client::connect(&addr)
+                .and_then(|mut c| c.get_checkpoint())
+                .expect("final checkpoint");
+            server.shutdown();
+            server.join();
+            let _ = std::fs::remove_file(&path);
+
+            let compressor = compressor_by_name(codec).unwrap();
+            let simulated = sketchml::train_glm(
+                &sketchml::GlmTask::new(&train, &test, features as usize),
+                &spec,
+                &ClusterConfig::cluster1(workers).with_batch_ratio(0.2),
+                sketchml::Aggregation::Driver(compressor.as_ref()),
+                &sketchml::FaultPlan::none(),
+                None,
+            )
+            .unwrap()
+            .checkpoint
+            .expect("a GLM run ends in a checkpoint")
+            .to_bytes()
+            .unwrap();
+            assert_eq!(epochs_done, epochs as u64, "{cell}");
+            assert!(served == simulated, "{cell}: checkpoints differ");
+        }
+    }
+}
+
 #[test]
 #[cfg(unix)]
 fn killed_worker_recovers_from_checkpoint_and_run_completes() {
@@ -428,29 +492,40 @@ fn summary_predicts(addr: &str) -> bool {
 #[test]
 fn serve_refuses_a_dataset_it_cannot_generate() {
     // A spec the generator would panic on must fail before SERVE_READY;
-    // failing in the trainer thread left the process running forever.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_sketchml-serve"))
-        .args(["--avg-nnz", "0"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn sketchml-serve");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll serve") {
-            break status;
-        }
-        if Instant::now() >= deadline {
-            child.kill().expect("stop the hung server");
-            child.wait().expect("reap server");
-            panic!("sketchml-serve --avg-nnz 0 still running after 10 s");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let out = child.wait_with_output().expect("read serve stdout");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(!status.success(), "serve exited with {status:?}");
-    assert!(!stdout.contains("SERVE_READY"), "serve got ready: {stdout}");
+    // failing in the trainer thread left the process running forever. A
+    // feature count past `u32` was truncated to one feature and served; it
+    // is a usage error (exit code 2) now.
+    for (args, code) in [(["--avg-nnz", "0"], 1), (["--features", "4294967297"], 2)] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_sketchml-serve"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn sketchml-serve");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll serve") {
+                break status;
+            }
+            if Instant::now() >= deadline {
+                child.kill().expect("stop the hung server");
+                child.wait().expect("reap server");
+                panic!("sketchml-serve {args:?} still running after 10 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let out = child.wait_with_output().expect("read serve stdout");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            status.code(),
+            Some(code),
+            "{args:?}: serve exited with {status:?}"
+        );
+        assert!(
+            !stdout.contains("SERVE_READY"),
+            "{args:?}: serve got ready: {stdout}"
+        );
+    }
 }
 
 #[test]
