@@ -18,27 +18,20 @@
 //! star driver, spread across all workers on the ring, across the live
 //! subtree width on the tree).
 //!
-//! Elasticity (DESIGN.md §2.8): every run carries an
-//! `ElasticMembership` layer, idle under a benign plan.
-//! Each round a heartbeat detector suspects and eventually evicts
-//! unresponsive members, evicted workers whose process is back pull a
-//! checkpoint and rejoin, and the hop schedule is recomputed over the
-//! surviving member set — mergeable sketches make the aggregate independent
-//! of the member count, so the topology can be rebuilt mid-training without
-//! changing the math. A round in which a scheduled member goes dark falls
-//! back to a degraded star among the survivors; the next round runs the
-//! rebuilt topology. All of it is seeded: the same plan replays the
-//! identical membership trace.
+//! Crashes follow the engine's one rule ([`crate::engine`]): a crashed
+//! worker sits the round out, and the topology runs over the workers that
+//! are up, its logical ranks pinned to their physical slots by a
+//! [`RemappedTransport`]. Mergeable sketches make the aggregate independent
+//! of the member count, so a smaller group computes the same math.
 
 use crate::config::ClusterConfig;
 use crate::engine::{train_glm, Aggregate, Aggregation, Ctx, Exchange, GlmTask, Round};
-use crate::faults::{FaultEvent, FaultPlan, FaultyLink};
-use crate::membership::{ElasticMembership, RoundPlan};
+use crate::faults::{FaultPlan, FaultyLink};
 use crate::trainer::{TrainReport, TrainSpec};
 use crate::worker::WorkerMessage;
 use sketchml_collectives::{allreduce, Contribution, Hop, RemappedTransport, Topology, Transport};
 use sketchml_core::{CompressError, CompressScratch, MergeAcc, MergePolicy, MergeableCompressor};
-use sketchml_ml::{Checkpoint, GlmModel, Instance};
+use sketchml_ml::Instance;
 
 /// The receiver-side state hops share across rounds: a global hop counter
 /// standing in for the fault plan's batch clock (so traces stay
@@ -181,19 +174,8 @@ pub fn train_allreduce_with_policy(
 /// applies to every collective hop: per-link drops, corruption and
 /// duplication, with retry and backoff charged to the simulated clock. A
 /// reduce hop lost for good drops the sender's partial from the aggregate
-/// (the round continues); a distribute hop lost costs time only.
-///
-/// Crash events engage the elastic membership layer: a heartbeat detector
-/// (tuned by [`ClusterConfig::suspicion_threshold`]) suspects and evicts workers that
-/// stop acking, the hop schedule is rebuilt over the survivors, and a
-/// worker whose outage window ends pulls a checkpoint and rejoins the
-/// group — pull retries, backoff and the checkpoint transfer are charged
-/// to the simulated clock. A round caught mid-failure degrades to a star
-/// among the survivors; a permanent crash ([`FaultPlan::with_permanent_crash`])
-/// shrinks the group for good. Every transition is recorded as a typed
-/// [`FaultEvent`] in the trace, so the same plan and data replay the
-/// identical membership history bit for bit. Under a benign plan the
-/// detector has nothing to detect and the full group runs every round.
+/// (the round continues); a distribute hop lost costs time only. A crashed
+/// worker sits the round out, and the topology runs over the others.
 pub(crate) struct Collective<'a> {
     cx: Ctx<'a>,
     policy: MergePolicy,
@@ -201,7 +183,6 @@ pub(crate) struct Collective<'a> {
     /// carry no CRC; their structural validation still rejects most
     /// corruption).
     merges: &'a dyn MergeableCompressor,
-    elastic: ElasticMembership,
     hops: HopState,
 }
 
@@ -210,65 +191,35 @@ impl<'a> Collective<'a> {
         cx: Ctx<'a>,
         policy: MergePolicy,
         merges: &'a dyn MergeableCompressor,
-        faults: &FaultPlan,
     ) -> Self {
         Collective {
             cx,
             policy,
             merges,
-            elastic: ElasticMembership::new(
-                cx.cluster.workers,
-                cx.cluster.suspicion_threshold,
-                faults.seed,
-            ),
             hops: HopState::default(),
         }
     }
 }
 
-impl Exchange<GlmModel> for Collective<'_> {
-    fn roster(&mut self, round: &mut Round<'_, GlmModel>) -> Result<RoundPlan, CompressError> {
-        // Heartbeats, evictions and joins all settle before the shard
-        // assignment, so the engine's partition is always re-chunked over
-        // the current member set.
-        let (model, opt) = (round.state.model(), round.state.optimizer());
-        let mut ckpt_len = || Checkpoint::encoded_len(model, opt);
-        Ok(self.elastic.step(round.link, round.batch, &mut ckpt_len))
-    }
-
+impl Exchange for Collective<'_> {
     fn aggregate(
         &mut self,
-        round: &mut Round<'_, GlmModel>,
-        members: &[usize],
+        round: &mut Round<'_>,
         parts: Vec<Option<WorkerMessage>>,
     ) -> Result<Option<Aggregate>, CompressError> {
         let (cluster, dim) = (self.cx.cluster, self.cx.dim as u64);
-        let (link, batch, es) = (&mut *round.link, round.batch, &mut *round.es);
-        // A dark member's shard is lost this round — the data cost of
-        // detection latency.
-        let survivors: Vec<usize> = parts
-            .iter()
-            .zip(members)
-            .filter_map(|(m, &slot)| m.as_ref().map(|_| slot))
+        let (link, es) = (&mut *round.link, &mut *round.es);
+        // The physical slots of the workers that are up; a crashed one's
+        // slice is lost this round.
+        let up: Vec<usize> = (parts.iter().enumerate())
+            .filter_map(|(slot, m)| m.as_ref().map(|_| slot))
             .collect();
-        if survivors.is_empty() {
+        if up.is_empty() {
             return Ok(None);
         }
         let alive: Vec<&WorkerMessage> = parts.iter().flatten().collect();
         let worker_codec = alive.iter().map(|m| m.sim_codec).fold(0.0f64, f64::max);
-
-        // A member that went dark mid-round degrades this round to a star
-        // over the survivors; the rebuilt ring/tree runs next round, once
-        // the detector has caught up.
-        let topology = if survivors.len() < members.len() {
-            link.record_membership(FaultEvent::DegradedRound {
-                batch,
-                survivors: survivors.len(),
-            });
-            Topology::Star
-        } else {
-            cluster.topology
-        };
+        let topology = cluster.topology;
 
         let total_instances: usize = alive.iter().map(|m| m.instances).sum();
         let loss_sum: f64 = alive.iter().map(|m| m.loss_sum).sum();
@@ -294,21 +245,21 @@ impl Exchange<GlmModel> for Collective<'_> {
             total_seconds: 0.0,
         };
         // Schedules are computed over logical ranks 0..k; the remap pins
-        // them to surviving physical slots so fault injection and straggler
-        // skew stay keyed to the worker they were planned for.
+        // them to the up workers' physical slots so fault injection and
+        // straggler skew stay keyed to the worker they were planned for.
         let reduced = allreduce(
             topology,
             self.policy,
             self.merges,
             dim,
             &contribs,
-            &mut RemappedTransport::new(&mut transport, &survivors, cluster.workers),
+            &mut RemappedTransport::new(&mut transport, &up, cluster.workers),
         )?;
         let merge_wall = wall.elapsed().as_secs_f64();
 
         es.codec_seconds += worker_codec
             + cluster.cost.codec_time(reduced.codec_pairs as usize)
-                / merge_width(topology, survivors.len());
+                / merge_width(topology, up.len());
         es.comm_seconds += transport.into_seconds();
         es.uplink_bytes += reduced.reduce_bytes;
         es.downlink_bytes += reduced.distribute_bytes;
@@ -320,7 +271,7 @@ impl Exchange<GlmModel> for Collective<'_> {
         es.measured_codec_seconds += alive.iter().map(|m| m.measured_codec).sum::<f64>();
         es.measured_codec_seconds += merge_wall;
         Ok(Some(Aggregate {
-            gradient: Some(reduced.gradient),
+            gradient: reduced.gradient,
             batch_loss: loss_sum / total_instances.max(1) as f64,
         }))
     }

@@ -27,12 +27,6 @@ pub struct ClusterConfig {
     /// [`crate::train_distributed`] run on fewer workers than the topology
     /// needs is an [`sketchml_core::CompressError::InvalidConfig`] too.
     pub topology: Topology,
-    /// Consecutive missed heartbeat acks before the elastic membership
-    /// layer evicts a member (≥ 1; default 3). The default keeps a lossy
-    /// but crash-free run stable — three lost acks in a row at 10% drop
-    /// odds is a 0.1% event — while evicting a dead worker within three
-    /// rounds. Inert without a fault plan.
-    pub suspicion_threshold: u32,
 }
 
 impl ClusterConfig {
@@ -44,7 +38,6 @@ impl ClusterConfig {
             batch_ratio: 0.1,
             compress_downlink: true,
             topology: Topology::Star,
-            suspicion_threshold: 3,
         }
     }
 
@@ -56,7 +49,6 @@ impl ClusterConfig {
             batch_ratio: 0.1,
             compress_downlink: true,
             topology: Topology::Star,
-            suspicion_threshold: 3,
         }
     }
 
@@ -72,7 +64,6 @@ impl ClusterConfig {
             batch_ratio: 0.1,
             compress_downlink: false,
             topology: Topology::Star,
-            suspicion_threshold: 3,
         }
     }
 
@@ -88,13 +79,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Overrides the consecutive-miss eviction threshold of the elastic
-    /// membership layer.
-    pub fn with_suspicion_threshold(mut self, threshold: u32) -> Self {
-        self.suspicion_threshold = threshold;
-        self
-    }
-
     /// Validates the configuration, returning a typed error instead of
     /// letting bad values surface as panics deep inside a training loop.
     ///
@@ -102,8 +86,7 @@ impl ClusterConfig {
     /// [`CompressError::InvalidConfig`] naming the offending field: zero
     /// workers, too few workers for the chosen topology, a batch ratio
     /// outside `(0, 1]`, a non-positive bandwidth, a negative or non-finite
-    /// latency or compute constant in the cost model, or a zero suspicion
-    /// threshold.
+    /// latency or compute constant in the cost model.
     pub fn validate(&self) -> Result<(), CompressError> {
         if self.workers == 0 {
             return Err(CompressError::InvalidConfig(
@@ -146,11 +129,6 @@ impl ClusterConfig {
                     "cluster: {name} {v} must be finite and non-negative"
                 )));
             }
-        }
-        if self.suspicion_threshold == 0 {
-            return Err(CompressError::InvalidConfig(
-                "cluster: suspicion_threshold must be at least 1".into(),
-            ));
         }
         Ok(())
     }
@@ -228,9 +206,5 @@ mod tests {
             let err = c.validate().unwrap_err().to_string();
             assert!(err.contains("sec_per_codec_pair"), "{err}");
         }
-        assert!(ClusterConfig::cluster1(4)
-            .with_suspicion_threshold(0)
-            .validate()
-            .is_err());
     }
 }

@@ -25,6 +25,14 @@
 //! whose link never drops, copies or decodes a payload — bit-identical to a
 //! loop that never consulted a plan (`tests/round_engine.rs` pins this).
 //!
+//! There is one crash rule, the one the socket server follows too: `run`
+//! asks [`crash_roster`] at the start of every round, a crashed worker sits
+//! the round out and its slice of the batch is lost, and a worker whose
+//! outage just ended restores from the restore point `run` writes at each
+//! epoch end (only under a plan that schedules a crash). Every exchange
+//! aggregates whoever delivered, and a round in which nothing arrived is
+//! no round: no step, no training loss.
+//!
 //! [`run`] is generic over two things. A [`Model`] is what the workers
 //! step: a GLM ([`sketchml_ml::GlmModel`]) or the §B.3 MLP
 //! ([`sketchml_ml::Mlp`]). An [`Exchange`] holds only what differs between
@@ -38,7 +46,6 @@
 use crate::allreduce::Collective;
 use crate::config::ClusterConfig;
 use crate::faults::{CrashPhase, FaultPlan, FaultyLink, Transmission};
-use crate::membership::RoundPlan;
 use crate::replica::{Replica, Schedule};
 use crate::trainer::{DriverStar, EpochStats, TrainOutcome, TrainReport, TrainSpec};
 use crate::worker::{partition, process_rows, WorkerMessage, WorkerScratch};
@@ -47,6 +54,7 @@ use sketchml_core::{
 };
 use sketchml_ml::metrics::{ConvergenceDetector, LossPoint};
 use sketchml_ml::{BatchGradient, Checkpoint, GradScratch, Instance, OptimizerState};
+use std::borrow::Cow;
 
 /// A GLM training task: the data split and the model dimension.
 #[derive(Debug, Clone, Copy)]
@@ -72,8 +80,8 @@ pub enum Aggregation<'a> {
     /// The paper's driver star (§4.1): every worker pushes its compressed
     /// gradient to the driver, which decodes, averages and broadcasts.
     Driver(&'a dyn GradientCompressor),
-    /// Peer-to-peer allreduce along `cluster.topology`, with elastic
-    /// membership over the survivors ([`crate::allreduce`]).
+    /// Peer-to-peer allreduce along `cluster.topology` over the round's up
+    /// workers ([`crate::allreduce`]).
     Collective {
         /// What a merge hop forwards (exact partial sums, re-sketched or
         /// linear payloads).
@@ -90,8 +98,7 @@ pub enum Aggregation<'a> {
 /// Workers are real threads computing real gradients on their slice of each
 /// mini-batch; message bytes are real compressed payloads; time is the
 /// declared [`crate::CostModel`]. Messages are dropped, corrupted and
-/// duplicated per the plan, crashed workers sit out and are restored (or, on
-/// a collective, evicted and rejoined by the elastic membership layer), and
+/// duplicated per the plan, crashed workers sit out and are restored, and
 /// every retry and restore is charged to the simulated clock. The same plan
 /// and data always produce the identical trace and final loss.
 ///
@@ -144,11 +151,11 @@ pub fn train_glm(
     let (train, test) = (task.train, task.test);
     match aggregation {
         Aggregation::Driver(_) => {
-            let exchange = DriverStar::new(cx, faults);
+            let exchange = DriverStar::new(cx);
             run(train, test, start, cx, exchange, link)
         }
         Aggregation::Collective { policy, compressor } => {
-            let exchange = Collective::new(cx, policy, compressor, faults);
+            let exchange = Collective::new(cx, policy, compressor);
             run(train, test, start, cx, exchange, link)
         }
     }
@@ -236,6 +243,15 @@ pub(crate) struct Start<M> {
     pub(crate) stop_on_convergence: bool,
 }
 
+/// The crash schedule's verdict for one round.
+pub(crate) struct RoundPlan {
+    /// Per worker slot: whether its process is down this round (its slice
+    /// of the batch is lost).
+    pub(crate) down: Vec<bool>,
+    /// Simulated seconds spent restoring the round's rejoiners.
+    pub(crate) stall_seconds: f64,
+}
+
 /// The crash schedule's verdict for round `batch` over a static group of
 /// `workers`: crashed workers are flagged down, and each worker whose outage
 /// just ended is restored from `restore_bytes()` bytes of state, charged to
@@ -258,9 +274,22 @@ pub(crate) fn crash_roster(
         }
     }
     Ok(RoundPlan {
-        members: (0..workers).collect(),
         down,
         stall_seconds,
+    })
+}
+
+/// The restore point written at the end of epoch `epochs_done` — only when
+/// `plan` schedules a crash: nobody can rejoin a benign or drop-only run.
+fn restore_point_at<M: Model>(
+    plan: &FaultPlan,
+    replica: &Replica<M>,
+    epochs_done: usize,
+) -> Option<Vec<u8>> {
+    (!plan.crashes.is_empty()).then(|| {
+        replica
+            .model()
+            .restore_point(replica.optimizer(), epochs_done)
     })
 }
 
@@ -323,54 +352,43 @@ pub(crate) fn push<'p>(
 }
 
 /// One round as an exchange sees it.
-pub(crate) struct Round<'r, M> {
+pub(crate) struct Round<'r> {
     /// The run's link; every message of the round goes through it.
     pub(crate) link: &'r mut FaultyLink,
     /// Global 0-based round index (the fault plan's batch clock).
     pub(crate) batch: u64,
-    /// The state a rejoining worker would restore.
-    pub(crate) state: &'r Replica<M>,
-    pub(crate) epochs_done: usize,
     /// The epoch's books; the exchange charges its bytes and seconds here.
     pub(crate) es: &'r mut EpochStats,
 }
 
 /// One round's aggregated result.
 pub(crate) struct Aggregate {
-    /// The gradient to apply; `None` when nothing arrived (the round's time
-    /// was still spent).
-    pub(crate) gradient: Option<SparseGradient>,
-    /// Mean per-instance training loss over the batch.
+    /// The gradient to apply.
+    pub(crate) gradient: SparseGradient,
+    /// Mean per-instance training loss over the delivered slices.
     pub(crate) batch_loss: f64,
 }
 
 /// What differs between the aggregations: how the workers' messages become
-/// one aggregated gradient and what that costs on the simulated clock. The
-/// worker step itself is the same for every exchange ([`process_rows`]).
-pub(crate) trait Exchange<M: Model> {
-    /// Settles who takes part in the round — crashed workers sit out,
-    /// rejoiners restore state, an elastic group evicts and re-admits —
-    /// before the batch is partitioned over the members.
-    fn roster(&mut self, round: &mut Round<'_, M>) -> Result<RoundPlan, CompressError>;
-
-    /// Moves the parts (in `members` order; `None` = down) through the link
-    /// and reduces them to one gradient, charging `round.es`. `None` means
-    /// no member was up, so no round took place.
+/// one aggregated gradient and what that costs on the simulated clock. Who
+/// works the round is [`run`]'s call ([`crash_roster`]), and the worker
+/// step itself is the same for every exchange ([`process_rows`]).
+pub(crate) trait Exchange {
+    /// Moves the parts (indexed by worker slot; `None` = down) through the
+    /// link and reduces whatever arrives to one gradient, charging
+    /// `round.es`. `None` means nothing arrived, so no round took place
+    /// (its time was still spent).
     fn aggregate(
         &mut self,
-        round: &mut Round<'_, M>,
-        members: &[usize],
+        round: &mut Round<'_>,
         parts: Vec<Option<WorkerMessage>>,
     ) -> Result<Option<Aggregate>, CompressError>;
-
-    /// Called after each epoch's evaluation.
-    fn end_epoch(&mut self, _model: &M, _opt: &OptimizerState, _epoch: usize) {}
 }
 
 /// The barrier-synchronous round loop shared by every model and
 /// aggregation: roster, partition, fan-out, straggler clock, exchange,
 /// update, and the epoch bookkeeping that ends in a [`TrainOutcome`].
-pub(crate) fn run<M: Model, E: Exchange<M>>(
+pub(crate) fn run<M: Model, E: Exchange>(
     train: &[M::Instance],
     test: &[M::Instance],
     start: Start<M>,
@@ -379,6 +397,7 @@ pub(crate) fn run<M: Model, E: Exchange<M>>(
     mut link: FaultyLink,
 ) -> Result<TrainOutcome, CompressError> {
     let (mut replica, mut schedule) = (start.replica, start.schedule);
+    let workers = cx.cluster.workers;
     let mut epochs_done = (replica.rounds() / schedule.rounds_per_epoch) as usize;
     let mut detector = ConvergenceDetector::default();
     let mut epochs = Vec::with_capacity(start.max_epochs);
@@ -386,10 +405,13 @@ pub(crate) fn run<M: Model, E: Exchange<M>>(
     let mut converged_epoch = None;
     let mut clock = 0.0f64;
     let mut global_batch = 0u64;
+    // What a rejoining worker restores: the last epoch end's restore point,
+    // or the state as it stands for a crash inside the first epoch.
+    let mut restore_point: Option<Vec<u8>> = None;
     // Pooled codec state, persistent across every batch of every epoch: one
     // scratch per worker slot (threads borrow disjoint slots).
     let mut worker_scratch: Vec<WorkerScratch> = Vec::new();
-    worker_scratch.resize_with(cx.cluster.workers, WorkerScratch::new);
+    worker_scratch.resize_with(workers, WorkerScratch::new);
 
     for epoch in epochs_done + 1..=start.max_epochs {
         let mut es = EpochStats {
@@ -400,20 +422,24 @@ pub(crate) fn run<M: Model, E: Exchange<M>>(
         let mut rounds_done = 0u64;
         for _ in 0..schedule.rounds_per_epoch {
             let batch = schedule.batch_for(replica.rounds());
-            let mut round = Round {
-                link: &mut link,
-                batch: global_batch,
-                state: &replica,
-                epochs_done,
-                es: &mut es,
-            };
-            global_batch += 1;
-            let plan = exchange.roster(&mut round)?;
-            // Restores and reconfiguration stalls gate the whole group,
-            // like any comm cost.
-            round.es.comm_seconds += plan.stall_seconds;
+            let plan = crash_roster(&mut link, global_batch, workers, &mut || {
+                let bytes = match &restore_point {
+                    Some(bytes) => Cow::Borrowed(&bytes[..]),
+                    None => Cow::Owned(
+                        replica
+                            .model()
+                            .restore_point(replica.optimizer(), epochs_done),
+                    ),
+                };
+                // Prove the restore path end to end: the shipped bytes must
+                // actually load.
+                replica.model().check_restore_point(&bytes)?;
+                Ok(bytes.len())
+            })?;
+            // Restores gate the whole group, like any comm cost.
+            es.comm_seconds += plan.stall_seconds;
 
-            let slices = partition(batch, plan.members.len());
+            let slices = partition(batch, workers);
             let jobs = slices
                 .iter()
                 .zip(worker_scratch.iter_mut())
@@ -425,15 +451,19 @@ pub(crate) fn run<M: Model, E: Exchange<M>>(
                 process_rows(model, cx.dim, batch, cx.compressor, &cx.cluster.cost, ws)
             })?;
 
-            // Straggler factors are keyed by physical slot.
-            let costs = parts
-                .iter()
-                .zip(&plan.members)
-                .filter_map(|(m, &slot)| m.as_ref().map(|m| (slot, m.sim_compute)));
-            round.es.compute_seconds += slowest(round.link, costs);
+            // Straggler factors are keyed by worker slot.
+            let costs = (parts.iter().enumerate())
+                .filter_map(|(slot, m)| m.as_ref().map(|m| (slot, m.sim_compute)));
+            es.compute_seconds += slowest(&link, costs);
 
-            let aggregate = exchange.aggregate(&mut round, &plan.members, parts)?;
-            replica.step(aggregate.as_ref().and_then(|a| a.gradient.as_ref()));
+            let mut round = Round {
+                link: &mut link,
+                batch: global_batch,
+                es: &mut es,
+            };
+            global_batch += 1;
+            let aggregate = exchange.aggregate(&mut round, parts)?;
+            replica.step(aggregate.as_ref().map(|a| &a.gradient));
             if let Some(aggregate) = aggregate {
                 loss_accum += aggregate.batch_loss;
                 rounds_done += 1;
@@ -449,7 +479,7 @@ pub(crate) fn run<M: Model, E: Exchange<M>>(
             loss: es.test_loss,
         });
         epochs_done = epoch;
-        exchange.end_epoch(replica.model(), replica.optimizer(), epoch);
+        restore_point = restore_point_at(link.plan(), &replica, epoch);
         let converged = detector.push(es.test_loss);
         epochs.push(es);
         if converged && converged_epoch.is_none() {
@@ -524,7 +554,6 @@ mod tests {
             Ok(1024)
         };
         let up = crash_roster(&mut link, 1, 3, &mut bytes).unwrap();
-        assert_eq!(up.members, vec![0, 1, 2]);
         assert_eq!(up.down, vec![false; 3]);
         assert_eq!(up.stall_seconds, 0.0);
         let down = crash_roster(&mut link, 2, 3, &mut bytes).unwrap();
@@ -538,6 +567,22 @@ mod tests {
         );
         assert_eq!(restores, 1, "state is sized only when someone rejoins");
         assert_eq!(link.trace().recoveries, 1);
+    }
+
+    /// Only a plan that schedules a crash can make a worker rejoin, so a
+    /// benign or drop-only run serializes no restore point at its epoch
+    /// ends.
+    #[test]
+    fn only_a_crash_plan_writes_a_restore_point() {
+        let spec = crate::TrainSpec::paper(sketchml_ml::GlmLoss::Logistic, 0.05, 2);
+        let state = Replica::fresh(64, &spec).unwrap();
+        let (model, opt) = (state.model(), state.optimizer());
+        assert_eq!(restore_point_at(&FaultPlan::none(), &state, 1), None);
+        let drops = FaultPlan::seeded(3).with_drops(0.10);
+        assert_eq!(restore_point_at(&drops, &state, 1), None);
+        let crash = FaultPlan::seeded(3).with_crash(1, 4, 3);
+        let written = restore_point_at(&crash, &state, 1);
+        assert_eq!(written, Some(model.restore_point(opt, 1)));
     }
 
     #[test]

@@ -33,14 +33,12 @@ use sketchml_core::CompressError;
 use std::borrow::Cow;
 
 /// SplitMix64 — a tiny, platform-stable generator owned by this module so
-/// fault schedules never depend on an external RNG's stream layout. The
-/// membership detector (`membership.rs`) seeds its own instance so
-/// heartbeat draws never shift the data-path fault stream.
+/// fault schedules never depend on an external RNG's stream layout.
 #[derive(Debug, Clone)]
-pub(crate) struct SplitMix64(u64);
+struct SplitMix64(u64);
 
 impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         SplitMix64(seed)
     }
 
@@ -53,7 +51,7 @@ impl SplitMix64 {
     }
 
     /// Uniform in `[0, 1)` with 53 bits of precision.
-    pub(crate) fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -191,8 +189,7 @@ impl FaultPlan {
     }
 
     /// Schedules a permanent departure: `worker` goes down at `at_batch`
-    /// and never rejoins. Elastic trainers evict it from the membership;
-    /// non-elastic trainers simply keep working around it.
+    /// and never rejoins; every exchange keeps working around it.
     pub fn with_permanent_crash(self, worker: usize, at_batch: u64) -> Self {
         self.with_crash(worker, at_batch, u64::MAX)
     }
@@ -331,58 +328,6 @@ pub enum FaultEvent {
         /// Bytes of restore state transferred to it.
         checkpoint_bytes: u64,
     },
-    /// The failure detector opened a suspicion window on a member whose
-    /// heartbeat ack went missing.
-    Suspected {
-        /// Suspected member.
-        worker: usize,
-        /// Global batch index of the first missed ack.
-        batch: u64,
-    },
-    /// A suspected member acked again before eviction — from the detector's
-    /// vantage point, a false positive (it cannot tell a lossy link from a
-    /// short real outage).
-    SuspicionCleared {
-        /// Cleared member.
-        worker: usize,
-        /// Global batch index of the clearing ack.
-        batch: u64,
-    },
-    /// A member exhausted the suspicion threshold and was evicted from the
-    /// group; subsequent rounds are scheduled without it.
-    Evicted {
-        /// Evicted member.
-        worker: usize,
-        /// Global batch index of the eviction.
-        batch: u64,
-    },
-    /// A worker (re)joined the group after pulling a checkpoint and its
-    /// re-chunked shard assignment.
-    Joined {
-        /// Joining worker.
-        worker: usize,
-        /// Global batch index of the join.
-        batch: u64,
-        /// Bytes of checkpoint state the joiner pulled.
-        checkpoint_bytes: u64,
-        /// 1-based pull attempt that finally succeeded.
-        attempts: u32,
-    },
-    /// The collective schedule was rebuilt over a changed member set.
-    Reconfigured {
-        /// Global batch index of the reconfiguration.
-        batch: u64,
-        /// Member count after the change.
-        members: usize,
-    },
-    /// An in-flight round fell back to a degraded star among survivors
-    /// because a member went dark after the schedule was built.
-    DegradedRound {
-        /// Global batch index of the degraded round.
-        batch: u64,
-        /// Members that still contributed.
-        survivors: usize,
-    },
 }
 
 /// The complete, ordered record of one chaos run — the reproducibility
@@ -407,25 +352,10 @@ pub struct FaultTrace {
     pub crashes: u64,
     /// Checkpoint recoveries.
     pub recoveries: u64,
-    /// Suspicion windows the failure detector opened.
-    pub suspicions: u64,
-    /// Suspicions that cleared before eviction (detector false positives).
-    pub false_suspicions: u64,
-    /// Members evicted from the group.
-    pub evictions: u64,
-    /// Workers that (re)joined the group via a checkpoint pull.
-    pub joins: u64,
-    /// Times the collective schedule was rebuilt over a new member set.
-    pub reconfigurations: u64,
-    /// Rounds that fell back to a degraded star among survivors.
-    pub degraded_rounds: u64,
     /// Simulated seconds spent in backoff + retransmission.
     pub retry_seconds: f64,
     /// Simulated seconds spent restoring crashed workers.
     pub recovery_seconds: f64,
-    /// Simulated seconds joiners spent pulling checkpoints (including
-    /// failed attempts and their backoff).
-    pub join_seconds: f64,
 }
 
 impl FaultTrace {
@@ -434,9 +364,7 @@ impl FaultTrace {
         format!(
             "{} events: {} drops, {} corruptions ({} silent), {} duplicates, \
              {} lost, {} crashes/{} recoveries, {} retransmits \
-             ({:.3}s retry + {:.3}s recovery); membership: {} evictions, \
-             {} joins, {} reconfigurations, {} degraded rounds, \
-             {} false suspicions ({:.3}s joining)",
+             ({:.3}s retry + {:.3}s recovery)",
             self.events.len(),
             self.drops,
             self.corruptions_detected + self.corruptions_silent,
@@ -448,12 +376,6 @@ impl FaultTrace {
             self.retransmits,
             self.retry_seconds,
             self.recovery_seconds,
-            self.evictions,
-            self.joins,
-            self.reconfigurations,
-            self.degraded_rounds,
-            self.false_suspicions,
-            self.join_seconds,
         )
     }
 }
@@ -708,34 +630,6 @@ impl FaultyLink {
         &self.plan
     }
 
-    /// Records a membership transition in the trace and bumps the matching
-    /// counter. Only the elastic layer (`membership.rs`) emits these;
-    /// call order is deterministic, so traces stay bit-reproducible.
-    pub(crate) fn record_membership(&mut self, event: FaultEvent) {
-        match event {
-            FaultEvent::Suspected { .. } => self.trace.suspicions += 1,
-            FaultEvent::SuspicionCleared { .. } => self.trace.false_suspicions += 1,
-            FaultEvent::Evicted { .. } => self.trace.evictions += 1,
-            FaultEvent::Joined { .. } => self.trace.joins += 1,
-            FaultEvent::Reconfigured { .. } => self.trace.reconfigurations += 1,
-            FaultEvent::DegradedRound { .. } => self.trace.degraded_rounds += 1,
-            _ => debug_assert!(false, "record_membership got a data-path event"),
-        }
-        self.trace.events.push(event);
-    }
-
-    /// Charges one checkpoint-pull attempt of a joining worker to the cost
-    /// model: the transfer itself plus exponential backoff on retries
-    /// (attempt 1 pays no backoff). Returns the simulated seconds charged.
-    pub(crate) fn charge_join_attempt(&mut self, checkpoint_bytes: usize, attempt: u32) -> f64 {
-        let mut t = self.net.transfer_time(checkpoint_bytes);
-        if attempt > 1 {
-            t += self.plan.backoff_base * 2f64.powi(attempt as i32 - 2);
-        }
-        self.trace.join_seconds += t;
-        t
-    }
-
     /// Charges the simulated cost of restoring a rejoining worker from
     /// `checkpoint_bytes` of state shipped over the wrapped network.
     pub fn charge_recovery(&mut self, worker: usize, batch: u64, checkpoint_bytes: usize) -> f64 {
@@ -978,54 +872,6 @@ mod tests {
         let plan = FaultPlan::seeded(0).with_crash(0, u64::MAX - 1, 5);
         let mut link = FaultyLink::new(&plan, net(), 1).unwrap();
         assert_eq!(link.crash_phase(0, u64::MAX), CrashPhase::Down);
-    }
-
-    #[test]
-    fn membership_events_update_trace_counters() {
-        let mut link = FaultyLink::new(&FaultPlan::seeded(1), net(), 4).unwrap();
-        link.record_membership(FaultEvent::Suspected {
-            worker: 2,
-            batch: 5,
-        });
-        link.record_membership(FaultEvent::SuspicionCleared {
-            worker: 2,
-            batch: 6,
-        });
-        link.record_membership(FaultEvent::Suspected {
-            worker: 3,
-            batch: 7,
-        });
-        link.record_membership(FaultEvent::Evicted {
-            worker: 3,
-            batch: 9,
-        });
-        link.record_membership(FaultEvent::Reconfigured {
-            batch: 9,
-            members: 3,
-        });
-        link.record_membership(FaultEvent::DegradedRound {
-            batch: 9,
-            survivors: 3,
-        });
-        link.record_membership(FaultEvent::Joined {
-            worker: 3,
-            batch: 12,
-            checkpoint_bytes: 2048,
-            attempts: 2,
-        });
-        let t = link.charge_join_attempt(2048, 2);
-        assert!(t > net().transfer_time(2048), "retry pays backoff too");
-        let trace = link.trace();
-        assert_eq!(trace.suspicions, 2);
-        assert_eq!(trace.false_suspicions, 1);
-        assert_eq!(trace.evictions, 1);
-        assert_eq!(trace.joins, 1);
-        assert_eq!(trace.reconfigurations, 1);
-        assert_eq!(trace.degraded_rounds, 1);
-        assert!(trace.join_seconds > 0.0);
-        assert_eq!(trace.events.len(), 7);
-        let s = trace.summary();
-        assert!(s.contains("evictions"), "{s}");
     }
 
     #[test]

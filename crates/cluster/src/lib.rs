@@ -38,7 +38,6 @@ pub mod config;
 pub mod driver;
 pub mod engine;
 pub mod faults;
-mod membership;
 pub mod mlp_trainer;
 pub mod network;
 pub mod replica;

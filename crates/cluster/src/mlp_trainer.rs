@@ -150,7 +150,7 @@ pub fn train_mlp_with_plan(
         dim,
         compressor,
     };
-    let outcome = run(train, test, start, cx, DriverStar::new(cx, faults), link)?;
+    let outcome = run(train, test, start, cx, DriverStar::new(cx), link)?;
     Ok((outcome.report, outcome.trace))
 }
 

@@ -7,10 +7,9 @@
 use crate::config::ClusterConfig;
 use crate::driver::{aggregate, DriverScratch};
 use crate::engine::{
-    crash_roster, push, train_glm, Aggregate, Aggregation, Ctx, Exchange, GlmTask, Model, Round,
+    push, train_glm, Aggregate, Aggregation, Ctx, Exchange, GlmTask, Model, Round,
 };
 use crate::faults::{FaultPlan, FaultTrace};
-use crate::membership::RoundPlan;
 use crate::worker::WorkerMessage;
 use serde::{Deserialize, Serialize};
 use sketchml_core::{CompressError, GradientCompressor};
@@ -212,19 +211,13 @@ pub fn train_distributed(
 pub(crate) struct DriverStar<'a> {
     cx: Ctx<'a>,
     scratch: DriverScratch,
-    /// Whether the plan can make a worker rejoin (and so need a restore).
-    restores: bool,
-    /// The end-of-epoch restore point a rejoining worker receives.
-    restore_point: Option<Vec<u8>>,
 }
 
 impl<'a> DriverStar<'a> {
-    pub(crate) fn new(cx: Ctx<'a>, faults: &FaultPlan) -> Self {
+    pub(crate) fn new(cx: Ctx<'a>) -> Self {
         DriverStar {
             cx,
             scratch: DriverScratch::new(),
-            restores: !faults.crashes.is_empty(),
-            restore_point: None,
         }
     }
 }
@@ -277,30 +270,10 @@ impl Model for GlmModel {
     }
 }
 
-impl<M: Model> Exchange<M> for DriverStar<'_> {
-    fn roster(&mut self, round: &mut Round<'_, M>) -> Result<RoundPlan, CompressError> {
-        let restore_point = &self.restore_point;
-        let (state, epochs_done) = (round.state, round.epochs_done);
-        let workers = self.cx.cluster.workers;
-        crash_roster(round.link, round.batch, workers, &mut || {
-            // The rejoining worker restores from the last end-of-epoch
-            // restore point (real bytes; a crash inside the first epoch
-            // ships the state as it stands).
-            let bytes = match restore_point {
-                Some(bytes) => Cow::Borrowed(&bytes[..]),
-                None => Cow::Owned(state.model().restore_point(state.optimizer(), epochs_done)),
-            };
-            // Prove the restore path end to end: the shipped bytes must
-            // actually load.
-            state.model().check_restore_point(&bytes)?;
-            Ok(bytes.len())
-        })
-    }
-
+impl Exchange for DriverStar<'_> {
     fn aggregate(
         &mut self,
-        round: &mut Round<'_, M>,
-        _members: &[usize],
+        round: &mut Round<'_>,
         parts: Vec<Option<WorkerMessage>>,
     ) -> Result<Option<Aggregate>, CompressError> {
         let Ctx {
@@ -341,12 +314,9 @@ impl<M: Model> Exchange<M> for DriverStar<'_> {
             .sum::<u64>();
         es.measured_codec_seconds += messages.iter().map(|m| m.measured_codec).sum::<f64>();
         if messages.is_empty() {
-            // Every contribution was lost or crashed: no update this batch
-            // (time was still spent).
-            return Ok(Some(Aggregate {
-                gradient: None,
-                batch_loss: 0.0,
-            }));
+            // Every contribution was lost or crashed: no round took place
+            // (its time was still spent).
+            return Ok(None);
         }
 
         let agg = aggregate(
@@ -369,24 +339,15 @@ impl<M: Model> Exchange<M> for DriverStar<'_> {
         es.measured_codec_seconds += agg.measured_codec;
         es.downlink_bytes += (agg.downlink_bytes * cluster.workers) as u64;
         Ok(Some(Aggregate {
-            gradient: Some(agg.gradient),
+            gradient: agg.gradient,
             batch_loss: agg.batch_loss,
         }))
-    }
-
-    fn end_epoch(&mut self, model: &M, opt: &OptimizerState, epoch: usize) {
-        // Refresh the restore point — only when the plan schedules a crash:
-        // nobody can rejoin a benign or drop-only run.
-        if self.restores {
-            self.restore_point = Some(model.restore_point(opt, epoch));
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replica::Replica;
     use sketchml_core::{RawCompressor, ShardedCompressor, SketchMlCompressor, ZipMlCompressor};
     use sketchml_data::SparseDatasetSpec;
 
@@ -560,31 +521,6 @@ mod tests {
         }
         assert_eq!(report.method, "SketchML");
         assert_eq!(report.model, "Linear");
-    }
-
-    /// Bugfix: the driver star used to serialize a restore point at every
-    /// epoch end under *any* plan. Only a plan that schedules a crash can
-    /// make a worker rejoin, so a benign or drop-only run writes none.
-    #[test]
-    fn only_a_crash_plan_writes_a_restore_point() {
-        let cluster = ClusterConfig::cluster1(4);
-        let compressor = RawCompressor::default();
-        let cx = Ctx {
-            cluster: &cluster,
-            dim: 64,
-            compressor: &compressor,
-        };
-        let state = Replica::fresh(64, &TrainSpec::paper(GlmLoss::Logistic, 0.05, 2)).unwrap();
-        let (model, opt) = (state.model(), state.optimizer());
-        let restore_point = |plan: &FaultPlan| {
-            let mut star = DriverStar::new(cx, plan);
-            star.end_epoch(model, opt, 1);
-            star.restore_point
-        };
-        assert_eq!(restore_point(&FaultPlan::none()), None);
-        assert_eq!(restore_point(&FaultPlan::seeded(3).with_drops(0.10)), None);
-        let crash = restore_point(&FaultPlan::seeded(3).with_crash(1, 4, 3));
-        assert_eq!(crash, Some(model.restore_point(opt, 1)));
     }
 
     #[test]

@@ -179,8 +179,8 @@ impl Books {
 ///
 /// Any `n ≥ 1` is accepted for every topology: a ring or tree of one has an
 /// empty hop schedule and produces the star result bit for bit, which is
-/// what lets an elastic group keep training after shrinking below the
-/// configured [`Topology::min_workers`] floor.
+/// what lets a round keep training when crashes leave fewer workers up than
+/// the configured [`Topology::min_workers`] floor.
 ///
 /// # Errors
 /// [`CompressError::InvalidConfig`] when there are no contributions, a
@@ -813,7 +813,7 @@ mod tests {
 
     #[test]
     fn degenerate_groups_match_star_bit_for_bit() {
-        // An elastic group can shrink to two — or one — live members; the
+        // Crashes can leave two — or one — workers up in a round; the
         // ring and tree must then produce the star aggregate exactly. At
         // n=1 the schedules are empty; at n=2 f64 commutativity makes the
         // merge order irrelevant bit for bit.

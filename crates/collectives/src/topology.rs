@@ -63,7 +63,7 @@ impl Topology {
     /// This is a configuration floor, not an executor limit: once a round
     /// is running, the executor accepts any `n ≥ 1` — a ring or tree of one
     /// has an empty schedule and reduces to the star's single merge, which
-    /// is what lets an elastic group shrink below the floor mid-training
+    /// is what lets a round whose other workers crashed run below the floor
     /// instead of aborting.
     pub fn min_workers(self) -> usize {
         match self {

@@ -34,16 +34,16 @@ impl<T: Transport + ?Sized> Transport for &mut T {
     }
 }
 
-/// Rewrites the executor's *logical* node indices onto an elastic group's
-/// *physical* member slots before handing each hop to the inner transport.
+/// Rewrites the executor's *logical* node indices onto the *physical* slots
+/// of a round's members before handing each hop to the inner transport.
 ///
 /// Schedules are always computed over `0..k` for the `k` members of the
 /// current round, but fault schedules, straggler factors and the fault trace
-/// are keyed by the physical worker slot a member occupies. Wrapping the real
-/// transport in this adapter is the reconfiguration step: after an eviction
-/// or join the caller passes the new member list and every hop lands on the
-/// right physical link, with steps and chunks untouched. Logical index `k`
-/// (the star driver) maps to the fixed `driver` slot.
+/// are keyed by the physical worker slot a member occupies. The caller
+/// passes the round's member list (say, the workers a crash left up) and
+/// every hop lands on the right physical link, with steps and chunks
+/// untouched. Logical index `k` (the star driver) maps to the fixed
+/// `driver` slot.
 #[derive(Debug)]
 pub struct RemappedTransport<'a, T: ?Sized> {
     inner: &'a mut T,

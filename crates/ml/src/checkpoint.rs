@@ -209,7 +209,7 @@ impl Checkpoint {
     }
 
     /// Serializes to an in-memory buffer — the artifact a recovering worker
-    /// or an elastic joiner pulls before entering the group.
+    /// pulls before it rejoins.
     ///
     /// # Errors
     /// None today; the signature predates the binary frame.

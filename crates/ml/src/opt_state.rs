@@ -35,7 +35,7 @@ use sketchml_sketches::CountSketch;
 
 /// Seed salts for the moment tables, fixed so that two workers building the
 /// same spec get hash-identical tables (required for bit-exact resume and
-/// for merging sketched state across elastic membership changes).
+/// for restoring a worker from another's state).
 const SEED_M: u64 = 0x5EED_0111;
 const SEED_V: u64 = 0x5EED_0222;
 const SEED_U: u64 = 0x5EED_0333;

@@ -33,6 +33,18 @@
 //! [`the_mlp_round_is_the_global_batch_mean`] stands in for the
 //! cross-check against the old loop that the re-recorded entries gave up.
 //!
+//! Twelve collective entries were re-recorded when the simulated heartbeat
+//! membership layer was deleted and the collective began to follow the
+//! engine's one crash rule (a crashed worker sits the round out, the
+//! topology runs over the workers that are up, a rejoiner restores from the
+//! epoch-end restore point): `allreduce/{star,ring,tree}/stormy{1,2,3}` and
+//! `allreduce/ring/{permanent_crash,outage_rejoin,heavy_loss}`. Their traces
+//! had recorded suspicions, evictions, joins and degraded rounds, and
+//! `heavy_loss` had evicted healthy workers on lost heartbeats alone. Every
+//! trace lost its seven membership counters. In `driver/heavy_loss` and
+//! `mlp/heavy_loss` only per-epoch `train_loss` moved, upward: a round in
+//! which nothing arrived is no longer averaged in as a loss of 0.
+//!
 //! A run ships exactly the compressor it is given. The fixture's runs under
 //! a fault plan shipped `sketchml` in the one-shard checksummed v2 frame
 //! (the wrap the engine then put on every plan but `FaultPlan::none()`), so
@@ -274,14 +286,12 @@ fn replay() -> Vec<(String, Value)> {
             );
         }
     }
-    let elastic = ClusterConfig::cluster1(6)
-        .with_topology(Topology::Ring)
-        .with_suspicion_threshold(2);
+    let ring6 = ClusterConfig::cluster1(6).with_topology(Topology::Ring);
     put(
         "allreduce/ring/permanent_crash",
         outcome(&glm(
             &spec,
-            &elastic,
+            &ring6,
             exact_wire,
             &FaultPlan::seeded(77).with_permanent_crash(2, 5),
             None,
@@ -291,7 +301,7 @@ fn replay() -> Vec<(String, Value)> {
         "allreduce/ring/outage_rejoin",
         outcome(&glm(
             &spec,
-            &elastic,
+            &ring6,
             exact_wire,
             &FaultPlan::seeded(13).with_drops(0.05).with_crash(1, 3, 6),
             None,
@@ -584,6 +594,52 @@ fn the_two_aggregations_compute_the_same_math_under_raw() {
     let star = train_allreduce(&train, &test, dim, &spec, &cluster, &raw).unwrap();
     assert_eq!(driver.epochs.len(), star.epochs.len());
     for (d, o) in driver.epochs.iter().zip(&star.epochs) {
+        for (what, a, b) in [
+            ("test_loss", d.test_loss, o.test_loss),
+            ("train_loss", d.train_loss, o.train_loss),
+        ] {
+            assert!(
+                (a - b).abs() <= 1e-12 * a.abs(),
+                "epoch {} {what}: driver {a} vs collective star {b}",
+                d.epoch
+            );
+        }
+    }
+}
+
+/// One crash rule for both exchanges: under the lossless `raw` codec and a
+/// crash-only plan — one worker down for three rounds, then all four down
+/// together for two — the driver star and the collective star sit the same
+/// workers out, restore them from the same restore point and skip the same
+/// empty rounds, so per-epoch losses agree to floating-point reassociation
+/// and the crash counters are equal.
+#[test]
+fn both_exchanges_agree_through_crashes() {
+    let (train, test, dim) = dataset();
+    let task = GlmTask::new(&train, &test, dim);
+    let raw = RawCompressor::default();
+    let spec = TrainSpec::paper(GlmLoss::Logistic, 0.05, 3);
+    let cluster = ClusterConfig::cluster1(4);
+    let mut plan = FaultPlan::seeded(21).with_crash(2, 3, 3);
+    for w in 0..4 {
+        plan = plan.with_crash(w, 12, 2);
+    }
+    let run = |aggregation| train_glm(&task, &spec, &cluster, aggregation, &plan, None).unwrap();
+    let driver = run(Aggregation::Driver(&raw));
+    let star = run(Aggregation::Collective {
+        policy: MergePolicy::Exact,
+        compressor: &raw,
+    });
+    for (what, a, b) in [
+        ("crashes", driver.trace.crashes, star.trace.crashes),
+        ("recoveries", driver.trace.recoveries, star.trace.recoveries),
+    ] {
+        assert_eq!(a, b, "{what}: driver {a} vs collective star {b}");
+    }
+    assert_eq!(driver.trace.crashes, 5);
+    assert_eq!(driver.trace.recoveries, 5);
+    assert_eq!(driver.report.epochs.len(), star.report.epochs.len());
+    for (d, o) in driver.report.epochs.iter().zip(&star.report.epochs) {
         for (what, a, b) in [
             ("test_loss", d.test_loss, o.test_loss),
             ("train_loss", d.train_loss, o.train_loss),
