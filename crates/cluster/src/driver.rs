@@ -43,20 +43,39 @@ pub struct AggregationResult {
 }
 
 /// The instance-weighted mean of decoded worker gradients: each part (a
-/// worker's per-instance average over its slice) is scaled in place by its
-/// share of the round's instances, then the parts are summed in the order
-/// given. The socket server, every worker's replica of it and the simulator
-/// reach a round's gradient through this one function, so the same parts in
-/// the same order give the same bits everywhere.
+/// worker's per-instance average over its slice) is weighted by its share
+/// of the round's instances, then the parts are summed in the order given.
+/// The socket server, every worker's replica of it and the simulator reach
+/// a round's gradient through this one fold
+/// ([`SparseGradient::aggregate_into`]), so the same parts in the same
+/// order give the same bits everywhere.
 ///
 /// # Errors
 /// [`CompressError::InvalidGradient`] if there are no parts, their
 /// dimensions differ, the two slices differ in length, or the instance
 /// counts overflow `usize` (a count is a peer's claim, not a measured slice).
 pub fn combine(
-    parts: &mut [SparseGradient],
+    parts: &[SparseGradient],
     instances: &[usize],
 ) -> Result<SparseGradient, CompressError> {
+    let mut sum = SparseGradient::empty(0);
+    combine_into(parts, instances, &mut sum, &mut SparseGradient::empty(0))?;
+    Ok(sum)
+}
+
+/// [`combine`] written over `sum`, with `spare` as the fold's second
+/// buffer ([`SparseGradient::aggregate_into`]): a caller that keeps both
+/// combines a warm round without allocating. Part `i`'s weight is
+/// `instances[i] / total` — every part unweighted when the counts sum to 0.
+///
+/// # Errors
+/// As [`combine`].
+pub(crate) fn combine_into(
+    parts: &[SparseGradient],
+    instances: &[usize],
+    sum: &mut SparseGradient,
+    spare: &mut SparseGradient,
+) -> Result<(), CompressError> {
     if parts.len() != instances.len() {
         return Err(CompressError::InvalidGradient(format!(
             "{} parts but {} instance counts",
@@ -74,12 +93,14 @@ pub fn combine(
             ))
         })?;
     // Weight by the worker's share of the batch.
-    if total > 0 {
-        for (part, &n) in parts.iter_mut().zip(instances) {
-            part.scale(n as f64 / total as f64);
+    let weight = |i: usize| {
+        if total > 0 {
+            instances[i] as f64 / total as f64
+        } else {
+            1.0
         }
-    }
-    SparseGradient::aggregate(parts)
+    };
+    sum.aggregate_into(parts, weight, spare)
 }
 
 /// Decodes every worker message, averages the gradients, and sizes the
@@ -113,7 +134,7 @@ pub fn aggregate(
     let gradient = if messages.is_empty() {
         SparseGradient::empty(dim)
     } else {
-        combine(&mut ds.parts[..messages.len()], &ds.instances)?
+        combine(&ds.parts[..messages.len()], &ds.instances)?
     };
 
     // Downlink: the driver ships the aggregated update to every worker.
@@ -231,6 +252,60 @@ mod tests {
         msgs[1].instances = usize::MAX;
         let err = aggregate(&msgs, 10, &c, &cost, false, &mut DriverScratch::new()).unwrap_err();
         assert!(matches!(err, CompressError::InvalidGradient(_)), "{err}");
+    }
+
+    proptest::proptest! {
+        /// `combine` is the instance-weighted sum it was before the fold:
+        /// every part scaled in place by its share (left as it is when the
+        /// counts sum to zero), then summed by `SparseGradient::aggregate`,
+        /// whose fold `sketchml-core` holds to the k-way reference. Bit for
+        /// bit, and the same again on warm `combine_into` buffers.
+        #[test]
+        fn combine_is_the_scaled_sum(
+            parts in proptest::collection::vec(
+                (
+                    proptest::collection::btree_map(
+                        0u64..16,
+                        proptest::prop_oneof![
+                            proptest::strategy::Just(0.5f64),
+                            proptest::strategy::Just(-0.5f64),
+                            proptest::strategy::Just(-0.0f64),
+                            proptest::strategy::Just(3.0f64),
+                            -2.0f64..2.0,
+                        ],
+                        0..12,
+                    ),
+                    0usize..4,
+                ),
+                1..6,
+            )
+        ) {
+            let instances: Vec<usize> = parts.iter().map(|&(_, n)| n).collect();
+            let grads: Vec<SparseGradient> = parts
+                .into_iter()
+                .map(|(m, _)| {
+                    let (keys, values) = m.into_iter().unzip();
+                    SparseGradient::new(16, keys, values).expect("btree keys ascend")
+                })
+                .collect();
+            let total: usize = instances.iter().sum();
+            let mut scaled = grads.clone();
+            if total > 0 {
+                for (part, &n) in scaled.iter_mut().zip(&instances) {
+                    part.scale(n as f64 / total as f64);
+                }
+            }
+            let want = SparseGradient::aggregate(&scaled).unwrap();
+            let bits = |g: &SparseGradient| {
+                let values: Vec<u64> = g.values().iter().map(|v| v.to_bits()).collect();
+                (g.dim(), g.keys().to_vec(), values)
+            };
+            let got = combine(&grads, &instances).unwrap();
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+            let (mut sum, mut spare) = (got.clone(), got);
+            combine_into(&grads, &instances, &mut sum, &mut spare).unwrap();
+            proptest::prop_assert_eq!(bits(&sum), bits(&want));
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! server's live state go through the same spec check,
 //! [`Replica::restore`].
 
-use crate::driver::combine;
+use crate::driver::combine_into;
 use crate::engine::Model;
 use crate::trainer::TrainSpec;
 use sketchml_core::{CompressError, SparseGradient};
@@ -22,6 +22,10 @@ pub struct Replica<M = GlmModel> {
     model: M,
     optimizer: OptimizerState,
     rounds: u64,
+    /// The last combined round's gradient and the fold's second buffer,
+    /// kept so that [`Replica::apply`] on a warm replica allocates nothing.
+    sum: SparseGradient,
+    spare: SparseGradient,
 }
 
 impl<M> Replica<M> {
@@ -31,6 +35,8 @@ impl<M> Replica<M> {
             model,
             optimizer,
             rounds: 0,
+            sum: SparseGradient::empty(0),
+            spare: SparseGradient::empty(0),
         }
     }
 
@@ -84,17 +90,26 @@ impl Replica {
 
     /// Steps the state across one closed round from its decoded `parts`
     /// (`instances[i]` is the weight of `parts[i]`; no parts: the round
-    /// changed nothing): [`combine`], then [`step`](Self::step).
+    /// changed nothing): [`combine`](crate::driver::combine) into the
+    /// replica's own buffers, then [`step`](Self::step). Once the replica
+    /// has combined a round as large, this allocates nothing.
     ///
     /// # Errors
-    /// [`combine`]'s; the state is untouched.
+    /// [`combine`](crate::driver::combine)'s; model, optimizer and round
+    /// count are untouched.
     pub fn apply(
         &mut self,
-        parts: &mut [SparseGradient],
+        parts: &[SparseGradient],
         instances: &[usize],
     ) -> Result<(), CompressError> {
-        let gradient = (!parts.is_empty()).then(|| combine(parts, instances));
-        self.step(gradient.transpose()?.as_ref());
+        if parts.is_empty() {
+            self.step(None);
+            return Ok(());
+        }
+        combine_into(parts, instances, &mut self.sum, &mut self.spare)?;
+        let sum = std::mem::replace(&mut self.sum, SparseGradient::empty(0));
+        self.step(Some(&sum));
+        self.sum = sum;
         Ok(())
     }
 

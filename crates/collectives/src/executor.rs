@@ -12,11 +12,15 @@
 //! bit-reproducible outcomes.
 //!
 //! Loss semantics: a failed reduce hop drops the sender's partial from the
-//! receiver's aggregate (the surviving weights are *not* renormalized — the
-//! lost share of the batch is simply gone, matching the star trainer's
-//! behavior). A failed distribute hop costs only accounting: the simulation
-//! keeps a single authoritative model, so stale replicas diverge in time,
-//! never in state.
+//! receiver's aggregate. The surviving weights are *not* renormalized: each
+//! contribution's weight is fixed before the hops run, so the lost share of
+//! the batch is simply gone and the weights sum below 1. The driver star
+//! differs: it weighs the pushes that arrived by their own instance total
+//! (`sketchml_cluster::driver::combine`), so a lost push leaves weights that
+//! sum to 1. Bringing the two together is left to ROADMAP.md's item 5
+//! ("Collectives forward the workers' frames instead of merging them"). A
+//! failed distribute hop costs only accounting: the simulation keeps a single
+//! authoritative model, so stale replicas diverge in time, never in state.
 
 use crate::topology::{
     chunk_ranges, distribute_schedule, reduce_schedule, validate_schedule, Hop, Topology,

@@ -260,26 +260,158 @@ impl SparseGradient {
     /// zero are dropped.
     ///
     /// # Errors
-    /// [`CompressError::InvalidGradient`] if dimensions differ.
+    /// [`CompressError::InvalidGradient`] if there are no parts or their
+    /// dimensions differ.
     pub fn aggregate(parts: &[SparseGradient]) -> Result<SparseGradient, CompressError> {
-        let Some(first) = parts.first() else {
+        let mut sum = SparseGradient::empty(0);
+        sum.aggregate_into(parts, |_| 1.0, &mut SparseGradient::empty(0))?;
+        Ok(sum)
+    }
+
+    /// [`Self::aggregate`] of the parts scaled by `weight(i)` (part `i`'s
+    /// every value times its weight, one product, as an in-place
+    /// [`Self::scale`] would leave it), written over `self` with `spare` as
+    /// the fold's second buffer. Both keep their capacity, so a caller that
+    /// holds on to them sums every round of a run without allocating once
+    /// they have seen its largest round.
+    ///
+    /// The sum is a left fold of two-way merges: parts 0 and 1, then the
+    /// running sum and part 2, and so on. A running sum that cancels to
+    /// exactly zero is dropped like a final one. That is the k-way sum, bit
+    /// for bit: each key's values are still added in ascending part index
+    /// starting from `0.0`, and a dropped running sum is the `+0.0` the
+    /// k-way sum would have carried (starting from `+0.0`, an addition
+    /// gives `-0.0` only from two negative zeros). The order is part of the
+    /// contract: separately started processes that sum the same parts must
+    /// land on the same bits, and from three parts on float addition does
+    /// not commute into that by itself.
+    ///
+    /// # Errors
+    /// As [`Self::aggregate`], and [`CompressError::InvalidGradient`] for a
+    /// weight that is not finite; `self` is then left unspecified.
+    pub fn aggregate_into(
+        &mut self,
+        parts: &[SparseGradient],
+        weight: impl Fn(usize) -> f64,
+        spare: &mut SparseGradient,
+    ) -> Result<(), CompressError> {
+        let Some((first, rest)) = parts.split_first() else {
             return Err(CompressError::InvalidGradient(
                 "cannot aggregate zero gradients".into(),
             ));
         };
         let dim = first.dim;
-        if let Some(bad) = parts.iter().find(|g| g.dim != dim) {
+        if let Some(bad) = rest.iter().find(|g| g.dim != dim) {
             return Err(CompressError::InvalidGradient(format!(
                 "dimension mismatch: {} vs {dim}",
                 bad.dim
             )));
         }
-        // The parts are strictly ascending, so the sum is a k-way merge: take
-        // the smallest key any part still has, add that key's values in
-        // ascending part index, move on. The order is part of the contract:
-        // separately started processes that merge the same parts must land
-        // on the same bits, and for three or more parts float addition does
-        // not commute into that by itself.
+        let none = SparseGradient::empty(dim);
+        let (second, w1, rest) = match rest.split_first() {
+            Some((second, rest)) => (second, weight(1), rest),
+            None => (&none, 0.0, rest),
+        };
+        // Room for every pair up front, and no more: no merge reallocates
+        // part-way, and a buffer kept across rounds grows to the largest
+        // round it has summed, not to the next power of two past it.
+        let total: usize = parts.iter().map(SparseGradient::nnz).sum();
+        self.reserve_pairs(total);
+        if !rest.is_empty() {
+            spare.reserve_pairs(total);
+        }
+        merge_sum(first, finite(weight(0))?, second, finite(w1)?, self);
+        for (i, part) in rest.iter().enumerate() {
+            merge_sum(self, 1.0, part, finite(weight(i + 2))?, spare);
+            std::mem::swap(self, spare);
+        }
+        self.dim = dim;
+        Ok(())
+    }
+
+    /// Capacity for `n` pairs in all, reserved exactly.
+    fn reserve_pairs(&mut self, n: usize) {
+        self.keys.reserve_exact(n.saturating_sub(self.keys.len()));
+        self.values
+            .reserve_exact(n.saturating_sub(self.values.len()));
+    }
+
+    /// Scales all values by `factor` (e.g. `1/W` for averaging).
+    pub fn scale(&mut self, factor: f64) {
+        for v in &mut self.values {
+            *v *= factor;
+        }
+    }
+}
+
+/// `w`, if it is a finite weight.
+fn finite(w: f64) -> Result<f64, CompressError> {
+    if w.is_finite() {
+        Ok(w)
+    } else {
+        Err(CompressError::InvalidGradient(format!(
+            "aggregation weight {w} is not finite"
+        )))
+    }
+}
+
+/// Overwrites `out` with `a·wa + b·wb`, both strictly ascending, dropping
+/// every sum that is exactly zero. A key only one side holds is added to
+/// `0.0·w`, a zero, which leaves any value but a zero as it is (`w` is
+/// finite).
+///
+/// Which side holds the smaller key is a coin flip per pair, so the step is
+/// branch-free: each side reads its head or a zero through a pointer picked
+/// by a conditional move (a select between two floats compiles to a branch
+/// on x86-64), the pair is written whatever its sum, and the output
+/// advances only past a nonzero one.
+fn merge_sum(a: &SparseGradient, wa: f64, b: &SparseGradient, wb: f64, out: &mut SparseGradient) {
+    let (ak, bk) = (&a.keys[..], &b.keys[..]);
+    // Sliced to the keys' lengths so the reads below need no bounds check,
+    // which would be a branch inside the select.
+    let (av, bv) = (&a.values[..ak.len()], &b.values[..bk.len()]);
+    let len = ak.len() + bk.len();
+    // Grown, never cleared: every slot below the final length is written.
+    out.keys.resize(len, 0);
+    out.values.resize(len, 0.0);
+    let (keys, values) = (&mut out.keys[..], &mut out.values[..]);
+    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
+    while i < ak.len() && j < bk.len() {
+        let (x, y) = (ak[i], bk[j]);
+        let (from_a, from_b) = (x <= y, y <= x);
+        let va = if from_a { &av[i] } else { &0.0 };
+        let vb = if from_b { &bv[j] } else { &0.0 };
+        let sum = va * wa + vb * wb;
+        keys[n] = x.min(y);
+        values[n] = sum;
+        n += usize::from(sum != 0.0);
+        i += usize::from(from_a);
+        j += usize::from(from_b);
+    }
+    let (tail_keys, tail_values, w) = if i < ak.len() {
+        (&ak[i..], &av[i..], wa)
+    } else {
+        (&bk[j..], &bv[j..], wb)
+    };
+    for (&k, &v) in tail_keys.iter().zip(tail_values) {
+        let v = v * w;
+        keys[n] = k;
+        values[n] = v;
+        n += usize::from(v != 0.0);
+    }
+    out.keys.truncate(n);
+    out.values.truncate(n);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The k-way sum `aggregate` ran before the fold, kept as its
+    /// reference: take the smallest key any part still has, add that key's
+    /// values in ascending part index starting from `0.0`, drop a zero sum.
+    fn aggregate_k_way(parts: &[SparseGradient]) -> SparseGradient {
         let total: usize = parts.iter().map(SparseGradient::nnz).sum();
         let mut keys = Vec::with_capacity(total);
         let mut values = Vec::with_capacity(total);
@@ -297,26 +429,88 @@ impl SparseGradient {
                     *i += 1;
                 }
             }
-            // Summing can cancel to exactly zero; keep representation canonical.
             if sum != 0.0 {
                 keys.push(key);
                 values.push(sum);
             }
         }
-        Ok(SparseGradient { dim, keys, values })
-    }
-
-    /// Scales all values by `factor` (e.g. `1/W` for averaging).
-    pub fn scale(&mut self, factor: f64) {
-        for v in &mut self.values {
-            *v *= factor;
+        SparseGradient {
+            dim: parts[0].dim,
+            keys,
+            values,
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn bits(g: &SparseGradient) -> (u64, Vec<u64>, Vec<u64>) {
+        let values = g.values.iter().map(|v| v.to_bits()).collect();
+        (g.dim, g.keys.clone(), values)
+    }
+
+    /// One to five parts over 16 keys, so most keys are shared; values from
+    /// a few magnitudes of both signs (sums cancel to exactly zero, also
+    /// part-way through a key's parts), signed zeros among them; and an
+    /// instance count per part, all of them zero now and then.
+    fn arb_round() -> impl Strategy<Value = Vec<(SparseGradient, usize)>> {
+        let value = prop_oneof![
+            Just(0.5f64),
+            Just(-0.5f64),
+            Just(0.25f64),
+            Just(-0.25f64),
+            Just(0.0f64),
+            Just(-0.0f64),
+            Just(3.0f64),
+            Just(-3.0f64),
+            Just(1e17f64),
+            Just(-1e17f64),
+            Just(0.1f64),
+            -2.0f64..2.0,
+        ];
+        let part = (
+            proptest::collection::btree_map(0u64..16, value, 0..12),
+            0usize..4,
+        );
+        proptest::collection::vec(part, 1..6).prop_map(|parts| {
+            parts
+                .into_iter()
+                .map(|(m, n)| {
+                    let (keys, values) = m.into_iter().unzip();
+                    let g = SparseGradient::new(16, keys, values).expect("btree keys ascend");
+                    (g, n)
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The fold is the k-way sum, bit for bit: unweighted, and weighted
+        /// by instance share the way the driver's `combine` weighs a round
+        /// (no weighting when the counts sum to zero) against the reference
+        /// over parts scaled in place. The weighted fold runs on buffers
+        /// still holding a larger earlier sum.
+        #[test]
+        fn the_fold_is_the_k_way_sum(round in arb_round()) {
+            let parts: Vec<SparseGradient> = round.iter().map(|(g, _)| g.clone()).collect();
+            let sum = SparseGradient::aggregate(&parts).unwrap();
+            prop_assert_eq!(bits(&sum), bits(&aggregate_k_way(&parts)));
+            prop_assert!(sum.values().iter().all(|&v| v != 0.0));
+
+            let total: usize = round.iter().map(|&(_, n)| n).sum();
+            let weight = |i: usize| {
+                if total > 0 { round[i].1 as f64 / total as f64 } else { 1.0 }
+            };
+            let mut scaled = parts.clone();
+            for (i, part) in scaled.iter_mut().enumerate() {
+                part.scale(weight(i));
+            }
+            let wide: Vec<u64> = (0..64).collect();
+            let mut out = SparseGradient::new(64, wide.clone(), vec![1.0; 64]).unwrap();
+            let mut spare = SparseGradient::new(64, wide, vec![-1.0; 64]).unwrap();
+            out.aggregate_into(&parts, weight, &mut spare).unwrap();
+            prop_assert_eq!(bits(&out), bits(&aggregate_k_way(&scaled)));
+        }
+    }
 
     #[test]
     fn new_validates() {

@@ -235,7 +235,7 @@ impl Replica {
             self.instances.push(m.instances as usize);
         }
         self.state
-            .apply(&mut self.parts[..members.len()], &self.instances)
+            .apply(&self.parts[..members.len()], &self.instances)
             .map_err(|e| NetError::Protocol(format!("round {round} does not combine: {e}")))?;
         self.done = done;
         Ok(Pulled::Round { listed })

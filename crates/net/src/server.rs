@@ -293,6 +293,10 @@ struct Counters {
     /// last round's publish to the epoch's: evaluation, checkpoint, publish.
     epoch_end_us_last: AtomicU64,
     epoch_end_us_max: AtomicU64,
+    /// Nanoseconds the trainer spent stepping the latest round: the live
+    /// replica's `apply` and the publish of its snapshot.
+    round_step_ns_last: AtomicU64,
+    round_step_ns_max: AtomicU64,
 }
 
 /// Shared state between the runtime threads and [`Server`].
@@ -384,6 +388,12 @@ impl Shared {
             epoch_end_ms_last: f64,
             /// The longest epoch end so far, in milliseconds.
             epoch_end_ms_max: f64,
+            /// Milliseconds the trainer spent stepping the latest round:
+            /// combine and optimizer step on the live replica, then the
+            /// snapshot publish.
+            round_step_ms_last: f64,
+            /// The longest round step so far, in milliseconds.
+            round_step_ms_max: f64,
             /// Bytes of the checkpoint `GetCheckpoint` serves (0: none yet).
             checkpoint_bytes: u64,
         }
@@ -423,6 +433,8 @@ impl Shared {
             rejected_pushes: c.rejected_pushes.load(Ordering::Relaxed),
             epoch_end_ms_last: c.epoch_end_us_last.load(Ordering::Relaxed) as f64 / 1e3,
             epoch_end_ms_max: c.epoch_end_us_max.load(Ordering::Relaxed) as f64 / 1e3,
+            round_step_ms_last: c.round_step_ns_last.load(Ordering::Relaxed) as f64 / 1e6,
+            round_step_ms_max: c.round_step_ns_max.load(Ordering::Relaxed) as f64 / 1e6,
             checkpoint_bytes,
         };
         serde_json::to_string(&stats).unwrap_or_else(|_| "{}".into())
@@ -1082,21 +1094,29 @@ fn run_training(shared: &Shared) -> Result<ServeSummary, NetError> {
         let round = summary.rounds;
         // The handlers held every count to the dataset's.
         let instances: Vec<usize> = members.iter().map(|m| m.instances as usize).collect();
-        let mut parts: Vec<SparseGradient> = members.into_iter().map(|m| m.gradient).collect();
+        let parts: Vec<SparseGradient> = members.into_iter().map(|m| m.gradient).collect();
+        let step = Instant::now();
         let model = {
             let mut live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
-            live.apply(&mut parts, &instances)?;
+            live.apply(&parts, &instances)?;
             live.model().clone()
         };
+        let mut step_time = step.elapsed();
         if setup.round_sleep_ms > 0 {
             std::thread::sleep(Duration::from_millis(setup.round_sleep_ms));
         }
+        let publish = Instant::now();
         shared.store.publish(ModelSnapshot {
             round,
             epoch,
             done: false,
             model,
         });
+        step_time += publish.elapsed();
+        let c = &shared.counters;
+        let ns = u64::try_from(step_time.as_nanos()).unwrap_or(u64::MAX);
+        c.round_step_ns_max.fetch_max(ns, Ordering::Relaxed);
+        c.round_step_ns_last.store(ns, Ordering::Relaxed);
         if round.is_multiple_of(rounds_per_epoch) {
             end_epoch(shared, &test, &mut summary)?;
         }

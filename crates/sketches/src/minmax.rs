@@ -311,6 +311,10 @@ pub fn query_batch_raw(
         }
         return true;
     }
+    // The max is taken unconditionally (which row holds a key's largest
+    // cell is a coin flip, so a compare-and-branch mispredicts on about half
+    // the probes), and an empty probe is looked for once per row of a chunk,
+    // as an OR over the row's probes.
     let mut bins = [0u32; BIN_CHUNK];
     let mut at = 0;
     while at < keys.len() {
@@ -321,14 +325,14 @@ pub fn query_batch_raw(
             let row_cells = &cells[row * cols..(row + 1) * cols];
             let bins = &mut bins[..key_chunk.len()];
             crate::hash::fill_bins(seed, cols, key_chunk, bins);
+            let mut empty = false;
             for (&bin, best) in bins.iter().zip(out_chunk.iter_mut()) {
                 let v = row_cells[bin as usize];
-                if v == EMPTY_CELL {
-                    return false;
-                }
-                if v > *best {
-                    *best = v;
-                }
+                empty |= v == EMPTY_CELL;
+                *best = (*best).max(v);
+            }
+            if empty {
+                return false;
             }
         }
         at = end;
@@ -618,6 +622,50 @@ mod tests {
             &mut raw_got
         ));
         assert_eq!(raw_got, expect);
+    }
+
+    proptest::proptest! {
+        /// The batch query against a scalar max over the rows, on random
+        /// tables of 1–4 rows with some cells never written: the same
+        /// indices when every probe is written, `false` whenever any key has
+        /// an empty probe in any row. Up to 600 keys, so chunks of the batch
+        /// path end mid-batch.
+        #[test]
+        fn query_batch_raw_is_the_max_over_rows(
+            rows in 1usize..5,
+            cols in 1usize..300,
+            seed in proptest::prelude::any::<u64>(),
+            empty_per_mille in proptest::prop_oneof![proptest::strategy::Just(0u32), 0u32..30],
+            keys in proptest::collection::vec(0u64..1_000_000, 0..600),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cells: Vec<u16> = (0..rows * cols)
+                .map(|_| {
+                    if rng.gen_range(0..1000) < empty_per_mille {
+                        EMPTY_CELL
+                    } else {
+                        rng.gen_range(0..EMPTY_CELL)
+                    }
+                })
+                .collect();
+            let mut seeds = Vec::new();
+            crate::hash::push_row_seeds(rows, seed, &mut seeds);
+            let scalar: Option<Vec<u16>> = keys
+                .iter()
+                .map(|&key| {
+                    seeds.iter().enumerate().try_fold(0u16, |best, (row, &s)| {
+                        let v = cells[row * cols + HashFamily::bin_for(s, cols, key)];
+                        (v != EMPTY_CELL).then_some(best.max(v))
+                    })
+                })
+                .collect();
+            let mut got = vec![7u16; 3];
+            let complete = query_batch_raw(&cells, &seeds, cols, &keys, &mut got);
+            proptest::prop_assert_eq!(complete, scalar.is_some());
+            if let Some(want) = scalar {
+                proptest::prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

@@ -397,6 +397,11 @@ fn killed_worker_recovers_from_checkpoint_and_run_completes() {
         0.0 < ms("epoch_end_ms_last") && ms("epoch_end_ms_last") <= ms("epoch_end_ms_max"),
         "{stats}"
     );
+    // And of its round steps: combine, optimizer step, snapshot publish.
+    assert!(
+        0.0 < ms("round_step_ms_last") && ms("round_step_ms_last") <= ms("round_step_ms_max"),
+        "{stats}"
+    );
     assert!(!summary.aborted, "run did not complete: {summary:?}");
     assert_eq!(summary.epochs_done, 4);
     assert!(

@@ -1,10 +1,12 @@
 //! The zero-allocation contract of a round's hot path (DESIGN.md §2.2): once
 //! a `CompressScratch`, an output buffer and a decode target have seen a
 //! gradient of the round's size, `compress_into` and `decompress_into`
-//! never touch the heap again, and a worker's step — gradient, then encode,
+//! never touch the heap again, a worker's step — gradient, then encode,
 //! on a warm `WorkerScratch` — allocates only the payload it hands to the
-//! wire. With telemetry off, which is the default and costs one relaxed
-//! load per gate.
+//! wire, and the receive half — a warm `Replica::apply` combining the
+//! round's decoded parts and stepping the optimizer — allocates nothing.
+//! With telemetry off, which is the default and costs one relaxed load per
+//! gate.
 //!
 //! The counter is a `#[global_allocator]` that counts the threads that opt
 //! in: the test's own, and every thread the codec runs work on (the sharded
@@ -20,6 +22,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use sketchml::cluster::network::CostModel;
 use sketchml::cluster::worker::{process_glm_rows, WorkerScratch};
+use sketchml::cluster::{Replica, TrainSpec};
 use sketchml::data::synthetic::Task;
 use sketchml::encoding::stats::SizeReport;
 use sketchml::encoding::varint;
@@ -234,6 +237,7 @@ fn warm_compress_into_and_decompress_into_allocate_nothing() {
     }
 
     worker_step_allocates_only_its_payload();
+    replica_apply_allocates_nothing();
     a_million_empty_groups_allocate_less_than_their_frame();
 }
 
@@ -284,6 +288,34 @@ fn worker_step_allocates_only_its_payload() {
         payload_len,
         "the payload is the largest thing a warm step allocates"
     );
+}
+
+/// The receive half of a round on a warm replica, at two and three workers:
+/// the decoded parts, refilled in place each call the way a decode target
+/// is, combined into the replica's own buffers and stepped through Adam.
+fn replica_apply_allocates_nothing() {
+    let dim = 1_000_000u64;
+    let spec = TrainSpec::paper(GlmLoss::Logistic, 0.01, 1);
+    let mut replica = Replica::fresh(dim as usize, &spec).expect("replica");
+    let sources: Vec<SparseGradient> = (0..3).map(|w| gradient(10_000, 40 + w)).collect();
+    for workers in [2usize, 3] {
+        let mut parts: Vec<SparseGradient> =
+            (0..workers).map(|_| SparseGradient::empty(0)).collect();
+        let instances: Vec<usize> = (0..workers).map(|w| 900 + w).collect();
+        let rounds = replica.rounds();
+        let allocs = steady_state_allocs(2, || {
+            for (part, src) in parts.iter_mut().zip(&sources) {
+                part.assign(dim, src.keys(), src.values())
+                    .expect("keys below dim");
+            }
+            replica.apply(&parts, &instances).expect("apply");
+        });
+        assert_eq!(replica.rounds(), rounds + 2 + CALLS as u64);
+        assert_eq!(
+            allocs, 0,
+            "a warm Replica::apply over {workers} parts allocated {allocs} times over {CALLS} calls"
+        );
+    }
 }
 
 /// A SketchML frame whose one non-empty side declares a million groups, every
