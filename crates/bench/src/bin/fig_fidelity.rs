@@ -9,19 +9,25 @@
 //! gradients are kept. At seed 7 the overall rel-L2 of (i) below is the
 //! benchmark's `codec_roundtrip` `test_error`.
 //!
-//! Every pair of the 16 gradients is ranked by |v| and the error is reported
-//! overall, per |v| decile and for the top 1 %, each band with its share of
-//! ‖g‖² and of the squared error, for
+//! The codec ships the ⌊n/512⌋ pairs of largest |v| of an n-pair gradient
+//! exact and sketches the rest. Every pair of the 16 gradients is ranked by
+//! |v| and the error is reported overall, per |v| decile and for the top
+//! 1 %, each band with its share of ‖g‖² and of the squared error, for
 //!
-//! - (i) the full codec (compress, decompress), and
-//! - (ii) per-sign quantization alone: `quantify::quantize` at the codec's
-//!   buckets per sign, sketch capacity and cap divisor, every value replaced
-//!   by its exact bucket's mean.
+//! - (i₀) the codec with no exact pairs, the paper's pipeline alone,
+//! - (i) the codec as shipped, and
+//! - (ii) per-sign quantization alone: the exact pairs as they are, every
+//!   other value replaced by its exact bucket's mean (`quantify::quantize`
+//!   over the sketched pairs at the codec's buckets per sign, sketch
+//!   capacity and cap divisor).
 //!
 //! The gap between (i) and (ii) is the MinMaxSketch's index decay (§3.3);
-//! (ii) is what the equi-depth buckets cost on their own (§3.2).
+//! (ii) is what the equi-depth buckets cost on their own (§3.2). A second
+//! table runs the rule ladder, k = 0, ⌊n/1024⌋, ⌊n/512⌋ (shipped) and
+//! ⌊n/256⌋ exact pairs, through `SketchMlCompressor::compress_exact_into`.
 //!
-//! Aborts unless keys survive and every value (i) decodes is its exact
+//! Aborts unless, on every rung, keys survive, every exact pair decodes to
+//! its value bit for bit, and every other value decodes to its exact
 //! bucket's mean from (ii) or one closer to zero on the same side: the
 //! sketch can only decay an index, never amplify one (§3.3).
 //!
@@ -32,9 +38,16 @@ use sketchml_bench::output::{print_table, write_json, ExperimentOutput};
 use sketchml_cluster::worker::partition;
 use sketchml_cluster::TrainSpec;
 use sketchml_core::quantify::quantize;
-use sketchml_core::{GradientCompressor, SketchMlCompressor, SketchMlConfig, SparseGradient};
+use sketchml_core::{
+    CompressScratch, GradientCompressor, SketchMlCompressor, SketchMlConfig, SparseGradient,
+};
 use sketchml_data::{Batcher, SparseDatasetSpec, Task};
 use sketchml_ml::{GlmLoss, GlmModel, OptimizerState};
+
+/// The rule ladder: pairs per exact pair (`None`: no exact pairs). The
+/// codec ships the 512 rung.
+const RULES: [Option<usize>; 4] = [None, Some(1024), Some(512), Some(256)];
+const SHIPPED: usize = 2;
 
 /// Worker gradients a harvest keeps: 8 rounds of the 2-worker task.
 const HARVEST: usize = 16;
@@ -47,12 +60,24 @@ struct Band {
     pairs: usize,
     /// This band's share of ‖g‖².
     norm_share: f64,
-    /// (i) the full codec.
+    /// (i₀) the codec with no exact pairs.
+    sketch_only_rel_l2: f64,
+    /// (i) the codec as shipped.
     codec_rel_l2: f64,
     codec_err_share: f64,
     /// (ii) per-sign quantization alone.
     quant_rel_l2: f64,
     quant_err_share: f64,
+}
+
+/// One rung of the rule ladder over the whole harvest.
+#[derive(Serialize)]
+struct Rung {
+    rule: String,
+    exact_pairs: usize,
+    bytes_per_pair: f64,
+    rel_l2: f64,
+    top1_rel_l2: f64,
 }
 
 #[derive(Serialize)]
@@ -63,12 +88,14 @@ struct SeedReport {
     codec_rel_l2: f64,
     quant_rel_l2: f64,
     bands: Vec<Band>,
+    ladder: Vec<Rung>,
 }
 
-/// One pair of the harvest: its value and the two reconstructions.
+/// One pair of the harvest: its value and its reconstructions, the codec's
+/// per rung of [`RULES`].
 struct Pair {
     v: f64,
-    codec: f64,
+    codec: [f64; RULES.len()],
     quant: f64,
 }
 
@@ -118,16 +145,30 @@ fn harvest(spec: &SparseDatasetSpec, seed: u64, codec: &SketchMlCompressor) -> V
     }
 }
 
-/// Every value replaced by the mean of its exact bucket, sides quantized
-/// apart as the codec does (anything not `< 0.0` is positive).
-fn quantized(grad: &SparseGradient, c: &SketchMlConfig) -> Vec<f64> {
-    let mut out = vec![0.0; grad.nnz()];
+/// Which pairs a rung ships exact: the `k` largest |v|, ties to the smaller
+/// key, as the codec picks them.
+fn exact_mask(grad: &SparseGradient, k: usize) -> Vec<bool> {
+    let mut order: Vec<usize> = (0..grad.nnz()).collect();
+    let v = grad.values();
+    order.sort_by(|&a, &b| v[b].abs().total_cmp(&v[a].abs()).then(a.cmp(&b)));
+    let mut mask = vec![false; grad.nnz()];
+    for &i in &order[..k] {
+        mask[i] = true;
+    }
+    mask
+}
+
+/// The exact pairs as they are and every other value replaced by the mean
+/// of its exact bucket, the sketched pairs' sides quantized apart as the
+/// codec does (anything not `< 0.0` is positive).
+fn quantized(grad: &SparseGradient, exact: &[bool], c: &SketchMlConfig) -> Vec<f64> {
+    let mut out = grad.values().to_vec();
     for negative in [false, true] {
         let (at, values): (Vec<usize>, Vec<f64>) = grad
             .values()
             .iter()
             .enumerate()
-            .filter(|(_, v)| (**v < 0.0) == negative)
+            .filter(|&(i, v)| !exact[i] && (*v < 0.0) == negative)
             .map(|(i, &v)| (i, v))
             .unzip();
         if values.is_empty() {
@@ -147,49 +188,93 @@ fn quantized(grad: &SparseGradient, c: &SketchMlConfig) -> Vec<f64> {
     out
 }
 
-/// Squared norm, codec squared error and quantization squared error of `pairs`.
-fn sums(pairs: &[Pair]) -> (f64, f64, f64) {
-    pairs.iter().fold((0.0, 0.0, 0.0), |(n, c, q), p| {
-        (
-            n + p.v * p.v,
-            c + (p.v - p.codec) * (p.v - p.codec),
-            q + (p.v - p.quant) * (p.v - p.quant),
-        )
+/// Squared norm of `pairs` and the squared error of `recon`.
+fn sums(pairs: &[Pair], recon: impl Fn(&Pair) -> f64) -> (f64, f64) {
+    pairs.iter().fold((0.0, 0.0), |(n, e), p| {
+        let d = p.v - recon(p);
+        (n + p.v * p.v, e + d * d)
     })
+}
+
+fn rule_name(rule: Option<usize>) -> String {
+    match rule {
+        None => "k = 0".into(),
+        Some(share) => format!("⌊n/{share}⌋"),
+    }
 }
 
 fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
     let codec = SketchMlCompressor::default();
     let grads = harvest(spec, seed, &codec);
     let mut pairs = Vec::new();
-    let mut bytes = 0usize;
+    let (mut bytes, mut exact_pairs) = ([0usize; RULES.len()], [0usize; RULES.len()]);
+    let mut scratch = CompressScratch::new();
+    let mut wire = Default::default(); // the codec's `BytesMut`
     for grad in &grads {
-        let payload = codec.compress(grad).expect("compress").payload;
-        bytes += payload.len();
-        let decoded = codec.decompress(&payload).expect("decompress");
-        assert_eq!(decoded.keys(), grad.keys(), "seed {seed}: keys changed");
-        let quant = quantized(grad, &codec.config);
-        for ((&v, &d), &q) in grad.values().iter().zip(decoded.values()).zip(&quant) {
-            assert!(
-                (d == 0.0 || d.signum() == v.signum()) && d.abs() <= q.abs(),
-                "seed {seed}: {v} decoded as {d}, its exact bucket's mean is {q}"
-            );
-            pairs.push(Pair {
-                v,
-                codec: d,
-                quant: q,
-            });
+        let first = pairs.len();
+        for (r, rule) in RULES.iter().enumerate() {
+            let k = rule.map_or(0, |share| grad.nnz() / share);
+            codec
+                .compress_exact_into(grad, k, &mut scratch, &mut wire)
+                .expect("compress");
+            if r == SHIPPED {
+                let shipped = codec.compress(grad).expect("compress").payload;
+                assert_eq!(
+                    &shipped[..],
+                    &wire[..],
+                    "seed {seed}: the codec's rule moved"
+                );
+            }
+            bytes[r] += wire.len();
+            exact_pairs[r] += k;
+            let decoded = codec.decompress(&wire).expect("decompress");
+            assert_eq!(decoded.keys(), grad.keys(), "seed {seed}: keys changed");
+            let exact = exact_mask(grad, k);
+            let quant = quantized(grad, &exact, &codec.config);
+            for (i, (&v, &d)) in grad.values().iter().zip(decoded.values()).enumerate() {
+                let q = quant[i];
+                if exact[i] {
+                    assert_eq!(
+                        d.to_bits(),
+                        v.to_bits(),
+                        "seed {seed}: exact {v} decoded as {d}"
+                    );
+                } else {
+                    assert!(
+                        (d == 0.0 || d.signum() == v.signum()) && d.abs() <= q.abs(),
+                        "seed {seed}, {}: {v} decoded as {d}, its exact bucket's mean is {q}",
+                        rule_name(*rule)
+                    );
+                }
+                if r == 0 {
+                    pairs.push(Pair {
+                        v,
+                        codec: [0.0; RULES.len()],
+                        quant: 0.0,
+                    });
+                }
+                let pair = &mut pairs[first + i];
+                pair.codec[r] = d;
+                if r == SHIPPED {
+                    pair.quant = q;
+                }
+            }
         }
     }
     pairs.sort_by(|a, b| a.v.abs().total_cmp(&b.v.abs()));
     let n = pairs.len();
-    let (norm, codec_err, quant_err) = sums(&pairs);
+    let shipped = |p: &Pair| p.codec[SHIPPED];
+    let (norm, codec_err) = sums(&pairs, shipped);
+    let (_, quant_err) = sums(&pairs, |p| p.quant);
     let band = |name: String, slice: &[Pair]| {
-        let (bn, bc, bq) = sums(slice);
+        let (bn, bc) = sums(slice, shipped);
+        let (_, b0) = sums(slice, |p| p.codec[0]);
+        let (_, bq) = sums(slice, |p| p.quant);
         Band {
             band: name,
             pairs: slice.len(),
             norm_share: bn / norm,
+            sketch_only_rel_l2: (b0 / bn).sqrt(),
             codec_rel_l2: (bc / bn).sqrt(),
             codec_err_share: bc / codec_err,
             quant_rel_l2: (bq / bn).sqrt(),
@@ -203,14 +288,31 @@ fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
             &pairs[d * n / 10..(d + 1) * n / 10],
         ));
     }
-    bands.push(band("top 1%".into(), &pairs[n * 99 / 100..]));
+    let top1 = &pairs[n * 99 / 100..];
+    bands.push(band("top 1%".into(), top1));
+    let ladder = RULES
+        .iter()
+        .enumerate()
+        .map(|(r, &rule)| {
+            let (all_n, all_e) = sums(&pairs, |p| p.codec[r]);
+            let (top_n, top_e) = sums(top1, |p| p.codec[r]);
+            Rung {
+                rule: rule_name(rule),
+                exact_pairs: exact_pairs[r],
+                bytes_per_pair: bytes[r] as f64 / n as f64,
+                rel_l2: (all_e / all_n).sqrt(),
+                top1_rel_l2: (top_e / top_n).sqrt(),
+            }
+        })
+        .collect();
     SeedReport {
         seed,
         pairs: n,
-        bytes_per_pair: bytes as f64 / n as f64,
+        bytes_per_pair: bytes[SHIPPED] as f64 / n as f64,
         codec_rel_l2: (codec_err / norm).sqrt(),
         quant_rel_l2: (quant_err / norm).sqrt(),
         bands,
+        ladder,
     }
 }
 
@@ -233,6 +335,7 @@ fn main() {
                     b.band.clone(),
                     b.pairs.to_string(),
                     pct(b.norm_share),
+                    format!("{:.4}", b.sketch_only_rel_l2),
                     format!("{:.4}", b.codec_rel_l2),
                     pct(b.codec_err_share),
                     format!("{:.4}", b.quant_rel_l2),
@@ -242,18 +345,37 @@ fn main() {
             .collect();
         print_table(
             &format!(
-                "seed {seed}: {} pairs, {:.3} B/pair — (i) codec vs (ii) quantization alone",
+                "seed {seed}: {} pairs, {:.3} B/pair — (i₀) no exact pairs, (i) codec, (ii) quantization alone",
                 r.pairs, r.bytes_per_pair
             ),
             &[
                 "|v| band",
                 "pairs",
                 "% ‖g‖²",
+                "(i₀) rel-L2",
                 "(i) rel-L2",
                 "(i) % err²",
                 "(ii) rel-L2",
                 "(ii) % err²",
             ],
+            &rows,
+        );
+        let rows: Vec<Vec<String>> = r
+            .ladder
+            .iter()
+            .map(|g| {
+                vec![
+                    g.rule.clone(),
+                    g.exact_pairs.to_string(),
+                    format!("{:.4}", g.bytes_per_pair),
+                    format!("{:.4}", g.rel_l2),
+                    format!("{:.4}", g.top1_rel_l2),
+                ]
+            })
+            .collect();
+        print_table(
+            &format!("seed {seed}: exact-pair rule ladder (⌊n/512⌋ ships)"),
+            &["rule", "exact pairs", "B/pair", "rel-L2", "top 1% rel-L2"],
             &rows,
         );
         reports.push(r);

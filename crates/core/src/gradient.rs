@@ -118,77 +118,70 @@ impl SparseGradient {
         Ok(())
     }
 
-    /// [`Self::assign`] from two key-ordered runs, merged as they are
-    /// written: each run is non-decreasing keys with the slot of each key's
-    /// value, `value_of(slot)`. The checks run pair by pair on the merged
-    /// order, so a key both runs hold — or one run repeats — is the
+    /// [`Self::assign`] from two key-ordered runs and a short list of exact
+    /// pairs, merged as they are written: each run is non-decreasing keys
+    /// with the slot of each key's value, `value_of(slot)`; `exact` is
+    /// ascending keys with their values. The checks run pair by pair on the
+    /// merged order, so a key both runs hold — or one run repeats — is the
     /// "strictly ascending" refusal. On equal keys `a`'s pair comes first.
     ///
+    /// `exact` joins here rather than as a run of its own: it holds a few
+    /// dozen pairs, and one more run would cost every pair one more merge
+    /// pass. Each exact key's place is found by binary search in both runs,
+    /// and the runs' pairs between two exact keys merge in the two-run loop
+    /// as if there were none.
+    ///
     /// # Errors
-    /// See [`Self::assign`].
+    /// See [`Self::assign`]; an `exact` key that a run also holds is
+    /// [`CompressError::Corrupt`] (the encoder writes a pair to one section).
     pub(crate) fn assign_merged(
         &mut self,
         dim: u64,
         a: Run<'_>,
         b: Run<'_>,
+        exact: (&[u64], &[f64]),
         value_of: impl Fn(u32) -> f64,
     ) -> Result<(), CompressError> {
-        let ((ak, asl), (bk, bsl)) = (a, b);
+        let ((ak, asl), (bk, bsl), (ek, ev)) = (a, b, exact);
         assert_eq!(ak.len(), asl.len());
         assert_eq!(bk.len(), bsl.len());
+        assert_eq!(ek.len(), ev.len());
+        let n = ak.len() + bk.len() + ek.len();
         self.dim = dim;
-        self.keys.resize(ak.len() + bk.len(), 0);
-        self.values.resize(ak.len() + bk.len(), 0.0);
-        // Smallest key the next pair may carry.
-        let mut floor = 0u64;
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut refusal = None;
-        // Same branch-free step as `runs::merge_two`, then the checks, which
-        // a valid payload never fails.
-        for (pos, (key, value)) in self.keys.iter_mut().zip(&mut self.values).enumerate() {
-            let (k, slot) = if i < ak.len() && j < bk.len() {
-                let (x, y) = (ak[i], bk[j]);
-                let (slot_x, slot_y) = (asl[i], bsl[j]);
-                let from_b = y < x;
-                j += usize::from(from_b);
-                i += usize::from(!from_b);
-                if from_b {
-                    (y, slot_y)
-                } else {
-                    (x, slot_x)
+        self.keys.resize(n, 0);
+        self.values.resize(n, 0.0);
+        let mut merged = Merged {
+            keys: &mut self.keys,
+            values: &mut self.values,
+            dim,
+            floor: 0,
+            pos: 0,
+        };
+        let result = (|| {
+            let (mut i, mut j) = (0usize, 0usize);
+            for (&key, &value) in ek.iter().zip(ev) {
+                let a_end = i + ak[i..].partition_point(|&k| k < key);
+                let b_end = j + bk[j..].partition_point(|&k| k < key);
+                merged.runs(
+                    (&ak[i..a_end], &asl[i..a_end]),
+                    (&bk[j..b_end], &bsl[j..b_end]),
+                    &value_of,
+                )?;
+                if ak.get(a_end) == Some(&key) || bk.get(b_end) == Some(&key) {
+                    return Err(CompressError::Corrupt(format!(
+                        "exact key {key} is also in a sketched section"
+                    )));
                 }
-            } else if i < ak.len() {
-                i += 1;
-                (ak[i - 1], asl[i - 1])
-            } else {
-                j += 1;
-                (bk[j - 1], bsl[j - 1])
-            };
-            let v = value_of(slot);
-            if k >= dim {
-                refusal = Some(format!(
-                    "key {k} at position {pos} out of range for dimension {dim}"
-                ));
-            } else if k < floor {
-                refusal = Some(format!("keys must be strictly ascending (position {pos})"));
-            } else if !v.is_finite() {
-                refusal = Some(format!("non-finite value {v} at position {pos}"));
+                merged.push(key, value)?;
+                (i, j) = (a_end, b_end);
             }
-            if refusal.is_some() {
-                break;
-            }
-            floor = k + 1; // k < dim, so no overflow
-            *key = k;
-            *value = v;
+            merged.runs((&ak[i..], &asl[i..]), (&bk[j..], &bsl[j..]), &value_of)
+        })();
+        if result.is_err() {
+            self.keys.clear();
+            self.values.clear();
         }
-        match refusal {
-            Some(why) => {
-                self.keys.clear();
-                self.values.clear();
-                Err(CompressError::InvalidGradient(why))
-            }
-            None => Ok(()),
-        }
+        result
     }
 
     /// Builds an empty gradient over `dim` dimensions.
@@ -401,6 +394,102 @@ fn merge_sum(a: &SparseGradient, wa: f64, b: &SparseGradient, wb: f64, out: &mut
     }
     out.keys.truncate(n);
     out.values.truncate(n);
+}
+
+/// The output of [`SparseGradient::assign_merged`], written front to back
+/// and checked as it is written.
+struct Merged<'a> {
+    keys: &'a mut [u64],
+    values: &'a mut [f64],
+    dim: u64,
+    /// Smallest key the next pair may carry.
+    floor: u64,
+    /// Pairs written.
+    pos: usize,
+}
+
+impl Merged<'_> {
+    /// Checks one pair and writes it.
+    fn push(&mut self, k: u64, v: f64) -> Result<(), CompressError> {
+        if let Some(why) = refusal(self.dim, self.floor, self.pos, k, v) {
+            return Err(CompressError::InvalidGradient(why));
+        }
+        self.floor = k + 1; // k < dim, so no overflow
+        self.keys[self.pos] = k;
+        self.values[self.pos] = v;
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Merges two runs onto the output: the same branch-free step as
+    /// `runs::merge_two`, then the checks, which a valid payload never fails.
+    fn runs(
+        &mut self,
+        a: Run<'_>,
+        b: Run<'_>,
+        value_of: &impl Fn(u32) -> f64,
+    ) -> Result<(), CompressError> {
+        let ((ak, asl), (bk, bsl)) = (a, b);
+        let (start, dim) = (self.pos, self.dim);
+        let end = start + ak.len() + bk.len();
+        let mut floor = self.floor;
+        let (mut i, mut j) = (0usize, 0usize);
+        let mut refused = None;
+        let out = self.keys[start..end]
+            .iter_mut()
+            .zip(&mut self.values[start..end]);
+        for (pos, (key, value)) in (start..).zip(out) {
+            let (k, slot) = if i < ak.len() && j < bk.len() {
+                let (x, y) = (ak[i], bk[j]);
+                let (slot_x, slot_y) = (asl[i], bsl[j]);
+                let from_b = y < x;
+                j += usize::from(from_b);
+                i += usize::from(!from_b);
+                if from_b {
+                    (y, slot_y)
+                } else {
+                    (x, slot_x)
+                }
+            } else if i < ak.len() {
+                i += 1;
+                (ak[i - 1], asl[i - 1])
+            } else {
+                j += 1;
+                (bk[j - 1], bsl[j - 1])
+            };
+            let v = value_of(slot);
+            refused = refusal(dim, floor, pos, k, v);
+            if refused.is_some() {
+                break;
+            }
+            floor = k + 1; // k < dim, so no overflow
+            *key = k;
+            *value = v;
+        }
+        self.floor = floor;
+        self.pos = end;
+        match refused {
+            Some(why) => Err(CompressError::InvalidGradient(why)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Why pair `(k, v)` cannot sit at `pos` of a gradient of dimension `dim`
+/// after keys below `floor`, if it cannot: the checks of
+/// [`SparseGradient::assign`], in its words.
+fn refusal(dim: u64, floor: u64, pos: usize, k: u64, v: f64) -> Option<String> {
+    if k >= dim {
+        Some(format!(
+            "key {k} at position {pos} out of range for dimension {dim}"
+        ))
+    } else if k < floor {
+        Some(format!("keys must be strictly ascending (position {pos})"))
+    } else if !v.is_finite() {
+        Some(format!("non-finite value {v} at position {pos}"))
+    } else {
+        None
+    }
 }
 
 #[cfg(test)]

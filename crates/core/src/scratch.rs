@@ -39,6 +39,12 @@ pub struct CompressScratch {
     pub(crate) pos_vals: Vec<f64>,
     pub(crate) neg_keys: Vec<u64>,
     pub(crate) neg_vals: Vec<f64>,
+    // --- SketchML's exact section: the top-|v| pairs (encode and decode),
+    // the encoder's min-heap of their |v| bits and the blocks it rescans ---
+    pub(crate) exact_keys: Vec<u64>,
+    pub(crate) exact_vals: Vec<f64>,
+    pub(crate) top: Vec<std::cmp::Reverse<u64>>,
+    pub(crate) blocks: Vec<usize>,
     // --- encode: quantification (§3.2) ---
     pub(crate) quant: QuantScratch,
     // --- encode: per-group key sectioning (§3.4 / Appendix A.3) ---

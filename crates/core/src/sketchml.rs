@@ -21,6 +21,15 @@
 //! Decode phase (§3.1): restore keys per section, query the section's
 //! MinMaxSketch for the (underestimated) bucket index, and map it to the
 //! bucket mean.
+//!
+//! One step ahead of the paper's pipeline: the ⌊n/512⌋ pairs of largest |v|
+//! skip it and ship exact, as one delta-binary key section with f64 values
+//! (frame version 2). The MinMaxSketch can only lower an index, so a side's
+//! top bucket decodes near half its magnitude, and the top 1 % of |v| hold
+//! most of ‖g‖²: sending those exactly is SketchSGD's recipe (second round
+//! of bagua's `sketch.py`), and the quantile sketch of the rest no longer
+//! sees the tail. §3.3's guarantee is kept: sketched values only decay, exact
+//! ones are the values sent. DESIGN.md §2 has the frame layout.
 
 use crate::compressor::GradientCompressor;
 use crate::error::CompressError;
@@ -34,43 +43,46 @@ use sketchml_encoding::{bitpack, delta_binary, varint};
 use sketchml_sketches::hash::push_row_seeds;
 use sketchml_sketches::minmax::{group_seed, insert_batch_raw, query_batch_raw, EMPTY_CELL};
 use sketchml_telemetry as telemetry;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Branchless stable sign partition (§3.3 Solution 1). Gradient signs are
-/// ~50/50 and uncorrelated, so the obvious `if v < 0.0` loop mispredicts on
-/// every other pair; instead each pair is written to *both* sides' spare
-/// capacity and only the matching cursor advances (a predicated add the
-/// compiler keeps branch-free). Output order and the NaN/-0.0 placement are
-/// exactly those of the branchy loop: anything not `< 0.0` goes positive.
-fn partition_signs(
-    keys: &[u64],
-    values: &[f64],
-    pos_keys: &mut Vec<u64>,
-    pos_vals: &mut Vec<f64>,
-    neg_keys: &mut Vec<u64>,
-    neg_vals: &mut Vec<f64>,
-) {
+/// The four sign-partition buffers of [`partition_signs`], positives first.
+type Sides<'a> = (
+    &'a mut Vec<u64>,
+    &'a mut Vec<f64>,
+    &'a mut Vec<u64>,
+    &'a mut Vec<f64>,
+);
+
+/// Branchless stable sign partition (§3.3 Solution 1), appending to the
+/// sides. Gradient signs are ~50/50 and uncorrelated, so the obvious
+/// `if v < 0.0` loop mispredicts on every other pair; instead each pair is
+/// written to *both* sides' spare capacity and only the matching cursor
+/// advances (a predicated add the compiler keeps branch-free). Output order
+/// and the NaN/-0.0 placement are exactly those of the branchy loop:
+/// anything not `< 0.0` goes positive.
+fn partition_signs(keys: &[u64], values: &[f64], sides: Sides<'_>) {
+    let (pos_keys, pos_vals, neg_keys, neg_vals) = sides;
     let n = keys.len();
     debug_assert_eq!(values.len(), n);
-    pos_keys.clear();
-    pos_vals.clear();
-    neg_keys.clear();
-    neg_vals.clear();
+    #[cfg(debug_assertions)]
+    let (p0, m0) = (pos_keys.len(), neg_keys.len());
     pos_keys.reserve(n);
     pos_vals.reserve(n);
     neg_keys.reserve(n);
     neg_vals.reserve(n);
     let (mut p, mut m) = (0usize, 0usize);
-    // SAFETY: both sides reserved `n` slots and `p + m == i <= n` at every
-    // step, so all writes land in spare capacity (the AVX2 block stores 4
-    // slots at cursor `p <= i <= n - 4`, still within the reserved `n`);
-    // `set_len` only exposes slots that were written (every slot below the
-    // final cursor was the "matching" write of some iteration). u64/f64 are
-    // Copy with no drop.
+    // SAFETY: both sides reserved `n` slots past their length and
+    // `p + m == i <= n` at every step, so all writes land in spare capacity
+    // (the AVX2 block stores 4 slots at cursor `p <= i <= n - 4`, still
+    // within the reserved `n`); `set_len` only exposes slots that were
+    // written (every slot below the final cursor was the "matching" write of
+    // some iteration). u64/f64 are Copy with no drop.
     unsafe {
-        let pk = pos_keys.as_mut_ptr();
-        let pv = pos_vals.as_mut_ptr();
-        let nk = neg_keys.as_mut_ptr();
-        let nv = neg_vals.as_mut_ptr();
+        let pk = pos_keys.as_mut_ptr().add(pos_keys.len());
+        let pv = pos_vals.as_mut_ptr().add(pos_vals.len());
+        let nk = neg_keys.as_mut_ptr().add(neg_keys.len());
+        let nv = neg_vals.as_mut_ptr().add(neg_vals.len());
         let mut i = 0usize;
         #[cfg(target_arch = "x86_64")]
         if sketchml_sketches::simd::lanes_active() {
@@ -88,15 +100,14 @@ fn partition_signs(
             m += is_neg;
             i += 1;
         }
-        pos_keys.set_len(p);
-        pos_vals.set_len(p);
-        neg_keys.set_len(m);
-        neg_vals.set_len(m);
+        pos_keys.set_len(pos_keys.len() + p);
+        pos_vals.set_len(pos_vals.len() + p);
+        neg_keys.set_len(neg_keys.len() + m);
+        neg_vals.set_len(neg_vals.len() + m);
     }
     #[cfg(debug_assertions)]
     {
-        let mut ep = 0usize;
-        let mut em = 0usize;
+        let (mut ep, mut em) = (p0, m0);
         for (&k, &v) in keys.iter().zip(values) {
             if v < 0.0 {
                 assert!(neg_keys[em] == k && neg_vals[em].to_bits() == v.to_bits());
@@ -108,6 +119,103 @@ fn partition_signs(
         }
         assert!(ep == pos_keys.len() && em == neg_keys.len());
     }
+}
+
+/// |v| as ordered bits: non-negative floats order as their bit patterns.
+fn magnitude_bits(v: f64) -> u64 {
+    v.to_bits() & !(1 << 63)
+}
+
+/// Pairs per block of the exact split's scan: a block whose largest |v|
+/// is below the bar is passed over with one compare.
+const SCAN_BLOCK: usize = 16;
+
+/// Largest [`magnitude_bits`] of a block.
+fn block_max(block: &[f64]) -> u64 {
+    block.iter().fold(0, |m, &v| m.max(magnitude_bits(v)))
+}
+
+/// Splits a gradient for the encoder: the `exact` pairs of largest |v|
+/// onto `scratch.exact_keys`/`exact_vals` in key order, every other pair
+/// sign-partitioned onto `sides` (cleared first) as [`partition_signs`]
+/// would have partitioned them alone. Pairs at the threshold go to the
+/// smallest keys, so the split depends on the gradient alone.
+///
+/// One pass over [`SCAN_BLOCK`]s keeps a min-heap of the `exact` largest
+/// |v| seen so far; a block whose largest |v| is below the heap's least is
+/// passed over, and the threshold only rises, so no pair of a passed block
+/// is shipped exact. The few blocks left (`scratch.blocks`) are walked
+/// again against the final threshold, and the pairs between two exact ones
+/// are partitioned straight from the gradient.
+fn split_exact(
+    keys: &[u64],
+    values: &[f64],
+    exact: usize,
+    scratch: &mut CompressScratch,
+    sides: Sides<'_>,
+) {
+    let (pos_keys, pos_vals, neg_keys, neg_vals) = sides;
+    pos_keys.clear();
+    pos_vals.clear();
+    neg_keys.clear();
+    neg_vals.clear();
+    scratch.exact_keys.clear();
+    scratch.exact_vals.clear();
+    scratch.blocks.clear();
+    let mut from = 0;
+    if exact > 0 {
+        let mut top = std::mem::take(&mut scratch.top);
+        top.clear();
+        top.reserve(exact);
+        let mut top = BinaryHeap::from(top);
+        // The heap's least |v| once it is full; 0 lets every pair in before.
+        let mut threshold = 0;
+        for (b, block) in values.chunks(SCAN_BLOCK).enumerate() {
+            if top.len() == exact && block_max(block) < threshold {
+                continue;
+            }
+            scratch.blocks.push(b);
+            for &v in block {
+                let bits = magnitude_bits(v);
+                if top.len() < exact {
+                    top.push(Reverse(bits));
+                } else if bits > threshold {
+                    if let Some(mut least) = top.peek_mut() {
+                        *least = Reverse(bits);
+                    }
+                }
+                if top.len() == exact {
+                    threshold = top.peek().map_or(0, |m| m.0);
+                }
+            }
+        }
+        let mut ties = exact - top.iter().filter(|m| m.0 > threshold).count();
+        scratch.top = top.into_vec();
+        for &b in &scratch.blocks {
+            let start = b * SCAN_BLOCK;
+            let block = &values[start..values.len().min(start + SCAN_BLOCK)];
+            for (i, &v) in (start..).zip(block) {
+                let bits = magnitude_bits(v);
+                if bits > threshold || (bits == threshold && ties > 0) {
+                    ties -= usize::from(bits == threshold);
+                    partition_signs(
+                        &keys[from..i],
+                        &values[from..i],
+                        (pos_keys, pos_vals, neg_keys, neg_vals),
+                    );
+                    scratch.exact_keys.push(keys[i]);
+                    scratch.exact_vals.push(v);
+                    from = i + 1;
+                }
+            }
+        }
+    }
+    partition_signs(
+        &keys[from..],
+        &values[from..],
+        (pos_keys, pos_vals, neg_keys, neg_vals),
+    );
+    debug_assert_eq!(scratch.exact_keys.len(), exact.min(values.len()));
 }
 
 /// AVX2 body of [`partition_signs`]: four pairs per iteration. The sign
@@ -287,7 +395,16 @@ impl SketchMlCompressor {
 }
 
 const MAGIC: u8 = 0xA7;
-const VERSION: u8 = 1;
+/// The frame version written. Version 2 added the exact section after the
+/// header; a version 1 frame is one without it and decodes through the same
+/// path, with no exact pairs.
+const VERSION: u8 = 2;
+/// One pair in this many ships exact: the ⌊n/512⌋ largest |v| of an n-pair
+/// gradient, none below 512 pairs. Measured against ⌊n/1024⌋ and ⌊n/256⌋ on
+/// the benchmark's gradients (EXPERIMENTS.md, `fig_fidelity`).
+const EXACT_SHARE: usize = 512;
+/// Bytes of an exact value (f64, little-endian).
+const EXACT_WIDTH: usize = 8;
 /// Bytes per bucket mean, declared in each side's header; the decoder
 /// refuses a frame that declares any other width.
 const MEAN_WIDTH: u8 = 8;
@@ -309,6 +426,98 @@ fn record_encode(pairs: usize, payload_bytes: usize) {
 }
 
 impl SketchMlCompressor {
+    /// [`GradientCompressor::compress_into`] with the `exact` largest |v|
+    /// shipped exact (capped at the gradient's pairs) instead of the
+    /// codec's ⌊n/512⌋: the rule ladder `fig_fidelity` measures. The frame
+    /// is an ordinary one and decodes through
+    /// [`GradientCompressor::decompress_into`]; `exact = 0` is the paper's
+    /// pipeline alone.
+    ///
+    /// # Errors
+    /// Same contract as [`GradientCompressor::compress_into`].
+    pub fn compress_exact_into(
+        &self,
+        grad: &SparseGradient,
+        exact: usize,
+        scratch: &mut CompressScratch,
+        out: &mut BytesMut,
+    ) -> Result<SizeReport, CompressError> {
+        self.config.validate()?;
+        let exact = exact.min(grad.nnz());
+        out.clear();
+        out.put_u8(MAGIC);
+        out.put_u8(VERSION);
+        out.put_u64_le(self.config.seed);
+        varint::write_u64(out, grad.dim());
+        varint::write_u64(out, grad.nnz() as u64);
+        varint::write_u64(out, self.config.rows as u64);
+        varint::write_u64(out, exact as u64);
+
+        let mut report = SizeReport {
+            pairs: grad.nnz(),
+            ..SizeReport::default()
+        };
+        if grad.is_empty() {
+            varint::write_u64(out, 0); // pos side
+            varint::write_u64(out, 0); // neg side
+            report.header_bytes = out.len();
+            record_encode(0, out.len());
+            return Ok(report);
+        }
+        // §3.3 Solution 1: independent quantile sketches per sign, over the
+        // pairs the exact section leaves. The partitions are taken out of the
+        // scratch so it can be re-borrowed mutably by `encode_side_into`, and
+        // restored before any `?`.
+        let mut pos_keys = std::mem::take(&mut scratch.pos_keys);
+        let mut pos_vals = std::mem::take(&mut scratch.pos_vals);
+        let mut neg_keys = std::mem::take(&mut scratch.neg_keys);
+        let mut neg_vals = std::mem::take(&mut scratch.neg_vals);
+        split_exact(
+            grad.keys(),
+            grad.values(),
+            exact,
+            scratch,
+            (&mut pos_keys, &mut pos_vals, &mut neg_keys, &mut neg_vals),
+        );
+        let sections: Result<(usize, usize), CompressError> = (|| {
+            let mut key_bytes = 0;
+            if exact > 0 {
+                key_bytes += {
+                    let _t = telemetry::time(telemetry::Stage::KeyEncode);
+                    delta_binary::encode_keys_into(&scratch.exact_keys, out)
+                }?;
+                for &v in &scratch.exact_vals {
+                    out.put_f64_le(v);
+                }
+            }
+            let (kb_pos, vb_pos) =
+                self.encode_side_into(&pos_keys, &pos_vals, false, self.config.seed, scratch, out)?;
+            let (kb_neg, vb_neg) = self.encode_side_into(
+                &neg_keys,
+                &neg_vals,
+                true,
+                self.config.seed ^ NEG_SALT,
+                scratch,
+                out,
+            )?;
+            Ok((
+                key_bytes + kb_pos + kb_neg,
+                EXACT_WIDTH * exact + vb_pos + vb_neg,
+            ))
+        })();
+        scratch.pos_keys = pos_keys;
+        scratch.pos_vals = pos_vals;
+        scratch.neg_keys = neg_keys;
+        scratch.neg_vals = neg_vals;
+        let (key_bytes, value_bytes) = sections?;
+
+        report.key_bytes = key_bytes;
+        report.value_bytes = value_bytes;
+        report.header_bytes = out.len() - report.key_bytes - report.value_bytes;
+        record_encode(grad.nnz(), out.len());
+        Ok(report)
+    }
+
     /// Serializes one sign's pairs into `out`, returning `(key_bytes,
     /// value_bytes)`: quantizes through the pooled
     /// [`crate::quantify::QuantScratch`], normalizes indexes by magnitude in
@@ -594,8 +803,64 @@ impl SketchMlCompressor {
         Ok(())
     }
 
-    /// Parses the header and both sides of `payload`, leaving every key
-    /// section on `scratch.runs` and the bucket means on
+    /// Reads the exact section onto `scratch.exact_keys`/`exact_vals`,
+    /// refusing, as [`CompressError::Corrupt`], a count the rest of the
+    /// payload cannot hold, a key count that disagrees with it, a key at or
+    /// past `dim`, keys that do not strictly ascend, and a non-finite value.
+    fn decode_exact_into(
+        buf: &mut &[u8],
+        dim: u64,
+        scratch: &mut CompressScratch,
+    ) -> Result<(), CompressError> {
+        let k = varint::read_u64(buf)?;
+        if k == 0 {
+            return Ok(());
+        }
+        // An exact pair costs at least one key byte and its value.
+        if k > (buf.remaining() / (1 + EXACT_WIDTH)) as u64 {
+            return Err(CompressError::Corrupt(format!(
+                "exact section declares {k} pairs beyond the payload"
+            )));
+        }
+        let k = k as usize;
+        delta_binary::decode_keys_into(buf, &mut scratch.exact_keys)?;
+        if scratch.exact_keys.len() != k {
+            return Err(CompressError::Corrupt(format!(
+                "exact section declared {k} keys, decoded {}",
+                scratch.exact_keys.len()
+            )));
+        }
+        if buf.remaining() < k * EXACT_WIDTH {
+            return Err(CompressError::Corrupt("truncated exact values".into()));
+        }
+        scratch.exact_vals.reserve(k);
+        let mut floor = 0u64;
+        for (pos, &key) in scratch.exact_keys.iter().enumerate() {
+            let v = buf.get_f64_le();
+            if key >= dim {
+                return Err(CompressError::Corrupt(format!(
+                    "exact key {key} out of range for dimension {dim}"
+                )));
+            }
+            if key < floor {
+                return Err(CompressError::Corrupt(format!(
+                    "exact keys not strictly ascending (position {pos})"
+                )));
+            }
+            if !v.is_finite() {
+                return Err(CompressError::Corrupt(format!(
+                    "non-finite exact value {v} at position {pos}"
+                )));
+            }
+            floor = key + 1;
+            scratch.exact_vals.push(v);
+        }
+        Ok(())
+    }
+
+    /// Parses the header, the exact section and both sides of `payload`,
+    /// leaving the exact pairs on `scratch.exact_keys`/`exact_vals`, every
+    /// key section on `scratch.runs` and the bucket means on
     /// `scratch.dec_means`. Returns the gradient's dimension.
     fn decode_runs(
         &self,
@@ -609,7 +874,8 @@ impl SketchMlCompressor {
         if buf.get_u8() != MAGIC {
             return Err(CompressError::Corrupt("bad SketchML magic".into()));
         }
-        if buf.get_u8() != VERSION {
+        let version = buf.get_u8();
+        if version != 1 && version != VERSION {
             return Err(CompressError::Corrupt(
                 "unsupported SketchML version".into(),
             ));
@@ -634,12 +900,17 @@ impl SketchMlCompressor {
         }
         scratch.runs.clear();
         scratch.dec_means.clear();
+        scratch.exact_keys.clear();
+        scratch.exact_vals.clear();
+        if version == VERSION {
+            Self::decode_exact_into(&mut buf, dim, scratch)?;
+        }
         self.decode_side_into(&mut buf, seed, rows, scratch)?;
         self.decode_side_into(&mut buf, seed ^ NEG_SALT, rows, scratch)?;
-        if scratch.runs.keys.len() != nnz {
+        let decoded = scratch.exact_keys.len() + scratch.runs.keys.len();
+        if decoded != nnz {
             return Err(CompressError::Corrupt(format!(
-                "declared {nnz} pairs, decoded {}",
-                scratch.runs.keys.len()
+                "declared {nnz} pairs, decoded {decoded}"
             )));
         }
         Ok(dim)
@@ -657,66 +928,7 @@ impl GradientCompressor for SketchMlCompressor {
         scratch: &mut CompressScratch,
         out: &mut BytesMut,
     ) -> Result<SizeReport, CompressError> {
-        self.config.validate()?;
-        out.clear();
-        out.put_u8(MAGIC);
-        out.put_u8(VERSION);
-        out.put_u64_le(self.config.seed);
-        varint::write_u64(out, grad.dim());
-        varint::write_u64(out, grad.nnz() as u64);
-        varint::write_u64(out, self.config.rows as u64);
-
-        let mut report = SizeReport {
-            pairs: grad.nnz(),
-            ..SizeReport::default()
-        };
-        if grad.is_empty() {
-            varint::write_u64(out, 0); // pos side
-            varint::write_u64(out, 0); // neg side
-            report.header_bytes = out.len();
-            record_encode(0, out.len());
-            return Ok(report);
-        }
-
-        // §3.3 Solution 1: independent quantile sketches per sign. The
-        // partitions are taken out of the scratch so it can be re-borrowed
-        // mutably by `encode_side_into`, and restored before any `?`.
-        let mut pos_keys = std::mem::take(&mut scratch.pos_keys);
-        let mut pos_vals = std::mem::take(&mut scratch.pos_vals);
-        let mut neg_keys = std::mem::take(&mut scratch.neg_keys);
-        let mut neg_vals = std::mem::take(&mut scratch.neg_vals);
-        partition_signs(
-            grad.keys(),
-            grad.values(),
-            &mut pos_keys,
-            &mut pos_vals,
-            &mut neg_keys,
-            &mut neg_vals,
-        );
-        let sides: Result<(usize, usize), CompressError> = (|| {
-            let (kb_pos, vb_pos) =
-                self.encode_side_into(&pos_keys, &pos_vals, false, self.config.seed, scratch, out)?;
-            let (kb_neg, vb_neg) = self.encode_side_into(
-                &neg_keys,
-                &neg_vals,
-                true,
-                self.config.seed ^ NEG_SALT,
-                scratch,
-                out,
-            )?;
-            Ok((kb_pos + kb_neg, vb_pos + vb_neg))
-        })();
-        scratch.pos_keys = pos_keys;
-        scratch.pos_vals = pos_vals;
-        scratch.neg_keys = neg_keys;
-        scratch.neg_vals = neg_vals;
-        let (key_bytes, value_bytes) = sides?;
-
-        report.key_bytes = key_bytes;
-        report.value_bytes = value_bytes;
-        report.header_bytes = out.len() - report.key_bytes - report.value_bytes;
-        record_encode(grad.nnz(), out.len());
-        Ok(report)
+        self.compress_exact_into(grad, grad.nnz() / EXACT_SHARE, scratch, out)
     }
 
     fn decompress_into(
@@ -736,7 +948,10 @@ impl GradientCompressor for SketchMlCompressor {
             std::mem::swap(&mut src, &mut dst);
         }
         let means = &scratch.dec_means;
-        out.assign_merged(dim, src.run(0), src.run(1), |slot| means[slot as usize])
+        let exact = (&scratch.exact_keys[..], &scratch.exact_vals[..]);
+        out.assign_merged(dim, src.run(0), src.run(1), exact, |slot| {
+            means[slot as usize]
+        })
     }
 }
 
@@ -761,6 +976,13 @@ mod tests {
             .iter()
             .zip(&runs.slots)
             .map(|(&k, &slot)| (k, scratch.dec_means[slot as usize]))
+            .chain(
+                scratch
+                    .exact_keys
+                    .iter()
+                    .copied()
+                    .zip(scratch.exact_vals.iter().copied()),
+            )
             .collect();
         pairs.sort_unstable_by_key(|&(k, _)| k);
         let (keys, values) = pairs.into_iter().unzip();
@@ -777,8 +999,9 @@ mod tests {
         /// fewer pairs than groups, one pair, none), mixed or one-signed,
         /// magnitudes either spread out or taken from three values (most
         /// buckets, hence whole sections between full ones, stay empty),
-        /// 1–8 groups per sign, 1–4 sketch rows — on a scratch and an output
-        /// still holding a larger decode, twice.
+        /// 1–8 groups per sign, 1–4 sketch rows, 0–39 exact pairs (up to all
+        /// of them) — on a scratch and an output still holding a larger
+        /// decode, twice.
         #[test]
         fn merged_runs_decode_what_the_sort_decoded(
             pairs in btree_map(0u64..50_000, (0.001f64..2.0, 0usize..3, any::<bool>()), 0..300),
@@ -786,6 +1009,7 @@ mod tests {
             few_values in any::<bool>(),
             groups in 1usize..=8,
             rows in 1usize..=4,
+            exact in 0usize..40,
         ) {
             let keys: Vec<u64> = pairs.keys().copied().collect();
             let values: Vec<f64> = pairs
@@ -806,7 +1030,10 @@ mod tests {
                 ..SketchMlConfig::default()
             })
             .unwrap();
-            let payload = codec.compress(&grad).unwrap().payload;
+            let mut payload = BytesMut::new();
+            codec
+                .compress_exact_into(&grad, exact, &mut CompressScratch::new(), &mut payload)
+                .unwrap();
             let reference = decompress_by_sorting(&codec, &payload).unwrap();
             prop_assert_eq!(reference.keys(), grad.keys());
 
@@ -824,6 +1051,55 @@ mod tests {
                 codec.decompress_into(&payload, &mut scratch, &mut out).unwrap();
                 prop_assert_eq!(bits(&out), bits(&reference));
             }
+        }
+
+        /// The encoder's split against a sort: the `exact` largest |v|
+        /// (ties to the smaller key, -0.0 as 0.0) in key order, and every
+        /// other pair partitioned by sign as `partition_signs` alone would —
+        /// across block edges, with magnitudes from a handful of values so
+        /// ties straddle the threshold, and on a scratch that split a larger
+        /// gradient before.
+        #[test]
+        fn split_exact_takes_the_largest_magnitudes(
+            pairs in btree_map(0u64..5_000, (0usize..4, any::<bool>()), 1..200),
+            exact in 0usize..220,
+        ) {
+            let keys: Vec<u64> = pairs.keys().copied().collect();
+            let values: Vec<f64> = pairs
+                .values()
+                .map(|&(pick, negative)| {
+                    let magnitude = [0.0, 0.25, 0.5, 3.0][pick];
+                    if negative { -magnitude } else { magnitude }
+                })
+                .collect();
+            let n = keys.len();
+            let exact = exact.min(n);
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&a, &b| values[b].abs().total_cmp(&values[a].abs()).then(a.cmp(&b)));
+            let mut chosen = order[..exact].to_vec();
+            chosen.sort_unstable();
+            let rest: Vec<usize> = (0..n).filter(|i| !chosen.contains(i)).collect();
+            let pick = |at: &[usize]| -> (Vec<u64>, Vec<u64>) {
+                (at.iter().map(|&i| keys[i]).collect(), at.iter().map(|&i| values[i].to_bits()).collect())
+            };
+            let (rest_keys, rest_vals): (Vec<u64>, Vec<f64>) =
+                rest.iter().map(|&i| (keys[i], values[i])).unzip();
+            let mut want = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            partition_signs(&rest_keys, &rest_vals, (&mut want.0, &mut want.1, &mut want.2, &mut want.3));
+
+            let mut scratch = CompressScratch::new();
+            let mut got = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let wide: Vec<u64> = (0..300).collect();
+            let wide_vals: Vec<f64> = wide.iter().map(|&k| k as f64 - 150.5).collect();
+            split_exact(&wide, &wide_vals, 40, &mut scratch, (&mut got.0, &mut got.1, &mut got.2, &mut got.3));
+            split_exact(&keys, &values, exact, &mut scratch, (&mut got.0, &mut got.1, &mut got.2, &mut got.3));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                (scratch.exact_keys.clone(), bits(&scratch.exact_vals)),
+                pick(&chosen)
+            );
+            prop_assert_eq!((&got.0, bits(&got.1)), (&want.0, bits(&want.1)));
+            prop_assert_eq!((&got.2, bits(&got.3)), (&want.2, bits(&want.3)));
         }
     }
 }

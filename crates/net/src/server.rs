@@ -1079,6 +1079,9 @@ fn run_training(shared: &Shared) -> Result<ServeSummary, NetError> {
         best_test_loss: f64::INFINITY,
         ..ServeSummary::default()
     };
+    // A round's instance counts and parts, refilled in place every round.
+    let mut instances: Vec<usize> = Vec::with_capacity(setup.workers);
+    let mut parts: Vec<SparseGradient> = Vec::with_capacity(setup.workers);
     while summary.rounds < last_round {
         let epoch = (summary.rounds / rounds_per_epoch) as u32;
         let last = summary.rounds + 1 == last_round;
@@ -1093,8 +1096,10 @@ fn run_training(shared: &Shared) -> Result<ServeSummary, NetError> {
         summary.rounds += 1;
         let round = summary.rounds;
         // The handlers held every count to the dataset's.
-        let instances: Vec<usize> = members.iter().map(|m| m.instances as usize).collect();
-        let parts: Vec<SparseGradient> = members.into_iter().map(|m| m.gradient).collect();
+        instances.clear();
+        instances.extend(members.iter().map(|m| m.instances as usize));
+        parts.clear();
+        parts.extend(members.into_iter().map(|m| m.gradient));
         let step = Instant::now();
         let model = {
             let mut live = shared.live.lock().unwrap_or_else(|e| e.into_inner());

@@ -45,6 +45,20 @@
 //! `mlp/heavy_loss` only per-epoch `train_loss` moved, upward: a round in
 //! which nothing arrived is no longer averaged in as a loss of 0.
 //!
+//! Every entry that ships `sketchml` was re-recorded when its frame became
+//! version 2, which adds the exact section: a count of exact pairs (one
+//! byte at these sizes) and the ⌊n/512⌋ largest-|v| pairs, sent exact.
+//! The GLM gradients here hold fewer than 512 pairs, so the GLM entries
+//! ship no exact pair: only their byte counts and the seconds priced from
+//! them moved, one byte per frame, and their losses did not. The MLP's
+//! gradients are dense enough to ship exact pairs, so the five `mlp/*`
+//! entries also moved their losses (final test loss: `clean` 1.1958 →
+//! 1.1969, `stormy*` 1.2300 → 1.2273, `heavy_loss` 1.2689 → 1.2682) and
+//! four of them their accuracy (one more test row right). The ring and
+//! tree entries under `MergePolicy::Exact` ship aggregation frames, not
+//! `sketchml`'s, and did not move; nor did `driver/clean_raw`, which
+//! the re-record holds to its bits.
+//!
 //! A run ships exactly the compressor it is given. The fixture's runs under
 //! a fault plan shipped `sketchml` in the one-shard checksummed v2 frame
 //! (the wrap the engine then put on every plan but `FaultPlan::none()`), so
@@ -437,15 +451,82 @@ fn the_engine_replays_the_five_loops_it_replaced() {
 ///
 /// A commit that moves float bits on purpose (a summation order, say) blesses
 /// them with `REGEN_FIXTURES=1 cargo test --test round_engine -- --ignored`:
-/// see [`regen_float_leaves`].
+/// see [`regen_float_leaves`]. A commit that changes the `sketchml` frame
+/// re-records the entries that ship it with `REGEN_FIXTURES=sketchml`: see
+/// [`regen_sketchml_entries`].
 #[test]
 #[ignore = "bit-exact floats are a same-machine property; run with --ignored"]
 fn the_replay_is_bit_exact_on_the_machine_that_wrote_the_fixture() {
-    if std::env::var_os("REGEN_FIXTURES").is_some() {
-        regen_float_leaves();
-    } else {
-        replay_against_fixture(&|w, g| w.to_bits() == g.to_bits());
+    match std::env::var("REGEN_FIXTURES") {
+        Ok(mode) if mode == "sketchml" => regen_sketchml_entries(),
+        Ok(_) => regen_float_leaves(),
+        Err(_) => replay_against_fixture(&|w, g| w.to_bits() == g.to_bits()),
     }
+}
+
+/// The fixture's entries whose runs ship no `sketchml` frame.
+const RAW_ENTRIES: [&str; 1] = ["driver/clean_raw"];
+
+/// Overwrites `want` with `got` everywhere but its `measured_*` fields,
+/// which are wall-clock and stay as they are.
+fn take_all(want: &mut Value, got: &Value) {
+    match (want, got) {
+        (Value::Arr(w), Value::Arr(g)) if w.len() == g.len() => {
+            for (w, g) in w.iter_mut().zip(g) {
+                take_all(w, g);
+            }
+        }
+        (Value::Obj(w), Value::Obj(g)) if w.iter().map(|(k, _)| k).eq(g.iter().map(|(k, _)| k)) => {
+            for ((k, w), (_, g)) in w.iter_mut().zip(g) {
+                if !k.starts_with("measured_") {
+                    take_all(w, g);
+                }
+            }
+        }
+        (w, g) => *w = g.clone(),
+    }
+}
+
+/// Re-records whole every entry whose runs ship `sketchml` — for a change
+/// to that codec's frame, which moves byte counts and the seconds priced
+/// from them, and losses wherever decoded values move — after holding
+/// every [`RAW_ENTRIES`] entry to its committed bits. The file must be one
+/// this printer reproduces byte for byte, so the diff shows the re-recorded
+/// leaves and nothing else.
+fn regen_sketchml_entries() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/round_engine_traces.json"
+    );
+    let text = std::fs::read_to_string(path).expect("read the fixture");
+    let mut fixture: Value = serde_json::from_str(&text).unwrap();
+    assert!(
+        serde_json::to_string_pretty(&fixture).unwrap() + "\n" == text,
+        "the printer does not reproduce {path}: a regen would rewrite every line"
+    );
+    let Value::Obj(entries) = &mut fixture else {
+        panic!("fixture is an object")
+    };
+    let got = replay();
+    assert!(
+        entries
+            .iter()
+            .map(|(k, _)| k)
+            .eq(got.iter().map(|(k, _)| k)),
+        "the replay's scenarios are not the fixture's"
+    );
+    let mut rerecorded = 0;
+    for ((name, want), (_, got)) in entries.iter_mut().zip(&got) {
+        if RAW_ENTRIES.contains(&name.as_str()) {
+            bits_equal(name, want, got);
+        } else {
+            take_all(want, got);
+            rerecorded += 1;
+        }
+    }
+    std::fs::write(path, serde_json::to_string_pretty(&fixture).unwrap() + "\n")
+        .expect("write the fixture");
+    eprintln!("{path}: {rerecorded} sketchml entries re-recorded");
 }
 
 /// Overwrites `want`'s float leaves with `got`'s where their bits differ,

@@ -69,6 +69,13 @@ fn load_or_regen(name: &str, current: &[u8]) -> Vec<u8> {
         std::fs::write(&path, format!("{}\n", to_hex(current))).expect("write fixture");
         return current.to_vec();
     }
+    read_fixture(name)
+}
+
+/// Loads a fixture that no encoder writes any more: decode-only, never
+/// regenerated.
+fn read_fixture(name: &str) -> Vec<u8> {
+    let path = fixture_path(name);
     let hex = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing fixture {} ({e}); run REGEN_FIXTURES=1 cargo test --test wire_format",
@@ -87,16 +94,26 @@ fn canonical_gradient() -> SparseGradient {
 /// [`canonical_gradient`] with an explicit seed: the collective fixtures
 /// build one gradient per worker from derived seeds.
 fn canonical_gradient_for(seed: u64) -> SparseGradient {
+    gradient_of(seed, NNZ, DIM)
+}
+
+/// The canonical recipe at 2,048 pairs: enough for `sketchml` to ship
+/// ⌊2048/512⌋ = 4 of them exact.
+fn wide_gradient() -> SparseGradient {
+    gradient_of(SEED, 2048, 1 << 16)
+}
+
+fn gradient_of(seed: u64, nnz: usize, dim: u64) -> SparseGradient {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut keys = Vec::with_capacity(NNZ);
+    let mut keys = Vec::with_capacity(nnz);
     let mut next = 0u64;
-    for _ in 0..NNZ {
+    for _ in 0..nnz {
         next += rng.gen_range(1..=31);
-        keys.push(next.min(DIM - 1));
+        keys.push(next.min(dim - 1));
     }
     keys.dedup();
     let values: Vec<f64> = keys.iter().map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-    SparseGradient::new(DIM, keys, values).expect("canonical gradient is valid")
+    SparseGradient::new(dim, keys, values).expect("canonical gradient is valid")
 }
 
 /// A scratch that has already served other codecs, sizes and shapes: a
@@ -136,17 +153,21 @@ fn used_scratch() -> CompressScratch {
 /// the scalar bodies, so both paths are held to the committed bytes directly
 /// (not only to each other, as `simd_scalar_equivalence.rs` holds them).
 fn assert_golden(name: &str, compressor: &dyn GradientCompressor) {
+    assert_golden_of(name, compressor, &canonical_gradient());
+}
+
+/// [`assert_golden`] of another input.
+fn assert_golden_of(name: &str, compressor: &dyn GradientCompressor, grad: &SparseGradient) {
     let _guard = LaneGuard::acquire();
-    assert_golden_bytes(name, compressor);
+    assert_golden_bytes(name, compressor, grad);
     sketchml_core::simd::force_scalar(true);
-    assert_golden_bytes(name, compressor);
+    assert_golden_bytes(name, compressor, grad);
 }
 
 /// Encode → compare against golden bytes → decode golden bytes, once on a
 /// fresh scratch (`compress` / `decompress`) and once on a used one.
-fn assert_golden_bytes(name: &str, compressor: &dyn GradientCompressor) {
-    let grad = canonical_gradient();
-    let encoded = compressor.compress(&grad).expect("compress").payload;
+fn assert_golden_bytes(name: &str, compressor: &dyn GradientCompressor, grad: &SparseGradient) {
+    let encoded = compressor.compress(grad).expect("compress").payload;
     let golden = load_or_regen(name, &encoded);
     assert_eq!(
         to_hex(&golden),
@@ -156,7 +177,7 @@ fn assert_golden_bytes(name: &str, compressor: &dyn GradientCompressor) {
     let mut scratch = used_scratch();
     let mut out = BytesMut::new();
     compressor
-        .compress_into(&grad, &mut scratch, &mut out)
+        .compress_into(grad, &mut scratch, &mut out)
         .expect("compress_into");
     assert_eq!(
         to_hex(&golden),
@@ -181,9 +202,71 @@ fn assert_golden_bytes(name: &str, compressor: &dyn GradientCompressor) {
     );
 }
 
+/// The v2 frame, with its exact section: the four pairs of largest |v|
+/// of the 2,048 come back bit for bit.
 #[test]
 fn sketchml_payload_matches_golden_fixture() {
-    assert_golden("sketchml_seed901df1.hex", &SketchMlCompressor::default());
+    let codec = SketchMlCompressor::default();
+    let grad = wide_gradient();
+    assert_golden_of("sketchml_v2_seed901df1.hex", &codec, &grad);
+    let golden = read_fixture("sketchml_v2_seed901df1.hex");
+    assert_eq!(golden[1], 2, "frame version");
+    let decoded = codec.decompress(&golden).expect("decode fixture");
+    let mut by_size: Vec<usize> = (0..grad.nnz()).collect();
+    by_size.sort_by(|&a, &b| grad.values()[b].abs().total_cmp(&grad.values()[a].abs()));
+    for &i in &by_size[..grad.nnz() / 512] {
+        assert_eq!(
+            decoded.values()[i].to_bits(),
+            grad.values()[i].to_bits(),
+            "key {} is one of the largest |v| and ships exact",
+            grad.keys()[i]
+        );
+    }
+}
+
+/// The frame before the exact section (version 1) still decodes, through
+/// the same decoder, to the gradient it always did: a v1 frame is the v2
+/// frame of zero exact pairs without its exact-pair count, and both decode
+/// to the same bits. The committed bytes are read, never rewritten.
+#[test]
+fn sketchml_v1_fixture_decodes_unchanged() {
+    use sketchml::encoding::varint::write_u64;
+    let codec = SketchMlCompressor::default();
+    let grad = canonical_gradient();
+    let v1 = read_fixture("sketchml_seed901df1.hex");
+    let mut v2 = BytesMut::new();
+    codec
+        .compress_exact_into(&grad, 0, &mut CompressScratch::new(), &mut v2)
+        .expect("compress");
+    // The count of exact pairs (varint 0) sits after magic, version, seed
+    // and the dim, nnz and rows varints.
+    let mut header = Vec::new();
+    for field in [grad.dim(), grad.nnz() as u64, 2] {
+        write_u64(&mut header, field);
+    }
+    let at = 10 + header.len();
+    assert_eq!((v2[1], v2[at]), (2, 0));
+    let mut as_v1 = v2.to_vec();
+    as_v1.remove(at);
+    as_v1[1] = 1;
+    assert_eq!(
+        to_hex(&v1),
+        to_hex(&as_v1),
+        "the v1 fixture is the k = 0 frame"
+    );
+
+    let want = codec.decompress(&v2).expect("decode v2");
+    let mut scratch = used_scratch();
+    let mut pooled = SparseGradient::empty(0);
+    codec
+        .decompress_into(&v1, &mut scratch, &mut pooled)
+        .expect("decode v1 on a used scratch");
+    for got in [codec.decompress(&v1).expect("decode v1"), pooled] {
+        assert_eq!(got.keys(), grad.keys());
+        assert_eq!(got.dim(), want.dim());
+        let bits = |g: &SparseGradient| g.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+    }
 }
 
 #[test]
@@ -266,7 +349,8 @@ fn every_decoder_guard_fires_through_decompress() {
         pack_u16(values, bits, &mut out).expect("valid cells");
         out
     }
-    // SketchML header: magic, version, seed, dim = 1000, nnz, rows.
+    // SketchML header of version 1, which has no exact section: magic,
+    // version, seed, dim = 1000, nnz, rows.
     fn skm(nnz: u64, rows: u64) -> Vec<u8> {
         cat(&[&[0xA7, 1], &[0; 8], &v(1000), &v(nnz), &v(rows)])
     }
@@ -477,6 +561,81 @@ fn every_decoder_guard_fires_through_decompress() {
         .decompress(&interleaved)
         .expect("sections in any order merge");
     assert_eq!(merged.keys(), &[7, 8, 9]);
+
+    // Version 2: the exact section sits between the header and the sides,
+    // `count | delta-binary keys | count f64 values`. Its guards are all
+    // `Corrupt`.
+    fn skm2(nnz: u64) -> Vec<u8> {
+        cat(&[&[0xA7, 2], &[0; 8], &v(1000), &v(nnz), &v(2)])
+    }
+    let exact = |keys: &[u64], values: &[f64]| {
+        let mut block = Vec::new();
+        encode_keys(keys, &mut block).expect("valid keys");
+        let values: Vec<u8> = values.iter().flat_map(|x| x.to_le_bytes()).collect();
+        cat(&[&v(keys.len() as u64), &block, &values])
+    };
+    let no_sides = cat(&[&v(0), &v(0)]);
+    let exact_cases = [
+        (
+            "exact section declares 1000000 pairs beyond the payload",
+            cat(&[&skm2(1), &v(1_000_000), &[0; 64]]),
+        ),
+        (
+            "exact section declared 2 keys, decoded 1",
+            cat(&[&skm2(2), &v(2), &key7, &[0; 32]]),
+        ),
+        (
+            "truncated exact values",
+            cat(&[&skm2(1), &v(1), &key7, &[0; 6]]),
+        ),
+        (
+            "exact key 1000 out of range for dimension 1000",
+            cat(&[&skm2(1), &exact(&[1000], &[0.5]), &no_sides]),
+        ),
+        (
+            "exact keys not strictly ascending (position 1)",
+            cat(&[&skm2(2), &v(2), &[2, 0b0000, 7, 0], &[0; 16], &no_sides]),
+        ),
+        (
+            "exact key 7 is also in a sketched section",
+            cat(&[
+                &skm2(2),
+                &exact(&[7], &[0.5]),
+                &side(1, 1, 1, 1, 8),
+                &section(&[7]),
+                &v(0),
+            ]),
+        ),
+        (
+            "non-finite exact value NaN at position 0",
+            cat(&[&skm2(1), &exact(&[7], &[f64::NAN]), &no_sides]),
+        ),
+        (
+            "declared 2 pairs, decoded 1",
+            cat(&[&skm2(2), &exact(&[7], &[0.5]), &no_sides]),
+        ),
+    ];
+    check(&SketchMlCompressor::default(), &exact_cases);
+    for (needle, payload) in &exact_cases {
+        let refused = SketchMlCompressor::default().decompress(payload);
+        assert!(
+            matches!(&refused, Err(CompressError::Corrupt(why)) if why.contains(needle)),
+            "{needle}: {refused:?}"
+        );
+    }
+    // Exact keys between, before and after sketched ones merge into place.
+    let with_exact = cat(&[
+        &skm2(5),
+        &exact(&[2, 8, 40], &[-3.5, 2.5, 9.0]),
+        &side(2, 1, 1, 1, 8),
+        &section(&[7, 9]),
+        &v(0),
+    ]);
+    let merged = SketchMlCompressor::default()
+        .decompress(&with_exact)
+        .expect("exact pairs merge with the runs");
+    assert_eq!(merged.keys(), &[2, 7, 8, 9, 40]);
+    assert_eq!(merged.values(), &[-3.5, 0.0, 2.5, 0.0, 9.0]);
     let q = cat(&[&[0xA5], &v(100), &g]);
     check(
         &QuantCompressor::default(),
@@ -835,11 +994,12 @@ fn checkpoint_v3_frame_matches_golden_fixture_and_the_v2_document_still_decodes(
 
 #[test]
 fn fixtures_are_committed_not_regenerated_in_ci() {
-    // All four fixtures must exist in the tree; the other tests would
+    // Every fixture must exist in the tree; the other tests would
     // otherwise fail with a pointed message, but this one makes the
     // invariant explicit and cheap to locate.
     for name in [
         "sketchml_seed901df1.hex",
+        "sketchml_v2_seed901df1.hex",
         "zipml_seed901df1.hex",
         "sketchml_sharded4_seed901df1.hex",
         "sketchml_sharded4_v2_seed901df1.hex",

@@ -229,6 +229,17 @@ fn warm_compress_into_and_decompress_into_allocate_nothing() {
                 std::hint::black_box(decoded.nnz());
             });
             assert_eq!(decoded.nnz(), d, "{name} at d={d}");
+            if name == "serial" {
+                // The window covered `sketchml`'s exact section: ⌊d/512⌋
+                // pairs, the largest |v| among them, come back bit for bit.
+                let top = (0..d)
+                    .max_by(|&a, &b| grad.values()[a].abs().total_cmp(&grad.values()[b].abs()))
+                    .expect("non-empty");
+                assert_eq!(
+                    decoded.values()[top].to_bits(),
+                    grad.values()[top].to_bits()
+                );
+            }
             assert_eq!(
                 allocs, 0,
                 "{name}: warm decompress_into allocated {allocs} times over {CALLS} calls at d={d}"
@@ -239,6 +250,7 @@ fn warm_compress_into_and_decompress_into_allocate_nothing() {
     worker_step_allocates_only_its_payload();
     replica_apply_allocates_nothing();
     a_million_empty_groups_allocate_less_than_their_frame();
+    an_exact_count_past_the_frame_sizes_nothing();
 }
 
 /// A worker's half of a round on a warm `WorkerScratch`: its rows of the
@@ -349,5 +361,31 @@ fn a_million_empty_groups_allocate_less_than_their_frame() {
         largest < 1024,
         "decoding {} bytes of empty groups on a fresh scratch asked for {largest} B at once",
         frame.len()
+    );
+}
+
+/// A version 2 SketchML frame whose exact section declares far more pairs
+/// than the frame holds: a typed refusal before anything is sized from the
+/// count.
+fn an_exact_count_past_the_frame_sizes_nothing() {
+    let mut frame = vec![0xA7, 2];
+    frame.put_u64_le(0); // seed
+    for header in [1000, 1, 2, 1 << 40] {
+        varint::write_u64(&mut frame, header); // dim, nnz, rows, exact pairs
+    }
+    frame.resize(frame.len() + 64, 0);
+
+    let mut scratch = CompressScratch::new();
+    let mut out = SparseGradient::empty(0);
+    LARGEST.store(0, Ordering::Relaxed);
+    let refused = SketchMlCompressor::default().decompress_into(&frame, &mut scratch, &mut out);
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(
+        matches!(&refused, Err(CompressError::Corrupt(why)) if why.contains("beyond the payload")),
+        "{refused:?}"
+    );
+    assert!(
+        largest < 1024,
+        "an exact count of 2^40 on a fresh scratch asked for {largest} B at once"
     );
 }
