@@ -4,10 +4,11 @@
 //! standard repair from the literature. We measure: does EF rescue
 //! truncation, and does it tighten SketchML's decay?
 //!
-//! The trainer shares one compressor instance across workers and the
-//! driver, so this experiment runs with a **single worker and uncompressed
-//! downlink** — the configuration in which the wrapper's residual stream
-//! sees exactly one gradient sequence and EF's semantics are textbook.
+//! The trainer shares one compressor instance across its workers, so this
+//! experiment runs with a **single worker** — the configuration in which
+//! the wrapper's residual stream sees exactly one gradient sequence and
+//! EF's semantics are textbook. The driver only decodes what arrives and
+//! forwards the frames; it encodes nothing into that stream.
 
 use serde::Serialize;
 use sketchml_bench::output::{print_table, write_json, ExperimentOutput};
@@ -33,8 +34,7 @@ fn main() {
         .unwrap_or(12);
     let spec = scaled(SparseDatasetSpec::kdd10_like());
     let (train, test) = spec.generate_split();
-    let mut cluster = ClusterConfig::cluster1(1);
-    cluster.compress_downlink = false;
+    let cluster = ClusterConfig::cluster1(1);
     let tspec = TrainSpec::paper(GlmLoss::Logistic, 0.02, epochs);
 
     let methods: Vec<(String, Box<dyn GradientCompressor>)> = vec![

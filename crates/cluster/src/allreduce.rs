@@ -25,8 +25,9 @@
 //! of the member count, so a smaller group computes the same math.
 
 use crate::config::ClusterConfig;
-use crate::engine::{train_glm, Aggregate, Aggregation, Ctx, Exchange, GlmTask, Round};
+use crate::engine::{train_glm, Aggregation, Ctx, Exchange, GlmTask, Model, Round};
 use crate::faults::{FaultPlan, FaultyLink};
+use crate::replica::Replica;
 use crate::trainer::{TrainReport, TrainSpec};
 use crate::worker::WorkerMessage;
 use sketchml_collectives::{allreduce, Contribution, Hop, RemappedTransport, Topology, Transport};
@@ -202,11 +203,12 @@ impl<'a> Collective<'a> {
 }
 
 impl Exchange for Collective<'_> {
-    fn aggregate(
+    fn step<M: Model>(
         &mut self,
         round: &mut Round<'_>,
         parts: Vec<Option<WorkerMessage>>,
-    ) -> Result<Option<Aggregate>, CompressError> {
+        replica: &mut Replica<M>,
+    ) -> Result<Option<f64>, CompressError> {
         let (cluster, dim) = (self.cx.cluster, self.cx.dim as u64);
         let (link, es) = (&mut *round.link, &mut *round.es);
         // The physical slots of the workers that are up; a crashed one's
@@ -215,6 +217,7 @@ impl Exchange for Collective<'_> {
             .filter_map(|(slot, m)| m.as_ref().map(|_| slot))
             .collect();
         if up.is_empty() {
+            replica.step(None);
             return Ok(None);
         }
         let alive: Vec<&WorkerMessage> = parts.iter().flatten().collect();
@@ -270,9 +273,7 @@ impl Exchange for Collective<'_> {
             .sum::<u64>();
         es.measured_codec_seconds += alive.iter().map(|m| m.measured_codec).sum::<f64>();
         es.measured_codec_seconds += merge_wall;
-        Ok(Some(Aggregate {
-            gradient: reduced.gradient,
-            batch_loss: loss_sum / total_instances.max(1) as f64,
-        }))
+        replica.step(Some(&reduced.gradient));
+        Ok(Some(loss_sum / total_instances.max(1) as f64))
     }
 }

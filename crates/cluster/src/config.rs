@@ -14,10 +14,6 @@ pub struct ClusterConfig {
     pub cost: CostModel,
     /// Mini-batch size as a fraction of the training set (§4.1: 10%).
     pub batch_ratio: f64,
-    /// Whether the driver compresses the broadcast update with the same
-    /// compressor (the paper's driver broadcasts the model delta; both
-    /// directions shrink under compression).
-    pub compress_downlink: bool,
     /// How worker gradients are aggregated by [`crate::train_allreduce`]:
     /// the default [`Topology::Star`] funnels everything through the
     /// driver, [`Topology::Ring`] and [`Topology::Tree`] merge compressed
@@ -36,7 +32,6 @@ impl ClusterConfig {
             workers: workers.max(1),
             cost: CostModel::cluster1(),
             batch_ratio: 0.1,
-            compress_downlink: true,
             topology: Topology::Star,
         }
     }
@@ -47,7 +42,6 @@ impl ClusterConfig {
             workers: workers.max(1),
             cost: CostModel::cluster2(),
             batch_ratio: 0.1,
-            compress_downlink: true,
             topology: Topology::Star,
         }
     }
@@ -62,7 +56,6 @@ impl ClusterConfig {
             workers: 1,
             cost,
             batch_ratio: 0.1,
-            compress_downlink: false,
             topology: Topology::Star,
         }
     }

@@ -1,7 +1,14 @@
-//! Driver-side logic: decompress worker messages, aggregate gradients,
-//! update the model, and prepare the (optionally compressed) broadcast
-//! (paper §4.1: "The driver aggregates gradients from the executors,
-//! updates the trained model, and broadcasts the updated model").
+//! Driver-side arithmetic (paper §4.1: "The driver aggregates gradients
+//! from the executors, updates the trained model, and broadcasts the
+//! updated model"): [`combine`], the one fold every trainer reaches a
+//! round's gradient through — the socket server, its workers and the
+//! simulated driver star, each by [`crate::Replica::apply`].
+//!
+//! [`aggregate`], with [`DriverScratch`] and [`AggregationResult`], is the
+//! decode loop plus `combine` that the simulated star called before it
+//! stepped the replica like the server. The benchmark harness
+//! (`benchmark/src/replay.rs`) is now their only caller; ROADMAP item 0's
+//! benchmark-only change retires them.
 
 use crate::network::CostModel;
 use crate::worker::WorkerMessage;
@@ -104,7 +111,8 @@ pub(crate) fn combine_into(
 }
 
 /// Decodes every worker message, averages the gradients, and sizes the
-/// broadcast.
+/// broadcast of the average: re-encoded when `encode_downlink`, else 12
+/// bytes a pair.
 ///
 /// The aggregate is the instance-weighted mean of the workers' (already
 /// per-instance-averaged) gradients, matching a global batch average: a
@@ -117,7 +125,7 @@ pub fn aggregate(
     dim: u64,
     compressor: &dyn GradientCompressor,
     cost: &CostModel,
-    compress_downlink: bool,
+    encode_downlink: bool,
     ds: &mut DriverScratch,
 ) -> Result<AggregationResult, CompressError> {
     let t0 = Instant::now();
@@ -138,7 +146,7 @@ pub fn aggregate(
     };
 
     // Downlink: the driver ships the aggregated update to every worker.
-    let downlink_bytes = if compress_downlink {
+    let downlink_bytes = if encode_downlink {
         compressor.compress_into(&gradient, &mut ds.scratch, &mut ds.out)?;
         pairs += gradient.nnz();
         ds.out.len()

@@ -36,11 +36,13 @@
 //! [`run`] is generic over two things. A [`Model`] is what the workers
 //! step: a GLM ([`sketchml_ml::GlmModel`]) or the §B.3 MLP
 //! ([`sketchml_ml::Mlp`]). An [`Exchange`] holds only what differs between
-//! the aggregations: how the workers' results become one gradient and what
-//! that costs on the simulated clock. Every simulated run, GLM or MLP, goes
-//! through `run`, with one shuffle ([`Schedule`]), one price rule per
-//! exchange and one round rule (`Replica::step`, the step the socket server
-//! and its workers take too); the MLP rides the driver star
+//! the aggregations: how the workers' results become one step of the
+//! run's [`Replica`] and what that costs on the simulated clock. Every
+//! simulated run, GLM or MLP, goes through `run`, with one shuffle
+//! ([`Schedule`]), one price rule per exchange and one round rule: the
+//! driver star steps the replica through [`Replica::apply`], the call the
+//! socket server and its workers make too, and the collective steps it
+//! with its reduced gradient. The MLP rides the driver star
 //! ([`crate::mlp_trainer`]).
 
 use crate::allreduce::Collective;
@@ -49,9 +51,7 @@ use crate::faults::{CrashPhase, FaultPlan, FaultyLink, Transmission};
 use crate::replica::{Replica, Schedule};
 use crate::trainer::{DriverStar, EpochStats, TrainOutcome, TrainReport, TrainSpec};
 use crate::worker::{partition, process_rows, WorkerMessage, WorkerScratch};
-use sketchml_core::{
-    CompressError, GradientCompressor, MergePolicy, MergeableCompressor, SparseGradient,
-};
+use sketchml_core::{CompressError, GradientCompressor, MergePolicy, MergeableCompressor};
 use sketchml_ml::metrics::{ConvergenceDetector, LossPoint};
 use sketchml_ml::{BatchGradient, Checkpoint, GradScratch, Instance, OptimizerState};
 use std::borrow::Cow;
@@ -78,7 +78,9 @@ impl<'a> GlmTask<'a> {
 #[derive(Clone, Copy)]
 pub enum Aggregation<'a> {
     /// The paper's driver star (§4.1): every worker pushes its compressed
-    /// gradient to the driver, which decodes, averages and broadcasts.
+    /// gradient to the driver, which decodes the round's gradients, steps
+    /// the replica with their combination and forwards each worker its
+    /// peers' frames.
     Driver(&'a dyn GradientCompressor),
     /// Peer-to-peer allreduce along `cluster.topology` over the round's up
     /// workers ([`crate::allreduce`]).
@@ -187,9 +189,9 @@ pub(crate) struct Ctx<'a> {
     pub(crate) compressor: &'a dyn GradientCompressor,
 }
 
-/// What the round loop needs of a model. [`sketchml_ml::GlmModel`] and
-/// [`sketchml_ml::Mlp`] implement it.
-pub(crate) trait Model: Sync {
+/// What the round loop and a [`Replica`] need of a model.
+/// [`sketchml_ml::GlmModel`] and [`sketchml_ml::Mlp`] implement it.
+pub trait Model: Sync {
     /// One training or test row.
     type Instance: Sync;
 
@@ -361,28 +363,23 @@ pub(crate) struct Round<'r> {
     pub(crate) es: &'r mut EpochStats,
 }
 
-/// One round's aggregated result.
-pub(crate) struct Aggregate {
-    /// The gradient to apply.
-    pub(crate) gradient: SparseGradient,
-    /// Mean per-instance training loss over the delivered slices.
-    pub(crate) batch_loss: f64,
-}
-
 /// What differs between the aggregations: how the workers' messages become
-/// one aggregated gradient and what that costs on the simulated clock. Who
-/// works the round is [`run`]'s call ([`crash_roster`]), and the worker
-/// step itself is the same for every exchange ([`process_rows`]).
+/// one step of the run's [`Replica`] and what that costs on the simulated
+/// clock. Who works the round is [`run`]'s call ([`crash_roster`]), and the
+/// worker step itself is the same for every exchange ([`process_rows`]).
 pub(crate) trait Exchange {
     /// Moves the parts (indexed by worker slot; `None` = down) through the
-    /// link and reduces whatever arrives to one gradient, charging
-    /// `round.es`. `None` means nothing arrived, so no round took place
-    /// (its time was still spent).
-    fn aggregate(
+    /// link, reduces whatever arrives to one gradient and steps `replica`
+    /// across the round with it, charging `round.es`. Returns the round's
+    /// mean per-instance training loss over the delivered slices; `None`
+    /// means nothing arrived, so the replica stepped without a gradient and
+    /// no round took place (its time was still spent).
+    fn step<M: Model>(
         &mut self,
         round: &mut Round<'_>,
         parts: Vec<Option<WorkerMessage>>,
-    ) -> Result<Option<Aggregate>, CompressError>;
+        replica: &mut Replica<M>,
+    ) -> Result<Option<f64>, CompressError>;
 }
 
 /// The barrier-synchronous round loop shared by every model and
@@ -462,10 +459,8 @@ pub(crate) fn run<M: Model, E: Exchange>(
                 es: &mut es,
             };
             global_batch += 1;
-            let aggregate = exchange.aggregate(&mut round, parts)?;
-            replica.step(aggregate.as_ref().map(|a| &a.gradient));
-            if let Some(aggregate) = aggregate {
-                loss_accum += aggregate.batch_loss;
+            if let Some(batch_loss) = exchange.step(&mut round, parts, &mut replica)? {
+                loss_accum += batch_loss;
                 rounds_done += 1;
             }
         }
@@ -604,7 +599,7 @@ mod tests {
             NetworkModel::cluster1().transfer_time(64),
             "one clean transfer, no backoff"
         );
-        assert_eq!(link.broadcast_penalty(0, 4096), 0.0);
+        assert_eq!(link.downlink_penalty(0, &[4096; 2]), 0.0);
         assert!(link.into_trace().events.is_empty());
     }
 }

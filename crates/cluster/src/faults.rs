@@ -414,7 +414,6 @@ pub enum CrashPhase {
 pub struct FaultyLink {
     plan: FaultPlan,
     net: NetworkModel,
-    workers: usize,
     rng: SplitMix64,
     trace: FaultTrace,
     /// Per-crash-event flags so Crashed/Rejoin fire exactly once each.
@@ -435,7 +434,6 @@ impl FaultyLink {
             rejoin_seen: vec![false; plan.crashes.len()],
             plan: plan.clone(),
             net,
-            workers,
             trace: FaultTrace::default(),
         })
     }
@@ -549,18 +547,20 @@ impl FaultyLink {
         }
     }
 
-    /// Simulated extra seconds the downlink broadcast of `bytes` costs under
-    /// faults: each worker's copy may be dropped or rejected as corrupt,
-    /// forcing a re-pull charged as one transfer plus backoff.
+    /// Simulated extra seconds a round's downlink replies cost under faults:
+    /// `replies[w]` is the bytes of slot `w`'s reply, one entry per
+    /// configured slot in slot order. Each reply may be dropped or rejected
+    /// as corrupt, forcing a re-send of that reply charged as one transfer
+    /// plus backoff.
     ///
     /// The simulated downlink carries no bytes to verify, so every corrupted
-    /// copy counts as detected. The simulator keeps a single authoritative
+    /// reply counts as detected. The simulator keeps a single authoritative
     /// model, so a worker that exhausts its attempts proceeds with its stale
     /// copy — only time diverges, never state.
-    pub fn broadcast_penalty(&mut self, batch: u64, bytes: usize) -> f64 {
-        let transfer = self.net.transfer_time(bytes);
+    pub fn downlink_penalty(&mut self, batch: u64, replies: &[usize]) -> f64 {
         let mut penalty = 0.0f64;
-        for worker in 0..self.workers {
+        for (worker, &bytes) in replies.iter().enumerate() {
+            let transfer = self.net.transfer_time(bytes);
             for attempt in 1..=self.plan.max_attempts {
                 let dropped = self.rng.next_f64() < self.plan.drop_prob;
                 let corrupted = self.rng.next_f64() < self.plan.corrupt_prob;
@@ -732,7 +732,7 @@ mod tests {
                     let tx = link.transmit(w, batch, &payload, &mut |_| false);
                     delivered.push((tx.payload.is_some(), tx.bytes_on_wire));
                 }
-                link.broadcast_penalty(batch, 128);
+                link.downlink_penalty(batch, &[128; 3]);
             }
             (link.into_trace(), delivered)
         };
@@ -884,15 +884,15 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_penalty_zero_without_faults_positive_with() {
+    fn downlink_penalty_zero_without_faults_positive_with() {
         let mut clean = FaultyLink::new(&FaultPlan::seeded(5), net(), 8).unwrap();
-        assert_eq!(clean.broadcast_penalty(0, 4096), 0.0);
+        assert_eq!(clean.downlink_penalty(0, &[4096; 8]), 0.0);
 
         let plan = FaultPlan::seeded(5).with_drops(0.5);
         let mut lossy = FaultyLink::new(&plan, net(), 8).unwrap();
         let mut total = 0.0;
         for b in 0..20 {
-            total += lossy.broadcast_penalty(b, 4096);
+            total += lossy.downlink_penalty(b, &[4096; 8]);
         }
         assert!(total > 0.0, "50% drops over 160 deliveries must cost time");
         assert!(lossy.trace().retransmits > 0);

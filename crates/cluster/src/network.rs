@@ -51,17 +51,6 @@ impl NetworkModel {
     pub fn transfer_time(&self, bytes: usize) -> f64 {
         self.latency + bytes as f64 / (self.bandwidth / self.congestion.max(1.0))
     }
-
-    /// Simulated seconds to broadcast `bytes` to `workers` receivers.
-    ///
-    /// Spark distributes broadcast variables peer-to-peer (torrent
-    /// broadcast): blocks pipeline through the swarm, so the payload cost is
-    /// a small constant multiple of one transfer regardless of fan-out; only
-    /// the coordination latency grows with ⌈log2(W + 1)⌉ rounds.
-    pub fn broadcast_time(&self, bytes: usize, workers: usize) -> f64 {
-        let rounds = ((workers + 1) as f64).log2().ceil().max(1.0);
-        self.latency * rounds + 2.0 * bytes as f64 / (self.bandwidth / self.congestion.max(1.0))
-    }
 }
 
 /// Full cost model: network plus per-operation compute costs.

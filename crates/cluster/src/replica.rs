@@ -5,8 +5,9 @@
 //! Every trainer below the wire steps a [`Replica`]: the simulator's round
 //! loop ([`crate::engine`]), the socket server, and every socket worker's
 //! copy of the server's state (`sketchml-net`). They agree because they are
-//! the same type stepped by the same `Replica::step`, not because a test
-//! compares them — and resuming from a [`Checkpoint`] and restoring from a
+//! the same type stepped by the same [`Replica::apply`] (the collective
+//! steps it with its reduced gradient), not because a test compares them —
+//! and resuming from a [`Checkpoint`] and restoring from a
 //! server's live state go through the same spec check,
 //! [`Replica::restore`].
 
@@ -59,33 +60,16 @@ impl<M> Replica<M> {
     pub(crate) fn into_parts(self) -> (M, OptimizerState) {
         (self.model, self.optimizer)
     }
+}
 
+impl<M: Model> Replica<M> {
     /// Steps the state across one round: one optimizer step with the
     /// round's aggregated `gradient`, none if nothing arrived.
-    pub(crate) fn step(&mut self, gradient: Option<&SparseGradient>)
-    where
-        M: Model,
-    {
+    pub(crate) fn step(&mut self, gradient: Option<&SparseGradient>) {
         if let Some(g) = gradient {
             self.model.apply(&mut self.optimizer, g.keys(), g.values());
         }
         self.rounds += 1;
-    }
-}
-
-impl Replica {
-    /// The zero GLM of dimension `dim` and the fresh optimizer of `spec`, no
-    /// rounds applied: where every participant starts.
-    ///
-    /// # Errors
-    /// [`CompressError::InvalidConfig`] if `spec` builds no model or
-    /// optimizer.
-    pub fn fresh(dim: usize, spec: &TrainSpec) -> Result<Self, CompressError> {
-        let invalid = |e: MlError| CompressError::InvalidConfig(e.to_string());
-        Ok(Replica::new(
-            GlmModel::new(dim, spec.loss, spec.l2).map_err(invalid)?,
-            OptimizerState::build(spec.optimizer, spec.opt_state, dim).map_err(invalid)?,
-        ))
     }
 
     /// Steps the state across one closed round from its decoded `parts`
@@ -111,6 +95,22 @@ impl Replica {
         self.step(Some(&sum));
         self.sum = sum;
         Ok(())
+    }
+}
+
+impl Replica {
+    /// The zero GLM of dimension `dim` and the fresh optimizer of `spec`, no
+    /// rounds applied: where every participant starts.
+    ///
+    /// # Errors
+    /// [`CompressError::InvalidConfig`] if `spec` builds no model or
+    /// optimizer.
+    pub fn fresh(dim: usize, spec: &TrainSpec) -> Result<Self, CompressError> {
+        let invalid = |e: MlError| CompressError::InvalidConfig(e.to_string());
+        Ok(Replica::new(
+            GlmModel::new(dim, spec.loss, spec.l2).map_err(invalid)?,
+            OptimizerState::build(spec.optimizer, spec.opt_state, dim).map_err(invalid)?,
+        ))
     }
 
     /// Replaces model and optimizer by `state`, which has seen `rounds`

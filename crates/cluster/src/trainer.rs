@@ -5,20 +5,19 @@
 //! compressors reproduces every line of Figures 8–11 and Tables 2/4.
 
 use crate::config::ClusterConfig;
-use crate::driver::{aggregate, DriverScratch};
-use crate::engine::{
-    push, train_glm, Aggregate, Aggregation, Ctx, Exchange, GlmTask, Model, Round,
-};
+use crate::engine::{push, train_glm, Aggregation, Ctx, Exchange, GlmTask, Model, Round};
 use crate::faults::{FaultPlan, FaultTrace};
+use crate::replica::Replica;
 use crate::worker::WorkerMessage;
 use serde::{Deserialize, Serialize};
-use sketchml_core::{CompressError, GradientCompressor};
+use sketchml_core::{CompressError, CompressScratch, GradientCompressor, SparseGradient};
 use sketchml_ml::metrics::LossPoint;
 use sketchml_ml::{
     AdamConfig, BatchGradient, Checkpoint, GlmLoss, GlmModel, GradScratch, Instance, OptStateMode,
     OptimizerKind, OptimizerState,
 };
 use std::borrow::Cow;
+use std::time::Instant;
 
 /// Training hyper-parameters (§4.1 "Protocol": λ = 0.01, Adam β₁ = 0.9,
 /// β₂ = 0.999, ε = 1e-8, grid-searched η).
@@ -86,7 +85,8 @@ pub struct EpochStats {
     pub measured_codec_seconds: f64,
     /// Total uplink message bytes this epoch (real serialized sizes).
     pub uplink_bytes: u64,
-    /// Total downlink (broadcast) bytes this epoch.
+    /// Total downlink bytes this epoch: on the driver star, the frames the
+    /// up workers' replies carried (each its peers' frames that arrived).
     pub downlink_bytes: u64,
     /// Key-value pairs shipped uplink this epoch.
     pub pairs: u64,
@@ -205,19 +205,29 @@ pub fn train_distributed(
     train_glm(&task, spec, cluster, driver, &FaultPlan::none(), None).map(|o| o.report)
 }
 
-/// The paper's driver star as an [`Exchange`]: workers compress on their
-/// own threads, uplinks land serially at the driver's NIC, the driver
-/// decodes and averages ([`aggregate`]) and broadcasts torrent-style.
+/// The paper's driver star as an [`Exchange`], priced as the socket
+/// server runs it: workers compress on their own threads, uplinks land
+/// serially at the driver's NIC, the driver decodes what arrived and steps
+/// the run's replica through [`Replica::apply`] (the server's receive half,
+/// without sockets), then forwards each up worker the frames its peers
+/// pushed.
 pub(crate) struct DriverStar<'a> {
     cx: Ctx<'a>,
-    scratch: DriverScratch,
+    /// Codec state of the decodes.
+    scratch: CompressScratch,
+    /// A round's decoded parts and their instance counts, refilled in place
+    /// every round as the server refills its own.
+    parts: Vec<SparseGradient>,
+    instances: Vec<usize>,
 }
 
 impl<'a> DriverStar<'a> {
     pub(crate) fn new(cx: Ctx<'a>) -> Self {
         DriverStar {
             cx,
-            scratch: DriverScratch::new(),
+            scratch: CompressScratch::new(),
+            parts: Vec::new(),
+            instances: Vec::new(),
         }
     }
 }
@@ -271,11 +281,12 @@ impl Model for GlmModel {
 }
 
 impl Exchange for DriverStar<'_> {
-    fn aggregate(
+    fn step<M: Model>(
         &mut self,
         round: &mut Round<'_>,
         parts: Vec<Option<WorkerMessage>>,
-    ) -> Result<Option<Aggregate>, CompressError> {
+        replica: &mut Replica<M>,
+    ) -> Result<Option<f64>, CompressError> {
         let Ctx {
             cluster,
             dim,
@@ -289,15 +300,18 @@ impl Exchange for DriverStar<'_> {
             .fold(0.0f64, f64::max);
 
         // Uplink messages land serially at the driver's NIC. Lost ones
-        // simply drop out: the driver aggregates the survivors (instance
-        // weighting renormalizes automatically).
+        // simply drop out: the driver combines the survivors (instance
+        // weighting renormalizes automatically). `own[w]` is `None` for a
+        // down slot, else the bytes of slot `w`'s frame that arrived.
         let mut messages: Vec<WorkerMessage> = Vec::with_capacity(parts.len());
+        let mut own: Vec<Option<usize>> = vec![None; parts.len()];
         let mut uplink = 0.0f64;
         for (w, part) in parts.into_iter().enumerate() {
             let Some(mut m) = part else { continue };
             let tx = push(round.link, w, round.batch, &m.payload, compressor, dim);
             uplink += tx.sim_seconds;
             es.uplink_bytes += tx.bytes_on_wire;
+            own[w] = Some(tx.payload.as_ref().map_or(0, |p| p.len()));
             match tx.payload {
                 None => continue,
                 Some(Cow::Owned(corrupted)) => m.payload = corrupted,
@@ -313,35 +327,49 @@ impl Exchange for DriverStar<'_> {
             .map(|m| 12 * m.report.pairs as u64)
             .sum::<u64>();
         es.measured_codec_seconds += messages.iter().map(|m| m.measured_codec).sum::<f64>();
+
+        // The server's receive half: decode what arrived into the pooled
+        // parts, then one `Replica::apply` (no parts: no gradient).
+        let wall = Instant::now();
+        self.instances.clear();
+        self.instances.extend(messages.iter().map(|m| m.instances));
+        while self.parts.len() < messages.len() {
+            self.parts.push(SparseGradient::empty(0));
+        }
+        let mut pairs = 0usize;
+        for (m, part) in messages.iter().zip(&mut self.parts) {
+            compressor.decompress_into(&m.payload, &mut self.scratch, part)?;
+            pairs += part.nnz();
+        }
+        es.measured_codec_seconds += wall.elapsed().as_secs_f64();
+        es.codec_seconds += cluster.cost.codec_time(pairs);
+        replica.apply(&self.parts[..messages.len()], &self.instances)?;
         if messages.is_empty() {
             // Every contribution was lost or crashed: no round took place
             // (its time was still spent).
             return Ok(None);
         }
+        let loss_sum: f64 = messages.iter().map(|m| m.loss_sum).sum();
+        // `apply` held the counts' sum to a `usize`.
+        let batch_loss = match self.instances.iter().sum::<usize>() {
+            0 => 0.0,
+            n => loss_sum / n as f64,
+        };
 
-        let agg = aggregate(
-            &messages,
-            dim as u64,
-            compressor,
-            &cluster.cost,
-            cluster.compress_downlink,
-            &mut self.scratch,
-        )?;
-        // Downlink: torrent-style broadcast of the aggregated update, plus
-        // re-pulls for copies the fault plan rejects.
+        // Downlink: each up worker's reply carries the frames that arrived,
+        // its own left out, as the server's round reply does. The replies
+        // leave the driver's NIC one after another, plus re-sends of the
+        // replies the fault plan rejects.
+        let arrived: usize = own.iter().flatten().sum();
+        let replies: Vec<usize> = own.iter().map(|o| o.map_or(0, |b| arrived - b)).collect();
         let net = &cluster.cost.network;
-        let downlink = net.broadcast_time(agg.downlink_bytes, cluster.workers);
-        let downlink_penalty = round
-            .link
-            .broadcast_penalty(round.batch, agg.downlink_bytes);
-        es.codec_seconds += agg.sim_codec;
+        let downlink: f64 = (own.iter().flatten())
+            .map(|&b| net.transfer_time(arrived - b))
+            .sum();
+        let downlink_penalty = round.link.downlink_penalty(round.batch, &replies);
         es.comm_seconds += downlink + downlink_penalty;
-        es.measured_codec_seconds += agg.measured_codec;
-        es.downlink_bytes += (agg.downlink_bytes * cluster.workers) as u64;
-        Ok(Some(Aggregate {
-            gradient: agg.gradient,
-            batch_loss: agg.batch_loss,
-        }))
+        es.downlink_bytes += replies.iter().sum::<usize>() as u64;
+        Ok(Some(batch_loss))
     }
 }
 

@@ -27,7 +27,5 @@ proptest! {
         let (lo, hi) = (a.min(b), a.max(b));
         prop_assert!(net.transfer_time(lo) <= net.transfer_time(hi));
         prop_assert!(net.transfer_time(lo) >= net.latency);
-        // Broadcast is at least one transfer's payload cost.
-        prop_assert!(net.broadcast_time(hi, 8) >= 2.0 * hi as f64 / net.bandwidth);
     }
 }

@@ -56,24 +56,6 @@ impl SparseGradient {
         Ok(SparseGradient { dim, keys, values })
     }
 
-    /// Builds a gradient from a dense vector, keeping entries with
-    /// `|v| > threshold` (use `0.0` to keep every nonzero).
-    pub fn from_dense(dense: &[f64], threshold: f64) -> Self {
-        let mut keys = Vec::new();
-        let mut values = Vec::new();
-        for (k, &v) in dense.iter().enumerate() {
-            if v.abs() > threshold && v != 0.0 {
-                keys.push(k as u64);
-                values.push(v);
-            }
-        }
-        SparseGradient {
-            dim: dense.len() as u64,
-            keys,
-            values,
-        }
-    }
-
     /// Overwrites this gradient in place from parallel key/value slices,
     /// reusing its existing buffer capacity — the allocation-free counterpart
     /// of [`Self::new`], with the identical validation contract.
@@ -613,20 +595,9 @@ mod tests {
     }
 
     #[test]
-    fn from_dense_filters() {
-        let g = SparseGradient::from_dense(&[0.0, 0.5, -0.001, 0.0, 2.0], 0.01);
-        assert_eq!(g.keys(), &[1, 4]);
-        assert_eq!(g.values(), &[0.5, 2.0]);
-        assert_eq!(g.dim(), 5);
-        let all = SparseGradient::from_dense(&[0.0, 0.5, -0.001], 0.0);
-        assert_eq!(all.nnz(), 2);
-    }
-
-    #[test]
-    fn dense_roundtrip() {
-        let dense = vec![0.0, 1.5, 0.0, -2.5, 0.0];
-        let g = SparseGradient::from_dense(&dense, 0.0);
-        assert_eq!(g.to_dense(), dense);
+    fn to_dense_places_every_pair() {
+        let g = SparseGradient::new(5, vec![1, 3], vec![1.5, -2.5]).unwrap();
+        assert_eq!(g.to_dense(), vec![0.0, 1.5, 0.0, -2.5, 0.0]);
     }
 
     #[test]

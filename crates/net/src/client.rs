@@ -82,6 +82,8 @@ pub struct Replica {
     /// This worker's own part of the round being pulled.
     own: SparseGradient,
     instances: Vec<usize>,
+    /// Bytes of the peers' frames this replica has stepped from.
+    peer_frame_bytes: u64,
 }
 
 impl Replica {
@@ -105,6 +107,7 @@ impl Replica {
             parts: Vec::new(),
             own: SparseGradient::empty(0),
             instances: Vec::new(),
+            peer_frame_bytes: 0,
         })
     }
 
@@ -126,6 +129,12 @@ impl Replica {
     /// The server said no round follows.
     pub fn done(&self) -> bool {
         self.done
+    }
+
+    /// Bytes of the peers' codec frames the replica has been stepped from:
+    /// what the server's round replies carried to this worker.
+    pub fn peer_frame_bytes(&self) -> u64 {
+        self.peer_frame_bytes
     }
 
     /// Applies a `Round` reply. `own` is `(frame, instances)` of the push
@@ -237,6 +246,9 @@ impl Replica {
         self.state
             .apply(&self.parts[..members.len()], &self.instances)
             .map_err(|e| NetError::Protocol(format!("round {round} does not combine: {e}")))?;
+        self.peer_frame_bytes += (members.iter())
+            .filter_map(|m| m.frame.as_ref().map(|f| f.len() as u64))
+            .sum::<u64>();
         self.done = done;
         Ok(Pulled::Round { listed })
     }
@@ -494,6 +506,9 @@ pub struct WorkerRunStats {
     /// started with the session and never lost two rounds, one for a worker
     /// respawned mid-run.
     pub pulls_state: u64,
+    /// Bytes of the peers' codec frames the worker's replica stepped from
+    /// ([`Replica::peer_frame_bytes`]).
+    pub peer_frame_bytes: u64,
 }
 
 /// Runs the complete worker participant loop against a live server: fetch
@@ -550,6 +565,7 @@ pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
         }
         if replica.done() {
             stats.final_round = replica.round();
+            stats.peer_frame_bytes = replica.peer_frame_bytes();
             return Ok(stats);
         }
 
@@ -587,6 +603,7 @@ pub fn run_worker(addr: &str, worker: u32) -> Result<WorkerRunStats, NetError> {
             PushStatus::Stale => stats.pushes_stale += 1,
             PushStatus::Done => {
                 stats.final_round = server_round;
+                stats.peer_frame_bytes = replica.peer_frame_bytes();
                 return Ok(stats);
             }
         }

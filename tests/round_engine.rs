@@ -18,8 +18,9 @@
 //! The five `mlp/*` entries were re-recorded when the MLP's own loop was
 //! deleted and the MLP began training through the engine's `run` over the
 //! driver star. It now batches with the engine's `Batcher` instead of its
-//! own LCG shuffle, is priced by the star's rule (worker and driver codec
-//! time, `compress_downlink`), and reports a `TrainReport`. So its losses,
+//! own LCG shuffle, is priced by the star's rule of the time (worker and
+//! driver codec time, a re-encoded aggregate broadcast), and reports a
+//! `TrainReport`. So its losses,
 //! accuracy, simulated seconds, uplink bytes and `retry_seconds` moved, and
 //! its report gained `TrainReport`'s keys. Every fault event and integer
 //! trace counter stayed as it was, and the other 29 entries are untouched.
@@ -58,6 +59,22 @@
 //! tree entries under `MergePolicy::Exact` ship aggregation frames, not
 //! `sketchml`'s, and did not move; nor did `driver/clean_raw`, which
 //! the re-record holds to its bits.
+//!
+//! The 16 star entries (`driver/*`, `mlp/*`) were re-priced
+//! (`REGEN_FIXTURES=star_prices`, [`regen_star_prices`]) when the driver
+//! star began to price the downlink the socket server sends: each up
+//! worker's reply carries the frames that arrived, its own left out, sent
+//! one after another from the driver's NIC, where the star had priced a
+//! torrent broadcast of a re-encoded aggregate to every configured worker.
+//! 164 leaves moved, and only these kinds: per-epoch `downlink_bytes` (a
+//! full round's is now (W − 1) × its uplink frames, `driver/clean` epoch 1
+//! 23,008 → 38,430 B), `comm_seconds`, `codec_seconds` (the driver decodes
+//! and no longer re-encodes) and `sim_seconds`, 31 of each;
+//! `curve[].seconds`, 31; and `trace.retry_seconds` in the nine entries
+//! whose plan re-sends a reply, which is now priced at that reply's bytes.
+//! The downlink's fault draws are the same sequence, one per configured
+//! slot, so every loss, accuracy, fault event and integer trace counter
+//! held its bits, and the 18 collective entries did not move at all.
 //!
 //! A run ships exactly the compressor it is given. The fixture's runs under
 //! a fault plan shipped `sketchml` in the one-shard checksummed v2 frame
@@ -453,12 +470,15 @@ fn the_engine_replays_the_five_loops_it_replaced() {
 /// them with `REGEN_FIXTURES=1 cargo test --test round_engine -- --ignored`:
 /// see [`regen_float_leaves`]. A commit that changes the `sketchml` frame
 /// re-records the entries that ship it with `REGEN_FIXTURES=sketchml`: see
-/// [`regen_sketchml_entries`].
+/// [`regen_sketchml_entries`]. A commit that changes only how the driver
+/// star prices its rounds re-records those prices with
+/// `REGEN_FIXTURES=star_prices`: see [`regen_star_prices`].
 #[test]
 #[ignore = "bit-exact floats are a same-machine property; run with --ignored"]
 fn the_replay_is_bit_exact_on_the_machine_that_wrote_the_fixture() {
     match std::env::var("REGEN_FIXTURES") {
         Ok(mode) if mode == "sketchml" => regen_sketchml_entries(),
+        Ok(mode) if mode == "star_prices" => regen_star_prices(),
         Ok(_) => regen_float_leaves(),
         Err(_) => replay_against_fixture(&|w, g| w.to_bits() == g.to_bits()),
     }
@@ -591,6 +611,103 @@ fn regen_float_leaves() {
     std::fs::write(path, serde_json::to_string_pretty(&fixture).unwrap() + "\n")
         .expect("write the fixture");
     eprintln!("{path}: {changed} float leaves rewritten, largest relative change {largest:e}");
+}
+
+/// Whether the leaf at `path` (as [`diff`] spells it) is one of the prices
+/// the driver star puts on a round: a star entry's (`driver/*`, `mlp/*`)
+/// per-epoch `downlink_bytes`, `comm_seconds`, `codec_seconds` and
+/// `sim_seconds`, its curve's `seconds`, and its trace's `retry_seconds`.
+fn is_star_price(path: &str) -> bool {
+    let star = path.starts_with(".driver/") || path.starts_with(".mlp/");
+    let leaf = path.rsplit('.').next().unwrap_or_default();
+    let epoch_price = matches!(
+        leaf,
+        "downlink_bytes" | "comm_seconds" | "codec_seconds" | "sim_seconds"
+    );
+    star && ((path.contains(".report.epochs[") && epoch_price)
+        || (path.contains(".report.curve[") && leaf == "seconds")
+        || path.ends_with(".trace.retry_seconds"))
+}
+
+/// Overwrites the leaves of `want` at which `pick` holds with `got`'s,
+/// counting those that moved. The documents have the same shape;
+/// `measured_*` fields are wall-clock and stay as they are.
+fn take_leaves(
+    path: &str,
+    want: &mut Value,
+    got: &Value,
+    pick: &dyn Fn(&str) -> bool,
+    changed: &mut usize,
+) {
+    match (want, got) {
+        (Value::Arr(w), Value::Arr(g)) => {
+            for (i, (w, g)) in w.iter_mut().zip(g).enumerate() {
+                take_leaves(&format!("{path}[{i}]"), w, g, pick, changed);
+            }
+        }
+        (Value::Obj(w), Value::Obj(g)) => {
+            for ((k, w), (_, g)) in w.iter_mut().zip(g) {
+                if !k.starts_with("measured_") {
+                    take_leaves(&format!("{path}.{k}"), w, g, pick, changed);
+                }
+            }
+        }
+        (w, g) => {
+            let moved = match (&*w, g) {
+                (Value::F64(a), Value::F64(b)) => a.to_bits() != b.to_bits(),
+                (a, b) => a != b,
+            };
+            if moved && pick(path) {
+                *w = g.clone();
+                *changed += 1;
+            }
+        }
+    }
+}
+
+/// Re-records the driver star's prices ([`is_star_price`]) from this
+/// commit's replay — for a change to how the star prices a round that
+/// leaves its arithmetic alone. Every other leaf of every entry, the 18
+/// collective entries whole, must hold its committed bits, or nothing is
+/// written; and the file must be one this printer reproduces byte for
+/// byte, so the diff shows the re-priced leaves and nothing else.
+fn regen_star_prices() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/round_engine_traces.json"
+    );
+    let text = std::fs::read_to_string(path).expect("read the fixture");
+    let mut fixture: Value = serde_json::from_str(&text).unwrap();
+    assert!(
+        serde_json::to_string_pretty(&fixture).unwrap() + "\n" == text,
+        "the printer does not reproduce {path}: a regen would rewrite every line"
+    );
+    let got = Value::Obj(replay());
+    let mut mismatches = Vec::new();
+    diff(
+        "",
+        &fixture,
+        &got,
+        &|w, g| w.to_bits() == g.to_bits(),
+        &mut mismatches,
+    );
+    let others: Vec<&String> = (mismatches.iter())
+        .filter(|m| !m.split_once(": ").is_some_and(|(at, _)| is_star_price(at)))
+        .collect();
+    assert!(
+        others.is_empty(),
+        "more than the star's prices moved; not writing:\n{}",
+        others
+            .iter()
+            .map(|m| m.as_str())
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    let mut changed = 0;
+    take_leaves("", &mut fixture, &got, &is_star_price, &mut changed);
+    std::fs::write(path, serde_json::to_string_pretty(&fixture).unwrap() + "\n")
+        .expect("write the fixture");
+    eprintln!("{path}: {changed} star price leaves re-recorded");
 }
 
 fn bits_equal(path: &str, want: &Value, got: &Value) {

@@ -213,7 +213,8 @@ fn four_workers_over_loopback_match_the_simulator_loss() {
 
 /// The server and its workers step the simulator's training state: with
 /// every round full, the server's final checkpoint — weights, optimizer
-/// moments, step counter, epochs — is the driver star's, byte for byte.
+/// moments, step counter, epochs — is the driver star's, byte for byte, and
+/// the peer frames the workers stepped from are the star's downlink bytes.
 #[test]
 #[cfg(unix)]
 fn sockets_and_simulator_end_in_the_same_checkpoint_bytes() {
@@ -243,9 +244,13 @@ fn sockets_and_simulator_end_in_the_same_checkpoint_bytes() {
                     std::thread::spawn(move || run_worker(&addr, w))
                 })
                 .collect();
-            for t in threads {
-                t.join().expect("worker thread").expect("worker trains");
-            }
+            let peer_frame_bytes: u64 = threads
+                .into_iter()
+                .map(|t| {
+                    let stats = t.join().expect("worker thread").expect("worker trains");
+                    stats.peer_frame_bytes
+                })
+                .sum();
             let summary = server.wait_trained();
             assert_eq!(summary.full_rounds, summary.rounds, "{cell}: {summary:?}");
             let (epochs_done, served) = Client::connect(&addr)
@@ -264,11 +269,21 @@ fn sockets_and_simulator_end_in_the_same_checkpoint_bytes() {
                 &sketchml::FaultPlan::none(),
                 None,
             )
-            .unwrap()
-            .checkpoint
-            .expect("a GLM run ends in a checkpoint")
-            .to_bytes()
             .unwrap();
+            // Every round is full, so the simulated star's downlink is
+            // exactly the peer frames the server's replies carried.
+            let downlink: u64 = simulated
+                .report
+                .epochs
+                .iter()
+                .map(|e| e.downlink_bytes)
+                .sum();
+            assert_eq!(peer_frame_bytes, downlink, "{cell}: downlink bytes");
+            let simulated = simulated
+                .checkpoint
+                .expect("a GLM run ends in a checkpoint")
+                .to_bytes()
+                .unwrap();
             assert_eq!(epochs_done, epochs as u64, "{cell}");
             assert!(served == simulated, "{cell}: checkpoints differ");
         }
