@@ -992,6 +992,72 @@ fn checkpoint_v3_frame_matches_golden_fixture_and_the_v2_document_still_decodes(
     );
 }
 
+/// Every optimizer state a checkpoint can hold, one per (rule, layout) in
+/// optimizer-tag order — SGD has no state to lay out, so seven in all: a
+/// 4-weight model after five steps whose gradients also name a key past the
+/// model (skipped), through 2 × 8 tables where sketched, so the stored cells
+/// carry hash collisions.
+fn every_optimizer_state() -> Vec<Checkpoint> {
+    let rules = [
+        OptimizerKind::Sgd(0.05),
+        OptimizerKind::Momentum(0.05, 0.9),
+        OptimizerKind::AdaGrad(0.1, 1e-6),
+        OptimizerKind::Adam(AdamConfig::with_lr(0.05)),
+    ];
+    let dense = rules.map(|kind| (kind, OptStateMode::Dense));
+    let sketched = rules[1..]
+        .iter()
+        .map(|&kind| (kind, OptStateMode::sketched(2, 8)));
+    dense
+        .into_iter()
+        .chain(sketched)
+        .map(|(kind, mode)| {
+            let mut model = GlmModel::new(4, GlmLoss::Logistic, 0.01).expect("model");
+            let mut opt = OptimizerState::build(kind, mode, 4).expect("optimizer");
+            for i in 0..5u64 {
+                let g = 0.125 * (i + 1) as f64;
+                model.apply_gradient(&mut opt, &[i % 4, (i + 1) % 4, 4], &[g, -0.5 * g, 1.0]);
+            }
+            Checkpoint::new(model, opt, 2)
+        })
+        .collect()
+}
+
+#[test]
+fn every_optimizer_state_matches_its_golden_v3_frame() {
+    const NAME: &str = "checkpoint_v3_every_state.hex";
+    let current: Vec<Vec<u8>> = every_optimizer_state()
+        .iter()
+        .map(|ck| ck.to_bytes().expect("encode"))
+        .collect();
+    // One frame per line, so a diff names the state that moved.
+    let path = fixture_path(NAME);
+    if std::env::var_os("REGEN_FIXTURES").is_some() {
+        let lines: Vec<String> = current.iter().map(|f| to_hex(f)).collect();
+        std::fs::write(&path, format!("{}\n", lines.join("\n"))).expect("write fixture");
+    }
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
+    let golden: Vec<Vec<u8>> = text.lines().map(from_hex).collect();
+    assert_eq!(golden.len(), 7, "one frame per optimizer state");
+    // The optimizer tag follows magic, version, loss, l2 and the 4 weights.
+    const TAG_AT: usize = 4 + 4 + 1 + 8 + 8 + 4 * 8;
+    for (tag, (golden, current)) in golden.iter().zip(&current).enumerate() {
+        assert_eq!(golden[TAG_AT], tag as u8, "frames are in tag order");
+        assert_eq!(
+            to_hex(golden),
+            to_hex(current),
+            "the v3 frame of optimizer tag {tag} changed"
+        );
+        Checkpoint::validate(golden).expect("fixture validates");
+        let decoded = Checkpoint::from_bytes(golden).expect("fixture decodes");
+        assert_eq!(
+            to_hex(&decoded.to_bytes().expect("re-encode")),
+            to_hex(golden)
+        );
+    }
+}
+
 #[test]
 fn fixtures_are_committed_not_regenerated_in_ci() {
     // Every fixture must exist in the tree; the other tests would
@@ -1008,6 +1074,7 @@ fn fixtures_are_committed_not_regenerated_in_ci() {
         "agg_ring3_seed901df1.hex",
         "csk_3x64k16_seed901df1.hex",
         "checkpoint_v3_sketched_adam.hex",
+        "checkpoint_v3_every_state.hex",
         "checkpoint_v2_sketched_adam.json",
         "worker_step_seed901df1.hex",
     ] {
