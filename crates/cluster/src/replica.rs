@@ -115,7 +115,8 @@ impl Replica {
 
     /// Replaces model and optimizer by `state`, which has seen `rounds`
     /// rounds — once `state` is held to this replica's spec: dimension,
-    /// loss, l2 and optimizer variant (kind and state layout) must match.
+    /// loss, l2 and optimizer spec (rule, hyper-parameters and state layout
+    /// with its table shape) must match.
     ///
     /// # Errors
     /// [`CompressError::InvalidConfig`] for a mismatch; the replica is
@@ -123,13 +124,13 @@ impl Replica {
     pub fn restore(&mut self, state: Checkpoint, rounds: u64) -> Result<(), CompressError> {
         let (have, got) = (&self.model, &state.model);
         let spec = |m: &GlmModel, o: &OptimizerState| {
-            let (loss, dim, l2, opt) = (m.loss, m.dim(), m.l2, o.name());
-            format!("a {loss:?} model of dimension {dim} (l2 {l2}) with {opt} state")
+            let (loss, dim, l2, opt, spec) = (m.loss, m.dim(), m.l2, o.name(), o.spec());
+            format!("a {loss:?} model of dimension {dim} (l2 {l2}) with {opt} state {spec:?}")
         };
         if got.dim() != have.dim()
             || got.loss != have.loss
             || got.l2.to_bits() != have.l2.to_bits()
-            || std::mem::discriminant(&state.optimizer) != std::mem::discriminant(&self.optimizer)
+            || state.optimizer.spec() != self.optimizer.spec()
         {
             return Err(CompressError::InvalidConfig(format!(
                 "{}, the run trains {}",

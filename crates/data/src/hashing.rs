@@ -98,7 +98,9 @@ mod tests {
         let train_h = hash_dataset(&train, width, 11).unwrap();
         let test_h = hash_dataset(&test, width, 11).unwrap();
         let mut model = GlmModel::new(width as usize, GlmLoss::Logistic, 1e-4).unwrap();
-        let mut opt = Adam::new(width as usize, AdamConfig::with_lr(0.05)).unwrap();
+        let mut opt = Adam::new(width as usize, AdamConfig::with_lr(0.05))
+            .unwrap()
+            .into();
         for _ in 0..60 {
             let g = model.batch_gradient(&train_h);
             model.apply_gradient(&mut opt, &g.keys, &g.values);

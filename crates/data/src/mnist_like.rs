@@ -149,7 +149,9 @@ mod tests {
         let spec = MnistLikeSpec::small();
         let (train, test) = spec.generate_split();
         let mut mlp = Mlp::new(&MlpConfig::small(spec.pixels(), 16, spec.classes)).unwrap();
-        let mut opt = Adam::new(mlp.num_params(), AdamConfig::with_lr(0.02)).unwrap();
+        let mut opt = Adam::new(mlp.num_params(), AdamConfig::with_lr(0.02))
+            .unwrap()
+            .into();
         for _ in 0..40 {
             let (g, _) = mlp.batch_gradient(&train);
             mlp.apply_dense_gradient(&mut opt, &g);

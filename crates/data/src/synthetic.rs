@@ -335,7 +335,7 @@ mod tests {
         };
         let (train, test) = spec.generate_split();
         let mut model = GlmModel::new(2_000, GlmLoss::Logistic, 0.0001).unwrap();
-        let mut opt = Adam::new(2_000, AdamConfig::with_lr(0.05)).unwrap();
+        let mut opt = Adam::new(2_000, AdamConfig::with_lr(0.05)).unwrap().into();
         for _ in 0..60 {
             let g = model.batch_gradient(&train);
             model.apply_gradient(&mut opt, &g.keys, &g.values);

@@ -7,8 +7,11 @@
 //!
 //! - [`vector`] — sparse feature vectors and labeled instances;
 //! - [`loss`] — the three GLM losses of §4.1 and their gradients;
-//! - [`optimizer`] — plain SGD and Adam (Kingma & Ba) with lazy sparse
-//!   moment updates;
+//! - [`optimizer`] — SGD, Momentum, AdaGrad and Adam (Kingma & Ba), each
+//!   one update rule with lazy sparse state updates;
+//! - [`opt_state`] — that state, dense or count-sketched, and
+//!   [`OptimizerState`], the one optimizer a trainer steps;
+//! - [`checkpoint`] — model + optimizer state as one checksummed frame;
 //! - [`model`] — GLM training: mini-batch gradient computation, prediction,
 //!   loss/accuracy evaluation;
 //! - [`mlp`] — a sigmoid-hidden/softmax-output multilayer perceptron whose
@@ -34,8 +37,6 @@ pub use error::MlError;
 pub use loss::GlmLoss;
 pub use mlp::{Mlp, MlpConfig};
 pub use model::{BatchGradient, GlmModel, GradScratch};
-pub use opt_state::{
-    OptStateMode, OptimizerState, SketchedAdaGrad, SketchedAdam, SketchedMomentum,
-};
-pub use optimizer::{AdaGrad, Adam, AdamConfig, Momentum, Optimizer, OptimizerKind, Sgd};
+pub use opt_state::{OptStateMode, OptimizerState};
+pub use optimizer::{AdaGrad, Adam, AdamConfig, Momentum, OptimizerKind, Sgd};
 pub use vector::{dot_pairs, Instance, SparseVector};

@@ -12,7 +12,7 @@
 //! limitation the `fig14_neural_net` harness measures.
 
 use crate::error::MlError;
-use crate::optimizer::Optimizer;
+use crate::opt_state::OptimizerState;
 use serde::{Deserialize, Serialize};
 
 /// A dense multiclass instance (synthetic MNIST stand-in).
@@ -264,14 +264,19 @@ impl Mlp {
     }
 
     /// Applies a flat gradient through an optimizer (keys = 0..P).
-    pub fn apply_dense_gradient(&mut self, opt: &mut dyn Optimizer, grad: &[f64]) {
+    pub fn apply_dense_gradient(&mut self, opt: &mut OptimizerState, grad: &[f64]) {
         debug_assert_eq!(grad.len(), self.params.len());
         let keys: Vec<u64> = (0..grad.len() as u64).collect();
         opt.step(&mut self.params, &keys, grad);
     }
 
     /// Applies a sparse (possibly decompressed) gradient.
-    pub fn apply_sparse_gradient(&mut self, opt: &mut dyn Optimizer, keys: &[u64], values: &[f64]) {
+    pub fn apply_sparse_gradient(
+        &mut self,
+        opt: &mut OptimizerState,
+        keys: &[u64],
+        values: &[f64],
+    ) {
         opt.step(&mut self.params, keys, values);
     }
 
@@ -397,7 +402,9 @@ mod tests {
     fn training_learns_toy_task() {
         let data = toy_images(200, 16, 5);
         let mut mlp = Mlp::new(&MlpConfig::small(16, 8, 2)).unwrap();
-        let mut opt = Adam::new(mlp.num_params(), AdamConfig::with_lr(0.02)).unwrap();
+        let mut opt = Adam::new(mlp.num_params(), AdamConfig::with_lr(0.02))
+            .unwrap()
+            .into();
         let initial = mlp.mean_loss(&data);
         for _ in 0..60 {
             let (g, _) = mlp.batch_gradient(&data);
@@ -417,7 +424,7 @@ mod tests {
         let data = toy_images(20, 8, 6);
         let build = || {
             let m = Mlp::new(&MlpConfig::small(8, 4, 2)).unwrap();
-            let o = Adam::new(m.num_params(), AdamConfig::default()).unwrap();
+            let o = OptimizerState::from(Adam::new(m.num_params(), AdamConfig::default()).unwrap());
             let (g, _) = m.batch_gradient(&data);
             (m, o, g)
         };

@@ -13,7 +13,7 @@
 
 use crate::error::MlError;
 use crate::loss::GlmLoss;
-use crate::optimizer::Optimizer;
+use crate::opt_state::OptimizerState;
 use crate::vector::Instance;
 use serde::{Deserialize, Serialize};
 
@@ -231,7 +231,7 @@ impl GlmModel {
     }
 
     /// Applies a (possibly decompressed) gradient through an optimizer.
-    pub fn apply_gradient(&mut self, opt: &mut dyn Optimizer, keys: &[u64], values: &[f64]) {
+    pub fn apply_gradient(&mut self, opt: &mut OptimizerState, keys: &[u64], values: &[f64]) {
         opt.step(&mut self.weights, keys, values);
     }
 
@@ -505,7 +505,7 @@ mod tests {
         for loss in GlmLoss::all() {
             let data = toy_classification(400, 2);
             let mut model = GlmModel::new(2, loss, 0.001).unwrap();
-            let mut opt = Adam::new(2, AdamConfig::with_lr(0.05)).unwrap();
+            let mut opt = Adam::new(2, AdamConfig::with_lr(0.05)).unwrap().into();
             let initial = model.mean_loss(&data);
             let (mut scratch, mut g) = (GradScratch::default(), BatchGradient::default());
             for _ in 0..200 {
@@ -525,7 +525,7 @@ mod tests {
     fn classifier_reaches_high_accuracy() {
         let data = toy_classification(500, 3);
         let mut model = GlmModel::new(2, GlmLoss::Logistic, 0.0).unwrap();
-        let mut opt = Adam::new(2, AdamConfig::with_lr(0.05)).unwrap();
+        let mut opt = Adam::new(2, AdamConfig::with_lr(0.05)).unwrap().into();
         for _ in 0..300 {
             let g = model.batch_gradient(&data);
             model.apply_gradient(&mut opt, &g.keys, &g.values);

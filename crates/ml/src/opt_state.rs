@@ -1,36 +1,40 @@
-//! Sketch-compressed optimizer state (ROADMAP: "100M+ dimension models").
+//! Optimizer state: one update rule per optimizer, its per-dimension
+//! vectors dense or sketched (ROADMAP: "100M+ dimension models").
 //!
 //! Dense Adam pins `2·d` f64s of moments per worker — at d = 100M that is
 //! 1.6 GB, dwarfing the KB-scale compressed gradients SketchML ships on the
 //! wire. "Compressing Gradient Optimizers via Count-Sketches" (Spring et al.,
-//! arXiv:1902.00179) shows the auxiliary vectors tolerate the same
-//! count-sketch treatment the paper applies to gradients: store each moment
-//! vector in a seeded `rows × cols` signed table, estimate entries by a
-//! sign-corrected median over rows, and fold every update back in as an
-//! *insert of the delta* so the table keeps tracking its own estimate:
+//! arXiv:1902.00179) shows that a count-sketched optimizer is the same
+//! update rule with its auxiliary vectors read and written through a sketch:
+//! a seeded `rows × cols` signed table answers an entry by a sign-corrected
+//! median over rows, and takes every update as an *insert of the delta*, so
+//! the table keeps tracking its own estimate. Each vector is a `Store` —
+//! a dense `Vec<f64>` or a `CountSketch` — with two operations:
 //!
 //! ```text
-//! est   = S.query(k)              // median-of-rows estimate of m_k
-//! new   = β·est + (1-β)·g         // the usual moment recurrence
-//! S.insert(k, new - est)          // table now answers ≈ new for k
+//! update(k, f)   dense: x[k] = f(x[k])      sketch: est = S.query(k)
+//!                                                   S.insert(k, f(est) - est)
+//! add(k, d)      dense: x[k] += d           sketch: S.insert(k, d); S.query(k)
 //! ```
 //!
-//! AdaGrad's accumulator is a plain running sum (`G += g²`), which is exactly
-//! the linear aggregation a count-sketch supports natively, so it inserts
-//! `g²` directly with no query-before-update.
+//! Momentum's velocity and Adam's moments go through `update`; AdaGrad's
+//! accumulator is a plain running sum, which a count-sketch takes natively
+//! as a linear `add`. A rule's `step` matches the layout once, then runs a
+//! loop monomorphic in it (`with_layout!`), never dispatching per key.
 //!
-//! Memory is `rows·cols·8` bytes per table **regardless of d** — a few MB
-//! bounds optimizer state for arbitrarily wide models, at the price of
-//! collision noise in the moment estimates (benign for Adam/AdaGrad, whose
+//! Sketched memory is `rows·cols·8` bytes per vector **regardless of d** —
+//! a few MB bound optimizer state for arbitrarily wide models, at the price
+//! of collision noise in the estimates (benign for Adam/AdaGrad, whose
 //! per-dimension normalization absorbs small errors; see `fig_bigmodel`).
 //!
-//! [`OptimizerState`] is the serializable sum of every dense and sketched
-//! optimizer this crate offers. It is what a `Checkpoint` stores (since v2),
-//! closing the v1 hole where only Adam runs could checkpoint at all.
+//! [`OptimizerState`] is the one optimizer the system steps: SGD, Momentum,
+//! AdaGrad or Adam, each over either layout. It is what a `Checkpoint`
+//! stores (since v2), closing the v1 hole where only Adam runs could
+//! checkpoint at all.
 
 use crate::error::MlError;
-use crate::optimizer::{AdaGrad, Adam, AdamConfig, Momentum, Optimizer, OptimizerKind, Sgd};
-use serde::{Deserialize, Serialize};
+use crate::optimizer::{AdaGrad, Adam, Momentum, OptimizerKind, Sgd};
+use serde::Deserialize;
 use sketchml_sketches::CountSketch;
 
 /// Seed salts for the moment tables, fixed so that two workers building the
@@ -42,7 +46,7 @@ const SEED_U: u64 = 0x5EED_0333;
 const SEED_G: u64 = 0x5EED_0444;
 
 /// How a trainer materializes optimizer state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, Deserialize, Default)]
 pub enum OptStateMode {
     /// Exact per-dimension vectors (`O(d)` memory) — the classical layout.
     #[default]
@@ -63,7 +67,7 @@ impl OptStateMode {
         OptStateMode::Sketched { rows, cols }
     }
 
-    /// Validates shape parameters.
+    /// Validates shape parameters: the one sketch-shape rule of this crate.
     ///
     /// # Errors
     /// [`MlError::InvalidConfig`] on a zero or oversized table.
@@ -89,202 +93,128 @@ impl OptStateMode {
     }
 }
 
-fn table(rows: usize, cols: usize, seed: u64) -> Result<CountSketch, MlError> {
-    CountSketch::new(rows, cols, seed)
-        .map_err(|e| MlError::InvalidConfig(format!("sketched opt state: {e}")))
+/// One per-dimension vector of a rule: exact, or a count-sketch table.
+#[derive(Debug, Clone)]
+pub(crate) enum Store {
+    Dense(Vec<f64>),
+    Sketched(CountSketch),
 }
 
-/// Adam whose moment vectors live in count-sketch tables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SketchedAdam {
-    pub(crate) config: AdamConfig,
-    pub(crate) m: CountSketch,
-    pub(crate) v: CountSketch,
-    pub(crate) t: u64,
-}
-
-impl SketchedAdam {
-    /// Creates a sketched Adam with `rows × cols` tables for each moment.
-    ///
-    /// # Errors
-    /// [`MlError::InvalidConfig`] on bad hyper-parameters or table shape.
-    pub fn new(config: AdamConfig, rows: usize, cols: usize) -> Result<Self, MlError> {
-        Adam::new(0, config)?; // reuse the dense hyper-parameter validation
-        Ok(SketchedAdam {
-            config,
-            m: table(rows, cols, SEED_M)?,
-            v: table(rows, cols, SEED_V)?,
-            t: 0,
+impl Store {
+    /// A zero vector for a `dim`-dimensional model in layout `mode`,
+    /// hashed from `seed` if sketched.
+    fn new(mode: OptStateMode, dim: usize, seed: u64) -> Result<Self, MlError> {
+        Ok(match mode {
+            OptStateMode::Dense => Store::Dense(vec![0.0; dim]),
+            OptStateMode::Sketched { rows, cols } => Store::Sketched(
+                CountSketch::new(rows, cols, seed)
+                    .map_err(|e| MlError::InvalidConfig(format!("sketched opt state: {e}")))?,
+            ),
         })
     }
 
-    /// Step counter (number of `step` calls so far).
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// Hyper-parameters in effect.
-    pub fn config(&self) -> &AdamConfig {
-        &self.config
-    }
-
-    /// Bytes held in moment tables (excludes the struct header).
-    pub fn state_bytes(&self) -> usize {
-        8 * (self.m.rows() * self.m.cols() + self.v.rows() * self.v.cols())
-    }
-}
-
-impl Optimizer for SketchedAdam {
-    fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]) {
-        self.t += 1;
-        let AdamConfig {
-            lr,
-            beta1,
-            beta2,
-            epsilon,
-        } = self.config;
-        let bc1 = 1.0 - beta1.powf(self.t as f64);
-        let bc2 = 1.0 - beta2.powf(self.t as f64);
-        for (&key, &g) in keys.iter().zip(values) {
-            if key as usize >= weights.len() {
-                continue;
-            }
-            let m_est = self.m.query(key);
-            let m_new = beta1 * m_est + (1.0 - beta1) * g;
-            self.m.insert(key, m_new - m_est);
-            // Collision noise can push the second-moment estimate negative;
-            // clamp before using it (it is a sum of squares in expectation).
-            let v_est = self.v.query(key);
-            let v_new = beta2 * v_est.max(0.0) + (1.0 - beta2) * g * g;
-            self.v.insert(key, v_new - v_est);
-            let m_hat = m_new / bc1;
-            let v_hat = (v_new / bc2).max(0.0);
-            weights[key as usize] -= lr * m_hat / (v_hat.sqrt() + epsilon);
+    /// The layout, with the table shape.
+    pub(crate) fn mode(&self) -> OptStateMode {
+        match self {
+            Store::Dense(_) => OptStateMode::Dense,
+            Store::Sketched(t) => OptStateMode::sketched(t.rows(), t.cols()),
         }
     }
 
-    fn learning_rate(&self) -> f64 {
-        self.config.lr
+    fn bytes(&self) -> usize {
+        8 * match self {
+            Store::Dense(x) => x.len(),
+            Store::Sketched(t) => t.rows() * t.cols(),
+        }
     }
 }
 
-/// Momentum SGD whose velocity vector lives in a count-sketch table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SketchedMomentum {
-    /// Learning rate η.
-    pub lr: f64,
-    /// Momentum coefficient γ.
-    pub gamma: f64,
-    pub(crate) velocity: CountSketch,
-}
-
-impl SketchedMomentum {
-    /// Creates a sketched momentum optimizer.
-    ///
-    /// # Errors
-    /// [`MlError::InvalidConfig`] on bad hyper-parameters or table shape.
-    pub fn new(lr: f64, gamma: f64, rows: usize, cols: usize) -> Result<Self, MlError> {
-        Momentum::new(0, lr, gamma)?;
-        Ok(SketchedMomentum {
-            lr,
-            gamma,
-            velocity: table(rows, cols, SEED_U)?,
+// Decode-only, for the legacy JSON checkpoints: a dense vector was written
+// as an array, a table as an object.
+impl Deserialize for Store {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(match v.as_arr() {
+            Some(_) => Store::Dense(Deserialize::from_value(v)?),
+            None => Store::Sketched(Deserialize::from_value(v)?),
         })
     }
+}
 
-    /// Bytes held in the velocity table.
-    pub fn state_bytes(&self) -> usize {
-        8 * self.velocity.rows() * self.velocity.cols()
+/// The two operations a rule reads and writes its state through, on one
+/// concrete layout.
+pub(crate) trait Cells {
+    /// `x[k] ← f(x[k])`; returns the new value.
+    fn update(&mut self, k: usize, f: impl FnOnce(f64) -> f64) -> f64;
+    /// `x[k] ← x[k] + delta`; returns the value read back.
+    fn add(&mut self, k: usize, delta: f64) -> f64;
+}
+
+impl Cells for [f64] {
+    #[inline(always)]
+    fn update(&mut self, k: usize, f: impl FnOnce(f64) -> f64) -> f64 {
+        let x = &mut self[k];
+        *x = f(*x);
+        *x
+    }
+
+    #[inline(always)]
+    fn add(&mut self, k: usize, delta: f64) -> f64 {
+        let x = &mut self[k];
+        *x += delta;
+        *x
     }
 }
 
-impl Optimizer for SketchedMomentum {
-    fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]) {
-        for (&key, &g) in keys.iter().zip(values) {
-            if key as usize >= weights.len() {
-                continue;
+impl Cells for CountSketch {
+    #[inline]
+    fn update(&mut self, k: usize, f: impl FnOnce(f64) -> f64) -> f64 {
+        let est = self.query(k as u64);
+        let new = f(est);
+        self.insert(k as u64, new - est);
+        new
+    }
+
+    #[inline]
+    fn add(&mut self, k: usize, delta: f64) -> f64 {
+        self.insert(k as u64, delta);
+        self.query(k as u64)
+    }
+}
+
+/// Runs `$body` with each named store bound to its concrete layout: one
+/// match per call, and `$body` compiled once per layout. A rule's stores
+/// always share one layout (every constructor and loader makes them so).
+/// Dense stores are bound as slices, so the loop holds their pointer and
+/// length in registers instead of reloading them from the `Vec` after
+/// every write.
+macro_rules! with_layout {
+    ($($s:ident = $store:expr),+ => $body:expr) => {
+        match ($($store,)+) {
+            ($(Store::Dense($s),)+) => {
+                $(let $s = $s.as_mut_slice();)+
+                $body
             }
-            let u_est = self.velocity.query(key);
-            let u_new = self.gamma * u_est + g;
-            self.velocity.insert(key, u_new - u_est);
-            weights[key as usize] -= self.lr * u_new;
+            ($(Store::Sketched($s),)+) => $body,
+            #[allow(unreachable_patterns)]
+            _ => unreachable!("a rule's stores share one layout"),
         }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
+    };
 }
+pub(crate) use with_layout;
 
-/// AdaGrad whose squared-gradient accumulator lives in a count-sketch table.
-///
-/// Accumulation is purely additive, so updates are plain linear inserts —
-/// the one optimizer whose sketched form needs no query-before-update.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SketchedAdaGrad {
-    /// Learning rate η.
-    pub lr: f64,
-    /// Stability term ε.
-    pub epsilon: f64,
-    pub(crate) accum: CountSketch,
-}
-
-impl SketchedAdaGrad {
-    /// Creates a sketched AdaGrad optimizer.
-    ///
-    /// # Errors
-    /// [`MlError::InvalidConfig`] on bad hyper-parameters or table shape.
-    pub fn new(lr: f64, epsilon: f64, rows: usize, cols: usize) -> Result<Self, MlError> {
-        AdaGrad::with_epsilon(0, lr, epsilon)?;
-        Ok(SketchedAdaGrad {
-            lr,
-            epsilon,
-            accum: table(rows, cols, SEED_G)?,
-        })
-    }
-
-    /// Bytes held in the accumulator table.
-    pub fn state_bytes(&self) -> usize {
-        8 * self.accum.rows() * self.accum.cols()
-    }
-}
-
-impl Optimizer for SketchedAdaGrad {
-    fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]) {
-        for (&key, &g) in keys.iter().zip(values) {
-            if key as usize >= weights.len() {
-                continue;
-            }
-            self.accum.insert(key, g * g);
-            let a = self.accum.query(key).max(0.0);
-            weights[key as usize] -= self.lr * g / (a.sqrt() + self.epsilon);
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-}
-
-/// Every optimizer state this crate can checkpoint: the serializable sum of
-/// dense and sketched variants. Checkpoints store this enum; trainers hold
-/// it directly so any run — not just Adam — can crash and resume bit-exact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The one optimizer the system steps: an update rule with its
+/// hyper-parameters and its state, dense or sketched. Checkpoints store it;
+/// trainers hold it directly, so any run can crash and resume bit-exact.
+#[derive(Debug, Clone)]
 pub enum OptimizerState {
     /// Stateless SGD (`lr` only — nothing to sketch).
     Sgd(Sgd),
-    /// Dense momentum (velocity over the full dimension).
+    /// Momentum (a velocity vector).
     Momentum(Momentum),
-    /// Dense AdaGrad (accumulator over the full dimension).
+    /// AdaGrad (a squared-gradient accumulator).
     AdaGrad(AdaGrad),
-    /// Dense Adam (the paper's default).
+    /// Adam (two moment vectors; the paper's default).
     Adam(Adam),
-    /// Momentum with a sketched velocity table.
-    SketchedMomentum(SketchedMomentum),
-    /// AdaGrad with a sketched accumulator table.
-    SketchedAdaGrad(SketchedAdaGrad),
-    /// Adam with sketched moment tables.
-    SketchedAdam(SketchedAdam),
 }
 
 impl OptimizerState {
@@ -296,70 +226,104 @@ impl OptimizerState {
     /// Propagates constructor validation errors.
     pub fn build(kind: OptimizerKind, mode: OptStateMode, dim: usize) -> Result<Self, MlError> {
         mode.validate()?;
-        Ok(match (kind, mode) {
-            (OptimizerKind::Sgd(lr), _) => OptimizerState::Sgd(Sgd::new(lr)?),
-            (kind, OptStateMode::Dense) => match kind {
-                OptimizerKind::Sgd(_) => unreachable!("handled above"),
-                OptimizerKind::Momentum(lr, gamma) => {
-                    OptimizerState::Momentum(Momentum::new(dim, lr, gamma)?)
-                }
-                OptimizerKind::AdaGrad(lr, epsilon) => {
-                    OptimizerState::AdaGrad(AdaGrad::with_epsilon(dim, lr, epsilon)?)
-                }
-                OptimizerKind::Adam(cfg) => OptimizerState::Adam(Adam::new(dim, cfg)?),
-            },
-            (kind, OptStateMode::Sketched { rows, cols }) => match kind {
-                OptimizerKind::Sgd(_) => unreachable!("handled above"),
-                OptimizerKind::Momentum(lr, gamma) => {
-                    OptimizerState::SketchedMomentum(SketchedMomentum::new(lr, gamma, rows, cols)?)
-                }
-                OptimizerKind::AdaGrad(lr, epsilon) => {
-                    OptimizerState::SketchedAdaGrad(SketchedAdaGrad::new(lr, epsilon, rows, cols)?)
-                }
-                OptimizerKind::Adam(cfg) => {
-                    OptimizerState::SketchedAdam(SketchedAdam::new(cfg, rows, cols)?)
-                }
-            },
+        let store = |seed| Store::new(mode, dim, seed);
+        Ok(match kind {
+            OptimizerKind::Sgd(lr) => Sgd::new(lr)?.into(),
+            OptimizerKind::Momentum(lr, gamma) => Momentum {
+                velocity: store(SEED_U)?,
+                ..Momentum::new(0, lr, gamma)?
+            }
+            .into(),
+            OptimizerKind::AdaGrad(lr, epsilon) => AdaGrad {
+                accum: store(SEED_G)?,
+                ..AdaGrad::with_epsilon(0, lr, epsilon)?
+            }
+            .into(),
+            OptimizerKind::Adam(config) => Adam {
+                m: store(SEED_M)?,
+                v: store(SEED_V)?,
+                ..Adam::new(0, config)?
+            }
+            .into(),
         })
     }
 
-    /// Display name for experiment tables and logs.
-    pub fn name(&self) -> &'static str {
+    /// Applies one update step from a sparse gradient; keys past the end of
+    /// `weights` are skipped.
+    pub fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]) {
         match self {
-            OptimizerState::Sgd(_) => "SGD",
-            OptimizerState::Momentum(_) => "Momentum",
-            OptimizerState::AdaGrad(_) => "AdaGrad",
-            OptimizerState::Adam(_) => "Adam",
-            OptimizerState::SketchedMomentum(_) => "SketchedMomentum",
-            OptimizerState::SketchedAdaGrad(_) => "SketchedAdaGrad",
-            OptimizerState::SketchedAdam(_) => "SketchedAdam",
+            OptimizerState::Sgd(o) => o.step(weights, keys, values),
+            OptimizerState::Momentum(o) => o.step(weights, keys, values),
+            OptimizerState::AdaGrad(o) => o.step(weights, keys, values),
+            OptimizerState::Adam(o) => o.step(weights, keys, values),
         }
+    }
+
+    /// The rule with its hyper-parameters, and the state's layout with its
+    /// table shape: what a resumed state must share with its run (the
+    /// state's contents and step count aside).
+    pub fn spec(&self) -> (OptimizerKind, OptStateMode) {
+        let kind = match self {
+            OptimizerState::Sgd(o) => OptimizerKind::Sgd(o.lr),
+            OptimizerState::Momentum(o) => OptimizerKind::Momentum(o.lr, o.gamma),
+            OptimizerState::AdaGrad(o) => OptimizerKind::AdaGrad(o.lr, o.epsilon),
+            OptimizerState::Adam(o) => OptimizerKind::Adam(o.config),
+        };
+        let layout = self
+            .stores()
+            .next()
+            .map_or(OptStateMode::Dense, Store::mode);
+        (kind, layout)
+    }
+
+    /// The per-dimension vectors, in checkpoint order.
+    pub(crate) fn stores(&self) -> impl Iterator<Item = &Store> {
+        let (a, b) = match self {
+            OptimizerState::Sgd(_) => (None, None),
+            OptimizerState::Momentum(o) => (Some(&o.velocity), None),
+            OptimizerState::AdaGrad(o) => (Some(&o.accum), None),
+            OptimizerState::Adam(o) => (Some(&o.m), Some(&o.v)),
+        };
+        a.into_iter().chain(b)
+    }
+
+    /// The checkpoint's optimizer tag: the rule's (0 SGD, 1 Momentum,
+    /// 2 AdaGrad, 3 Adam), plus 3 for sketched state.
+    pub(crate) fn tag(&self) -> u8 {
+        let rule = match self {
+            OptimizerState::Sgd(_) => 0,
+            OptimizerState::Momentum(_) => 1,
+            OptimizerState::AdaGrad(_) => 2,
+            OptimizerState::Adam(_) => 3,
+        };
+        rule + 3 * u8::from(self.is_sketched())
+    }
+
+    /// Display name for experiment tables, logs and error messages.
+    pub fn name(&self) -> &'static str {
+        const NAMES: [&str; 7] = [
+            "SGD",
+            "Momentum",
+            "AdaGrad",
+            "Adam",
+            "SketchedMomentum",
+            "SketchedAdaGrad",
+            "SketchedAdam",
+        ];
+        NAMES[usize::from(self.tag())]
     }
 
     /// Whether the state lives in count-sketch tables.
     pub fn is_sketched(&self) -> bool {
-        matches!(
-            self,
-            OptimizerState::SketchedMomentum(_)
-                | OptimizerState::SketchedAdaGrad(_)
-                | OptimizerState::SketchedAdam(_)
-        )
+        self.stores().any(|s| matches!(s, Store::Sketched(_)))
     }
 
     /// Bytes of auxiliary state (moment/velocity/accumulator storage).
     pub fn state_bytes(&self) -> usize {
-        match self {
-            OptimizerState::Sgd(_) => 0,
-            OptimizerState::Momentum(m) => m.state_bytes(),
-            OptimizerState::AdaGrad(a) => a.state_bytes(),
-            OptimizerState::Adam(a) => a.state_bytes(),
-            OptimizerState::SketchedMomentum(m) => m.state_bytes(),
-            OptimizerState::SketchedAdaGrad(a) => a.state_bytes(),
-            OptimizerState::SketchedAdam(a) => a.state_bytes(),
-        }
+        self.stores().map(Store::bytes).sum()
     }
 
-    /// The Adam state, if this is a dense Adam.
+    /// The Adam state, if this is Adam.
     pub fn as_adam(&self) -> Option<&Adam> {
         match self {
             OptimizerState::Adam(a) => Some(a),
@@ -368,29 +332,27 @@ impl OptimizerState {
     }
 }
 
-impl Optimizer for OptimizerState {
-    fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]) {
-        match self {
-            OptimizerState::Sgd(o) => o.step(weights, keys, values),
-            OptimizerState::Momentum(o) => o.step(weights, keys, values),
-            OptimizerState::AdaGrad(o) => o.step(weights, keys, values),
-            OptimizerState::Adam(o) => o.step(weights, keys, values),
-            OptimizerState::SketchedMomentum(o) => o.step(weights, keys, values),
-            OptimizerState::SketchedAdaGrad(o) => o.step(weights, keys, values),
-            OptimizerState::SketchedAdam(o) => o.step(weights, keys, values),
+// Decode-only, for the legacy JSON v2 checkpoints, which named the layout in
+// the variant (`{"Adam":…}`, `{"SketchedAdam":…}`).
+impl Deserialize for OptimizerState {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let (name, body) = (v.as_obj().and_then(|o| o.first()))
+            .ok_or_else(|| serde::Error::custom("OptimizerState: expected a tagged object"))?;
+        let state = match name.strip_prefix("Sketched").unwrap_or(name) {
+            "Sgd" => OptimizerState::Sgd(Deserialize::from_value(body)?),
+            "Momentum" => OptimizerState::Momentum(Deserialize::from_value(body)?),
+            "AdaGrad" => OptimizerState::AdaGrad(Deserialize::from_value(body)?),
+            "Adam" => OptimizerState::Adam(Deserialize::from_value(body)?),
+            _ => return Err(serde::Error::custom(format!("unknown optimizer {name}"))),
+        };
+        // (A mix of layouts is refused with the other misfits, by the loader.)
+        if name.starts_with("Sketched") != state.is_sketched() {
+            return Err(serde::Error::custom(format!(
+                "{name} holds {} state",
+                state.name()
+            )));
         }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        match self {
-            OptimizerState::Sgd(o) => o.learning_rate(),
-            OptimizerState::Momentum(o) => o.learning_rate(),
-            OptimizerState::AdaGrad(o) => o.learning_rate(),
-            OptimizerState::Adam(o) => o.learning_rate(),
-            OptimizerState::SketchedMomentum(o) => o.learning_rate(),
-            OptimizerState::SketchedAdaGrad(o) => o.learning_rate(),
-            OptimizerState::SketchedAdam(o) => o.learning_rate(),
-        }
+        Ok(state)
     }
 }
 
@@ -418,27 +380,10 @@ impl From<Adam> for OptimizerState {
     }
 }
 
-impl From<SketchedMomentum> for OptimizerState {
-    fn from(o: SketchedMomentum) -> Self {
-        OptimizerState::SketchedMomentum(o)
-    }
-}
-
-impl From<SketchedAdaGrad> for OptimizerState {
-    fn from(o: SketchedAdaGrad) -> Self {
-        OptimizerState::SketchedAdaGrad(o)
-    }
-}
-
-impl From<SketchedAdam> for OptimizerState {
-    fn from(o: SketchedAdam) -> Self {
-        OptimizerState::SketchedAdam(o)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::AdamConfig;
 
     fn every_kind() -> [OptimizerKind; 4] {
         [
@@ -468,96 +413,93 @@ mod tests {
             for mode in [OptStateMode::Dense, OptStateMode::sketched(3, 256)] {
                 let mut st = OptimizerState::build(kind, mode, 16).unwrap();
                 let mut w = vec![0.0; 16];
-                st.step(&mut w, &[3], &[1.0]);
+                st.step(&mut w, &[3, 16], &[1.0, 1.0]);
                 assert_ne!(w[3], 0.0, "{} did not update", st.name());
-                assert!(st.learning_rate() > 0.0);
+                assert!(w.iter().enumerate().all(|(k, &x)| k == 3 || x == 0.0));
+                // The spec a resume is held to is the one the state came from.
+                let sgd = matches!(kind, OptimizerKind::Sgd(_));
+                let layout = if sgd { OptStateMode::Dense } else { mode };
+                assert_eq!(st.spec(), (kind, layout));
+                assert_eq!(st.is_sketched(), !sgd && mode != OptStateMode::Dense);
             }
         }
         // SGD has no state to sketch — both modes yield the dense form.
         let st = OptimizerState::build(OptimizerKind::Sgd(0.1), OptStateMode::sketched(3, 256), 16)
             .unwrap();
-        assert!(!st.is_sketched());
-        assert_eq!(st.state_bytes(), 0);
+        assert_eq!((st.name(), st.state_bytes()), ("SGD", 0));
     }
 
     #[test]
     fn sketched_memory_is_dimension_independent() {
-        let cfg = AdamConfig::default();
-        let small = SketchedAdam::new(cfg, 3, 512).unwrap();
+        let adam = OptimizerKind::Adam(AdamConfig::default());
+        let small = OptimizerState::build(adam, OptStateMode::sketched(3, 512), 1 << 20).unwrap();
         assert_eq!(small.state_bytes(), 8 * 3 * 512 * 2);
         // Dense Adam at d scales linearly; sketched is constant.
-        let dense = Adam::new(1 << 20, cfg).unwrap();
-        assert!(dense.state_bytes() > 100 * small.state_bytes());
+        let dense = OptimizerState::build(adam, OptStateMode::Dense, 1 << 20).unwrap();
+        assert_eq!(dense.state_bytes(), 16 << 20);
     }
 
     #[test]
-    fn sketched_adam_tracks_dense_when_collision_free() {
+    fn sketched_rules_track_dense_when_collision_free() {
         // With far more columns than live dimensions the sketch is
-        // essentially exact, so sketched Adam must track dense Adam tightly.
-        let cfg = AdamConfig::with_lr(0.1);
-        let mut dense = Adam::new(4, cfg).unwrap();
-        let mut sk = SketchedAdam::new(cfg, 3, 4096).unwrap();
-        let (mut wd, mut ws) = (vec![0.0; 4], vec![0.0; 4]);
-        for step in 0..200 {
-            let g = [2.0 * (wd[0] - 1.0), (step as f64 * 0.1).sin(), -0.3, 0.001];
-            dense.step(&mut wd, &[0, 1, 2, 3], &g);
-            let g = [2.0 * (ws[0] - 1.0), (step as f64 * 0.1).sin(), -0.3, 0.001];
-            sk.step(&mut ws, &[0, 1, 2, 3], &g);
+        // essentially exact, so each sketched rule must track its dense form.
+        for kind in every_kind() {
+            let build = |mode| OptimizerState::build(kind, mode, 4).unwrap();
+            let (mut dense, mut sk) = (
+                build(OptStateMode::Dense),
+                build(OptStateMode::sketched(3, 4096)),
+            );
+            let (mut wd, mut ws) = (vec![0.0; 4], vec![0.0; 4]);
+            for step in 0..200 {
+                let g = |w: &[f64]| [2.0 * (w[0] - 1.0), (step as f64 * 0.1).sin(), -0.3, 0.001];
+                let (gd, gs) = (g(&wd), g(&ws));
+                dense.step(&mut wd, &[0, 1, 2, 3], &gd);
+                sk.step(&mut ws, &[0, 1, 2, 3], &gs);
+            }
+            for (a, b) in wd.iter().zip(&ws) {
+                assert!(
+                    (a - b).abs() < 1e-6,
+                    "{}: dense {a} vs sketched {b}",
+                    sk.name()
+                );
+            }
         }
-        for (a, b) in wd.iter().zip(&ws) {
-            assert!((a - b).abs() < 1e-6, "dense {a} vs sketched {b}");
-        }
-        assert_eq!(dense.steps(), sk.steps());
     }
 
     #[test]
-    fn sketched_momentum_and_adagrad_converge_on_quadratic() {
-        let mut mom = SketchedMomentum::new(0.02, 0.9, 3, 1024).unwrap();
-        let mut w = vec![0.0];
-        for _ in 0..500 {
-            let g = 2.0 * (w[0] - 3.0);
-            mom.step(&mut w, &[0], &[g]);
+    fn sketched_rules_converge_on_quadratic() {
+        for (kind, steps) in [
+            (OptimizerKind::Momentum(0.02, 0.9), 500),
+            (OptimizerKind::AdaGrad(0.5, 1e-8), 2000),
+            (OptimizerKind::Adam(AdamConfig::with_lr(0.1)), 500),
+        ] {
+            let mut opt = OptimizerState::build(kind, OptStateMode::sketched(3, 1024), 1).unwrap();
+            let mut w = vec![0.0];
+            for _ in 0..steps {
+                let g = 2.0 * (w[0] - 3.0);
+                opt.step(&mut w, &[0], &[g]);
+            }
+            assert!((w[0] - 3.0).abs() < 0.1, "{} w = {}", opt.name(), w[0]);
         }
-        assert!((w[0] - 3.0).abs() < 0.1, "momentum w = {}", w[0]);
-
-        let mut ada = SketchedAdaGrad::new(0.5, 1e-8, 3, 1024).unwrap();
-        let mut w = vec![0.0];
-        for _ in 0..2000 {
-            let g = 2.0 * (w[0] - 3.0);
-            ada.step(&mut w, &[0], &[g]);
-        }
-        assert!((w[0] - 3.0).abs() < 0.1, "adagrad w = {}", w[0]);
     }
 
     #[test]
-    fn sketched_state_roundtrips_serde_bit_exact() {
-        let mut sk = SketchedAdam::new(AdamConfig::with_lr(0.05), 3, 512).unwrap();
-        let mut w = vec![0.0; 64];
-        for i in 0..50u64 {
-            sk.step(&mut w, &[i % 64, (i * 7) % 64], &[0.5, -0.25]);
+    fn legacy_json_names_the_layout_its_state_has() {
+        let table =
+            r#"{"seed":1,"hash":{"seeds":[5],"cols":2},"sign_seeds":[7],"cells":[0.0,0.0]}"#;
+        let decode = |doc: String| serde_json::from_str::<OptimizerState>(&doc);
+        let sketched = decode(format!(
+            r#"{{"SketchedMomentum":{{"lr":0.1,"gamma":0.9,"velocity":{table}}}}}"#
+        ))
+        .unwrap();
+        assert_eq!(sketched.name(), "SketchedMomentum");
+        for doc in [
+            r#"{"SketchedMomentum":{"lr":0.1,"gamma":0.9,"velocity":[0.0]}}"#.to_string(),
+            format!(r#"{{"AdaGrad":{{"lr":0.1,"epsilon":1e-8,"accum":{table}}}}}"#),
+            r#"{"SketchedSgd":{"lr":0.1}}"#.to_string(),
+            r#"{"Nadam":{"lr":0.1}}"#.to_string(),
+        ] {
+            assert!(decode(doc.clone()).is_err(), "{doc}");
         }
-        let state = OptimizerState::SketchedAdam(sk);
-        let json = serde_json::to_string(&state).unwrap();
-        let back: OptimizerState = serde_json::from_str(&json).unwrap();
-        let (mut a, mut b) = (state.clone(), back);
-        let mut wa = vec![0.1; 64];
-        let mut wb = vec![0.1; 64];
-        for i in 0..20u64 {
-            a.step(&mut wa, &[i], &[0.3]);
-            b.step(&mut wb, &[i], &[0.3]);
-        }
-        assert_eq!(wa, wb, "resumed sketched state must step identically");
-    }
-
-    #[test]
-    fn out_of_range_keys_are_ignored_by_sketched_variants() {
-        let mut w = vec![0.0; 2];
-        let mut sk = SketchedAdam::new(AdamConfig::default(), 2, 64).unwrap();
-        sk.step(&mut w, &[99], &[1.0]);
-        let mut mo = SketchedMomentum::new(0.1, 0.9, 2, 64).unwrap();
-        mo.step(&mut w, &[99], &[1.0]);
-        let mut ad = SketchedAdaGrad::new(0.1, 1e-8, 2, 64).unwrap();
-        ad.step(&mut w, &[99], &[1.0]);
-        assert_eq!(w, vec![0.0, 0.0]);
     }
 }

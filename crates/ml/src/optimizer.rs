@@ -18,21 +18,34 @@
 //!
 //! Moments are updated **lazily** — only on dimensions the sparse gradient
 //! touches — the standard sparse-Adam treatment for high-dimensional models.
+//!
+//! Each rule is written once. Its per-dimension vectors are dense or
+//! count-sketched ([`crate::opt_state`]); `step` matches that layout once,
+//! then runs the rule's loop monomorphic in it.
 
 use crate::error::MlError;
+use crate::opt_state::{with_layout, Cells, Store};
 use serde::{Deserialize, Serialize};
 
-/// A first-order optimizer consuming sparse gradients.
-pub trait Optimizer: Send {
-    /// Applies one update step from a sparse gradient.
-    fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]);
-
-    /// Learning rate currently in effect.
-    fn learning_rate(&self) -> f64;
+/// The key loop every rule shares: `weights[k] -= delta(k, g)` for each pair
+/// whose key is inside the model; the rest are skipped.
+#[inline(always)]
+fn each_key(
+    weights: &mut [f64],
+    keys: &[u64],
+    values: &[f64],
+    mut delta: impl FnMut(usize, f64) -> f64,
+) {
+    for (&k, &g) in keys.iter().zip(values) {
+        let k = k as usize;
+        if k < weights.len() {
+            weights[k] -= delta(k, g);
+        }
+    }
 }
 
 /// Plain stochastic gradient descent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 pub struct Sgd {
     /// Learning rate η.
     pub lr: f64,
@@ -51,19 +64,9 @@ impl Sgd {
         }
         Ok(Sgd { lr })
     }
-}
 
-impl Optimizer for Sgd {
-    fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]) {
-        for (&k, &g) in keys.iter().zip(values) {
-            if let Some(w) = weights.get_mut(k as usize) {
-                *w -= self.lr * g;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
+    pub(crate) fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]) {
+        each_key(weights, keys, values, |_, g| self.lr * g);
     }
 }
 
@@ -102,19 +105,20 @@ impl AdamConfig {
 }
 
 /// Adam with lazily-updated sparse moments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 pub struct Adam {
     pub(crate) config: AdamConfig,
-    /// First moment `m`, allocated over the full model dimension.
-    pub(crate) m: Vec<f64>,
-    /// Second moment `v`.
-    pub(crate) v: Vec<f64>,
+    /// First moment `m`.
+    pub(crate) m: Store,
+    /// Second moment `v`, in `m`'s layout.
+    pub(crate) v: Store,
     /// Global step counter `t` for bias correction.
     pub(crate) t: u64,
 }
 
 impl Adam {
-    /// Creates an Adam optimizer for a `dim`-dimensional model.
+    /// Creates an Adam optimizer with dense moments for a `dim`-dimensional
+    /// model.
     ///
     /// # Errors
     /// [`MlError::InvalidConfig`] on out-of-range hyper-parameters.
@@ -130,8 +134,8 @@ impl Adam {
         }
         Ok(Adam {
             config,
-            m: vec![0.0; dim],
-            v: vec![0.0; dim],
+            m: Store::Dense(vec![0.0; dim]),
+            v: Store::Dense(vec![0.0; dim]),
             t: 0,
         })
     }
@@ -146,14 +150,7 @@ impl Adam {
         &self.config
     }
 
-    /// Bytes held in moment vectors.
-    pub fn state_bytes(&self) -> usize {
-        8 * (self.m.len() + self.v.len())
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]) {
+    pub(crate) fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]) {
         self.t += 1;
         let AdamConfig {
             lr,
@@ -165,39 +162,33 @@ impl Optimizer for Adam {
         // exponent sign and with it the bias correction.
         let bc1 = 1.0 - beta1.powf(self.t as f64);
         let bc2 = 1.0 - beta2.powf(self.t as f64);
-        for (&k, &g) in keys.iter().zip(values) {
-            let k = k as usize;
-            if k >= weights.len() {
-                continue;
-            }
-            let m = &mut self.m[k];
-            *m = beta1 * *m + (1.0 - beta1) * g;
-            let v = &mut self.v[k];
-            *v = beta2 * *v + (1.0 - beta2) * g * g;
-            let m_hat = *m / bc1;
-            let v_hat = *v / bc2;
-            weights[k] -= lr * m_hat / (v_hat.sqrt() + epsilon);
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.config.lr
+        // A sketched `v` can read negative from collision noise: it is a sum
+        // of squares in expectation, so it is clamped where it is read. Dense
+        // `v` is never below +0, where the clamps change nothing.
+        with_layout!(m = &mut self.m, v = &mut self.v => each_key(weights, keys, values, |k, g| {
+            let m = m.update(k, |m| beta1 * m + (1.0 - beta1) * g);
+            let v = v.update(k, |v| beta2 * v.max(0.0) + (1.0 - beta2) * g * g);
+            let m_hat = m / bc1;
+            let v_hat = (v / bc2).max(0.0);
+            lr * m_hat / (v_hat.sqrt() + epsilon)
+        }))
     }
 }
 
 /// SGD with Polyak momentum (paper §4.1 cites momentum, refs 36/37, as one of
 /// the two ingredients Adam combines): `u ← γ·u + g; θ ← θ − η·u`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 pub struct Momentum {
     /// Learning rate η.
     pub lr: f64,
     /// Momentum coefficient γ (typically 0.9).
     pub gamma: f64,
-    pub(crate) velocity: Vec<f64>,
+    pub(crate) velocity: Store,
 }
 
 impl Momentum {
-    /// Creates a momentum optimizer for a `dim`-dimensional model.
+    /// Creates a momentum optimizer with a dense velocity for a
+    /// `dim`-dimensional model.
     ///
     /// # Errors
     /// [`MlError::InvalidConfig`] on out-of-range hyper-parameters.
@@ -211,44 +202,28 @@ impl Momentum {
         Ok(Momentum {
             lr,
             gamma,
-            velocity: vec![0.0; dim],
+            velocity: Store::Dense(vec![0.0; dim]),
         })
     }
 
-    /// Bytes held in the velocity vector.
-    pub fn state_bytes(&self) -> usize {
-        8 * self.velocity.len()
-    }
-}
-
-impl Optimizer for Momentum {
-    fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]) {
-        for (&k, &g) in keys.iter().zip(values) {
-            let k = k as usize;
-            if k >= weights.len() {
-                continue;
-            }
-            let u = &mut self.velocity[k];
-            *u = self.gamma * *u + g;
-            weights[k] -= self.lr * *u;
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
+    pub(crate) fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]) {
+        let (lr, gamma) = (self.lr, self.gamma);
+        with_layout!(u = &mut self.velocity => each_key(weights, keys, values, |k, g| {
+            lr * u.update(k, |u| gamma * u + g)
+        }))
     }
 }
 
 /// AdaGrad (Duchi et al., the paper's reference 15 — the other Adam ingredient):
 /// `G ← G + g²; θ ← θ − η/(√G + ε)·g`. Per-dimension adaptive steps, no
 /// moment decay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 pub struct AdaGrad {
     /// Learning rate η.
     pub lr: f64,
     /// Stability term ε.
     pub epsilon: f64,
-    pub(crate) accum: Vec<f64>,
+    pub(crate) accum: Store,
 }
 
 impl AdaGrad {
@@ -264,7 +239,8 @@ impl AdaGrad {
         Self::with_epsilon(dim, lr, Self::DEFAULT_EPSILON)
     }
 
-    /// Creates an AdaGrad optimizer with an explicit stability term.
+    /// Creates an AdaGrad optimizer with a dense accumulator and an explicit
+    /// stability term.
     ///
     /// # Errors
     /// [`MlError::InvalidConfig`] unless `lr > 0` and `epsilon > 0` (both
@@ -279,31 +255,18 @@ impl AdaGrad {
         Ok(AdaGrad {
             lr,
             epsilon,
-            accum: vec![0.0; dim],
+            accum: Store::Dense(vec![0.0; dim]),
         })
     }
 
-    /// Bytes held in the accumulator vector.
-    pub fn state_bytes(&self) -> usize {
-        8 * self.accum.len()
-    }
-}
-
-impl Optimizer for AdaGrad {
-    fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]) {
-        for (&k, &g) in keys.iter().zip(values) {
-            let k = k as usize;
-            if k >= weights.len() {
-                continue;
-            }
-            let a = &mut self.accum[k];
-            *a += g * g;
-            weights[k] -= self.lr * g / (a.sqrt() + self.epsilon);
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
+    pub(crate) fn step(&mut self, weights: &mut [f64], keys: &[u64], values: &[f64]) {
+        let (lr, epsilon) = (self.lr, self.epsilon);
+        // The accumulator is a plain running sum, which a sketch takes as a
+        // linear insert; its read-back is clamped like Adam's `v`.
+        with_layout!(a = &mut self.accum => each_key(weights, keys, values, |k, g| {
+            let a = a.add(k, g * g).max(0.0);
+            lr * g / (a.sqrt() + epsilon)
+        }))
     }
 }
 
@@ -375,21 +338,6 @@ impl serde::Deserialize for OptimizerKind {
 }
 
 impl OptimizerKind {
-    /// Instantiates the optimizer for a `dim`-dimensional model.
-    ///
-    /// # Errors
-    /// Propagates the constructors' validation errors.
-    pub fn build(self, dim: usize) -> Result<Box<dyn Optimizer>, MlError> {
-        Ok(match self {
-            OptimizerKind::Sgd(lr) => Box::new(Sgd::new(lr)?),
-            OptimizerKind::Momentum(lr, gamma) => Box::new(Momentum::new(dim, lr, gamma)?),
-            OptimizerKind::AdaGrad(lr, epsilon) => {
-                Box::new(AdaGrad::with_epsilon(dim, lr, epsilon)?)
-            }
-            OptimizerKind::Adam(cfg) => Box::new(Adam::new(dim, cfg)?),
-        })
-    }
-
     /// Display name for experiment tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -646,19 +594,14 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_kind_builds_and_names() {
-        for kind in [
+    fn optimizer_kind_names() {
+        let names = [
             OptimizerKind::Sgd(0.1),
             OptimizerKind::Momentum(0.1, 0.9),
             OptimizerKind::AdaGrad(0.1, 1e-8),
             OptimizerKind::Adam(AdamConfig::default()),
-        ] {
-            let mut opt = kind.build(4).unwrap();
-            let mut w = vec![0.0; 4];
-            opt.step(&mut w, &[1], &[1.0]);
-            assert_ne!(w[1], 0.0, "{} did not update", kind.name());
-        }
-        assert!(OptimizerKind::Sgd(-1.0).build(4).is_err());
-        assert_eq!(OptimizerKind::Adam(AdamConfig::default()).name(), "Adam");
+        ]
+        .map(OptimizerKind::name);
+        assert_eq!(names, ["SGD", "Momentum", "AdaGrad", "Adam"]);
     }
 }

@@ -2,7 +2,9 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sketchml_ml::{AdaGrad, Adam, AdamConfig, GlmLoss, Momentum, Optimizer, Sgd, SparseVector};
+use sketchml_ml::{
+    AdaGrad, Adam, AdamConfig, GlmLoss, Momentum, OptimizerState, Sgd, SparseVector,
+};
 
 proptest! {
     /// Losses are non-negative and finite over reasonable score ranges.
@@ -58,14 +60,13 @@ proptest! {
         g in prop_oneof![-10.0f64..-1e-6, 1e-6..10.0],
         dim in 2usize..16,
     ) {
-        let builders: Vec<Box<dyn Fn() -> Box<dyn Optimizer>>> = vec![
-            Box::new(|| Box::new(Sgd::new(0.1).unwrap())),
-            Box::new(move || Box::new(Momentum::new(16, 0.1, 0.9).unwrap())),
-            Box::new(move || Box::new(AdaGrad::new(16, 0.1).unwrap())),
-            Box::new(move || Box::new(Adam::new(16, AdamConfig::with_lr(0.1)).unwrap())),
+        let optimizers: [OptimizerState; 4] = [
+            Sgd::new(0.1).unwrap().into(),
+            Momentum::new(16, 0.1, 0.9).unwrap().into(),
+            AdaGrad::new(16, 0.1).unwrap().into(),
+            Adam::new(16, AdamConfig::with_lr(0.1)).unwrap().into(),
         ];
-        for build in &builders {
-            let mut opt = build();
+        for mut opt in optimizers {
             let mut w = vec![0.0; 16];
             opt.step(&mut w, &[(dim - 1) as u64], &[g]);
             prop_assert!(w[dim - 1] * g < 0.0, "step must oppose gradient");

@@ -80,5 +80,5 @@ pub use sketchml_core::{
 pub use sketchml_data::{MnistLikeSpec, SparseDatasetSpec};
 pub use sketchml_ml::{
     AdaGrad, Adam, AdamConfig, Checkpoint, GlmLoss, GlmModel, Instance, Momentum, OptStateMode,
-    OptimizerKind, OptimizerState, SketchedAdaGrad, SketchedAdam, SketchedMomentum, SparseVector,
+    OptimizerKind, OptimizerState, SparseVector,
 };

@@ -504,9 +504,14 @@ fn invalid_plans_and_configs_are_typed_errors() {
     // Bugfix: resume used to check only the checkpoint's dimension, so a
     // Logistic / l2 0.01 checkpoint kept training as itself under a spec of
     // another loss, l2 or optimizer. It is held to the spec now, by the check
-    // a socket worker restoring the server's state goes through.
+    // a socket worker restoring the server's state goes through. That check
+    // once compared only the optimizer's variant, so a checkpoint also
+    // resumed under another learning rate (and trained on with its own) or
+    // another sketch-table shape; rule, hyper-parameters and state layout
+    // are all held to the spec now.
     let adam = TrainSpec::paper(GlmLoss::Logistic, 0.05, 2);
     let sgd = adam.with_optimizer(sketchml::ml::OptimizerKind::Sgd(0.05));
+    let sketched = adam.with_opt_state(sketchml::ml::OptStateMode::sketched(3, 4096));
     let train_spec = |spec: &TrainSpec, resume| {
         train_glm(
             &GlmTask::new(&train, &test, dim),
@@ -525,6 +530,7 @@ fn invalid_plans_and_configs_are_typed_errors() {
         train_spec(&one_epoch, None).unwrap().checkpoint.unwrap()
     };
     let (adam_checkpoint, sgd_checkpoint) = (checkpoint(&adam), checkpoint(&sgd));
+    let sketched_checkpoint = checkpoint(&sketched);
     for (what, spec, resume) in [
         (
             "another loss",
@@ -537,6 +543,21 @@ fn invalid_plans_and_configs_are_typed_errors() {
             &adam_checkpoint,
         ),
         ("an Adam spec, an SGD checkpoint", adam, &sgd_checkpoint),
+        (
+            "another learning rate",
+            TrainSpec::paper(GlmLoss::Logistic, 0.01, 2),
+            &adam_checkpoint,
+        ),
+        (
+            "another table shape",
+            adam.with_opt_state(sketchml::ml::OptStateMode::sketched(5, 8192)),
+            &sketched_checkpoint,
+        ),
+        (
+            "a sketched spec, a dense checkpoint",
+            sketched,
+            &adam_checkpoint,
+        ),
     ] {
         let err = train_spec(&spec, Some(resume.clone())).unwrap_err();
         assert!(

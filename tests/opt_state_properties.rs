@@ -5,7 +5,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sketchml::ml::{Optimizer, OptimizerKind};
+use sketchml::ml::OptimizerKind;
 use sketchml::{AdamConfig, Checkpoint, GlmLoss, GlmModel, OptStateMode, OptimizerState};
 
 const DIM: usize = 32;
