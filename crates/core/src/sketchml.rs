@@ -602,8 +602,8 @@ impl SketchMlCompressor {
         }
 
         // Flat `r_eff × rows × cols` cell table plus per-group row seeds:
-        // exactly the tables `GroupedMinMaxSketch` would build (seeds share
-        // the derivation in `push_row_seeds`), without constructing it.
+        // §3.3's grouped MinMaxSketch, one table per group hashed under
+        // `group_seed` (seeds share the derivation in `push_row_seeds`).
         let table = rows * cols;
         scratch.seeds.clear();
         for g in 0..r_eff {

@@ -7,64 +7,21 @@
 //! table uses when serialized.
 
 use crate::error::EncodingError;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::BytesMut;
 
 /// Minimum number of bits required to represent values in `[0, max_value]`.
 pub fn bits_for(max_value: u16) -> u32 {
     (16 - max_value.leading_zeros()).max(1)
 }
 
-/// Packs `values` at `bits` bits each (LSB-first) and appends to `out`.
-/// Returns the number of bytes written.
+/// Packs `values` at `bits` bits each (LSB-first) onto the tail of `out`:
+/// the packed region is reserved zeroed and the bits are ORed in place.
+/// Returns the number of bytes appended.
 ///
 /// # Errors
 /// [`EncodingError::InvalidInput`] if `bits` is 0 or > 16, or any value
-/// does not fit in `bits` bits.
-pub fn pack_u16(values: &[u16], bits: u32, out: &mut impl BufMut) -> Result<usize, EncodingError> {
-    if bits == 0 || bits > 16 {
-        return Err(EncodingError::InvalidInput(format!(
-            "bit width must be in 1..=16, got {bits}"
-        )));
-    }
-    let limit = if bits == 16 {
-        u16::MAX
-    } else {
-        (1u16 << bits) - 1
-    };
-    let total_bits = values.len() * bits as usize;
-    let total_bytes = total_bits.div_ceil(8);
-    let mut bytes = vec![0u8; total_bytes];
-    let mut bit_pos = 0usize;
-    for (i, &v) in values.iter().enumerate() {
-        if v > limit {
-            return Err(EncodingError::InvalidInput(format!(
-                "value {v} at position {i} exceeds {bits}-bit limit {limit}"
-            )));
-        }
-        let mut v = v as u32;
-        let mut remaining = bits;
-        while remaining > 0 {
-            let byte = bit_pos / 8;
-            let offset = (bit_pos % 8) as u32;
-            let take = remaining.min(8 - offset);
-            bytes[byte] |= ((v & ((1 << take) - 1)) as u8) << offset;
-            v >>= take;
-            bit_pos += take as usize;
-            remaining -= take;
-        }
-    }
-    out.put_slice(&bytes);
-    Ok(total_bytes)
-}
-
-/// Zero-temporary variant of [`pack_u16`]: reserves the packed region at the
-/// tail of `out` (zeroed) and ORs bits in place instead of building a
-/// temporary byte vector. Byte-identical output to [`pack_u16`]. Returns the
-/// number of bytes appended.
-///
-/// # Errors
-/// See [`pack_u16`]. On error the tail of `out` past its original length is
-/// unspecified.
+/// does not fit in `bits` bits. On error the tail of `out` past its
+/// original length is unspecified.
 pub fn pack_u16_into(
     values: &[u16],
     bits: u32,
@@ -106,25 +63,15 @@ pub fn pack_u16_into(
     Ok(total_bytes)
 }
 
-/// Unpacks `count` values of `bits` bits each from `buf`.
+/// Unpacks `count` values of `bits` bits each from the front of `buf` into
+/// a reusable buffer (`out` is cleared first), advancing `buf` past them.
 ///
 /// # Errors
 /// [`EncodingError::UnexpectedEof`] on truncated input,
-/// [`EncodingError::InvalidInput`] on a bad bit width.
-pub fn unpack_u16(buf: &mut impl Buf, count: usize, bits: u32) -> Result<Vec<u16>, EncodingError> {
-    let mut out = Vec::new();
-    unpack_u16_into(buf, count, bits, &mut out)?;
-    Ok(out)
-}
-
-/// Variant of [`unpack_u16`] decoding into a reusable buffer (`out` is
-/// cleared first). Contiguous buffers are decoded straight off the chunk
-/// without an intermediate copy.
-///
-/// # Errors
-/// See [`unpack_u16`].
+/// [`EncodingError::InvalidInput`] on a bad bit width,
+/// [`EncodingError::Corrupt`] on a count whose bit total overflows.
 pub fn unpack_u16_into(
-    buf: &mut impl Buf,
+    buf: &mut &[u8],
     count: usize,
     bits: u32,
     out: &mut Vec<u16>,
@@ -140,21 +87,15 @@ pub fn unpack_u16_into(
         .checked_mul(bits as usize)
         .map(|b| b.div_ceil(8))
         .ok_or_else(|| EncodingError::Corrupt(format!("bit-packed count {count} overflows")))?;
-    if buf.remaining() < total_bytes {
+    let Some((bytes, rest)) = buf.split_at_checked(total_bytes) else {
         return Err(EncodingError::UnexpectedEof {
             context: "bit-packed values",
         });
-    }
+    };
     out.clear();
     out.reserve(count);
-    if buf.chunk().len() >= total_bytes {
-        unpack_from_bytes(&buf.chunk()[..total_bytes], count, bits, out);
-        buf.advance(total_bytes);
-    } else {
-        let mut bytes = vec![0u8; total_bytes];
-        buf.copy_to_slice(&mut bytes);
-        unpack_from_bytes(&bytes, count, bits, out);
-    }
+    unpack_from_bytes(bytes, count, bits, out);
+    *buf = rest;
     Ok(())
 }
 
@@ -176,7 +117,7 @@ fn unpack_from_bytes(bytes: &[u8], count: usize, bits: u32, out: &mut Vec<u16>) 
     }
 }
 
-/// Bytes [`pack_u16`] will emit for `count` values at `bits` bits.
+/// Bytes [`pack_u16_into`] will emit for `count` values at `bits` bits.
 pub fn packed_len(count: usize, bits: u32) -> usize {
     (count * bits as usize).div_ceil(8)
 }
@@ -184,18 +125,22 @@ pub fn packed_len(count: usize, bits: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
     fn roundtrip(values: &[u16], bits: u32) {
-        let mut buf = BytesMut::new();
-        let written = pack_u16(values, bits, &mut buf).unwrap();
-        assert_eq!(written, buf.len());
+        // A non-empty prefix: the packer appends to what is there.
+        let mut buf = BytesMut::from(&b"hdr"[..]);
+        let written = pack_u16_into(values, bits, &mut buf).unwrap();
+        assert_eq!(written, buf.len() - 3);
         assert_eq!(written, packed_len(values.len(), bits));
-        let mut bytes = buf.freeze();
-        let decoded = unpack_u16(&mut bytes, values.len(), bits).unwrap();
+        // Stale content must be cleared; trailing bytes are left unread.
+        buf.extend_from_slice(&[0xAB; 5]);
+        let mut view = &buf[3..];
+        let mut decoded = vec![9u16; 4];
+        unpack_u16_into(&mut view, values.len(), bits, &mut decoded).unwrap();
         assert_eq!(decoded, values);
+        assert_eq!(view, &[0xAB; 5], "decoder must consume exactly its bytes");
     }
 
     #[test]
@@ -228,26 +173,42 @@ mod tests {
     #[test]
     fn value_overflow_rejected() {
         let mut buf = BytesMut::new();
-        assert!(pack_u16(&[8], 3, &mut buf).is_err());
-        assert!(pack_u16(&[7], 3, &mut buf).is_ok());
+        assert!(pack_u16_into(&[8], 3, &mut buf).is_err());
+        assert!(pack_u16_into(&[7], 3, &mut buf).is_ok());
     }
 
     #[test]
     fn bad_widths_rejected() {
         let mut buf = BytesMut::new();
-        assert!(pack_u16(&[1], 0, &mut buf).is_err());
-        assert!(pack_u16(&[1], 17, &mut buf).is_err());
+        assert!(pack_u16_into(&[1], 0, &mut buf).is_err());
+        assert!(pack_u16_into(&[1], 17, &mut buf).is_err());
+        let mut out = Vec::new();
+        for bits in [0, 17] {
+            let mut data: &[u8] = &[0u8; 8];
+            assert!(matches!(
+                unpack_u16_into(&mut data, 1, bits, &mut out),
+                Err(EncodingError::InvalidInput(_))
+            ));
+        }
         let mut data: &[u8] = &[0u8; 8];
-        assert!(unpack_u16(&mut data, 1, 0).is_err());
+        assert!(matches!(
+            unpack_u16_into(&mut data, usize::MAX, 16, &mut out),
+            Err(EncodingError::Corrupt(_))
+        ));
     }
 
     #[test]
     fn truncation_detected() {
         let mut buf = BytesMut::new();
-        pack_u16(&[1, 2, 3, 4, 5], 9, &mut buf).unwrap();
-        let full = buf.freeze();
-        let mut cut = full.slice(..full.len() - 1);
-        assert!(unpack_u16(&mut cut, 5, 9).is_err());
+        pack_u16_into(&[1, 2, 3, 4, 5], 9, &mut buf).unwrap();
+        let mut out = Vec::new();
+        for cut in 0..buf.len() {
+            let mut partial = &buf[..cut];
+            assert!(matches!(
+                unpack_u16_into(&mut partial, 5, 9, &mut out),
+                Err(EncodingError::UnexpectedEof { .. })
+            ));
+        }
     }
 
     #[test]
@@ -258,39 +219,6 @@ mod tests {
         assert_eq!(bits_for(255), 8);
         assert_eq!(bits_for(256), 9);
         assert_eq!(bits_for(u16::MAX), 16);
-    }
-
-    #[test]
-    fn in_place_variants_match_allocating_path() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut packed = BytesMut::new();
-        let mut unpacked = Vec::new();
-        for bits in 1..=16u32 {
-            let limit = if bits == 16 {
-                u16::MAX
-            } else {
-                (1u16 << bits) - 1
-            };
-            let values: Vec<u16> = (0..257).map(|_| rng.gen_range(0..=limit)).collect();
-            let mut reference = BytesMut::new();
-            let ref_written = pack_u16(&values, bits, &mut reference).unwrap();
-            packed.clear();
-            let written = pack_u16_into(&values, bits, &mut packed).unwrap();
-            assert_eq!(written, ref_written);
-            assert_eq!(&packed[..], &reference[..], "bits={bits} pack diverged");
-
-            let mut view = &packed[..];
-            unpack_u16_into(&mut view, values.len(), bits, &mut unpacked).unwrap();
-            assert_eq!(view.len(), 0);
-            assert_eq!(unpacked, values);
-        }
-        // Error parity with the allocating path.
-        assert!(pack_u16_into(&[8], 3, &mut packed).is_err());
-        assert!(pack_u16_into(&[1], 0, &mut packed).is_err());
-        let mut data: &[u8] = &[0u8; 8];
-        assert!(unpack_u16_into(&mut data, 1, 17, &mut unpacked).is_err());
-        let mut short: &[u8] = &[0u8];
-        assert!(unpack_u16_into(&mut short, 9, 8, &mut unpacked).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! `10` = 3, `11` = 4). Flags are packed four per byte ahead of the
 //! payload, costing 1/4 byte per key (Appendix A.3's "two flag bits").
 //!
-//! Wire layout produced by [`encode_keys`]:
+//! Wire layout produced by [`encode_keys_into`]:
 //!
 //! ```text
 //! varint n | ⌈n/4⌉ flag bytes | Σ payload bytes (little-endian, 1–4 each)
@@ -23,7 +23,7 @@
 
 use crate::error::EncodingError;
 use crate::varint;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::BytesMut;
 
 /// Number of payload bytes selected by the threshold module for `delta`
 /// (§3.4 Step 2). Always in `1..=4`.
@@ -37,18 +37,10 @@ pub fn bytes_needed(delta: u32) -> usize {
     }
 }
 
-/// Computes the delta keys of a strictly ascending key array (§3.4 Step 1).
-///
-/// The first entry is the first key itself; entry `i > 0` is
-/// `keys[i] - keys[i-1]`.
-///
-/// # Errors
-/// [`EncodingError::DuplicateKey`] if a key repeats (a merged shard stream
-/// that was concatenated instead of summed), [`EncodingError::InvalidInput`]
-/// if keys descend or a delta (or the first key) exceeds `u32::MAX`, the
-/// 4-byte maximum of the byte-flag scheme.
-pub fn delta_transform(keys: &[u64]) -> Result<Vec<u32>, EncodingError> {
-    let mut out = Vec::with_capacity(keys.len());
+/// Finds the first key the byte-flag scheme cannot carry, allocating
+/// nothing: the encoders only flag a violation on their hot path and call
+/// this to name it, with the errors [`encode_keys_into`] documents.
+fn check_keys(keys: &[u64]) -> Result<(), EncodingError> {
     let mut prev: Option<u64> = None;
     for (i, &k) in keys.iter().enumerate() {
         let delta = match prev {
@@ -62,65 +54,28 @@ pub fn delta_transform(keys: &[u64]) -> Result<Vec<u32>, EncodingError> {
                 )))
             }
         };
-        let delta = u32::try_from(delta).map_err(|_| {
-            EncodingError::InvalidInput(format!(
+        if delta > u64::from(u32::MAX) {
+            return Err(EncodingError::InvalidInput(format!(
                 "delta {delta} at position {i} exceeds the 4-byte maximum"
-            ))
-        })?;
-        out.push(delta);
+            )));
+        }
         prev = Some(k);
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Inverse of [`delta_transform`].
-pub fn delta_restore(deltas: &[u32]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(deltas.len());
-    let mut acc: u64 = 0;
-    for &d in deltas {
-        acc += u64::from(d);
-        out.push(acc);
-    }
-    out
-}
-
-/// Encodes a strictly ascending key array into `out` using delta-binary
-/// encoding. Returns the number of bytes written.
+/// Encodes a strictly ascending key array onto the tail of `out` using
+/// delta-binary encoding (§3.4): the 2-bit byte flags are reserved up front
+/// (zeroed) and back-patched while the payload bytes stream out, so no
+/// intermediate delta array is materialized. Returns the number of bytes
+/// appended.
 ///
 /// # Errors
-/// See [`delta_transform`].
-pub fn encode_keys(keys: &[u64], out: &mut impl BufMut) -> Result<usize, EncodingError> {
-    let deltas = delta_transform(keys)?;
-    let n = deltas.len();
-    let mut written = varint::encoded_len(n as u64);
-    varint::write_u64(out, n as u64);
-
-    // Byte flags, packed four per byte, LSB-first within each byte.
-    let mut flag_bytes = vec![0u8; n.div_ceil(4)];
-    for (i, &d) in deltas.iter().enumerate() {
-        let flag = (bytes_needed(d) - 1) as u8; // 00..11
-        flag_bytes[i / 4] |= flag << ((i % 4) * 2);
-    }
-    out.put_slice(&flag_bytes);
-    written += flag_bytes.len();
-
-    for &d in &deltas {
-        let nb = bytes_needed(d);
-        out.put_slice(&d.to_le_bytes()[..nb]);
-        written += nb;
-    }
-    Ok(written)
-}
-
-/// Streaming variant of [`encode_keys`] writing into a [`BytesMut`]: the
-/// 2-bit byte flags are reserved up front (zeroed) and back-patched while the
-/// payload bytes stream out, so no intermediate delta array is materialized.
-/// Byte-for-byte identical output to [`encode_keys`]. Returns the number of
-/// bytes appended.
-///
-/// # Errors
-/// See [`delta_transform`]. On error the tail of `out` past its original
-/// length is unspecified.
+/// [`EncodingError::DuplicateKey`] if a key repeats (a merged shard stream
+/// that was concatenated instead of summed), [`EncodingError::InvalidInput`]
+/// if keys descend or a delta (or the first key) exceeds `u32::MAX`, the
+/// 4-byte maximum of the byte-flag scheme. On error the tail of `out` past
+/// its original length is unspecified.
 pub fn encode_keys_into(keys: &[u64], out: &mut BytesMut) -> Result<usize, EncodingError> {
     #[cfg(target_arch = "x86_64")]
     if crate::simd::lanes_active() {
@@ -149,10 +104,9 @@ fn encode_keys_into_scalar(keys: &[u64], out: &mut BytesMut) -> Result<usize, En
     let mut pos = payload_at;
     encode_run_scalar(keys, 0, data, flag_at, &mut prev, &mut pos, &mut bad);
     if bad {
-        // Re-run the checking transform to surface the exact error the
-        // allocating path reports (`out`'s tail is unspecified on error).
-        delta_transform(keys)?;
-        debug_assert!(false, "validity flag set but delta_transform passed");
+        // Name the first bad key (`out`'s tail is unspecified on error).
+        check_keys(keys)?;
+        debug_assert!(false, "validity flag set but check_keys passed");
     }
     out.truncate(pos);
     Ok(out.len() - start)
@@ -230,8 +184,8 @@ fn encode_keys_into_lanes(keys: &[u64], out: &mut BytesMut) -> Result<usize, Enc
         &mut bad,
     );
     if bad {
-        delta_transform(keys)?;
-        debug_assert!(false, "validity flag set but delta_transform passed");
+        check_keys(keys)?;
+        debug_assert!(false, "validity flag set but check_keys passed");
     }
     out.truncate(pos);
     Ok(out.len() - start)
@@ -303,62 +257,27 @@ unsafe fn encode_mid_avx2(
     i
 }
 
-/// Decodes a key array previously written by [`encode_keys`].
-///
-/// # Errors
-/// [`EncodingError::UnexpectedEof`] on truncated input.
-pub fn decode_keys(buf: &mut impl Buf) -> Result<Vec<u64>, EncodingError> {
-    let mut out = Vec::new();
-    decode_keys_into(buf, &mut out)?;
-    Ok(out)
-}
-
-/// Single-pass decode of [`encode_keys`] output into a reusable buffer: each
-/// delta is read, accumulated, and pushed as a key in one loop — no
-/// intermediate delta vector. `out` is cleared first.
-///
-/// Every caller in the tree hands over a slice (`&mut &[u8]`) and so takes
-/// the contiguous branch, which reads flags and payload in place and
-/// allocates nothing beyond `out`'s growth. A `Buf` whose first chunk is not
-/// all of it takes the fragmented branch, which copies the flag bytes to the
-/// heap first.
+/// Single-pass decode of [`encode_keys_into`] output from the front of
+/// `buf` into a reusable buffer, advancing `buf` past it: each delta is
+/// read, accumulated, and pushed as a key in one loop, with flags and
+/// payload read in place — nothing is allocated beyond `out`'s growth.
+/// `out` is cleared first.
 ///
 /// # Errors
 /// [`EncodingError::UnexpectedEof`] on truncated input (with `out` contents
 /// unspecified).
-pub fn decode_keys_into(buf: &mut impl Buf, out: &mut Vec<u64>) -> Result<(), EncodingError> {
+pub fn decode_keys_into(buf: &mut &[u8], out: &mut Vec<u64>) -> Result<(), EncodingError> {
     let n = varint::read_u64(buf)? as usize;
     out.clear();
     let flag_len = n.div_ceil(4);
-    if buf.remaining() < flag_len {
+    if buf.len() < flag_len {
         return Err(EncodingError::UnexpectedEof {
             context: "byte flags",
         });
     }
     out.reserve(n);
-
-    if buf.chunk().len() == buf.remaining() {
-        let used = decode_contiguous(buf.chunk(), n, flag_len, out)?;
-        buf.advance(used);
-        return Ok(());
-    }
-
-    let mut flag_bytes = vec![0u8; flag_len];
-    buf.copy_to_slice(&mut flag_bytes);
-    let mut acc = 0u64;
-    for i in 0..n {
-        let flag = (flag_bytes[i / 4] >> ((i % 4) * 2)) & 0b11;
-        let nb = flag as usize + 1;
-        if buf.remaining() < nb {
-            return Err(EncodingError::UnexpectedEof {
-                context: "delta payload",
-            });
-        }
-        let mut le = [0u8; 4];
-        buf.copy_to_slice(&mut le[..nb]);
-        acc += u64::from(u32::from_le_bytes(le));
-        out.push(acc);
-    }
+    let used = decode_contiguous(buf, n, flag_len, out)?;
+    *buf = &buf[used..];
     Ok(())
 }
 
@@ -414,84 +333,22 @@ fn decode_contiguous(
     Ok(flag_len + pos)
 }
 
-/// Exact encoded size in bytes of `keys` without materializing the buffer.
-///
-/// # Errors
-/// See [`delta_transform`].
-pub fn encoded_len(keys: &[u64]) -> Result<usize, EncodingError> {
-    let deltas = delta_transform(keys)?;
-    let n = deltas.len();
-    Ok(varint::encoded_len(n as u64)
-        + n.div_ceil(4)
-        + deltas.iter().map(|&d| bytes_needed(d)).sum::<usize>())
-}
-
-/// Merges two strictly ascending key arrays into their sorted union (each
-/// shared key appearing once), appending to `out` (cleared first). This is
-/// the key-union step of collective merge: the result is guaranteed to
-/// re-encode through [`encode_keys`] without tripping the duplicate check.
-///
-/// # Errors
-/// [`EncodingError::DuplicateKey`] / [`EncodingError::InvalidInput`] if
-/// either *input* repeats or descends — a corrupt increment stream upstream,
-/// surfaced here instead of silently poisoning the union.
-pub fn union_keys_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) -> Result<(), EncodingError> {
-    fn check_ascending(keys: &[u64]) -> Result<(), EncodingError> {
-        for (i, w) in keys.windows(2).enumerate() {
-            if w[1] == w[0] {
-                // `i + 1` is the index of the repeated occurrence.
-                return Err(EncodingError::DuplicateKey {
-                    key: w[0],
-                    offset: i + 1,
-                });
-            }
-            if w[1] < w[0] {
-                return Err(EncodingError::InvalidInput(format!(
-                    "keys must be strictly ascending: {} < {}",
-                    w[1], w[0]
-                )));
-            }
-        }
-        Ok(())
-    }
-    check_ascending(a)?;
-    check_ascending(b)?;
-    out.clear();
-    out.reserve(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    Ok(())
-}
-
 /// Average bytes consumed per key — the statistic Figure 8(d) tracks
 /// ("Bytes Per Key", ~1.25–1.27 in the paper). Excludes the count varint.
 ///
 /// # Errors
-/// See [`delta_transform`].
+/// As [`encode_keys_into`].
 pub fn bytes_per_key(keys: &[u64]) -> Result<f64, EncodingError> {
     if keys.is_empty() {
         return Ok(0.0);
     }
-    let deltas = delta_transform(keys)?;
-    let payload: usize = deltas.iter().map(|&d| bytes_needed(d)).sum();
+    check_keys(keys)?;
+    // The first key's delta is the key itself.
+    let payload: usize = std::iter::once(0)
+        .chain(keys.iter().copied())
+        .zip(keys)
+        .map(|(prev, &k)| bytes_needed((k - prev) as u32))
+        .sum();
     let flags = keys.len().div_ceil(4);
     Ok((payload + flags) as f64 / keys.len() as f64)
 }
@@ -499,22 +356,59 @@ pub fn bytes_per_key(keys: &[u64]) -> Result<f64, EncodingError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
+    use bytes::BufMut;
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
+    /// The delta keys of a strictly ascending key array (§3.4 Step 1): the
+    /// first entry is the first key itself, entry `i > 0` is
+    /// `keys[i] - keys[i-1]`. The reference [`encode_keys`] is written over.
+    fn delta_transform(keys: &[u64]) -> Result<Vec<u32>, EncodingError> {
+        check_keys(keys)?;
+        let mut prev = 0;
+        Ok(keys
+            .iter()
+            .map(|&k| {
+                let delta = (k - prev) as u32;
+                prev = k;
+                delta
+            })
+            .collect())
+    }
+
+    /// The allocating encoder the streaming ones are held to: deltas first,
+    /// then the flag bytes, then each delta's low bytes.
+    fn encode_keys(keys: &[u64], out: &mut impl BufMut) -> Result<usize, EncodingError> {
+        let deltas = delta_transform(keys)?;
+        let n = deltas.len();
+        varint::write_u64(out, n as u64);
+        let mut flag_bytes = vec![0u8; n.div_ceil(4)];
+        for (i, &d) in deltas.iter().enumerate() {
+            flag_bytes[i / 4] |= ((bytes_needed(d) - 1) as u8) << ((i % 4) * 2);
+        }
+        out.put_slice(&flag_bytes);
+        let mut written = varint::encoded_len(n as u64) + flag_bytes.len();
+        for &d in &deltas {
+            let nb = bytes_needed(d);
+            out.put_slice(&d.to_le_bytes()[..nb]);
+            written += nb;
+        }
+        Ok(written)
+    }
+
+    /// Encodes with the shipped encoder, holds it to [`encode_keys`] and
+    /// decodes the bytes back.
     fn roundtrip(keys: &[u64]) -> Vec<u64> {
         let mut buf = BytesMut::new();
-        let written = encode_keys(keys, &mut buf).unwrap();
+        let written = encode_keys_into(keys, &mut buf).unwrap();
         assert_eq!(written, buf.len());
-        assert_eq!(written, encoded_len(keys).unwrap());
-        let mut bytes = buf.freeze();
-        let decoded = decode_keys(&mut bytes).unwrap();
-        assert_eq!(
-            bytes.remaining(),
-            0,
-            "decoder must consume exactly its bytes"
-        );
+        let mut reference = BytesMut::new();
+        assert_eq!(encode_keys(keys, &mut reference).unwrap(), written);
+        assert_eq!(buf, reference, "streaming encode diverged");
+        let mut view = &buf[..];
+        let mut decoded = Vec::new();
+        decode_keys_into(&mut view, &mut decoded).unwrap();
+        assert!(view.is_empty(), "decoder must consume exactly its bytes");
         decoded
     }
 
@@ -577,118 +471,61 @@ mod tests {
     }
 
     #[test]
-    fn non_ascending_rejected() {
-        assert!(encode_keys(&[5, 5], &mut BytesMut::new()).is_err());
-        assert!(encode_keys(&[5, 3], &mut BytesMut::new()).is_err());
-    }
-
-    #[test]
     fn duplicate_keys_are_a_typed_error() {
-        // A concatenated (unsummed) shard union repeats keys; both encode
-        // paths must name the offending key *and its position* rather than
-        // emit a zero delta.
-        for result in [
-            encode_keys(&[3, 7, 7, 9], &mut BytesMut::new()),
-            encode_keys_into(&[3, 7, 7, 9], &mut BytesMut::new()).map(|_| 0),
+        // A concatenated (unsummed) shard union repeats keys; the encoder
+        // must name the offending key *and its position* rather than emit
+        // a zero delta. The offset disambiguates *which* repeat tripped the
+        // check when the same key value appears twice in a bad merge.
+        for (keys, key, offset) in [
+            (&[3u64, 7, 7, 9][..], 7, 2),
+            (&[1, 1], 1, 1),
+            (&[10, 20, 30, 30, 40, 40], 30, 3),
         ] {
-            assert_eq!(
-                result,
-                Err(EncodingError::DuplicateKey { key: 7, offset: 2 })
-            );
+            let want = EncodingError::DuplicateKey { key, offset };
+            let got = encode_keys_into(keys, &mut BytesMut::new());
+            assert_eq!(got.unwrap_err(), want);
+            assert_eq!(delta_transform(keys).unwrap_err(), want);
         }
-        assert_eq!(
-            delta_transform(&[1, 1]),
-            Err(EncodingError::DuplicateKey { key: 1, offset: 1 })
-        );
-        // Descending stays the generic invalid-input error.
-        assert!(matches!(
-            delta_transform(&[5, 3]),
-            Err(EncodingError::InvalidInput(_))
-        ));
-    }
-
-    #[test]
-    fn duplicate_key_offset_points_at_second_occurrence() {
-        // The offset disambiguates *which* repeat tripped the check when the
-        // same key value legitimately appears far apart in a bad merge.
-        let keys = [10u64, 20, 30, 30, 40, 40];
-        assert_eq!(
-            delta_transform(&keys),
-            Err(EncodingError::DuplicateKey { key: 30, offset: 3 })
-        );
-        assert_eq!(
-            encode_keys(&keys, &mut BytesMut::new()),
-            Err(EncodingError::DuplicateKey { key: 30, offset: 3 })
-        );
-        assert_eq!(
-            encode_keys_into(&keys, &mut BytesMut::new()),
-            Err(EncodingError::DuplicateKey { key: 30, offset: 3 })
-        );
-        let mut out = Vec::new();
-        assert_eq!(
-            union_keys_into(&keys, &[], &mut out),
-            Err(EncodingError::DuplicateKey { key: 30, offset: 3 })
-        );
         // The rendered message carries both coordinates.
         let msg = EncodingError::DuplicateKey { key: 30, offset: 3 }.to_string();
         assert!(msg.contains("30") && msg.contains("offset 3"), "{msg}");
     }
 
     #[test]
-    fn union_keys_merges_and_dedups() {
-        let mut out = Vec::new();
-        union_keys_into(&[1, 4, 9], &[2, 4, 10], &mut out).unwrap();
-        assert_eq!(out, vec![1, 2, 4, 9, 10]);
-        union_keys_into(&[], &[7], &mut out).unwrap();
-        assert_eq!(out, vec![7]);
-        union_keys_into(&[7], &[], &mut out).unwrap();
-        assert_eq!(out, vec![7]);
-        // The union always re-encodes cleanly.
-        let mut buf = BytesMut::new();
-        union_keys_into(&[1, 4, 9], &[2, 4, 10], &mut out).unwrap();
-        encode_keys(&out, &mut buf).unwrap();
-    }
-
-    #[test]
-    fn union_keys_rejects_corrupt_inputs() {
-        let mut out = Vec::new();
-        assert_eq!(
-            union_keys_into(&[1, 1], &[2], &mut out),
-            Err(EncodingError::DuplicateKey { key: 1, offset: 1 })
-        );
-        assert_eq!(
-            union_keys_into(&[2], &[9, 9], &mut out),
-            Err(EncodingError::DuplicateKey { key: 9, offset: 1 })
-        );
-        assert!(matches!(
-            union_keys_into(&[5, 3], &[], &mut out),
-            Err(EncodingError::InvalidInput(_))
-        ));
-    }
-
-    #[test]
-    fn oversized_delta_rejected() {
-        let keys = [0u64, u32::MAX as u64 + 1];
-        assert!(matches!(
-            encode_keys(&keys, &mut BytesMut::new()),
-            Err(EncodingError::InvalidInput(_))
-        ));
-        // First key too large is also a delta.
-        assert!(encode_keys(&[u32::MAX as u64 + 1], &mut BytesMut::new()).is_err());
-    }
-
-    #[test]
-    fn truncated_buffers_error_not_panic() {
-        let keys: Vec<u64> = (0..100).map(|i| i * 7 + 3).collect();
-        let mut buf = BytesMut::new();
-        encode_keys(&keys, &mut buf).unwrap();
-        let full = buf.freeze();
-        for cut in 0..full.len() {
-            let mut partial = full.slice(..cut);
-            let _ = decode_keys(&mut partial); // must not panic
+    fn descending_and_oversized_keys_are_invalid_input() {
+        for keys in [
+            &[5u64, 3][..],
+            &[0, u32::MAX as u64 + 1],
+            // First key too large is also a delta.
+            &[u32::MAX as u64 + 1],
+        ] {
+            assert!(matches!(
+                encode_keys_into(keys, &mut BytesMut::new()),
+                Err(EncodingError::InvalidInput(_))
+            ));
+            assert!(matches!(
+                delta_transform(keys),
+                Err(EncodingError::InvalidInput(_))
+            ));
         }
-        let mut ok = full.clone();
-        assert_eq!(decode_keys(&mut ok).unwrap(), keys);
+    }
+
+    #[test]
+    fn decode_reuses_buffer_and_rejects_every_truncation() {
+        let keys: Vec<u64> = (0..200).map(|i| i * 11 + 5).collect();
+        let mut buf = BytesMut::new();
+        encode_keys_into(&keys, &mut buf).unwrap();
+        let mut out = vec![99u64; 3]; // stale content must be cleared
+        let mut view = &buf[..];
+        decode_keys_into(&mut view, &mut out).unwrap();
+        assert_eq!(out, keys);
+        for cut in 0..buf.len() {
+            let mut partial = &buf[..cut];
+            assert!(matches!(
+                decode_keys_into(&mut partial, &mut out),
+                Err(EncodingError::UnexpectedEof { .. })
+            ));
+        }
     }
 
     #[test]
@@ -709,9 +546,28 @@ mod tests {
     }
 
     #[test]
-    fn streaming_encode_matches_allocating_encode() {
+    fn bytes_per_key_is_the_encoded_size_without_the_count() {
+        let mut rng = StdRng::seed_from_u64(34);
+        for _ in 0..20 {
+            let mut cur = 0u64;
+            let keys: Vec<u64> = (0..rng.gen_range(1..700))
+                .map(|_| {
+                    cur += rng.gen_range(1..40_000_000u64);
+                    cur
+                })
+                .collect();
+            let mut buf = BytesMut::new();
+            let n = encode_keys_into(&keys, &mut buf).unwrap();
+            let body = n - varint::encoded_len(keys.len() as u64);
+            let bpk = bytes_per_key(&keys).unwrap();
+            assert_eq!(bpk, body as f64 / keys.len() as f64);
+        }
+        assert!(bytes_per_key(&[5, 5]).is_err());
+    }
+
+    #[test]
+    fn large_deltas_roundtrip() {
         let mut rng = StdRng::seed_from_u64(33);
-        let mut scratch = BytesMut::new();
         for _ in 0..40 {
             let n = rng.gen_range(0..1500);
             let mut keys: Vec<u64> = Vec::with_capacity(n);
@@ -720,29 +576,8 @@ mod tests {
                 cur += rng.gen_range(1..40_000_000u64);
                 keys.push(cur);
             }
-            let mut reference = BytesMut::new();
-            let ref_written = encode_keys(&keys, &mut reference).unwrap();
-            scratch.clear();
-            let written = encode_keys_into(&keys, &mut scratch).unwrap();
-            assert_eq!(written, ref_written);
-            assert_eq!(&scratch[..], &reference[..], "streaming encode diverged");
-
-            let mut dec = Vec::new();
-            let mut view = &scratch[..];
-            decode_keys_into(&mut view, &mut dec).unwrap();
-            assert_eq!(view.len(), 0, "decoder must consume exactly its bytes");
-            assert_eq!(dec, keys);
+            assert_eq!(roundtrip(&keys), keys);
         }
-    }
-
-    #[test]
-    fn streaming_encode_rejects_bad_keys() {
-        let mut buf = BytesMut::new();
-        assert!(encode_keys_into(&[5, 5], &mut buf).is_err());
-        buf.clear();
-        assert!(encode_keys_into(&[5, 3], &mut buf).is_err());
-        buf.clear();
-        assert!(encode_keys_into(&[u32::MAX as u64 + 1], &mut buf).is_err());
     }
 
     /// The AVX2 packer against [`encode_keys_into_scalar`], called directly
@@ -823,22 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_into_reuses_buffer_and_rejects_truncation() {
-        let keys: Vec<u64> = (0..200).map(|i| i * 11 + 5).collect();
-        let mut buf = BytesMut::new();
-        encode_keys(&keys, &mut buf).unwrap();
-        let full = buf.freeze();
-        let mut out = vec![99u64; 3]; // stale content must be cleared
-        let mut view = &full[..];
-        decode_keys_into(&mut view, &mut out).unwrap();
-        assert_eq!(out, keys);
-        for cut in 0..full.len() {
-            let mut partial = &full[..cut];
-            let _ = decode_keys_into(&mut partial, &mut out); // must not panic
-        }
-    }
-
-    #[test]
     fn beats_raw_four_byte_keys() {
         // §3.4: "3.2× smaller for a four-byte integer".
         let mut rng = StdRng::seed_from_u64(32);
@@ -849,7 +668,7 @@ mod tests {
                 cur
             })
             .collect();
-        let encoded = encoded_len(&keys).unwrap() as f64;
+        let encoded = encode_keys_into(&keys, &mut BytesMut::new()).unwrap() as f64;
         let raw = 4.0 * keys.len() as f64;
         assert!(
             raw / encoded > 2.5,

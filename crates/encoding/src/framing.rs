@@ -31,7 +31,7 @@ use crate::error::EncodingError;
 use crate::varint;
 use bytes::BufMut;
 
-/// Upper bound on the shard count accepted by [`read_header`]; real configs
+/// Upper bound on the shard count accepted by [`read_any_header_into`]; real configs
 /// use at most a few hundred shards, so anything larger is corruption.
 pub const MAX_SHARDS: usize = 65_536;
 
@@ -69,26 +69,10 @@ pub fn header_len(lens: &[usize]) -> usize {
             .sum::<usize>()
 }
 
-/// Reads a frame header from the front of `buf`, advancing it past the
-/// header. Returns the per-shard payload lengths.
-///
-/// # Errors
-/// [`EncodingError::UnexpectedEof`] on a truncated header, and
-/// [`EncodingError::Corrupt`] if the shard count exceeds [`MAX_SHARDS`], a
-/// length does not fit in memory, or the declared payload bytes exceed what
-/// remains in the buffer.
-pub fn read_header(buf: &mut &[u8]) -> Result<Vec<usize>, EncodingError> {
-    let mut lens = Vec::new();
-    read_header_into(buf, &mut lens)?;
-    Ok(lens)
-}
-
-/// [`read_header`] into a caller-owned buffer (cleared first), so the hot
-/// decode path can reuse one allocation across messages.
-///
-/// # Errors
-/// Same contract as [`read_header`].
-pub fn read_header_into(buf: &mut &[u8], lens: &mut Vec<usize>) -> Result<(), EncodingError> {
+/// Reads a v1 frame header (shard count + per-shard lengths) from the front
+/// of `buf` into `lens` (cleared first), advancing `buf` past the header,
+/// with the errors [`read_any_header_into`] documents.
+fn read_header_into(buf: &mut &[u8], lens: &mut Vec<usize>) -> Result<(), EncodingError> {
     lens.clear();
     let count = varint::read_u64(buf)?;
     if count == 0 || count > MAX_SHARDS as u64 {
@@ -166,8 +150,10 @@ pub fn header_len_v2(lens: &[usize]) -> usize {
 /// v1). Returns which version was found.
 ///
 /// # Errors
-/// Same contract as [`read_header`], plus [`EncodingError::Corrupt`] for an
-/// unsupported v2 version byte.
+/// [`EncodingError::UnexpectedEof`] on a truncated header, and
+/// [`EncodingError::Corrupt`] for an unsupported v2 version byte, a shard
+/// count of 0 or above [`MAX_SHARDS`], a length that does not fit in
+/// memory, or declared payload bytes beyond what remains in the buffer.
 pub fn read_any_header_into(
     buf: &mut &[u8],
     lens: &mut Vec<usize>,
@@ -235,6 +221,11 @@ mod tests {
     use super::*;
     use bytes::BytesMut;
 
+    fn header_lens(buf: &mut &[u8]) -> Result<Vec<usize>, EncodingError> {
+        let mut lens = vec![9];
+        read_header_into(buf, &mut lens).map(|()| lens)
+    }
+
     #[test]
     fn header_roundtrips() {
         let lens = vec![0usize, 1, 127, 128, 70_000];
@@ -245,7 +236,7 @@ mod tests {
         buf.extend_from_slice(&vec![0u8; payload_bytes]);
         let frozen = buf.freeze();
         let mut slice = &frozen[..];
-        assert_eq!(read_header(&mut slice).unwrap(), lens);
+        assert_eq!(header_lens(&mut slice).unwrap(), lens);
         assert_eq!(slice.len(), payload_bytes);
     }
 
@@ -256,7 +247,7 @@ mod tests {
         let frozen = buf.freeze();
         for cut in 0..frozen.len() {
             let mut slice = &frozen[..cut];
-            assert!(read_header(&mut slice).is_err(), "cut at {cut} should fail");
+            assert!(header_lens(&mut slice).is_err(), "cut at {cut} should fail");
         }
     }
 
@@ -267,7 +258,7 @@ mod tests {
         let frozen = buf.freeze();
         let mut slice = &frozen[..]; // header only; 100 payload bytes missing
         assert!(matches!(
-            read_header(&mut slice),
+            header_lens(&mut slice),
             Err(EncodingError::Corrupt(_))
         ));
     }
@@ -279,7 +270,7 @@ mod tests {
         let frozen = buf.freeze();
         let mut slice = &frozen[..];
         assert!(matches!(
-            read_header(&mut slice),
+            header_lens(&mut slice),
             Err(EncodingError::Corrupt(_))
         ));
 
@@ -288,7 +279,7 @@ mod tests {
         let frozen = buf.freeze();
         let mut slice = &frozen[..];
         assert!(matches!(
-            read_header(&mut slice),
+            header_lens(&mut slice),
             Err(EncodingError::Corrupt(_))
         ));
     }
@@ -319,7 +310,7 @@ mod tests {
         let frozen = buf.freeze();
         let mut slice = &frozen[..];
         assert!(matches!(
-            read_header(&mut slice),
+            header_lens(&mut slice),
             Err(EncodingError::Corrupt(_))
         ));
     }
@@ -345,7 +336,7 @@ mod tests {
         // A v1 decoder sees shard count 0 and fails with a typed error.
         let mut slice = &frozen[..];
         assert!(matches!(
-            read_header(&mut slice),
+            header_lens(&mut slice),
             Err(EncodingError::Corrupt(_))
         ));
     }

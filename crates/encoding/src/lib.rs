@@ -36,5 +36,4 @@ pub mod simd;
 pub mod stats;
 pub mod varint;
 
-pub use delta_binary::{decode_keys, encode_keys};
 pub use error::EncodingError;

@@ -1,4 +1,5 @@
-//! Rice (Golomb–Rice) coding — the remaining §1.1 lossless baseline.
+//! Rice (Golomb–Rice) coding — the §1.1 lossless baseline, and the code
+//! stream FastSGD ships when it is smaller than bit packing.
 //!
 //! Rice coding with parameter `k` writes a value `v` as `⌊v / 2^k⌋` unary
 //! bits followed by the low `k` bits verbatim. It is near-optimal for
@@ -8,12 +9,13 @@
 //! delta-binary scheme (which trades a little density for byte-aligned
 //! decoding speed).
 //!
-//! Wire layout: `varint n | u8 k | bitstream`.
+//! [`encode_rice_into`] writes the stream, [`encoded_len_rice`] sizes it
+//! without writing and [`decode_rice_into`] reads it back. Wire layout:
+//! `varint n | u8 k | bitstream` (MSB-first, the last byte zero-padded).
 
-use crate::delta_binary::{delta_restore, delta_transform};
 use crate::error::EncodingError;
 use crate::varint;
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 /// Chooses the Rice parameter `k` minimizing the encoded size for `values`
 /// (standard mean-based heuristic, then refined by exact cost).
@@ -38,44 +40,6 @@ pub fn optimal_k(values: &[u32]) -> u8 {
         }
     }
     best_k
-}
-
-/// Bit-level writer over a byte vector.
-struct BitWriter {
-    bytes: Vec<u8>,
-    acc: u64,
-    nbits: u32,
-}
-
-impl BitWriter {
-    fn new() -> Self {
-        BitWriter {
-            bytes: Vec::new(),
-            acc: 0,
-            nbits: 0,
-        }
-    }
-
-    /// Appends the low `n` bits of `v` (`n < 58`), MSB-first.
-    fn push(&mut self, v: u64, n: u32) {
-        debug_assert!(n < 58, "push width too large for the accumulator");
-        if n == 0 {
-            return;
-        }
-        self.acc = (self.acc << n) | (v & ((1u64 << n) - 1));
-        self.nbits += n;
-        while self.nbits >= 8 {
-            self.nbits -= 8;
-            self.bytes.push((self.acc >> self.nbits) as u8);
-        }
-    }
-
-    fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            self.bytes.push((self.acc << (8 - self.nbits)) as u8);
-        }
-        self.bytes
-    }
 }
 
 /// Bit-level reader over a byte slice.
@@ -120,44 +84,9 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// Rice-encodes `values` with an automatically chosen parameter.
-/// Returns bytes written.
-pub fn encode_rice(values: &[u32], out: &mut impl BufMut) -> usize {
-    let k = optimal_k(values);
-    let mut written = varint::encoded_len(values.len() as u64);
-    varint::write_u64(out, values.len() as u64);
-    out.put_u8(k);
-    written += 1;
-    let mut bits = BitWriter::new();
-    for &v in values {
-        push_rice_value(&mut bits, v, k);
-    }
-    let body = bits.finish();
-    out.put_slice(&body);
-    written + body.len()
-}
-
-/// Appends one Rice-coded value to a bit writer: unary quotient (ones then a
-/// zero, emitted in chunks to respect the accumulator width) followed by the
-/// low `k` remainder bits.
-#[inline]
-fn push_rice_value(bits: &mut BitWriter, v: u32, k: u8) {
-    let q = (v as u64) >> k;
-    let mut rem = q;
-    while rem >= 32 {
-        bits.push(u64::MAX, 32);
-        rem -= 32;
-    }
-    bits.push(((1u64 << rem) - 1) << 1, rem as u32 + 1);
-    if k > 0 {
-        bits.push(v as u64, k as u32);
-    }
-}
-
-/// Zero-temporary variant of [`encode_rice`]: streams the bitstream directly
-/// into `out` instead of building an intermediate byte vector, so pooled
-/// callers stay allocation-free. Byte-identical output to [`encode_rice`].
-/// Returns bytes written.
+/// Rice-encodes `values` onto the tail of `out` with the parameter
+/// [`optimal_k`] picks, streaming the bitstream straight into `out` so
+/// pooled callers stay allocation-free. Returns bytes written.
 pub fn encode_rice_into(values: &[u32], out: &mut bytes::BytesMut) -> usize {
     #[inline]
     fn push(out: &mut bytes::BytesMut, acc: &mut u64, nbits: &mut u32, v: u64, n: u32) {
@@ -202,7 +131,7 @@ pub fn encode_rice_into(values: &[u32], out: &mut bytes::BytesMut) -> usize {
     out.len() - start
 }
 
-/// Exact byte count [`encode_rice`] will emit for `values` (including the
+/// Exact byte count [`encode_rice_into`] will emit for `values` (including the
 /// count varint and parameter byte) — lets callers compare codecs before
 /// committing bytes.
 pub fn encoded_len_rice(values: &[u32]) -> usize {
@@ -211,48 +140,28 @@ pub fn encoded_len_rice(values: &[u32]) -> usize {
     varint::encoded_len(values.len() as u64) + 1 + (bits as usize).div_ceil(8)
 }
 
-/// Decodes a stream written by [`encode_rice`].
+/// Decodes a stream written by [`encode_rice_into`] into a reusable buffer
+/// (`out` is cleared first), straight off the slice.
+///
+/// This consumes the rest of `buf`: the bitstream carries no byte length,
+/// so it must be the final field of its frame.
 ///
 /// # Errors
 /// [`EncodingError::UnexpectedEof`] on truncation, [`EncodingError::Corrupt`]
-/// on an implausible unary run.
-pub fn decode_rice(buf: &mut impl Buf) -> Result<Vec<u32>, EncodingError> {
-    let mut out = Vec::new();
-    decode_rice_into(buf, &mut out)?;
-    Ok(out)
-}
-
-/// Variant of [`decode_rice`] decoding into a reusable buffer (`out` is
-/// cleared first). A contiguous `buf` is decoded straight off its chunk
-/// without an intermediate copy, so pooled callers stay allocation-free.
-///
-/// Like [`decode_rice`], this consumes the rest of `buf`: the bitstream
-/// carries no byte length, so it must be the final field of its frame.
-///
-/// # Errors
-/// See [`decode_rice`].
-pub fn decode_rice_into(buf: &mut impl Buf, out: &mut Vec<u32>) -> Result<(), EncodingError> {
+/// on an out-of-range parameter, an implausible count or unary run.
+pub fn decode_rice_into(buf: &mut &[u8], out: &mut Vec<u32>) -> Result<(), EncodingError> {
     let n = varint::read_u64(buf)? as usize;
-    if !buf.has_remaining() {
+    let Some((&k, body)) = buf.split_first() else {
         return Err(EncodingError::UnexpectedEof {
             context: "rice parameter",
         });
-    }
-    let k = buf.get_u8();
+    };
     if k > 31 {
         return Err(EncodingError::Corrupt(format!("rice parameter {k} > 31")));
     }
     out.clear();
-    if buf.chunk().len() == buf.remaining() {
-        let body = buf.chunk();
-        decode_rice_body(body, n, k, out)?;
-        let len = body.len();
-        buf.advance(len);
-    } else {
-        let mut body = vec![0u8; buf.remaining()];
-        buf.copy_to_slice(&mut body);
-        decode_rice_body(&body, n, k, out)?;
-    }
+    decode_rice_body(body, n, k, out)?;
+    *buf = &[];
     Ok(())
 }
 
@@ -284,25 +193,6 @@ fn decode_rice_body(body: &[u8], n: usize, k: u8, out: &mut Vec<u32>) -> Result<
     Ok(())
 }
 
-/// Rice-encodes a strictly ascending key array by delta-transforming first
-/// (the apples-to-apples comparison against `delta_binary`).
-///
-/// # Errors
-/// See [`delta_transform`].
-pub fn encode_rice_keys(keys: &[u64], out: &mut impl BufMut) -> Result<usize, EncodingError> {
-    let deltas = delta_transform(keys)?;
-    Ok(encode_rice(&deltas, out))
-}
-
-/// Decodes keys written by [`encode_rice_keys`].
-///
-/// # Errors
-/// See [`decode_rice`].
-pub fn decode_rice_keys(buf: &mut impl Buf) -> Result<Vec<u64>, EncodingError> {
-    let deltas = decode_rice(buf)?;
-    Ok(delta_restore(&deltas))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,11 +200,77 @@ mod tests {
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
+    /// Bit-level writer over a byte vector: the reference the streaming
+    /// encoder's inline accumulator is held to.
+    struct BitWriter {
+        bytes: Vec<u8>,
+        acc: u64,
+        nbits: u32,
+    }
+
+    impl BitWriter {
+        /// Appends the low `n` bits of `v` (`n < 58`), MSB-first.
+        fn push(&mut self, v: u64, n: u32) {
+            if n == 0 {
+                return;
+            }
+            self.acc = (self.acc << n) | (v & ((1u64 << n) - 1));
+            self.nbits += n;
+            while self.nbits >= 8 {
+                self.nbits -= 8;
+                self.bytes.push((self.acc >> self.nbits) as u8);
+            }
+        }
+
+        fn finish(mut self) -> Vec<u8> {
+            if self.nbits > 0 {
+                self.bytes.push((self.acc << (8 - self.nbits)) as u8);
+            }
+            self.bytes
+        }
+    }
+
+    /// The allocating encoder: each value's unary quotient (ones then a
+    /// zero, in chunks the accumulator holds) and low `k` bits go through a
+    /// [`BitWriter`], whose bytes follow the count and parameter.
+    fn encode_rice(values: &[u32], out: &mut impl BufMut) -> usize {
+        let k = optimal_k(values);
+        varint::write_u64(out, values.len() as u64);
+        out.put_u8(k);
+        let mut bits = BitWriter {
+            bytes: Vec::new(),
+            acc: 0,
+            nbits: 0,
+        };
+        for &v in values {
+            let mut rem = (v as u64) >> k;
+            while rem >= 32 {
+                bits.push(u64::MAX, 32);
+                rem -= 32;
+            }
+            bits.push(((1u64 << rem) - 1) << 1, rem as u32 + 1);
+            bits.push(v as u64, k as u32);
+        }
+        let body = bits.finish();
+        out.put_slice(&body);
+        varint::encoded_len(values.len() as u64) + 1 + body.len()
+    }
+
+    /// Encodes with the shipped encoder, holds it to [`encode_rice`] and to
+    /// [`encoded_len_rice`], and decodes the bytes back.
     fn roundtrip(values: &[u32]) -> Vec<u32> {
         let mut buf = BytesMut::new();
-        let written = encode_rice(values, &mut buf);
+        let written = encode_rice_into(values, &mut buf);
         assert_eq!(written, buf.len());
-        decode_rice(&mut buf.freeze()).unwrap()
+        assert_eq!(encoded_len_rice(values), written, "size prediction wrong");
+        let mut reference = BytesMut::new();
+        assert_eq!(encode_rice(values, &mut reference), written);
+        assert_eq!(buf, reference, "encode_rice_into diverged");
+        let mut view = &buf[..];
+        let mut out = vec![7u32; 2]; // stale content must be cleared
+        decode_rice_into(&mut view, &mut out).unwrap();
+        assert!(view.is_empty(), "the bitstream is the frame's last field");
+        out
     }
 
     #[test]
@@ -344,23 +300,13 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_match_allocating_paths() {
+    fn roundtrips_every_scale() {
         let mut rng = StdRng::seed_from_u64(63);
-        for round in 0..20 {
-            let n = if round == 0 { 0 } else { rng.gen_range(1..500) };
-            let values: Vec<u32> = (0..n)
+        for _ in 0..20 {
+            let values: Vec<u32> = (0..rng.gen_range(1..500))
                 .map(|_| rng.gen::<u32>() >> rng.gen_range(0..32))
                 .collect();
-            let mut a = BytesMut::new();
-            let wa = encode_rice(&values, &mut a);
-            let mut b = BytesMut::new();
-            let wb = encode_rice_into(&values, &mut b);
-            assert_eq!(a, b, "encode_rice_into diverged at round {round}");
-            assert_eq!(wa, wb);
-            assert_eq!(encoded_len_rice(&values), wa, "size prediction wrong");
-            let mut out = Vec::new();
-            decode_rice_into(&mut a.freeze(), &mut out).unwrap();
-            assert_eq!(out, values);
+            assert_eq!(roundtrip(&values), values);
         }
     }
 
@@ -372,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn key_roundtrip_and_density() {
+    fn denser_than_delta_binary_on_geometric_key_gaps() {
         let mut rng = StdRng::seed_from_u64(62);
         let mut cur = 0u64;
         let keys: Vec<u64> = (0..10_000)
@@ -381,12 +327,18 @@ mod tests {
                 cur
             })
             .collect();
+        // The first key's delta is the key itself.
+        let deltas: Vec<u32> = std::iter::once(0)
+            .chain(keys.iter().copied())
+            .zip(&keys)
+            .map(|(prev, &k)| (k - prev) as u32)
+            .collect();
         let mut buf = BytesMut::new();
-        let rice_len = encode_rice_keys(&keys, &mut buf).unwrap();
-        assert_eq!(decode_rice_keys(&mut buf.freeze()).unwrap(), keys);
+        let rice_len = encode_rice_into(&deltas, &mut buf);
+        assert_eq!(roundtrip(&deltas), deltas);
 
         // Rice is denser than byte-aligned delta-binary on geometric gaps…
-        let db_len = crate::delta_binary::encoded_len(&keys).unwrap();
+        let db_len = crate::delta_binary::encode_keys_into(&keys, &mut BytesMut::new()).unwrap();
         assert!(
             rice_len < db_len,
             "rice {rice_len} should be denser than delta-binary {db_len}"
@@ -398,11 +350,11 @@ mod tests {
     #[test]
     fn truncation_detected() {
         let mut buf = BytesMut::new();
-        encode_rice(&[5, 9, 200, 3], &mut buf);
-        let full = buf.freeze();
-        for cut in 0..full.len() {
-            let mut partial = full.slice(..cut);
-            let _ = decode_rice(&mut partial); // must not panic
+        encode_rice_into(&[5, 9, 200, 3], &mut buf);
+        let mut out = Vec::new();
+        for cut in 0..buf.len() {
+            let mut partial = &buf[..cut];
+            assert!(decode_rice_into(&mut partial, &mut out).is_err());
         }
     }
 
@@ -412,6 +364,9 @@ mod tests {
         varint::write_u64(&mut buf, 1);
         buf.put_u8(77); // k > 31
         buf.put_u8(0);
-        assert!(decode_rice(&mut buf.freeze()).is_err());
+        assert!(matches!(
+            decode_rice_into(&mut &buf[..], &mut Vec::new()),
+            Err(EncodingError::Corrupt(_))
+        ));
     }
 }

@@ -28,25 +28,24 @@
 //! per-dimension normalization absorbs small errors; see `fig_bigmodel`).
 //!
 //! [`OptimizerState`] is the one optimizer the system steps: SGD, Momentum,
-//! AdaGrad or Adam, each over either layout. It is what a `Checkpoint`
-//! stores (since v2), closing the v1 hole where only Adam runs could
-//! checkpoint at all.
+//! AdaGrad or Adam, each over either layout, and what a `Checkpoint`
+//! stores.
 
 use crate::error::MlError;
 use crate::optimizer::{AdaGrad, Adam, Momentum, OptimizerKind, Sgd};
-use serde::Deserialize;
 use sketchml_sketches::CountSketch;
 
 /// Seed salts for the moment tables, fixed so that two workers building the
 /// same spec get hash-identical tables (required for bit-exact resume and
-/// for restoring a worker from another's state).
-const SEED_M: u64 = 0x5EED_0111;
-const SEED_V: u64 = 0x5EED_0222;
-const SEED_U: u64 = 0x5EED_0333;
-const SEED_G: u64 = 0x5EED_0444;
+/// for restoring a worker from another's state); a checkpoint's table must
+/// carry its role's.
+pub(crate) const SEED_M: u64 = 0x5EED_0111;
+pub(crate) const SEED_V: u64 = 0x5EED_0222;
+pub(crate) const SEED_U: u64 = 0x5EED_0333;
+pub(crate) const SEED_G: u64 = 0x5EED_0444;
 
 /// How a trainer materializes optimizer state.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize, Default)]
 pub enum OptStateMode {
     /// Exact per-dimension vectors (`O(d)` memory) — the classical layout.
     #[default]
@@ -126,17 +125,6 @@ impl Store {
             Store::Dense(x) => x.len(),
             Store::Sketched(t) => t.rows() * t.cols(),
         }
-    }
-}
-
-// Decode-only, for the legacy JSON checkpoints: a dense vector was written
-// as an array, a table as an object.
-impl Deserialize for Store {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(match v.as_arr() {
-            Some(_) => Store::Dense(Deserialize::from_value(v)?),
-            None => Store::Sketched(Deserialize::from_value(v)?),
-        })
     }
 }
 
@@ -332,30 +320,6 @@ impl OptimizerState {
     }
 }
 
-// Decode-only, for the legacy JSON v2 checkpoints, which named the layout in
-// the variant (`{"Adam":…}`, `{"SketchedAdam":…}`).
-impl Deserialize for OptimizerState {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let (name, body) = (v.as_obj().and_then(|o| o.first()))
-            .ok_or_else(|| serde::Error::custom("OptimizerState: expected a tagged object"))?;
-        let state = match name.strip_prefix("Sketched").unwrap_or(name) {
-            "Sgd" => OptimizerState::Sgd(Deserialize::from_value(body)?),
-            "Momentum" => OptimizerState::Momentum(Deserialize::from_value(body)?),
-            "AdaGrad" => OptimizerState::AdaGrad(Deserialize::from_value(body)?),
-            "Adam" => OptimizerState::Adam(Deserialize::from_value(body)?),
-            _ => return Err(serde::Error::custom(format!("unknown optimizer {name}"))),
-        };
-        // (A mix of layouts is refused with the other misfits, by the loader.)
-        if name.starts_with("Sketched") != state.is_sketched() {
-            return Err(serde::Error::custom(format!(
-                "{name} holds {} state",
-                state.name()
-            )));
-        }
-        Ok(state)
-    }
-}
-
 impl From<Sgd> for OptimizerState {
     fn from(o: Sgd) -> Self {
         OptimizerState::Sgd(o)
@@ -480,26 +444,6 @@ mod tests {
                 opt.step(&mut w, &[0], &[g]);
             }
             assert!((w[0] - 3.0).abs() < 0.1, "{} w = {}", opt.name(), w[0]);
-        }
-    }
-
-    #[test]
-    fn legacy_json_names_the_layout_its_state_has() {
-        let table =
-            r#"{"seed":1,"hash":{"seeds":[5],"cols":2},"sign_seeds":[7],"cells":[0.0,0.0]}"#;
-        let decode = |doc: String| serde_json::from_str::<OptimizerState>(&doc);
-        let sketched = decode(format!(
-            r#"{{"SketchedMomentum":{{"lr":0.1,"gamma":0.9,"velocity":{table}}}}}"#
-        ))
-        .unwrap();
-        assert_eq!(sketched.name(), "SketchedMomentum");
-        for doc in [
-            r#"{"SketchedMomentum":{"lr":0.1,"gamma":0.9,"velocity":[0.0]}}"#.to_string(),
-            format!(r#"{{"AdaGrad":{{"lr":0.1,"epsilon":1e-8,"accum":{table}}}}}"#),
-            r#"{"SketchedSgd":{"lr":0.1}}"#.to_string(),
-            r#"{"Nadam":{"lr":0.1}}"#.to_string(),
-        ] {
-            assert!(decode(doc.clone()).is_err(), "{doc}");
         }
     }
 }

@@ -45,7 +45,7 @@ fn each_key(
 }
 
 /// Plain stochastic gradient descent.
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sgd {
     /// Learning rate η.
     pub lr: f64,
@@ -105,7 +105,7 @@ impl AdamConfig {
 }
 
 /// Adam with lazily-updated sparse moments.
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     pub(crate) config: AdamConfig,
     /// First moment `m`.
@@ -177,7 +177,7 @@ impl Adam {
 
 /// SGD with Polyak momentum (paper §4.1 cites momentum, refs 36/37, as one of
 /// the two ingredients Adam combines): `u ← γ·u + g; θ ← θ − η·u`.
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Momentum {
     /// Learning rate η.
     pub lr: f64,
@@ -217,7 +217,7 @@ impl Momentum {
 /// AdaGrad (Duchi et al., the paper's reference 15 — the other Adam ingredient):
 /// `G ← G + g²; θ ← θ − η/(√G + ε)·g`. Per-dimension adaptive steps, no
 /// moment decay.
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaGrad {
     /// Learning rate η.
     pub lr: f64,
@@ -273,7 +273,7 @@ impl AdaGrad {
 /// A serializable optimizer selector, used by the trainer configuration so
 /// experiments can ablate the §3.3 "Adaptive Learning Rate" solution
 /// (SketchML with plain SGD vs with Adam).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum OptimizerKind {
     /// Plain SGD at the given learning rate.
     Sgd(f64),
@@ -283,58 +283,6 @@ pub enum OptimizerKind {
     AdaGrad(f64, f64),
     /// Adam with full hyper-parameters (the paper's default).
     Adam(AdamConfig),
-}
-
-// Hand-written so pre-existing configs that serialized `AdaGrad` as a bare
-// learning rate (`{"AdaGrad": 0.05}`) still parse — they get the historical
-// default ε — while the current `(lr, epsilon)` form round-trips as a pair.
-impl serde::Deserialize for OptimizerKind {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| serde::Error::custom("OptimizerKind: expected an object"))?;
-        let (variant, val) = obj
-            .first()
-            .ok_or_else(|| serde::Error::custom("OptimizerKind: empty object"))?;
-        let pair = |val: &serde::Value, variant: &str| -> Result<(f64, f64), serde::Error> {
-            let arr = val.as_arr().ok_or_else(|| {
-                serde::Error::custom(format!("OptimizerKind::{variant}: expected a pair"))
-            })?;
-            if arr.len() != 2 {
-                return Err(serde::Error::custom(format!(
-                    "OptimizerKind::{variant}: expected 2 values, got {}",
-                    arr.len()
-                )));
-            }
-            Ok((
-                serde::Deserialize::from_value(&arr[0])?,
-                serde::Deserialize::from_value(&arr[1])?,
-            ))
-        };
-        match variant.as_str() {
-            "Sgd" => Ok(OptimizerKind::Sgd(serde::Deserialize::from_value(val)?)),
-            "Momentum" => {
-                let (lr, gamma) = pair(val, "Momentum")?;
-                Ok(OptimizerKind::Momentum(lr, gamma))
-            }
-            "AdaGrad" => {
-                if val.as_arr().is_some() {
-                    let (lr, epsilon) = pair(val, "AdaGrad")?;
-                    Ok(OptimizerKind::AdaGrad(lr, epsilon))
-                } else {
-                    // Legacy single-value form.
-                    Ok(OptimizerKind::AdaGrad(
-                        serde::Deserialize::from_value(val)?,
-                        AdaGrad::DEFAULT_EPSILON,
-                    ))
-                }
-            }
-            "Adam" => Ok(OptimizerKind::Adam(serde::Deserialize::from_value(val)?)),
-            other => Err(serde::Error::custom(format!(
-                "OptimizerKind: unknown variant {other}"
-            ))),
-        }
-    }
 }
 
 impl OptimizerKind {
@@ -562,24 +510,24 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_kind_accepts_legacy_adagrad_json() {
-        // Pre-epsilon configs serialized AdaGrad as a bare learning rate.
-        let kind: OptimizerKind = serde_json::from_str(r#"{"AdaGrad":0.05}"#).unwrap();
-        assert_eq!(kind, OptimizerKind::AdaGrad(0.05, AdaGrad::DEFAULT_EPSILON));
-        // The current pair form round-trips.
-        let kind = OptimizerKind::AdaGrad(0.1, 1e-6);
-        let json = serde_json::to_string(&kind).unwrap();
-        assert_eq!(serde_json::from_str::<OptimizerKind>(&json).unwrap(), kind);
-        // Other variants round-trip through the hand-written impl too.
+    fn optimizer_kind_json_is_the_derived_form() {
         for kind in [
             OptimizerKind::Sgd(0.02),
             OptimizerKind::Momentum(0.02, 0.9),
+            OptimizerKind::AdaGrad(0.1, 1e-6),
             OptimizerKind::Adam(AdamConfig::default()),
         ] {
             let json = serde_json::to_string(&kind).unwrap();
             assert_eq!(serde_json::from_str::<OptimizerKind>(&json).unwrap(), kind);
         }
-        assert!(serde_json::from_str::<OptimizerKind>(r#"{"Nadam":0.1}"#).is_err());
+        // AdaGrad is a pair: the bare learning rate no writer emits is
+        // refused, as is an unknown rule.
+        for json in [r#"{"AdaGrad":0.05}"#, r#"{"Nadam":0.1}"#] {
+            assert!(
+                serde_json::from_str::<OptimizerKind>(json).is_err(),
+                "{json}"
+            );
+        }
     }
 
     #[test]

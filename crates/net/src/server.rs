@@ -51,8 +51,9 @@ use std::time::{Duration, Instant};
 
 /// Everything a serve session needs; the server is the single config
 /// authority, shipped to workers via `GetConfig` so a recovering worker
-/// needs nothing but the address and its id.
-#[derive(Debug, Clone, Serialize)]
+/// needs nothing but the address and its id. Every field is on the wire: a
+/// document that lacks one is refused.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServeSetup {
     /// Synthetic dataset recipe; workers regenerate the identical split.
     pub dataset: SparseDatasetSpec,
@@ -71,32 +72,6 @@ pub struct ServeSetup {
     pub idle_timeout_ms: u64,
     /// Artificial delay after each round (lets tests widen kill windows).
     pub round_sleep_ms: u64,
-}
-
-// Hand-written (repo idiom): fields added later default instead of failing,
-// so older clients keep parsing newer servers' configs.
-impl serde::Deserialize for ServeSetup {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| serde::Error::custom("ServeSetup: expected an object"))?;
-        let opt_u64 = |name: &str, default: u64| -> Result<u64, serde::Error> {
-            match serde::field(obj, name) {
-                Ok(val) => serde::Deserialize::from_value(val),
-                Err(_) => Ok(default),
-            }
-        };
-        Ok(ServeSetup {
-            dataset: serde::Deserialize::from_value(serde::field(obj, "dataset")?)?,
-            spec: serde::Deserialize::from_value(serde::field(obj, "spec")?)?,
-            workers: serde::Deserialize::from_value(serde::field(obj, "workers")?)?,
-            batch_ratio: serde::Deserialize::from_value(serde::field(obj, "batch_ratio")?)?,
-            compressor: serde::Deserialize::from_value(serde::field(obj, "compressor")?)?,
-            round_timeout_ms: opt_u64("round_timeout_ms", 2_000)?,
-            idle_timeout_ms: opt_u64("idle_timeout_ms", 30_000)?,
-            round_sleep_ms: opt_u64("round_sleep_ms", 0)?,
-        })
-    }
 }
 
 impl ServeSetup {
@@ -1085,21 +1060,16 @@ fn run_training(shared: &Shared) -> Result<ServeSummary, NetError> {
     while summary.rounds < last_round {
         let epoch = (summary.rounds / rounds_per_epoch) as u32;
         let last = summary.rounds + 1 == last_round;
-        let Some(members) = close_round(shared, epoch, last)? else {
+        if !close_round(shared, epoch, last, &mut instances, &mut parts)? {
             break; // shut down
-        };
-        if members.len() == setup.workers {
+        }
+        if parts.len() == setup.workers {
             summary.full_rounds += 1;
         } else {
             summary.partial_rounds += 1;
         }
         summary.rounds += 1;
         let round = summary.rounds;
-        // The handlers held every count to the dataset's.
-        instances.clear();
-        instances.extend(members.iter().map(|m| m.instances as usize));
-        parts.clear();
-        parts.extend(members.into_iter().map(|m| m.gradient));
         let step = Instant::now();
         let model = {
             let mut live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
@@ -1141,11 +1111,18 @@ fn run_training(shared: &Shared) -> Result<ServeSummary, NetError> {
 /// Waits for the first part of the open round (idle deadline), then for the
 /// table to fill (straggler window), and closes the round on what it holds:
 /// posts its frames for the handlers to forward — before any arithmetic, so
-/// nothing the trainer does next is on the workers' path — and hands back
-/// its members. They are in worker-id order: the order the
-/// in-process simulator aggregates in and every replica is sent them in, so
-/// the float sums match. `None`: training was shut down.
-fn close_round(shared: &Shared, epoch: u32, last: bool) -> Result<Option<Vec<Part>>, NetError> {
+/// nothing the trainer does next is on the workers' path — and refills the
+/// trainer's `instances` and `parts` with its members' (the handlers held
+/// every count to the dataset's). They are in worker-id order: the order
+/// the in-process simulator aggregates in and every replica is sent them
+/// in, so the float sums match. `false`: training was shut down.
+fn close_round(
+    shared: &Shared,
+    epoch: u32,
+    last: bool,
+    instances: &mut Vec<usize>,
+    parts: &mut Vec<SparseGradient>,
+) -> Result<bool, NetError> {
     let (setup, rounds) = (&shared.setup, &shared.rounds);
     let idle = Duration::from_millis(setup.idle_timeout_ms.max(1));
     let t = rounds.wait_while(rounds.lock(), idle, |t| !t.done && t.filled() == 0);
@@ -1158,14 +1135,16 @@ fn close_round(shared: &Shared, epoch: u32, last: bool) -> Result<Option<Vec<Par
     let straggler = Duration::from_millis(setup.round_timeout_ms.max(1));
     let mut t = rounds.wait_while(t, straggler, |t| !t.done && t.filled() < t.open.len());
     if t.done {
-        return Ok(None);
+        return Ok(false);
     }
     let mut listed = Vec::new();
-    let mut members = Vec::new();
+    instances.clear();
+    parts.clear();
     for (worker, slot) in t.open.iter_mut().enumerate() {
         if let Some(part) = slot.take() {
-            listed.push((worker as u32, part.instances, Arc::clone(&part.frame)));
-            members.push(part);
+            listed.push((worker as u32, part.instances, part.frame));
+            instances.push(part.instances as usize);
+            parts.push(part.gradient);
         }
     }
     t.closed += 1;
@@ -1179,7 +1158,7 @@ fn close_round(shared: &Shared, epoch: u32, last: bool) -> Result<Option<Vec<Par
         members: listed,
     }));
     rounds.changed.notify_all();
-    Ok(Some(members))
+    Ok(true)
 }
 
 /// The epoch end, on the trainer thread. Readers of the published model wait

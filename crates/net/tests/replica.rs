@@ -1267,3 +1267,28 @@ fn a_protocol_1_hello_is_refused_with_the_version_error() {
     server.shutdown();
     server.join();
 }
+
+/// `GetConfig` carries the server's whole setup; a document that lacks a
+/// field — here the straggler window — is a typed error, not a default.
+#[test]
+fn a_config_missing_a_field_is_a_typed_error() {
+    let json = serde_json::to_string(&setup(2)).unwrap();
+    let field = r#""round_timeout_ms":1000,"#;
+    assert!(json.contains(field), "{json}");
+    let short = json.replace(field, "");
+    let replies = [json, short].map(|json| frame(Response::Config { json }));
+    let (addr, server) = scripted_server(replies.to_vec());
+    let mut client = Client::connect(&addr).unwrap();
+    let whole = client.get_config().unwrap();
+    assert_eq!(
+        (whole.workers, whole.round_timeout_ms, whole.compressor),
+        (2, 1_000, "sketchml".to_string())
+    );
+    let err = client.get_config().unwrap_err();
+    assert!(
+        matches!(&err, NetError::Protocol(msg) if msg.contains("round_timeout_ms")),
+        "{err:?}"
+    );
+    drop(client);
+    assert_eq!(server.join().unwrap().len(), 2);
+}

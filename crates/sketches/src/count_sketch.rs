@@ -17,7 +17,6 @@
 
 use crate::error::SketchError;
 use crate::hash::{mix64, push_row_seeds, HashFamily};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -79,11 +78,12 @@ impl PartialOrd for Candidate {
 /// s.insert(7, 1.5);
 /// s.insert(9, -0.25);
 /// assert_eq!(s.query(7), 1.5);
-/// let top = s.top_k(2, 1000);
-/// assert_eq!(top, vec![(7, 1.5), (9, -0.25)]);
+/// let (mut keys, mut values) = (Vec::new(), Vec::new());
+/// s.top_k_into(2, 1000, &mut keys, &mut values);
+/// assert_eq!((keys, values), (vec![7, 9], vec![1.5, -0.25]));
 /// # Ok::<(), sketchml_sketches::SketchError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CountSketch {
     seed: u64,
     hash: HashFamily,
@@ -167,13 +167,6 @@ impl CountSketch {
     #[inline]
     pub fn cells(&self) -> &[f64] {
         &self.cells
-    }
-
-    /// Mutable access to the raw cell table, for linear folds that
-    /// accumulate another sketch's cells in place.
-    #[inline]
-    pub fn cells_mut(&mut self) -> &mut [f64] {
-        &mut self.cells
     }
 
     /// Consumes the sketch, returning the cell buffer — lets pooled decode
@@ -351,14 +344,6 @@ impl CountSketch {
             vals_out.push(self.query(c.key));
         }
     }
-
-    /// Allocating convenience wrapper around [`Self::top_k_into`].
-    pub fn top_k(&self, k: usize, dim: u64) -> Vec<(u64, f64)> {
-        let mut keys = Vec::new();
-        let mut vals = Vec::new();
-        self.top_k_into(k, dim, &mut keys, &mut vals);
-        keys.into_iter().zip(vals).collect()
-    }
 }
 
 /// Median under `f64` total order; even lengths average the middle two.
@@ -376,6 +361,12 @@ fn median(xs: &mut [f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn top_k(s: &CountSketch, k: usize, dim: u64) -> Vec<(u64, f64)> {
+        let (mut keys, mut vals) = (vec![99], vec![9.0]);
+        s.top_k_into(k, dim, &mut keys, &mut vals);
+        keys.into_iter().zip(vals).collect()
+    }
 
     fn sample() -> (Vec<u64>, Vec<f64>) {
         let keys: Vec<u64> = (0..200u64).map(|i| i * 37 % 10_000).collect();
@@ -455,7 +446,7 @@ mod tests {
             values.push(if i % 2 == 0 { 0.0625 } else { -0.0625 });
         }
         s.insert_batch(&keys, &values);
-        let top = s.top_k(3, 100_000);
+        let top = top_k(&s, 3, 100_000);
         let top_keys: Vec<u64> = top.iter().map(|&(k, _)| k).collect();
         assert_eq!(top_keys, vec![100, 2_000, 30_000]);
         for (k, v) in top {
@@ -477,7 +468,7 @@ mod tests {
         // dim=40 with k=8 takes the heap path (40 > 16); k=30 takes the
         // exact path (40 <= 60). Compare k=8 against the exact top-8
         // computed by brute force.
-        let top = s.top_k(8, 40);
+        let top = top_k(&s, 8, 40);
         let mut brute: Vec<(u64, f64)> = (0..40u64).map(|k| (k, s.query(k))).collect();
         brute.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then_with(|| a.0.cmp(&b.0)));
         brute.truncate(8);
@@ -488,12 +479,12 @@ mod tests {
     #[test]
     fn top_k_drops_exact_zeros_and_handles_edges() {
         let s = CountSketch::new(5, 512, 1).unwrap();
-        assert!(s.top_k(5, 1000).is_empty());
+        assert!(top_k(&s, 5, 1000).is_empty());
         let mut s2 = CountSketch::new(5, 512, 1).unwrap();
         s2.insert(3, 1.0);
-        assert!(s2.top_k(0, 1000).is_empty());
-        assert!(s2.top_k(5, 0).is_empty());
-        assert_eq!(s2.top_k(5, 1000), vec![(3, 1.0)]);
+        assert!(top_k(&s2, 0, 1000).is_empty());
+        assert!(top_k(&s2, 5, 0).is_empty());
+        assert_eq!(top_k(&s2, 5, 1000), vec![(3, 1.0)]);
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! - [`minmax::MinMaxSketch`] — the paper's novel sketch (§3.3): `s` hash
 //!   rows × `t` bins storing bucket indexes, with a **min** rule on insert
 //!   and a **max** rule on query so that hash collisions can only *decay*
-//!   the stored index, never amplify it.
-//! - [`minmax::GroupedMinMaxSketch`] — the §3.3 "Solution 2" refinement:
-//!   the `q` buckets are split into `r` groups with an independent
-//!   MinMaxSketch per group, bounding the decoded index error by `q/r`.
+//!   the stored index, never amplify it. The §3.3 "Solution 2" refinement
+//!   — `r` groups of buckets, an independent table per group, bounding the
+//!   decoded index error by `q/r` — is the codec's: it fills one flat table
+//!   per group through [`minmax::insert_batch_raw`] /
+//!   [`minmax::query_batch_raw`] under [`minmax::group_seed`].
 //! - [`theory`] — closed-form bounds from Appendix A.2 (correctness rate,
 //!   over-estimation probability) used by the validation tests and the
 //!   `appendix_a_bounds` experiment harness.
@@ -44,5 +45,5 @@ pub use count_sketch::{push_sign_seeds, sign_for, CountSketch};
 pub use countmin::CountMinSketch;
 pub use error::SketchError;
 pub use hash::{fill_bins, fill_bins_scalar, push_row_seeds, HashFamily};
-pub use minmax::{insert_batch_raw, query_batch_raw, GroupedMinMaxSketch, MinMaxSketch};
+pub use minmax::{insert_batch_raw, query_batch_raw, MinMaxSketch};
 pub use quantile::{MergingQuantileSketch, QuantileSketch};

@@ -15,10 +15,12 @@
 //! slower) convergence trajectory — the property Appendix A.2 analyzes and
 //! the `never_overestimates` test pins down.
 //!
-//! The module also provides [`GroupedMinMaxSketch`] (§3.3 "Solution 2"): the
-//! `q` bucket indexes are partitioned into `r` contiguous groups, each with
-//! its own MinMaxSketch, so a collision can only confuse indexes within the
-//! same group and the maximum index error drops from `q` to `q/r`.
+//! §3.3 "Solution 2" partitions the `q` bucket indexes into `r` contiguous
+//! groups, each with its own table, so a collision can only confuse indexes
+//! within the same group and the maximum index error drops from `q` to
+//! `q/r`. The codec builds those groups itself: one flat cell table per
+//! group, filled and read through [`insert_batch_raw`] / [`query_batch_raw`]
+//! under the row seeds of [`group_seed`].
 //!
 //! Index normalization convention used across the workspace: *callers hand
 //! this module indexes ordered by gradient magnitude* (index 0 = bucket
@@ -340,144 +342,11 @@ pub fn query_batch_raw(
     true
 }
 
-/// Derives the hash seed of group `g` from a base seed. Exposed so a decoder
-/// can rebuild an individual group's [`MinMaxSketch`] from serialized cells
-/// with hash functions identical to the encoder's.
+/// Derives the hash seed of group `g` from a base seed, so the encoder and
+/// the decoder of a grouped table hash every group identically.
 #[inline]
 pub fn group_seed(base: u64, g: usize) -> u64 {
     base.wrapping_add(g as u64 * 0x9E37)
-}
-
-/// Grouped MinMaxSketch (§3.3 "Solution 2"): one sketch per contiguous range
-/// of `q / r` bucket indexes, bounding decoded index error by the group width.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GroupedMinMaxSketch {
-    /// Total index range: valid indexes are `[0, q)`.
-    q: u16,
-    /// Width of each group in index space.
-    group_width: u16,
-    groups: Vec<MinMaxSketch>,
-}
-
-impl GroupedMinMaxSketch {
-    /// Creates `r` groups covering indexes `[0, q)`, each an `rows × cols`
-    /// MinMaxSketch. Seeds are derived per group so their hash functions are
-    /// independent.
-    ///
-    /// # Errors
-    /// Returns [`SketchError::InvalidParameter`] on zero shapes or `r > q`.
-    pub fn new(q: u16, r: usize, rows: usize, cols: usize, seed: u64) -> Result<Self, SketchError> {
-        if q == 0 {
-            return Err(SketchError::invalid("q", "must be positive"));
-        }
-        if r == 0 {
-            return Err(SketchError::invalid("r", "must be positive"));
-        }
-        if r > q as usize {
-            return Err(SketchError::invalid(
-                "r",
-                format!("cannot have more groups ({r}) than buckets ({q})"),
-            ));
-        }
-        let group_width = (q as usize).div_ceil(r) as u16;
-        let groups = (0..r)
-            .map(|g| MinMaxSketch::new(rows, cols, group_seed(seed, g)))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(GroupedMinMaxSketch {
-            q,
-            group_width,
-            groups,
-        })
-    }
-
-    /// Number of groups `r`.
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Total index range `q`.
-    pub fn q(&self) -> u16 {
-        self.q
-    }
-
-    /// Index width of each group (`⌈q / r⌉`).
-    pub fn group_width(&self) -> u16 {
-        self.group_width
-    }
-
-    /// Group that bucket index `index` belongs to.
-    #[inline]
-    pub fn group_of(&self, index: u16) -> usize {
-        debug_assert!(index < self.q, "index {index} out of range [0, {})", self.q);
-        (index / self.group_width) as usize
-    }
-
-    /// Inserts `(key, index)` into the owning group's sketch and returns the
-    /// group id (the encoder records it: keys are sectioned per group on the
-    /// wire, which is how the decoder knows which sketch to query).
-    pub fn insert(&mut self, key: u64, index: u16) -> usize {
-        let g = self.group_of(index);
-        self.groups[g].insert(key, index);
-        g
-    }
-
-    /// Queries the index for `key` within group `g`.
-    ///
-    /// The result, when present, always lies in the group's index range, so
-    /// the decode error is bounded by [`Self::group_width`].
-    pub fn query(&self, g: usize, key: u64) -> Option<u16> {
-        self.groups.get(g)?.query(key)
-    }
-
-    /// Immutable access to one group's sketch (serialization path).
-    pub fn group(&self, g: usize) -> Option<&MinMaxSketch> {
-        self.groups.get(g)
-    }
-
-    /// Merges `other` group-by-group (see [`MinMaxSketch::merge`]). Both
-    /// sketches must cover the same index range with the same group count;
-    /// each group pair must agree on shape and hash seeds.
-    ///
-    /// # Errors
-    /// Returns [`SketchError::InvalidParameter`] on any layout mismatch; on
-    /// error `self` may have absorbed a prefix of the groups.
-    pub fn merge(&mut self, other: &GroupedMinMaxSketch) -> Result<(), SketchError> {
-        if self.q != other.q || self.groups.len() != other.groups.len() {
-            return Err(SketchError::invalid(
-                "groups",
-                format!(
-                    "cannot merge q={} r={} into q={} r={}",
-                    other.q,
-                    other.groups.len(),
-                    self.q,
-                    self.groups.len()
-                ),
-            ));
-        }
-        for (mine, theirs) in self.groups.iter_mut().zip(&other.groups) {
-            mine.merge(theirs)?;
-        }
-        Ok(())
-    }
-
-    /// Rebuilds from per-group sketches (deserialization path).
-    ///
-    /// # Errors
-    /// Returns [`SketchError::InvalidParameter`] on empty input or `q == 0`.
-    pub fn from_groups(q: u16, groups: Vec<MinMaxSketch>) -> Result<Self, SketchError> {
-        if q == 0 {
-            return Err(SketchError::invalid("q", "must be positive"));
-        }
-        if groups.is_empty() {
-            return Err(SketchError::invalid("groups", "need at least one group"));
-        }
-        let group_width = (q as usize).div_ceil(groups.len()) as u16;
-        Ok(GroupedMinMaxSketch {
-            q,
-            group_width,
-            groups,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -679,61 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_bounds_error_by_group_width() {
-        let q = 256u16;
-        let r = 8;
-        let mut g = GroupedMinMaxSketch::new(q, r, 2, 32, 8).unwrap();
-        let mut rng = StdRng::seed_from_u64(24);
-        let items: Vec<(u64, u16)> = (0..4_000).map(|k| (k, rng.gen_range(0..q))).collect();
-        let mut groups = Vec::with_capacity(items.len());
-        for &(k, b) in &items {
-            groups.push(g.insert(k, b));
-        }
-        let width = g.group_width() as i32;
-        for (&(k, b), &gi) in items.iter().zip(&groups) {
-            let got = g.query(gi, k).expect("inserted key present") as i32;
-            let b = b as i32;
-            assert!(got <= b, "overestimate: {got} > {b}");
-            assert!(
-                b - got < width,
-                "error {} exceeds group width {width}",
-                b - got
-            );
-        }
-    }
-
-    #[test]
-    fn grouping_reduces_error_vs_single_sketch() {
-        let q = 256u16;
-        let total_cols = 64; // deliberately undersized to force collisions
-        let mut rng = StdRng::seed_from_u64(25);
-        let items: Vec<(u64, u16)> = (0..4_000).map(|k| (k, rng.gen_range(0..q))).collect();
-
-        let mut single = GroupedMinMaxSketch::new(q, 1, 2, total_cols, 9).unwrap();
-        let mut grouped = GroupedMinMaxSketch::new(q, 8, 2, total_cols / 8, 9).unwrap();
-        let mut sg = Vec::new();
-        let mut gg = Vec::new();
-        for &(k, b) in &items {
-            sg.push(single.insert(k, b));
-            gg.push(grouped.insert(k, b));
-        }
-        let mean_err = |s: &GroupedMinMaxSketch, gs: &[usize]| -> f64 {
-            items
-                .iter()
-                .zip(gs)
-                .map(|(&(k, b), &gi)| (b - s.query(gi, k).unwrap()) as f64)
-                .sum::<f64>()
-                / items.len() as f64
-        };
-        let e1 = mean_err(&single, &sg);
-        let e8 = mean_err(&grouped, &gg);
-        assert!(
-            e8 < e1,
-            "grouping should reduce mean index error: grouped {e8} !< single {e1}"
-        );
-    }
-
-    #[test]
     fn merge_equals_single_sketch_over_union() {
         let mut rng = StdRng::seed_from_u64(27);
         let items: Vec<(u64, u16)> = (0..3_000).map(|k| (k, rng.gen_range(0..200u16))).collect();
@@ -761,70 +575,5 @@ mod tests {
         assert!(a.merge(&MinMaxSketch::new(2, 64, 14).unwrap()).is_err());
         assert!(a.merge(&MinMaxSketch::new(2, 128, 15).unwrap()).is_err());
         assert!(a.merge(&MinMaxSketch::new(2, 128, 14).unwrap()).is_ok());
-    }
-
-    #[test]
-    fn grouped_merge_equals_single_grouped_sketch() {
-        let q = 256u16;
-        let mut rng = StdRng::seed_from_u64(28);
-        let items: Vec<(u64, u16)> = (0..3_000).map(|k| (k, rng.gen_range(0..q))).collect();
-
-        let mut all = GroupedMinMaxSketch::new(q, 8, 2, 32, 16).unwrap();
-        let mut merged = GroupedMinMaxSketch::new(q, 8, 2, 32, 16).unwrap();
-        for &(k, b) in &items {
-            all.insert(k, b);
-        }
-        for part in items.chunks(1_000) {
-            let mut s = GroupedMinMaxSketch::new(q, 8, 2, 32, 16).unwrap();
-            for &(k, b) in part {
-                s.insert(k, b);
-            }
-            merged.merge(&s).unwrap();
-        }
-        for g in 0..all.num_groups() {
-            assert_eq!(
-                merged.group(g).unwrap().cells(),
-                all.group(g).unwrap().cells()
-            );
-        }
-        // Layout mismatches are typed errors.
-        let other = GroupedMinMaxSketch::new(q, 4, 2, 32, 16).unwrap();
-        assert!(merged.merge(&other).is_err());
-    }
-
-    #[test]
-    fn group_of_partitions_index_space() {
-        let g = GroupedMinMaxSketch::new(256, 8, 2, 16, 10).unwrap();
-        assert_eq!(g.group_width(), 32);
-        assert_eq!(g.group_of(0), 0);
-        assert_eq!(g.group_of(31), 0);
-        assert_eq!(g.group_of(32), 1);
-        assert_eq!(g.group_of(255), 7);
-    }
-
-    #[test]
-    fn grouped_invalid_params() {
-        assert!(GroupedMinMaxSketch::new(0, 1, 2, 16, 0).is_err());
-        assert!(GroupedMinMaxSketch::new(16, 0, 2, 16, 0).is_err());
-        assert!(GroupedMinMaxSketch::new(4, 8, 2, 16, 0).is_err());
-        assert!(GroupedMinMaxSketch::from_groups(0, vec![]).is_err());
-        assert!(GroupedMinMaxSketch::from_groups(8, vec![]).is_err());
-    }
-
-    #[test]
-    fn grouped_roundtrip_via_parts() {
-        let mut g = GroupedMinMaxSketch::new(64, 4, 2, 32, 11).unwrap();
-        let items: Vec<(u64, u16)> = (0..100).map(|k| (k, (k % 64) as u16)).collect();
-        let mut gids = Vec::new();
-        for &(k, b) in &items {
-            gids.push(g.insert(k, b));
-        }
-        let groups: Vec<MinMaxSketch> = (0..g.num_groups())
-            .map(|i| g.group(i).unwrap().clone())
-            .collect();
-        let rebuilt = GroupedMinMaxSketch::from_groups(64, groups).unwrap();
-        for (&(k, _), &gi) in items.iter().zip(&gids) {
-            assert_eq!(g.query(gi, k), rebuilt.query(gi, k));
-        }
     }
 }

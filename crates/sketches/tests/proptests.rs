@@ -3,8 +3,65 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use sketchml_sketches::hash::push_row_seeds;
+use sketchml_sketches::minmax::{group_seed, EMPTY_CELL};
 use sketchml_sketches::quantile::{MergingQuantileSketch, QuantileSketch};
-use sketchml_sketches::{CountMinSketch, GroupedMinMaxSketch, MinMaxSketch};
+use sketchml_sketches::{insert_batch_raw, query_batch_raw, CountMinSketch, MinMaxSketch};
+use std::collections::BTreeMap;
+
+/// §3.3 "Solution 2" as the codec builds it: bucket index `b` belongs to
+/// group `b / ⌈q / r⌉`, each group's pairs go into its own flat
+/// `rows × cols` table hashed under `group_seed(seed, g)`, and each key is
+/// queried back from its group's table. Returns `(group, inserted, decoded)`
+/// per key, with the group width.
+fn grouped_roundtrip(
+    pairs: &BTreeMap<u64, u16>,
+    q: u16,
+    r: usize,
+    rows: usize,
+    cols: usize,
+    seed: u64,
+) -> (Vec<(usize, u16, u16)>, u16) {
+    let width = (q as usize).div_ceil(r) as u16;
+    let mut out = Vec::with_capacity(pairs.len());
+    let mut seeds = Vec::new();
+    let mut decoded = Vec::new();
+    for g in 0..r {
+        let (keys, indexes): (Vec<u64>, Vec<u16>) = pairs
+            .iter()
+            .filter(|&(_, &b)| (b / width) as usize == g)
+            .map(|(&k, &b)| (k, b))
+            .unzip();
+        let mut cells = vec![EMPTY_CELL; rows * cols];
+        seeds.clear();
+        push_row_seeds(rows, group_seed(seed, g), &mut seeds);
+        insert_batch_raw(&mut cells, &seeds, cols, &keys, &indexes);
+        assert!(query_batch_raw(&cells, &seeds, cols, &keys, &mut decoded));
+        out.extend(indexes.iter().zip(&decoded).map(|(&b, &d)| (g, b, d)));
+    }
+    (out, width)
+}
+
+/// Grouping bounds the decoded index error by the group width and so
+/// lowers it: at the same total cells (deliberately too few), 8 groups of
+/// `cols / 8` beat one table of `cols` on mean index error.
+#[test]
+fn more_groups_of_the_same_cells_lower_the_index_error() {
+    use rand::prelude::*;
+    let q = 256u16;
+    let total_cols = 64;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(25);
+    let pairs: BTreeMap<u64, u16> = (0..4_000).map(|k| (k, rng.gen_range(0..q))).collect();
+    let mean_err = |r: usize| {
+        let (decoded, _) = grouped_roundtrip(&pairs, q, r, 2, total_cols / r, 9);
+        decoded.iter().map(|&(_, b, d)| (b - d) as f64).sum::<f64>() / decoded.len() as f64
+    };
+    let (e1, e8) = (mean_err(1), mean_err(8));
+    assert!(
+        e8 < e1,
+        "grouping should reduce mean index error: grouped {e8} !< single {e1}"
+    );
+}
 
 proptest! {
     /// The mergeable sketch returns values inside the observed range and is
@@ -87,27 +144,22 @@ proptest! {
         }
     }
 
-    /// Grouped sketch confines the decode error to the owning group.
+    /// A key's decoded index stays inside its owning group, never above
+    /// the index it was inserted with, for any group count and seed.
     #[test]
-    fn grouped_minmax_error_within_group(
+    fn grouped_tables_decode_inside_the_owning_group(
         items in vec((0u64..5_000, 0u16..256), 1..1000),
         r in 1usize..16,
         seed in any::<u64>(),
     ) {
         let q = 256u16;
-        let mut g = GroupedMinMaxSketch::new(q, r, 2, 16, seed).unwrap();
-        let width = g.group_width();
-        let mut per_key_group = std::collections::HashMap::new();
-        for &(k, b) in &items {
-            let gi = g.insert(k, b);
-            prop_assert_eq!(gi, g.group_of(b));
-            per_key_group.insert((k, gi), b);
-        }
-        for &(k, gi) in per_key_group.keys() {
-            let got = g.query(gi, k).expect("inserted key present");
-            // Result must lie inside group gi's index range.
-            let lo = gi as u16 * width;
-            prop_assert!(got >= lo && got < lo.saturating_add(width).max(q.min(lo + width)));
+        let pairs: BTreeMap<u64, u16> = items.into_iter().collect();
+        let (decoded, width) = grouped_roundtrip(&pairs, q, r, 2, 16, seed);
+        prop_assert_eq!(decoded.len(), pairs.len());
+        for (g, b, got) in decoded {
+            let lo = g as u16 * width;
+            prop_assert!(got <= b, "decoded {} above inserted {}", got, b);
+            prop_assert!(got >= lo && got < (lo + width).min(q), "{} outside group {}", got, g);
         }
     }
 

@@ -17,6 +17,7 @@ use bytes::BytesMut;
 use common::LaneGuard;
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use sketchml::ml::MlError;
 use sketchml::{
     AdamConfig, Checkpoint, GlmLoss, GlmModel, OptStateMode, OptimizerKind, OptimizerState,
 };
@@ -25,7 +26,7 @@ use sketchml_core::{
     FastSgdCompressor, FrameVersion, GradientCompressor, QuantCompressor, ShardedCompressor,
     SketchMlCompressor, SparseGradient, ZipMlCompressor,
 };
-use sketchml_encoding::{decode_keys, encode_keys};
+use sketchml_encoding::delta_binary::{decode_keys_into, encode_keys_into};
 use std::path::PathBuf;
 
 const DIM: u64 = 4096;
@@ -333,7 +334,7 @@ fn v2_fixture_rejects_corruption_and_stays_v1_compatible() {
 #[test]
 fn every_decoder_guard_fires_through_decompress() {
     use sketchml::encoding::framing::{write_header, write_header_v2};
-    use sketchml::encoding::{bitpack::pack_u16, crc32::crc32, varint::write_u64};
+    use sketchml::encoding::{bitpack::pack_u16_into, crc32::crc32, varint::write_u64};
     use sketchml::{KeyCompressor, RawCompressor, TruncationCompressor};
 
     fn cat(parts: &[&[u8]]) -> Vec<u8> {
@@ -345,9 +346,14 @@ fn every_decoder_guard_fires_through_decompress() {
         out
     }
     fn cells(values: &[u16], bits: u32) -> Vec<u8> {
-        let mut out = Vec::new();
-        pack_u16(values, bits, &mut out).expect("valid cells");
-        out
+        let mut out = BytesMut::new();
+        pack_u16_into(values, bits, &mut out).expect("valid cells");
+        out.to_vec()
+    }
+    fn keys(keys: &[u64]) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        encode_keys_into(keys, &mut out).expect("valid keys");
+        out.to_vec()
     }
     // SketchML header of version 1, which has no exact section: magic,
     // version, seed, dim = 1000, nnz, rows.
@@ -360,8 +366,7 @@ fn every_decoder_guard_fires_through_decompress() {
         let means = vec![0u8; 8 * q as usize];
         cat(&[&v(n), &v(q), &[8], &means, &v(r), &v(cols), &[bits]])
     }
-    let mut key7 = Vec::new();
-    encode_keys(&[7], &mut key7).expect("valid key");
+    let key7 = keys(&[7]);
     // A key section holding the single key 7, preceded by its count.
     let g = cat(&[&v(1), &key7]);
     let h = skm(1, 2);
@@ -391,11 +396,7 @@ fn every_decoder_guard_fires_through_decompress() {
     // What the merging decoder leans on: every key section is an ascending
     // run, and a key lives in one section. Frames that break it, by hand.
     let zeros = cells(&[0; 2], 8);
-    let section = |keys: &[u64]| {
-        let mut block = Vec::new();
-        encode_keys(keys, &mut block).expect("valid keys");
-        cat(&[&v(keys.len() as u64), &block, &zeros])
-    };
+    let section = |ks: &[u64]| cat(&[&v(ks.len() as u64), &keys(ks), &zeros]);
     // Two keys with a zero delta between them (the encoder refuses to write
     // this): count 2, one flag byte of 1-byte widths, deltas 7 and 0.
     let repeated7 = cat(&[&v(2), &[2, 0b0000, 7, 0], &zeros]);
@@ -568,11 +569,9 @@ fn every_decoder_guard_fires_through_decompress() {
     fn skm2(nnz: u64) -> Vec<u8> {
         cat(&[&[0xA7, 2], &[0; 8], &v(1000), &v(nnz), &v(2)])
     }
-    let exact = |keys: &[u64], values: &[f64]| {
-        let mut block = Vec::new();
-        encode_keys(keys, &mut block).expect("valid keys");
+    let exact = |ks: &[u64], values: &[f64]| {
         let values: Vec<u8> = values.iter().flat_map(|x| x.to_le_bytes()).collect();
-        cat(&[&v(keys.len() as u64), &block, &values])
+        cat(&[&v(ks.len() as u64), &keys(ks), &values])
     };
     let no_sides = cat(&[&v(0), &v(0)]);
     let exact_cases = [
@@ -844,23 +843,28 @@ fn count_sketch_frame_matches_golden_fixture_and_rejects_every_bitflip() {
     }
 }
 
+/// The key encoder every codec runs, with the lanes the CPU has and again
+/// pinned to its scalar body, held to the committed bytes.
 #[test]
 fn delta_binary_keys_match_golden_fixture() {
     let grad = canonical_gradient();
-    let mut encoded = Vec::new();
-    encode_keys(grad.keys(), &mut encoded).expect("encode keys");
-    let golden = load_or_regen("delta_binary_seed901df1.hex", &encoded);
-    assert_eq!(
-        to_hex(&golden),
-        to_hex(&encoded),
-        "delta-binary: re-encoding the canonical keys changed the wire format"
-    );
-    let decoded = decode_keys(&mut golden.as_slice()).expect("decode fixture");
-    assert_eq!(decoded, grad.keys(), "delta-binary decode is lossless");
-    // Round the trip once more: decoded keys re-encode to the same bytes.
-    let mut reencoded = Vec::new();
-    encode_keys(&decoded, &mut reencoded).expect("re-encode keys");
-    assert_eq!(to_hex(&golden), to_hex(&reencoded));
+    let _guard = LaneGuard::acquire();
+    for scalar in [false, true] {
+        sketchml_core::simd::force_scalar(scalar);
+        let mut encoded = BytesMut::new();
+        encode_keys_into(grad.keys(), &mut encoded).expect("encode keys");
+        let golden = load_or_regen("delta_binary_seed901df1.hex", &encoded);
+        assert_eq!(
+            to_hex(&golden),
+            to_hex(&encoded),
+            "delta-binary (scalar: {scalar}): re-encoding the canonical keys changed the wire format"
+        );
+        let mut decoded = Vec::new();
+        let mut view = golden.as_slice();
+        decode_keys_into(&mut view, &mut decoded).expect("decode fixture");
+        assert!(view.is_empty(), "the decoder consumes exactly the fixture");
+        assert_eq!(decoded, grad.keys(), "delta-binary decode is lossless");
+    }
 }
 
 /// Replays a 3-worker ring reduce over sharded SketchML payloads and returns
@@ -962,7 +966,7 @@ fn canonical_checkpoint() -> Checkpoint {
 }
 
 #[test]
-fn checkpoint_v3_frame_matches_golden_fixture_and_the_v2_document_still_decodes() {
+fn checkpoint_v3_frame_matches_golden_fixture_and_the_v2_document_is_refused() {
     let current = canonical_checkpoint().to_bytes().expect("encode");
     let golden = load_or_regen("checkpoint_v3_sketched_adam.hex", &current);
     assert_eq!(
@@ -979,17 +983,23 @@ fn checkpoint_v3_frame_matches_golden_fixture_and_the_v2_document_still_decodes(
     );
 
     // The same state as the last JSON writer (the commit before v3) wrote
-    // it. Nothing in the tree can produce this file any more, so it is never
-    // regenerated: it pins the decode-only path.
+    // it. Nothing in the tree can produce this file, and nothing reads it:
+    // every loader refuses it with a typed error, as it does each of its
+    // prefixes.
     let json = std::fs::read(fixture_path("checkpoint_v2_sketched_adam.json")).expect("v2 fixture");
-    assert!(Checkpoint::validate(&json).is_err(), "validate is v3-only");
-    let legacy = Checkpoint::load(json.as_slice()).expect("v2 document decodes");
-    assert_eq!(legacy.version, Checkpoint::VERSION);
-    assert_eq!(
-        to_hex(&legacy.to_bytes().expect("upgrade")),
-        to_hex(&golden),
-        "a v2 document must upgrade to the v3 frame of the same state"
-    );
+    for cut in [json.len(), json.len() / 2, 60, 1, 0] {
+        let doc = &json[..cut];
+        for refused in [
+            Checkpoint::validate(doc).map(drop),
+            Checkpoint::from_bytes(doc).map(drop),
+            Checkpoint::load(doc).map(drop),
+        ] {
+            assert!(
+                matches!(refused, Err(MlError::InvalidInput(_))),
+                "{cut} bytes of the v2 document: {refused:?}"
+            );
+        }
+    }
 }
 
 /// Every optimizer state a checkpoint can hold, one per (rule, layout) in
