@@ -1,5 +1,5 @@
 //! Codec fidelity on the gradients the system ships: where `sketchml`'s
-//! error lives, by gradient magnitude.
+//! error lives, by gradient magnitude, and what each byte of the frame buys.
 //!
 //! The gradients are the benchmark's `codec_roundtrip` traffic, regenerated
 //! in-tree with the same recipe: d = 2^20, 100 000 instances (avg-nnz 64,
@@ -9,12 +9,13 @@
 //! gradients are kept. At seed 7 the overall rel-L2 of (i) below is the
 //! benchmark's `codec_roundtrip` `test_error`.
 //!
-//! The codec ships the ⌊n/512⌋ pairs of largest |v| of an n-pair gradient
-//! exact and sketches the rest. Every pair of the 16 gradients is ranked by
-//! |v| and the error is reported overall, per |v| decile and for the top
-//! 1 %, each band with its share of ‖g‖² and of the squared error, for
+//! The codec ships the ⌊n/64⌋ pairs of largest |v| of an n-pair gradient
+//! exact and sketches the rest in one MinMaxSketch row of d/5 columns.
+//! Every pair of the 16 gradients is ranked by |v| and the error is
+//! reported overall, per |v| decile and for the top 1 %, each band with its
+//! share of ‖g‖² and of the squared error, for
 //!
-//! - (i₀) the codec with no exact pairs, the paper's pipeline alone,
+//! - (i₀) the paper's pipeline alone: no exact pairs, 2 rows × d/5 (§4.1),
 //! - (i) the codec as shipped, and
 //! - (ii) per-sign quantization alone: the exact pairs as they are, every
 //!   other value replaced by its exact bucket's mean (`quantify::quantize`
@@ -23,13 +24,20 @@
 //!
 //! The gap between (i) and (ii) is the MinMaxSketch's index decay (§3.3);
 //! (ii) is what the equi-depth buckets cost on their own (§3.2). A second
-//! table runs the rule ladder, k = 0, ⌊n/1024⌋, ⌊n/512⌋ (shipped) and
-//! ⌊n/256⌋ exact pairs, through `SketchMlCompressor::compress_exact_into`.
+//! table prices the frame's bytes: a grid of sketch shapes (rows × column
+//! ratio) and exact-pair rules, each cell encoded through
+//! `SketchMlCompressor::compress_exact_into` under a config that differs
+//! from the default in `rows` and `col_ratio` only. It holds the frame
+//! before this rule (2 × 0.2, ⌊n/512⌋), the shipped cell (1 × 0.2, ⌊n/64⌋)
+//! and the rule ladder at the shipped shape (k = 0, ⌊n/128⌋, ⌊n/64⌋,
+//! ⌊n/32⌋).
 //!
-//! Aborts unless, on every rung, keys survive, every exact pair decodes to
+//! Aborts unless, in every cell, keys survive, every exact pair decodes to
 //! its value bit for bit, and every other value decodes to its exact
 //! bucket's mean from (ii) or one closer to zero on the same side: the
-//! sketch can only decay an index, never amplify one (§3.3).
+//! sketch can only decay an index, never amplify one (§3.3). Aborts too
+//! unless the shipped cell is `compress`'s frame byte for byte and has lower
+//! rel-L2 than the frame before it on no more bytes per pair.
 //!
 //! `--quick` runs one seed at the benchmark's smoke size (CI smoke).
 
@@ -44,10 +52,41 @@ use sketchml_core::{
 use sketchml_data::{Batcher, SparseDatasetSpec, Task};
 use sketchml_ml::{GlmLoss, GlmModel, OptimizerState};
 
-/// The rule ladder: pairs per exact pair (`None`: no exact pairs). The
-/// codec ships the 512 rung.
-const RULES: [Option<usize>; 4] = [None, Some(1024), Some(512), Some(256)];
-const SHIPPED: usize = 2;
+/// One cell of the grid: MinMaxSketch rows, total columns as a fraction of
+/// the pairs, and pairs per exact pair (`None`: no exact pairs).
+struct Shape {
+    rows: usize,
+    col_ratio: f64,
+    share: Option<usize>,
+}
+
+const fn shape(rows: usize, col_ratio: f64, share: Option<usize>) -> Shape {
+    Shape {
+        rows,
+        col_ratio,
+        share,
+    }
+}
+
+/// The grid. The first cell is the frame before the ⌊n/64⌋ rule, the
+/// [`SHIPPED`] cell is `compress`'s and the [`PAPER`] cell is (i₀).
+const GRID: [Shape; 12] = [
+    shape(2, 0.2, Some(512)),
+    shape(1, 0.4, Some(512)),
+    shape(2, 0.2, Some(64)),
+    shape(1, 0.4, Some(64)),
+    shape(1, 0.2, Some(64)),
+    shape(1, 0.2, Some(128)),
+    shape(1, 0.1, Some(64)),
+    shape(1, 0.1, Some(32)),
+    shape(1, 0.05, Some(32)),
+    shape(1, 0.2, None),
+    shape(1, 0.2, Some(32)),
+    shape(2, 0.2, None),
+];
+const BEFORE: usize = 0;
+const SHIPPED: usize = 4;
+const PAPER: usize = 11;
 
 /// Worker gradients a harvest keeps: 8 rounds of the 2-worker task.
 const HARVEST: usize = 16;
@@ -60,7 +99,7 @@ struct Band {
     pairs: usize,
     /// This band's share of ‖g‖².
     norm_share: f64,
-    /// (i₀) the codec with no exact pairs.
+    /// (i₀) the paper's pipeline alone.
     sketch_only_rel_l2: f64,
     /// (i) the codec as shipped.
     codec_rel_l2: f64,
@@ -70,9 +109,11 @@ struct Band {
     quant_err_share: f64,
 }
 
-/// One rung of the rule ladder over the whole harvest.
+/// One cell of the grid over the whole harvest.
 #[derive(Serialize)]
 struct Rung {
+    rows: usize,
+    col_ratio: f64,
     rule: String,
     exact_pairs: usize,
     bytes_per_pair: f64,
@@ -88,14 +129,14 @@ struct SeedReport {
     codec_rel_l2: f64,
     quant_rel_l2: f64,
     bands: Vec<Band>,
-    ladder: Vec<Rung>,
+    grid: Vec<Rung>,
 }
 
 /// One pair of the harvest: its value and its reconstructions, the codec's
-/// per rung of [`RULES`].
+/// per cell of [`GRID`].
 struct Pair {
     v: f64,
-    codec: [f64; RULES.len()],
+    codec: [f64; GRID.len()],
     quant: f64,
 }
 
@@ -203,19 +244,38 @@ fn rule_name(rule: Option<usize>) -> String {
     }
 }
 
+fn cell_name(shape: &Shape) -> String {
+    format!(
+        "{} × {}, {}",
+        shape.rows,
+        shape.col_ratio,
+        rule_name(shape.share)
+    )
+}
+
 fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
     let codec = SketchMlCompressor::default();
+    let cells: Vec<SketchMlCompressor> = GRID
+        .iter()
+        .map(|c| {
+            SketchMlCompressor::new(SketchMlConfig {
+                rows: c.rows,
+                col_ratio: c.col_ratio,
+                ..codec.config
+            })
+            .expect("grid config")
+        })
+        .collect();
     let grads = harvest(spec, seed, &codec);
     let mut pairs = Vec::new();
-    let (mut bytes, mut exact_pairs) = ([0usize; RULES.len()], [0usize; RULES.len()]);
+    let (mut bytes, mut exact_pairs) = ([0usize; GRID.len()], [0usize; GRID.len()]);
     let mut scratch = CompressScratch::new();
     let mut wire = Default::default(); // the codec's `BytesMut`
     for grad in &grads {
         let first = pairs.len();
-        for (r, rule) in RULES.iter().enumerate() {
-            let k = rule.map_or(0, |share| grad.nnz() / share);
-            codec
-                .compress_exact_into(grad, k, &mut scratch, &mut wire)
+        for (r, (cell, shape)) in cells.iter().zip(&GRID).enumerate() {
+            let k = shape.share.map_or(0, |share| grad.nnz() / share);
+            cell.compress_exact_into(grad, k, &mut scratch, &mut wire)
                 .expect("compress");
             if r == SHIPPED {
                 let shipped = codec.compress(grad).expect("compress").payload;
@@ -243,13 +303,13 @@ fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
                     assert!(
                         (d == 0.0 || d.signum() == v.signum()) && d.abs() <= q.abs(),
                         "seed {seed}, {}: {v} decoded as {d}, its exact bucket's mean is {q}",
-                        rule_name(*rule)
+                        cell_name(shape)
                     );
                 }
                 if r == 0 {
                     pairs.push(Pair {
                         v,
-                        codec: [0.0; RULES.len()],
+                        codec: [0.0; GRID.len()],
                         quant: 0.0,
                     });
                 }
@@ -268,7 +328,7 @@ fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
     let (_, quant_err) = sums(&pairs, |p| p.quant);
     let band = |name: String, slice: &[Pair]| {
         let (bn, bc) = sums(slice, shipped);
-        let (_, b0) = sums(slice, |p| p.codec[0]);
+        let (_, b0) = sums(slice, |p| p.codec[PAPER]);
         let (_, bq) = sums(slice, |p| p.quant);
         Band {
             band: name,
@@ -290,14 +350,16 @@ fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
     }
     let top1 = &pairs[n * 99 / 100..];
     bands.push(band("top 1%".into(), top1));
-    let ladder = RULES
+    let grid: Vec<Rung> = GRID
         .iter()
         .enumerate()
-        .map(|(r, &rule)| {
+        .map(|(r, shape)| {
             let (all_n, all_e) = sums(&pairs, |p| p.codec[r]);
             let (top_n, top_e) = sums(top1, |p| p.codec[r]);
             Rung {
-                rule: rule_name(rule),
+                rows: shape.rows,
+                col_ratio: shape.col_ratio,
+                rule: rule_name(shape.share),
                 exact_pairs: exact_pairs[r],
                 bytes_per_pair: bytes[r] as f64 / n as f64,
                 rel_l2: (all_e / all_n).sqrt(),
@@ -305,6 +367,15 @@ fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
             }
         })
         .collect();
+    let (before, now) = (&grid[BEFORE], &grid[SHIPPED]);
+    assert!(
+        now.rel_l2 < before.rel_l2 && now.bytes_per_pair <= before.bytes_per_pair,
+        "seed {seed}: the shipped cell ({:.4} rel-L2, {:.4} B/pair) does not beat the frame before it ({:.4}, {:.4})",
+        now.rel_l2,
+        now.bytes_per_pair,
+        before.rel_l2,
+        before.bytes_per_pair
+    );
     SeedReport {
         seed,
         pairs: n,
@@ -312,7 +383,7 @@ fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
         codec_rel_l2: (codec_err / norm).sqrt(),
         quant_rel_l2: (quant_err / norm).sqrt(),
         bands,
-        ladder,
+        grid,
     }
 }
 
@@ -345,7 +416,7 @@ fn main() {
             .collect();
         print_table(
             &format!(
-                "seed {seed}: {} pairs, {:.3} B/pair — (i₀) no exact pairs, (i) codec, (ii) quantization alone",
+                "seed {seed}: {} pairs, {:.3} B/pair — (i₀) paper's pipeline, (i) codec, (ii) quantization alone",
                 r.pairs, r.bytes_per_pair
             ),
             &[
@@ -361,10 +432,17 @@ fn main() {
             &rows,
         );
         let rows: Vec<Vec<String>> = r
-            .ladder
+            .grid
             .iter()
-            .map(|g| {
+            .enumerate()
+            .map(|(c, g)| {
+                let mark = match c {
+                    BEFORE => " (before)",
+                    SHIPPED => " (shipped)",
+                    _ => "",
+                };
                 vec![
+                    format!("{} × {}{mark}", g.rows, g.col_ratio),
                     g.rule.clone(),
                     g.exact_pairs.to_string(),
                     format!("{:.4}", g.bytes_per_pair),
@@ -374,8 +452,15 @@ fn main() {
             })
             .collect();
         print_table(
-            &format!("seed {seed}: exact-pair rule ladder (⌊n/512⌋ ships)"),
-            &["rule", "exact pairs", "B/pair", "rel-L2", "top 1% rel-L2"],
+            &format!("seed {seed}: sketch shape × exact-pair rule (1 × 0.2, ⌊n/64⌋ ships)"),
+            &[
+                "rows × col_ratio",
+                "k exact",
+                "exact pairs",
+                "B/pair",
+                "rel-L2",
+                "top 1% rel-L2",
+            ],
             &rows,
         );
         reports.push(r);

@@ -12,7 +12,8 @@
 //!    bucket index closest to the minimum bucket" and eliminates both
 //!    reversed-gradient cases of Figure 6.
 //! 3. Indexes are inserted into a **grouped** MinMaxSketch (§3.3 Solution 2,
-//!    `r` groups) keyed by the gradient keys.
+//!    `r` groups) keyed by the gradient keys: one row of d/5 columns by
+//!    default, where §4.1 sizes it 2 × d/5 (see [`SketchMlConfig::rows`]).
 //! 4. Keys are partitioned into `(sign, group)` sections and each section is
 //!    delta-binary encoded (§3.4; Appendix A.3's `d/r` keys-per-group and
 //!    `rD/d` expected-gap analysis describes precisely this sectioning). The
@@ -22,7 +23,7 @@
 //! MinMaxSketch for the (underestimated) bucket index, and map it to the
 //! bucket mean.
 //!
-//! One step ahead of the paper's pipeline: the ⌊n/512⌋ pairs of largest |v|
+//! One step ahead of the paper's pipeline: the ⌊n/64⌋ pairs of largest |v|
 //! skip it and ship exact, as one delta-binary key section with f64 values
 //! (frame version 2). The MinMaxSketch can only lower an index, so a side's
 //! top bucket decodes near half its magnitude, and the top 1 % of |v| hold
@@ -295,8 +296,14 @@ pub struct SketchMlConfig {
     /// Buckets per sign; both sides together give the paper's `q = 256`
     /// ("we find that q = 256 is often enough", §3.2).
     pub buckets_per_sign: u16,
-    /// MinMaxSketch rows `s` (default 2 — §4.1 sizes the sketch `2 × d/5`;
-    /// §B.2 shows rows = 4 converges *slower* due to extra bytes).
+    /// MinMaxSketch rows `s` (default 1). §4.1 sizes the sketch `2 × d/5`
+    /// and §B.2 shows rows = 4 converging *slower* on its extra bytes. At
+    /// the same d/5 columns in total one row decays an index less than two:
+    /// its cells hold ≈5 keys where two rows' hold ≈10 each, and the larger
+    /// of two minima over 10 sits lower than one minimum over 5. It also
+    /// costs one hash per key, and its frame is smaller (EXPERIMENTS.md,
+    /// `fig_fidelity`). Frames carry their rows, so a frame of any row count
+    /// decodes.
     pub rows: usize,
     /// Total MinMaxSketch columns as a fraction of `d` (default 1/5 — the
     /// §4.1 "column of MinMaxSketch (default d/5)").
@@ -322,7 +329,7 @@ impl Default for SketchMlConfig {
         SketchMlConfig {
             quantile_sketch_capacity: 128,
             buckets_per_sign: 128,
-            rows: 2,
+            rows: 1,
             col_ratio: 0.2,
             min_cols_per_group: 4,
             groups: 4,
@@ -399,10 +406,13 @@ const MAGIC: u8 = 0xA7;
 /// header; a version 1 frame is one without it and decodes through the same
 /// path, with no exact pairs.
 const VERSION: u8 = 2;
-/// One pair in this many ships exact: the ⌊n/512⌋ largest |v| of an n-pair
-/// gradient, none below 512 pairs. Measured against ⌊n/1024⌋ and ⌊n/256⌋ on
-/// the benchmark's gradients (EXPERIMENTS.md, `fig_fidelity`).
-const EXACT_SHARE: usize = 512;
+/// One pair in this many ships exact: the ⌊n/64⌋ largest |v| of an n-pair
+/// gradient, none below 64 pairs. On the benchmark's gradients these pairs
+/// hold over 95 % of ‖g‖²; with the one-row sketch the frame is 3.5 %
+/// smaller than the two-row ⌊n/512⌋ frame before it and its rel-L2 2–3×
+/// lower (EXPERIMENTS.md, `fig_fidelity`'s grid, which also prices
+/// ⌊n/128⌋ and ⌊n/32⌋).
+const EXACT_SHARE: usize = 64;
 /// Bytes of an exact value (f64, little-endian).
 const EXACT_WIDTH: usize = 8;
 /// Bytes per bucket mean, declared in each side's header; the decoder
@@ -428,7 +438,7 @@ fn record_encode(pairs: usize, payload_bytes: usize) {
 impl SketchMlCompressor {
     /// [`GradientCompressor::compress_into`] with the `exact` largest |v|
     /// shipped exact (capped at the gradient's pairs) instead of the
-    /// codec's ⌊n/512⌋: the rule ladder `fig_fidelity` measures. The frame
+    /// codec's ⌊n/64⌋: the rule ladder `fig_fidelity` measures. The frame
     /// is an ordinary one and decodes through
     /// [`GradientCompressor::decompress_into`]; `exact = 0` is the paper's
     /// pipeline alone.

@@ -270,7 +270,10 @@ fn more_buckets_improve_value_fidelity() {
     let err_for = |q: u16| {
         let cfg = SketchMlConfig {
             buckets_per_sign: q,
-            col_ratio: 1.0, // wide sketch isolates quantization error
+            // Two rows of d columns: a key is decayed only where both of
+            // its cells collide, which isolates quantization error.
+            rows: 2,
+            col_ratio: 1.0,
             ..SketchMlConfig::default()
         };
         let c = SketchMlCompressor::new(cfg).unwrap();

@@ -253,9 +253,14 @@ impl MergingQuantileSketch {
     /// emit values, and any permutation of an equal-value run crosses each
     /// rank target at the same value with the same cumulative weight at the
     /// run's exit.
+    ///
+    /// `items` is sized for every level full, not for what this sketch
+    /// retains: the retained count moves by a few items between inputs of
+    /// one size, and a pooled `items` sized to the first of them would grow
+    /// again on a later one.
     fn weighted_items_into(&self, items: &mut Vec<(f64, u64)>) {
         items.clear();
-        items.reserve(self.retained());
+        items.reserve(self.levels.len() * self.capacity);
         for (l, buf) in self.levels.iter().enumerate() {
             let w = 1u64 << l;
             items.extend(buf.iter().map(|&v| (v, w)));

@@ -24,7 +24,7 @@ use sketchml::{
 use sketchml_core::{
     CompressError, CompressScratch, CountSketchCompressor, CountSketchConfig, ErrorFeedback,
     FastSgdCompressor, FrameVersion, GradientCompressor, QuantCompressor, ShardedCompressor,
-    SketchMlCompressor, SparseGradient, ZipMlCompressor,
+    SketchMlCompressor, SketchMlConfig, SparseGradient, ZipMlCompressor,
 };
 use sketchml_encoding::delta_binary::{decode_keys_into, encode_keys_into};
 use std::path::PathBuf;
@@ -99,7 +99,7 @@ fn canonical_gradient_for(seed: u64) -> SparseGradient {
 }
 
 /// The canonical recipe at 2,048 pairs: enough for `sketchml` to ship
-/// ⌊2048/512⌋ = 4 of them exact.
+/// ⌊2048/64⌋ = 32 of them exact.
 fn wide_gradient() -> SparseGradient {
     gradient_of(SEED, 2048, 1 << 16)
 }
@@ -203,19 +203,27 @@ fn assert_golden_bytes(name: &str, compressor: &dyn GradientCompressor, grad: &S
     );
 }
 
-/// The v2 frame, with its exact section: the four pairs of largest |v|
-/// of the 2,048 come back bit for bit.
-#[test]
-fn sketchml_payload_matches_golden_fixture() {
-    let codec = SketchMlCompressor::default();
-    let grad = wide_gradient();
-    assert_golden_of("sketchml_v2_seed901df1.hex", &codec, &grad);
-    let golden = read_fixture("sketchml_v2_seed901df1.hex");
-    assert_eq!(golden[1], 2, "frame version");
-    let decoded = codec.decompress(&golden).expect("decode fixture");
+/// The codec before its frame shipped one sketch row: two rows of d/5
+/// columns, and the ⌊n/512⌋ largest |v| exact.
+fn two_row_codec() -> SketchMlCompressor {
+    SketchMlCompressor::new(SketchMlConfig {
+        rows: 2,
+        ..SketchMlConfig::default()
+    })
+    .expect("two rows are valid")
+}
+
+/// The indexes of `grad`'s `k` largest |v|.
+fn largest(grad: &SparseGradient, k: usize) -> Vec<usize> {
     let mut by_size: Vec<usize> = (0..grad.nnz()).collect();
     by_size.sort_by(|&a, &b| grad.values()[b].abs().total_cmp(&grad.values()[a].abs()));
-    for &i in &by_size[..grad.nnz() / 512] {
+    by_size.truncate(k);
+    by_size
+}
+
+/// Every one of `exact` decodes to its value bit for bit.
+fn assert_exact(grad: &SparseGradient, decoded: &SparseGradient, exact: &[usize]) {
+    for &i in exact {
         assert_eq!(
             decoded.values()[i].to_bits(),
             grad.values()[i].to_bits(),
@@ -225,10 +233,57 @@ fn sketchml_payload_matches_golden_fixture() {
     }
 }
 
+/// The shipped v2 frame: one sketch row, and the 32 pairs of largest |v| of
+/// the 2,048 come back bit for bit.
+#[test]
+fn sketchml_payload_matches_golden_fixture() {
+    let codec = SketchMlCompressor::default();
+    let grad = wide_gradient();
+    assert_golden_of("sketchml_v2_1row_seed901df1.hex", &codec, &grad);
+    let golden = read_fixture("sketchml_v2_1row_seed901df1.hex");
+    assert_eq!(golden[1], 2, "frame version");
+    let decoded = codec.decompress(&golden).expect("decode fixture");
+    assert_exact(&grad, &decoded, &largest(&grad, grad.nnz() / 64));
+}
+
+/// The two-row v2 frame written before the codec moved to one row and
+/// ⌊n/64⌋ exact pairs still decodes: the rows are in its header. The
+/// committed bytes are read, never rewritten; they are still what the
+/// two-row codec writes at ⌊n/512⌋, they decode to the same bits on a fresh
+/// scratch and on a used one, and their 4 exact pairs come back bit for
+/// bit.
+#[test]
+fn sketchml_two_row_v2_fixture_decodes_unchanged() {
+    let codec = SketchMlCompressor::default();
+    let grad = wide_gradient();
+    let golden = read_fixture("sketchml_v2_seed901df1.hex");
+    let mut written = BytesMut::new();
+    two_row_codec()
+        .compress_exact_into(&grad, grad.nnz() / 512, &mut CompressScratch::new(), &mut written)
+        .expect("compress");
+    assert_eq!(
+        to_hex(&golden),
+        to_hex(&written),
+        "the fixture is the two-row frame"
+    );
+
+    let want = codec.decompress(&golden).expect("decode on a fresh scratch");
+    assert_eq!(want.keys(), grad.keys());
+    assert_exact(&grad, &want, &largest(&grad, grad.nnz() / 512));
+    let mut pooled = SparseGradient::empty(0);
+    codec
+        .decompress_into(&golden, &mut used_scratch(), &mut pooled)
+        .expect("decode on a used scratch");
+    let bits = |g: &SparseGradient| g.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(pooled.keys(), want.keys());
+    assert_eq!(bits(&pooled), bits(&want));
+}
+
 /// The frame before the exact section (version 1) still decodes, through
 /// the same decoder, to the gradient it always did: a v1 frame is the v2
-/// frame of zero exact pairs without its exact-pair count, and both decode
-/// to the same bits. The committed bytes are read, never rewritten.
+/// frame of zero exact pairs, written with the config of its time (two
+/// sketch rows), without its exact-pair count, and both decode to the same
+/// bits. The committed bytes are read, never rewritten.
 #[test]
 fn sketchml_v1_fixture_decodes_unchanged() {
     use sketchml::encoding::varint::write_u64;
@@ -236,7 +291,7 @@ fn sketchml_v1_fixture_decodes_unchanged() {
     let grad = canonical_gradient();
     let v1 = read_fixture("sketchml_seed901df1.hex");
     let mut v2 = BytesMut::new();
-    codec
+    two_row_codec()
         .compress_exact_into(&grad, 0, &mut CompressScratch::new(), &mut v2)
         .expect("compress");
     // The count of exact pairs (varint 0) sits after magic, version, seed
@@ -253,7 +308,7 @@ fn sketchml_v1_fixture_decodes_unchanged() {
     assert_eq!(
         to_hex(&v1),
         to_hex(&as_v1),
-        "the v1 fixture is the k = 0 frame"
+        "the v1 fixture is the two-row k = 0 frame"
     );
 
     let want = codec.decompress(&v2).expect("decode v2");
@@ -1076,6 +1131,7 @@ fn fixtures_are_committed_not_regenerated_in_ci() {
     for name in [
         "sketchml_seed901df1.hex",
         "sketchml_v2_seed901df1.hex",
+        "sketchml_v2_1row_seed901df1.hex",
         "zipml_seed901df1.hex",
         "sketchml_sharded4_seed901df1.hex",
         "sketchml_sharded4_v2_seed901df1.hex",

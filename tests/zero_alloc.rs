@@ -230,7 +230,7 @@ fn warm_compress_into_and_decompress_into_allocate_nothing() {
             });
             assert_eq!(decoded.nnz(), d, "{name} at d={d}");
             if name == "serial" {
-                // The window covered `sketchml`'s exact section: ⌊d/512⌋
+                // The window covered `sketchml`'s exact section: ⌊d/64⌋
                 // pairs, the largest |v| among them, come back bit for bit.
                 let top = (0..d)
                     .max_by(|&a, &b| grad.values()[a].abs().total_cmp(&grad.values()[b].abs()))
