@@ -60,6 +60,21 @@
 //! `sketchml`'s, and did not move; nor did `driver/clean_raw`, which
 //! the re-record holds to its bits.
 //!
+//! They were re-recorded again (`REGEN_FIXTURES=sketchml`) when the frame
+//! moved to one sketch row and the ⌊n/64⌋ largest-|v| pairs exact: every
+//! gradient here of 64 pairs or more now ships exact pairs, and every
+//! sketched value is read from one row. All 33 entries other than
+//! `driver/clean_raw` moved their losses. The star entries (`driver/*`,
+//! `mlp/*`, `allreduce/star/*`) and the three `Resketch` entries also moved
+//! their byte counts and the seconds priced from them (`driver/clean` epoch
+//! 1 uplink 12,810 → 12,889 B). The ring and tree entries under
+//! `MergePolicy::Exact` kept their bytes, since they ship aggregation
+//! frames, but they merge what the workers' `sketchml` frames decode, so
+//! their losses moved. Final test losses moved by less than 0.007
+//! (`driver/clean` 0.5895 → 0.5959, `mlp/heavy_loss` 1.2682 → 1.2623).
+//! 19 entries moved their accuracy: the GLM ones by 1–5 of 160 test rows,
+//! the MLP ones by up to 8 of 58 (barely trained, as above).
+//!
 //! The 16 star entries (`driver/*`, `mlp/*`) were re-priced
 //! (`REGEN_FIXTURES=star_prices`, [`regen_star_prices`]) when the driver
 //! star began to price the downlink the socket server sends: each up
