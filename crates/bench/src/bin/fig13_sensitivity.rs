@@ -41,7 +41,10 @@ fn main() {
             "default (m=128, rows=1, cols=d/5)".into(),
             SketchMlCompressor::default(),
         ),
-        ("row_2 (paper default)".into(), sketchml_with(|c| c.rows = 2)),
+        (
+            "row_2 (paper default)".into(),
+            sketchml_with(|c| c.rows = 2),
+        ),
         (
             "quan_256 (m=256, q=256/sign, cap d/8)".into(),
             sketchml_with(|c| {

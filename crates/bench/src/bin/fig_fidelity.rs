@@ -52,37 +52,23 @@ use sketchml_core::{
 use sketchml_data::{Batcher, SparseDatasetSpec, Task};
 use sketchml_ml::{GlmLoss, GlmModel, OptimizerState};
 
-/// One cell of the grid: MinMaxSketch rows, total columns as a fraction of
-/// the pairs, and pairs per exact pair (`None`: no exact pairs).
-struct Shape {
-    rows: usize,
-    col_ratio: f64,
-    share: Option<usize>,
-}
-
-const fn shape(rows: usize, col_ratio: f64, share: Option<usize>) -> Shape {
-    Shape {
-        rows,
-        col_ratio,
-        share,
-    }
-}
-
-/// The grid. The first cell is the frame before the ⌊n/64⌋ rule, the
+/// The grid, one cell a line: MinMaxSketch rows, total columns as a
+/// fraction of the pairs, and pairs per exact pair (`None`: no exact
+/// pairs). The [`BEFORE`] cell is the frame before the ⌊n/64⌋ rule, the
 /// [`SHIPPED`] cell is `compress`'s and the [`PAPER`] cell is (i₀).
-const GRID: [Shape; 12] = [
-    shape(2, 0.2, Some(512)),
-    shape(1, 0.4, Some(512)),
-    shape(2, 0.2, Some(64)),
-    shape(1, 0.4, Some(64)),
-    shape(1, 0.2, Some(64)),
-    shape(1, 0.2, Some(128)),
-    shape(1, 0.1, Some(64)),
-    shape(1, 0.1, Some(32)),
-    shape(1, 0.05, Some(32)),
-    shape(1, 0.2, None),
-    shape(1, 0.2, Some(32)),
-    shape(2, 0.2, None),
+const GRID: [(usize, f64, Option<usize>); 12] = [
+    (2, 0.2, Some(512)),
+    (1, 0.4, Some(512)),
+    (2, 0.2, Some(64)),
+    (1, 0.4, Some(64)),
+    (1, 0.2, Some(64)),
+    (1, 0.2, Some(128)),
+    (1, 0.1, Some(64)),
+    (1, 0.1, Some(32)),
+    (1, 0.05, Some(32)),
+    (1, 0.2, None),
+    (1, 0.2, Some(32)),
+    (2, 0.2, None),
 ];
 const BEFORE: usize = 0;
 const SHIPPED: usize = 4;
@@ -244,23 +230,14 @@ fn rule_name(rule: Option<usize>) -> String {
     }
 }
 
-fn cell_name(shape: &Shape) -> String {
-    format!(
-        "{} × {}, {}",
-        shape.rows,
-        shape.col_ratio,
-        rule_name(shape.share)
-    )
-}
-
 fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
     let codec = SketchMlCompressor::default();
     let cells: Vec<SketchMlCompressor> = GRID
         .iter()
-        .map(|c| {
+        .map(|&(rows, col_ratio, _)| {
             SketchMlCompressor::new(SketchMlConfig {
-                rows: c.rows,
-                col_ratio: c.col_ratio,
+                rows,
+                col_ratio,
                 ..codec.config
             })
             .expect("grid config")
@@ -273,8 +250,8 @@ fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
     let mut wire = Default::default(); // the codec's `BytesMut`
     for grad in &grads {
         let first = pairs.len();
-        for (r, (cell, shape)) in cells.iter().zip(&GRID).enumerate() {
-            let k = shape.share.map_or(0, |share| grad.nnz() / share);
+        for (r, (cell, &(rows, col_ratio, rule))) in cells.iter().zip(&GRID).enumerate() {
+            let k = rule.map_or(0, |share| grad.nnz() / share);
             cell.compress_exact_into(grad, k, &mut scratch, &mut wire)
                 .expect("compress");
             if r == SHIPPED {
@@ -302,8 +279,8 @@ fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
                 } else {
                     assert!(
                         (d == 0.0 || d.signum() == v.signum()) && d.abs() <= q.abs(),
-                        "seed {seed}, {}: {v} decoded as {d}, its exact bucket's mean is {q}",
-                        cell_name(shape)
+                        "seed {seed}, {rows} × {col_ratio}, {}: {v} decoded as {d}, its exact bucket's mean is {q}",
+                        rule_name(rule)
                     );
                 }
                 if r == 0 {
@@ -353,13 +330,13 @@ fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
     let grid: Vec<Rung> = GRID
         .iter()
         .enumerate()
-        .map(|(r, shape)| {
+        .map(|(r, &(rows, col_ratio, rule))| {
             let (all_n, all_e) = sums(&pairs, |p| p.codec[r]);
             let (top_n, top_e) = sums(top1, |p| p.codec[r]);
             Rung {
-                rows: shape.rows,
-                col_ratio: shape.col_ratio,
-                rule: rule_name(shape.share),
+                rows,
+                col_ratio,
+                rule: rule_name(rule),
                 exact_pairs: exact_pairs[r],
                 bytes_per_pair: bytes[r] as f64 / n as f64,
                 rel_l2: (all_e / all_n).sqrt(),

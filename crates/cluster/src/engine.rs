@@ -4,18 +4,18 @@
 //!
 //! The engine is a handful of pieces, each written once:
 //!
-//! - [`open_link`] — the run preamble: validation and the [`FaultyLink`]
+//! - `open_link` — the run preamble: validation and the [`FaultyLink`]
 //!   every message rides;
-//! - [`crash_roster`] — the crash schedule's verdict on who works this round
+//! - `crash_roster` — the crash schedule's verdict on who works this round
 //!   and what restoring the rejoiners costs;
-//! - [`fan_out`] — the one scoped-thread fan-out (a panicking worker is a
+//! - `fan_out` — the one scoped-thread fan-out (a panicking worker is a
 //!   typed error, never an abort);
-//! - [`slowest`] — the straggler clock;
-//! - [`push`] — one gradient through the link, with the receiver's integrity
+//! - `slowest` — the straggler clock;
+//! - `push` — one gradient through the link, with the receiver's integrity
 //!   check;
-//! - [`run`] — the barrier-synchronous round loop and its epoch bookkeeping,
-//!   generic over a [`Model`] and an [`Exchange`]; its workers step through
-//!   [`process_rows`], and every round steps the run's one [`Replica`] along
+//! - `run` — the barrier-synchronous round loop and its epoch bookkeeping,
+//!   generic over a [`Model`] and an `Exchange`; its workers step through
+//!   `process_rows`, and every round steps the run's one [`Replica`] along
 //!   the shared [`Schedule`].
 //!
 //! A run ships exactly the compressor its caller passed: the plan never
@@ -26,16 +26,16 @@
 //! loop that never consulted a plan (`tests/round_engine.rs` pins this).
 //!
 //! There is one crash rule, the one the socket server follows too: `run`
-//! asks [`crash_roster`] at the start of every round, a crashed worker sits
+//! asks `crash_roster` at the start of every round, a crashed worker sits
 //! the round out and its slice of the batch is lost, and a worker whose
 //! outage just ended restores from the restore point `run` writes at each
 //! epoch end (only under a plan that schedules a crash). Every exchange
 //! aggregates whoever delivered, and a round in which nothing arrived is
 //! no round: no step, no training loss.
 //!
-//! [`run`] is generic over two things. A [`Model`] is what the workers
+//! `run` is generic over two things. A [`Model`] is what the workers
 //! step: a GLM ([`sketchml_ml::GlmModel`]) or the §B.3 MLP
-//! ([`sketchml_ml::Mlp`]). An [`Exchange`] holds only what differs between
+//! ([`sketchml_ml::Mlp`]). An `Exchange` holds only what differs between
 //! the aggregations: how the workers' results become one step of the
 //! run's [`Replica`] and what that costs on the simulated clock. Every
 //! simulated run, GLM or MLP, goes through `run`, with one shuffle

@@ -75,7 +75,7 @@ impl<M: Model> Replica<M> {
     /// Steps the state across one closed round from its decoded `parts`
     /// (`instances[i]` is the weight of `parts[i]`; no parts: the round
     /// changed nothing): [`combine`](crate::driver::combine) into the
-    /// replica's own buffers, then [`step`](Self::step). Once the replica
+    /// replica's own buffers, then `step`. Once the replica
     /// has combined a round as large, this allocates nothing.
     ///
     /// # Errors

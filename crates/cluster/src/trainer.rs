@@ -1,7 +1,7 @@
 //! The paper's distributed GLM training (§4.1 "Implementation" /
 //! "Protocol"): the spec and report types every run shares, the GLM as a
 //! round-engine [`Model`], and the driver star as the round engine's first
-//! [`Exchange`], for both models — running it with each of the six
+//! `Exchange`, for both models — running it with each of the six
 //! compressors reproduces every line of Figures 8–11 and Tables 2/4.
 
 use crate::config::ClusterConfig;

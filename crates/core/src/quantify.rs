@@ -75,7 +75,7 @@ fn order_key(v: f64) -> u64 {
 
 /// Flat lookup table replacing [`bucket_of`]'s per-value binary search on
 /// the hot path. Built once per quantization: interior splits are mapped to
-/// monotone [`order_key`]s, and a slot table over the key range stores, per
+/// monotone `order_key`s, and a slot table over the key range stores, per
 /// slot, how many interior splits precede it. A lookup is then one key
 /// transform, one shift, one table load, and a short linear fixup — no
 /// branch mispredictions from a log₂ q search per value.
@@ -193,9 +193,9 @@ impl BucketTable {
     /// Batch counterpart of [`Self::lookup`]: clears `out` and fills it with
     /// the bucket of every value (`BENCHMARK.json` row
     /// `core.bucket_lookup_mitems_per_s`). Same transform as
-    /// [`Self::lookup_fast`] but with the below-range early-out replaced by
+    /// `Self::lookup_fast` but with the below-range early-out replaced by
     /// a mask (out-of-range keys wrap on subtract, but the clamped slot stays
-    /// in bounds and the masked start index is 0, which [`Self::resolve`]
+    /// in bounds and the masked start index is 0, which `Self::resolve`
     /// leaves untouched because `k < interior[0]`). Scalar on every CPU: the
     /// slot-table load and the window fixup have no vector form (no u16
     /// gather), and an AVX2 order-key/slot prologue in front of them does

@@ -3,7 +3,7 @@
 //! [`ShardedCompressor`] wraps any [`GradientCompressor`] and splits each
 //! gradient into `shards` contiguous key-range shards, balanced by pair
 //! count. Shards are compressed (and decompressed) independently — possibly
-//! concurrently on the persistent worker pool in [`crate::pool`] — and
+//! concurrently on the persistent worker pool in `crate::pool` — and
 //! framed into one self-describing payload by [`sketchml_encoding::framing`].
 //!
 //! # Determinism

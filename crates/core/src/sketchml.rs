@@ -298,12 +298,13 @@ pub struct SketchMlConfig {
     pub buckets_per_sign: u16,
     /// MinMaxSketch rows `s` (default 1). §4.1 sizes the sketch `2 × d/5`
     /// and §B.2 shows rows = 4 converging *slower* on its extra bytes. At
-    /// the same d/5 columns in total one row decays an index less than two:
-    /// its cells hold ≈5 keys where two rows' hold ≈10 each, and the larger
-    /// of two minima over 10 sits lower than one minimum over 5. It also
-    /// costs one hash per key, and its frame is smaller (EXPERIMENTS.md,
-    /// `fig_fidelity`). Frames carry their rows, so a frame of any row count
-    /// decodes.
+    /// the same cells one row decays an index less than two: its cells hold
+    /// half as many keys, and for the large indexes that carry the norm one
+    /// lightly loaded cell is likelier to hold no smaller index than either
+    /// of two heavily loaded ones. The default then spends half the cells of
+    /// `2 × d/5` on exact pairs instead (DESIGN.md §2, `fig_fidelity`). One
+    /// row is also one hash a key. Frames carry their rows, so a frame of
+    /// any row count decodes.
     pub rows: usize,
     /// Total MinMaxSketch columns as a fraction of `d` (default 1/5 — the
     /// §4.1 "column of MinMaxSketch (default d/5)").
@@ -408,10 +409,10 @@ const MAGIC: u8 = 0xA7;
 const VERSION: u8 = 2;
 /// One pair in this many ships exact: the ⌊n/64⌋ largest |v| of an n-pair
 /// gradient, none below 64 pairs. On the benchmark's gradients these pairs
-/// hold over 95 % of ‖g‖²; with the one-row sketch the frame is 3.5 %
-/// smaller than the two-row ⌊n/512⌋ frame before it and its rel-L2 2–3×
-/// lower (EXPERIMENTS.md, `fig_fidelity`'s grid, which also prices
-/// ⌊n/128⌋ and ⌊n/32⌋).
+/// hold over 95 % of ‖g‖². The rule and the one-row sketch were chosen
+/// together on `fig_fidelity`'s grid of rules and sketch shapes
+/// (EXPERIMENTS.md): of the cells with at least d/5 columns, the lowest
+/// rel-L2 at no more bytes than two rows and ⌊n/512⌋.
 const EXACT_SHARE: usize = 64;
 /// Bytes of an exact value (f64, little-endian).
 const EXACT_WIDTH: usize = 8;

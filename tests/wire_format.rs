@@ -259,7 +259,12 @@ fn sketchml_two_row_v2_fixture_decodes_unchanged() {
     let golden = read_fixture("sketchml_v2_seed901df1.hex");
     let mut written = BytesMut::new();
     two_row_codec()
-        .compress_exact_into(&grad, grad.nnz() / 512, &mut CompressScratch::new(), &mut written)
+        .compress_exact_into(
+            &grad,
+            grad.nnz() / 512,
+            &mut CompressScratch::new(),
+            &mut written,
+        )
         .expect("compress");
     assert_eq!(
         to_hex(&golden),
@@ -267,7 +272,9 @@ fn sketchml_two_row_v2_fixture_decodes_unchanged() {
         "the fixture is the two-row frame"
     );
 
-    let want = codec.decompress(&golden).expect("decode on a fresh scratch");
+    let want = codec
+        .decompress(&golden)
+        .expect("decode on a fresh scratch");
     assert_eq!(want.keys(), grad.keys());
     assert_exact(&grad, &want, &largest(&grad, grad.nnz() / 512));
     let mut pooled = SparseGradient::empty(0);
