@@ -97,7 +97,7 @@ struct Band {
 
 /// One cell of the grid over the whole harvest.
 #[derive(Serialize)]
-struct Rung {
+struct Cell {
     rows: usize,
     col_ratio: f64,
     rule: String,
@@ -115,7 +115,7 @@ struct SeedReport {
     codec_rel_l2: f64,
     quant_rel_l2: f64,
     bands: Vec<Band>,
-    grid: Vec<Rung>,
+    grid: Vec<Cell>,
 }
 
 /// One pair of the harvest: its value and its reconstructions, the codec's
@@ -232,7 +232,7 @@ fn rule_name(rule: Option<usize>) -> String {
 
 fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
     let codec = SketchMlCompressor::default();
-    let cells: Vec<SketchMlCompressor> = GRID
+    let codecs: Vec<SketchMlCompressor> = GRID
         .iter()
         .map(|&(rows, col_ratio, _)| {
             SketchMlCompressor::new(SketchMlConfig {
@@ -250,7 +250,7 @@ fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
     let mut wire = Default::default(); // the codec's `BytesMut`
     for grad in &grads {
         let first = pairs.len();
-        for (r, (cell, &(rows, col_ratio, rule))) in cells.iter().zip(&GRID).enumerate() {
+        for (r, (cell, &(rows, col_ratio, rule))) in codecs.iter().zip(&GRID).enumerate() {
             let k = rule.map_or(0, |share| grad.nnz() / share);
             cell.compress_exact_into(grad, k, &mut scratch, &mut wire)
                 .expect("compress");
@@ -327,13 +327,13 @@ fn measure(spec: &SparseDatasetSpec, seed: u64) -> SeedReport {
     }
     let top1 = &pairs[n * 99 / 100..];
     bands.push(band("top 1%".into(), top1));
-    let grid: Vec<Rung> = GRID
+    let grid: Vec<Cell> = GRID
         .iter()
         .enumerate()
         .map(|(r, &(rows, col_ratio, rule))| {
             let (all_n, all_e) = sums(&pairs, |p| p.codec[r]);
             let (top_n, top_e) = sums(top1, |p| p.codec[r]);
-            Rung {
+            Cell {
                 rows,
                 col_ratio,
                 rule: rule_name(rule),
